@@ -990,8 +990,9 @@ const restoreRegressionTolerance = 1.20
 // ecosystem from a snapshot. The legacy leg is the reference deep
 // restore (Snapshot.Restore — full object-graph rebuild); the template
 // leg is the compiled fast path (RestoreTemplate.RestoreInto into a
-// warm worker arena — bulk copies, near-zero allocations), which the
-// fleet engine now runs by default. Both legs restore the same
+// warm worker arena — the bulk shared with the template until first
+// write, near-zero allocations), which the fleet engine now runs by
+// default. Both legs restore the same
 // default-spec snapshot, and the ≥5× allocation reduction plus the
 // measured ns/op win are enforced, not asserted: the benchmark fails
 // if the template path stops beating the legacy one.

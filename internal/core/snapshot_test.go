@@ -24,28 +24,39 @@ func deploymentTrace(t *testing.T, eco *Ecosystem, windows int) string {
 	}
 	var b strings.Builder
 	for w := 0; w < windows; w++ {
-		rep, err := d.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, err := eco.PredictedFailProb()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dram := 0
-		for _, n := range rep.DRAMHits {
-			dram += n
-		}
-		fmt.Fprintf(&b, "w=%d crash=%t corr=%d dram=%d alarm=%d temp=%x acts=%d pend=%d fp=%x\n",
-			w, rep.Crashed, rep.Correctable, dram, rep.ThermalAlarm,
-			math.Float64bits(rep.CPUTempC), len(rep.Actions), rep.PendingTests,
-			math.Float64bits(fp))
+		traceWindow(t, &b, eco, d, w)
 	}
-	fmt.Fprintf(&b, "summary=%+v\n", d.Summary())
-	fmt.Fprintf(&b, "clock=%v mode=%v point=%v temps=%v,%v\n",
+	traceEnd(&b, eco, d)
+	return b.String()
+}
+
+// traceWindow steps one window of d and appends its observable record.
+func traceWindow(t *testing.T, b *strings.Builder, eco *Ecosystem, d *Deployment, w int) {
+	t.Helper()
+	rep, err := d.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := eco.PredictedFailProb()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dram := 0
+	for _, n := range rep.DRAMHits {
+		dram += n
+	}
+	fmt.Fprintf(b, "w=%d crash=%t corr=%d dram=%d alarm=%d temp=%x acts=%d pend=%d fp=%x\n",
+		w, rep.Crashed, rep.Correctable, dram, rep.ThermalAlarm,
+		math.Float64bits(rep.CPUTempC), len(rep.Actions), rep.PendingTests,
+		math.Float64bits(fp))
+}
+
+// traceEnd appends the deployment summary and the end state.
+func traceEnd(b *strings.Builder, eco *Ecosystem, d *Deployment) {
+	fmt.Fprintf(b, "summary=%+v\n", d.Summary())
+	fmt.Fprintf(b, "clock=%v mode=%v point=%v temps=%v,%v\n",
 		eco.Clock.Now(), eco.Mode(), eco.Hypervisor.Point(),
 		tempBits(eco.cpuTherm.TempC), tempBits(eco.memTherm.TempC))
-	return b.String()
 }
 
 func tempBits(c float64) uint64 { return math.Float64bits(c) }

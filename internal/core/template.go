@@ -24,6 +24,19 @@ import (
 // deep-restore path had to take on the shared snapshot is paid once at
 // compile time.
 //
+// The two bulkiest images are not copied at all. A stamped node's
+// DRAM weak cells and VRT indices alias the template's slabs, and its
+// hypervisor object inventory aliases the proto's, until the node
+// first writes them (copy-on-write inside dram and hypervisor: VRT
+// toggles, pattern tests, weak-cell growth, reindexing, selective
+// protection). Every stamped node therefore reads the template for as
+// long as it runs, which makes immutability a contract with every
+// package, not only with the stamp: no code outside dram may write
+// dram.DIMM.Weak, and none outside hypervisor may write
+// hypervisor.ObjectMap.Objects. Both fields are exported for reading;
+// today nothing outside their packages writes either, and the
+// concurrent-writer test pins the template's bytes.
+//
 // RestoreInto is pinned byte-for-byte against Snapshot.Restore by the
 // equivalence tests: same fingerprints, same health-log bytes, same
 // stream positions. The legacy path stays as the reference
@@ -99,10 +112,11 @@ func (t *RestoreTemplate) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ec
 
 	c.Clock.Reset(t.origin)
 	c.Machine.StampFrom(t.proto.Machine)
-	t.flatMem.StampInto(c.Mem)
+	t.flatMem.StampInto(c.Mem) // shares the weak-cell slabs until first write
 	t.health.StampInto(c.Health, c.Clock, opts.HealthLogOut)
 	c.Health.RewireStressTrigger(a.trigger)
 	t.stressd.StampInto(c.Stress, c.Clock, c.Machine, c.Mem, c.Health)
+	// Shares the proto's object inventory until first write.
 	if err := c.Hypervisor.StampFrom(t.proto.Hypervisor, c.Mem); err != nil {
 		return nil, fmt.Errorf("core: template restore: %w", err)
 	}

@@ -2,12 +2,19 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
-	"uniserver/internal/workload"
-
+	"uniserver/internal/cpu"
+	"uniserver/internal/hypervisor"
+	"uniserver/internal/rng"
 	"uniserver/internal/vfr"
+	"uniserver/internal/workload"
 )
 
 // TestTemplateRestoreEquivalence pins the compiled fast path to the
@@ -37,6 +44,11 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := deploymentTrace(t, legacy, windows)
+				legacyW, err := snap.Restore(ropts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantW := writtenTrace(t, legacyW, windows)
 
 				arena := NewRestoreArena()
 				// Cold stamp, warm stamp, dirty re-stamp: each must
@@ -44,14 +56,29 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 				// leaves the arena ecosystem fully mutated (aged silicon,
 				// spent streams, advanced clock), so every iteration after
 				// the first also proves the stamp overwrites all of it.
-				for pass, label := range []string{"cold", "warm", "dirty"} {
+				// The written passes take a stamp that shares the
+				// template's weak cells and object inventory through its
+				// first writes (copy-on-write), and the passes after them
+				// re-stamp an arena whose DIMMs and inventory were
+				// unshared, which must share again and still match.
+				for pass, p := range []struct {
+					label   string
+					written bool
+				}{
+					{"cold", false}, {"warm", false}, {"dirty", false},
+					{"shared-then-written", true}, {"restamp-after-write", false}, {"written-again", true},
+				} {
 					stamped, err := tmpl.RestoreInto(arena, ropts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := deploymentTrace(t, stamped, windows); got != want {
+					trace, ref := deploymentTrace, want
+					if p.written {
+						trace, ref = writtenTrace, wantW
+					}
+					if got := trace(t, stamped, windows); got != ref {
 						t.Fatalf("pass %d (%s): template restore diverged from legacy restore:\n--- legacy ---\n%s--- template ---\n%s",
-							pass, label, want, got)
+							pass, p.label, ref, got)
 					}
 				}
 			})
@@ -240,5 +267,303 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 	if traceL := deploymentTrace(t, legacy, 30); traceL != traceA {
 		t.Fatalf("snapshot mutated by template stamps:\n--- legacy ---\n%s--- stamped ---\n%s",
 			traceL, traceA)
+	}
+}
+
+// writtenTrace is deploymentTrace for a node that writes every piece
+// of state a stamp shares with its template by reference: weak-cell
+// growth and VRT toggles across a fast-forward gap, the pattern tests
+// of a re-characterization, one more pattern test, a VRT reindex and
+// selective protection of hypervisor objects. The trace ends with a
+// digest of the written weak cells and object inventory.
+func writtenTrace(t *testing.T, eco *Ecosystem, windows int) string {
+	t.Helper()
+	eco.SetWeakGrowth(40)
+	d, err := eco.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for w := 0; w < windows/2; w++ {
+		traceWindow(t, &b, eco, d, w)
+	}
+	if err := d.FastForward(Gap{Days: 20, Duty: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RecharacterizeNow(); err != nil {
+		t.Fatal(err)
+	}
+	for _, dom := range eco.Mem.RelaxedDomains() {
+		res := eco.Mem.RunPatternTest(dom, rng.New(77))
+		fmt.Fprintf(&b, "pattern %s errs=%d\n", dom.Name, res.BitErrors)
+	}
+	eco.Mem.Reindex()
+	objs := eco.Hypervisor.Objects()
+	fmt.Fprintf(&b, "protected %d+%d\n", objs.Protect(hypervisor.CatPCI), objs.ProtectObjects([]int{3, 5, 8}))
+	for w := windows / 2; w < windows; w++ {
+		traceWindow(t, &b, eco, d, w)
+	}
+	traceEnd(&b, eco, d)
+	fmt.Fprintf(&b, "state=%s\n", sharedStateDigest(eco))
+	return b.String()
+}
+
+// sharedStateDigest hashes the state a stamp shares with its template
+// until first write: every DIMM's weak cells and the object inventory.
+func sharedStateDigest(eco *Ecosystem) string {
+	h := sha256.New()
+	for _, dom := range eco.Mem.Domains {
+		for _, d := range dom.DIMMs {
+			fmt.Fprintf(h, "%v\n", d.Weak)
+		}
+	}
+	fmt.Fprintf(h, "%v\n", eco.Hypervisor.Objects().Objects)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// templateDigest hashes everything a stamp may alias or copy from the
+// template: the weak-cell and VRT slabs and the proto ecosystem's weak
+// cells and object inventory.
+func templateDigest(tmpl *RestoreTemplate) string {
+	slabs := tmpl.flatMem.Digest()
+	return hex.EncodeToString(slabs[:]) + "/" + sharedStateDigest(tmpl.proto)
+}
+
+// TestTemplateImmutableUnderConcurrentWriters pins the ownership
+// invariant the shared stamp rests on. Two goroutines stamp arenas
+// from one template — so their DIMMs and object inventories alias the
+// template's — and drive every writer of that state on them:
+// fast-forward with weak-cell growth, re-characterization, pattern
+// tests, reindexing, and both protection calls. Afterwards the
+// template must hash exactly as before, and under -race any writer
+// that skipped copy-on-write is a reported data race against the
+// other goroutine's reads. Both goroutines must also observe the same
+// written state, so no write leaked between arenas.
+func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	eco, _ := readyEcosystem(t, 23)
+	snap, err := eco.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := snap.Compile()
+	before := templateDigest(tmpl)
+
+	writers := []struct {
+		name string
+		do   func(t *testing.T, e *Ecosystem)
+	}{
+		{"fast-forward+growth", func(t *testing.T, e *Ecosystem) {
+			e.SetWeakGrowth(60)
+			d, err := e.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := d.FastForward(Gap{Days: 15, Duty: 0.4}); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"recharacterize", func(t *testing.T, e *Ecosystem) {
+			d, err := e.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := d.RecharacterizeNow(); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"pattern-test", func(t *testing.T, e *Ecosystem) {
+			for _, dom := range e.Mem.RelaxedDomains() {
+				e.Mem.RunPatternTest(dom, rng.New(5))
+			}
+		}},
+		{"reindex", func(t *testing.T, e *Ecosystem) { e.Mem.Reindex() }},
+		{"protect", func(t *testing.T, e *Ecosystem) {
+			e.Hypervisor.Objects().Protect(hypervisor.CatVDSO, hypervisor.CatInit)
+		}},
+		{"protect-objects", func(t *testing.T, e *Ecosystem) {
+			e.Hypervisor.Objects().ProtectObjects([]int{0, 100, 16000})
+		}},
+	}
+
+	const goroutines, reps = 2, 2
+	results := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			arena := NewRestoreArena()
+			for r := 0; r < reps; r++ {
+				for _, w := range writers {
+					e, err := tmpl.RestoreInto(arena, RestoreOptions{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					w.do(t, e)
+					results[g] = append(results[g], w.name+" "+sharedStateDigest(e))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if after := templateDigest(tmpl); after != before {
+		t.Fatalf("template changed under stamped writers:\nbefore %s\nafter  %s", before, after)
+	}
+	for i := range results[0] {
+		if results[0][i] != results[1][i] {
+			t.Fatalf("goroutines diverged on %q vs %q", results[0][i], results[1][i])
+		}
+		if i >= len(writers) && results[0][i] != results[0][i-len(writers)] {
+			t.Fatalf("rep %d of %s diverged from rep 0", i/len(writers), writers[i%len(writers)].name)
+		}
+	}
+}
+
+// TestStampSharesWithTemplate pins the sharing itself, seen from core:
+// two arenas stamped from one template read the same weak-cell and
+// object storage; a write gives one arena private copies; and its
+// next stamp shares again.
+func TestStampSharesWithTemplate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	eco, _ := readyEcosystem(t, 29)
+	snap, err := eco.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := snap.Compile()
+	a, b := NewRestoreArena(), NewRestoreArena()
+	for _, ar := range []*RestoreArena{a, b} {
+		// The first stamp of an arena is the cold deep clone; the warm
+		// stamps after it share.
+		for i := 0; i < 2; i++ {
+			if _, err := tmpl.RestoreInto(ar, RestoreOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func() (weak, objs bool) {
+		wa, wb := a.eco.Mem.Domains[1].DIMMs[0].Weak, b.eco.Mem.Domains[1].DIMMs[0].Weak
+		oa, ob := a.eco.Hypervisor.Objects().Objects, b.eco.Hypervisor.Objects().Objects
+		return &wa[0] == &wb[0], &oa[0] == &ob[0]
+	}
+	if w, o := same(); !w || !o {
+		t.Fatalf("warm stamps do not share: weak cells %t, objects %t", w, o)
+	}
+	d, err := a.eco.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RecharacterizeNow(); err != nil {
+		t.Fatal(err)
+	}
+	a.eco.Hypervisor.Objects().Protect(hypervisor.CatPCI)
+	if w, o := same(); w || o {
+		t.Fatalf("written arena still shares: weak cells %t, objects %t", w, o)
+	}
+	if _, err := tmpl.RestoreInto(a, RestoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if w, o := same(); !w || !o {
+		t.Fatalf("re-stamp after a write does not share again: weak cells %t, objects %t", w, o)
+	}
+}
+
+// stampRunAllocBudget and stampRunBytesBudget fence one node's full
+// arena cycle as the fleet runs it — warm stamp, Reseed, mode entry,
+// the runtime windows, the summary — with two archetypes of different
+// part models alternating on one arena. The stamp-only fence above
+// re-stamps one template back to back and so cannot see churn that
+// only shows across a node's runtime or across archetype switches
+// (histories swept and rebuilt, health vectors outgrowing their
+// slices). Measured at 30 windows: 66 allocs and ~2.5 KB per node;
+// before the shared stamp and the reusable health histories, 97 allocs
+// and ~72 KB, which both budgets refuse.
+const (
+	stampRunWindows     = 30
+	stampRunAllocBudget = 80
+	stampRunBytesBudget = 8 << 10
+)
+
+func TestStampRunCycleAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	templates := make([]*RestoreTemplate, 0, 2)
+	for _, part := range []cpu.PartSpec{cpu.PartI5_4200U(), cpu.PartI7_3970X()} {
+		opts := smallOptions(31)
+		opts.SetPart(part)
+		eco, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eco.PreDeployment(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := eco.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		templates = append(templates, snap.Compile())
+	}
+	arena := NewRestoreArena()
+	seed := uint64(0)
+	cycle := func() {
+		for _, tmpl := range templates {
+			seed++
+			eco, err := tmpl.RestoreInto(arena, RestoreOptions{AmbientCPUC: 30, AmbientDIMMC: 36})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eco.Reseed(seed); err != nil {
+				t.Fatal(err)
+			}
+			d, err := eco.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w < stampRunWindows; w++ {
+				if _, err := d.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eco.PredictedFailProb(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = d.Summary()
+		}
+	}
+	// Warm the arena on both archetypes first.
+	cycle()
+	cycle()
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	nodes := float64(runs * len(templates))
+	allocs := float64(after.Mallocs-before.Mallocs) / nodes
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+	t.Logf("stamp+run cycle: %.1f allocs, %.0f bytes per node (budgets %d, %d)",
+		allocs, bytes, stampRunAllocBudget, stampRunBytesBudget)
+	if allocs > stampRunAllocBudget {
+		t.Errorf("stamp+run cycle allocates %.1f times per node, budget %d", allocs, stampRunAllocBudget)
+	}
+	if bytes > stampRunBytesBudget {
+		t.Errorf("stamp+run cycle allocates %.0f bytes per node, budget %d", bytes, stampRunBytesBudget)
 	}
 }

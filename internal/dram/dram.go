@@ -144,6 +144,28 @@ type DIMM struct {
 	// the whole weak population. Filled by NewDIMM; a literal-built
 	// DIMM (nil vrt) falls back to the full scan.
 	vrt []int
+
+	// shared marks a stamped DIMM whose Weak and vrt alias a restore
+	// template's immutable slabs (FlatMemory.StampInto). Every mutator
+	// calls unshare first, which copies the aliased slices into the
+	// DIMM's own spare buffers; readers never need to. No code outside
+	// this package may write Weak.
+	shared    bool
+	spareWeak []WeakCell
+	spareVRT  []int
+}
+
+// unshare gives a stamped DIMM private copies of its weak-cell
+// population and VRT index before its first write, reusing the
+// buffers it owned before it was stamped. A no-op on owned DIMMs.
+func (d *DIMM) unshare() {
+	if !d.shared {
+		return
+	}
+	d.Weak = append(d.spareWeak[:0], d.Weak...)
+	d.vrt = append(d.spareVRT[:0], d.vrt...)
+	d.spareWeak, d.spareVRT = nil, nil
+	d.shared = false
 }
 
 // WeakCellHorizon is the retention horizon below which cells are
@@ -194,6 +216,8 @@ func (d *DIMM) Clone() *DIMM {
 	out := *d
 	out.Weak = append([]WeakCell(nil), d.Weak...)
 	out.vrt = append([]int(nil), d.vrt...)
+	out.shared = false
+	out.spareWeak, out.spareVRT = nil, nil
 	return &out
 }
 
@@ -208,6 +232,7 @@ func (d *DIMM) Grow(n int, model RetentionModel, src *rng.Source) {
 	if n <= 0 {
 		return
 	}
+	d.unshare()
 	bits := d.Bits()
 	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
 	for i := 0; i < n; i++ {
@@ -420,6 +445,7 @@ func toggleVRT(dom *Domain, src *rng.Source) {
 // every downstream fingerprint — is the same on both paths.
 func toggleVRTWith(dom *Domain, p float64, src *rng.Source) {
 	for _, dimm := range dom.DIMMs {
+		dimm.unshare()
 		if dimm.vrt != nil {
 			for _, i := range dimm.vrt {
 				if src.Bernoulli(p) {
@@ -467,6 +493,7 @@ func ToggleVRTCoarse(dom *Domain, windows int, src *rng.Source) {
 func (ms *MemorySystem) Reindex() {
 	for _, dom := range ms.Domains {
 		for _, dimm := range dom.DIMMs {
+			dimm.unshare()
 			dimm.vrt = dimm.vrt[:0]
 			for i := range dimm.Weak {
 				if dimm.Weak[i].AltRetentionSec > 0 {

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -10,9 +12,10 @@ import (
 // weak-cell and VRT-index populations of every DIMM concatenated into
 // two slabs, with per-DIMM extents recorded as index ranges. It is
 // built once per restore template (Flatten) and stamped into reusable
-// arena memory systems (StampInto) with two bulk copies instead of a
-// per-DIMM allocation walk. A FlatMemory is immutable after Flatten
-// and safe for concurrent StampInto calls from many workers.
+// arena memory systems (StampInto), whose DIMMs alias the slabs until
+// they first write. A FlatMemory is immutable after Flatten and safe
+// for concurrent StampInto calls — and concurrent reads through the
+// stamped DIMMs — from many workers.
 type FlatMemory struct {
 	model   RetentionModel
 	tempC   float64
@@ -81,11 +84,20 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 }
 
 // StampInto overwrites ms with the template image, reusing ms's
-// Domain and DIMM objects and their slice storage when the shape
-// matches (it always does when an arena is re-stamped from templates
-// of the same spec). Domain pointer identity is preserved across
-// same-shape stamps, which lets an Allocator stamped alongside keep
-// its per-domain usage map keys stable.
+// Domain and DIMM objects when the shape matches (it always does when
+// an arena is re-stamped from templates of the same spec). Domain
+// pointer identity is preserved across same-shape stamps, which lets
+// an Allocator stamped alongside keep its per-domain usage map keys
+// stable.
+//
+// The weak-cell populations are stamped by reference: each DIMM's
+// Weak and VRT index alias capacity-clamped extents of the template's
+// slabs, and the DIMM is marked shared. The first write to a DIMM —
+// a VRT toggle, a pattern test, weak-cell growth, a reindex — copies
+// its extent into the DIMM's own buffer (unshare), so the slabs are
+// never written and any number of workers may stamp from and read
+// them concurrently. The buffer a DIMM owned before the stamp is kept
+// for that copy, so a warm arena's copy-on-write allocates nothing.
 func (f *FlatMemory) StampInto(ms *MemorySystem) {
 	ms.Model = f.model
 	ms.TempC = f.tempC
@@ -102,10 +114,41 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			d := dom.DIMMs[i]
 			d.CapacityBytes = fdim.capacityBytes
 			d.DeviceGb = fdim.deviceGb
-			d.Weak = append(d.Weak[:0], f.cells[fdim.weakLo:fdim.weakHi]...)
-			d.vrt = append(d.vrt[:0], f.vrt[fdim.vrtLo:fdim.vrtHi]...)
+			f.share(d, fdim)
 		}
 	}
+}
+
+// share points d's weak-cell population and VRT index at its extents
+// of the template slabs. The three-index slices cap each extent at
+// its own length, so even an append that bypassed unshare would
+// reallocate rather than overwrite a neighbouring DIMM's cells. A
+// DIMM that owned its storage parks it as the spare unshare reuses.
+func (f *FlatMemory) share(d *DIMM, fdim flatDIMM) {
+	if !d.shared {
+		d.spareWeak, d.spareVRT = d.Weak[:0], d.vrt[:0]
+	}
+	d.Weak = f.cells[fdim.weakLo:fdim.weakHi:fdim.weakHi]
+	d.vrt = f.vrt[fdim.vrtLo:fdim.vrtHi:fdim.vrtHi]
+	d.shared = true
+}
+
+// Digest returns a sha256 over the weak-cell and VRT slabs — the
+// bytes every stamped DIMM reads until its first write. Stamping and
+// running any number of nodes must leave it unchanged; a changed
+// digest means some writer skipped unshare.
+func (f *FlatMemory) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	// WeakCell is fixed-size, so binary.Write cannot fail on it.
+	_ = binary.Write(h, binary.LittleEndian, f.cells)
+	var b [8]byte
+	for _, i := range f.vrt {
+		binary.LittleEndian.PutUint64(b[:], uint64(i))
+		h.Write(b[:])
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 func (f *FlatMemory) shapeMatches(ms *MemorySystem) bool {
@@ -139,12 +182,9 @@ func (f *FlatMemory) rebuild(ms *MemorySystem) {
 			DIMMs:    make([]*DIMM, fd.dimmHi-fd.dimmLo),
 		}
 		for i, fdim := range f.dimms[fd.dimmLo:fd.dimmHi] {
-			dom.DIMMs[i] = &DIMM{
-				CapacityBytes: fdim.capacityBytes,
-				DeviceGb:      fdim.deviceGb,
-				Weak:          append([]WeakCell(nil), f.cells[fdim.weakLo:fdim.weakHi]...),
-				vrt:           append([]int(nil), f.vrt[fdim.vrtLo:fdim.vrtHi]...),
-			}
+			d := &DIMM{CapacityBytes: fdim.capacityBytes, DeviceGb: fdim.deviceGb}
+			f.share(d, fdim)
+			dom.DIMMs[i] = d
 		}
 		ms.Domains[di] = dom
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"uniserver/internal/core"
+	"uniserver/internal/cpu"
+	"uniserver/internal/dram"
 	"uniserver/internal/rng"
 )
 
@@ -244,5 +247,65 @@ func ArchetypeSeed(seed uint64, bin string) uint64 {
 // Config.Archetypes). wantLog is part of the key because log bytes are
 // captured only when a health log was requested.
 func charactKey(seed uint64, spec NodeSpec, wantLog bool) string {
-	return fmt.Sprintf("seed=%d log=%t %s", seed, wantLog, ArchetypeBin(spec))
+	return scopedKey(seed, wantLog, ArchetypeBin(spec))
+}
+
+// scopedKey renders charactKey from an already-rendered bin, byte for
+// byte what fmt's "seed=%d log=%t %s" produces, without fmt.
+func scopedKey(seed uint64, wantLog bool, bin string) string {
+	return "seed=" + strconv.FormatUint(seed, 10) + " log=" + strconv.FormatBool(wantLog) + " " + bin
+}
+
+// binMemo resolves node specs to their characterization identities
+// once per distinct spec for the whole of one fleet run. ArchetypeBin
+// renders a spec through fmt reflection; per node, twice (the bin seed
+// and the cache key), that cost more than stamping the node. Workers
+// share one memo under a mutex — a map probe per node.
+type binMemo struct {
+	fleetSeed uint64
+	wantLog   bool
+	mu        sync.Mutex
+	bins      map[binSpec]*binInfo
+}
+
+// binSpec is the comparable form of the NodeSpec fields ArchetypeBin
+// renders. The only field values that compare equal yet render
+// differently are floats of opposite zero sign, which describe the
+// same part; NaN never compares equal, so it is re-rendered per node
+// and stays correct.
+type binSpec struct {
+	part cpu.PartSpec
+	mem  dram.Config
+}
+
+// binInfo is one spec's memoized identity.
+type binInfo struct {
+	bin     string // ArchetypeBin(spec)
+	binSeed uint64 // ArchetypeSeed(fleetSeed, bin)
+	archKey string // charactKey(binSeed, spec, wantLog)
+}
+
+func newBinMemo(fleetSeed uint64, wantLog bool) *binMemo {
+	return &binMemo{fleetSeed: fleetSeed, wantLog: wantLog, bins: make(map[binSpec]*binInfo)}
+}
+
+// lookup returns spec's identity, rendering it on the spec's first use.
+func (m *binMemo) lookup(spec NodeSpec) *binInfo {
+	k := binSpec{part: spec.Part, mem: spec.Mem}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b, ok := m.bins[k]; ok {
+		return b
+	}
+	bin := ArchetypeBin(spec)
+	b := &binInfo{bin: bin, binSeed: ArchetypeSeed(m.fleetSeed, bin)}
+	b.archKey = scopedKey(b.binSeed, m.wantLog, bin)
+	m.bins[k] = b
+	return b
+}
+
+// nodeKey is charactKey for a node's own seed on the per-node cached
+// path.
+func (m *binMemo) nodeKey(seed uint64, spec NodeSpec) string {
+	return scopedKey(seed, m.wantLog, m.lookup(spec).bin)
 }

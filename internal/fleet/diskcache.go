@@ -33,26 +33,56 @@ const charactDirVersionFile = "VERSION"
 // — the wire form mirrors simulator internals, so a cross-version
 // read would corrupt results rather than merely miss. Point different
 // builds at different directories (or clear the stale one).
+//
+// Any number of caches, in this process or others, may attach one
+// fresh directory at once: the stamp is written to a temp file and
+// renamed into place, so a reader sees either no stamp or a whole
+// one, and every attacher re-reads the stamp that won. An empty stamp
+// — left by a writer that truncated it in place and has not written
+// yet, or died doing so — counts as missing: the attacher stamps the
+// directory itself and reads again.
 func (c *CharactCache) AttachDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fleet: creating characterization cache dir: %w", err)
 	}
 	vpath := filepath.Join(dir, charactDirVersionFile)
 	want := strconv.Itoa(core.SnapshotFormatVersion)
-	if data, err := os.ReadFile(vpath); err == nil {
-		if got := strings.TrimSpace(string(data)); got != want {
-			return fmt.Errorf("fleet: characterization cache dir %s is version %s, this build writes version %s; refusing mismatched versions (clear the dir or use another)",
-				dir, got, want)
+	const attempts = 8
+	for i := 0; i < attempts; i++ {
+		data, err := os.ReadFile(vpath)
+		if err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("fleet: reading characterization cache version: %w", err)
 		}
-	} else if os.IsNotExist(err) {
-		if err := os.WriteFile(vpath, []byte(want+"\n"), 0o644); err != nil {
+		if got := strings.TrimSpace(string(data)); got != "" {
+			if got != want {
+				return fmt.Errorf("fleet: characterization cache dir %s is version %s, this build writes version %s; refusing mismatched versions (clear the dir or use another)",
+					dir, got, want)
+			}
+			c.dir.Store(dir)
+			return nil
+		}
+		if err := stampVersion(dir, vpath, want); err != nil {
 			return fmt.Errorf("fleet: stamping characterization cache dir: %w", err)
 		}
-	} else {
-		return fmt.Errorf("fleet: reading characterization cache version: %w", err)
 	}
-	c.dir.Store(dir)
-	return nil
+	return fmt.Errorf("fleet: characterization cache dir %s: version stamp still empty after %d attempts", dir, attempts)
+}
+
+// stampVersion atomically replaces the directory's version stamp.
+func stampVersion(dir, vpath, version string) error {
+	tmp, err := os.CreateTemp(dir, ".version-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.WriteString(version + "\n"); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), vpath)
 }
 
 // diskEntryState is one spilled cache entry: the key (verified on

@@ -601,8 +601,9 @@ func (s *nodeState) characterize(spec NodeSpec, wantLog bool) (*core.Ecosystem, 
 // characterization: replay the captured log bytes (when logging),
 // rebind the log writer and re-seat the ambient. With a compiled
 // template and a worker arena it takes the stamp path
-// (RestoreTemplate.RestoreInto — bulk copies into reused storage, no
-// shared locks); the legacy deep restore remains the reference
+// (RestoreTemplate.RestoreInto — copies into reused storage, the bulk
+// shared with the template until first write, no shared locks); the
+// legacy deep restore remains the reference
 // implementation, used when either is absent and pinned byte-for-byte
 // against the template path by the core equivalence tests.
 func (s *nodeState) restoreFrom(snap *core.Snapshot, tmpl *core.RestoreTemplate,
@@ -630,8 +631,8 @@ func (s *nodeState) restoreFrom(snap *core.Snapshot, tmpl *core.RestoreTemplate,
 // shows up as a fingerprint divergence against the direct path's
 // goldens instead of hiding behind a warm cache.
 func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreArena,
-	spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
-	snap, tmpl, pre, logBytes, err := cache.characterized(charactKey(s.seed, spec, wantLog), wantLog,
+	bins *binMemo, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
+	snap, tmpl, pre, logBytes, err := cache.characterized(bins.nodeKey(s.seed, spec), wantLog,
 		charactBuilder(spec, s.seed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
@@ -650,10 +651,10 @@ func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreA
 // never matter — the bin seed, not the node seed, drives the campaign
 // — so results are worker- and shard-invariant by construction.
 func (s *nodeState) characterizeArchetype(cache *CharactCache, arena *core.RestoreArena,
-	fleetSeed uint64, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
-	binSeed := ArchetypeSeed(fleetSeed, ArchetypeBin(spec))
-	snap, tmpl, pre, logBytes, err := cache.characterized(charactKey(binSeed, spec, wantLog), wantLog,
-		charactBuilder(spec, binSeed))
+	bins *binMemo, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
+	b := bins.lookup(spec)
+	snap, tmpl, pre, logBytes, err := cache.characterized(b.archKey, wantLog,
+		charactBuilder(spec, b.binSeed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
@@ -714,6 +715,7 @@ func Run(cfg Config) (Summary, error) {
 	}
 
 	wantLog := cfg.HealthLogOut != nil
+	bins := newBinMemo(cfg.Seed, wantLog)
 
 	// The pipeline's progress ledger. Workers publish progress through
 	// atomic counters (per-window arrival, cloud exports, per-shard
@@ -817,9 +819,9 @@ func Run(cfg Config) (Summary, error) {
 		)
 		switch {
 		case cfg.Archetypes:
-			eco, pre, err = s.characterizeArchetype(charact, arena, cfg.Seed, spec, wantLog)
+			eco, pre, err = s.characterizeArchetype(charact, arena, bins, spec, wantLog)
 		case charact != nil:
-			eco, pre, err = s.characterizeCached(charact, arena, spec, wantLog)
+			eco, pre, err = s.characterizeCached(charact, arena, bins, spec, wantLog)
 		default:
 			eco, pre, err = s.characterize(spec, wantLog)
 		}

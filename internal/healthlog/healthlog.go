@@ -87,22 +87,68 @@ type Daemon struct {
 	// two allocations per retained vector. Unused on live daemons.
 	sensorSlab []telemetry.Reading
 	errorSlab  []telemetry.ErrorEvent
+	// spare holds histories a stamp swept out of byComp (their
+	// component is absent from the stamped template), kept with their
+	// buffers so the next component to appear reuses one instead of
+	// allocating: arenas alternating between archetypes of different
+	// part models rename every component on every stamp.
+	spare []*compHistory
 }
 
 // compHistory is one component's retained vectors plus the rolling
 // sliding-window error bookkeeping: winStart indexes the first
 // retained vector inside the current window and winErrs sums the
-// correctable counts of vecs[winStart:]. The rolling form is valid
+// correctable counts of vecs()[winStart:]. The rolling form is valid
 // only while record times are nondecreasing (the daemon clock only
 // advances); an out-of-order record marks the history dirty and the
 // threshold check falls back to the full scan, which is the rolling
 // form's definition.
+//
+// The retained vectors are buf[start:]: buf is the history's own
+// backing array, and retention trims advance start instead of
+// reslicing the array away, so push can compact the live window back
+// to the front and keep recording into the same storage.
 type compHistory struct {
-	vecs     []telemetry.InfoVector
+	buf      []telemetry.InfoVector
+	start    int
 	winStart int
 	winErrs  int
 	lastTime time.Time
 	dirty    bool
+}
+
+// vecs returns the retained vectors, oldest first.
+func (h *compHistory) vecs() []telemetry.InfoVector { return h.buf[h.start:] }
+
+// reset empties the history, keeping its buffer.
+func (h *compHistory) reset() {
+	h.buf = h.buf[:0]
+	h.start = 0
+	h.winStart, h.winErrs = 0, 0
+	h.lastTime, h.dirty = time.Time{}, false
+}
+
+// push appends v to the retained vectors, amortized O(1) and without
+// allocating once the buffer has grown to twice the retained window.
+// When the buffer is full it either compacts the live window to the
+// front — when at least half the buffer is trimmed history, so each
+// compaction is paid for by as many pushes as it copies — or moves the
+// live window into a buffer twice its length.
+func (h *compHistory) push(v telemetry.InfoVector) {
+	if len(h.buf) == cap(h.buf) {
+		live := h.vecs()
+		if h.start > 0 && h.start >= len(live) {
+			n := copy(h.buf, live)
+			clear(h.buf[n:]) // drop trimmed vectors' payload references
+			h.buf = h.buf[:n]
+		} else {
+			nb := make([]telemetry.InfoVector, len(live), max(2*len(live), 16))
+			copy(nb, live)
+			h.buf = nb
+		}
+		h.start = 0
+	}
+	h.buf = append(h.buf, v)
 }
 
 // New returns a daemon writing JSON lines to out (nil discards) and
@@ -165,17 +211,18 @@ func (d *Daemon) Clone(clock *telemetry.Clock, out io.Writer) *Daemon {
 		writeErr: d.writeErr,
 	}
 	for name, h := range d.byComp {
+		vecs := h.vecs()
 		nh := &compHistory{
-			vecs:     make([]telemetry.InfoVector, len(h.vecs)),
+			buf:      make([]telemetry.InfoVector, len(vecs)),
 			winStart: h.winStart,
 			winErrs:  h.winErrs,
 			lastTime: h.lastTime,
 			dirty:    h.dirty,
 		}
-		for i, v := range h.vecs {
+		for i, v := range vecs {
 			v.Sensors = append([]telemetry.Reading(nil), v.Sensors...)
 			v.Errors = append([]telemetry.ErrorEvent(nil), v.Errors...)
-			nh.vecs[i] = v
+			nh.buf[i] = v
 		}
 		c.byComp[name] = nh
 	}
@@ -195,24 +242,21 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 	if v.HasCrash() {
 		d.crashes++
 	}
-	h := d.byComp[v.Component]
-	if h == nil {
-		h = &compHistory{}
-		d.byComp[v.Component] = h
-	}
+	h := d.history(v.Component)
 	if v.Time.Before(h.lastTime) {
 		h.dirty = true // rolling window invalid; fall back to scans
 	} else {
 		h.lastTime = v.Time
 	}
-	h.vecs = append(h.vecs, v)
-	if trim := len(h.vecs) - d.cfg.RetainVectors; trim > 0 {
+	h.push(v)
+	if trim := len(h.buf) - h.start - d.cfg.RetainVectors; trim > 0 {
 		// Vectors falling out of retention also fall out of the
 		// threshold window — the scan only ever saw retained history.
+		vecs := h.vecs()
 		for i := h.winStart; i < trim; i++ {
-			h.winErrs -= h.vecs[i].CorrectableCount()
+			h.winErrs -= vecs[i].CorrectableCount()
 		}
-		h.vecs = h.vecs[trim:]
+		h.start += trim
 		if h.winStart -= trim; h.winStart < 0 {
 			h.winStart = 0
 		}
@@ -249,6 +293,26 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 	}
 }
 
+// history returns the component's history, creating it — from the
+// spare list when one is parked there — on first use. Caller holds
+// d.mu.
+func (d *Daemon) history(name string) *compHistory {
+	h := d.byComp[name]
+	if h != nil {
+		return h
+	}
+	if n := len(d.spare); n > 0 {
+		h = d.spare[n-1]
+		d.spare[n-1] = nil
+		d.spare = d.spare[:n-1]
+		h.reset()
+	} else {
+		h = &compHistory{}
+	}
+	d.byComp[name] = h
+	return h
+}
+
 // windowErrors returns the component's correctable errors inside the
 // sliding window ending at the just-recorded vector v. On the ordered
 // fast path it advances the rolling cursor past expired vectors and
@@ -256,17 +320,18 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 // the exact same total the full scan produces. Caller holds d.mu.
 func (h *compHistory) windowErrors(v telemetry.InfoVector, window time.Duration) int {
 	cutoff := v.Time.Add(-window)
+	vecs := h.vecs()
 	if h.dirty {
 		n := 0
-		for _, w := range h.vecs {
+		for _, w := range vecs {
 			if w.Time.After(cutoff) && !w.Time.After(v.Time) {
 				n += w.CorrectableCount()
 			}
 		}
 		return n
 	}
-	for h.winStart < len(h.vecs)-1 && !h.vecs[h.winStart].Time.After(cutoff) {
-		h.winErrs -= h.vecs[h.winStart].CorrectableCount()
+	for h.winStart < len(vecs)-1 && !vecs[h.winStart].Time.After(cutoff) {
+		h.winErrs -= vecs[h.winStart].CorrectableCount()
 		h.winStart++
 	}
 	h.winErrs += v.CorrectableCount()
@@ -283,7 +348,7 @@ func (d *Daemon) Query(component string, since time.Time) []telemetry.InfoVector
 		return nil
 	}
 	var out []telemetry.InfoVector
-	for _, v := range h.vecs {
+	for _, v := range h.vecs() {
 		if !v.Time.Before(since) {
 			out = append(out, v)
 		}

@@ -49,15 +49,16 @@ func (d *Daemon) ExportState() DaemonState {
 	sort.Strings(names)
 	for _, name := range names {
 		h := d.byComp[name]
+		vecs := h.vecs()
 		cs := ComponentState{
 			Component: name,
-			Vecs:      make([]telemetry.InfoVector, len(h.vecs)),
+			Vecs:      make([]telemetry.InfoVector, len(vecs)),
 			WinStart:  h.winStart,
 			WinErrs:   h.winErrs,
 			LastTime:  h.lastTime,
 			Dirty:     h.dirty,
 		}
-		for i, v := range h.vecs {
+		for i, v := range vecs {
 			v.Sensors = append([]telemetry.Reading(nil), v.Sensors...)
 			v.Errors = append([]telemetry.ErrorEvent(nil), v.Errors...)
 			cs.Vecs[i] = v
@@ -77,7 +78,7 @@ func NewFromState(st DaemonState, clock *telemetry.Clock, out io.Writer) *Daemon
 	d.crashes = st.Crashes
 	for _, cs := range st.Components {
 		d.byComp[cs.Component] = &compHistory{
-			vecs:     append([]telemetry.InfoVector(nil), cs.Vecs...),
+			buf:      append([]telemetry.InfoVector(nil), cs.Vecs...),
 			winStart: cs.WinStart,
 			winErrs:  cs.WinErrs,
 			lastTime: cs.LastTime,

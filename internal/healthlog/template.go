@@ -62,16 +62,17 @@ func (d *Daemon) Compile() *Compiled {
 	sort.Strings(names)
 	for _, name := range names {
 		h := d.byComp[name]
+		vecs := h.vecs()
 		cc := compiledComp{
 			name:     name,
 			vecLo:    len(c.vecs),
-			vecHi:    len(c.vecs) + len(h.vecs),
+			vecHi:    len(c.vecs) + len(vecs),
 			winStart: h.winStart,
 			winErrs:  h.winErrs,
 			lastTime: h.lastTime,
 			dirty:    h.dirty,
 		}
-		for _, v := range h.vecs {
+		for _, v := range vecs {
 			cv := compiledVec{
 				vec:    v,
 				sensLo: len(c.sensors),
@@ -92,10 +93,10 @@ func (d *Daemon) Compile() *Compiled {
 
 // StampInto overwrites d with the compiled image, timestamping with
 // clock and writing future log lines to out. It reuses d's component
-// histories, vector slices and sensor/error slabs; stamped vectors'
-// Sensors/Errors alias the daemon-owned slabs (capacity-clamped, so a
-// consumer appending to a queried vector reallocates instead of
-// corrupting a neighbour). Listeners and trigger callbacks are
+// histories (or parked spares) with their vector buffers, and its
+// sensor/error slabs; stamped vectors' Sensors/Errors alias the
+// daemon-owned slabs (capacity-clamped, so a consumer appending to a
+// queried vector reallocates instead of corrupting a neighbour). Listeners and trigger callbacks are
 // dropped, exactly as Clone drops them — the caller re-subscribes.
 //
 // The caller must own d exclusively: StampInto is the arena path, not
@@ -120,31 +121,29 @@ func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
 		d.byComp = make(map[string]*compHistory, len(c.comps))
 	} else {
 		// Sweep histories the template doesn't know (cross-template
-		// arena reuse); same-template stamps find every key present.
-		for name := range d.byComp {
+		// arena reuse) onto the spare list, buffers and all, for the
+		// template's own components to take over below; same-template
+		// stamps find every key present.
+		for name, h := range d.byComp {
 			if !c.hasComp(name) {
 				delete(d.byComp, name)
+				d.spare = append(d.spare, h)
 			}
 		}
 	}
 	for _, cc := range c.comps {
-		h := d.byComp[cc.name]
-		if h == nil {
-			h = &compHistory{}
-			d.byComp[cc.name] = h
-		}
+		h := d.history(cc.name)
+		h.reset()
 		h.winStart = cc.winStart
 		h.winErrs = cc.winErrs
 		h.lastTime = cc.lastTime
 		h.dirty = cc.dirty
-		vecs := h.vecs[:0]
 		for _, cv := range c.vecs[cc.vecLo:cc.vecHi] {
 			v := cv.vec
 			v.Sensors = d.sensorSlab[cv.sensLo:cv.sensHi:cv.sensHi]
 			v.Errors = d.errorSlab[cv.errLo:cv.errHi:cv.errHi]
-			vecs = append(vecs, v)
+			h.buf = append(h.buf, v)
 		}
-		h.vecs = vecs
 	}
 }
 

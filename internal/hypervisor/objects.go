@@ -101,9 +101,30 @@ type Object struct {
 }
 
 // ObjectMap is the hypervisor's statically allocated object inventory.
+// Only this package may write Objects: a stamped inventory aliases a
+// restore template's (CopyFrom) until Protect or ProtectObjects gives
+// it a private copy.
 type ObjectMap struct {
-	Objects  []Object
+	Objects []Object
+	// profiles is written only while the inventory is built and is
+	// shared read-only by stamped copies.
 	profiles map[Category]CategoryProfile
+
+	// shared marks Objects as aliasing another inventory's slice; spare
+	// is the slice om owned before, which unshare copies into.
+	shared bool
+	spare  []Object
+}
+
+// unshare gives a stamped inventory a private copy of its objects
+// before its first write. A no-op on owned inventories.
+func (om *ObjectMap) unshare() {
+	if !om.shared {
+		return
+	}
+	om.Objects = append(om.spare[:0], om.Objects...)
+	om.spare = nil
+	om.shared = false
 }
 
 // NewObjectMap fabricates the object inventory from the profiles.
@@ -221,6 +242,7 @@ func (om *ObjectMap) Protect(categories ...Category) int {
 	for _, c := range categories {
 		set[c] = true
 	}
+	om.unshare()
 	n := 0
 	for i := range om.Objects {
 		if set[om.Objects[i].Category] && !om.Objects[i].Protected {
@@ -233,6 +255,7 @@ func (om *ObjectMap) Protect(categories ...Category) int {
 
 // ProtectObjects marks the specific object IDs as protected.
 func (om *ObjectMap) ProtectObjects(ids []int) int {
+	om.unshare()
 	n := 0
 	for _, id := range ids {
 		if id >= 0 && id < len(om.Objects) && !om.Objects[id].Protected {

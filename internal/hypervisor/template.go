@@ -7,10 +7,11 @@ import (
 	"uniserver/internal/dram"
 )
 
-// StampFrom overwrites h with a deep copy of src rebound to mem,
-// reusing h's object inventory, allocator and map storage. It is the
-// arena form of Clone: src must be quiescent (a restore template's
-// proto hypervisor, which nothing ever runs again), h must be owned
+// StampFrom overwrites h with a copy of src rebound to mem, reusing
+// h's allocator and map storage; the object inventory is shared with
+// src until h first writes it (ObjectMap.CopyFrom). It is the arena
+// form of Clone: src must be quiescent (a restore template's proto
+// hypervisor, which nothing ever runs again), h must be owned
 // exclusively by the caller, and afterwards h's error handling and
 // guest churn leave src untouched exactly as a Clone's would.
 func (h *Hypervisor) StampFrom(src *Hypervisor, mem *dram.MemorySystem) error {
@@ -70,19 +71,22 @@ func (h *Hypervisor) StampFrom(src *Hypervisor, mem *dram.MemorySystem) error {
 	return nil
 }
 
-// CopyFrom replaces om's inventory with a copy of src's, reusing om's
-// object slice and profile map storage. The arena form of Clone — one
-// bulk copy of the (large, plain-value) object slice.
+// CopyFrom makes om an inventory equal to src's, by reference: om's
+// Objects aliases src's object slice (capacity-clamped) and om is
+// marked shared until its first write, when Protect or ProtectObjects
+// copies the objects into the slice om owned before (unshare). The
+// arena form of Clone, without the bulk copy of the 16k-object
+// inventory that no runtime window writes. src must never be written
+// again — a restore template's proto inventory — which is what makes
+// concurrent aliasing from many workers race-free. The category
+// profiles are immutable after construction and are shared outright.
 func (om *ObjectMap) CopyFrom(src *ObjectMap) {
-	om.Objects = append(om.Objects[:0], src.Objects...)
-	if om.profiles == nil {
-		om.profiles = make(map[Category]CategoryProfile, len(src.profiles))
-	} else {
-		clear(om.profiles)
+	if !om.shared {
+		om.spare = om.Objects[:0]
 	}
-	for c, p := range src.profiles {
-		om.profiles[c] = p
-	}
+	om.Objects = src.Objects[:len(src.Objects):len(src.Objects)]
+	om.shared = true
+	om.profiles = src.profiles
 }
 
 // stampFrom overwrites p with a deep copy of src, reusing p's map
