@@ -90,6 +90,7 @@ type fleetFile struct {
 		Date            string  `json:"date"`
 		Env             string  `json:"env"`
 		GOMAXPROCS      int     `json:"gomaxprocs"`
+		Reference       string  `json:"reference"`
 		LegacyNsPerOp   int64   `json:"legacy_ns_per_op"`
 		LegacyAllocs    float64 `json:"legacy_allocs_per_op"`
 		TemplateNsPerOp int64   `json:"template_ns_per_op"`
@@ -270,16 +271,21 @@ func renderFleet(out io.Writer, path string) error {
 }
 
 // renderRestore draws BenchmarkSnapshotRestore's history: the fixed
-// per-node cost of materializing a cached characterization, legacy
-// deep restore vs the compiled template stamp the fleet runs.
+// per-node cost of materializing a cached characterization, a
+// reference leg vs the warm stamp the fleet runs. Records without a
+// reference name measured the deep-clone restore, since deleted.
 func renderRestore(out io.Writer, f fleetFile) {
 	fmt.Fprintf(out, "\n## BenchmarkSnapshotRestore (per-node restore from a cached characterization)\n\n")
-	fmt.Fprintf(out, "| run | date | env | gomaxprocs | legacy ns/op | legacy allocs/op | template ns/op | template allocs/op | speedup |\n")
-	fmt.Fprintf(out, "|----:|------|-----|-----------:|-------------:|-----------------:|---------------:|-------------------:|--------:|\n")
+	fmt.Fprintf(out, "| run | date | env | gomaxprocs | reference | reference ns/op | reference allocs/op | template ns/op | template allocs/op | speedup |\n")
+	fmt.Fprintf(out, "|----:|------|-----|-----------:|-----------|----------------:|--------------------:|---------------:|-------------------:|--------:|\n")
 	var series []float64
 	for i, r := range f.Restore {
-		fmt.Fprintf(out, "| %d | %s | %s | %d | %s | %.0f | %s | %.0f | %.2fx |\n",
-			i+1, orDash(r.Date), orDash(r.Env), r.GOMAXPROCS,
+		ref := r.Reference
+		if ref == "" {
+			ref = "deep restore"
+		}
+		fmt.Fprintf(out, "| %d | %s | %s | %d | %s | %s | %.0f | %s | %.0f | %.2fx |\n",
+			i+1, orDash(r.Date), orDash(r.Env), r.GOMAXPROCS, ref,
 			nsFine(r.LegacyNsPerOp), r.LegacyAllocs, nsFine(r.TemplateNsPerOp), r.TemplateAllocs, r.Speedup)
 		series = append(series, float64(r.TemplateNsPerOp))
 	}

@@ -651,7 +651,7 @@ func runCampaignCLI(ctx context.Context, out io.Writer, o campaignOpts) error {
 		fmt.Fprintf(out, "snapshot cache: %d hits / %d misses across %d-way parallel cells (%.1fx characterization reuse)\n",
 			hits, misses, rep.EffectiveParallel, reuse)
 		if rep.CharactCompiled > 0 {
-			fmt.Fprintf(out, "snapshot cache: %d restore templates compiled; every hit stamped from a template instead of deep-restoring\n",
+			fmt.Fprintf(out, "snapshot cache: %d snapshots taken; every hit stamped from a snapshot instead of re-characterized\n",
 				rep.CharactCompiled)
 		}
 		if rep.CharactCoalesced > 0 {

@@ -78,6 +78,16 @@ func DefaultOptions() Options {
 	}
 }
 
+// defaultAmbient replaces zero ambient temperatures with the defaults.
+func (o *Options) defaultAmbient() {
+	if o.AmbientCPUC == 0 {
+		o.AmbientCPUC = 28
+	}
+	if o.AmbientDIMMC == 0 {
+		o.AmbientDIMMC = 34
+	}
+}
+
 // SetPart rebinds the options to a different CPU part — a silicon bin
 // in a heterogeneous fleet — rewiring the hypervisor host shape
 // (thread count, nominal point) that DefaultOptions derived from the
@@ -126,7 +136,7 @@ type Ecosystem struct {
 	// capture once it is non-zero, unless the ecosystem sits on an
 	// epoch boundary (see snapshot.go). atEpochBoundary is set by
 	// FastForward — which re-seats the thermal state at ambient, the
-	// property Restore relies on — and cleared by the next window.
+	// property a stamp relies on — and cleared by the next window.
 	windowsRun      int
 	atEpochBoundary bool
 
@@ -154,12 +164,7 @@ func New(opts Options) (*Ecosystem, error) {
 	if opts.Part.Cores == 0 {
 		return nil, errors.New("core: options missing a CPU part (use DefaultOptions)")
 	}
-	if opts.AmbientCPUC == 0 {
-		opts.AmbientCPUC = 28
-	}
-	if opts.AmbientDIMMC == 0 {
-		opts.AmbientDIMMC = 34
-	}
+	opts.defaultAmbient()
 	src := rng.New(opts.Seed)
 	clock := telemetry.NewClock(time.Date(2017, 2, 1, 0, 0, 0, 0, time.UTC))
 	machine := cpu.NewMachine(opts.Part, opts.Seed)

@@ -1,213 +1,152 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
-	"uniserver/internal/cpu"
-	"uniserver/internal/dram"
-	"uniserver/internal/healthlog"
-	"uniserver/internal/hypervisor"
-	"uniserver/internal/power"
-	"uniserver/internal/predictor"
-	"uniserver/internal/rng"
-	"uniserver/internal/silicon"
-	"uniserver/internal/stresslog"
-	"uniserver/internal/telemetry"
-	"uniserver/internal/thermal"
 	"uniserver/internal/vfr"
 )
 
 // SnapshotFormatVersion identifies the on-disk snapshot encoding.
-// Readers refuse any other version: the wire form mirrors internal
+// Readers refuse any other version: the images mirror internal
 // simulator state, so a silent cross-version read would corrupt
-// results instead of failing loudly. Bump it whenever serialized
-// state changes shape or meaning.
-const SnapshotFormatVersion = 1
+// results instead of failing loudly. Bump it whenever the images
+// change shape or meaning.
+const SnapshotFormatVersion = 2
 
-// optionsState is Options minus the log writer (an io.Writer has no
-// wire form; restored ecosystems get their writer from
-// RestoreOptions, exactly as in-memory restores do).
-type optionsState struct {
-	Seed         uint64
-	Part         cpu.PartSpec
-	Mem          dram.Config
-	Hyp          hypervisor.Config
-	StressPeriod time.Duration
-	AmbientCPUC  float64
-	AmbientDIMMC float64
-}
+// snapshotHeader is the frame in front of the encoded images: the
+// format version and the payload length as little-endian uint64s,
+// then the payload's sha256.
+const snapshotHeader = 8 + 8 + sha256.Size
 
-// snapshotState is the gob wire form of a characterized ecosystem:
-// every deep-copied surface of Snapshot (see snapshot.go's ownership
-// table), flattened into exported state via the per-package
-// persistence hooks. Re-derived surfaces (trigger wiring, advisor,
-// thermal nodes, per-window scratch) are reconstructed on read, not
-// transmitted.
-type snapshotState struct {
-	Options optionsState
-	Clock   time.Time
-	Src     uint64
-	Mode    vfr.Mode
-
-	Chip          *silicon.Chip
-	StressedHours float64
-	MachineStream uint64
-
-	Mem *dram.MemorySystem
-
-	Health healthlog.DaemonState
-	Stress stresslog.DaemonState
-
-	Model      predictor.Model
-	Table      *vfr.EOPTable
-	HasAdvisor bool
-	MaxBackoff int
-
-	Objects  []hypervisor.Object
-	Profiles []hypervisor.CategoryProfile
-}
-
-// Save serializes the snapshot in the versioned gob format
-// LoadSnapshot inverts. Only pre-deployment characterization
-// snapshots are writable: once a mode has been entered or guests
-// placed, the hypervisor carries applied-point and placement state
-// the wire form does not model (the on-disk cache, like the in-memory
-// one, spills the post-PreDeployment checkpoint and re-enters the
-// mode after restore).
+// Save writes the snapshot's images: the format version, the payload
+// length and the payload's sha256, then the gob-encoded images.
+// Only pre-deployment characterization snapshots are writable — the
+// checkpoint the on-disk cache spills, before any mode is entered or
+// window run.
 func (s *Snapshot) Save(w io.Writer) error {
-	e := s.proto
-	if e.windowsRun > 0 {
-		return fmt.Errorf("core: refusing to serialize a mid-life snapshot (%d windows run); only pre-deployment characterization snapshots persist", e.windowsRun)
+	if err := s.persistable(); err != nil {
+		return err
 	}
-	if e.mode != vfr.ModeNominal {
+	b, err := s.img.encode(0)
+	if err == nil {
+		_, err = w.Write(frame(b))
+	}
+	return err
+}
+
+// persistable refuses the snapshots Save does not write.
+func (s *Snapshot) persistable() error {
+	switch {
+	case s.img.WindowsRun > 0:
+		return fmt.Errorf("core: refusing to serialize a mid-life snapshot (%d windows run); only pre-deployment characterization snapshots persist", s.img.WindowsRun)
+	case s.img.Mode != vfr.ModeNominal:
 		return errors.New("core: refusing to serialize a snapshot taken after mode entry; snapshot between PreDeployment and EnterMode")
-	}
-	if len(e.Hypervisor.VMNames()) > 0 {
-		return errors.New("core: refusing to serialize a snapshot with placed guests")
-	}
-	st := snapshotState{
-		Options: optionsState{
-			Seed:         e.opts.Seed,
-			Part:         e.opts.Part,
-			Mem:          e.opts.Mem,
-			Hyp:          e.opts.Hyp,
-			StressPeriod: e.opts.StressPeriod,
-			AmbientCPUC:  e.opts.AmbientCPUC,
-			AmbientDIMMC: e.opts.AmbientDIMMC,
-		},
-		Clock:         e.Clock.Now(),
-		Src:           e.src.State(),
-		Mode:          e.mode,
-		Chip:          e.Machine.Chip,
-		StressedHours: e.Machine.Chip.StressedHours(),
-		MachineStream: e.Machine.StreamState(),
-		Mem:           e.Mem,
-		Health:        e.Health.ExportState(),
-		Stress:        e.Stress.ExportState(),
-		Model:         *e.Model,
-		Table:         e.table,
-		HasAdvisor:    e.advisor != nil,
-		Objects:       e.Hypervisor.Objects().Objects,
-		Profiles:      e.Hypervisor.Objects().Profiles(),
-	}
-	if e.advisor != nil {
-		st.MaxBackoff = e.advisor.MaxBackoffMV
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(SnapshotFormatVersion); err != nil {
-		return fmt.Errorf("core: writing snapshot version: %w", err)
-	}
-	if err := enc.Encode(&st); err != nil {
-		return fmt.Errorf("core: writing snapshot state: %w", err)
 	}
 	return nil
 }
 
-// LoadSnapshot reads a snapshot written by Save, refusing
-// mismatched format versions. The reconstructed ecosystem is
-// assembled exactly as New + the serialized history would have left
-// it — same stream positions, same clock, same fabricated and aged
-// hardware, same daemon state — so Restores from it are
-// bit-indistinguishable from Restores of the original in-memory
-// snapshot (pinned by TestSnapshotDiskRoundTrip).
+// gob numbers types in the order a process first encodes them, and
+// the numbers are part of the encoding. Encoding the images once at
+// init, before anything in the process can encode a type they share
+// (the fleet spill header holds a PreDeploymentReport), makes their
+// encoding the same in every process — which LoadSnapshot's canonical
+// check, and spill files shared between processes, rely on.
+func init() {
+	if _, err := (&images{}).encode(0); err != nil {
+		panic(err)
+	}
+}
+
+// encode returns the encoded images behind room for the header, in a
+// buffer presized for size payload bytes when the size is known.
+func (img *images) encode(size int) ([]byte, error) {
+	b := bytes.NewBuffer(make([]byte, snapshotHeader, snapshotHeader+size))
+	if err := gob.NewEncoder(b).Encode(img); err != nil {
+		return nil, fmt.Errorf("core: encoding snapshot images: %w", err)
+	}
+	return b.Bytes(), nil
+}
+
+// frame fills the header reserved at the front of b for the payload
+// that follows it.
+func frame(b []byte) []byte {
+	binary.LittleEndian.PutUint64(b[0:], SnapshotFormatVersion)
+	binary.LittleEndian.PutUint64(b[8:], uint64(len(b)-snapshotHeader))
+	sum := sha256.Sum256(b[snapshotHeader:])
+	copy(b[16:], sum[:])
+	return b
+}
+
+// LoadSnapshot reads exactly one snapshot written by Save from r. It
+// checks the version, the length and the sha256 before it decodes,
+// then refuses images that Save could not have written: extents
+// outside their slabs, a core count that disagrees with the chip, a
+// snapshot Save would refuse, or bytes that are not the images'
+// canonical encoding. What it returns is the images themselves —
+// stamps from a loaded snapshot are bit-identical to stamps from the
+// one that was saved.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
-	dec := gob.NewDecoder(r)
-	var version int
-	if err := dec.Decode(&version); err != nil {
-		return nil, fmt.Errorf("core: reading snapshot version: %w", err)
+	var hdr [snapshotHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
 	}
-	if version != SnapshotFormatVersion {
+	if v := binary.LittleEndian.Uint64(hdr[0:]); v != SnapshotFormatVersion {
 		return nil, fmt.Errorf("core: snapshot format version %d does not match this build's %d; refusing to load",
-			version, SnapshotFormatVersion)
+			v, SnapshotFormatVersion)
 	}
-	var st snapshotState
-	if err := dec.Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: reading snapshot state: %w", err)
+	n := binary.LittleEndian.Uint64(hdr[8:])
+	// Presize for the claimed length, but no further than a corrupt
+	// header could make a short input allocate.
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, 1<<20)))
+	if _, err := io.CopyN(buf, r, int64(min(n, 1<<62))); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("core: reading snapshot images: %w", err)
 	}
-	opts := Options{
-		Seed:         st.Options.Seed,
-		Part:         st.Options.Part,
-		Mem:          st.Options.Mem,
-		Hyp:          st.Options.Hyp,
-		StressPeriod: st.Options.StressPeriod,
-		AmbientCPUC:  st.Options.AmbientCPUC,
-		AmbientDIMMC: st.Options.AmbientDIMMC,
+	payload := buf.Bytes()
+	if uint64(len(payload)) != n {
+		return nil, fmt.Errorf("core: snapshot truncated: %d of %d payload bytes", len(payload), n)
 	}
-	if st.Chip == nil || st.Mem == nil {
-		return nil, errors.New("core: snapshot state missing chip or memory system")
+	if sha256.Sum256(payload) != [sha256.Size]byte(hdr[16:]) {
+		return nil, errors.New("core: snapshot checksum mismatch")
 	}
+	s := &Snapshot{}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s.img); err != nil {
+		return nil, fmt.Errorf("core: decoding snapshot images: %w", err)
+	}
+	if err := s.img.validate(); err != nil {
+		return nil, err
+	}
+	if err := s.persistable(); err != nil {
+		return nil, err
+	}
+	// gob ignores fields it does not know, accepts redundant encodings
+	// and stops before trailing bytes; only the canonical bytes re-save
+	// identically.
+	if canon, err := s.img.encode(len(payload)); err != nil || !bytes.Equal(canon[snapshotHeader:], payload) {
+		return nil, errors.New("core: snapshot images are not in canonical encoding")
+	}
+	s.derive()
+	return s, nil
+}
 
-	clock := telemetry.NewClock(st.Clock)
-	st.Chip.SetStressedHours(st.StressedHours)
-	machine := cpu.RestoreMachine(opts.Part, st.Chip, st.MachineStream)
-	st.Mem.Reindex()
-	health := healthlog.NewFromState(st.Health, clock, nil)
-	refresh := power.DRAMRefreshModel{DeviceGb: opts.Mem.DeviceGb, TotalMemW: 12}
-	stressd, err := stresslog.NewFromState(st.Stress, clock, machine, st.Mem, health, refresh)
-	if err != nil {
-		return nil, fmt.Errorf("core: restoring stresslog: %w", err)
+// validate refuses decoded images a stamp could not use safely.
+func (img *images) validate() error {
+	if err := img.Mem.Validate(); err != nil {
+		return fmt.Errorf("core: snapshot memory image: %w", err)
 	}
-	health.OnStressTrigger(stressd.TriggerHandler())
-	hyp, err := hypervisor.New(opts.Hyp, hypervisor.ObjectMapFromState(st.Objects, st.Profiles), st.Mem)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuilding hypervisor: %w", err)
+	if err := img.Health.Validate(); err != nil {
+		return fmt.Errorf("core: snapshot health image: %w", err)
 	}
-	model := st.Model
-
-	e := &Ecosystem{
-		Clock:      clock,
-		Machine:    machine,
-		Mem:        st.Mem,
-		Health:     health,
-		Stress:     stressd,
-		Model:      &model,
-		Hypervisor: hyp,
-
-		opts:     opts,
-		src:      rng.FromState(st.Src),
-		power:    power.DefaultCPUModel(),
-		refresh:  refresh,
-		mode:     st.Mode,
-		cpuTherm: thermal.CPUNode(opts.AmbientCPUC),
-		memTherm: thermal.DIMMNode(opts.AmbientDIMMC),
-		trip:     thermal.DefaultTrip(),
-		dramHits: make(map[string]int),
+	if err := img.Hyp.Alloc.Validate(len(img.Mem.Domains)); err != nil {
+		return fmt.Errorf("core: snapshot hypervisor image: %w", err)
 	}
-	if st.Table != nil {
-		e.setTable(st.Table)
+	if cores := len(img.Machine.Chip.Cores); cores == 0 || img.Opts.Part.Cores != cores {
+		return fmt.Errorf("core: snapshot part has %d cores, its chip %d", img.Opts.Part.Cores, cores)
 	}
-	if st.HasAdvisor {
-		e.advisor = predictor.NewAdvisor(e.Model, e.table)
-		e.advisor.MaxBackoffMV = st.MaxBackoff
-	}
-	e.coreNames = make([]string, opts.Part.Cores)
-	for c := range e.coreNames {
-		e.coreNames[c] = fmt.Sprintf("%s/core%d", opts.Part.Model, c)
-	}
-	e.coreOf = func(string) int { return e.curCore }
-	return &Snapshot{proto: e}, nil
+	return nil
 }

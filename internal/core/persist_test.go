@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"uniserver/internal/vfr"
@@ -11,10 +13,11 @@ import (
 )
 
 // TestSnapshotDiskRoundTrip is the disk-spill correctness pin: a
-// snapshot serialized through Save and read back must restore an
-// ecosystem whose entire forward behaviour — mode entry, every window
-// report, the deployment summary, the health-log bytes — is
-// bit-identical to a restore of the original in-memory snapshot.
+// snapshot serialized through Save and read back must re-save to the
+// same bytes and stamp an ecosystem whose entire forward behaviour —
+// mode entry, every window report, the deployment summary, the
+// health-log bytes — is bit-identical to a stamp of the original
+// in-memory snapshot.
 func TestSnapshotDiskRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -39,15 +42,17 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("loaded snapshot re-saves to different bytes")
+	}
+
 	var logA, logB bytes.Buffer
-	a, err := snap.Restore(RestoreOptions{HealthLogOut: &logA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.Restore(RestoreOptions{HealthLogOut: &logB})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := coldStamp(t, snap, RestoreOptions{HealthLogOut: &logA})
+	b := coldStamp(t, loaded, RestoreOptions{HealthLogOut: &logB})
 	wl := workload.WebFrontend()
 	da, err := a.StartDeployment(vfr.ModeHighPerformance, 0.01, wl)
 	if err != nil {
@@ -57,9 +62,8 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Include a gap so the deserialized stream positions, VRT index
-	// and stress schedule all get exercised, not just the first
-	// windows.
+	// Include a gap so the decoded stream positions, VRT index and
+	// stress schedule all get exercised, not just the first windows.
 	gap := Gap{Days: 80, Duty: 0.6, AmbientCPUC: 35, AmbientDIMMC: 41}
 	for _, d := range []*Deployment{da, db} {
 		for w := 0; w < 6; w++ {
@@ -94,21 +98,28 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotRefusesMismatchedVersion pins the version gate.
+// TestLoadSnapshotRefusesMismatchedVersion pins the version gate: a
+// frame that is intact except for its version is refused, and so is a
+// version-1 stream (the gob encoding of the former format).
 func TestLoadSnapshotRefusesMismatchedVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(SnapshotFormatVersion + 1); err != nil {
+	b := frame(append(make([]byte, snapshotHeader), "images"...))
+	binary.LittleEndian.PutUint64(b, SnapshotFormatVersion+1)
+	_, err := LoadSnapshot(bytes.NewReader(b))
+	if err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("mismatched snapshot version not refused by the version gate: %v", err)
+	}
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("mismatched snapshot version accepted")
+	if _, err := LoadSnapshot(bytes.NewReader(v1.Bytes())); err == nil {
+		t.Fatal("version-1 snapshot accepted")
 	}
 }
 
 // TestSaveRefusesPostDeploymentState: disk persistence covers the
 // pre-deployment characterization checkpoint only; snapshots taken
-// after mode entry (or mid-life) carry hypervisor state the wire form
-// does not model and must refuse loudly.
+// after mode entry (or mid-life) must refuse loudly.
 func TestSaveRefusesPostDeploymentState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")

@@ -279,8 +279,8 @@ func TestECCLoopResetsOutsideTheLoop(t *testing.T) {
 // TestAdviceStableAcrossSnapshotRestore is the predictor↔core
 // integration pin: the advice a live deployment gets from the
 // characterized state must be byte-identical before a Snapshot and
-// after its Restore — the advisor, model and table all travel through
-// the deep copy intact.
+// after a stamp from it — the advisor, model and table all travel
+// through the snapshot images intact.
 func TestAdviceStableAcrossSnapshotRestore(t *testing.T) {
 	e, _ := readyEcosystem(t, 50)
 	snap, err := e.Snapshot()
@@ -295,10 +295,7 @@ func TestAdviceStableAcrossSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := coldStamp(t, snap, RestoreOptions{})
 	d2, err := restored.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
 	if err != nil {
 		t.Fatal(err)

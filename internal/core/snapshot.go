@@ -3,64 +3,162 @@ package core
 import (
 	"fmt"
 	"io"
+	"time"
 
+	"uniserver/internal/cpu"
+	"uniserver/internal/dram"
+	"uniserver/internal/healthlog"
+	"uniserver/internal/hypervisor"
+	"uniserver/internal/power"
+	"uniserver/internal/predictor"
 	"uniserver/internal/rng"
+	"uniserver/internal/stresslog"
 	"uniserver/internal/telemetry"
 	"uniserver/internal/thermal"
+	"uniserver/internal/vfr"
 )
 
-// Snapshot is a deep, alias-free copy of a characterized ecosystem:
-// the CPU and silicon state (per-core margins, aging drift), the DRAM
-// weak-cell population with VRT telegraph states, the published EOP
-// table, the StressLog history and virus archive, the HealthLog's
-// retained vectors and rolling error windows, the hypervisor's object
-// inventory, placements and pinning, the thermal nodes, and — the part
-// that makes byte-identical restoration possible — the exact positions
-// of every labeled RNG stream and the simulated clock.
+// Snapshot is a characterized ecosystem as a set of immutable,
+// pointer-free images of every component (see images), down to the
+// position of every RNG stream and the simulated clock. The intended
+// use is checkpoint/restore of pre-deployment characterization (the
+// gem5-style trick): run New + PreDeployment once per distinct (seed,
+// part, memory) configuration, Snapshot the result, and stamp a node
+// per consumer (RestoreInto) instead of re-running the multi-second
+// campaign. Save and LoadSnapshot write and read the same images. A
+// snapshot holds no pointer into its source, which may keep running,
+// and is never written after it is built, so any number of workers may
+// stamp from it concurrently.
 //
-// The intended use is checkpoint/restore of pre-deployment
-// characterization (the gem5-style trick): run core.New +
-// PreDeployment once per distinct (seed, part, memory) configuration,
-// Snapshot the result, and Restore a fresh ecosystem per consumer
-// instead of re-running the multi-second campaign. Restores are fully
-// independent of each other and of the snapshot source: no mutable
-// state is shared, so restored ecosystems can be stepped concurrently.
+// Stamped nodes do not copy the two bulkiest images at all: a node's
+// DRAM weak cells and VRT indices alias the snapshot's slabs, and its
+// hypervisor object inventory aliases the snapshot's, until the node
+// first writes them (copy-on-write inside dram and hypervisor: VRT
+// toggles, pattern tests, weak-cell growth, reindexing, selective
+// protection). Every stamped node therefore reads the snapshot for as
+// long as it runs, which makes immutability a contract with every
+// package, not only with the stamp: no code outside dram may write
+// dram.DIMM.Weak, and none outside hypervisor may write
+// hypervisor.ObjectMap.Objects. Both fields are exported for reading;
+// nothing outside their packages writes either, and the
+// concurrent-writer test pins the snapshot's bytes.
 //
 // Take the snapshot when the thermal state is re-derivable from
 // ambient: after PreDeployment and before the first runtime window,
 // or — since the lifetime engine — on an epoch boundary right after a
 // fast-forward gap, which re-seats the thermal nodes at ambient
-// exactly as Restore does. In both positions a restored ecosystem is
+// exactly as a stamp does. In both positions a stamped ecosystem is
 // indistinguishable, stream for stream and byte for byte, from its
 // source (pass the source's current ambient in RestoreOptions for
 // mid-life snapshots). Snapshotting mid-epoch would lose the
 // accumulated die/DIMM temperatures, so Snapshot refuses it with an
-// error rather than corrupting restores silently.
+// error rather than corrupting stamps silently.
 type Snapshot struct {
-	proto *Ecosystem
+	img images
+	// coreNames is derived from img's part: the per-window component
+	// names, built once here instead of with fmt on every stamp.
+	coreNames []string
 }
 
-// Snapshot captures the ecosystem's current state. The capture is
-// itself a deep copy, so the live ecosystem can keep running (or be
-// discarded) without disturbing later Restores. It returns an error
+// images is the snapshot's content, field for field the ecosystem
+// state a stamp overwrites. It is what Save encodes, so every field is
+// exported and pointer-free (the table encodes through vfr's own
+// format), and nothing in it is a map, so the encoding is
+// deterministic.
+type images struct {
+	Opts    Options // HealthLogOut always nil
+	Clock   time.Time
+	Src     uint64
+	Machine cpu.Image
+	Mem     dram.FlatMemory
+	Health  healthlog.Compiled
+	Stress  stresslog.Compiled
+	Hyp     hypervisor.Image
+	Model   predictor.Model
+	Table   *vfr.EOPTable // nil before characterization
+	// Advised: the model, the table and MaxBackoffMV form an advisor.
+	Advised          bool
+	MaxBackoffMV     int
+	Power            power.CPUModel
+	Refresh          power.DRAMRefreshModel
+	Mode             vfr.Mode
+	WeakGrowthPerDay float64
+	Trip             thermal.Trip
+	WorstComp        string
+	WorstMargin      vfr.Margin
+	WindowsRun       int
+	AtEpochBoundary  bool
+}
+
+// Snapshot captures the ecosystem's current state as images. Every
+// image is a copy, so the live ecosystem can keep running (or be
+// discarded) without disturbing later stamps. It returns an error
 // when runtime windows have run and the ecosystem is not on an epoch
-// boundary: Restore re-derives the thermal nodes from ambient, which
+// boundary: a stamp re-derives the thermal nodes from ambient, which
 // is exact only where the thermal state already sits at ambient.
 func (e *Ecosystem) Snapshot() (*Snapshot, error) {
 	if e.windowsRun > 0 && !e.atEpochBoundary {
 		return nil, fmt.Errorf("core: snapshot after %d runtime windows is unsupported mid-epoch (thermal state would be lost on restore); snapshot before the first window or on a fast-forward epoch boundary", e.windowsRun)
 	}
-	proto, err := e.clone(nil)
+	hyp, err := e.Hypervisor.Image()
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
-	return &Snapshot{proto: proto}, nil
+	s := &Snapshot{img: images{
+		Opts:             e.opts,
+		Clock:            e.Clock.Now(),
+		Src:              e.src.State(),
+		Machine:          e.Machine.Image(),
+		Mem:              *e.Mem.Flatten(),
+		Health:           *e.Health.Compile(),
+		Stress:           *e.Stress.Compile(),
+		Hyp:              hyp,
+		Model:            *e.Model,
+		Power:            e.power,
+		Refresh:          e.refresh,
+		Mode:             e.mode,
+		WeakGrowthPerDay: e.weakGrowthPerDay,
+		Trip:             e.trip,
+		WorstComp:        e.worstComp,
+		WorstMargin:      e.worstMargin,
+		WindowsRun:       e.windowsRun,
+		AtEpochBoundary:  e.atEpochBoundary,
+	}}
+	s.img.Opts.HealthLogOut = nil
+	if e.table != nil {
+		s.img.Table = &vfr.EOPTable{}
+		s.img.Table.CopyFrom(e.table)
+	}
+	if e.advisor != nil {
+		s.img.Advised = true
+		s.img.MaxBackoffMV = e.advisor.MaxBackoffMV
+	}
+	s.derive()
+	return s, nil
 }
 
-// RestoreOptions rebind the per-node surfaces a restored ecosystem
-// must not share with its snapshot siblings.
+// derive fills the snapshot's derived state from its images.
+func (s *Snapshot) derive() {
+	part := s.img.Opts.Part
+	s.coreNames = make([]string, part.Cores)
+	for i := range s.coreNames {
+		s.coreNames[i] = fmt.Sprintf("%s/core%d", part.Model, i)
+	}
+}
+
+// RestoreTemplate is Snapshot under its former name: a snapshot is
+// already the compiled form. It exists only for the frozen benchmark
+// harness, which still calls it by that name.
+type RestoreTemplate = Snapshot
+
+// Compile returns s: a snapshot is already the compiled form. It
+// exists only for the frozen benchmark harness.
+func (s *Snapshot) Compile() *RestoreTemplate { return s }
+
+// RestoreOptions rebind the per-node surfaces a stamped ecosystem must
+// not share with its snapshot siblings.
 type RestoreOptions struct {
-	// HealthLogOut receives the restored ecosystem's JSON-lines health
+	// HealthLogOut receives the stamped ecosystem's JSON-lines health
 	// log from here on; nil discards. Lines recorded before the
 	// snapshot were written to the original's writer and are not
 	// replayed (the fleet cache captures and replays them itself).
@@ -69,38 +167,121 @@ type RestoreOptions struct {
 	// exactly the Options semantics: zero means the defaults (28 and
 	// 34 °C). This is what lets cells that differ only in environment
 	// share one characterization — pre-deployment never touches the
-	// thermal state, so re-seating reproduces core.New verbatim.
+	// thermal state, so re-seating reproduces New verbatim.
 	AmbientCPUC  float64
 	AmbientDIMMC float64
 }
 
-// Restore materializes an independent ecosystem from the snapshot.
-// Every restore is a fresh deep copy: restores never share mutable
-// state with each other or with the snapshot.
-func (s *Snapshot) Restore(opts RestoreOptions) (*Ecosystem, error) {
-	c, err := s.proto.clone(opts.HealthLogOut)
-	if err != nil {
+// RestoreArena is one worker's reusable stamp destination: an
+// ecosystem whose object graph is built once (on the first stamp) and
+// overwritten in place by every later RestoreInto, so steady-state
+// stamps allocate almost nothing. An arena is single-owner — one
+// worker goroutine stamps and runs one node at a time — and must not
+// be handed to a consumer that outlives the next stamp, which the
+// fleet engine's node lifecycle guarantees (nothing retained from a
+// finished node aliases ecosystem internals).
+type RestoreArena struct {
+	eco *Ecosystem
+	// trigger is the arena stress daemon's campaign-request callback,
+	// created once: the daemon pointer is stable across stamps, so the
+	// closure stays valid and re-wiring it is allocation-free.
+	trigger func(healthlog.TriggerReason)
+}
+
+// NewRestoreArena returns an empty arena; the first RestoreInto
+// populates it.
+func NewRestoreArena() *RestoreArena { return &RestoreArena{} }
+
+// RestoreInto stamps an independent ecosystem from the snapshot into
+// the arena — the only way to turn a snapshot into an ecosystem. The
+// first stamp into an empty arena (cold) runs the same stamp functions
+// on zero-valued components; later stamps (warm) overwrite the
+// arena's graph in place. The returned ecosystem IS the arena's
+// (reused across calls): it is valid until the next RestoreInto on the
+// same arena.
+func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem, error) {
+	if a.eco == nil {
+		c := &Ecosystem{
+			Clock:      telemetry.NewClock(time.Time{}),
+			Machine:    &cpu.Machine{},
+			Mem:        &dram.MemorySystem{},
+			Health:     &healthlog.Daemon{},
+			Stress:     &stresslog.Daemon{},
+			Model:      &predictor.Model{},
+			Hypervisor: &hypervisor.Hypervisor{},
+			src:        &rng.Source{},
+			cpuTherm:   &thermal.Node{},
+			memTherm:   &thermal.Node{},
+			dramHits:   make(map[string]int),
+		}
+		c.coreOf = func(string) int { return c.curCore }
+		a.eco = c
+		a.trigger = c.Stress.TriggerHandler()
+	}
+
+	img := &s.img
+	c := a.eco
+	c.opts = img.Opts
+	c.opts.HealthLogOut = opts.HealthLogOut
+
+	c.Clock.Reset(img.Clock)
+	c.Machine.StampFrom(&img.Machine)
+	img.Mem.StampInto(c.Mem) // shares the weak-cell slabs until first write
+	img.Health.StampInto(c.Health, c.Clock, opts.HealthLogOut)
+	c.Health.RewireStressTrigger(a.trigger)
+	img.Stress.StampInto(c.Stress, c.Clock, c.Machine, c.Mem, c.Health)
+	// Shares the object inventory until first write.
+	if err := c.Hypervisor.StampFrom(&img.Hyp, c.Mem); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
-	ambCPU, ambDIMM := opts.AmbientCPUC, opts.AmbientDIMMC
-	if ambCPU == 0 {
-		ambCPU = 28
+
+	*c.src = *rng.FromState(img.Src)
+	*c.Model = img.Model
+	c.power = img.Power
+	c.refresh = img.Refresh
+	c.mode = img.Mode
+	c.weakGrowthPerDay = img.WeakGrowthPerDay
+	c.trip = img.Trip
+	c.worstComp = img.WorstComp
+	c.worstMargin = img.WorstMargin
+	c.windowsRun = img.WindowsRun
+	c.atEpochBoundary = img.AtEpochBoundary
+
+	if img.Table == nil {
+		c.table = nil
+	} else {
+		if c.table == nil {
+			c.table = &vfr.EOPTable{}
+		}
+		c.table.CopyFrom(img.Table)
 	}
-	if ambDIMM == 0 {
-		ambDIMM = 34
+	if !img.Advised {
+		c.advisor = nil
+	} else {
+		if c.advisor == nil {
+			c.advisor = &predictor.Advisor{}
+		}
+		*c.advisor = predictor.Advisor{Model: c.Model, Table: c.table, MaxBackoffMV: img.MaxBackoffMV}
 	}
-	c.opts.AmbientCPUC, c.opts.AmbientDIMMC = ambCPU, ambDIMM
-	c.cpuTherm = thermal.CPUNode(ambCPU)
-	c.memTherm = thermal.DIMMNode(ambDIMM)
+
+	c.coreNames = append(c.coreNames[:0], s.coreNames...)
+	clear(c.dramHits)
+	// c.coreOf captures the (stable) arena ecosystem; c.curCore and
+	// c.dramSrc are per-window scratch, always written before read.
+
+	c.opts.AmbientCPUC, c.opts.AmbientDIMMC = opts.AmbientCPUC, opts.AmbientDIMMC
+	c.opts.defaultAmbient()
+	*c.cpuTherm = *thermal.CPUNode(c.opts.AmbientCPUC)
+	*c.memTherm = *thermal.DIMMNode(c.opts.AmbientDIMMC)
 	return c, nil
 }
 
 // Reseed re-keys the ecosystem's runtime-facing random streams to a
 // fresh seed — the archetype-clone hook. A fleet that characterizes
-// one ecosystem per silicon/DRAM bin Restores a deep copy per node
-// and Reseeds each copy with the node's own seed, so everything the
-// deployment draws from here on — per-window core sampling, DRAM
-// retention windows, fast-forward telegraph draws, re-characterization
+// one ecosystem per silicon/DRAM bin stamps a node per member and
+// Reseeds each with the node's own seed, so everything the deployment
+// draws from here on — per-window core sampling, DRAM retention
+// windows, fast-forward telegraph draws, re-characterization
 // campaigns, machine measurement noise — diverges per node while the
 // characterized state (published EOP table, weak-cell population,
 // trained predictor, protected objects) stays the bin's.
@@ -123,80 +304,4 @@ func (e *Ecosystem) Reseed(seed uint64) error {
 	e.src = rng.New(seed)
 	e.Machine.ReseedStream(rng.New(seed).SplitLabeled("machine/runtime").State())
 	return nil
-}
-
-// clone deep-copies the ecosystem, directing future health-log lines
-// to out. The ownership rules (see DESIGN.md "Snapshot ownership"):
-//
-//   - Deep-copied: the rng stream positions and the clock; the machine
-//     (silicon margins, aging, measurement stream); the memory system
-//     (weak cells, VRT states, refresh intervals); the HealthLog's
-//     retained history and counters; the StressLog's schedule,
-//     history and virus archive; the hypervisor (objects, guests,
-//     pins, placements, isolation, counters); the predictor model and
-//     the published EOP table.
-//   - Re-derived, exactly as New would: the HealthLog→StressLog
-//     trigger wiring, the advisor (rebound to the cloned model and
-//     table), the per-window scratch (component names, DRAM hit map,
-//     core resolver), and — in Restore — the thermal nodes.
-//   - Shared: nothing mutable. The only aliases the clone keeps are
-//     immutable values (strings, specs, model parameters by value).
-func (e *Ecosystem) clone(out io.Writer) (*Ecosystem, error) {
-	opts := e.opts
-	opts.HealthLogOut = out
-
-	clock := telemetry.NewClock(e.Clock.Now())
-	machine := e.Machine.Clone()
-	mem := e.Mem.Clone()
-	health := e.Health.Clone(clock, out)
-	stressd := e.Stress.Clone(clock, machine, mem, health)
-	health.OnStressTrigger(stressd.TriggerHandler())
-	hyp, err := e.Hypervisor.Clone(mem)
-	if err != nil {
-		return nil, err
-	}
-	src := *e.src
-	model := *e.Model
-
-	c := &Ecosystem{
-		Clock:      clock,
-		Machine:    machine,
-		Mem:        mem,
-		Health:     health,
-		Stress:     stressd,
-		Model:      &model,
-		Hypervisor: hyp,
-
-		opts:             opts,
-		src:              &src,
-		power:            e.power,
-		refresh:          e.refresh,
-		mode:             e.mode,
-		weakGrowthPerDay: e.weakGrowthPerDay,
-		cpuTherm:         &thermal.Node{},
-		memTherm:         &thermal.Node{},
-		trip:             e.trip,
-		worstComp:        e.worstComp,
-		worstMargin:      e.worstMargin,
-		windowsRun:       e.windowsRun,
-		atEpochBoundary:  e.atEpochBoundary,
-		dramHits:         make(map[string]int),
-	}
-	*c.cpuTherm = *e.cpuTherm
-	*c.memTherm = *e.memTherm
-	if e.table != nil {
-		c.table = e.table.Clone()
-	}
-	if e.advisor != nil {
-		adv := *e.advisor
-		adv.Model = c.Model
-		adv.Table = c.table
-		c.advisor = &adv
-	}
-	c.coreNames = make([]string, opts.Part.Cores)
-	for i := range c.coreNames {
-		c.coreNames[i] = fmt.Sprintf("%s/core%d", opts.Part.Model, i)
-	}
-	c.coreOf = func(string) int { return c.curCore }
-	return c, nil
 }

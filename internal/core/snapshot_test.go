@@ -61,14 +61,41 @@ func traceEnd(b *strings.Builder, eco *Ecosystem, d *Deployment) {
 
 func tempBits(c float64) uint64 { return math.Float64bits(c) }
 
-// TestSnapshotRestoreEquivalence is the clone-equivalence contract the
-// characterization cache rests on: an ecosystem restored from a
-// post-characterization snapshot must be indistinguishable — window by
-// window, bit by bit — from one freshly built and characterized with
-// the same options, including when the restore re-seats the thermal
-// nodes at a different ambient than the snapshot source was built
-// with (that is what lets cells differing only in environment share
-// one characterization).
+// coldStamp restores snap into a fresh arena: the cold stamp.
+func coldStamp(t *testing.T, snap *Snapshot, opts RestoreOptions) *Ecosystem {
+	t.Helper()
+	e, err := snap.RestoreInto(NewRestoreArena(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// directEcosystem is the reference every stamp is compared against:
+// the uncached direct path, New + PreDeployment with smallOptions at
+// the given ambient (zero means the defaults).
+func directEcosystem(t *testing.T, seed uint64, ambCPU, ambDIMM float64) *Ecosystem {
+	t.Helper()
+	opts := smallOptions(seed)
+	opts.AmbientCPUC, opts.AmbientDIMMC = ambCPU, ambDIMM
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.PreDeployment(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestSnapshotRestoreEquivalence is the equivalence contract the
+// characterization cache rests on: an ecosystem stamped from a
+// post-characterization snapshot into a fresh arena must be
+// indistinguishable — window by window, bit by bit — from one freshly
+// built and characterized with the same options, including when the
+// stamp re-seats the thermal nodes at a different ambient than the
+// snapshot source was built with (that is what lets cells differing
+// only in environment share one characterization).
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -79,33 +106,15 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			name := fmt.Sprintf("seed=%d/ambient=%v", seed, amb.cpu)
 			t.Run(name, func(t *testing.T) {
 				// Fresh path: built at the cell's ambient, characterized.
-				fopts := smallOptions(seed)
-				fopts.AmbientCPUC, fopts.AmbientDIMMC = amb.cpu, amb.dimm
-				fresh, err := New(fopts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := fresh.PreDeployment(); err != nil {
-					t.Fatal(err)
-				}
+				fresh := directEcosystem(t, seed, amb.cpu, amb.dimm)
 
 				// Cached path: characterized at the DEFAULT ambient,
-				// snapshotted, restored at the cell's ambient.
-				proto, err := New(smallOptions(seed))
+				// snapshotted, stamped at the cell's ambient.
+				snap, err := directEcosystem(t, seed, 0, 0).Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := proto.PreDeployment(); err != nil {
-					t.Fatal(err)
-				}
-				snap, err := proto.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored, err := snap.Restore(RestoreOptions{AmbientCPUC: amb.cpu, AmbientDIMMC: amb.dimm})
-				if err != nil {
-					t.Fatal(err)
-				}
+				restored := coldStamp(t, snap, RestoreOptions{AmbientCPUC: amb.cpu, AmbientDIMMC: amb.dimm})
 
 				want := deploymentTrace(t, fresh, windows)
 				got := deploymentTrace(t, restored, windows)
@@ -119,11 +128,11 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 }
 
 // TestSnapshotRestoresAreIndependent pins the alias-free property:
-// multiple restores from one snapshot must not share any mutable
-// state, so running one to completion (mutating its silicon aging,
-// DRAM VRT states, healthlog history, hypervisor counters and rng
-// positions) must leave a sibling's and the snapshot's own behaviour
-// untouched.
+// nodes stamped from one snapshot into separate arenas must not share
+// any mutable state, so running one to completion (mutating its
+// silicon aging, DRAM VRT states, healthlog history, hypervisor
+// counters and rng positions) must leave a sibling's, the snapshot's
+// and the snapshot source's behaviour untouched.
 func TestSnapshotRestoresAreIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -133,13 +142,7 @@ func TestSnapshotRestoresAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := func() *Ecosystem {
-		r, err := snap.Restore(RestoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+	restore := func() *Ecosystem { return coldStamp(t, snap, RestoreOptions{}) }
 	a, b := restore(), restore()
 	traceA := deploymentTrace(t, a, 30)
 	// b runs only after a has fully mutated itself; any sharing would
@@ -166,7 +169,7 @@ func TestSnapshotRestoresAreIndependent(t *testing.T) {
 }
 
 // TestSnapshotRefusesMidDeployment pins the capture-window guard:
-// Restore re-derives thermal state from ambient, which is only exact
+// a stamp re-derives thermal state from ambient, which is only exact
 // before the first runtime window, so a later Snapshot must fail
 // loudly instead of producing restores that silently diverge.
 func TestSnapshotRefusesMidDeployment(t *testing.T) {
@@ -185,20 +188,8 @@ func TestSnapshotRefusesMidDeployment(t *testing.T) {
 	}
 }
 
-// restoreAllocBudget fences the allocation count of one Restore — the
-// operation every cache hit pays instead of a full characterization.
-// The dominant terms are O(weak cells) slice copies (two DIMMs here),
-// the 16,820-object hypervisor inventory copy, and the HealthLog's
-// retained characterization vectors; all are single-allocation bulk
-// copies, so the count stays in the low hundreds (measured ~200). If
-// this fence breaks, a clone started copying element-wise (or
-// deep-copying something it used to bulk-copy) — fix the clone, don't
-// raise the fence.
-const restoreAllocBudget = 400
-
 // templateRestoreAllocBudget fences the steady-state allocation count
-// of a warm template stamp — the cost every fleet node actually pays
-// now that the compiled path is default-on. Everything is stamped into
+// of a warm stamp — the cost every fleet node actually pays. Everything is stamped into
 // reused arena storage; the only survivors are the two thermal-node
 // constructions of the ambient re-seat (measured: 2). If this fence
 // breaks, a stamp started allocating per element — fix the stamp,
@@ -214,30 +205,17 @@ func TestSnapshotRestoreAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := snap.Restore(RestoreOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("Snapshot.Restore: %.0f allocs (budget %d)", avg, restoreAllocBudget)
-	if avg > restoreAllocBudget {
-		t.Fatalf("Snapshot.Restore allocates %.0f, budget is %d — the clone path regressed",
-			avg, restoreAllocBudget)
-	}
-
-	// The compiled fast path: near zero steady-state allocations once
-	// the arena is warm.
-	tmpl := snap.Compile()
+	// Near zero steady-state allocations once the arena is warm.
 	arena := NewRestoreArena()
-	if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
+	if _, err := snap.RestoreInto(arena, RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	warm := testing.AllocsPerRun(50, func() {
-		if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
+		if _, err := snap.RestoreInto(arena, RestoreOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("RestoreTemplate.RestoreInto (warm): %.0f allocs (budget %d)", warm, templateRestoreAllocBudget)
+	t.Logf("Snapshot.RestoreInto (warm): %.0f allocs (budget %d)", warm, templateRestoreAllocBudget)
 	if warm > templateRestoreAllocBudget {
 		t.Fatalf("warm template stamp allocates %.0f, budget is %d — the stamp path regressed",
 			warm, templateRestoreAllocBudget)
@@ -261,10 +239,7 @@ func TestReseedRepositionsStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := coldStamp(t, snap, RestoreOptions{})
 	const seed = 99
 	if err := clone.Reseed(seed); err != nil {
 		t.Fatal(err)
@@ -282,11 +257,8 @@ func TestReseedRepositionsStreams(t *testing.T) {
 	}
 
 	// A reseeded clone is deployable and deterministic in its new seed:
-	// two restores reseeded alike must trace identically.
-	clone2, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// two stamps reseeded alike must trace identically.
+	clone2 := coldStamp(t, snap, RestoreOptions{})
 	if err := clone2.Reseed(seed); err != nil {
 		t.Fatal(err)
 	}

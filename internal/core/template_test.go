@@ -17,12 +17,12 @@ import (
 	"uniserver/internal/workload"
 )
 
-// TestTemplateRestoreEquivalence pins the compiled fast path to the
-// reference implementation: an ecosystem stamped from a compiled
-// template must be indistinguishable — window by window, bit by bit —
-// from one deep-restored by Snapshot.Restore, across ambients, on a
-// cold arena, on a warm arena, and on an arena left dirty by a full
-// deployment of the previous occupant.
+// TestTemplateRestoreEquivalence pins the stamp to the reference
+// implementation, the uncached direct path: an ecosystem stamped from
+// a snapshot must be indistinguishable — window by window, bit by bit
+// — from one built and characterized directly with the same options,
+// across ambients, on a cold arena, on a warm arena, and on an arena
+// left dirty by a full deployment of the previous occupant.
 func TestTemplateRestoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -36,19 +36,10 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tmpl := snap.Compile()
 				ropts := RestoreOptions{AmbientCPUC: amb.cpu, AmbientDIMMC: amb.dimm}
 
-				legacy, err := snap.Restore(ropts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := deploymentTrace(t, legacy, windows)
-				legacyW, err := snap.Restore(ropts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantW := writtenTrace(t, legacyW, windows)
+				want := deploymentTrace(t, directEcosystem(t, seed, amb.cpu, amb.dimm), windows)
+				wantW := writtenTrace(t, directEcosystem(t, seed, amb.cpu, amb.dimm), windows)
 
 				arena := NewRestoreArena()
 				// Cold stamp, warm stamp, dirty re-stamp: each must
@@ -57,7 +48,7 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 				// spent streams, advanced clock), so every iteration after
 				// the first also proves the stamp overwrites all of it.
 				// The written passes take a stamp that shares the
-				// template's weak cells and object inventory through its
+				// snapshot's weak cells and object inventory through its
 				// first writes (copy-on-write), and the passes after them
 				// re-stamp an arena whose DIMMs and inventory were
 				// unshared, which must share again and still match.
@@ -68,7 +59,7 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 					{"cold", false}, {"warm", false}, {"dirty", false},
 					{"shared-then-written", true}, {"restamp-after-write", false}, {"written-again", true},
 				} {
-					stamped, err := tmpl.RestoreInto(arena, ropts)
+					stamped, err := snap.RestoreInto(arena, ropts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -77,7 +68,7 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 						trace, ref = writtenTrace, wantW
 					}
 					if got := trace(t, stamped, windows); got != ref {
-						t.Fatalf("pass %d (%s): template restore diverged from legacy restore:\n--- legacy ---\n%s--- template ---\n%s",
+						t.Fatalf("pass %d (%s): stamp diverged from direct characterization:\n--- direct ---\n%s--- stamped ---\n%s",
 							pass, p.label, ref, got)
 					}
 				}
@@ -88,8 +79,9 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 
 // TestTemplateRestoreHealthLogBytes pins the per-node log surface: the
 // JSON-lines health log a stamped ecosystem writes during deployment
-// must be byte-identical to the legacy restore's, since the fleet's
-// golden health logs are fingerprinted from these bytes.
+// must be byte-identical to what a directly characterized one writes,
+// since the fleet's golden health logs are fingerprinted from these
+// bytes.
 func TestTemplateRestoreHealthLogBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -99,7 +91,6 @@ func TestTemplateRestoreHealthLogBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
 
 	run := func(e *Ecosystem) {
 		t.Helper()
@@ -107,31 +98,37 @@ func TestTemplateRestoreHealthLogBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var legacyLog, stampLog bytes.Buffer
-	legacy, err := snap.Restore(RestoreOptions{HealthLogOut: &legacyLog})
+	var directLog, stampLog bytes.Buffer
+	opts := smallOptions(7)
+	opts.HealthLogOut = &directLog
+	direct, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(legacy)
+	if _, err := direct.PreDeployment(); err != nil {
+		t.Fatal(err)
+	}
+	directLog.Reset() // a stamp replays no characterization lines
+	run(direct)
 
 	arena := NewRestoreArena()
-	if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
+	if _, err := snap.RestoreInto(arena, RestoreOptions{}); err != nil {
 		t.Fatal(err) // cold stamp; the warm stamp below is the path under test
 	}
-	stamped, err := tmpl.RestoreInto(arena, RestoreOptions{HealthLogOut: &stampLog})
+	stamped, err := snap.RestoreInto(arena, RestoreOptions{HealthLogOut: &stampLog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run(stamped)
 
-	if !bytes.Equal(legacyLog.Bytes(), stampLog.Bytes()) {
-		t.Fatalf("health-log bytes diverged (legacy %d bytes, template %d bytes)",
-			legacyLog.Len(), stampLog.Len())
+	if directLog.Len() == 0 || !bytes.Equal(directLog.Bytes(), stampLog.Bytes()) {
+		t.Fatalf("health-log bytes diverged (direct %d bytes, stamped %d bytes)",
+			directLog.Len(), stampLog.Len())
 	}
 }
 
-// TestTemplateRestoreReseed pins the archetype path through the
-// template: stamp + Reseed must equal legacy restore + Reseed, stream
+// TestTemplateRestoreReseed pins the archetype path through the stamp:
+// stamp + Reseed must equal direct characterization + Reseed, stream
 // for stream.
 func TestTemplateRestoreReseed(t *testing.T) {
 	if testing.Short() {
@@ -142,39 +139,34 @@ func TestTemplateRestoreReseed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
 	const seed = 1234
 
-	legacy, err := snap.Restore(RestoreOptions{})
-	if err != nil {
+	direct := directEcosystem(t, 5, 0, 0)
+	if err := direct.Reseed(seed); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Reseed(seed); err != nil {
-		t.Fatal(err)
-	}
-	want := deploymentTrace(t, legacy, 30)
+	want := deploymentTrace(t, direct, 30)
 
 	arena := NewRestoreArena()
-	if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	stamped, err := tmpl.RestoreInto(arena, RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stamped.Reseed(seed); err != nil {
-		t.Fatal(err)
-	}
-	if got := deploymentTrace(t, stamped, 30); got != want {
-		t.Fatalf("reseeded template restore diverged:\n--- legacy ---\n%s--- template ---\n%s", want, got)
+	for _, pass := range []string{"cold", "warm"} {
+		stamped, err := snap.RestoreInto(arena, RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stamped.Reseed(seed); err != nil {
+			t.Fatal(err)
+		}
+		if got := deploymentTrace(t, stamped, 30); got != want {
+			t.Fatalf("%s reseeded stamp diverged:\n--- direct ---\n%s--- stamped ---\n%s", pass, want, got)
+		}
 	}
 }
 
 // TestTemplateRestoreEpochBoundary pins the lifetime-engine capture
 // window: a snapshot taken on a fast-forward epoch boundary after an
 // in-field re-characterization (the AVATAR growth path: aged silicon,
-// grown VRT state, refreshed margins) must compile and stamp exactly
-// as it deep-restores.
+// grown VRT state, refreshed margins) must stamp, cold and warm,
+// exactly the ecosystem its source keeps running as.
 func TestTemplateRestoreEpochBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -199,32 +191,29 @@ func TestTemplateRestoreEpochBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
-
-	legacy, err := snap.Restore(RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := deploymentTrace(t, legacy, 30)
 
 	arena := NewRestoreArena()
 	ropts := RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39}
-	if _, err := tmpl.RestoreInto(arena, ropts); err != nil {
-		t.Fatal(err)
+	var traces []string
+	for range 2 { // cold, then warm
+		stamped, err := snap.RestoreInto(arena, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, deploymentTrace(t, stamped, 30))
 	}
-	stamped, err := tmpl.RestoreInto(arena, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := deploymentTrace(t, stamped, 30); got != want {
-		t.Fatalf("epoch-boundary template restore diverged:\n--- legacy ---\n%s--- template ---\n%s", want, got)
+	want := deploymentTrace(t, eco, 30)
+	for i, got := range traces {
+		if got != want {
+			t.Fatalf("epoch-boundary stamp %d diverged from its source:\n--- source ---\n%s--- stamped ---\n%s", i, want, got)
+		}
 	}
 }
 
 // TestTemplateRestoreIndependence pins the alias-free property across
 // arenas: running one stamped node to completion (mutating silicon
 // aging, VRT telegraph state, health history, hypervisor counters,
-// stream positions) must leave the template — and nodes stamped from
+// stream positions) must leave the snapshot — and nodes stamped from
 // it afterwards, on the same or other arenas — untouched.
 func TestTemplateRestoreIndependence(t *testing.T) {
 	if testing.Short() {
@@ -235,12 +224,11 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
 
 	a, b := NewRestoreArena(), NewRestoreArena()
 	stamp := func(ar *RestoreArena) *Ecosystem {
 		t.Helper()
-		e, err := tmpl.RestoreInto(ar, RestoreOptions{})
+		e, err := snap.RestoreInto(ar, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,10 +236,10 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 	}
 	traceA := deploymentTrace(t, stamp(a), 30)
 	// b stamps only after a's node fully mutated itself; bleed into the
-	// shared template would show up here.
+	// shared snapshot would show up here.
 	traceB := deploymentTrace(t, stamp(b), 30)
 	if traceA != traceB {
-		t.Fatalf("sibling arena stamps diverged — template state is shared mutable:\n--- first ---\n%s--- second ---\n%s",
+		t.Fatalf("sibling arena stamps diverged — snapshot state is shared mutable:\n--- first ---\n%s--- second ---\n%s",
 			traceA, traceB)
 	}
 	// Re-stamping the dirty arenas must still reproduce the original.
@@ -259,19 +247,15 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 		t.Fatalf("re-stamp after a full deployment diverged:\n--- before ---\n%s--- after ---\n%s",
 			traceA, traceC)
 	}
-	// And the legacy path still sees the pristine snapshot.
-	legacy, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traceL := deploymentTrace(t, legacy, 30); traceL != traceA {
-		t.Fatalf("snapshot mutated by template stamps:\n--- legacy ---\n%s--- stamped ---\n%s",
-			traceL, traceA)
+	// And every stamp still matches the direct characterization.
+	if traceD := deploymentTrace(t, directEcosystem(t, 13, 0, 0), 30); traceD != traceA {
+		t.Fatalf("stamps diverged from direct characterization:\n--- direct ---\n%s--- stamped ---\n%s",
+			traceD, traceA)
 	}
 }
 
 // writtenTrace is deploymentTrace for a node that writes every piece
-// of state a stamp shares with its template by reference: weak-cell
+// of state a stamp shares with its snapshot by reference: weak-cell
 // growth and VRT toggles across a fast-forward gap, the pattern tests
 // of a re-characterization, one more pattern test, a VRT reindex and
 // selective protection of hypervisor objects. The trace ends with a
@@ -308,7 +292,7 @@ func writtenTrace(t *testing.T, eco *Ecosystem, windows int) string {
 	return b.String()
 }
 
-// sharedStateDigest hashes the state a stamp shares with its template
+// sharedStateDigest hashes the state a stamp shares with its snapshot
 // until first write: every DIMM's weak cells and the object inventory.
 func sharedStateDigest(eco *Ecosystem) string {
 	h := sha256.New()
@@ -321,24 +305,31 @@ func sharedStateDigest(eco *Ecosystem) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// templateDigest hashes everything a stamp may alias or copy from the
-// template: the weak-cell and VRT slabs and the proto ecosystem's weak
-// cells and object inventory.
-func templateDigest(tmpl *RestoreTemplate) string {
-	slabs := tmpl.flatMem.Digest()
-	return hex.EncodeToString(slabs[:]) + "/" + sharedStateDigest(tmpl.proto)
+// snapshotDigest hashes the snapshot's encoded images — everything a
+// stamp may alias or copy.
+func snapshotDigest(t *testing.T, snap *Snapshot) string {
+	t.Helper()
+	b, err := snap.img.encode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestTemplateImmutableUnderConcurrentWriters pins the ownership
 // invariant the shared stamp rests on. Two goroutines stamp arenas
-// from one template — so their DIMMs and object inventories alias the
-// template's — and drive every writer of that state on them:
+// from one snapshot — so their DIMMs and object inventories alias the
+// snapshot's — and drive every writer of that state on them:
 // fast-forward with weak-cell growth, re-characterization, pattern
-// tests, reindexing, and both protection calls. Afterwards the
-// template must hash exactly as before, and under -race any writer
-// that skipped copy-on-write is a reported data race against the
-// other goroutine's reads. Both goroutines must also observe the same
-// written state, so no write leaked between arenas.
+// tests, reindexing, and both protection calls. A third drives the
+// same writers on the snapshot's source ecosystem, which the snapshot
+// must hold no pointer into. Afterwards the snapshot must hash exactly
+// as before, and under -race any writer that skipped copy-on-write —
+// or any image that still aliases its source — is a reported data
+// race against another goroutine's reads. Both stamping goroutines
+// must also observe the same written state, so no write leaked between
+// arenas.
 func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -348,8 +339,7 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
-	before := templateDigest(tmpl)
+	before := snapshotDigest(t, snap)
 
 	writers := []struct {
 		name string
@@ -393,6 +383,13 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 	const goroutines, reps = 2, 2
 	results := make([][]string, goroutines)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, w := range writers {
+			w.do(t, eco)
+		}
+	}()
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -400,7 +397,7 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 			arena := NewRestoreArena()
 			for r := 0; r < reps; r++ {
 				for _, w := range writers {
-					e, err := tmpl.RestoreInto(arena, RestoreOptions{})
+					e, err := snap.RestoreInto(arena, RestoreOptions{})
 					if err != nil {
 						t.Error(err)
 						return
@@ -415,8 +412,8 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if after := templateDigest(tmpl); after != before {
-		t.Fatalf("template changed under stamped writers:\nbefore %s\nafter  %s", before, after)
+	if after := snapshotDigest(t, snap); after != before {
+		t.Fatalf("snapshot changed under writers:\nbefore %s\nafter  %s", before, after)
 	}
 	for i := range results[0] {
 		if results[0][i] != results[1][i] {
@@ -429,9 +426,9 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 }
 
 // TestStampSharesWithTemplate pins the sharing itself, seen from core:
-// two arenas stamped from one template read the same weak-cell and
-// object storage; a write gives one arena private copies; and its
-// next stamp shares again.
+// two arenas stamped from one snapshot read the same weak-cell and
+// object storage, cold stamps included; a write gives one arena
+// private copies; and its next stamp shares again.
 func TestStampSharesWithTemplate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -441,15 +438,11 @@ func TestStampSharesWithTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
 	a, b := NewRestoreArena(), NewRestoreArena()
-	for _, ar := range []*RestoreArena{a, b} {
-		// The first stamp of an arena is the cold deep clone; the warm
-		// stamps after it share.
-		for i := 0; i < 2; i++ {
-			if _, err := tmpl.RestoreInto(ar, RestoreOptions{}); err != nil {
-				t.Fatal(err)
-			}
+	// a is stamped cold and then warm, b only cold: both share.
+	for _, ar := range []*RestoreArena{a, a, b} {
+		if _, err := snap.RestoreInto(ar, RestoreOptions{}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	same := func() (weak, objs bool) {
@@ -458,7 +451,7 @@ func TestStampSharesWithTemplate(t *testing.T) {
 		return &wa[0] == &wb[0], &oa[0] == &ob[0]
 	}
 	if w, o := same(); !w || !o {
-		t.Fatalf("warm stamps do not share: weak cells %t, objects %t", w, o)
+		t.Fatalf("stamps do not share: weak cells %t, objects %t", w, o)
 	}
 	d, err := a.eco.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
 	if err != nil {
@@ -471,7 +464,7 @@ func TestStampSharesWithTemplate(t *testing.T) {
 	if w, o := same(); w || o {
 		t.Fatalf("written arena still shares: weak cells %t, objects %t", w, o)
 	}
-	if _, err := tmpl.RestoreInto(a, RestoreOptions{}); err != nil {
+	if _, err := snap.RestoreInto(a, RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if w, o := same(); !w || !o {
@@ -483,7 +476,7 @@ func TestStampSharesWithTemplate(t *testing.T) {
 // arena cycle as the fleet runs it — warm stamp, Reseed, mode entry,
 // the runtime windows, the summary — with two archetypes of different
 // part models alternating on one arena. The stamp-only fence above
-// re-stamps one template back to back and so cannot see churn that
+// re-stamps one snapshot back to back and so cannot see churn that
 // only shows across a node's runtime or across archetype switches
 // (histories swept and rebuilt, health vectors outgrowing their
 // slices). Measured at 30 windows: 66 allocs and ~2.5 KB per node;
@@ -499,7 +492,7 @@ func TestStampRunCycleAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
 	}
-	templates := make([]*RestoreTemplate, 0, 2)
+	snaps := make([]*Snapshot, 0, 2)
 	for _, part := range []cpu.PartSpec{cpu.PartI5_4200U(), cpu.PartI7_3970X()} {
 		opts := smallOptions(31)
 		opts.SetPart(part)
@@ -514,14 +507,14 @@ func TestStampRunCycleAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		templates = append(templates, snap.Compile())
+		snaps = append(snaps, snap)
 	}
 	arena := NewRestoreArena()
 	seed := uint64(0)
 	cycle := func() {
-		for _, tmpl := range templates {
+		for _, snap := range snaps {
 			seed++
-			eco, err := tmpl.RestoreInto(arena, RestoreOptions{AmbientCPUC: 30, AmbientDIMMC: 36})
+			eco, err := snap.RestoreInto(arena, RestoreOptions{AmbientCPUC: 30, AmbientDIMMC: 36})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -555,7 +548,7 @@ func TestStampRunCycleAllocBudget(t *testing.T) {
 		cycle()
 	}
 	runtime.ReadMemStats(&after)
-	nodes := float64(runs * len(templates))
+	nodes := float64(runs * len(snaps))
 	allocs := float64(after.Mallocs-before.Mallocs) / nodes
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / nodes
 	t.Logf("stamp+run cycle: %.1f allocs, %.0f bytes per node (budgets %d, %d)",

@@ -168,45 +168,50 @@ func NewMachine(spec PartSpec, seed uint64) *Machine {
 	return &Machine{Spec: spec, Chip: chip, src: src}
 }
 
-// Clone returns a deep copy of the machine: the same fabricated die
-// (with its accumulated aging) and the same measurement-stream
-// position, evolving independently of the original from here on.
-func (m *Machine) Clone() *Machine {
-	src := *m.src
-	return &Machine{Spec: m.Spec, Chip: m.Chip.Clone(), src: &src}
+// Image is a machine's snapshot form: the part, a copy of the
+// fabricated (and possibly aged) die, and the measurement-stream
+// position.
+type Image struct {
+	Spec   PartSpec
+	Chip   silicon.Chip
+	Stream uint64
 }
 
-// StampFrom overwrites m with a deep copy of src, reusing m's chip and
-// stream storage. It is the arena form of Clone: m must already have
-// been built by New or Clone (non-nil Chip and stream), and afterwards
-// evolves independently of src exactly as a Clone would.
-func (m *Machine) StampFrom(src *Machine) {
-	m.Spec = src.Spec
-	src.Chip.CopyInto(m.Chip)
-	*m.src = *src.src
+// Image captures the machine. The image shares no storage with m, so m
+// may keep running.
+func (m *Machine) Image() Image {
+	img := Image{Spec: m.Spec, Stream: m.src.State()}
+	m.Chip.CopyInto(&img.Chip)
+	return img
 }
 
-// StreamState returns the measurement stream's position — the
-// persistence hook snapshot serialization uses alongside the chip's
-// exported state.
+// StampFrom overwrites m with the image, reusing m's chip and stream
+// storage; a zero Machine is a valid destination. Afterwards m evolves
+// independently of the image and replays exactly the sweep sequence
+// the imaged machine would have.
+func (m *Machine) StampFrom(img *Image) {
+	m.Spec = img.Spec
+	if m.Chip == nil {
+		m.Chip = &silicon.Chip{}
+	}
+	img.Chip.CopyInto(m.Chip)
+	if m.src == nil {
+		m.src = &rng.Source{}
+	}
+	*m.src = *rng.FromState(img.Stream)
+}
+
+// StreamState returns the measurement stream's position.
 func (m *Machine) StreamState() uint64 { return m.src.State() }
 
 // ReseedStream repositions the measurement stream at the given state
-// word — the archetype-clone hook: machines cloned from one
+// word — the archetype-clone hook: machines stamped from one
 // characterized specimen share the fabricated die (same margins, same
 // aging) but must draw independent measurement noise from here on.
 // The stream is replaced in place, so every holder of the machine
 // pointer (the StressLog daemon included) sees the repositioned
 // stream.
 func (m *Machine) ReseedStream(state uint64) { m.src = rng.FromState(state) }
-
-// RestoreMachine reassembles a machine from serialized parts: the
-// part spec, the fabricated (and possibly aged) chip, and the
-// measurement-stream position StreamState captured. The result runs
-// the exact sweep sequence the source machine would have.
-func RestoreMachine(spec PartSpec, chip *silicon.Chip, stream uint64) *Machine {
-	return &Machine{Spec: spec, Chip: chip, src: rng.FromState(stream)}
-}
 
 // droopMV samples the workload-induced droop for one run.
 func (m *Machine) droopMV(b Benchmark) float64 {

@@ -145,8 +145,8 @@ type DIMM struct {
 	// DIMM (nil vrt) falls back to the full scan.
 	vrt []int
 
-	// shared marks a stamped DIMM whose Weak and vrt alias a restore
-	// template's immutable slabs (FlatMemory.StampInto). Every mutator
+	// shared marks a stamped DIMM whose Weak and vrt alias a snapshot
+	// image's immutable slabs (FlatMemory.StampInto). Every mutator
 	// calls unshare first, which copies the aliased slices into the
 	// DIMM's own spare buffers; readers never need to. No code outside
 	// this package may write Weak.
@@ -207,19 +207,6 @@ func clampInt(v uint64) int {
 
 // Bits returns the DIMM capacity in bits.
 func (d *DIMM) Bits() uint64 { return d.CapacityBytes * 8 }
-
-// Clone returns a deep copy of the DIMM: the same fabricated weak-cell
-// population (including each VRT cell's current telegraph state) with
-// no shared storage, so the copy's future VRT toggles and pattern
-// tests leave the original untouched.
-func (d *DIMM) Clone() *DIMM {
-	out := *d
-	out.Weak = append([]WeakCell(nil), d.Weak...)
-	out.vrt = append([]int(nil), d.vrt...)
-	out.shared = false
-	out.spareWeak, out.spareVRT = nil, nil
-	return &out
-}
 
 // Grow appends n freshly-activated weak cells to the DIMM, drawing
 // each exactly like fabrication does (position, retention from the
@@ -357,31 +344,6 @@ func New(cfg Config, model RetentionModel, src *rng.Source) (*MemorySystem, erro
 	return ms, nil
 }
 
-// Clone returns a deep copy of the domain: its DIMMs (weak cells, VRT
-// state) and its current refresh setting.
-func (dom *Domain) Clone() *Domain {
-	out := *dom
-	out.DIMMs = make([]*DIMM, len(dom.DIMMs))
-	for i, d := range dom.DIMMs {
-		out.DIMMs[i] = d.Clone()
-	}
-	return &out
-}
-
-// Clone returns a deep copy of the memory system: every domain and
-// DIMM is duplicated (same order, same refresh intervals, same weak
-// cells in their current VRT states), so the copy can be relaxed,
-// tested and heated independently. Allocators bound to the original
-// are rebound with Allocator.CloneFor.
-func (ms *MemorySystem) Clone() *MemorySystem {
-	out := &MemorySystem{Model: ms.Model, TempC: ms.TempC}
-	out.Domains = make([]*Domain, len(ms.Domains))
-	for i, dom := range ms.Domains {
-		out.Domains[i] = dom.Clone()
-	}
-	return out
-}
-
 // ReliableDomain returns the reliable domain.
 func (ms *MemorySystem) ReliableDomain() *Domain {
 	for _, d := range ms.Domains {
@@ -486,10 +448,10 @@ func ToggleVRTCoarse(dom *Domain, windows int, src *rng.Source) {
 }
 
 // Reindex rebuilds every DIMM's private VRT index from its weak-cell
-// population. Deserialized memory systems call it once after decoding:
-// the index is a pure derivation of the exported cells (the wire
-// format does not carry it), and without it the per-window telegraph
-// toggle would fall back to the full weak-cell scan.
+// population: the index is a pure derivation of the exported cells,
+// and a DIMM built without it (a literal, or cells rewritten in place)
+// would fall back to the full weak-cell scan in the per-window
+// telegraph toggle.
 func (ms *MemorySystem) Reindex() {
 	for _, dom := range ms.Domains {
 		for _, dimm := range dom.DIMMs {

@@ -1,6 +1,10 @@
 package dram
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -8,9 +12,9 @@ import (
 	"uniserver/internal/rng"
 )
 
-// sharedSystem fabricates a two-channel memory system and its template
+// sharedSystem fabricates a two-channel memory system and its snapshot
 // image; stamping the image into a fresh system yields DIMMs that
-// alias the template's slabs.
+// alias the image's slabs. Every call fabricates the same system.
 func sharedSystem(t *testing.T) (*MemorySystem, *FlatMemory) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -20,6 +24,17 @@ func sharedSystem(t *testing.T) (*MemorySystem, *FlatMemory) {
 		t.Fatal(err)
 	}
 	return ms, ms.Flatten()
+}
+
+// digest hashes the image's slabs — the bytes every stamped DIMM reads
+// until its first write. A changed digest means some writer skipped
+// unshare.
+func digest(f *FlatMemory) [sha256.Size]byte {
+	b, _ := f.Cells.GobEncode()
+	for _, i := range f.VRT {
+		b = binary.LittleEndian.AppendUint64(b, uint64(i))
+	}
+	return sha256.Sum256(b)
 }
 
 func stamped(f *FlatMemory) *MemorySystem {
@@ -33,8 +48,8 @@ func aliases(d *DIMM, f *FlatMemory) bool {
 	if len(d.Weak) == 0 {
 		return d.shared
 	}
-	for i := range f.cells {
-		if &f.cells[i] == &d.Weak[0] {
+	for i := range f.Cells {
+		if &f.Cells[i] == &d.Weak[0] {
 			return true
 		}
 	}
@@ -43,12 +58,13 @@ func aliases(d *DIMM, f *FlatMemory) bool {
 
 // TestStampSharesUntilFirstWrite pins the copy-on-write contract of
 // FlatMemory.StampInto for every mutator of the weak-cell population:
-// a stamped system aliases the template's slabs; the first write to a
+// a stamped system aliases the image's slabs; the first write to a
 // DIMM gives it a private copy; the result is exactly what the same
-// write does to a deep clone; and the template's slabs never change.
+// write does to a second fabrication from the same seed; and the
+// image's slabs never change.
 func TestStampSharesUntilFirstWrite(t *testing.T) {
-	src, f := sharedSystem(t)
-	digest := f.Digest()
+	_, f := sharedSystem(t)
+	before := digest(f)
 	model := DefaultRetentionModel()
 	writers := []struct {
 		name string
@@ -98,7 +114,7 @@ func TestStampSharesUntilFirstWrite(t *testing.T) {
 					}
 				}
 			}
-			ref := src.Clone()
+			ref, _ := sharedSystem(t)
 			w.do(ms)
 			w.do(ref)
 			for di, dom := range ms.Domains {
@@ -110,12 +126,12 @@ func TestStampSharesUntilFirstWrite(t *testing.T) {
 					}
 					r := ref.Domains[di].DIMMs[i]
 					if !reflect.DeepEqual(d.Weak, r.Weak) || !reflect.DeepEqual(append([]int{}, d.vrt...), append([]int{}, r.vrt...)) {
-						t.Fatalf("domain %s DIMM %d: copy-on-write result differs from a deep clone's", dom.Name, i)
+						t.Fatalf("domain %s DIMM %d: copy-on-write result differs from a fresh fabrication's", dom.Name, i)
 					}
 				}
 			}
-			if f.Digest() != digest {
-				t.Fatalf("%s wrote through to the template slabs", w.name)
+			if digest(f) != before {
+				t.Fatalf("%s wrote through to the image slabs", w.name)
 			}
 		})
 	}
@@ -156,22 +172,69 @@ func TestRestampAfterUnshareShares(t *testing.T) {
 	}
 }
 
-// TestCloneOfSharedIsOwned: a clone of a stamped system owns its
-// cells, so writing the clone neither unshares nor touches the
-// template.
-func TestCloneOfSharedIsOwned(t *testing.T) {
+// TestFlatMemoryValidate: Flatten's own output validates, and every
+// broken count or index a decoded image could carry is refused.
+func TestFlatMemoryValidate(t *testing.T) {
 	_, f := sharedSystem(t)
-	digest := f.Digest()
-	c := stamped(f).Clone()
-	for _, dom := range c.Domains {
-		for _, d := range dom.DIMMs {
-			if d.shared || aliases(d, f) || d.spareWeak != nil {
-				t.Fatal("clone of a stamped DIMM still aliases the template")
-			}
-		}
-		ToggleVRTCoarse(dom, 500, rng.New(9))
+	if err := f.Validate(); err != nil {
+		t.Fatalf("flattened image refused: %v", err)
 	}
-	if f.Digest() != digest {
-		t.Fatal("writing a clone of a stamped system changed the template")
+	breaks := map[string]func(f *FlatMemory){
+		"domain overrun":   func(f *FlatMemory) { f.Domains[1].DIMMs++ },
+		"domain negative":  func(f *FlatMemory) { f.Domains[0].DIMMs, f.Domains[1].DIMMs = -1, 5 },
+		"uncovered DIMM":   func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
+		"cell overrun":     func(f *FlatMemory) { f.DIMMs[3].Cells++ },
+		"cell negative":    func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
+		"uncovered cells":  func(f *FlatMemory) { f.Cells = append(f.Cells, WeakCell{}) },
+		"vrt overrun":      func(f *FlatMemory) { f.DIMMs[3].VRT++ },
+		"vrt outside DIMM": func(f *FlatMemory) { f.VRT[0] = f.DIMMs[0].Cells },
+		"negative vrt":     func(f *FlatMemory) { f.VRT[0] = -1 },
+		"no capacity":      func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
+	}
+	for name, brk := range breaks {
+		_, g := sharedSystem(t)
+		brk(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: broken image accepted", name)
+		}
+	}
+}
+
+// TestCellSlabGobRoundTrip: the binary cell records decode to the
+// same cells, and malformed record streams are refused.
+func TestCellSlabGobRoundTrip(t *testing.T) {
+	_, f := sharedSystem(t)
+	b, err := f.Cells.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got CellSlab
+	if err := got.GobDecode(b); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, f.Cells) {
+		t.Fatal("cells changed across the round trip")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	var g FlatMemory
+	if err := gob.NewDecoder(&buf).Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	if digest(&g) != digest(f) {
+		t.Fatal("image slabs changed across a gob round trip")
+	}
+	if err := got.GobDecode(b[:len(b)-1]); err == nil {
+		t.Fatal("partial record accepted")
+	}
+	if err := got.GobDecode(append(b, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	one, _ := CellSlab{{Offset: 5, RetentionSec: 1}}.GobEncode() // count, 16 bytes, flags
+	one[17] |= 0x80
+	if err := got.GobDecode(one); err == nil {
+		t.Fatal("unknown flag bits accepted")
 	}
 }

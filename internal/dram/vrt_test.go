@@ -186,12 +186,15 @@ func TestToggleVRTCoarseTouchesOnlyVRT(t *testing.T) {
 // freshly reindexed system produce identical toggles.
 func TestReindexRebuildsVRTIndex(t *testing.T) {
 	model := DefaultRetentionModel()
-	ms, err := New(Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 1 << 30, DeviceGb: 2, TempC: 45},
-		model, rng.New(11))
+	cfg := Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 1 << 30, DeviceGb: 2, TempC: 45}
+	ms, err := New(cfg, model, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := ms.Clone()
+	ref, err := New(cfg, model, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, dom := range ms.Domains {
 		for _, dimm := range dom.DIMMs {
 			dimm.vrt = nil

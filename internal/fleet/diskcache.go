@@ -3,9 +3,12 @@ package fleet
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,13 +19,12 @@ import (
 
 // The on-disk spill of the characterization snapshot cache: a cache
 // with an attached directory persists every characterized snapshot
-// (plus its report and captured health-log bytes) as one versioned
-// gob file, and serves later processes — CLI reruns, CI legs — from
-// disk instead of re-running the campaign. Correctness rests on the
-// same property as the in-memory cache: characterization is a pure
-// function of the key, and core's snapshot wire format restores
-// bit-identical ecosystems (pinned by core's TestSnapshotDiskRoundTrip
-// and the fleet-level disk byte-identity test).
+// (plus its report and captured health-log bytes) as one file, and
+// serves later processes — CLI reruns, CI legs — from disk instead of
+// re-running the campaign, byte-identically (a loaded snapshot is the
+// saved images). Every part of a file is length-framed and
+// checksummed; a file that fails any check is moved to quarantine/ and
+// its key re-characterized, so a flipped bit never reaches a node.
 
 // charactDirVersionFile names the directory's version stamp.
 const charactDirVersionFile = "VERSION"
@@ -30,7 +32,7 @@ const charactDirVersionFile = "VERSION"
 // AttachDir enables the on-disk spill rooted at dir, creating it if
 // needed. The directory is stamped with core.SnapshotFormatVersion;
 // attaching to a directory stamped with any other version is refused
-// — the wire form mirrors simulator internals, so a cross-version
+// — snapshot images mirror simulator internals, so a cross-version
 // read would corrupt results rather than merely miss. Point different
 // builds at different directories (or clear the stale one).
 //
@@ -70,31 +72,47 @@ func (c *CharactCache) AttachDir(dir string) error {
 
 // stampVersion atomically replaces the directory's version stamp.
 func stampVersion(dir, vpath, version string) error {
-	tmp, err := os.CreateTemp(dir, ".version-*")
+	return writeAtomic(dir, vpath, func(w io.Writer) error {
+		_, err := io.WriteString(w, version+"\n")
+		return err
+	})
+}
+
+// writeAtomic writes path through a temp file in dir and a rename, so
+// readers — in this process or others — see the old file or the whole
+// new one, never a torn write.
+func writeAtomic(dir, path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(version + "\n"); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), vpath)
+	return os.Rename(tmp.Name(), path)
 }
 
-// diskEntryState is one spilled cache entry: the key (verified on
-// load — the filename is only its hash), the core snapshot wire
-// bytes, the characterization report, and the captured health-log
-// bytes consumers replay.
-type diskEntryState struct {
-	Key      string
-	Snapshot []byte
-	Pre      core.PreDeploymentReport
-	Log      []byte
+// diskEntry is the header of one spill file: the key (the filename is
+// only its hash), the report and the captured health-log bytes. The
+// file holds its gob payload's length and sha256, the payload, then
+// the snapshot as core.Snapshot.Save frames it.
+type diskEntry struct {
+	Key string
+	Pre core.PreDeploymentReport
+	Log []byte
 }
+
+// entryFrame is the size of the header frame: the payload length as a
+// little-endian uint64, then the payload's sha256.
+const entryFrame = 8 + sha256.Size
+
+// quarantineDir names the subdirectory corrupt spill files move to.
+const quarantineDir = "quarantine"
 
 // spillDir returns the attached spill directory ("" when disabled).
 // The atomic load keeps worker goroutines and a late AttachDir from
@@ -113,55 +131,90 @@ func (c *CharactCache) entryPath(key string) string {
 }
 
 // loadDisk tries to serve key from the spill directory. A missing or
-// unreadable entry is a plain miss (the characterization recomputes
-// and overwrites it); only the version stamp refuses loudly, and that
-// happens at AttachDir.
+// unreadable file is a plain miss (the characterization recomputes and
+// overwrites it); a file that reads but fails a length, checksum, key
+// or snapshot check is quarantined first, and the failure is kept for
+// DiskErr. Only the version stamp refuses loudly, and that happens at
+// AttachDir.
 func (c *CharactCache) loadDisk(key string) (*core.Snapshot, core.PreDeploymentReport, []byte, bool) {
-	f, err := os.Open(c.entryPath(key))
+	path := c.entryPath(key)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, nil, false
 	}
-	defer f.Close()
-	var st diskEntryState
-	if err := gob.NewDecoder(f).Decode(&st); err != nil || st.Key != key {
-		return nil, core.PreDeploymentReport{}, nil, false
-	}
-	snap, err := core.LoadSnapshot(bytes.NewReader(st.Snapshot))
+	snap, ent, err := decodeEntry(data, key)
 	if err != nil {
+		c.quarantine(path, err)
 		return nil, core.PreDeploymentReport{}, nil, false
 	}
-	return snap, st.Pre, st.Log, true
+	return snap, ent.Pre, ent.Log, true
 }
 
-// spillDisk persists an entry, atomically (temp file + rename), so
-// concurrent processes sharing the directory never observe a torn
-// write. Spill failures never fail the simulation — the in-memory
-// result is already correct — but the first one is retained for the
-// caller to surface (DiskErr).
-func (c *CharactCache) spillDisk(key string, snap *core.Snapshot, pre core.PreDeploymentReport, log []byte) {
-	var sb bytes.Buffer
-	if err := snap.Save(&sb); err != nil {
-		c.noteDiskErr(err)
-		return
+// decodeEntry checks and decodes one spill file filed under key.
+func decodeEntry(data []byte, key string) (*core.Snapshot, diskEntry, error) {
+	var ent diskEntry
+	if len(data) < entryFrame {
+		return nil, ent, fmt.Errorf("%d-byte file is shorter than its header frame", len(data))
 	}
-	st := diskEntryState{Key: key, Snapshot: sb.Bytes(), Pre: pre, Log: log}
-	final := c.entryPath(key)
-	tmp, err := os.CreateTemp(c.spillDir(), ".charact-*")
+	body := data[entryFrame:]
+	n := binary.LittleEndian.Uint64(data)
+	if n > uint64(len(body)) {
+		return nil, ent, fmt.Errorf("header claims %d bytes, %d present", n, len(body))
+	}
+	if sha256.Sum256(body[:n]) != [sha256.Size]byte(data[8:entryFrame]) {
+		return nil, ent, errors.New("header checksum mismatch")
+	}
+	if err := gob.NewDecoder(bytes.NewReader(body[:n])).Decode(&ent); err != nil {
+		return nil, ent, fmt.Errorf("decoding header: %w", err)
+	}
+	if ent.Key != key {
+		return nil, ent, fmt.Errorf("entry for key %q filed under key %q", ent.Key, key)
+	}
+	r := bytes.NewReader(body[n:])
+	snap, err := core.LoadSnapshot(r)
 	if err != nil {
+		return nil, ent, err
+	}
+	if r.Len() != 0 {
+		return nil, ent, fmt.Errorf("%d bytes after the snapshot", r.Len())
+	}
+	return snap, ent, nil
+}
+
+// quarantine moves a corrupt spill file aside into quarantine/ (or
+// removes it, if even that fails, so the re-characterization's spill
+// can land) and keeps the first such failure for DiskErr.
+func (c *CharactCache) quarantine(path string, cause error) {
+	dst := filepath.Join(c.spillDir(), quarantineDir, filepath.Base(path))
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil || os.Rename(path, dst) != nil {
+		os.Remove(path)
+	}
+	c.noteDiskErr(fmt.Errorf("fleet: quarantined corrupt characterization spill %s: %w", filepath.Base(path), cause))
+}
+
+// spillDisk persists an entry atomically (writeAtomic), so concurrent
+// processes sharing the directory never observe a torn write. Spill
+// failures never fail the simulation — the in-memory result is already
+// correct — but the first one is retained for the caller to surface
+// (DiskErr).
+func (c *CharactCache) spillDisk(key string, snap *core.Snapshot, pre core.PreDeploymentReport, log []byte) {
+	var head bytes.Buffer
+	head.Write(make([]byte, entryFrame))
+	if err := gob.NewEncoder(&head).Encode(&diskEntry{Key: key, Pre: pre, Log: log}); err != nil {
 		c.noteDiskErr(err)
 		return
 	}
-	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(&st); err != nil {
-		tmp.Close()
-		c.noteDiskErr(err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		c.noteDiskErr(err)
-		return
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	b := head.Bytes()
+	binary.LittleEndian.PutUint64(b, uint64(len(b)-entryFrame))
+	sum := sha256.Sum256(b[entryFrame:])
+	copy(b[8:], sum[:])
+	err := writeAtomic(c.spillDir(), c.entryPath(key), func(w io.Writer) error {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		return snap.Save(w)
+	})
+	if err != nil {
 		c.noteDiskErr(err)
 	}
 }
@@ -175,8 +228,9 @@ func (c *CharactCache) noteDiskErr(err error) {
 	}
 }
 
-// DiskErr returns the first disk-spill failure, if any. Spills are
-// best effort — results are unaffected — but a CLI should tell the
+// DiskErr returns the first disk-spill failure, if any — a spill that
+// could not be written or a spill file quarantined as corrupt. Spills
+// are best effort — results are unaffected — but a CLI should tell the
 // operator their cache directory is not accumulating.
 func (c *CharactCache) DiskErr() error {
 	c.diskErrMu.Lock()

@@ -120,7 +120,7 @@ type Config struct {
 
 	// Charact, when set, memoizes pre-deployment characterization by
 	// (seed, characterization-relevant spec): nodes whose key is
-	// already cached restore a deep ecosystem snapshot instead of
+	// already cached are stamped from an ecosystem snapshot instead of
 	// re-running the stress/fault-injection/training campaign. Results
 	// are byte-identical either way (pinned by the preset golden
 	// tests); only wall-clock changes. Share one cache across the runs
@@ -133,7 +133,7 @@ type Config struct {
 
 	// Archetypes switches characterization from per-node to per-bin:
 	// every node whose spec shares an archetype bin (same silicon part
-	// and DRAM configuration — see ArchetypeBin) restores a clone of
+	// and DRAM configuration — see ArchetypeBin) is stamped from
 	// one bin-seeded characterization (ArchetypeSeed) and reseeds its
 	// runtime streams with the node's own seed (core.Ecosystem.Reseed),
 	// so characterization cost is O(bins) instead of O(nodes) while
@@ -598,16 +598,12 @@ func (s *nodeState) characterize(spec NodeSpec, wantLog bool) (*core.Ecosystem, 
 }
 
 // restoreFrom materializes this node's ecosystem from a cached
-// characterization: replay the captured log bytes (when logging),
-// rebind the log writer and re-seat the ambient. With a compiled
-// template and a worker arena it takes the stamp path
-// (RestoreTemplate.RestoreInto — copies into reused storage, the bulk
-// shared with the template until first write, no shared locks); the
-// legacy deep restore remains the reference
-// implementation, used when either is absent and pinned byte-for-byte
-// against the template path by the core equivalence tests.
-func (s *nodeState) restoreFrom(snap *core.Snapshot, tmpl *core.RestoreTemplate,
-	arena *core.RestoreArena, spec NodeSpec, logBytes []byte, wantLog bool) (*core.Ecosystem, error) {
+// characterization: replay the captured log bytes (when logging), then
+// stamp the snapshot into the worker's arena with the node's log
+// writer and ambient (copies into reused storage, the bulk shared with
+// the snapshot until first write, no shared locks).
+func (s *nodeState) restoreFrom(snap *core.Snapshot, arena *core.RestoreArena,
+	spec NodeSpec, logBytes []byte, wantLog bool) (*core.Ecosystem, error) {
 	ropts := core.RestoreOptions{
 		AmbientCPUC:  spec.AmbientCPUC,
 		AmbientDIMMC: spec.AmbientDIMMC,
@@ -616,28 +612,25 @@ func (s *nodeState) restoreFrom(snap *core.Snapshot, tmpl *core.RestoreTemplate,
 		s.log.Write(logBytes)
 		ropts.HealthLogOut = &s.log
 	}
-	if tmpl != nil && arena != nil {
-		return tmpl.RestoreInto(arena, ropts)
-	}
-	return snap.Restore(ropts)
+	return snap.RestoreInto(arena, ropts)
 }
 
 // characterizeCached is the snapshot path: the cache runs the direct
 // characterization at most once per (seed, spec) key — logging into a
 // cache-owned buffer — and every consumer, the characterizing node
-// included, replays the captured log bytes and restores an independent
-// deep copy. Routing the first consumer through Restore too keeps the
-// two paths' outputs pinned to each other: any restore imperfection
-// shows up as a fingerprint divergence against the direct path's
-// goldens instead of hiding behind a warm cache.
+// included, replays the captured log bytes and stamps an independent
+// node from the snapshot. Routing the first consumer through the stamp
+// too keeps the two paths' outputs pinned to each other: any stamp
+// imperfection shows up as a fingerprint divergence against the direct
+// path's goldens instead of hiding behind a warm cache.
 func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreArena,
 	bins *binMemo, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
-	snap, tmpl, pre, logBytes, err := cache.characterized(bins.nodeKey(s.seed, spec), wantLog,
+	snap, pre, logBytes, err := cache.characterized(bins.nodeKey(s.seed, spec), wantLog,
 		charactBuilder(spec, s.seed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
-	eco, err := s.restoreFrom(snap, tmpl, arena, spec, logBytes, wantLog)
+	eco, err := s.restoreFrom(snap, arena, spec, logBytes, wantLog)
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
@@ -646,19 +639,19 @@ func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreA
 
 // characterizeArchetype is the bin-clone path: the whole archetype bin
 // shares one characterization, seeded by the bin (ArchetypeSeed), and
-// each node restores a deep copy and reseeds its runtime streams with
+// each node stamps its own copy and reseeds its runtime streams with
 // its own node seed. Which node populates the bin entry first can
 // never matter — the bin seed, not the node seed, drives the campaign
 // — so results are worker- and shard-invariant by construction.
 func (s *nodeState) characterizeArchetype(cache *CharactCache, arena *core.RestoreArena,
 	bins *binMemo, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
 	b := bins.lookup(spec)
-	snap, tmpl, pre, logBytes, err := cache.characterized(b.archKey, wantLog,
+	snap, pre, logBytes, err := cache.characterized(b.archKey, wantLog,
 		charactBuilder(spec, b.binSeed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
-	eco, err := s.restoreFrom(snap, tmpl, arena, spec, logBytes, wantLog)
+	eco, err := s.restoreFrom(snap, arena, spec, logBytes, wantLog)
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}

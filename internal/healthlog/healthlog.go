@@ -88,7 +88,7 @@ type Daemon struct {
 	sensorSlab []telemetry.Reading
 	errorSlab  []telemetry.ErrorEvent
 	// spare holds histories a stamp swept out of byComp (their
-	// component is absent from the stamped template), kept with their
+	// component is absent from the stamped image), kept with their
 	// buffers so the next component to appear reuses one instead of
 	// allocating: arenas alternating between archetypes of different
 	// part models rename every component on every stamp.
@@ -188,45 +188,6 @@ func (d *Daemon) OnStressTrigger(f func(TriggerReason)) {
 	defer d.mu.Unlock()
 	// Copy-on-write, as for Subscribe.
 	d.onTrigger = append(append([]func(TriggerReason){}, d.onTrigger...), f)
-}
-
-// Clone returns a deep copy of the daemon's recorded state — retained
-// vectors (with their sensor and error slices duplicated), rolling
-// window bookkeeping and activity counters — timestamping with clock
-// and writing future log lines to out. Listeners and stress-trigger
-// callbacks are deliberately NOT copied: they are closures over the
-// original ecosystem's daemons, and the caller must re-subscribe the
-// clone's own consumers (core's snapshot restore re-wires the
-// StressLog trigger exactly as New does).
-func (d *Daemon) Clone(clock *telemetry.Clock, out io.Writer) *Daemon {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := &Daemon{
-		cfg:      d.cfg,
-		clock:    clock,
-		out:      out,
-		byComp:   make(map[string]*compHistory, len(d.byComp)),
-		recorded: d.recorded,
-		crashes:  d.crashes,
-		writeErr: d.writeErr,
-	}
-	for name, h := range d.byComp {
-		vecs := h.vecs()
-		nh := &compHistory{
-			buf:      make([]telemetry.InfoVector, len(vecs)),
-			winStart: h.winStart,
-			winErrs:  h.winErrs,
-			lastTime: h.lastTime,
-			dirty:    h.dirty,
-		}
-		for i, v := range vecs {
-			v.Sensors = append([]telemetry.Reading(nil), v.Sensors...)
-			v.Errors = append([]telemetry.ErrorEvent(nil), v.Errors...)
-			nh.buf[i] = v
-		}
-		c.byComp[name] = nh
-	}
-	return c
 }
 
 // Record ingests one information vector: stamps it with the daemon

@@ -111,3 +111,49 @@ func TestStampRecordCycleAllocationFree(t *testing.T) {
 		t.Fatalf("arena holds %d components after stamping a 3-component image", got)
 	}
 }
+
+// TestCompiledValidate: Compile's own output validates and stamps into
+// a zero daemon, and every broken count a decoded image could carry is
+// refused.
+func TestCompiledValidate(t *testing.T) {
+	image := func() *Compiled {
+		d, clock := newTestDaemon(nil)
+		for i := 0; i < 6; i++ {
+			clock.Advance(time.Minute)
+			for _, c := range []string{"core0", "core1"} {
+				v := vec(c, i%3)
+				v.Sensors = []telemetry.Reading{{Kind: telemetry.SensorTemperature, Value: float64(40 + i)}}
+				d.Record(v)
+			}
+		}
+		return d.Compile()
+	}
+	c := image()
+	if err := c.Validate(); err != nil {
+		t.Fatalf("compiled image refused: %v", err)
+	}
+	var zero Daemon
+	_, clock := newTestDaemon(nil)
+	c.StampInto(&zero, clock, nil)
+	if got := zero.Query("core1", time.Time{}); len(got) != 6 || len(got[5].Sensors) != 1 {
+		t.Fatalf("zero daemon stamp holds %d core1 vectors", len(got))
+	}
+	breaks := map[string]func(c *Compiled){
+		"vector overrun":   func(c *Compiled) { c.Comps[1].Vecs++ },
+		"vector negative":  func(c *Compiled) { c.Comps[0].Vecs, c.Comps[1].Vecs = -1, 13 },
+		"uncovered vector": func(c *Compiled) { c.Vecs = append(c.Vecs, CompiledVec{}) },
+		"window cursor":    func(c *Compiled) { c.Comps[0].WinStart = -1 },
+		"window overrun":   func(c *Compiled) { c.Comps[0].WinStart = 7 },
+		"sensor overrun":   func(c *Compiled) { c.Vecs[len(c.Vecs)-1].Sensors++ },
+		"sensor negative":  func(c *Compiled) { c.Vecs[0].Sensors, c.Vecs[1].Sensors = -1, 3 },
+		"error overrun":    func(c *Compiled) { c.Vecs[2].Errors += len(c.Errors) },
+		"uncovered errors": func(c *Compiled) { c.Errors = append(c.Errors, telemetry.ErrorEvent{}) },
+	}
+	for name, brk := range breaks {
+		c := image()
+		brk(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: broken image accepted", name)
+		}
+	}
+}

@@ -102,15 +102,15 @@ type Object struct {
 
 // ObjectMap is the hypervisor's statically allocated object inventory.
 // Only this package may write Objects: a stamped inventory aliases a
-// restore template's (CopyFrom) until Protect or ProtectObjects gives
-// it a private copy.
+// snapshot image's (share) until Protect or ProtectObjects gives it a
+// private copy.
 type ObjectMap struct {
 	Objects []Object
 	// profiles is written only while the inventory is built and is
 	// shared read-only by stamped copies.
-	profiles map[Category]CategoryProfile
+	profiles []CategoryProfile
 
-	// shared marks Objects as aliasing another inventory's slice; spare
+	// shared marks Objects as aliasing a snapshot image's slice; spare
 	// is the slice om owned before, which unshare copies into.
 	shared bool
 	spare  []Object
@@ -129,10 +129,9 @@ func (om *ObjectMap) unshare() {
 
 // NewObjectMap fabricates the object inventory from the profiles.
 func NewObjectMap(profiles []CategoryProfile, src *rng.Source) *ObjectMap {
-	om := &ObjectMap{profiles: make(map[Category]CategoryProfile, len(profiles))}
+	om := &ObjectMap{profiles: append([]CategoryProfile(nil), profiles...)}
 	id := 0
 	for _, p := range profiles {
-		om.profiles[p.Category] = p
 		for i := 0; i < p.Count; i++ {
 			size := int(src.Normal(float64(p.MeanObjectBytes), float64(p.MeanObjectBytes)/4))
 			if size < 8 {
@@ -150,54 +149,24 @@ func NewObjectMap(profiles []CategoryProfile, src *rng.Source) *ObjectMap {
 	return om
 }
 
-// Clone returns a deep copy of the inventory, including each object's
-// current Crucial and Protected labels.
-func (om *ObjectMap) Clone() *ObjectMap {
-	out := &ObjectMap{
-		Objects:  append([]Object(nil), om.Objects...),
-		profiles: make(map[Category]CategoryProfile, len(om.profiles)),
-	}
-	for c, p := range om.profiles {
-		out.profiles[c] = p
-	}
-	return out
-}
-
-// Profiles returns the category profiles in category order — the
-// persistence surface ObjectMapFromState reassembles an inventory
-// from.
-func (om *ObjectMap) Profiles() []CategoryProfile {
-	out := make([]CategoryProfile, 0, len(om.profiles))
-	for _, c := range Categories() {
-		if p, ok := om.profiles[c]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ObjectMapFromState reassembles an inventory from serialized parts:
-// the fabricated objects (with their empirically learned Crucial and
-// Protected labels) and the category profiles. Unlike NewObjectMap it
-// fabricates nothing — the object population is taken verbatim.
-func ObjectMapFromState(objects []Object, profiles []CategoryProfile) *ObjectMap {
-	om := &ObjectMap{
-		Objects:  append([]Object(nil), objects...),
-		profiles: make(map[Category]CategoryProfile, len(profiles)),
-	}
-	for _, p := range profiles {
-		om.profiles[p.Category] = p
-	}
-	return om
-}
-
 // Profile returns the category profile.
 func (om *ObjectMap) Profile(c Category) (CategoryProfile, error) {
-	p, ok := om.profiles[c]
+	p, ok := om.profile(c)
 	if !ok {
 		return CategoryProfile{}, fmt.Errorf("hypervisor: unknown category %q", c)
 	}
 	return p, nil
+}
+
+// profile finds c's profile; a linear scan, since an inventory has a
+// dozen categories.
+func (om *ObjectMap) profile(c Category) (CategoryProfile, bool) {
+	for _, p := range om.profiles {
+		if p.Category == c {
+			return p, true
+		}
+	}
+	return CategoryProfile{}, false
 }
 
 // Len returns the number of objects.
@@ -225,7 +194,7 @@ func (om *ObjectMap) CountByCategory() map[Category]int {
 // AccessProb returns the per-window consumption probability for an
 // object of category c under the given load condition.
 func (om *ObjectMap) AccessProb(c Category, loaded bool) float64 {
-	p, ok := om.profiles[c]
+	p, ok := om.profile(c)
 	if !ok {
 		return 0
 	}

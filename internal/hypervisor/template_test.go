@@ -7,12 +7,13 @@ import (
 	"uniserver/internal/rng"
 )
 
-// TestCopyFromSharesUntilProtect pins ObjectMap.CopyFrom's
-// copy-on-write contract: the copy aliases the source inventory until
-// Protect or ProtectObjects first writes it, the write lands only in
-// the copy and matches what it does to a deep clone, and a later
-// CopyFrom shares again while keeping the private buffer for the next
-// write.
+// TestCopyFromSharesUntilProtect pins the copy-on-write contract of
+// a stamped inventory (ObjectMap.share, the stamp's copy from an
+// image): the copy aliases the source objects until Protect or
+// ProtectObjects first writes it, the write lands only in the copy and
+// matches what it does to a second fabrication from the same seed,
+// and a later stamp shares again while keeping the private buffer for
+// the next write.
 func TestCopyFromSharesUntilProtect(t *testing.T) {
 	src := NewObjectMap(DefaultProfiles(), rng.New(5))
 	pristine := append([]Object(nil), src.Objects...)
@@ -26,26 +27,26 @@ func TestCopyFromSharesUntilProtect(t *testing.T) {
 	for _, w := range writers {
 		t.Run(w.name, func(t *testing.T) {
 			om := &ObjectMap{}
-			om.CopyFrom(src)
+			om.share(src.Objects, src.profiles)
 			if !om.shared || &om.Objects[0] != &src.Objects[0] {
-				t.Fatal("CopyFrom did not alias the source inventory")
+				t.Fatal("share did not alias the source inventory")
 			}
-			ref := src.Clone()
+			ref := NewObjectMap(DefaultProfiles(), rng.New(5))
 			if got, want := w.do(om), w.do(ref); got != want || got == 0 {
-				t.Fatalf("%s covered %d objects on the copy, %d on a clone", w.name, got, want)
+				t.Fatalf("%s covered %d objects on the copy, %d on a fresh fabrication", w.name, got, want)
 			}
 			if om.shared || &om.Objects[0] == &src.Objects[0] {
 				t.Fatalf("%s left the copy aliasing the source", w.name)
 			}
 			if !reflect.DeepEqual(om.Objects, ref.Objects) {
-				t.Fatalf("%s on the copy differs from %s on a clone", w.name, w.name)
+				t.Fatalf("%s on the copy differs from %s on a fresh fabrication", w.name, w.name)
 			}
 			if !reflect.DeepEqual(src.Objects, pristine) {
 				t.Fatalf("%s wrote through to the source inventory", w.name)
 			}
 
 			private := &om.Objects[0]
-			om.CopyFrom(src)
+			om.share(src.Objects, src.profiles)
 			if !om.shared || &om.Objects[0] != &src.Objects[0] {
 				t.Fatal("re-stamp after unshare does not share the source")
 			}
@@ -55,16 +56,13 @@ func TestCopyFromSharesUntilProtect(t *testing.T) {
 		})
 	}
 	om := &ObjectMap{}
-	om.CopyFrom(src)
+	om.share(src.Objects, src.profiles)
 	om.Protect(CatNet)
 	allocs := testing.AllocsPerRun(20, func() {
-		om.CopyFrom(src)
+		om.share(src.Objects, src.profiles)
 		om.ProtectObjects([]int{1, 2, 3})
 	})
 	if allocs != 0 {
-		t.Fatalf("warm CopyFrom + copy-on-write allocates %.0f times, want 0", allocs)
-	}
-	if c := om.Clone(); c.shared || &c.Objects[0] == &src.Objects[0] {
-		t.Fatal("clone of a stamped inventory still aliases the source")
+		t.Fatalf("warm share + copy-on-write allocates %.0f times, want 0", allocs)
 	}
 }

@@ -108,9 +108,9 @@ type Report struct {
 	// characterization was still in flight and waited on it instead of
 	// duplicating it — contention telemetry (timing-dependent, unlike
 	// hits/misses, which are deterministic in the grid).
-	// CharactCompiled counts restore templates compiled — one per
+	// CharactCompiled counts snapshots published — one per
 	// characterized entry (fresh or disk-served); every cache hit after
-	// that is a template stamp, not a deep restore.
+	// that is a stamp from one.
 	CharactCacheHits   uint64 `json:"charact_cache_hits"`
 	CharactCacheMisses uint64 `json:"charact_cache_misses"`
 	CharactCoalesced   uint64 `json:"charact_coalesced,omitempty"`
@@ -144,7 +144,7 @@ func sha256Hex(s string) string {
 // fingerprint, only the wall-clock. The run goes through a run-private
 // characterization snapshot cache: node seeds within one run are all
 // distinct, so nothing is reused, but every node exercises the same
-// Snapshot→Restore path campaigns rely on — which is what lets the
+// snapshot→stamp path campaigns rely on — which is what lets the
 // preset golden tests pin that path byte for byte.
 func RunScenario(s Scenario, seed uint64, workers int) (Result, error) {
 	return runScenarioWith(s, seed, workers, fleet.NewCharactCache())
@@ -189,10 +189,10 @@ type Campaign struct {
 	// DisableCharactShare turns off the campaign-wide characterization
 	// snapshot cache. Sharing is on by default because cells at the
 	// same seed re-characterize identical (seed, node spec) pairs once
-	// per scenario; the cache runs each pair once and restores deep
-	// ecosystem snapshots everywhere else, with byte-identical results
-	// (pinned by the preset golden tests). Disable only to measure the
-	// uncached cost or to bisect a suspected restore divergence.
+	// per scenario; the cache runs each pair once and stamps nodes from
+	// its snapshot everywhere else, with byte-identical results (pinned
+	// by the preset golden tests). Disable only to measure the uncached
+	// cost or to bisect a suspected stamp divergence.
 	DisableCharactShare bool
 	// CharactDir, when set (and sharing is on), spills characterized
 	// snapshots to this versioned directory and serves later processes

@@ -90,8 +90,9 @@ type Chip struct {
 	// AgeShiftMV is the accumulated critical-voltage drift from
 	// transistor aging (see aging.go); it raises every core's Vcrit.
 	AgeShiftMV float64
-
-	stressedHours float64
+	// StressedHours is the accumulated stress-time the aging model
+	// integrates; AgeShiftMV is its power-law image.
+	StressedHours float64
 }
 
 // Fabricate manufactures a chip with the given core count on the
@@ -121,20 +122,11 @@ func Fabricate(proc Process, model string, cores int, nominal vfr.Point, spreadS
 	return c
 }
 
-// Clone returns a deep copy of the chip: an identical specimen whose
-// cores, accumulated aging drift and stress history evolve
-// independently of the original. Snapshot/restore of characterized
-// ecosystems relies on it.
-func (c *Chip) Clone() *Chip {
-	out := *c
-	out.Cores = append([]Core(nil), c.Cores...)
-	return &out
-}
-
 // CopyInto overwrites dst with a deep copy of c, reusing dst's core
-// slice storage when it has capacity. It is the allocation-free arena
-// form of Clone: after the call dst is an independent specimen exactly
-// as Clone would have produced, including unexported stress history.
+// slice storage when it has capacity: afterwards dst is an independent
+// specimen whose cores, accumulated aging drift and stress history
+// evolve separately from c's. Snapshot images and the nodes stamped
+// from them rely on it.
 func (c *Chip) CopyInto(dst *Chip) {
 	cores := dst.Cores
 	*dst = *c

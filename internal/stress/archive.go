@@ -45,28 +45,18 @@ func (a *Archive) Put(e ArchiveEntry) error {
 	return nil
 }
 
-// Clone returns a deep copy of the archive. Entries are plain values
-// (genomes carry no reference types), so a map copy fully detaches the
-// two libraries.
-func (a *Archive) Clone() *Archive {
-	out := NewArchive()
-	for name, e := range a.entries {
-		out.entries[name] = e
-	}
-	return out
-}
-
-// CopyFrom replaces a's entries with a copy of src's, reusing a's map
-// storage. The arena form of Clone: entries are plain values, so the
-// two libraries are fully detached afterwards.
-func (a *Archive) CopyFrom(src *Archive) {
+// Replace replaces a's entries with entries (Entries' form), reusing
+// a's map storage. Entries are plain values (genomes carry no reference
+// types), so a shares nothing with the slice afterwards. A zero Archive
+// is a valid destination.
+func (a *Archive) Replace(entries []ArchiveEntry) {
 	if a.entries == nil {
-		a.entries = make(map[string]ArchiveEntry, len(src.entries))
+		a.entries = make(map[string]ArchiveEntry, len(entries))
 	} else {
 		clear(a.entries)
 	}
-	for name, e := range src.entries {
-		a.entries[name] = e
+	for _, e := range entries {
+		a.entries[e.Name] = e
 	}
 }
 

@@ -146,40 +146,6 @@ func New(clock *telemetry.Clock, m *cpu.Machine, mem *dram.MemorySystem,
 // viruses are stored on first use and reused by later campaigns).
 func (d *Daemon) Archive() *stress.Archive { return d.archive }
 
-// Clone returns a deep copy of the daemon rewired to the given clock,
-// machine under test, memory system and HealthLog (normally the
-// corresponding clones of the originals): the periodic schedule
-// position, pending triggers, published-margin history (each vector's
-// EOP table deep-copied) and the virus archive all carry over, so a
-// re-characterization on the clone replays exactly as it would have
-// on the original. The caller re-hooks the clone's TriggerHandler into
-// its HealthLog, as New's wiring in core does.
-func (d *Daemon) Clone(clock *telemetry.Clock, m *cpu.Machine, mem *dram.MemorySystem,
-	health *healthlog.Daemon) *Daemon {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := &Daemon{
-		clock:   clock,
-		machine: m,
-		mem:     mem,
-		health:  health,
-		refresh: d.refresh,
-		period:  d.period,
-		online:  d.online,
-		lastRun: d.lastRun,
-		pending: append([]healthlog.TriggerReason(nil), d.pending...),
-		archive: d.archive.Clone(),
-	}
-	c.history = make([]MarginVector, len(d.history))
-	for i, vec := range d.history {
-		if vec.Table != nil {
-			vec.Table = vec.Table.Clone()
-		}
-		c.history[i] = vec
-	}
-	return c
-}
-
 // TriggerHandler returns the callback higher layers hook into
 // healthlog.OnStressTrigger: it queues an on-demand campaign request.
 func (d *Daemon) TriggerHandler() func(healthlog.TriggerReason) {

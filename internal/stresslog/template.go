@@ -9,73 +9,83 @@ import (
 	"uniserver/internal/power"
 	"uniserver/internal/stress"
 	"uniserver/internal/telemetry"
+	"uniserver/internal/vfr"
 )
 
-// Compiled is an immutable image of a Daemon's characterization state:
-// the schedule position, pending triggers, published-margin history
-// and virus archive, detached from the source daemon so stamping needs
-// no locks on shared state. History tables and the archive are
-// referenced, not copied — a Compiled must only be built from a daemon
-// that will never run again (a restore template's proto), which is
-// what makes the shared references safe under concurrent stamps.
+// Compiled is a daemon's snapshot image: the schedule position,
+// pending triggers, published-margin history and virus archive,
+// copied out of the source daemon so stamping needs no locks on
+// shared state and the source may keep running. Its fields are
+// exported for encoding only.
 type Compiled struct {
-	refresh power.DRAMRefreshModel
-	period  time.Duration
-	online  bool
-	lastRun time.Time
-	pending []healthlog.TriggerReason
-	history []MarginVector // Table pointers shared with the source
-	archive *stress.Archive
+	Refresh power.DRAMRefreshModel
+	Period  time.Duration
+	Online  bool
+	LastRun time.Time
+	Pending []healthlog.TriggerReason
+	History []MarginVector        // each Table a private copy
+	Archive []stress.ArchiveEntry // sorted by name
 }
 
-// Compile flattens the daemon into its immutable template image.
+// Compile copies the daemon into its snapshot image.
 func (d *Daemon) Compile() *Compiled {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return &Compiled{
-		refresh: d.refresh,
-		period:  d.period,
-		online:  d.online,
-		lastRun: d.lastRun,
-		pending: append([]healthlog.TriggerReason(nil), d.pending...),
-		history: append([]MarginVector(nil), d.history...),
-		archive: d.archive,
+	c := &Compiled{
+		Refresh: d.refresh,
+		Period:  d.period,
+		Online:  d.online,
+		LastRun: d.lastRun,
+		Pending: append([]healthlog.TriggerReason(nil), d.pending...),
+		History: append([]MarginVector(nil), d.history...),
+		Archive: d.archive.Entries(),
 	}
+	for i, vec := range c.History {
+		if vec.Table != nil {
+			t := &vfr.EOPTable{}
+			t.CopyFrom(vec.Table)
+			c.History[i].Table = t
+		}
+	}
+	return c
 }
 
-// StampInto overwrites d with the compiled image, rebinding it to the
-// arena's clock, machine, memory and health daemon. History tables are
-// deep-copied into d's existing table storage (CopyFrom reuses map
-// buckets), and the archive likewise, so a re-characterization on the
-// stamped daemon evolves independently of the template. The caller
-// owns d exclusively and re-hooks TriggerHandler, as after Clone.
+// StampInto overwrites d with the image, rebinding it to the arena's
+// clock, machine, memory and health daemon; a zero Daemon is a valid
+// destination. History tables are deep-copied into d's existing table
+// storage (CopyFrom reuses map buckets), and the archive likewise, so
+// a re-characterization on the stamped daemon evolves independently of
+// the image. The caller owns d exclusively and re-hooks
+// TriggerHandler.
 func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, m *cpu.Machine,
 	mem *dram.MemorySystem, health *healthlog.Daemon) {
 	d.clock = clock
 	d.machine = m
 	d.mem = mem
 	d.health = health
-	d.refresh = c.refresh
-	d.period = c.period
-	d.online = c.online
-	d.lastRun = c.lastRun
-	d.pending = append(d.pending[:0], c.pending...)
+	d.refresh = c.Refresh
+	d.period = c.Period
+	d.online = c.Online
+	d.lastRun = c.LastRun
+	d.pending = append(d.pending[:0], c.Pending...)
 	if d.archive == nil {
 		d.archive = stress.NewArchive()
 	}
-	d.archive.CopyFrom(c.archive)
+	d.archive.Replace(c.Archive)
 
 	old := d.history
 	d.history = d.history[:0]
-	for i, vec := range c.history {
+	for i, vec := range c.History {
 		if vec.Table != nil {
-			if i < len(old) && old[i].Table != nil {
-				t := old[i].Table
-				t.CopyFrom(vec.Table)
-				vec.Table = t
-			} else {
-				vec.Table = vec.Table.Clone()
+			var t *vfr.EOPTable
+			if i < len(old) {
+				t = old[i].Table
 			}
+			if t == nil {
+				t = &vfr.EOPTable{}
+			}
+			t.CopyFrom(vec.Table)
+			vec.Table = t
 		}
 		d.history = append(d.history, vec)
 	}

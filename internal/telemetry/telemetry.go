@@ -55,7 +55,7 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 
 // Reset rewinds the clock to an arbitrary origin. Unlike Advance it
 // may move time backwards: it exists for arena reuse, where a clock
-// object is re-seated at a restore template's snapshot instant before
+// object is re-seated at a snapshot's instant before
 // a fresh simulation run. Callers must not Reset a clock that other
 // goroutines are concurrently advancing.
 func (c *Clock) Reset(origin time.Time) {

@@ -230,18 +230,10 @@ func (t *EOPTable) WorstCase() (Point, error) {
 	return worst, nil
 }
 
-// Clone returns a deep copy of the table.
-func (t *EOPTable) Clone() *EOPTable {
-	c := NewEOPTable()
-	for k, v := range t.margins {
-		c.margins[k] = v
-	}
-	return c
-}
-
 // CopyFrom replaces t's contents with a copy of src's, reusing t's map
 // storage (Go maps keep their buckets across clear, so re-stamping the
-// same shape allocates nothing). The arena form of Clone.
+// same shape allocates nothing). A zero EOPTable is a valid
+// destination.
 func (t *EOPTable) CopyFrom(src *EOPTable) {
 	if t.margins == nil {
 		t.margins = make(map[string]Margin, len(src.margins))

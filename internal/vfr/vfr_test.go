@@ -160,13 +160,14 @@ func TestEOPTableWorstCase(t *testing.T) {
 	}
 }
 
-func TestEOPTableClone(t *testing.T) {
+func TestEOPTableCopyFrom(t *testing.T) {
 	tab := NewEOPTable()
 	tab.Set(Margin{Component: "core0", Safe: Point{VoltageMV: 900, FreqMHz: 2000}})
-	c := tab.Clone()
+	var c EOPTable
+	c.CopyFrom(tab)
 	c.Set(Margin{Component: "core1", Safe: Point{VoltageMV: 800, FreqMHz: 2000}})
 	if tab.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: orig=%d clone=%d", tab.Len(), c.Len())
+		t.Fatalf("copy not independent: orig=%d copy=%d", tab.Len(), c.Len())
 	}
 }
 
