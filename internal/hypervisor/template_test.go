@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uniserver/internal/rng"
+	"uniserver/internal/telemetry"
 )
 
 // TestCopyFromSharesUntilProtect pins the copy-on-write contract of
@@ -64,5 +65,47 @@ func TestCopyFromSharesUntilProtect(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm share + copy-on-write allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestImageStampRoundTrip: a hypervisor stamped from an image — into
+// a zero Hypervisor, on a second fabrication of the same memory — has
+// the source's inventory, placements, isolation, error counts and
+// counters, and the image holds nothing the source can still write.
+// A host with guests is refused.
+func TestImageStampRoundTrip(t *testing.T) {
+	src := testHypervisor(t, 3)
+	src.Objects().Protect(CatFS)
+	if err := src.IsolateCore(1); err != nil {
+		t.Fatal(err)
+	}
+	src.HandleError(telemetry.ErrorEvent{Kind: telemetry.ErrCorrectable, Component: "core2", Count: 1}, "", -1,
+		func(string) int { return 2 })
+	img, err := src.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Hypervisor
+	mem := testMem(t, 3)
+	if err := h.StampFrom(&img, mem); err != nil {
+		t.Fatal(err)
+	}
+	src.Objects().Protect(CatNet) // the image must not see this
+	if !reflect.DeepEqual(h.IsolatedCores(), []int{1}) || h.Stats() != img.Stats || h.Point() != img.Point {
+		t.Fatalf("stamped isolation/counters/point differ: %v %+v %v", h.IsolatedCores(), h.Stats(), h.Point())
+	}
+	if h.errorCounts["core2"] != 1 || h.Objects().ProtectedBytes() == src.Objects().ProtectedBytes() {
+		t.Fatal("stamped error counts or inventory differ from the image")
+	}
+	for i, dom := range mem.Domains {
+		if got, want := h.Allocator().UsedBytes(dom), src.Allocator().UsedBytes(src.mem.Domains[i]); got != want {
+			t.Fatalf("domain %d: %d bytes placed, source has %d", i, got, want)
+		}
+	}
+	if err := src.StartVM(vmSpec("vm1", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Image(); err == nil {
+		t.Fatal("imaged a host with guests")
 	}
 }
