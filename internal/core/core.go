@@ -148,6 +148,7 @@ type Ecosystem struct {
 	dramHits  map[string]int // owner → errors, cleared every window
 	curCore   int            // core sampled this window, read by coreOf
 	coreOf    func(string) int
+	leak      voltMemo // leakage voltage factor of the last point priced
 }
 
 // dramwinLabel is the hoisted stream label of the per-window DRAM
@@ -448,7 +449,7 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	// feeds back into the leakage term next window. The DIMMs follow
 	// the memory-subsystem power at the current refresh interval, and
 	// the retention model sees the updated temperature.
-	cpuW := e.power.TotalW(point, wl.CPUActivity, e.cpuTherm.TempC)
+	cpuW := e.power.TotalWAt(point, wl.CPUActivity, e.leak.factor(e.power, point.VoltageMV), e.cpuTherm.TempC)
 	rep.CPUTempC = e.cpuTherm.Step(cpuW, time.Minute)
 	memW := e.refresh.TotalMemW
 	if doms := e.Mem.RelaxedDomains(); len(doms) > 0 {
@@ -516,4 +517,23 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	}
 	rep.PendingTests = len(e.Stress.Pending())
 	return rep
+}
+
+// voltMemo caches the power model's leakage voltage factor for the last
+// voltage the window step priced. Its only varying input is the
+// voltage: the model is fixed between stamps (New and RestoreInto set
+// it, and RestoreInto clears the memo), and the point moves only on
+// mode changes, fallbacks and the ECC loop, so most windows reuse it.
+type voltMemo struct {
+	mv  int
+	vf  float64
+	set bool
+}
+
+// factor returns m.VoltageFactor(mv), recomputing only on a new mv.
+func (c *voltMemo) factor(m power.CPUModel, mv int) float64 {
+	if !c.set || c.mv != mv {
+		c.mv, c.vf, c.set = mv, m.VoltageFactor(mv), true
+	}
+	return c.vf
 }

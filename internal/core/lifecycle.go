@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
+	"uniserver/internal/power"
 	"uniserver/internal/predictor"
 	"uniserver/internal/silicon"
 	"uniserver/internal/stresslog"
@@ -103,6 +105,11 @@ type Deployment struct {
 	tempSumC float64
 	sum      DeploymentSummary
 
+	// ledger caches the energy ledger's draw for the last (point,
+	// activity) pair Step priced; the point changes only on mode
+	// changes, fallbacks and the ECC loop.
+	ledger ledgerMemo
+
 	// Lifetime trajectory bookkeeping (lifetime.go): epochs holds the
 	// closed epochs, the epoch* fields describe the one in progress.
 	// The trajectory only materializes in Summary once FastForward has
@@ -127,6 +134,25 @@ type Deployment struct {
 	eccOn        bool
 	eccThreshold int
 	eccExtraMV   int
+}
+
+// ledgerMemo memoizes the energy ledger's TotalW(point, activity, 55),
+// keyed on the exact point and the activity's bits. A Deployment prices
+// with one ecosystem's power model for its whole life, so the key is
+// complete.
+type ledgerMemo struct {
+	point    vfr.Point
+	activity uint64
+	w        float64
+	set      bool
+}
+
+// totalW returns m.TotalW(p, activity, 55), recomputing only on a new key.
+func (l *ledgerMemo) totalW(m power.CPUModel, p vfr.Point, activity float64) float64 {
+	if bits := math.Float64bits(activity); !l.set || l.point != p || l.activity != bits {
+		l.point, l.activity, l.w, l.set = p, bits, m.TotalW(p, activity, 55), true
+	}
+	return l.w
 }
 
 // Closed-loop undervolting constants (Bacha & Teodorescu, ISCA 2013:
@@ -305,7 +331,7 @@ func (d *Deployment) Step() (WindowReport, error) {
 		d.sum.WindowsAtEOP++
 	}
 	// Energy ledger: each window is one simulated minute.
-	curW := e.power.TotalW(e.Hypervisor.Point(), d.wl.CPUActivity, 55)
+	curW := d.ledger.totalW(e.power, e.Hypervisor.Point(), d.wl.CPUActivity)
 	d.sum.EnergySavedWh += (d.nominalW - curW) / 60
 
 	// Continuous aging at the workload's stress level.

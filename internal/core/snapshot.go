@@ -238,6 +238,7 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 	*c.src = *rng.FromState(img.Src)
 	*c.Model = img.Model
 	c.power = img.Power
+	c.leak = voltMemo{}
 	c.refresh = img.Refresh
 	c.mode = img.Mode
 	c.weakGrowthPerDay = img.WeakGrowthPerDay

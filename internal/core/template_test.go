@@ -13,6 +13,7 @@ import (
 	"uniserver/internal/cpu"
 	"uniserver/internal/hypervisor"
 	"uniserver/internal/rng"
+	"uniserver/internal/thermal"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -52,6 +53,9 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 				// first writes (copy-on-write), and the passes after them
 				// re-stamp an arena whose DIMMs and inventory were
 				// unshared, which must share again and still match.
+				// Each trace also leaves the window step's memos (leakage
+				// voltage factor, thermal relaxation factors) set, and
+				// the stamp must clear them.
 				for pass, p := range []struct {
 					label   string
 					written bool
@@ -62,6 +66,12 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 					stamped, err := snap.RestoreInto(arena, ropts)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if stamped.leak != (voltMemo{}) ||
+						*stamped.cpuTherm != *thermal.CPUNode(stamped.opts.AmbientCPUC) ||
+						*stamped.memTherm != *thermal.DIMMNode(stamped.opts.AmbientDIMMC) {
+						t.Fatalf("pass %d (%s): stamp left a window-step memo set: leak %+v cpu %+v dimm %+v",
+							pass, p.label, stamped.leak, *stamped.cpuTherm, *stamped.memTherm)
 					}
 					trace, ref := deploymentTrace, want
 					if p.written {

@@ -22,7 +22,7 @@
 // peak heap scales as workers × ecosystem-size plus O(nodes) compact
 // state (health records, summaries, exported cloud nodes) — which is
 // what makes O(100k)-node populations runnable. Config.Shards
-// partitions the node range into contiguous batches dispatched in
+// partitions the node range into contiguous batches claimed in
 // order, bounding the coordinator's unfolded-summary backlog to two
 // shards (the shard being folded and the one computing behind it);
 // Config.OnNode streams per-node summaries out instead of retaining
@@ -145,7 +145,7 @@ type Config struct {
 	Archetypes bool
 
 	// Shards partitions the node range into contiguous batches
-	// dispatched in order across the worker pool, each folding as soon
+	// claimed in order by the worker pool, each folding as soon
 	// as its last node finishes (shard s folds while shard s+1
 	// computes). Sharding never changes results — shards fold in shard
 	// order and nodes within a shard in node order, reproducing the
@@ -715,8 +715,8 @@ func Run(cfg Config) (Summary, error) {
 	// completion) and ring the one condition variable only on the
 	// *last* arrival of each kind — O(windows + shards) broadcasts for
 	// the whole run, not O(nodes × windows) — while the coordinator's
-	// fold loop, the dispatcher and the replay goroutine wait on the
-	// gate for the specific counter they need. The atomic
+	// fold loop, the workers' shard gate and the replay goroutine wait
+	// on the gate for the specific counter they need. The atomic
 	// read-modify-writes form the happens-before chain that makes the
 	// buffered health and exported nodes safely visible to the replay
 	// goroutine (and keeps the whole structure -race-clean).
@@ -738,8 +738,9 @@ func Run(cfg Config) (Summary, error) {
 		// drains shard s when it reaches zero.
 		shardLeft = make([]atomic.Int32, shards)
 		// processedShards counts shards the fold loop has drained
-		// (folded or skipped); the dispatcher uses it to stay at most
-		// two shards ahead of the fold.
+		// (folded or skipped); a worker about to run a node of shard
+		// s >= 2 waits for it to reach s-1, so claims stay at most two
+		// shards ahead of the fold.
 		processedShards atomic.Int32
 		// runFailed flips once on the first node failure so every gate
 		// waiter can abort instead of blocking on progress that will
@@ -1041,12 +1042,12 @@ func Run(cfg Config) (Summary, error) {
 	// operation still issued from exactly one goroutine in exactly the
 	// old order:
 	//
-	//   dispatcher   feeds node indices to the worker pool in node
-	//                order, shard by shard, staying at most two shards
-	//                ahead of the fold so the unfolded per-node backlog
-	//                (pre-reports, deployment summaries) stays bounded
-	//                by shard size, not fleet size;
-	//   workers      run the fused node tasks (unchanged);
+	//   workers      claim node indices in node order from one atomic
+	//                cursor and run the fused node tasks, staying at
+	//                most two shards ahead of the fold so the unfolded
+	//                per-node backlog (pre-reports, deployment
+	//                summaries) stays bounded by shard size, not fleet
+	//                size;
 	//   coordinator  folds shard s in node order the moment its last
 	//                node finishes — while shard s+1 is still
 	//                computing;
@@ -1157,9 +1158,21 @@ func Run(cfg Config) (Summary, error) {
 	}()
 
 	// Worker pool: persistent across shards (no per-shard goroutine
-	// churn or join barrier), consuming node indices in dispatch order.
-	type job struct{ node, shard int }
-	jobs := make(chan job)
+	// churn or join barrier). Each worker claims the next node index
+	// from one atomic cursor, so claims are in node order with no
+	// hand-off goroutine between the workers and their work.
+	//
+	// Before running a node of shard sh >= 2 the worker waits until the
+	// fold has drained shard sh-2 (processedShards >= sh-1). Waiting on
+	// the fold, not mere shard completion, keeps at most two shards'
+	// unfolded state alive — the computing shard and the one the
+	// coordinator is folding — preserving the bounded-backlog property
+	// the 100k-node scale-out relies on, while never idling the pool at
+	// a shard boundary the way a per-shard join barrier would. The wait
+	// cannot deadlock: claims are in node order, so every node of shard
+	// sh-2 is already held by a running worker, and that worker's own
+	// wait (if any) is on a shard earlier still.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
@@ -1169,40 +1182,34 @@ func Run(cfg Config) (Summary, error) {
 			// stamp each node's ecosystem into it, reusing the graph
 			// built by the worker's first node.
 			arena := core.NewRestoreArena()
-			for j := range jobs {
-				runNode(j.node, arena)
+			// sh is the shard of the worker's latest claim and hi its
+			// end; a worker's claims only increase, so sh only advances.
+			sh, hi := -1, 0
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= cfg.Nodes {
+					return
+				}
+				for i >= hi {
+					sh++
+					_, hi = shardRange(cfg.Nodes, shards, sh)
+				}
+				if sh >= 2 && processedShards.Load() < int32(sh-1) {
+					gateMu.Lock()
+					for processedShards.Load() < int32(sh-1) && !runFailed.Load() {
+						gate.Wait()
+					}
+					gateMu.Unlock()
+				}
+				runNode(i, arena)
 				finishedNodes.Add(1)
-				if shardLeft[j.shard].Add(-1) == 0 {
+				if shardLeft[sh].Add(-1) == 0 {
 					// Last node of the shard: the fold loop can drain it.
 					notify()
 				}
 			}
 		}()
 	}
-
-	// Dispatcher: node order, shard by shard, gated two shards ahead of
-	// the fold. Waiting on processedShards (not mere shard completion)
-	// keeps at most two shards' unfolded state alive — the computing
-	// shard and the one the coordinator is folding — preserving the
-	// bounded-backlog property the 100k-node scale-out relies on, while
-	// never idling the pool at a shard boundary the way the old
-	// per-shard join barrier did.
-	go func() {
-		defer close(jobs)
-		for sh := 0; sh < shards; sh++ {
-			if sh >= 2 {
-				gateMu.Lock()
-				for processedShards.Load() < int32(sh-1) && !runFailed.Load() {
-					gate.Wait()
-				}
-				gateMu.Unlock()
-			}
-			lo, hi := shardRange(cfg.Nodes, shards, sh)
-			for i := lo; i < hi; i++ {
-				jobs <- job{node: i, shard: sh}
-			}
-		}
-	}()
 
 	// Fold loop (coordinator): shards drain strictly in shard order,
 	// nodes within a shard in node order, exactly as the phased engine

@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"uniserver/internal/cpu"
+	"uniserver/internal/vfr"
 )
 
 // TestFleetShardInvariance pins the scale-out contract at the fleet
@@ -194,5 +197,98 @@ func TestFleetOnNodeStreaming(t *testing.T) {
 	refLines := strings.SplitAfter(ref.Fingerprint(), "\n")
 	if got, want := sum.Fingerprint(), refLines[0]+refLines[1]; got != want {
 		t.Fatalf("streaming run's aggregate fingerprint diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
+// TestShardBacklogBound pins the two-shard bound on the unfolded
+// backlog: no node of shard s may start before shard s-2 has been
+// fully folded. Workers claim nodes from a shared cursor and gate
+// themselves on the fold, so three workers over six shards are free to
+// run ahead — and must not. The Node hook records each node's start
+// (it still returns a pure spec) and OnNode counts folds; folds are in
+// node order, so shard s-2 is fully folded once the count reaches the
+// end of its range. The bounded run must also fingerprint like the
+// unsharded one.
+func TestShardBacklogBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet characterization is slow; skipping in -short")
+	}
+	t.Parallel()
+	const nodes, workers, shards = 24, 3, 6
+	run := func(workers, shards int) (string, []string) {
+		cfg := archetypeConfig(nodes, workers, shards)
+		cfg.Windows = 8
+		spec := cfg.Node
+		var (
+			mu         sync.Mutex
+			folded     int
+			violations []string
+		)
+		cfg.Node = func(i int) NodeSpec {
+			s := shardOf(nodes, shards, i)
+			mu.Lock()
+			if s >= 2 {
+				if _, hi := shardRange(nodes, shards, s-2); folded < hi {
+					violations = append(violations, fmt.Sprintf(
+						"node %d (shard %d) started with %d nodes folded; shard %d ends at %d", i, s, folded, s-2, hi))
+				}
+			}
+			mu.Unlock()
+			return spec(i)
+		}
+		cfg.OnNode = func(NodeSummary) {
+			mu.Lock()
+			folded++
+			mu.Unlock()
+		}
+		sum, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+		}
+		if folded != nodes {
+			t.Fatalf("workers=%d shards=%d: %d folds, want %d", workers, shards, folded, nodes)
+		}
+		return sum.Fingerprint(), violations
+	}
+	got, violations := run(workers, shards)
+	for _, v := range violations {
+		t.Error(v)
+	}
+	if want, _ := run(1, 1); got != want {
+		t.Fatalf("sharded run diverged from unsharded:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
+// shardOf returns the shard whose shardRange holds node i.
+func shardOf(nodes, shards, i int) int {
+	for s := 0; ; s++ {
+		if _, hi := shardRange(nodes, shards, s); i < hi {
+			return s
+		}
+	}
+}
+
+// TestShardedRunReportsEarliestFailure runs a sharded fleet in which
+// two nodes of later shards fail mid-run. Workers gated on the fold
+// must still drain every claim and return, and the run must report
+// the earliest failing window whatever the worker count.
+func TestShardedRunReportsEarliestFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet characterization is slow; skipping in -short")
+	}
+	t.Parallel()
+	for _, workers := range []int{1, 3} {
+		cfg := archetypeConfig(24, workers, 6)
+		cfg.Windows = 8
+		cfg.Perturb = func(i, w int) Perturbation {
+			if (i == 13 && w == 3) || (i == 20 && w == 1) {
+				return Perturbation{Mode: &ModeChange{Mode: vfr.ModeHighPerformance, RiskTarget: -1}}
+			}
+			return Perturbation{}
+		}
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "node 20 window 1 ") {
+			t.Fatalf("workers=%d: got %v, want node 20's window-1 failure", workers, err)
+		}
 	}
 }

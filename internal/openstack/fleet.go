@@ -50,23 +50,23 @@ type FleetStepStats struct {
 // outcome, regardless of how many goroutines produced the reports.
 func (m *Manager) StepFleet(health []NodeHealth, window, now, repair time.Duration) (FleetStepStats, error) {
 	var stats FleetStepStats
-	// The lookup table is manager-owned scratch, rebuilt every epoch:
-	// fleet runs call StepFleet once per simulated minute, and the
-	// per-call map allocation was the epoch loop's largest garbage
-	// source. Lookup-only usage keeps map iteration order irrelevant.
-	if m.healthScratch == nil {
-		m.healthScratch = make(map[string]NodeHealth, len(health))
-	}
-	clear(m.healthScratch)
-	byName := m.healthScratch
+	// Each report is staged on its node under this step's epoch. A
+	// node's stamp from an earlier step — including one that failed
+	// validation part-way — never matches a later epoch, and a second
+	// report for the same node in this step is caught by its own stamp.
+	// Nothing outside the staging fields changes until every report has
+	// validated.
+	m.healthEpoch++
+	epoch := m.healthEpoch
 	for _, h := range health {
-		if _, ok := m.nodes[h.Name]; !ok {
+		n, ok := m.nodes[h.Name]
+		if !ok {
 			return stats, fmt.Errorf("openstack: health report for unknown node %q", h.Name)
 		}
-		if _, dup := byName[h.Name]; dup {
+		if n.healthEpoch == epoch {
 			return stats, fmt.Errorf("openstack: duplicate health report for node %q", h.Name)
 		}
-		byName[h.Name] = h
+		n.healthEpoch, n.healthFailProb, n.healthCrashed = epoch, h.FailProb, h.Crashed
 	}
 
 	// (1) The predictor's live failure probability becomes the node's
@@ -75,8 +75,8 @@ func (m *Manager) StepFleet(health []NodeHealth, window, now, repair time.Durati
 	// and a repaired node must rejoin the pool with its current health,
 	// not a repair-interval-stale probability.
 	for _, n := range m.sorted {
-		if h, ok := byName[n.Name]; ok {
-			n.BaseFailProb = h.FailProb
+		if n.healthEpoch == epoch {
+			n.BaseFailProb = n.healthFailProb
 		}
 	}
 
@@ -90,8 +90,7 @@ func (m *Manager) StepFleet(health []NodeHealth, window, now, repair time.Durati
 	// resolution loop runs with the health report as its crash
 	// predicate instead of Tick's lottery.
 	m.resolveWindow(window, now, repair, func(n *Node) bool {
-		h, ok := byName[n.Name]
-		return ok && h.Crashed
+		return n.healthEpoch == epoch && n.healthCrashed
 	}, &stats)
 	return stats, nil
 }

@@ -83,13 +83,21 @@ type Node struct {
 	// scale it down.
 	IdlePowerW, BusyPowerW float64
 
-	online       bool
-	repairUntil  time.Duration
-	usedVCPUs    int
-	usedMem      uint64
-	vms          map[string]*Instance
-	windowsUp    int
-	windowsTotal int
+	online        bool
+	healthCrashed bool // staged by StepFleet; see healthEpoch
+	repairUntil   time.Duration
+	usedVCPUs     int
+	usedMem       uint64
+	vms           map[string]*Instance
+	windowsUp     int
+	windowsTotal  int
+
+	// StepFleet's staged health report, healthFailProb and
+	// healthCrashed (kept beside online to share its padding): valid
+	// only while healthEpoch equals the step's epoch, so a later step
+	// (or a step that failed validation) never reads a stale report.
+	healthEpoch    uint64
+	healthFailProb float64
 }
 
 // Instance is a placed VM.
@@ -258,8 +266,9 @@ type Manager struct {
 	// deterministic, hence ordered) reuses this slice instead of
 	// sorting the map per call.
 	sorted []*Node
-	// healthScratch is StepFleet's reusable per-epoch lookup table.
-	healthScratch map[string]NodeHealth
+	// healthEpoch numbers StepFleet calls; a Node's staged report
+	// counts only in the step whose epoch it carries.
+	healthEpoch uint64
 
 	// Stats.
 	Scheduled     int

@@ -61,15 +61,34 @@ func (m CPUModel) DynamicW(p vfr.Point, activity float64) float64 {
 // LeakageW returns the static power in watts at the given voltage and
 // temperature.
 func (m CPUModel) LeakageW(p vfr.Point, tempC float64) float64 {
-	v := float64(p.VoltageMV) / 1000
+	return m.leakageWAt(p, m.VoltageFactor(p.VoltageMV), tempC)
+}
+
+// VoltageFactor returns the leakage model's supply-voltage term
+// (V/Vref)^VoltExp: the part of LeakageW that depends on the voltage
+// alone, so a caller pricing one point at many temperatures can
+// compute it once.
+func (m CPUModel) VoltageFactor(voltageMV int) float64 {
+	v := float64(voltageMV) / 1000
 	vref := float64(m.RefVoltageMV) / 1000
-	scale := math.Pow(v/vref, m.VoltExp) * math.Exp(m.TempCoeffPerC*(tempC-m.RefTempC))
+	return math.Pow(v/vref, m.VoltExp)
+}
+
+// leakageWAt is LeakageW given the point's VoltageFactor, bit for bit.
+func (m CPUModel) leakageWAt(p vfr.Point, voltFactor, tempC float64) float64 {
+	v := float64(p.VoltageMV) / 1000
+	scale := voltFactor * math.Exp(m.TempCoeffPerC*(tempC-m.RefTempC))
 	return v * m.LeakRefMA * 1e-3 * scale
 }
 
 // TotalW returns dynamic plus leakage power in watts.
 func (m CPUModel) TotalW(p vfr.Point, activity, tempC float64) float64 {
-	return m.DynamicW(p, activity) + m.LeakageW(p, tempC)
+	return m.TotalWAt(p, activity, m.VoltageFactor(p.VoltageMV), tempC)
+}
+
+// TotalWAt is TotalW given the point's VoltageFactor, bit for bit.
+func (m CPUModel) TotalWAt(p vfr.Point, activity, voltFactor, tempC float64) float64 {
+	return m.DynamicW(p, activity) + m.leakageWAt(p, voltFactor, tempC)
 }
 
 // EnergyJ returns the energy in joules to run for the given duration

@@ -193,3 +193,44 @@ func TestEnergyScalingConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVoltageFactorSplitBitIdentical pins the split leakage path to the
+// single formula LeakageW had before it was split, bit for bit, over a
+// grid of points and temperatures: a caller that memoizes
+// VoltageFactor and prices through leakageWAt/TotalWAt must see
+// exactly the bits the formula gives.
+func TestVoltageFactorSplitBitIdentical(t *testing.T) {
+	m := DefaultCPUModel()
+	formula := func(p vfr.Point, tempC float64) float64 {
+		v := float64(p.VoltageMV) / 1000
+		vref := float64(m.RefVoltageMV) / 1000
+		scale := math.Pow(v/vref, m.VoltExp) * math.Exp(m.TempCoeffPerC*(tempC-m.RefTempC))
+		return v * m.LeakRefMA * 1e-3 * scale
+	}
+	for mv := 500; mv <= 1300; mv += 7 {
+		for _, mhz := range []int{800, 1300, 2600, 3500} {
+			p := vfr.Point{VoltageMV: mv, FreqMHz: mhz}
+			vf := m.VoltageFactor(mv)
+			for tempC := -20.0; tempC <= 125; tempC += 3.7 {
+				want := formula(p, tempC)
+				for name, got := range map[string]float64{
+					"LeakageW":   m.LeakageW(p, tempC),
+					"leakageWAt": m.leakageWAt(p, vf, tempC),
+				} {
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s(%v, %v) = %v, formula gives %v", name, p, tempC, got, want)
+					}
+				}
+				for _, act := range []float64{0, 0.05, 0.55, 1} {
+					want := m.DynamicW(p, act) + formula(p, tempC)
+					if got := m.TotalWAt(p, act, vf, tempC); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("TotalWAt(%v, %v, %v) = %v, formula gives %v", p, act, tempC, got, want)
+					}
+					if got := m.TotalW(p, act, tempC); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("TotalW(%v, %v, %v) = %v, formula gives %v", p, act, tempC, got, want)
+					}
+				}
+			}
+		}
+	}
+}

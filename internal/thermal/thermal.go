@@ -28,6 +28,12 @@ type Node struct {
 	TimeConstant time.Duration
 	// TempC is the current temperature.
 	TempC float64
+
+	// alpha is Step's relaxation factor 1-exp(-dt/τ) for the (dt, τ)
+	// pair in alphaDt and alphaTau. A zero alphaDt matches no step:
+	// Step returns before using alpha for dt <= 0.
+	alphaDt, alphaTau time.Duration
+	alpha             float64
 }
 
 // NewNode returns a node settled at ambient.
@@ -61,8 +67,11 @@ func (n *Node) Step(powerW float64, dt time.Duration) float64 {
 		return n.TempC
 	}
 	target := n.SteadyStateC(powerW)
-	alpha := 1 - math.Exp(-float64(dt)/float64(n.TimeConstant))
-	n.TempC += (target - n.TempC) * alpha
+	if dt != n.alphaDt || n.TimeConstant != n.alphaTau {
+		n.alphaDt, n.alphaTau = dt, n.TimeConstant
+		n.alpha = 1 - math.Exp(-float64(dt)/float64(n.TimeConstant))
+	}
+	n.TempC += (target - n.TempC) * n.alpha
 	return n.TempC
 }
 

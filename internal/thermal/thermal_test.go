@@ -109,3 +109,30 @@ func TestTripThresholds(t *testing.T) {
 		t.Fatal("trip temp not flagged")
 	}
 }
+
+// TestStepAlphaMemoTracksInputs pins Step's memoized relaxation factor
+// to the closed form, bit for bit, as dt and the time constant change
+// between steps: a memo keyed on anything less than (dt, τ) would keep
+// a stale alpha after one of them moves.
+func TestStepAlphaMemoTracksInputs(t *testing.T) {
+	n := CPUNode(25)
+	ref := n.TempC
+	for i, step := range []struct {
+		dt, tau time.Duration
+	}{
+		{time.Minute, 20 * time.Second},
+		{time.Minute, 20 * time.Second},
+		{time.Minute, 90 * time.Second}, // τ changes
+		{10 * time.Second, 90 * time.Second},
+		{10 * time.Second, 90 * time.Second}, // dt changed, then repeats
+		{time.Minute, 20 * time.Second},      // both back
+	} {
+		n.TimeConstant = step.tau
+		powerW := 10 + float64(i)
+		target := n.AmbientC + powerW*n.ResistanceCPerW
+		ref += (target - ref) * (1 - math.Exp(-float64(step.dt)/float64(step.tau)))
+		if got := n.Step(powerW, step.dt); math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("step %d (dt %v, τ %v): %v, closed form gives %v", i, step.dt, step.tau, got, ref)
+		}
+	}
+}
