@@ -542,20 +542,11 @@ func BenchmarkFleetRuntime(b *testing.B) {
 		}
 		var hist fleetBenchFile
 		loadBenchHistory(b, "BENCH_fleet.json", &hist)
-		if hist.Legacy.Variants != nil {
-			// Migrate a pre-history single-record file: its measurement
-			// becomes the first history entry (date unknown).
-			hist.Records = append(hist.Records, fleetBenchRecord{
-				GOMAXPROCS:  hist.Legacy.GOMAXPROCS,
-				Fingerprint: hist.Legacy.Fingerprint,
-				Variants:    hist.Legacy.Variants,
-			})
-		}
 		// Efficiency fence: the max-worker variant's parallel efficiency
 		// (speedup ÷ workers) may not drop more than 15% below the most
 		// recent record of the same GOMAXPROCS and environment class —
-		// the regression gate behind the coordinator-pipelining work,
-		// fatal under CI on the full-core leg, a warning interactively.
+		// the regression gate on the fleet coordinator, fatal under CI
+		// on the full-core leg, a warning interactively.
 		// ns/op alone would miss this failure mode: a uniformly-slower
 		// build keeps its efficiency, while a new serial phase or lock
 		// shows up here first. Calibration re-runs are exempt, like the
@@ -566,13 +557,10 @@ func BenchmarkFleetRuntime(b *testing.B) {
 		hist.Benchmark = "BenchmarkFleetRuntime"
 		hist.Nodes, hist.Windows = benchNodes, benchWindows
 		hist.Records = appendBenchRecord("BENCH_fleet.json", hist.Records, fleetBenchRecord{
-			Date:        time.Now().UTC().Format(time.RFC3339),
-			Env:         benchEnv(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
+			benchStamp:  newBenchStamp(),
 			Fingerprint: fmt.Sprintf("%x", sha256.Sum256([]byte(baseline.Fingerprint()))),
 			Variants:    variants,
 		})
-		hist.Legacy = legacyFleetRecord{}
 		writeBenchHistory(b, "BENCH_fleet.json", hist)
 	}
 }
@@ -603,38 +591,26 @@ func maxWorkerEfficiency(vs []variant) (workers int, eff float64) {
 }
 
 // checkEfficiencyFence compares this run's max-worker efficiency
-// against the most recent history record of the same GOMAXPROCS and
-// environment class (records without an env stamp are the committed
-// "local" reference numbers). A >15% drop is fatal under CI and a
-// warning interactively. Records measured at a different max worker
-// count don't gate — their efficiency is not comparable.
+// against the previous comparable record (see previousRecord). A >15%
+// drop is a regression (see reportRegression). Records measured at a
+// different max worker count don't gate — their efficiency is not
+// comparable.
 func checkEfficiencyFence(b *testing.B, records []fleetBenchRecord, current []variant) {
 	workers, eff := maxWorkerEfficiency(current)
 	if workers == 0 || eff <= 0 {
 		return
 	}
-	for i := len(records) - 1; i >= 0; i-- {
-		prev := records[i]
-		prevEnv := prev.Env
-		if prevEnv == "" {
-			prevEnv = "local"
-		}
-		if prev.GOMAXPROCS != runtime.GOMAXPROCS(0) || prevEnv != benchEnv() {
-			continue
-		}
-		prevWorkers, prevEff := maxWorkerEfficiency(prev.Variants)
-		if prevWorkers != workers || prevEff <= 0 {
-			return
-		}
-		if eff < prevEff*efficiencyTolerance {
-			msg := fmt.Sprintf("parallel efficiency regressed: %d-worker speedup/worker %.3f vs %.3f in the previous record (GOMAXPROCS=%d env=%s, recorded %s) — a new serial phase or lock contention, not plain slowness",
-				workers, eff, prevEff, prev.GOMAXPROCS, prevEnv, prev.Date)
-			if os.Getenv("CI") != "" {
-				b.Fatal(msg)
-			}
-			b.Logf("WARNING: %s (non-fatal outside CI)", msg)
-		}
+	prev, ok := previousRecord(records, nil)
+	if !ok {
 		return
+	}
+	prevWorkers, prevEff := maxWorkerEfficiency(prev.Variants)
+	if prevWorkers != workers || prevEff <= 0 {
+		return
+	}
+	if eff < prevEff*efficiencyTolerance {
+		reportRegression(b, fmt.Sprintf("parallel efficiency regressed: %d-worker speedup/worker %.3f vs %.3f in the previous record (GOMAXPROCS=%d env=%s, recorded %s) — a new serial phase or lock contention, not plain slowness",
+			workers, eff, prevEff, prev.GOMAXPROCS, prev.envClass(), prev.Date))
 	}
 }
 
@@ -652,21 +628,83 @@ type variant struct {
 	PeakBytes  int64   `json:"peak_bytes,omitempty"`
 }
 
-// fleetBenchRecord is one dated BenchmarkFleetRuntime measurement.
-type fleetBenchRecord struct {
-	Date        string    `json:"date,omitempty"`
-	Env         string    `json:"env,omitempty"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	Fingerprint string    `json:"fingerprint_sha256"`
-	Variants    []variant `json:"variants"`
+// benchStamp says when and where a history record was measured. Every
+// record type embeds it first, so its fields lead each JSON record.
+type benchStamp struct {
+	Date       string `json:"date,omitempty"`
+	Env        string `json:"env,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-// legacyFleetRecord matches the pre-history single-record layout of
-// BENCH_fleet.json so an old file's measurement survives migration.
-type legacyFleetRecord struct {
-	GOMAXPROCS  int       `json:"gomaxprocs,omitempty"`
-	Fingerprint string    `json:"fingerprint_sha256,omitempty"`
-	Variants    []variant `json:"variants,omitempty"`
+// newBenchStamp stamps a record measured now, by this process.
+func newBenchStamp() benchStamp {
+	return benchStamp{
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		Env:        benchEnv(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
+func (s benchStamp) stamp() benchStamp { return s }
+
+// envClass is the record's environment class; records without an env
+// stamp are the committed "local" reference numbers.
+func (s benchStamp) envClass() string {
+	if s.Env == "" {
+		return "local"
+	}
+	return s.Env
+}
+
+// previousRecord returns the most recent record measured at this
+// process's GOMAXPROCS and environment class for which usable (when
+// set) holds. Numbers across core counts or host classes measure the
+// machine, not the code, so every gate compares against this record
+// only.
+func previousRecord[T interface{ stamp() benchStamp }](records []T, usable func(T) bool) (T, bool) {
+	for i := len(records) - 1; i >= 0; i-- {
+		st := records[i].stamp()
+		if st.GOMAXPROCS == runtime.GOMAXPROCS(0) && st.envClass() == benchEnv() &&
+			(usable == nil || usable(records[i])) {
+			return records[i], true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// reportRegression reports a failed perf gate: fatal under CI, a
+// warning interactively, since laptops throttle.
+func reportRegression(b *testing.B, msg string) {
+	if os.Getenv("CI") != "" {
+		b.Fatal(msg)
+	}
+	b.Logf("WARNING: %s (non-fatal outside CI)", msg)
+}
+
+// gateNsPerOp is the ns/op gate of the campaign and restore
+// benchmarks: a run more than tol times slower than the previous
+// comparable record is re-measured up to twice and judged on its best
+// — a single sample on a shared runner can catch a noisy neighbour,
+// while a real code regression is slow every time.
+func gateNsPerOp(b *testing.B, what string, tol float64, ns int64, prev benchStamp, prevNs int64, remeasure func() int64) {
+	best := ns
+	for retry := 0; retry < 2 && float64(best)/float64(prevNs) > tol; retry++ {
+		if r := remeasure(); r < best {
+			best = r
+		}
+	}
+	if ratio := float64(best) / float64(prevNs); ratio > tol {
+		reportRegression(b, fmt.Sprintf("%s regressed %.0f%% vs the previous record (%d -> %d ns/op best-of-retries at GOMAXPROCS=%d env=%s, recorded %s)",
+			what, (ratio-1)*100, prevNs, best, prev.GOMAXPROCS, prev.envClass(), prev.Date))
+	}
+}
+
+// fleetBenchRecord is one dated BenchmarkFleetRuntime measurement.
+type fleetBenchRecord struct {
+	benchStamp
+	Fingerprint string    `json:"fingerprint_sha256"`
+	Variants    []variant `json:"variants"`
 }
 
 // fleetBenchFile is the run-over-run BENCH_fleet.json layout.
@@ -680,7 +718,6 @@ type fleetBenchFile struct {
 	// vs the warm stamp the fleet runs, tracked run over run in the same
 	// file the fleet-scaling records live in.
 	Restore []restoreBenchRecord `json:"restore,omitempty"`
-	Legacy  legacyFleetRecord    `json:"-"`
 }
 
 // restoreBenchRecord is one dated BenchmarkSnapshotRestore
@@ -690,9 +727,7 @@ type fleetBenchFile struct {
 // measured the deep-clone restore that has since been deleted, later
 // ones a cold stamp into a fresh arena.
 type restoreBenchRecord struct {
-	Date            string  `json:"date,omitempty"`
-	Env             string  `json:"env,omitempty"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
+	benchStamp
 	Reference       string  `json:"reference,omitempty"`
 	LegacyNsPerOp   int64   `json:"legacy_ns_per_op"`
 	LegacyAllocs    float64 `json:"legacy_allocs_per_op"`
@@ -747,11 +782,9 @@ func appendBenchRecord[T any](path string, records []T, rec T) []T {
 	return records
 }
 
-// loadBenchHistory reads an existing BENCH file into v (new layout)
-// and, when the file predates the history format, probes its single
-// record into v's Legacy field for migration. A missing file starts a
-// fresh history; a malformed one fails the benchmark rather than
-// silently clobbering the committed run-over-run record.
+// loadBenchHistory reads an existing BENCH file into v. A missing file
+// starts a fresh history; a malformed one fails the benchmark rather
+// than silently clobbering the committed run-over-run record.
 func loadBenchHistory(b *testing.B, path string, v any) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -762,18 +795,6 @@ func loadBenchHistory(b *testing.B, path string, v any) {
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		b.Fatalf("%s is malformed (%v) — fix or delete it before benchmarking, or the history would be lost", path, err)
-	}
-	// The legacy probe cannot fail: the same bytes just unmarshaled
-	// into the sibling layout of the identical field types.
-	switch f := v.(type) {
-	case *fleetBenchFile:
-		if len(f.Records) == 0 {
-			_ = json.Unmarshal(data, &f.Legacy)
-		}
-	case *campaignBenchFile:
-		if len(f.Records) == 0 {
-			_ = json.Unmarshal(data, &f.Legacy)
-		}
 	}
 }
 
@@ -815,22 +836,12 @@ const (
 // cache counters make a perf claim auditable from the record alone: a
 // speedup with zero hits did not come from the snapshot cache.
 type campaignBenchRecord struct {
-	Date        string  `json:"date,omitempty"`
-	Env         string  `json:"env,omitempty"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
+	benchStamp
 	Fingerprint string  `json:"fingerprint_sha256"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	Speedup     float64 `json:"speedup_vs_pre_optimization"`
 	CacheHits   uint64  `json:"charact_cache_hits"`
 	CacheMisses uint64  `json:"charact_cache_misses"`
-}
-
-// legacyCampaignRecord matches the pre-history single-record layout.
-type legacyCampaignRecord struct {
-	GOMAXPROCS  int     `json:"gomaxprocs,omitempty"`
-	Fingerprint string  `json:"fingerprint_sha256,omitempty"`
-	NsPerOp     int64   `json:"ns_per_op,omitempty"`
-	Speedup     float64 `json:"speedup_vs_pre_optimization,omitempty"`
 }
 
 // campaignBenchFile is the run-over-run BENCH_campaign.json layout.
@@ -842,7 +853,6 @@ type campaignBenchFile struct {
 	Windows   int                   `json:"windows"`
 	BeforeNs  int64                 `json:"before_ns_per_op"`
 	Records   []campaignBenchRecord `json:"records"`
-	Legacy    legacyCampaignRecord  `json:"-"`
 }
 
 // campaignRegressionTolerance is how much slower than the previous
@@ -910,58 +920,20 @@ func BenchmarkCampaign(b *testing.B) {
 
 	var hist campaignBenchFile
 	loadBenchHistory(b, "BENCH_campaign.json", &hist)
-	if hist.Legacy.NsPerOp > 0 {
-		hist.Records = append(hist.Records, campaignBenchRecord{
-			GOMAXPROCS:  hist.Legacy.GOMAXPROCS,
-			Fingerprint: hist.Legacy.Fingerprint,
-			NsPerOp:     hist.Legacy.NsPerOp,
-			Speedup:     hist.Legacy.Speedup,
-		})
-	}
 
-	// Regression gate: compare against the most recent record of the
-	// same GOMAXPROCS and environment class (ns/op across different
-	// core counts or host classes measures the machine, not the code;
-	// records with no env stamp are the committed "local" reference
-	// numbers). Under CI the gate is fatal; interactively it warns,
-	// since laptops throttle. Calibration re-runs of this function are
-	// exempt: they would compare against their own just-written record.
+	// Regression gate against the previous comparable record (a
+	// -benchtime 1x sample is re-measured before it is condemned).
+	// Calibration re-runs of this function are exempt: they would
+	// compare against their own just-written record.
 	if _, rerun := benchRecordSlot["BENCH_campaign.json"]; !rerun {
-		for i := len(hist.Records) - 1; i >= 0; i-- {
-			prev := hist.Records[i]
-			prevEnv := prev.Env
-			if prevEnv == "" {
-				prevEnv = "local"
-			}
-			if prev.GOMAXPROCS != runtime.GOMAXPROCS(0) || prev.NsPerOp <= 0 || prevEnv != benchEnv() {
-				continue
-			}
-			if ratio := float64(nsPerOp) / float64(prev.NsPerOp); ratio > campaignRegressionTolerance {
-				// Confirm before condemning: a -benchtime 1x sample on a
-				// shared runner can catch one noisy-neighbor iteration.
-				// Rerun the grid a few times and gate on the best — a
-				// real code regression is slow every time, noise is not.
-				best := nsPerOp
-				for retry := 0; retry < 2 && float64(best)/float64(prev.NsPerOp) > campaignRegressionTolerance; retry++ {
-					start := time.Now()
-					if _, err := scenario.RunCampaign(c); err != nil {
-						b.Fatal(err)
-					}
-					if ns := time.Since(start).Nanoseconds(); ns < best {
-						best = ns
-					}
+		if prev, ok := previousRecord(hist.Records, func(r campaignBenchRecord) bool { return r.NsPerOp > 0 }); ok {
+			gateNsPerOp(b, "campaign", campaignRegressionTolerance, nsPerOp, prev.benchStamp, prev.NsPerOp, func() int64 {
+				start := time.Now()
+				if _, err := scenario.RunCampaign(c); err != nil {
+					b.Fatal(err)
 				}
-				ratio = float64(best) / float64(prev.NsPerOp)
-				if ratio > campaignRegressionTolerance {
-					msg := fmt.Sprintf("campaign regressed %.0f%% vs the previous record (%d -> %d ns/op best-of-retries at GOMAXPROCS=%d env=%s, recorded %s)",
-						(ratio-1)*100, prev.NsPerOp, best, prev.GOMAXPROCS, prevEnv, prev.Date)
-					if os.Getenv("CI") != "" {
-						b.Fatal(msg)
-					}
-					b.Logf("WARNING: %s (non-fatal outside CI)", msg)
-				}
-			}
-			break
+				return time.Since(start).Nanoseconds()
+			})
 		}
 	}
 
@@ -970,16 +942,13 @@ func BenchmarkCampaign(b *testing.B) {
 	hist.Nodes, hist.Windows = campaignNodes, campaignWindows
 	hist.BeforeNs = campaignBeforeNsPerOp
 	hist.Records = appendBenchRecord("BENCH_campaign.json", hist.Records, campaignBenchRecord{
-		Date:        time.Now().UTC().Format(time.RFC3339),
-		Env:         benchEnv(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		benchStamp:  newBenchStamp(),
 		Fingerprint: rep.FingerprintSHA256,
 		NsPerOp:     nsPerOp,
 		Speedup:     speedup,
 		CacheHits:   rep.CharactCacheHits,
 		CacheMisses: rep.CharactCacheMisses,
 	})
-	hist.Legacy = legacyCampaignRecord{}
 	writeBenchHistory(b, "BENCH_campaign.json", hist)
 }
 
@@ -1065,76 +1034,35 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			tmplAllocs, coldAllocs)
 	}
 	if tmplNs >= coldNs {
-		msg := fmt.Sprintf("warm stamp (%d ns/op) is not faster than cold stamp (%d ns/op)",
-			tmplNs, coldNs)
-		if os.Getenv("CI") != "" {
-			b.Fatal(msg)
-		}
-		b.Logf("WARNING: %s (non-fatal outside CI)", msg)
+		reportRegression(b, fmt.Sprintf("warm stamp (%d ns/op) is not faster than cold stamp (%d ns/op)",
+			tmplNs, coldNs))
 	}
 
 	var hist fleetBenchFile
 	loadBenchHistory(b, "BENCH_fleet.json", &hist)
-	if hist.Legacy.Variants != nil {
-		// Same migration BenchmarkFleetRuntime performs, for when this
-		// benchmark is the only one run against a pre-history file.
-		hist.Records = append(hist.Records, fleetBenchRecord{
-			GOMAXPROCS:  hist.Legacy.GOMAXPROCS,
-			Fingerprint: hist.Legacy.Fingerprint,
-			Variants:    hist.Legacy.Variants,
-		})
-	}
 
-	// Regression gate on the path the fleet actually runs: compare the
-	// template ns/op against the most recent record of the same
-	// GOMAXPROCS and environment class. Fatal under CI, a warning
-	// interactively; calibration re-runs are exempt; a flagged run is
-	// re-measured best-of-retries before being condemned, since a
-	// microsecond-scale loop on a shared runner can catch a noisy
-	// neighbor.
+	// Regression gate on the path the fleet actually runs: the template
+	// ns/op against the previous comparable record, re-measured over a
+	// microsecond-scale loop before it is condemned. Calibration re-runs
+	// are exempt.
 	const slotKey = "BENCH_fleet.json#restore"
 	if _, rerun := benchRecordSlot[slotKey]; !rerun {
-		for i := len(hist.Restore) - 1; i >= 0; i-- {
-			prev := hist.Restore[i]
-			prevEnv := prev.Env
-			if prevEnv == "" {
-				prevEnv = "local"
-			}
-			if prev.GOMAXPROCS != runtime.GOMAXPROCS(0) || prev.TemplateNsPerOp <= 0 || prevEnv != benchEnv() {
-				continue
-			}
-			if ratio := float64(tmplNs) / float64(prev.TemplateNsPerOp); ratio > restoreRegressionTolerance {
-				best := tmplNs
-				for retry := 0; retry < 2 && float64(best)/float64(prev.TemplateNsPerOp) > restoreRegressionTolerance; retry++ {
-					const n = 2000
-					start := time.Now()
-					for i := 0; i < n; i++ {
-						if _, err := snap.RestoreInto(arena, core.RestoreOptions{}); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if ns := time.Since(start).Nanoseconds() / n; ns < best {
-						best = ns
+		if prev, ok := previousRecord(hist.Restore, func(r restoreBenchRecord) bool { return r.TemplateNsPerOp > 0 }); ok {
+			gateNsPerOp(b, "snapshot restore", restoreRegressionTolerance, tmplNs, prev.benchStamp, prev.TemplateNsPerOp, func() int64 {
+				const n = 2000
+				start := time.Now()
+				for i := 0; i < n; i++ {
+					if _, err := snap.RestoreInto(arena, core.RestoreOptions{}); err != nil {
+						b.Fatal(err)
 					}
 				}
-				ratio = float64(best) / float64(prev.TemplateNsPerOp)
-				if ratio > restoreRegressionTolerance {
-					msg := fmt.Sprintf("snapshot restore regressed %.0f%% vs the previous record (%d -> %d ns/op best-of-retries at GOMAXPROCS=%d env=%s, recorded %s)",
-						(ratio-1)*100, prev.TemplateNsPerOp, best, prev.GOMAXPROCS, prevEnv, prev.Date)
-					if os.Getenv("CI") != "" {
-						b.Fatal(msg)
-					}
-					b.Logf("WARNING: %s (non-fatal outside CI)", msg)
-				}
-			}
-			break
+				return time.Since(start).Nanoseconds() / n
+			})
 		}
 	}
 
 	hist.Restore = appendBenchRecord(slotKey, hist.Restore, restoreBenchRecord{
-		Date:            time.Now().UTC().Format(time.RFC3339),
-		Env:             benchEnv(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		benchStamp:      newBenchStamp(),
 		Reference:       "cold stamp",
 		LegacyNsPerOp:   coldNs,
 		LegacyAllocs:    coldAllocs,
@@ -1142,7 +1070,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		TemplateAllocs:  tmplAllocs,
 		Speedup:         speedup,
 	})
-	hist.Legacy = legacyFleetRecord{}
 	writeBenchHistory(b, "BENCH_fleet.json", hist)
 }
 

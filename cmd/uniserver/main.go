@@ -94,8 +94,6 @@ func run() error {
 		"fleet/scenario runs: execute the node range in this many sequential shards (0 = the scenario's choice, else unsharded); never changes results, bounds coordinator memory for population-scale fleets")
 	archetypes := flag.Bool("archetypes", false,
 		"fleet mode: characterize once per silicon/DRAM bin and clone per node (O(bins) campaigns instead of O(nodes); deterministic, but a different experiment than per-node characterization)")
-	compare := flag.Bool("compare", false,
-		"fleet mode: also run a 1-worker reference pass, verify the summaries are identical, and report the measured speedup")
 	listScenarios := flag.Bool("list-scenarios", false, "list the bundled scenario presets and exit")
 	scenarioName := flag.String("scenario", "", "run a scenario preset (see -list-scenarios); -nodes/-windows rescale it")
 	campaignSpec := flag.String("campaign", "",
@@ -164,8 +162,8 @@ func run() error {
 		return fmt.Errorf("-scenario and -campaign are mutually exclusive")
 	}
 	if scenarioMode {
-		if *closedLoop || *compare {
-			return fmt.Errorf("-closed-loop and -compare do not apply to scenario runs")
+		if *closedLoop {
+			return fmt.Errorf("-closed-loop does not apply to scenario runs")
 		}
 		if set["mode"] || set["risk"] {
 			return fmt.Errorf("scenarios declare their own mode and risk target; -mode/-risk do not apply")
@@ -185,9 +183,6 @@ func run() error {
 	} else {
 		if *nodes > 1 && *closedLoop {
 			return fmt.Errorf("-closed-loop only applies to -nodes 1; the fleet engine always runs the supervised loop")
-		}
-		if *nodes <= 1 && *compare {
-			return fmt.Errorf("-compare only applies to fleet mode (-nodes > 1)")
 		}
 		if *nodes <= 1 && *workers != 0 {
 			return fmt.Errorf("-workers only applies to fleet mode (-nodes > 1); the single-node loop is sequential")
@@ -325,7 +320,7 @@ func run() error {
 			return err
 		}
 	case *nodes > 1:
-		if err := runFleet(*nodes, *workers, *shards, *seed, m, *risk, *windows, *compare, *archetypes, *driftMargin, *eccLoop, plan, healthOut); err != nil {
+		if err := runFleet(*nodes, *workers, *shards, *seed, m, *risk, *windows, *archetypes, *driftMargin, *eccLoop, plan, healthOut); err != nil {
 			return err
 		}
 	default:
@@ -736,7 +731,11 @@ func runServe(args []string) error {
 		fmt.Printf("resuming %d incomplete run(s) from %s (completed cells served from the store)\n", resumed, *storeDir)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client gets 10 s to send its request headers, so idle or
+	// trickling connections cannot pin the server. Bodies and streamed
+	// responses get no deadline: a campaign's NDJSON stream lasts as
+	// long as its run.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -817,7 +816,7 @@ func runDiff(args []string, out io.Writer) error {
 
 // runFleet drives the concurrent multi-node engine and prints the
 // aggregate fleet summary.
-func runFleet(nodes, workers, shards int, seed uint64, m vfr.Mode, risk float64, windows int, compare, archetypes bool, driftMargin float64, eccLoop bool, plan *core.LifetimePlan, healthOut *os.File) error {
+func runFleet(nodes, workers, shards int, seed uint64, m vfr.Mode, risk float64, windows int, archetypes bool, driftMargin float64, eccLoop bool, plan *core.LifetimePlan, healthOut *os.File) error {
 	cfg := fleet.DefaultConfig(nodes)
 	cfg.Workers = workers
 	cfg.Shards = shards
@@ -862,33 +861,6 @@ func runFleet(nodes, workers, shards int, seed uint64, m vfr.Mode, risk float64,
 	if runErr != nil {
 		return runErr
 	}
-	// Snapshot the cache counters now, before the -compare reference
-	// pass below reuses the same cache: its nodes are all served as
-	// hits, and reading Stats() after it would report the two runs'
-	// traffic conflated as if it were the measured run's. (HeapWatermark
-	// needs no such care — its sampler is scoped to the one closure and
-	// joined before it returns.)
-	var cacheStats fleet.CacheStats
-	if cache != nil {
-		cacheStats = cache.Stats()
-	}
-
-	var ref fleet.Summary
-	var err error
-	if compare {
-		refCfg := cfg
-		refCfg.Workers = 1
-		refCfg.HealthLogOut = nil // already written by the parallel pass
-		fmt.Println("      running the 1-worker reference pass for comparison")
-		ref, err = fleet.Run(refCfg)
-		if err != nil {
-			return fmt.Errorf("reference pass: %w", err)
-		}
-		if ref.Fingerprint() != sum.Fingerprint() {
-			return fmt.Errorf("determinism violated: %d-worker summary differs from the 1-worker reference\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
-				sum.Workers, ref.Fingerprint(), sum.Workers, sum.Fingerprint())
-		}
-	}
 
 	fmt.Println("\n[2/2] fleet summary (deterministic: same seed, same numbers, any worker count)")
 	fmt.Printf("  windows at EOP:           %d of %d node-windows\n", sum.WindowsAtEOP, sum.Nodes*sum.Windows)
@@ -903,17 +875,13 @@ func runFleet(nodes, workers, shards int, seed uint64, m vfr.Mode, risk float64,
 		sum.WallClock.Round(time.Millisecond), sum.Workers, sum.Shards)
 	fmt.Printf("  peak heap:                %.1f MiB\n", float64(peak)/(1<<20))
 	if cache != nil {
+		cacheStats := cache.Stats()
 		fmt.Printf("  archetype bins:           %d characterized, %d templates compiled, %d nodes cloned\n",
 			cacheStats.Misses, cacheStats.Compiled, cacheStats.Hits)
 	}
 	if streamed > 0 {
 		fmt.Printf("  per-node summaries:       %d streamed, none retained (fleet > %d nodes)\n",
 			streamed, maxPerNodePrint)
-	}
-	if compare {
-		fmt.Printf("  1-worker reference:       %v — summaries byte-identical, measured speedup %.2fx\n",
-			ref.WallClock.Round(time.Millisecond),
-			ref.WallClock.Seconds()/sum.WallClock.Seconds())
 	}
 	for _, n := range sum.PerNode {
 		fmt.Printf("    %-14s crashes %2d  eop %3d/%d  saved %7.2f Wh  safe %d mV\n",

@@ -2,7 +2,9 @@ package campaignd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -35,6 +37,24 @@ type SubmitRequest struct {
 
 	FleetWorkers int `json:"fleet_workers,omitempty"`
 	Parallel     int `json:"parallel,omitempty"`
+}
+
+// maxSubmitBytes bounds a submission body. The whole preset catalogue
+// declared inline is under 10 KiB, so the limit leaves ample room
+// for real grids while refusing a body that would otherwise be decoded
+// into memory without bound.
+const maxSubmitBytes = 1 << 20
+
+// decodeSubmit reads one submission, refusing fields SubmitRequest
+// does not declare — a misspelled knob is an error, not a default.
+func decodeSubmit(r io.Reader) (SubmitRequest, error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return SubmitRequest{}, fmt.Errorf("campaignd: decoding submission: %w", err)
+	}
+	return req, nil
 }
 
 // resolve turns the submission into the concrete scenario grid,
@@ -146,16 +166,18 @@ func httpError(w http.ResponseWriter, code int, err error) {
 }
 
 // handleSubmit validates the submission, then runs it while streaming
-// NDJSON events. The campaign runs under the SERVER's context, not the
+// NDJSON events. A body over maxSubmitBytes is refused with a 413. The campaign runs under the SERVER's context, not the
 // request's: a client that disconnects mid-stream abandons its view,
 // not the run — cells keep landing in the store and the manifest
 // completes. Only server shutdown interrupts execution.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("campaignd: decoding submission: %w", err))
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, err)
 		return
 	}
 	scens, err := req.resolve()

@@ -244,6 +244,60 @@ func TestSubmitRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody: a body past maxSubmitBytes is a 413
+// with a JSON error, and nothing reaches the store.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	srv, ts := newTestServer(t, 1)
+	body := `{"seeds":[1],"presets":["` + strings.Repeat("a", maxSubmitBytes) + `"]}`
+	resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("error body = %+v, %v; want a JSON error", e, err)
+	}
+	runs, err := srv.store.ListRuns()
+	if err != nil {
+		t.Fatalf("ListRuns: %v", err)
+	}
+	if len(runs) != 0 {
+		t.Fatalf("oversized submission left %d run manifests in the store", len(runs))
+	}
+}
+
+// TestSubmitLimitFitsPresetCatalogue: the largest grid the service
+// ships — every preset, declared inline — fits under maxSubmitBytes,
+// so the limit refuses only hostile bodies.
+func TestSubmitLimitFitsPresetCatalogue(t *testing.T) {
+	scens, err := SubmitRequest{Presets: []string{"all"}, Seeds: []uint64{1}}.resolve()
+	if err != nil {
+		t.Fatalf("resolving all presets: %v", err)
+	}
+	body, err := json.Marshal(SubmitRequest{Scenarios: scens, Seeds: []uint64{1, 2, 3}})
+	if err != nil {
+		t.Fatalf("marshaling submission: %v", err)
+	}
+	if len(body) > maxSubmitBytes {
+		t.Fatalf("inline preset catalogue is %d bytes, over the %d-byte limit", len(body), maxSubmitBytes)
+	}
+	req, err := decodeSubmit(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("decoding the inline catalogue: %v", err)
+	}
+	got, err := req.resolve()
+	if err != nil || len(got) != len(scens) {
+		t.Fatalf("inline catalogue resolved to %d scenarios (%v), want %d", len(got), err, len(scens))
+	}
+	t.Logf("inline preset catalogue: %d scenarios, %d bytes", len(scens), len(body))
+}
+
 // TestConcurrentSubmissionsShareOneStore submits two different
 // campaigns concurrently against one server (and one store) and checks
 // both complete with the fingerprints their direct runs produce — the

@@ -6,16 +6,13 @@
 // cloud export, then the full window sequence, buffering a compact
 // health record per window — after which the node's ecosystem is
 // dropped and only its summary, health records and exported cloud node
-// survive. A replay goroutine feeds the recorded health into the
-// openstack.Manager scheduler in window order (reliability metric,
-// proactive migration, SLA accounting), pipelined against compute:
-// window w replays the moment every node has buffered it, while later
-// windows are still stepping. Batching is legal because node
-// simulations never read cloud-layer state: the replay feeds the
-// manager byte-identical inputs, in the identical order, as a
-// per-window barrier would, at a fraction of the synchronization cost
-// — and pipelining is legal for the same reason, since consuming a
-// completed window can never perturb the windows still computing.
+// survive. Once every node has finished, the coordinator replays the
+// recorded health into the openstack.Manager scheduler window by
+// window (reliability metric, proactive migration, SLA accounting).
+// Batching is legal because node simulations never read cloud-layer
+// state: the replay feeds the manager byte-identical inputs, in the
+// identical order, as a per-window barrier would, at a fraction of the
+// synchronization cost.
 //
 // The fused lifecycle is what bounds memory: at most `workers` full
 // ecosystems are alive at any instant, independent of fleet size, so
@@ -440,12 +437,6 @@ type Summary struct {
 	Workers   int           `json:"-"`
 	Shards    int           `json:"-"`
 	WallClock time.Duration `json:"-"`
-	// PipelinedWindows counts cloud-layer windows the replay consumed
-	// while some node was still computing — the coordinator-overlap
-	// telemetry behind the parallel-efficiency work. Like WallClock it
-	// describes this execution (scheduling-dependent), not the result,
-	// so it is excluded from Fingerprint and JSON.
-	PipelinedWindows int `json:"-"`
 }
 
 // Fingerprint serializes every deterministic field. Two runs of the
@@ -663,13 +654,13 @@ func (s *nodeState) characterizeArchetype(cache *CharactCache, arena *core.Resto
 
 // Run executes a full fleet lifecycle: every node's fused
 // characterize→deploy→step task fans out across a persistent worker
-// pool in shard order; the coordinator folds each shard into the
-// summary the moment its last node finishes; and a replay goroutine
-// assembles the cluster, streams the VM arrivals and feeds the
-// buffered health into the cloud layer window by window as windows
-// complete — all three overlapped, all three order-preserving, so
-// results are byte-identical to the strictly-phased engine at any
-// worker and shard count.
+// pool in shard order, and the coordinator folds each shard into the
+// summary the moment its last node finishes. Once the pool drains, the
+// coordinator assembles the cluster, streams the VM arrivals and feeds
+// the buffered health into the cloud layer window by window. Both
+// coordinator streams are order-preserving, so results are
+// byte-identical to the strictly-phased engine at any worker and shard
+// count.
 func Run(cfg Config) (Summary, error) {
 	start := time.Now()
 	if cfg.Nodes <= 0 {
@@ -710,30 +701,17 @@ func Run(cfg Config) (Summary, error) {
 	wantLog := cfg.HealthLogOut != nil
 	bins := newBinMemo(cfg.Seed, wantLog)
 
-	// The pipeline's progress ledger. Workers publish progress through
-	// atomic counters (per-window arrival, cloud exports, per-shard
-	// completion) and ring the one condition variable only on the
-	// *last* arrival of each kind — O(windows + shards) broadcasts for
-	// the whole run, not O(nodes × windows) — while the coordinator's
-	// fold loop, the workers' shard gate and the replay goroutine wait
-	// on the gate for the specific counter they need. The atomic
-	// read-modify-writes form the happens-before chain that makes the
-	// buffered health and exported nodes safely visible to the replay
-	// goroutine (and keeps the whole structure -race-clean).
+	// The shard ledger. Workers count down their shard's unfinished
+	// nodes and ring the one condition variable only on a shard's last
+	// node; the fold loop counts drained shards and rings it once per
+	// shard — O(shards) broadcasts for the whole run. The fold loop
+	// waits on the gate for a shard to finish, and workers wait on it
+	// for the fold to catch up. The atomic read-modify-writes form the
+	// happens-before chain that makes a finished shard's slots safely
+	// visible to the coordinator (and keeps the structure -race-clean).
 	var (
 		gateMu sync.Mutex
 		gate   = sync.NewCond(&gateMu)
-		// windowArrived[w] counts nodes that have buffered window w's
-		// health record; the replay goroutine consumes window w once it
-		// reaches cfg.Nodes.
-		windowArrived = make([]atomic.Int32, cfg.Windows)
-		// exportedNodes counts cloud-layer exports; the manager
-		// assembles once it reaches cfg.Nodes.
-		exportedNodes atomic.Int32
-		// finishedNodes counts completed fused tasks — telemetry only
-		// (a replayed window is "pipelined" if some node was still
-		// computing when it replayed).
-		finishedNodes atomic.Int32
 		// shardLeft[s] counts shard s's unfinished nodes; the fold loop
 		// drains shard s when it reaches zero.
 		shardLeft = make([]atomic.Int32, shards)
@@ -742,10 +720,6 @@ func Run(cfg Config) (Summary, error) {
 		// s >= 2 waits for it to reach s-1, so claims stay at most two
 		// shards ahead of the fold.
 		processedShards atomic.Int32
-		// runFailed flips once on the first node failure so every gate
-		// waiter can abort instead of blocking on progress that will
-		// never come.
-		runFailed atomic.Bool
 	)
 	for sh := 0; sh < shards; sh++ {
 		lo, hi := shardRange(cfg.Nodes, shards, sh)
@@ -764,9 +738,8 @@ func Run(cfg Config) (Summary, error) {
 
 	// failFloor is the earliest failing window any node has reported:
 	// once a run is doomed, healthy nodes stop at that window instead
-	// of simulating out their full horizon (their buffered health
-	// always covers [0, floor), which is all the replay could consume
-	// before aborting). Purely an early-exit; results on the success
+	// of simulating out their full horizon: a doomed run never replays
+	// the cloud layer. Purely an early-exit; results on the success
 	// path are untouched. When a health log was requested the early
 	// exit is disabled: where a healthy node happens to observe the
 	// floor depends on goroutine scheduling, and a log truncated at a
@@ -786,8 +759,6 @@ func Run(cfg Config) (Summary, error) {
 				break
 			}
 		}
-		runFailed.Store(true)
-		notify()
 	}
 
 	// runNode is one node's fused lifecycle — characterization, mode
@@ -848,11 +819,6 @@ func Run(cfg Config) (Summary, error) {
 			return
 		}
 		s.osNode = n
-		if exportedNodes.Add(1) == int32(cfg.Nodes) {
-			// Last export: the replay goroutine can assemble the manager
-			// and start consuming completed windows.
-			notify()
-		}
 
 		// Batched window stepping: the node runs its entire window
 		// sequence here, buffering a compact health record per window.
@@ -863,9 +829,8 @@ func Run(cfg Config) (Summary, error) {
 		// scenario interventions land immediately before the window they
 		// target: Perturb is pure in (i, w) and touches only node i's
 		// state. The buffer is allocated full-length up front and
-		// written by index: the replay goroutine reads s.health[w]
-		// concurrently (gated on windowArrived[w]), so the slice header
-		// must never move again once the first window publishes.
+		// written by index, so it never regrows; the coordinator's replay
+		// reads it only after every worker has returned.
 		s.health = make([]epochHealth, cfg.Windows)
 		stepWindow := func(w int) bool {
 			if earlyExit && int64(w) >= failFloor.Load() {
@@ -901,11 +866,6 @@ func Run(cfg Config) (Summary, error) {
 				correctable:  int32(rep.Correctable),
 				thermalAlarm: uint8(rep.ThermalAlarm),
 				crashed:      rep.Crashed,
-			}
-			if windowArrived[w].Add(1) == int32(cfg.Nodes) {
-				// Last node to buffer window w: the replay goroutine can
-				// consume it while later windows are still computing.
-				notify()
 			}
 			return true
 		}
@@ -1035,12 +995,10 @@ func Run(cfg Config) (Summary, error) {
 		sum.PerNode = append(sum.PerNode, ns)
 	}
 
-	// ---- Pipelined execution ----
+	// ---- Execution ----
 	//
-	// Three overlapped roles replace the old strictly-phased
-	// compute-then-fold-then-replay sequence, with every ordered
-	// operation still issued from exactly one goroutine in exactly the
-	// old order:
+	// Two overlapped roles, with every ordered operation issued from
+	// the coordinator goroutine in the phased engine's order:
 	//
 	//   workers      claim node indices in node order from one atomic
 	//                cursor and run the fused node tasks, staying at
@@ -1050,113 +1008,14 @@ func Run(cfg Config) (Summary, error) {
 	//                size;
 	//   coordinator  folds shard s in node order the moment its last
 	//                node finishes — while shard s+1 is still
-	//                computing;
-	//   replay       advances the cloud layer through window w the
-	//                moment all nodes have buffered w — while later
-	//                windows are still computing.
+	//                computing — then, once the pool has drained,
+	//                replays the cloud layer window order × node order.
 	//
-	// Fingerprint identity is structural: folds still happen shard
-	// order × node order on one goroutine, and the replay still feeds
-	// the manager byte-identical inputs window order × node order on
-	// one goroutine. Only the *interleaving* of those two serial
-	// streams with worker compute changed, and neither stream reads
-	// anything a worker still writes (window gating and the export
-	// count provide the happens-before edges).
-
-	// Replay goroutine: assemble the cluster once every node has
-	// exported, then chase the windowArrived frontier.
-	type replayResult struct {
-		mgr        *openstack.Manager
-		evictedVMs int
-		pipelined  int
-		err        error
-	}
-	replayCh := make(chan replayResult, 1)
-	go func() {
-		var res replayResult
-		defer func() { replayCh <- res }()
-		// Deterministic VM arrival stream for the scheduler to chew on
-		// — an explicit schedule (scenario layers) or the default
-		// exponential stream. Pure function of the Config, so it can
-		// build before the fleet finishes exporting.
-		arrivals := cfg.Arrivals
-		if arrivals == nil {
-			var err error
-			arrivals, err = workload.Stream(cfg.StreamDefaults(), rng.New(cfg.Seed).SplitLabeled("fleet/arrivals"))
-			if err != nil {
-				res.err = err
-				return
-			}
-		}
-		gateMu.Lock()
-		for exportedNodes.Load() < int32(cfg.Nodes) && !runFailed.Load() {
-			gate.Wait()
-		}
-		aborted := exportedNodes.Load() < int32(cfg.Nodes)
-		gateMu.Unlock()
-		if aborted {
-			// A node failed before exporting; the run is doomed and the
-			// coordinator will report the earliest node failure.
-			return
-		}
-		// Cluster assembly in node order.
-		osNodes := make([]*openstack.Node, len(states))
-		for i, s := range states {
-			osNodes[i] = s.osNode
-		}
-		mgr, err := openstack.NewManager(cfg.Policy, osNodes...)
-		if err != nil {
-			res.err = err
-			return
-		}
-		res.mgr = mgr
-		// The replay advances the cloud layer in window order over the
-		// buffered health: arrivals and departures resolve before each
-		// epoch (so newly placed VMs are exposed to that window's
-		// crash/migration outcome, as in the stream simulator), then
-		// the epoch's health lands in the scheduler in node order. The
-		// manager sees byte-identical inputs in the identical order as
-		// under per-window barriers — and as at any other worker or
-		// shard count — because window w is consumed only after every
-		// node has buffered it.
-		cursor := openstack.NewStreamCursor(arrivals)
-		health := make([]openstack.NodeHealth, len(states))
-		for w := 0; w < cfg.Windows; w++ {
-			gateMu.Lock()
-			for windowArrived[w].Load() < int32(cfg.Nodes) && !runFailed.Load() {
-				gate.Wait()
-			}
-			aborted := windowArrived[w].Load() < int32(cfg.Nodes)
-			gateMu.Unlock()
-			if aborted {
-				// Some node failed at or before w and will never buffer
-				// it; the manager's partial replay is discarded.
-				return
-			}
-			if finishedNodes.Load() < int32(cfg.Nodes) {
-				res.pipelined++
-			}
-			now := time.Duration(w) * time.Minute
-			cursor.Advance(mgr, now)
-			for i, s := range states {
-				h := s.health[w]
-				health[i] = openstack.NodeHealth{
-					Name:         s.name,
-					FailProb:     h.failProb,
-					Crashed:      h.crashed,
-					Correctable:  int(h.correctable),
-					ThermalAlarm: int(h.thermalAlarm),
-				}
-			}
-			stats, err := mgr.StepFleet(health, time.Minute, now, cfg.Repair)
-			if err != nil {
-				res.err = err
-				return
-			}
-			res.evictedVMs += stats.EvictedVMs
-		}
-	}()
-
+	// The replay cannot start before the last node exports, and the
+	// last node exports only once it is claimed, so at most the final
+	// `workers` nodes could ever overlap it; running it after the join
+	// costs nothing measurable and needs no per-window ledger.
+	//
 	// Worker pool: persistent across shards (no per-shard goroutine
 	// churn or join barrier). Each worker claims the next node index
 	// from one atomic cursor, so claims are in node order with no
@@ -1171,7 +1030,9 @@ func Run(cfg Config) (Summary, error) {
 	// a shard boundary the way a per-shard join barrier would. The wait
 	// cannot deadlock: claims are in node order, so every node of shard
 	// sh-2 is already held by a running worker, and that worker's own
-	// wait (if any) is on a shard earlier still.
+	// wait (if any) is on a shard earlier still. A failed run needs no
+	// escape hatch either: the fold loop drains every shard, failed or
+	// not, so the gate always opens.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -1196,19 +1057,27 @@ func Run(cfg Config) (Summary, error) {
 				}
 				if sh >= 2 && processedShards.Load() < int32(sh-1) {
 					gateMu.Lock()
-					for processedShards.Load() < int32(sh-1) && !runFailed.Load() {
+					for processedShards.Load() < int32(sh-1) {
 						gate.Wait()
 					}
 					gateMu.Unlock()
 				}
 				runNode(i, arena)
-				finishedNodes.Add(1)
 				if shardLeft[sh].Add(-1) == 0 {
 					// Last node of the shard: the fold loop can drain it.
 					notify()
 				}
 			}
 		}()
+	}
+
+	// Deterministic VM arrival stream for the scheduler to chew on — an
+	// explicit schedule (scenario layers) or the default exponential
+	// stream. A pure function of the Config, built while shard 0
+	// computes; its error surfaces only if no node failed.
+	arrivals, streamErr := cfg.Arrivals, error(nil)
+	if arrivals == nil {
+		arrivals, streamErr = workload.Stream(cfg.StreamDefaults(), rng.New(cfg.Seed).SplitLabeled("fleet/arrivals"))
 	}
 
 	// Fold loop (coordinator): shards drain strictly in shard order,
@@ -1243,17 +1112,13 @@ func Run(cfg Config) (Summary, error) {
 	}
 	wg.Wait()
 
-	// Join the replay before touching any error path: after this
-	// receive no goroutine of this run is live.
-	rr := <-replayCh
 	if failed {
 		// Earliest failing window wins; ties resolve to the lowest node
 		// index (states are scanned in node order). Pre-deployment
 		// failures carry charactWindow and therefore outrank every
 		// stepping failure, exactly as when characterization was a
-		// separate phase — and exactly as when replay errors could not
-		// coexist with node failures: a doomed run reports its node
-		// failure, never the aborted replay.
+		// separate phase; node failures outrank stream and replay
+		// errors, which a doomed run never reaches.
 		failWindow, failErr := cfg.Windows, error(nil)
 		for _, s := range states {
 			if s.err != nil && s.errWindow < failWindow {
@@ -1262,10 +1127,46 @@ func Run(cfg Config) (Summary, error) {
 		}
 		return fail(failErr)
 	}
-	if rr.err != nil {
-		return fail(rr.err)
+	if streamErr != nil {
+		return fail(streamErr)
 	}
-	mgr := rr.mgr
+
+	// Cluster assembly in node order, then the replay: the cloud layer
+	// advances in window order over the buffered health. Arrivals and
+	// departures resolve before each epoch (so newly placed VMs are
+	// exposed to that window's crash/migration outcome, as in the
+	// stream simulator), then the epoch's health lands in the scheduler
+	// in node order — byte-identical inputs in the identical order as
+	// under per-window barriers, at any worker or shard count.
+	osNodes := make([]*openstack.Node, len(states))
+	for i, s := range states {
+		osNodes[i] = s.osNode
+	}
+	mgr, err := openstack.NewManager(cfg.Policy, osNodes...)
+	if err != nil {
+		return fail(err)
+	}
+	cursor := openstack.NewStreamCursor(arrivals)
+	health := make([]openstack.NodeHealth, len(states))
+	for w := 0; w < cfg.Windows; w++ {
+		now := time.Duration(w) * time.Minute
+		cursor.Advance(mgr, now)
+		for i, s := range states {
+			h := s.health[w]
+			health[i] = openstack.NodeHealth{
+				Name:         s.name,
+				FailProb:     h.failProb,
+				Crashed:      h.crashed,
+				Correctable:  int(h.correctable),
+				ThermalAlarm: int(h.thermalAlarm),
+			}
+		}
+		stats, err := mgr.StepFleet(health, time.Minute, now, cfg.Repair)
+		if err != nil {
+			return fail(err)
+		}
+		sum.EvictedVMs += stats.EvictedVMs
+	}
 
 	sum.MeanCPUTempC /= float64(cfg.Nodes)
 	sum.Scheduled = mgr.Scheduled
@@ -1275,8 +1176,6 @@ func Run(cfg Config) (Summary, error) {
 	sum.UserFacingViolations = mgr.UserFacingViolations
 	sum.EnergyKWh = mgr.EnergyJ / 3.6e6
 	sum.MeanAvailability = mgr.MeanAvailability()
-	sum.EvictedVMs = rr.evictedVMs
-	sum.PipelinedWindows = rr.pipelined
 
 	if err := flushHealthLog(); err != nil {
 		return sum, err

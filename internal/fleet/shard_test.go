@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -289,6 +290,46 @@ func TestShardedRunReportsEarliestFailure(t *testing.T) {
 		_, err := Run(cfg)
 		if err == nil || !strings.Contains(err.Error(), "node 20 window 1 ") {
 			t.Fatalf("workers=%d: got %v, want node 20's window-1 failure", workers, err)
+		}
+	}
+}
+
+// TestFleetHealthLogOnFailure pins the error-path half of the health
+// log contract: a failing run still flushes every node's log, and the
+// flushed bytes are identical at any worker count. A health log
+// disables the doomed-run early exit for exactly this reason — where a
+// healthy node would observe the failure floor depends on scheduling.
+func TestFleetHealthLogOnFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet characterization is slow; skipping in -short")
+	}
+	t.Parallel()
+	var want []byte
+	for _, workers := range []int{1, 3} {
+		cfg := smallConfig(6, workers)
+		cfg.Shards = 2
+		var log bytes.Buffer
+		cfg.HealthLogOut = &log
+		cfg.Perturb = func(i, w int) Perturbation {
+			if i == 4 && w == 3 {
+				return Perturbation{Mode: &ModeChange{Mode: vfr.ModeHighPerformance, RiskTarget: -1}}
+			}
+			return Perturbation{}
+		}
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "node 4 window 3 ") {
+			t.Fatalf("workers=%d: got %v, want node 4's window-3 failure", workers, err)
+		}
+		if log.Len() == 0 {
+			t.Fatalf("workers=%d: failed run flushed no health log", workers)
+		}
+		if want == nil {
+			want = log.Bytes()
+			continue
+		}
+		if !bytes.Equal(log.Bytes(), want) {
+			t.Fatalf("workers=%d: health log (%d bytes) differs from workers=1 (%d bytes)",
+				workers, log.Len(), len(want))
 		}
 	}
 }
