@@ -45,6 +45,19 @@ type SubmitRequest struct {
 // into memory without bound.
 const maxSubmitBytes = 1 << 20
 
+// Grid caps: resolve refuses a submission over any of them with a
+// 400 before anything runs. The per-scenario caps sit well above the
+// largest bundled preset (fleet-100k's 100,000 nodes; 280 windows on
+// the seven-epoch lifetime presets, counting every epoch); the total
+// bounds the work one request can queue, and fits fleet-100k at five
+// seeds (3M node-windows each).
+const (
+	maxNodes       = 100_000
+	maxWindows     = 10_000
+	maxSeeds       = 64
+	maxNodeWindows = 16_000_000
+)
+
 // decodeSubmit reads one submission, refusing fields SubmitRequest
 // does not declare — a misspelled knob is an error, not a default.
 func decodeSubmit(r io.Reader) (SubmitRequest, error) {
@@ -87,15 +100,31 @@ func (r SubmitRequest) resolve() ([]scenario.Scenario, error) {
 	if len(r.Seeds) == 0 {
 		return nil, fmt.Errorf("campaignd: submission has no seeds")
 	}
+	if len(r.Seeds) > maxSeeds {
+		return nil, fmt.Errorf("campaignd: submission has %d seeds, over the cap of %d", len(r.Seeds), maxSeeds)
+	}
 	if r.Shards < 0 {
 		return nil, fmt.Errorf("campaignd: negative shards (%d)", r.Shards)
 	}
-	for i := range scens {
+	nodeWindows := 0
+	for i, s := range scens {
 		if r.Shards > 0 {
 			scens[i].Shards = r.Shards
 		}
 		if err := scens[i].Validate(); err != nil {
 			return nil, err
+		}
+		if s.Nodes > maxNodes {
+			return nil, fmt.Errorf("campaignd: scenario %q has %d nodes, over the cap of %d", s.Name, s.Nodes, maxNodes)
+		}
+		// Bounding both factors first keeps the product from overflowing.
+		if s.Windows > maxWindows || s.Lifetime.Epochs > maxWindows || s.TotalWindows() > maxWindows {
+			return nil, fmt.Errorf("campaignd: scenario %q has %d windows over %d epochs, over the cap of %d windows",
+				s.Name, s.Windows, max(s.Lifetime.Epochs, 1), maxWindows)
+		}
+		nodeWindows += s.Nodes * s.TotalWindows() * len(r.Seeds)
+		if nodeWindows > maxNodeWindows {
+			return nil, fmt.Errorf("campaignd: submission asks for %d or more node-windows, over the cap of %d", nodeWindows, maxNodeWindows)
 		}
 	}
 	return scens, nil

@@ -208,6 +208,10 @@ func TestSubmitRejectsMalformedRequests(t *testing.T) {
 		{"no scenarios", `{"seeds":[1]}`, "no scenarios"},
 		{"unknown field", `{"presets":["baseline"],"seeds":[1],"bogus":true}`, "unknown field"},
 		{"not json", `{{{`, "decoding"},
+		{"nodes over cap", `{"presets":["baseline"],"seeds":[1],"nodes":100001}`, "over the cap of 100000"},
+		{"windows over cap", `{"presets":["baseline"],"seeds":[1],"windows":10001}`, "over the cap of 10000"},
+		{"seeds over cap", `{"presets":["baseline"],"seeds":[` + strings.Repeat("1,", maxSeeds) + `1]}`, "over the cap of 64"},
+		{"node-windows over cap", `{"presets":["fleet-100k"],"seeds":[1,2,3,4,5,6]}`, "over the cap of 16000000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -273,8 +277,9 @@ func TestSubmitRejectsOversizedBody(t *testing.T) {
 }
 
 // TestSubmitLimitFitsPresetCatalogue: the largest grid the service
-// ships — every preset, declared inline — fits under maxSubmitBytes,
-// so the limit refuses only hostile bodies.
+// ships — every preset, declared inline — fits under maxSubmitBytes and
+// the grid caps, as does every preset submitted alone, so the limits
+// refuse only hostile submissions.
 func TestSubmitLimitFitsPresetCatalogue(t *testing.T) {
 	scens, err := SubmitRequest{Presets: []string{"all"}, Seeds: []uint64{1}}.resolve()
 	if err != nil {
@@ -296,6 +301,13 @@ func TestSubmitLimitFitsPresetCatalogue(t *testing.T) {
 		t.Fatalf("inline catalogue resolved to %d scenarios (%v), want %d", len(got), err, len(scens))
 	}
 	t.Logf("inline preset catalogue: %d scenarios, %d bytes", len(scens), len(body))
+	// Every bundled preset at its own size, at the three seeds the CLI
+	// and the benchmark run, fits the grid caps.
+	for _, s := range scens {
+		if _, err := (SubmitRequest{Presets: []string{s.Name}, Seeds: []uint64{1, 2, 3}}).resolve(); err != nil {
+			t.Errorf("preset %s at its own size: %v", s.Name, err)
+		}
+	}
 }
 
 // TestConcurrentSubmissionsShareOneStore submits two different

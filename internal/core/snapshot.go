@@ -30,14 +30,16 @@ import (
 // and is never written after it is built, so any number of workers may
 // stamp from it concurrently.
 //
-// Stamped nodes do not copy the two bulkiest images at all: a node's
-// DRAM weak cells and VRT indices alias the snapshot's slabs, and its
-// hypervisor object inventory aliases the snapshot's, until the node
-// first writes them (copy-on-write inside dram and hypervisor: VRT
-// toggles, pattern tests, weak-cell growth, reindexing, selective
-// protection). Every stamped node therefore reads the snapshot for as
-// long as it runs, which makes immutability a contract with every
-// package, not only with the stamp: no code outside dram may write
+// Stamped nodes do not copy the bulk images at all: a node's DRAM
+// weak cells, VRT indices and telegraph bitsets alias the snapshot's
+// slabs, and its hypervisor object inventory aliases the snapshot's.
+// The cells and indices are never written in place, and weak-cell
+// growth copies them before it appends; the bitsets and the inventory
+// are copied on the node's first write (inside dram: VRT flips;
+// inside hypervisor: selective protection). Every stamped node
+// therefore reads the snapshot for as long as it runs, which makes
+// immutability a contract with every package, not only with the
+// stamp: no code outside dram may write
 // dram.DIMM.Weak, and none outside hypervisor may write
 // hypervisor.ObjectMap.Objects. Both fields are exported for reading;
 // nothing outside their packages writes either, and the

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"uniserver/internal/rng"
@@ -108,11 +109,9 @@ type WeakCell struct {
 	// RetentionSec and this shorter retention. VRT is why a
 	// characterization pass can miss a cell that later fails in the
 	// field (Liu et al. [32]), and why the StressLog derates the
-	// longest observed error-free interval before publishing it.
+	// longest observed error-free interval before publishing it. The
+	// cell's current state lives in its DIMM (DIMM.LowState).
 	AltRetentionSec float64
-	// LowState reports whether a VRT cell currently sits in its
-	// short-retention state.
-	LowState bool
 }
 
 // VRT population constants, per the retention studies the paper cites:
@@ -130,6 +129,18 @@ const (
 )
 
 // DIMM is one memory module with its explicit weak-cell population.
+//
+// Only the cells that can fail cost anything per pattern test or VRT
+// toggle. The DIMM keeps a retention watermark and the list of cells
+// whose shorter retention is below it (the candidates); a pattern test
+// raises the watermark to its interval and walks only the candidates,
+// the way RAIDR (Liu et al., ISCA 2012) bins rows by retention so that
+// refresh attends only to the weak ones. A toggle flips the candidate
+// VRT cells at once and defers everyone else's draws to a log, since
+// cell j of a toggle at stream position b takes draw b+j+1
+// (rng.Source.Peek): the log is folded into the telegraph bitset when
+// a cell joins the candidates, when an image is taken (Flatten) and
+// when it reaches maxToggleLog entries.
 type DIMM struct {
 	// CapacityBytes is the module size (the paper uses 8 GB modules).
 	CapacityBytes uint64
@@ -137,35 +148,221 @@ type DIMM struct {
 	DeviceGb int
 	// Weak holds every cell whose retention falls below the simulation
 	// horizon; all other cells never fail at the intervals simulated.
+	// It is immutable once fabricated: Grow appends and nothing writes
+	// a cell in place. No code outside this package may write Weak.
 	Weak []WeakCell
 
-	// vrt indexes the VRT cells within Weak, in cell order, so the
-	// per-window telegraph toggle touches only them instead of scanning
-	// the whole weak population. Filled by NewDIMM; a literal-built
-	// DIMM (nil vrt) falls back to the full scan.
+	// vrt indexes the VRT cells within Weak, in cell order; a cell's
+	// position in it is its VRT ordinal. Immutable like Weak.
 	vrt []int
 
-	// shared marks a stamped DIMM whose Weak and vrt alias a snapshot
-	// image's immutable slabs (FlatMemory.StampInto). Every mutator
-	// calls unshare first, which copies the aliased slices into the
-	// DIMM's own spare buffers; readers never need to. No code outside
-	// this package may write Weak.
-	shared    bool
-	spareWeak []WeakCell
-	spareVRT  []int
+	// low is the telegraph state by VRT ordinal: bit j is set while
+	// VRT cell j sits in its short-retention state, up to the deferred
+	// toggles in log.
+	low []byte
+
+	// A stamped DIMM's Weak and vrt alias the image's slabs
+	// (cellsShared) until Grow copies them into spareWeak and spareVRT,
+	// and its low aliases the image's bitset (lowShared) until its
+	// first write copies it into spareLow (own). The spares are the
+	// buffers the DIMM owned before the stamp.
+	cellsShared, lowShared bool
+	spareWeak              []WeakCell
+	spareVRT               []int
+	spareLow               []byte
+
+	// Derived state, reset by every stamp and never serialized. The
+	// candidates are exactly the cells whose shorter retention is below
+	// watermark, in cell order; no other cell's shorter retention is
+	// below floor; candMask marks the candidates by VRT ordinal; log
+	// holds the toggles no non-candidate VRT cell has taken yet.
+	watermark, floor float64
+	cand             []candidate
+	candMask         []byte
+	log              []toggle
 }
 
-// unshare gives a stamped DIMM private copies of its weak-cell
-// population and VRT index before its first write, reusing the
-// buffers it owned before it was stamped. A no-op on owned DIMMs.
-func (d *DIMM) unshare() {
-	if !d.shared {
+// candidate is one cell of a DIMM's candidate list: its index in Weak
+// and its VRT ordinal, -1 for a stable cell.
+type candidate struct{ cell, ord int }
+
+// toggle is one deferred telegraph toggle: VRT cell j < count flips
+// iff draw j+1 from at (at.Peek(j+1)) is below thr.
+type toggle struct {
+	at    rng.Source
+	count int
+	thr   uint64
+}
+
+// maxToggleLog bounds a DIMM's deferred-toggle log (24 bytes an
+// entry). Folding a full log costs what toggling every VRT cell at
+// once would have, so the bound caps memory without making any toggle
+// dearer than the eager walk. A six-month lifetime's daily
+// fast-forward toggles and its monthly re-characterizations fit in
+// one log, so its DIMMs never fold before they are discarded.
+const maxToggleLog = 1024
+
+// watermarkMargin widens a pattern test's interval/scale before it
+// becomes the watermark, so rounding can never leave out a cell the
+// exact r*scale < interval comparison would fail.
+const watermarkMargin = 1e-12
+
+// bit reports bit j of a bitset.
+func bit(set []byte, j int) bool { return set[j>>3]>>(j&7)&1 != 0 }
+
+// own gives a stamped DIMM a private copy of its telegraph bitset
+// before its first write, reusing the buffer it owned before it was
+// stamped. A no-op on owned DIMMs.
+func (d *DIMM) own() {
+	if !d.lowShared {
 		return
 	}
-	d.Weak = append(d.spareWeak[:0], d.Weak...)
-	d.vrt = append(d.spareVRT[:0], d.vrt...)
-	d.spareWeak, d.spareVRT = nil, nil
-	d.shared = false
+	d.low = append(d.spareLow[:0], d.low...)
+	d.spareLow = nil
+	d.lowShared = false
+}
+
+// flip toggles VRT cell j's telegraph state.
+func (d *DIMM) flip(j int) {
+	d.own()
+	d.low[j>>3] ^= 1 << (j & 7)
+}
+
+// shorter returns the retention a cell has in its shorter state.
+func (d *DIMM) shorter(c candidate) float64 {
+	cell := &d.Weak[c.cell]
+	if c.ord >= 0 && cell.AltRetentionSec < cell.RetentionSec {
+		return cell.AltRetentionSec
+	}
+	return cell.RetentionSec
+}
+
+// retention returns a cell's retention at the reference temperature in
+// its current telegraph state; a candidate's state is always current.
+func (d *DIMM) retention(c candidate) float64 {
+	cell := &d.Weak[c.cell]
+	if c.ord >= 0 && bit(d.low, c.ord) {
+		return cell.AltRetentionSec
+	}
+	return cell.RetentionSec
+}
+
+// LowState reports whether cell i currently sits in its
+// short-retention state, deferred toggles included. Stable cells never
+// do. It reads without writing, for tests and tools; the kernels keep
+// the state in a bitset.
+func (d *DIMM) LowState(i int) bool {
+	j, ok := slices.BinarySearch(d.vrt, i)
+	if !ok {
+		return false
+	}
+	candidate := j>>3 < len(d.candMask) && bit(d.candMask, j)
+	return bit(d.low, j) != (!candidate && d.logFlips(j))
+}
+
+// logFlips reports whether the deferred toggles flip VRT cell j an odd
+// number of times.
+func (d *DIMM) logFlips(j int) bool {
+	odd := false
+	for i := range d.log {
+		if e := &d.log[i]; j < e.count && e.at.Peek(uint64(j)+1)>>11 < e.thr {
+			odd = !odd
+		}
+	}
+	return odd
+}
+
+// foldInto applies the deferred toggles to a copy of the telegraph
+// bitset: every VRT cell outside the candidates takes every toggle
+// that covers it.
+func (d *DIMM) foldInto(low []byte) {
+	for _, e := range d.log {
+		for k := range lowBytes(e.count) {
+			m := e.flips(k<<3, min(8, e.count-k<<3))
+			if k < len(d.candMask) {
+				m &^= d.candMask[k]
+			}
+			low[k] ^= m
+		}
+	}
+}
+
+// flips returns the toggle's flips of VRT cells j..j+n-1 (n <= 8) as
+// a mask, built without a branch from independent Peek draws: x < thr
+// iff (x−thr)>>63 is 1, both being below 2^63.
+func (e *toggle) flips(j, n int) byte {
+	at, thr := e.at, e.thr
+	var m byte
+	for b := range n {
+		m |= byte((at.Peek(uint64(j+b)+1)>>11-thr)>>63) << b
+	}
+	return m
+}
+
+// fold applies and empties the deferred-toggle log.
+func (d *DIMM) fold() {
+	if len(d.log) == 0 {
+		return
+	}
+	d.own()
+	d.foldInto(d.low)
+	d.log = d.log[:0]
+}
+
+// markCand records VRT cell j as a candidate.
+func (d *DIMM) markCand(j int) {
+	for j>>3 >= len(d.candMask) {
+		d.candMask = append(d.candMask, 0)
+	}
+	d.candMask[j>>3] |= 1 << (j & 7)
+}
+
+// raise lifts the watermark to w, admitting every cell whose shorter
+// retention is now below it. A VRT cell takes the deferred toggles as
+// it joins, so candidates always hold their current state.
+// The watermark only rises between stamps, and the cells are scanned
+// only when w passes the floor, which a characterization's rising
+// sweep does a few times at most.
+func (d *DIMM) raise(w float64) {
+	if !(w > d.watermark) {
+		return
+	}
+	if w <= d.floor {
+		d.watermark = w
+		return
+	}
+	prev := d.watermark
+	d.watermark, d.floor = w, math.Inf(1)
+	d.cand = d.cand[:0]
+	j := 0
+	for i := range d.Weak {
+		c := candidate{cell: i, ord: -1}
+		if j < len(d.vrt) && d.vrt[j] == i {
+			c.ord = j
+			j++
+		}
+		r := d.shorter(c)
+		if !(r < w) {
+			if r < d.floor {
+				d.floor = r
+			}
+			continue
+		}
+		d.cand = append(d.cand, c)
+		if c.ord >= 0 && !(r < prev) {
+			if d.logFlips(c.ord) {
+				d.flip(c.ord)
+			}
+			d.markCand(c.ord)
+		}
+	}
+}
+
+// reset drops the derived state, as after a stamp: no candidates, an
+// unscanned floor and an empty log.
+func (d *DIMM) reset() {
+	d.watermark, d.floor = 0, 0
+	d.cand, d.candMask, d.log = d.cand[:0], d.candMask[:0], d.log[:0]
 }
 
 // WeakCellHorizon is the retention horizon below which cells are
@@ -181,21 +378,47 @@ func NewDIMM(capacityBytes uint64, deviceGb int, model RetentionModel, src *rng.
 	bits := capacityBytes * 8
 	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
 	n := src.Binomial(clampInt(bits), pWeak)
-	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, Weak: make([]WeakCell, n)}
-	for i := range d.Weak {
-		cell := WeakCell{
-			Offset:       src.Uint64() % bits,
-			RetentionSec: model.sampleWeakTail(pWeak, src),
-			TrueCell:     src.Bool(),
-		}
-		if src.Bernoulli(VRTFraction) {
-			cell.AltRetentionSec = cell.RetentionSec / VRTRetentionRatio
-			cell.LowState = src.Bool()
-			d.vrt = append(d.vrt, i)
-		}
-		d.Weak[i] = cell
+	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, Weak: make([]WeakCell, 0, n)}
+	for i := 0; i < n; i++ {
+		d.addCell(bits, pWeak, model, src)
 	}
 	return d
+}
+
+// addCell draws one weak cell — position, retention from the weak
+// tail, polarity, VRT membership and a VRT cell's starting telegraph
+// state — and appends it, admitting it to the candidates if its
+// shorter retention is below the watermark.
+func (d *DIMM) addCell(bits uint64, pWeak float64, model RetentionModel, src *rng.Source) {
+	cell := WeakCell{
+		Offset:       src.Uint64() % bits,
+		RetentionSec: model.sampleWeakTail(pWeak, src),
+		TrueCell:     src.Bool(),
+	}
+	c := candidate{cell: len(d.Weak), ord: -1}
+	if src.Bernoulli(VRTFraction) {
+		cell.AltRetentionSec = cell.RetentionSec / VRTRetentionRatio
+		c.ord = len(d.vrt)
+		d.vrt = append(d.vrt, c.cell)
+		if c.ord&7 == 0 {
+			d.own()
+			d.low = append(d.low, 0)
+		}
+		if src.Bool() {
+			d.flip(c.ord)
+		}
+	}
+	d.Weak = append(d.Weak, cell)
+	// No deferred toggle covers a new VRT ordinal, so a new candidate
+	// needs no catch-up.
+	if r := d.shorter(c); r < d.watermark {
+		d.cand = append(d.cand, c)
+		if c.ord >= 0 {
+			d.markCand(c.ord)
+		}
+	} else if r < d.floor {
+		d.floor = r
+	}
 }
 
 func clampInt(v uint64) int {
@@ -210,30 +433,24 @@ func (d *DIMM) Bits() uint64 { return d.CapacityBytes * 8 }
 
 // Grow appends n freshly-activated weak cells to the DIMM, drawing
 // each exactly like fabrication does (position, retention from the
-// weak tail, polarity, VRT membership) and keeping the private VRT
-// index current. Field data says the weak-cell population is not
-// static (Qureshi et al., AVATAR, DSN 2015: new weak cells keep
+// weak tail, polarity, VRT membership) and keeping the VRT index and
+// the candidates current. Field data says the weak-cell population is
+// not static (Qureshi et al., AVATAR, DSN 2015: new weak cells keep
 // appearing at a roughly constant rate over a device's life); Grow is
 // the mechanism lifetime fast-forwards use to model that.
 func (d *DIMM) Grow(n int, model RetentionModel, src *rng.Source) {
 	if n <= 0 {
 		return
 	}
-	d.unshare()
+	if d.cellsShared {
+		d.Weak = append(d.spareWeak[:0], d.Weak...)
+		d.vrt = append(d.spareVRT[:0], d.vrt...)
+		d.spareWeak, d.spareVRT, d.cellsShared = nil, nil, false
+	}
 	bits := d.Bits()
 	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
 	for i := 0; i < n; i++ {
-		cell := WeakCell{
-			Offset:       src.Uint64() % bits,
-			RetentionSec: model.sampleWeakTail(pWeak, src),
-			TrueCell:     src.Bool(),
-		}
-		if src.Bernoulli(VRTFraction) {
-			cell.AltRetentionSec = cell.RetentionSec / VRTRetentionRatio
-			cell.LowState = src.Bool()
-			d.vrt = append(d.vrt, len(d.Weak))
-		}
-		d.Weak = append(d.Weak, cell)
+		d.addCell(bits, pWeak, model, src)
 	}
 }
 
@@ -383,43 +600,39 @@ type PatternTestResult struct {
 	BER       float64
 }
 
-// effectiveRetention returns the cell's retention at the system
-// temperature, honouring a VRT cell's current state.
-func (ms *MemorySystem) effectiveRetention(c WeakCell) float64 {
-	r := c.RetentionSec
-	if c.AltRetentionSec > 0 && c.LowState {
-		r = c.AltRetentionSec
-	}
-	return r * ms.Model.tempScale(ms.TempC)
-}
-
 // toggleVRT advances the random-telegraph state of every VRT cell in
 // the domain by one observation window.
 func toggleVRT(dom *Domain, src *rng.Source) {
 	toggleVRTWith(dom, VRTToggleProb, src)
 }
 
-// toggleVRTWith is the single telegraph walker behind the fine
-// (per-window) and coarse (fast-forward) toggles: one Bernoulli(p)
-// draw per VRT cell. Fabricated DIMMs carry a VRT index, so only the
-// ~10% VRT minority is visited; the draw order (cell order) is
-// identical to the full-scan fallback, so the stream — and therefore
-// every downstream fingerprint — is the same on both paths.
+// toggleVRTWith is the telegraph walker behind the fine (per-window)
+// and coarse (fast-forward) toggles: VRT cell j of a DIMM flips iff
+// Bernoulli(p) succeeds on its draw, the (j+1)th from where the DIMM's
+// toggle starts. Candidate cells read their draw through Peek and flip
+// at once; the rest are logged for a later fold, and the stream skips
+// the whole DIMM's draws, so the stream and every cell's state are
+// those of one Bernoulli draw per VRT cell in cell order. p <= 0 and
+// p >= 1 draw nothing, as Bernoulli does; a NaN p draws and never
+// flips.
 func toggleVRTWith(dom *Domain, p float64, src *rng.Source) {
-	for _, dimm := range dom.DIMMs {
-		dimm.unshare()
-		if dimm.vrt != nil {
-			for _, i := range dimm.vrt {
-				if src.Bernoulli(p) {
-					dimm.Weak[i].LowState = !dimm.Weak[i].LowState
+	thr := rng.Threshold(p)
+	drawn := !(p <= 0 || p >= 1)
+	for _, d := range dom.DIMMs {
+		n := len(d.vrt)
+		if thr > 0 && n > 0 {
+			for _, c := range d.cand {
+				if c.ord >= 0 && src.Peek(uint64(c.ord)+1)>>11 < thr {
+					d.flip(c.ord)
 				}
 			}
-			continue
-		}
-		for i := range dimm.Weak {
-			if dimm.Weak[i].AltRetentionSec > 0 && src.Bernoulli(p) {
-				dimm.Weak[i].LowState = !dimm.Weak[i].LowState
+			d.log = append(d.log, toggle{at: *src, count: n, thr: thr})
+			if len(d.log) == maxToggleLog {
+				d.fold()
 			}
+		}
+		if drawn {
+			src.Skip(uint64(n))
 		}
 	}
 }
@@ -447,21 +660,31 @@ func ToggleVRTCoarse(dom *Domain, windows int, src *rng.Source) {
 	toggleVRTWith(dom, CoarseToggleProb(windows), src)
 }
 
-// Reindex rebuilds every DIMM's private VRT index from its weak-cell
-// population: the index is a pure derivation of the exported cells,
-// and a DIMM built without it (a literal, or cells rewritten in place)
-// would fall back to the full weak-cell scan in the per-window
-// telegraph toggle.
+// Reindex rebuilds every DIMM's derived state from its weak cells: the
+// VRT index (the cells with an AltRetentionSec), the telegraph bitset,
+// in which every cell keeps its current state and a newly indexed one
+// starts in its long state, and an empty candidate set. A DIMM built
+// as a literal gets its derived state here.
 func (ms *MemorySystem) Reindex() {
 	for _, dom := range ms.Domains {
-		for _, dimm := range dom.DIMMs {
-			dimm.unshare()
-			dimm.vrt = dimm.vrt[:0]
-			for i := range dimm.Weak {
-				if dimm.Weak[i].AltRetentionSec > 0 {
-					dimm.vrt = append(dimm.vrt, i)
+		for _, d := range dom.DIMMs {
+			var vrt []int
+			var low []byte
+			for i := range d.Weak {
+				if !(d.Weak[i].AltRetentionSec > 0) {
+					continue
 				}
+				j := len(vrt)
+				if j&7 == 0 {
+					low = append(low, 0)
+				}
+				if d.LowState(i) {
+					low[j>>3] |= 1 << (j & 7)
+				}
+				vrt = append(vrt, i)
 			}
+			d.vrt, d.low, d.lowShared = vrt, low, false
+			d.reset()
 		}
 	}
 }
@@ -473,22 +696,22 @@ func (ms *MemorySystem) Reindex() {
 // if its retention (at temperature) is below the refresh interval and
 // the random pattern stored the leak-sensitive polarity (probability
 // 1/2 per cell).
+//
+// Only candidates can fail: the watermark admits every cell whose
+// shorter retention is below interval/scale, widened by
+// watermarkMargin, and each candidate still takes the exact
+// comparison in cell order, so the pattern draws are those of a scan
+// over every weak cell.
 func (ms *MemorySystem) RunPatternTest(dom *Domain, src *rng.Source) PatternTestResult {
 	res := PatternTestResult{Domain: dom.Name, Refresh: dom.Refresh, BitsRead: dom.Bits()}
 	toggleVRT(dom, src)
 	interval := dom.Refresh.Seconds()
-	// The temperature scale is per-system state, not per-cell: hoisting
-	// it replaces a math.Pow per cell with one multiply, computing the
-	// exact same product effectiveRetention would.
 	scale := ms.Model.tempScale(ms.TempC)
-	for _, dimm := range dom.DIMMs {
-		for i := range dimm.Weak {
-			cell := &dimm.Weak[i]
-			r := cell.RetentionSec
-			if cell.AltRetentionSec > 0 && cell.LowState {
-				r = cell.AltRetentionSec
-			}
-			if r*scale < interval && src.Bool() {
+	w := interval / scale * (1 + watermarkMargin)
+	for _, d := range dom.DIMMs {
+		d.raise(w)
+		for _, c := range d.cand {
+			if d.retention(c)*scale < interval && src.Bool() {
 				res.BitErrors++
 			}
 		}

@@ -360,13 +360,20 @@ func TestCriticalityString(t *testing.T) {
 	}
 }
 
-func BenchmarkPatternTest(b *testing.B) {
-	cfg := DefaultConfig()
-	ms, err := New(cfg, DefaultRetentionModel(), rng.New(1))
+// benchDomain is the first relaxed domain of a dram.DefaultConfig
+// system: the domain the lifetime and campaign workloads characterize.
+func benchDomain(b *testing.B) (*MemorySystem, *Domain) {
+	ms, err := New(DefaultConfig(), DefaultRetentionModel(), rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	dom := ms.RelaxedDomains()[0]
+	return ms, ms.RelaxedDomains()[0]
+}
+
+// BenchmarkRunPatternTest is one pattern-test pass at the longest
+// interval a characterization sweeps.
+func BenchmarkRunPatternTest(b *testing.B) {
+	ms, dom := benchDomain(b)
 	if err := dom.SetRefresh(5 * time.Second); err != nil {
 		b.Fatal(err)
 	}
@@ -374,5 +381,23 @@ func BenchmarkPatternTest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ms.RunPatternTest(dom, src)
+	}
+}
+
+// BenchmarkToggleVRTCoarse is one fast-forward day of telegraph
+// switching on a domain, after a 5 s pattern test has admitted the
+// candidates a characterization leaves behind. Deferred toggles fold
+// whenever the log fills, so their cost is included.
+func BenchmarkToggleVRTCoarse(b *testing.B) {
+	ms, dom := benchDomain(b)
+	if err := dom.SetRefresh(5 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(2)
+	ms.RunPatternTest(dom, src)
+	const windowsPerDay = 24 * 60
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ToggleVRTCoarse(dom, windowsPerDay, src)
 	}
 }

@@ -9,14 +9,15 @@ import (
 )
 
 // FlatMemory is the snapshot image of a MemorySystem: every DIMM's
-// weak-cell and VRT-index populations concatenated into two slabs, in
-// domain order, each domain and DIMM recording how many entries of
-// the next level it owns. It is built once per snapshot (Flatten) and
-// stamped into arena memory systems (StampInto), whose DIMMs alias the
-// slabs until they first write. A FlatMemory is immutable after
-// Flatten and safe for concurrent StampInto calls — and concurrent
-// reads through the stamped DIMMs — from many workers. Its fields are
-// exported for encoding only.
+// weak cells, VRT index and telegraph bitset concatenated into three
+// slabs, in domain order, each domain and DIMM recording how many
+// entries of the next level it owns (a DIMM with v VRT cells owns
+// ⌈v/8⌉ bitset bytes, bit j%8 of byte j/8 holding VRT cell j's state).
+// It is built once per snapshot (Flatten) and stamped into arena
+// memory systems (StampInto), whose DIMMs alias the slabs. A FlatMemory is immutable after Flatten and safe for
+// concurrent StampInto calls — and concurrent reads through the
+// stamped DIMMs — from many workers. Its fields are exported for
+// encoding only.
 type FlatMemory struct {
 	Model   RetentionModel
 	TempC   float64
@@ -24,6 +25,7 @@ type FlatMemory struct {
 	DIMMs   []FlatDIMM
 	Cells   CellSlab
 	VRT     []int
+	Low     []byte
 }
 
 // FlatDomain is one refresh domain of a FlatMemory, owning the next
@@ -36,14 +38,20 @@ type FlatDomain struct {
 }
 
 // FlatDIMM is one DIMM of a FlatMemory, owning the next Cells entries
-// of the cell slab and the next VRT entries of the VRT slab.
+// of the cell slab, the next VRT entries of the VRT slab and the next
+// ⌈VRT/8⌉ bytes of the telegraph bitset.
 type FlatDIMM struct {
 	CapacityBytes uint64
 	DeviceGb      int
 	Cells, VRT    int
 }
 
-// Flatten copies the memory system into its snapshot image. The image
+// lowBytes is the length of the telegraph bitset of v VRT cells.
+func lowBytes(v int) int { return (v + 7) / 8 }
+
+// Flatten copies the memory system into its snapshot image, with every
+// deferred VRT toggle applied to the image's bitset: an image holds
+// only materialized state, never a log or a candidate list. The image
 // shares no storage with ms, so ms may keep running; ms must not be
 // mutated concurrently.
 func (ms *MemorySystem) Flatten() *FlatMemory {
@@ -61,15 +69,20 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 			f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: d.CapacityBytes, DeviceGb: d.DeviceGb, Cells: len(d.Weak), VRT: len(d.vrt)})
 			f.Cells = append(f.Cells, d.Weak...)
 			f.VRT = append(f.VRT, d.vrt...)
+			lo := len(f.Low)
+			f.Low = append(f.Low, d.low...)
+			d.foldInto(f.Low[lo:])
 		}
 	}
 	return f
 }
 
 // Validate reports an image whose counts do not add up to its slabs,
-// whose VRT indices name cells outside their own DIMM, or whose DIMMs
-// have no capacity. A decoded image that passes stamps and runs
-// without indexing outside its slabs.
+// whose DIMMs have no capacity, whose cells have no positive
+// retention, whose VRT index is not exactly its DIMM's cells with an
+// AltRetentionSec in cell order, or whose bitset has bits set past its
+// VRT cells. A decoded image that passes stamps and runs without
+// indexing outside its slabs, exactly as the image Flatten wrote.
 func (f *FlatMemory) Validate() error {
 	dimms := 0
 	for _, fd := range f.Domains {
@@ -78,22 +91,38 @@ func (f *FlatMemory) Validate() error {
 		}
 		dimms += fd.DIMMs
 	}
-	cells, vrt := 0, 0
+	cells, vrt, low := 0, 0, 0
 	for i, d := range f.DIMMs {
-		if d.CapacityBytes == 0 || d.Cells < 0 || d.Cells > len(f.Cells)-cells || d.VRT < 0 || d.VRT > len(f.VRT)-vrt {
-			return fmt.Errorf("dram: DIMM %d (%d bytes) claims %d of %d cells and %d of %d VRT indices left",
-				i, d.CapacityBytes, d.Cells, len(f.Cells)-cells, d.VRT, len(f.VRT)-vrt)
+		if d.CapacityBytes == 0 || d.Cells < 0 || d.Cells > len(f.Cells)-cells || d.VRT < 0 || d.VRT > len(f.VRT)-vrt ||
+			lowBytes(d.VRT) > len(f.Low)-low {
+			return fmt.Errorf("dram: DIMM %d (%d bytes) claims %d of %d cells, %d of %d VRT indices and %d of %d bitset bytes left",
+				i, d.CapacityBytes, d.Cells, len(f.Cells)-cells, d.VRT, len(f.VRT)-vrt, lowBytes(d.VRT), len(f.Low)-low)
 		}
-		for _, v := range f.VRT[vrt : vrt+d.VRT] {
-			if v < 0 || v >= d.Cells {
-				return fmt.Errorf("dram: DIMM %d VRT index %d outside its %d cells", i, v, d.Cells)
+		index := f.VRT[vrt : vrt+d.VRT]
+		k := 0
+		for ci, c := range f.Cells[cells : cells+d.Cells] {
+			if !(c.RetentionSec > 0) {
+				return fmt.Errorf("dram: DIMM %d cell %d has retention %v", i, ci, c.RetentionSec)
 			}
+			if c.AltRetentionSec > 0 {
+				if k == len(index) || index[k] != ci {
+					return fmt.Errorf("dram: DIMM %d VRT index does not list VRT cell %d in order", i, ci)
+				}
+				k++
+			}
+		}
+		if k != len(index) {
+			return fmt.Errorf("dram: DIMM %d VRT index lists %d stable cells", i, len(index)-k)
+		}
+		low += lowBytes(d.VRT)
+		if d.VRT&7 != 0 && f.Low[low-1]>>(d.VRT&7) != 0 {
+			return fmt.Errorf("dram: DIMM %d bitset has bits past its %d VRT cells", i, d.VRT)
 		}
 		cells, vrt = cells+d.Cells, vrt+d.VRT
 	}
-	if dimms != len(f.DIMMs) || cells != len(f.Cells) || vrt != len(f.VRT) {
-		return fmt.Errorf("dram: image owns %d of %d DIMMs, %d of %d cells, %d of %d VRT indices",
-			dimms, len(f.DIMMs), cells, len(f.Cells), vrt, len(f.VRT))
+	if dimms != len(f.DIMMs) || cells != len(f.Cells) || vrt != len(f.VRT) || low != len(f.Low) {
+		return fmt.Errorf("dram: image owns %d of %d DIMMs, %d of %d cells, %d of %d VRT indices, %d of %d bitset bytes",
+			dimms, len(f.DIMMs), cells, len(f.Cells), vrt, len(f.VRT), low, len(f.Low))
 	}
 	return nil
 }
@@ -106,14 +135,15 @@ func (f *FlatMemory) Validate() error {
 // stamps, which lets an Allocator stamped alongside keep its
 // per-domain usage map keys stable.
 //
-// The weak-cell populations are stamped by reference: each DIMM's
-// Weak and VRT index alias capacity-clamped extents of the image's
-// slabs, and the DIMM is marked shared. The first write to a DIMM —
-// a VRT toggle, a pattern test, weak-cell growth, a reindex — copies
-// its extent into the DIMM's own buffer (unshare), so the slabs are
-// never written and any number of workers may stamp from and read
-// them concurrently. The buffer a DIMM owned before the stamp is kept
-// for that copy, so a warm arena's copy-on-write allocates nothing.
+// Nothing is copied: each DIMM's weak cells, VRT index and telegraph
+// bitset alias capacity-clamped extents of the image's slabs. Pattern
+// tests and toggles never write the cells or the index; Grow copies
+// them into the DIMM's own buffers before it appends. The bitset is
+// copied on its first write (own). So the slabs are never written and
+// any number of workers may stamp from and read them concurrently. The
+// buffers a DIMM owned before the stamp are kept for those copies, and
+// the derived candidate list and toggle log keep their storage, so a
+// warm arena allocates nothing.
 func (f *FlatMemory) StampInto(ms *MemorySystem) {
 	ms.Model = f.Model
 	ms.TempC = f.TempC
@@ -127,23 +157,26 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			ms.Domains[di] = dom
 		}
 	}
-	dimm, cell, vrt := 0, 0, 0
+	dimm, cell, vrt, low := 0, 0, 0, 0
 	for di, fd := range f.Domains {
 		dom := ms.Domains[di]
 		dom.Name, dom.Refresh, dom.Reliable = fd.Name, fd.Refresh, fd.Reliable
 		for _, d := range dom.DIMMs {
 			fdim := f.DIMMs[dimm]
+			n := lowBytes(fdim.VRT)
 			d.CapacityBytes, d.DeviceGb = fdim.CapacityBytes, fdim.DeviceGb
-			// Capacity-clamped, so even an append that bypassed unshare
-			// reallocates instead of overwriting a neighbour's cells; an
-			// owned DIMM parks its storage as the spare unshare reuses.
-			if !d.shared {
+			if !d.cellsShared {
 				d.spareWeak, d.spareVRT = d.Weak[:0], d.vrt[:0]
+			}
+			if !d.lowShared {
+				d.spareLow = d.low[:0]
 			}
 			d.Weak = f.Cells[cell : cell+fdim.Cells : cell+fdim.Cells]
 			d.vrt = f.VRT[vrt : vrt+fdim.VRT : vrt+fdim.VRT]
-			d.shared = true
-			dimm, cell, vrt = dimm+1, cell+fdim.Cells, vrt+fdim.VRT
+			d.low = f.Low[low : low+n : low+n]
+			d.cellsShared, d.lowShared = true, true
+			d.reset()
+			dimm, cell, vrt, low = dimm+1, cell+fdim.Cells, vrt+fdim.VRT, low+n
 		}
 	}
 }
@@ -170,8 +203,7 @@ type CellSlab []WeakCell
 
 const (
 	flagTrueCell = 1 << iota
-	flagLowState
-	flagVRT // AltRetentionSec follows
+	flagVRT      // AltRetentionSec follows
 )
 
 // GobEncode implements gob.GobEncoder.
@@ -183,9 +215,6 @@ func (s CellSlab) GobEncode() ([]byte, error) {
 		var flags byte
 		if c.TrueCell {
 			flags |= flagTrueCell
-		}
-		if c.LowState {
-			flags |= flagLowState
 		}
 		if c.AltRetentionSec != 0 {
 			flags |= flagVRT
@@ -212,14 +241,13 @@ func (s *CellSlab) GobDecode(b []byte) error {
 			return fmt.Errorf("dram: cell %d truncated", i)
 		}
 		flags := b[16]
-		if flags&^(flagTrueCell|flagLowState|flagVRT) != 0 {
+		if flags&^(flagTrueCell|flagVRT) != 0 {
 			return fmt.Errorf("dram: cell %d has unknown flags %#x", i, flags)
 		}
 		cells[i] = WeakCell{
 			Offset:       binary.LittleEndian.Uint64(b),
 			RetentionSec: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
 			TrueCell:     flags&flagTrueCell != 0,
-			LowState:     flags&flagLowState != 0,
 		}
 		b = b[17:]
 		if flags&flagVRT != 0 {

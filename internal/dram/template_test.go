@@ -5,7 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,14 +29,14 @@ func sharedSystem(t *testing.T) (*MemorySystem, *FlatMemory) {
 	return ms, ms.Flatten()
 }
 
-// digest hashes the image's slabs — the bytes every stamped DIMM reads
-// until its first write. A changed digest means some writer skipped
-// unshare.
+// digest hashes the image's slabs — the bytes every stamped DIMM reads.
+// A changed digest means some writer wrote through to the image.
 func digest(f *FlatMemory) [sha256.Size]byte {
 	b, _ := f.Cells.GobEncode()
 	for _, i := range f.VRT {
 		b = binary.LittleEndian.AppendUint64(b, uint64(i))
 	}
+	b = append(b, f.Low...)
 	return sha256.Sum256(b)
 }
 
@@ -43,129 +46,199 @@ func stamped(f *FlatMemory) *MemorySystem {
 	return ms
 }
 
-// aliases reports whether d's weak cells are the template slab's.
-func aliases(d *DIMM, f *FlatMemory) bool {
-	if len(d.Weak) == 0 {
-		return d.shared
-	}
-	for i := range f.Cells {
-		if &f.Cells[i] == &d.Weak[0] {
+// within reports whether a slice's first element lies inside a slab.
+func within[T any](x, slab []T) bool {
+	for i := range slab {
+		if &slab[i] == &x[:1][0] {
 			return true
 		}
 	}
 	return false
 }
 
+// aliases reports whether d's weak cells are the image slab's.
+func aliases(d *DIMM, f *FlatMemory) bool {
+	return len(d.Weak) == 0 || within(d.Weak, f.Cells)
+}
+
+// lowAliases reports whether d's telegraph bitset is the image's.
+func lowAliases(d *DIMM, f *FlatMemory) bool {
+	return len(d.low) == 0 || within(d.low, f.Low)
+}
+
 // TestStampSharesUntilFirstWrite pins the copy-on-write contract of
-// FlatMemory.StampInto for every mutator of the weak-cell population:
-// a stamped system aliases the image's slabs; the first write to a
-// DIMM gives it a private copy; the result is exactly what the same
+// FlatMemory.StampInto for every mutator of a DIMM: a stamped system
+// aliases the image's slabs; the weak cells stay aliased until growth
+// copies them; the telegraph bitset stays aliased until its first
+// write and is private after; the result is exactly what the same
 // write does to a second fabrication from the same seed; and the
 // image's slabs never change.
 func TestStampSharesUntilFirstWrite(t *testing.T) {
 	_, f := sharedSystem(t)
 	before := digest(f)
 	model := DefaultRetentionModel()
+	// other is a second image of the same shape: re-stamping an arena
+	// from it must not write through any buffer that aliases f.
+	cfg := DefaultConfig()
+	cfg.Channels, cfg.DIMMsPerChannel = 2, 2
+	otherMS, err := New(cfg, model, rng.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := otherMS.Flatten()
+	otherBefore := digest(other)
 	writers := []struct {
 		name string
 		// relaxedOnly: the writer touches only relaxed domains, so the
 		// reliable domain must stay shared.
 		relaxedOnly bool
-		do          func(ms *MemorySystem)
+		// grows: the writer appends weak cells.
+		grows bool
+		do    func(ms *MemorySystem)
 	}{
-		{"RunPatternTest", true, func(ms *MemorySystem) {
+		{"RunPatternTest", true, false, func(ms *MemorySystem) {
 			for _, dom := range ms.RelaxedDomains() {
 				ms.RunPatternTest(dom, rng.New(3))
 			}
 		}},
-		{"CharacterizeRefresh", true, func(ms *MemorySystem) {
+		{"CharacterizeRefresh", true, false, func(ms *MemorySystem) {
 			if _, err := ms.CharacterizeRefresh([]time.Duration{2 * time.Second, 5 * time.Second}, 2, rng.New(4)); err != nil {
 				t.Fatal(err)
 			}
+			s := rng.New(5)
+			for _, dom := range ms.RelaxedDomains() {
+				ToggleVRTCoarse(dom, 500, s)
+			}
 		}},
-		{"ToggleVRTCoarse", false, func(ms *MemorySystem) {
+		{"ToggleVRTCoarse", false, false, func(ms *MemorySystem) {
 			s := rng.New(5)
 			for _, dom := range ms.Domains {
 				ToggleVRTCoarse(dom, 500, s)
 			}
 		}},
-		{"GrowWeakCells", false, func(ms *MemorySystem) {
+		{"GrowWeakCells", false, true, func(ms *MemorySystem) {
 			s := rng.New(6)
 			for _, dom := range ms.Domains {
 				GrowWeakCells(dom, 30, 50, model, s)
 			}
 		}},
-		{"Grow", false, func(ms *MemorySystem) {
+		{"Grow", false, true, func(ms *MemorySystem) {
 			for _, dom := range ms.Domains {
 				for _, d := range dom.DIMMs {
 					d.Grow(40, model, rng.New(7))
 				}
 			}
 		}},
-		{"Reindex", false, func(ms *MemorySystem) { ms.Reindex() }},
+		{"Reindex", false, false, func(ms *MemorySystem) { ms.Reindex() }},
+		{"ReindexRestampGrow", false, true, func(ms *MemorySystem) {
+			ms.Reindex()
+			other.StampInto(ms)
+			for _, dom := range ms.Domains {
+				for _, d := range dom.DIMMs {
+					d.Grow(40, model, rng.New(8))
+				}
+			}
+		}},
 	}
+	owned := 0
 	for _, w := range writers {
 		t.Run(w.name, func(t *testing.T) {
 			ms := stamped(f)
 			for _, dom := range ms.Domains {
 				for _, d := range dom.DIMMs {
-					if !d.shared || !aliases(d, f) {
-						t.Fatal("stamped DIMM does not alias the template slab")
+					if !d.lowShared || !aliases(d, f) || !lowAliases(d, f) {
+						t.Fatal("stamped DIMM does not alias the image slabs")
 					}
 				}
 			}
 			ref, _ := sharedSystem(t)
 			w.do(ms)
 			w.do(ref)
-			for di, dom := range ms.Domains {
+			for _, dom := range ms.Domains {
 				for i, d := range dom.DIMMs {
-					wantShared := w.relaxedOnly && dom.Reliable
-					if d.shared != wantShared || aliases(d, f) != wantShared {
-						t.Fatalf("domain %s DIMM %d: shared=%t aliases=%t after %s, want %t",
-							dom.Name, i, d.shared, aliases(d, f), w.name, wantShared)
+					untouched := w.relaxedOnly && dom.Reliable
+					if aliases(d, f) != (untouched || !w.grows) {
+						t.Fatalf("domain %s DIMM %d: cells alias the image=%t after %s", dom.Name, i, aliases(d, f), w.name)
 					}
-					r := ref.Domains[di].DIMMs[i]
-					if !reflect.DeepEqual(d.Weak, r.Weak) || !reflect.DeepEqual(append([]int{}, d.vrt...), append([]int{}, r.vrt...)) {
-						t.Fatalf("domain %s DIMM %d: copy-on-write result differs from a fresh fabrication's", dom.Name, i)
+					imageLow := lowAliases(d, f) || lowAliases(d, other)
+					if d.lowShared != imageLow || untouched && !d.lowShared {
+						t.Fatalf("domain %s DIMM %d: shared=%t, bitset aliases an image=%t after %s",
+							dom.Name, i, d.lowShared, imageLow, w.name)
+					}
+					if !d.lowShared {
+						owned++
 					}
 				}
 			}
-			if digest(f) != before {
+			if err := sameSystems(ms, ref); err != nil {
+				t.Fatalf("copy-on-write result differs from a fresh fabrication's: %v", err)
+			}
+			if digest(f) != before || digest(other) != otherBefore {
 				t.Fatalf("%s wrote through to the image slabs", w.name)
 			}
 		})
 	}
+	if owned == 0 {
+		t.Fatal("no writer wrote a telegraph bitset; the copy-on-write path went unexercised")
+	}
 }
 
-// TestRestampAfterUnshareShares pins that a written (unshared) arena
-// goes back to aliasing the template on its next stamp, keeping the
-// private buffer its copy-on-write made as the spare for the next one
-// — so a warm stamp+write cycle allocates nothing.
+// sameSystems reports the first cell, VRT index entry or telegraph
+// state in which two memory systems differ.
+func sameSystems(a, b *MemorySystem) error {
+	for di, dom := range a.Domains {
+		for i, d := range dom.DIMMs {
+			r := b.Domains[di].DIMMs[i]
+			if !slices.Equal(d.Weak, r.Weak) || !slices.Equal(d.vrt, r.vrt) {
+				return fmt.Errorf("domain %s DIMM %d: cells or VRT index differ", dom.Name, i)
+			}
+			for c := range d.Weak {
+				if d.LowState(c) != r.LowState(c) {
+					return fmt.Errorf("domain %s DIMM %d cell %d: telegraph state differs", dom.Name, i, c)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestRestampAfterUnshareShares pins that a written arena, whose
+// telegraph bitset and grown cells went private, goes back to aliasing
+// the image on its next stamp, keeping the private buffers as the
+// spares for the next copies — so a warm stamp+write cycle allocates
+// nothing.
 func TestRestampAfterUnshareShares(t *testing.T) {
 	_, f := sharedSystem(t)
 	ms := stamped(f)
-	d := ms.Domains[1].DIMMs[0]
-	ToggleVRTCoarse(ms.Domains[1], 100, rng.New(1))
-	if d.shared {
-		t.Fatal("toggle left the DIMM shared")
+	dom := ms.Domains[1]
+	d := dom.DIMMs[0]
+	write := func(src *rng.Source) {
+		if err := dom.SetRefresh(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		ms.RunPatternTest(dom, src)
+		ToggleVRTCoarse(dom, 1440, src)
+		d.Grow(5, ms.Model, src)
 	}
-	private := &d.Weak[0]
+	write(rng.New(1))
+	if d.lowShared || lowAliases(d, f) || d.cellsShared || aliases(d, f) {
+		t.Fatal("a pattern test, a coarse toggle and growth left the DIMM shared")
+	}
+	private, privateCells := &d.low[0], &d.Weak[0]
 	f.StampInto(ms)
 	if ms.Domains[1].DIMMs[0] != d {
 		t.Fatal("same-shape stamp replaced the DIMM object")
 	}
-	if !d.shared || !aliases(d, f) {
-		t.Fatal("re-stamp after unshare does not share the template slab")
+	if !d.lowShared || !d.cellsShared || !aliases(d, f) || !lowAliases(d, f) {
+		t.Fatal("re-stamp after a write does not share the image slabs")
 	}
-	if &d.spareWeak[:1][0] != private {
-		t.Fatal("re-stamp dropped the DIMM's private buffer")
+	if &d.spareLow[:1][0] != private || &d.spareWeak[:1][0] != privateCells {
+		t.Fatal("re-stamp dropped the DIMM's private buffers")
 	}
 	src := rng.New(2)
 	allocs := testing.AllocsPerRun(20, func() {
 		f.StampInto(ms)
-		for _, dom := range ms.Domains {
-			ToggleVRTCoarse(dom, 100, src)
-		}
+		write(src)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm stamp + copy-on-write allocates %.0f times, want 0", allocs)
@@ -180,16 +253,27 @@ func TestFlatMemoryValidate(t *testing.T) {
 		t.Fatalf("flattened image refused: %v", err)
 	}
 	breaks := map[string]func(f *FlatMemory){
-		"domain overrun":   func(f *FlatMemory) { f.Domains[1].DIMMs++ },
-		"domain negative":  func(f *FlatMemory) { f.Domains[0].DIMMs, f.Domains[1].DIMMs = -1, 5 },
-		"uncovered DIMM":   func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
-		"cell overrun":     func(f *FlatMemory) { f.DIMMs[3].Cells++ },
-		"cell negative":    func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
-		"uncovered cells":  func(f *FlatMemory) { f.Cells = append(f.Cells, WeakCell{}) },
-		"vrt overrun":      func(f *FlatMemory) { f.DIMMs[3].VRT++ },
-		"vrt outside DIMM": func(f *FlatMemory) { f.VRT[0] = f.DIMMs[0].Cells },
-		"negative vrt":     func(f *FlatMemory) { f.VRT[0] = -1 },
-		"no capacity":      func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
+		"domain overrun":     func(f *FlatMemory) { f.Domains[1].DIMMs++ },
+		"domain negative":    func(f *FlatMemory) { f.Domains[0].DIMMs, f.Domains[1].DIMMs = -1, 5 },
+		"uncovered DIMM":     func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
+		"cell overrun":       func(f *FlatMemory) { f.DIMMs[3].Cells++ },
+		"cell negative":      func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
+		"uncovered cells":    func(f *FlatMemory) { f.Cells = append(f.Cells, WeakCell{RetentionSec: 1}) },
+		"vrt overrun":        func(f *FlatMemory) { f.DIMMs[3].VRT++ },
+		"vrt outside DIMM":   func(f *FlatMemory) { f.VRT[0] = f.DIMMs[0].Cells },
+		"negative vrt":       func(f *FlatMemory) { f.VRT[0] = -1 },
+		"vrt out of order":   func(f *FlatMemory) { f.VRT[0], f.VRT[1] = f.VRT[1], f.VRT[0] },
+		"stable cell listed": func(f *FlatMemory) { f.Cells[f.VRT[0]].AltRetentionSec = 0 },
+		"VRT cell unlisted":  func(f *FlatMemory) { f.Cells[f.VRT[0]+1].AltRetentionSec = 1 },
+		"no retention":       func(f *FlatMemory) { f.Cells[2].RetentionSec = 0 },
+		"NaN retention":      func(f *FlatMemory) { f.Cells[2].RetentionSec = math.NaN() },
+		"bitset overrun":     func(f *FlatMemory) { f.Low = f.Low[:len(f.Low)-1] },
+		"uncovered bitset":   func(f *FlatMemory) { f.Low = append(f.Low, 0) },
+		"bit past VRT cells": func(f *FlatMemory) { f.Low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
+		"no capacity":        func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
+	}
+	if f.DIMMs[0].VRT%8 == 0 || f.VRT[0]+1 == f.VRT[1] {
+		t.Fatal("the image no longer exercises a padded bitset word or an unlisted-cell break")
 	}
 	for name, brk := range breaks {
 		_, g := sharedSystem(t)

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,38 +28,44 @@ func TestVRTPopulationExists(t *testing.T) {
 }
 
 func TestEffectiveRetentionHonoursState(t *testing.T) {
-	ms := newTestSystem(t, 93)
-	cell := WeakCell{RetentionSec: 6, AltRetentionSec: 4}
-	long := ms.effectiveRetention(cell)
-	cell.LowState = true
-	short := ms.effectiveRetention(cell)
-	if short >= long {
+	d := &DIMM{CapacityBytes: 1 << 20, Weak: []WeakCell{{RetentionSec: 6, AltRetentionSec: 4}, {RetentionSec: 6}}}
+	ms := &MemorySystem{Domains: []*Domain{{DIMMs: []*DIMM{d}}}}
+	ms.Reindex()
+	vrtCell, stable := candidate{cell: 0, ord: 0}, candidate{cell: 1, ord: -1}
+	long := d.retention(vrtCell)
+	d.flip(0)
+	if !d.LowState(0) {
+		t.Fatal("flip did not move the VRT cell to its short state")
+	}
+	if short := d.retention(vrtCell); short >= long {
 		t.Fatalf("low state retention %v not below long %v", short, long)
 	}
-	stable := WeakCell{RetentionSec: 6}
-	stable.LowState = true // meaningless for stable cells
-	if ms.effectiveRetention(stable) != long*(6.0/6.0) {
-		t.Fatal("stable cell affected by state flag")
+	if d.LowState(1) || d.retention(stable) != 6 {
+		t.Fatal("stable cell affected by the telegraph state")
 	}
 }
 
 func TestToggleVRTOnlyTouchesVRTCells(t *testing.T) {
 	ms := newTestSystem(t, 95)
 	dom := ms.RelaxedDomains()[0]
-	before := make(map[int]bool)
-	for i, c := range dom.DIMMs[0].Weak {
-		if c.AltRetentionSec == 0 {
-			before[i] = c.LowState
-		}
-	}
 	src := rng.New(1)
 	for k := 0; k < 50; k++ {
 		toggleVRT(dom, src)
 	}
-	for i, want := range before {
-		if dom.DIMMs[0].Weak[i].LowState != want {
+	d := dom.DIMMs[0]
+	for i, c := range d.Weak {
+		if c.AltRetentionSec == 0 && d.LowState(i) {
 			t.Fatal("stable cell state mutated")
 		}
+	}
+}
+
+// setLow puts cell i of a DIMM in the given telegraph state.
+func setLow(d *DIMM, i int, low bool) {
+	if d.LowState(i) != low {
+		j, _ := slices.BinarySearch(d.vrt, i)
+		d.fold()
+		d.flip(j)
 	}
 }
 
@@ -80,11 +87,11 @@ func TestVRTJustifiesDerate(t *testing.T) {
 			RetentionSec:    3,
 			TrueCell:        true,
 			AltRetentionSec: 2,
-			LowState:        false,
 		}},
 	}
 	dom := &Domain{Name: "planted", DIMMs: []*DIMM{dimm}, Refresh: vfr.NominalRefresh}
 	ms := &MemorySystem{Model: DefaultRetentionModel(), Domains: []*Domain{dom}, TempC: 45}
+	ms.Reindex()
 
 	// Characterization with a toggle-free stream: the cell stays high.
 	points, err := ms.CharacterizeRefresh(
@@ -102,7 +109,7 @@ func TestVRTJustifiesDerate(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reset the cell to the state characterization left it in.
-		dimm.Weak[0].LowState = false
+		setLow(dimm, 0, false)
 		total := 0
 		src := rng.New(seed)
 		for w := 0; w < windows; w++ {
@@ -150,40 +157,43 @@ func TestCoarseToggleProbClosedForm(t *testing.T) {
 }
 
 // TestToggleVRTCoarseTouchesOnlyVRT checks the coarse toggle flips
-// only VRT cells and matches the index-free path draw for draw.
+// only VRT cells and matches the sequential reference draw for draw,
+// with and without candidates to flip eagerly.
 func TestToggleVRTCoarseTouchesOnlyVRT(t *testing.T) {
 	model := DefaultRetentionModel()
-	mkDom := func(seed uint64) *Domain {
-		return &Domain{
-			Name:    "d",
-			DIMMs:   []*DIMM{NewDIMM(1<<30, 2, model, rng.New(seed))},
-			Refresh: 64 * time.Millisecond,
+	cfg := Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 1 << 30, DeviceGb: 2, TempC: 45}
+	for _, admit := range []bool{false, true} {
+		ms, err := New(cfg, model, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	a, b := mkDom(7), mkDom(7)
-	// Strip b's index so it exercises the fallback scan; the resulting
-	// states must be identical (same Bernoulli order).
-	for _, dimm := range b.DIMMs {
-		dimm.vrt = nil
-	}
-	ToggleVRTCoarse(a, 90*24*60, rng.New(3))
-	ToggleVRTCoarse(b, 90*24*60, rng.New(3))
-	for di, dimm := range a.DIMMs {
-		for i, cell := range dimm.Weak {
-			other := b.DIMMs[di].Weak[i]
-			if cell.LowState != other.LowState {
-				t.Fatalf("indexed and fallback coarse toggles diverged at cell %d", i)
-			}
-			if cell.AltRetentionSec == 0 && cell.LowState {
+		ref := newRefSystem(cfg, model, rng.New(7))
+		if admit {
+			ms.Domains[1].DIMMs[0].raise(8)
+		}
+		src, refSrc := rng.New(3), rng.New(3)
+		for day := 0; day < 90; day++ {
+			ToggleVRTCoarse(ms.Domains[1], 24*60, src)
+			refToggle(ref.domains[1], CoarseToggleProb(24*60), refSrc)
+		}
+		if src.State() != refSrc.State() {
+			t.Fatal("coarse toggles left the stream elsewhere than the reference")
+		}
+		if err := sameState(ms, ref); err != nil {
+			t.Fatalf("admit=%t: %v", admit, err)
+		}
+		d := ms.Domains[1].DIMMs[0]
+		for i, cell := range d.Weak {
+			if cell.AltRetentionSec == 0 && d.LowState(i) {
 				t.Fatalf("coarse toggle flipped a non-VRT cell %d", i)
 			}
 		}
 	}
 }
 
-// TestReindexRebuildsVRTIndex checks a cleared index is rebuilt
-// equivalent to the fabricated one: the indexed fast path and a
-// freshly reindexed system produce identical toggles.
+// TestReindexRebuildsVRTIndex checks Reindex rebuilds a cleared index
+// and keeps every cell's telegraph state, deferred toggles included:
+// a reindexed system toggles on exactly like one that never was.
 func TestReindexRebuildsVRTIndex(t *testing.T) {
 	model := DefaultRetentionModel()
 	cfg := Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 1 << 30, DeviceGb: 2, TempC: 45}
@@ -191,25 +201,21 @@ func TestReindexRebuildsVRTIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(cfg, model, rng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dom := range ms.Domains {
-		for _, dimm := range dom.DIMMs {
-			dimm.vrt = nil
-		}
+	ref := newRefSystem(cfg, model, rng.New(11))
+	src, refSrc := rng.New(5), rng.New(5)
+	for di, dom := range ms.Domains {
+		ToggleVRTCoarse(dom, 1440, src)
+		refToggle(ref.domains[di], CoarseToggleProb(1440), refSrc)
 	}
 	ms.Reindex()
+	if err := sameState(ms, ref); err != nil {
+		t.Fatalf("reindex changed the state: %v", err)
+	}
 	for di, dom := range ms.Domains {
-		ToggleVRTCoarse(dom, 1440, rng.New(5))
-		ToggleVRTCoarse(ref.Domains[di], 1440, rng.New(5))
-		for dj, dimm := range dom.DIMMs {
-			for i := range dimm.Weak {
-				if dimm.Weak[i].LowState != ref.Domains[di].DIMMs[dj].Weak[i].LowState {
-					t.Fatalf("reindexed toggle diverged at domain %d dimm %d cell %d", di, dj, i)
-				}
-			}
-		}
+		ToggleVRTCoarse(dom, 1440, src)
+		refToggle(ref.domains[di], CoarseToggleProb(1440), refSrc)
+	}
+	if err := sameState(ms, ref); err != nil {
+		t.Fatalf("reindexed toggle diverged: %v", err)
 	}
 }

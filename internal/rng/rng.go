@@ -72,10 +72,29 @@ func (s *Source) SplitWith(l Label) Source {
 // Uint64 returns the next value of the stream.
 func (s *Source) Uint64() uint64 {
 	s.state += goldenGamma
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return mix(s.state)
+}
+
+// mix is SplitMix64's output function. Draw k of a stream whose state
+// is x is mix(x + k·γ), so every position is addressable in O(1).
+func mix(x uint64) uint64 {
+	y := (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	z := (y ^ (y >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// Skip advances the stream past its next n draws, as n calls to
+// Uint64 would, in O(1).
+func (s *Source) Skip(n uint64) {
+	s.state += n * goldenGamma
+}
+
+// Peek returns draw k counted from the current position without
+// advancing the stream: Peek(1) is what the next Uint64 returns, and
+// Peek(0) is what the previous one returned. A block of draws read
+// through Peek has no serial dependency between its members.
+func (s *Source) Peek(k uint64) uint64 {
+	return mix(s.state + k*goldenGamma)
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -101,7 +120,9 @@ func (s *Source) Bool() bool {
 	return s.Uint64()&1 == 1
 }
 
-// Bernoulli returns true with probability p (clamped to [0, 1]).
+// Bernoulli returns true with probability p (clamped to [0, 1]). It
+// draws nothing when p <= 0 or p >= 1, and one value otherwise (a NaN
+// p draws one and returns false).
 func (s *Source) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
@@ -109,7 +130,22 @@ func (s *Source) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.Float64() < p
+	return s.Uint64()>>11 < Threshold(p)
+}
+
+// Threshold is Bernoulli's integer form: for 0 < p < 1 a draw u is a
+// success iff u>>11 < Threshold(p). It equals Float64() < p exactly,
+// because u>>11 and p·2^53 are both exact in float64 and the first is
+// an integer, so it compares against the ceiling of the second. It is
+// 0 for p <= 0 and NaN (never a success) and 2^53 for p >= 1 (always).
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Range returns a uniform value in [lo, hi). It panics if hi < lo.

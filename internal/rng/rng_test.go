@@ -244,6 +244,156 @@ func TestBernoulliExtremes(t *testing.T) {
 	}
 }
 
+// refBernoulli is Bernoulli as the float comparison it replaced: the
+// sequential reference the integer threshold must match draw for draw.
+func refBernoulli(s *Source, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return s.Float64() < p
+}
+
+// bernoulliEdges are the probabilities the simulators and the
+// equivalence tests exercise: the no-draw edges, the smallest
+// subnormal, the DRAM telegraph's per-window toggle (0.02) and its
+// one-day closed form (0.5·(1−(1−2·0.02)^1440)), and the largest
+// float below 1.
+var bernoulliEdges = []float64{
+	math.NaN(), math.Copysign(0, -1), 0, 5e-324, 1e-9, 0.02,
+	0.5 * (1 - math.Pow(1-2*0.02, 1440)), 0.5, math.Nextafter(1, 0), 1,
+}
+
+// TestBernoulliMatchesFloatReference: the integer-threshold Bernoulli
+// returns what the float comparison did and leaves the stream where it
+// did, after every call, at every edge probability.
+func TestBernoulliMatchesFloatReference(t *testing.T) {
+	for _, p := range bernoulliEdges {
+		a, b := New(53), New(53)
+		for i := 0; i < 20000; i++ {
+			got, want := a.Bernoulli(p), refBernoulli(b, p)
+			if got != want || a.State() != b.State() {
+				t.Fatalf("p=%g call %d: got %t state %#x, reference %t state %#x", p, i, got, a.State(), want, b.State())
+			}
+		}
+	}
+}
+
+// TestThresholdIsExact: a draw succeeds under the integer threshold
+// iff its float form is below p, checked at the threshold itself,
+// which by monotonicity covers every draw.
+func TestThresholdIsExact(t *testing.T) {
+	for _, p := range bernoulliEdges {
+		if !(p > 0 && p < 1) {
+			continue
+		}
+		th := Threshold(p)
+		if th == 0 || th > 1<<53 {
+			t.Fatalf("p=%g: threshold %d outside (0, 2^53]", p, th)
+		}
+		if float64(th-1)/(1<<53) >= p {
+			t.Fatalf("p=%g: draw %d below the threshold is not a float success", p, th-1)
+		}
+		if th < 1<<53 && float64(th)/(1<<53) < p {
+			t.Fatalf("p=%g: draw %d at the threshold is a float success", p, th)
+		}
+	}
+	if Threshold(math.NaN()) != 0 || Threshold(-1) != 0 || Threshold(1) != 1<<53 || Threshold(2) != 1<<53 {
+		t.Fatal("threshold edges wrong")
+	}
+}
+
+// skipCounts are the Skip/Peek distances the counter-addressing
+// property is checked at.
+var skipCounts = []uint64{0, 1, 1 << 32, math.MaxUint64}
+
+// TestSkipMatchesSequential: Skip(n) leaves the stream where n Uint64
+// calls would. Distances too long to draw one by one are composed from
+// a checked shorter one (2^32 = 2^16 skips of 2^16) or checked through
+// wraparound (2^64−1 steps back exactly one draw).
+func TestSkipMatchesSequential(t *testing.T) {
+	seq := func(seed, n uint64) uint64 {
+		s := New(seed)
+		for i := uint64(0); i < n; i++ {
+			s.Uint64()
+		}
+		return s.State()
+	}
+	skip := func(seed, n uint64) uint64 {
+		s := New(seed)
+		s.Skip(n)
+		return s.State()
+	}
+	for _, seed := range []uint64{0, 7, math.MaxUint64} {
+		for _, n := range []uint64{0, 1, 2, 1 << 16} {
+			if got, want := skip(seed, n), seq(seed, n); got != want {
+				t.Fatalf("seed %d: Skip(%d) state %#x, sequential %#x", seed, n, got, want)
+			}
+		}
+		s := New(seed)
+		for i := 0; i < 1<<16; i++ {
+			s.Skip(1 << 16)
+		}
+		if got := skip(seed, 1<<32); got != s.State() {
+			t.Fatalf("seed %d: Skip(2^32) %#x, 2^16 skips of 2^16 %#x", seed, got, s.State())
+		}
+		s = New(seed)
+		last := s.Uint64()
+		s.Skip(math.MaxUint64)
+		if got := s.Uint64(); got != last || s.State() != seq(seed, 1) {
+			t.Fatalf("seed %d: Skip(2^64-1) did not step back one draw", seed)
+		}
+		for _, n := range skipCounts {
+			a := New(seed)
+			a.Skip(n)
+			a.Skip(-n)
+			if a.State() != seed {
+				t.Fatalf("seed %d: Skip(%d) then Skip(-%d) moved the stream", seed, n, n)
+			}
+		}
+	}
+}
+
+// TestPeekMatchesSequential: Peek(k) is draw k from the current
+// position (Peek(k) = Skip(k−1) then Uint64, Peek(0) the previous
+// draw) and never moves the stream.
+func TestPeekMatchesSequential(t *testing.T) {
+	for _, seed := range []uint64{0, 7, math.MaxUint64} {
+		s := New(seed)
+		prev := s.Uint64()
+		cur := s.Uint64()
+		state := s.State()
+		for _, k := range skipCounts {
+			got := s.Peek(k)
+			if s.State() != state {
+				t.Fatalf("seed %d: Peek(%d) moved the stream", seed, k)
+			}
+			var want uint64
+			switch k {
+			case 0:
+				want = cur
+			case math.MaxUint64:
+				want = prev
+			default:
+				r := FromState(state)
+				r.Skip(k - 1)
+				want = r.Uint64()
+			}
+			if got != want {
+				t.Fatalf("seed %d: Peek(%d) = %#x, want %#x", seed, k, got, want)
+			}
+		}
+		r := FromState(state)
+		for k := uint64(1); k <= 64; k++ {
+			if got, want := s.Peek(k), r.Uint64(); got != want {
+				t.Fatalf("seed %d: Peek(%d) = %#x, sequential draw %#x", seed, k, got, want)
+			}
+		}
+	}
+}
+
 func TestChoiceWeighting(t *testing.T) {
 	s := New(41)
 	counts := make([]int, 3)

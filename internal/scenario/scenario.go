@@ -261,10 +261,10 @@ func partByName(name string) (cpu.PartSpec, error) {
 	return cpu.PartSpec{}, fmt.Errorf("scenario: unknown silicon bin %q (known: %v)", name, PartNames())
 }
 
-// totalWindows is the full simulated window axis: per-epoch windows
+// TotalWindows is the full simulated window axis: per-epoch windows
 // times epochs. Scheduled features (mode switches, attacks, ambient
 // phases, bursts) index this axis.
-func (s Scenario) totalWindows() int {
+func (s Scenario) TotalWindows() int {
 	if s.Lifetime.enabled() {
 		return s.Windows * s.Lifetime.Epochs
 	}
@@ -360,8 +360,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: weak-cell growth set without Epochs > 1 (growth only advances across lifetime gaps)", s.Name)
 	}
 	for _, sw := range s.ModeSwitches {
-		if sw.Window < 0 || sw.Window >= s.totalWindows() {
-			return fmt.Errorf("scenario %s: mode switch window %d outside [0,%d)", s.Name, sw.Window, s.totalWindows())
+		if sw.Window < 0 || sw.Window >= s.TotalWindows() {
+			return fmt.Errorf("scenario %s: mode switch window %d outside [0,%d)", s.Name, sw.Window, s.TotalWindows())
 		}
 		if sw.Node < -1 || sw.Node >= s.Nodes {
 			return fmt.Errorf("scenario %s: mode switch node %d outside [-1,%d)", s.Name, sw.Node, s.Nodes)
@@ -374,8 +374,8 @@ func (s Scenario) Validate() error {
 		if at.Node < 0 || at.Node >= s.Nodes {
 			return fmt.Errorf("scenario %s: attack node %d outside [0,%d)", s.Name, at.Node, s.Nodes)
 		}
-		if at.Window < 0 || at.Window >= s.totalWindows() {
-			return fmt.Errorf("scenario %s: attack window %d outside [0,%d)", s.Name, at.Window, s.totalWindows())
+		if at.Window < 0 || at.Window >= s.TotalWindows() {
+			return fmt.Errorf("scenario %s: attack window %d outside [0,%d)", s.Name, at.Window, s.TotalWindows())
 		}
 		if at.Windows <= 0 {
 			return fmt.Errorf("scenario %s: attack duration must be positive", s.Name)
@@ -398,13 +398,13 @@ func (s Scenario) Scale(nodes, windows int) Scenario {
 		windows = s.Windows
 	}
 	// Window-indexed features live on the total axis (all epochs
-	// concatenated, totalWindows), so both the ratio and the clamp
+	// concatenated, TotalWindows), so both the ratio and the clamp
 	// bound must use totals — per-epoch Windows would fold a
 	// later-epoch feature into epoch 0 on lifetime scenarios.
-	oldTotal := s.totalWindows()
+	oldTotal := s.TotalWindows()
 	scaled := s
 	scaled.Windows = windows
-	newTotal := scaled.totalWindows()
+	newTotal := scaled.TotalWindows()
 	remapW := func(w int) int {
 		if oldTotal == 0 {
 			return 0
@@ -568,7 +568,7 @@ func (s Scenario) FleetConfig(seed uint64) (fleet.Config, error) {
 		p := pert[pertKey{at.Node, at.Window}]
 		p.Workload = &virus
 		pert[pertKey{at.Node, at.Window}] = p
-		if end := at.Window + at.Windows; end < s.totalWindows() {
+		if end := at.Window + at.Windows; end < s.TotalWindows() {
 			wl := base.Workload
 			p := pert[pertKey{at.Node, end}]
 			p.Workload = &wl
@@ -582,8 +582,8 @@ func (s Scenario) FleetConfig(seed uint64) (fleet.Config, error) {
 	// never fight).
 	var ambient []fleet.Ambient
 	if !s.Ambient.static() {
-		ambient = make([]fleet.Ambient, s.totalWindows())
-		for w := 0; w < s.totalWindows(); w++ {
+		ambient = make([]fleet.Ambient, s.TotalWindows())
+		for w := 0; w < s.TotalWindows(); w++ {
 			c, d := s.Ambient.At(w)
 			ambient[w] = fleet.Ambient{CPUC: c, DIMMC: d}
 		}
