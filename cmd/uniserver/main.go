@@ -3,19 +3,20 @@
 // pre-deployment characterization (StressLog with GA viruses, fault
 // injection with selective protection, Predictor training), then
 // deployment at the advised extended operating point, then a monitored
-// runtime with error masking. With -nodes N it drives the concurrent
-// fleet engine: N nodes characterize and step in parallel across
-// -workers goroutines, feeding per-epoch health into the
-// reliability-aware cloud scheduler, with a deterministic aggregate
-// summary (same seed, same summary, at any worker count).
+// runtime with error masking.
 //
-// The scenario layer sits on top: -list-scenarios names the bundled
-// presets, -scenario runs one of them (silicon-bin mixes, thermal
-// seasons, bursty tenants, mode churn, droop attacks), and -campaign
-// fans a scenario×seed grid out in parallel, printing the comparative
-// per-scenario metrics and (with -report) a machine-readable JSON
-// report. Scenario runs print a fingerprint hash: same preset, same
-// seed — same hash, at any worker count.
+// Every fleet run goes through the scenario layer. -scenario runs a
+// bundled preset (silicon-bin mixes, thermal seasons, bursty tenants,
+// mode churn, droop attacks; -list-scenarios names them), and -nodes N
+// lowers the fleet flags (-windows, -mode, -risk, -lifetime,
+// -drift-margin, -ecc-loop, -archetypes, -shards) onto an inline
+// scenario. Either way N nodes characterize and step in parallel
+// across -workers goroutines, feeding per-epoch health into the
+// reliability-aware cloud scheduler, and the run prints a fingerprint
+// hash: same scenario, same seed — same hash, at any worker count.
+// -campaign fans a scenario×seed grid out in parallel, printing the
+// comparative per-scenario metrics and (with -report) a
+// machine-readable JSON report.
 //
 // Two subcommands wrap the campaign layer in a persistent service:
 // `uniserver serve` runs the HTTP campaign service (submissions stream
@@ -74,71 +75,70 @@ func main() {
 			return
 		}
 	}
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	seed := flag.Uint64("seed", 1, "simulation seed (same seed, same outcomes)")
-	mode := flag.String("mode", "high-performance", "operating mode: nominal | high-performance | low-power")
-	risk := flag.Float64("risk", 0.01, "per-window failure-probability target")
-	windows := flag.Int("windows", 120, "runtime observation windows to simulate")
-	logfile := flag.String("healthlog", "", "write the HealthLog JSON-lines file here")
-	closedLoop := flag.Bool("closed-loop", false,
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("uniserver", flag.ExitOnError)
+	seed := fs.Uint64("seed", 1, "simulation seed (same seed, same outcomes)")
+	mode := fs.String("mode", "high-performance", "operating mode: nominal | high-performance | low-power")
+	risk := fs.Float64("risk", 0.01, "per-window failure-probability target")
+	windows := fs.Int("windows", 120, "runtime observation windows to simulate")
+	logfile := fs.String("healthlog", "", "write the HealthLog JSON-lines file here")
+	closedLoop := fs.Bool("closed-loop", false,
 		"run the supervised deployment loop (crash fallback, aging, auto re-characterization)")
-	nodes := flag.Int("nodes", 1, "fleet size; >1 runs the concurrent multi-node engine")
-	workers := flag.Int("workers", 0,
+	nodes := fs.Int("nodes", 1, "fleet size; >1 runs the fleet flags as an inline scenario on the concurrent multi-node engine")
+	workers := fs.Int("workers", 0,
 		"worker goroutines for the fleet engine (0 = GOMAXPROCS; campaigns parallelize across cells instead, so 0 = 1 worker per cell)")
-	shards := flag.Int("shards", 0,
+	shards := fs.Int("shards", 0,
 		"fleet/scenario runs: execute the node range in this many sequential shards (0 = the scenario's choice, else unsharded); never changes results, bounds coordinator memory for population-scale fleets")
-	archetypes := flag.Bool("archetypes", false,
+	archetypes := fs.Bool("archetypes", false,
 		"fleet mode: characterize once per silicon/DRAM bin and clone per node (O(bins) campaigns instead of O(nodes); deterministic, but a different experiment than per-node characterization)")
-	listScenarios := flag.Bool("list-scenarios", false, "list the bundled scenario presets and exit")
-	scenarioName := flag.String("scenario", "", "run a scenario preset (see -list-scenarios); -nodes/-windows rescale it")
-	campaignSpec := flag.String("campaign", "",
+	listScenarios := fs.Bool("list-scenarios", false, "list the bundled scenario presets and exit")
+	scenarioName := fs.String("scenario", "", "run a scenario preset (see -list-scenarios); -nodes/-windows rescale it")
+	campaignSpec := fs.String("campaign", "",
 		"run a scenario campaign: 'smoke', 'all', or comma-separated preset names; grid is scenarios x -seeds")
-	seedCount := flag.Int("seeds", 1, "campaign: seeds per scenario (seed, seed+1, ...)")
-	parallel := flag.Int("parallel", 0,
+	seedCount := fs.Int("seeds", 1, "campaign: seeds per scenario (seed, seed+1, ...)")
+	parallel := fs.Int("parallel", 0,
 		"campaign: concurrent grid cells (0 = GOMAXPROCS); workers pull cells as they free up, results stay in grid order")
-	shareCharact := flag.Bool("share-charact", true,
-		"campaign: share pre-deployment characterization across cells via ecosystem snapshots (byte-identical results, several-fold faster; disable to measure the uncached cost)")
-	charactDir := flag.String("charact-dir", "",
+	charactDir := fs.String("charact-dir", "",
 		"campaign: spill characterization snapshots to this versioned cache dir so separate runs (CLI, CI) share them across processes; refuses a dir written by a different snapshot-format version")
-	reportPath := flag.String("report", "", "campaign: write the machine-readable JSON report to this file")
-	resultStore := flag.String("result-store", "",
+	reportPath := fs.String("report", "", "campaign: write the machine-readable JSON report to this file")
+	resultStore := fs.String("result-store", "",
 		"campaign: persist every completed cell into this content-addressed result store; interrupted runs resume from it (rerun the same command), identical cells are served without re-executing, and stored runs feed 'uniserver diff'")
-	lifetimeSpec := flag.String("lifetime", "",
+	lifetimeSpec := fs.String("lifetime", "",
 		"run a multi-epoch lifetime 'EPOCHSxGAPDAYS' (e.g. 4x90): each epoch simulates -windows windows, gaps fast-forward aging between them")
-	gapDuty := flag.Float64("gap-duty", 0.6,
+	gapDuty := fs.Float64("gap-duty", 0.6,
 		"lifetime: mean silicon stress (activity) across fast-forward gaps, in [0,1]")
-	recharactEvery := flag.Int("recharact-every", 0,
+	recharactEvery := fs.Int("recharact-every", 0,
 		"lifetime: scheduled re-characterization cadence in days (0 = the core default, ~75 days); campaigns run at epoch entries when due")
-	driftMargin := flag.Float64("drift-margin", -1,
-		"fleet lifetime: drift-gate scheduled re-characterizations — run one only when predicted margin drift since the last campaign exceeds this fraction of the advised headroom (0 = always run, i.e. the plain cadence; negative = off)")
-	eccLoop := flag.Bool("ecc-loop", false,
+	driftMargin := fs.Float64("drift-margin", 0,
+		"fleet lifetime: drift-gate scheduled re-characterizations — run one only when predicted margin drift since the last campaign exceeds this fraction of the advised headroom (0 = off, the plain cadence)")
+	eccLoop := fs.Bool("ecc-loop", false,
 		"fleet mode: closed-loop undervolting — each node steps its point below the advised one while correctable ECC stays quiet and backs off on onset")
-	cpuProfile := flag.String("cpuprofile", "",
+	cpuProfile := fs.String("cpuprofile", "",
 		"write a CPU profile to this file (pprof format); covers the whole run, any mode")
-	memProfile := flag.String("memprofile", "",
+	memProfile := fs.String("memprofile", "",
 		"write a heap profile to this file at exit (after a final GC), for peak-memory and allocation analysis")
-	mutexProfile := flag.String("mutexprofile", "",
+	mutexProfile := fs.String("mutexprofile", "",
 		"write a mutex-contention profile to this file at exit — the parallel-efficiency tool: it names the locks workers serialize on")
-	flag.Parse()
+	fs.Parse(args)
 
 	// Which flags did the user set explicitly? -nodes/-windows double
 	// as scenario rescale overrides, but only when actually given.
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *listScenarios {
-		fmt.Printf("%-16s %6s %8s %5s  %s\n", "NAME", "NODES", "WINDOWS", "VMS", "DESCRIPTION")
+		fmt.Fprintf(out, "%-16s %6s %8s %5s  %s\n", "NAME", "NODES", "WINDOWS", "VMS", "DESCRIPTION")
 		for _, s := range scenario.Presets() {
 			vms := s.VMs
 			if vms <= 0 {
 				vms = 3 * s.Nodes
 			}
-			fmt.Printf("%-16s %6d %8d %5d  %s\n", s.Name, s.Nodes, s.Windows, vms, s.Description)
+			fmt.Fprintf(out, "%-16s %6d %8d %5d  %s\n", s.Name, s.Nodes, s.Windows, vms, s.Description)
 		}
 		return nil
 	}
@@ -193,9 +193,6 @@ func run() error {
 		if *nodes <= 1 && (set["drift-margin"] || set["ecc-loop"]) {
 			return fmt.Errorf("-drift-margin and -ecc-loop only apply to fleet mode (-nodes > 1)")
 		}
-		if set["drift-margin"] && *lifetimeSpec == "" {
-			return fmt.Errorf("-drift-margin needs -lifetime: the cadence it gates only ticks across lifetime gaps")
-		}
 	}
 	if *campaignSpec != "" && *logfile != "" {
 		return fmt.Errorf("-healthlog does not apply to campaigns (many runs, one file)")
@@ -209,14 +206,8 @@ func run() error {
 	if set["parallel"] && *campaignSpec == "" {
 		return fmt.Errorf("-parallel only applies to -campaign; use -workers for a single fleet run")
 	}
-	if set["share-charact"] && *campaignSpec == "" {
-		return fmt.Errorf("-share-charact only applies to -campaign; single runs have nothing to share")
-	}
 	if *charactDir != "" && *campaignSpec == "" {
 		return fmt.Errorf("-charact-dir only applies to -campaign")
-	}
-	if *charactDir != "" && !*shareCharact {
-		return fmt.Errorf("-charact-dir needs -share-charact=true (the dir spills the shared snapshot cache)")
 	}
 	if *resultStore != "" && *campaignSpec == "" {
 		return fmt.Errorf("-result-store only applies to -campaign")
@@ -224,16 +215,70 @@ func run() error {
 	if *resultStore != "" && *charactDir != "" {
 		return fmt.Errorf("-result-store keeps characterization snapshots inside the store; -charact-dir does not apply")
 	}
-	if *resultStore != "" && !*shareCharact {
-		return fmt.Errorf("-result-store needs -share-charact=true (resume shares snapshots through the store)")
-	}
 	if (set["recharact-every"] || set["gap-duty"]) && *lifetimeSpec == "" {
 		return fmt.Errorf("-recharact-every and -gap-duty only apply with -lifetime")
 	}
-	var plan *core.LifetimePlan
+	var life scenario.LifetimeModel
 	if *lifetimeSpec != "" {
-		p, err := parseLifetime(*lifetimeSpec, *windows, *gapDuty, *recharactEvery)
+		epochs, gapDays, err := parseLifetime(*lifetimeSpec)
 		if err != nil {
+			return err
+		}
+		life = scenario.LifetimeModel{Epochs: epochs, GapDays: gapDays, GapDuty: *gapDuty, RecharactEveryDays: *recharactEvery}
+	}
+
+	// -nodes/-windows rescale scenarios only when given explicitly
+	// (their defaults mean "preset size" here, not 1 node).
+	nodesOverride, windowsOverride := 0, 0
+	if set["nodes"] {
+		nodesOverride = *nodes
+	}
+	if set["windows"] {
+		windowsOverride = *windows
+	}
+
+	// Resolve the fleet run's scenario: a preset, or the fleet flags
+	// lowered onto an inline one. Validating it here keeps declaration
+	// errors ahead of the filesystem, like the flag checks above.
+	var fleetScenario *scenario.Scenario
+	switch {
+	case *scenarioName != "":
+		s, err := scenario.ByName(*scenarioName)
+		if err != nil {
+			return err
+		}
+		if nodesOverride > 0 || windowsOverride > 0 {
+			s = s.Scale(nodesOverride, windowsOverride)
+		}
+		if *shards > 0 {
+			s.Shards = *shards
+		}
+		fleetScenario = &s
+	case *campaignSpec == "" && *nodes > 1:
+		fleetScenario = &scenario.Scenario{
+			Name:            "cli",
+			Description:     "fleet declared by the command-line flags",
+			Nodes:           *nodes,
+			Windows:         *windows,
+			Mode:            m,
+			RiskTarget:      *risk,
+			Lifetime:        life,
+			DriftMarginFrac: *driftMargin,
+			ECCLoop:         *eccLoop,
+			Shards:          *shards,
+			Archetypes:      *archetypes,
+		}
+	}
+	var plan *core.LifetimePlan
+	if fleetScenario != nil {
+		if err := fleetScenario.Validate(); err != nil {
+			return err
+		}
+	} else if life.Epochs > 0 {
+		// The single-node loop takes the lifetime as a core plan.
+		p := core.UniformPlan(life.Epochs, *windows, life.GapDays, life.GapDuty)
+		p.RecharactEvery = time.Duration(life.RecharactEveryDays) * 24 * time.Hour
+		if err := p.Validate(); err != nil {
 			return err
 		}
 		plan = &p
@@ -282,19 +327,9 @@ func run() error {
 		return nil
 	}
 
-	// -nodes/-windows rescale scenarios only when given explicitly
-	// (their defaults mean "preset size" here, not 1 node).
-	nodesOverride, windowsOverride := 0, 0
-	if set["nodes"] {
-		nodesOverride = *nodes
-	}
-	if set["windows"] {
-		windowsOverride = *windows
-	}
-
 	switch {
-	case *scenarioName != "":
-		if err := runScenario(*scenarioName, nodesOverride, windowsOverride, *seed, *workers, *shards, healthOut); err != nil {
+	case fleetScenario != nil:
+		if err := runScenario(out, *fleetScenario, *seed, *workers, healthOut); err != nil {
 			return err
 		}
 	case *campaignSpec != "":
@@ -303,7 +338,7 @@ func run() error {
 		// store state are emitted, so interrupted runs are resumable.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		err := runCampaignCLI(ctx, os.Stdout, campaignOpts{
+		err := runCampaignCLI(ctx, out, campaignOpts{
 			spec:            *campaignSpec,
 			nodesOverride:   nodesOverride,
 			windowsOverride: windowsOverride,
@@ -311,7 +346,6 @@ func run() error {
 			seedCount:       *seedCount,
 			workers:         *workers,
 			parallel:        *parallel,
-			shareCharact:    *shareCharact,
 			charactDir:      *charactDir,
 			reportPath:      *reportPath,
 			storeDir:        *resultStore,
@@ -319,21 +353,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	case *nodes > 1:
-		if err := runFleet(*nodes, *workers, *shards, *seed, m, *risk, *windows, *archetypes, *driftMargin, *eccLoop, plan, healthOut); err != nil {
-			return err
-		}
 	default:
-		if err := runSingleNode(*seed, m, *risk, *windows, *closedLoop, plan, healthOut); err != nil {
+		if err := runSingleNode(out, *seed, m, *risk, *windows, *closedLoop, plan, healthOut); err != nil {
 			return err
 		}
 	}
 	return closeHealthLog()
 }
 
-// parseLifetime turns the -lifetime 'EPOCHSxGAPDAYS' spec plus the
-// cadence flags into a core plan: uniform epochs of `windows` windows
-// each, identical gaps.
 // startProfiles arms the requested pprof outputs and returns the
 // teardown that writes and closes them. CPU profiling streams from
 // start; the heap profile snapshots at stop (after a forced GC, so it
@@ -398,35 +425,32 @@ func startProfiles(cpuPath, memPath, mutexPath string) (stop func() error, err e
 	}, nil
 }
 
-func parseLifetime(spec string, windows int, duty float64, recharactDays int) (core.LifetimePlan, error) {
+// parseLifetime reads the -lifetime 'EPOCHSxGAPDAYS' spec: uniform
+// epochs of -windows windows each, separated by identical gaps.
+func parseLifetime(spec string) (epochs, gapDays int, err error) {
 	parts := strings.SplitN(spec, "x", 2)
 	if len(parts) != 2 {
-		return core.LifetimePlan{}, fmt.Errorf("-lifetime wants EPOCHSxGAPDAYS (e.g. 4x90), got %q", spec)
+		return 0, 0, fmt.Errorf("-lifetime wants EPOCHSxGAPDAYS (e.g. 4x90), got %q", spec)
 	}
 	epochs, err1 := strconv.Atoi(parts[0])
 	gapDays, err2 := strconv.Atoi(parts[1])
 	if err1 != nil || err2 != nil || epochs < 2 {
-		return core.LifetimePlan{}, fmt.Errorf("-lifetime wants EPOCHSxGAPDAYS with at least 2 epochs, got %q", spec)
+		return 0, 0, fmt.Errorf("-lifetime wants EPOCHSxGAPDAYS with at least 2 epochs, got %q", spec)
 	}
-	plan := core.UniformPlan(epochs, windows, gapDays, duty)
-	plan.RecharactEvery = time.Duration(recharactDays) * 24 * time.Hour
-	if err := plan.Validate(); err != nil {
-		return core.LifetimePlan{}, err
-	}
-	return plan, nil
+	return epochs, gapDays, nil
 }
 
 // printTrajectory renders a node's per-epoch margin trajectory.
-func printTrajectory(epochs []core.EpochSummary, finalAge float64) {
+func printTrajectory(out io.Writer, epochs []core.EpochSummary, finalAge float64) {
 	for _, ep := range epochs {
 		gap := "deployment"
 		if ep.GapDays > 0 {
 			gap = fmt.Sprintf("+%d days", ep.GapDays)
 		}
-		fmt.Printf("    epoch %d (%-10s): age drift %5.1f mV, safe point %d mV, %d windows, %d re-characterizations\n",
+		fmt.Fprintf(out, "    epoch %d (%-10s): age drift %5.1f mV, safe point %d mV, %d windows, %d re-characterizations\n",
 			ep.Epoch, gap, ep.AgeShiftMV, ep.SafeVoltageMV, ep.Windows, ep.Recharacterized)
 	}
-	fmt.Printf("    end of life: +%.1f mV accumulated critical-voltage drift\n", finalAge)
+	fmt.Fprintf(out, "    end of life: +%.1f mV accumulated critical-voltage drift\n", finalAge)
 }
 
 // maxPerNodePrint bounds the per-node detail a run retains and
@@ -438,19 +462,10 @@ func printTrajectory(epochs []core.EpochSummary, finalAge float64) {
 // not comparable against a small retained run's.
 const maxPerNodePrint = 64
 
-// runScenario runs one preset (optionally rescaled) and prints its
-// summary plus the determinism fingerprint hash.
-func runScenario(name string, nodesOverride, windowsOverride int, seed uint64, workers, shards int, healthOut *os.File) error {
-	s, err := scenario.ByName(name)
-	if err != nil {
-		return err
-	}
-	if nodesOverride > 0 || windowsOverride > 0 {
-		s = s.Scale(nodesOverride, windowsOverride)
-	}
-	if shards > 0 {
-		s.Shards = shards
-	}
+// runScenario runs one fleet scenario — a preset or the fleet flags
+// lowered onto an inline one — and prints its summary plus the
+// determinism fingerprint hash.
+func runScenario(out io.Writer, s scenario.Scenario, seed uint64, workers int, healthOut *os.File) error {
 	cfg, err := s.FleetConfig(seed)
 	if err != nil {
 		return err
@@ -468,8 +483,8 @@ func runScenario(name string, nodesOverride, windowsOverride int, seed uint64, w
 	if s.Nodes > maxPerNodePrint {
 		cfg.OnNode = func(fleet.NodeSummary) { streamed++ }
 	}
-	fmt.Printf("== scenario %s: %s ==\n", s.Name, s.Description)
-	fmt.Printf("   %d nodes, %d windows, seed %d, %d workers (GOMAXPROCS %d), %d shards\n",
+	fmt.Fprintf(out, "== scenario %s: %s ==\n", s.Name, s.Description)
+	fmt.Fprintf(out, "   %d nodes, %d windows, seed %d, %d workers (GOMAXPROCS %d), %d shards\n",
 		s.Nodes, s.Windows, seed, fleet.EffectiveWorkers(workers, s.Nodes), runtime.GOMAXPROCS(0),
 		fleet.EffectiveShards(s.Shards, s.Nodes))
 	var sum fleet.Summary
@@ -478,38 +493,38 @@ func runScenario(name string, nodesOverride, windowsOverride int, seed uint64, w
 	if runErr != nil {
 		return runErr
 	}
-	fmt.Printf("  windows at EOP:           %d of %d node-windows\n", sum.WindowsAtEOP, sum.Nodes*sum.Windows)
-	fmt.Printf("  node crashes (recovered): %d (%d re-characterizations)\n", sum.Crashes, sum.Recharacterized)
-	fmt.Printf("  correctable masked:       %d\n", sum.CorrectableMasked)
-	fmt.Printf("  node energy saved:        %.2f Wh\n", sum.EnergySavedWh)
-	fmt.Printf("  VMs scheduled/rejected:   %d / %d\n", sum.Scheduled, sum.Rejected)
-	fmt.Printf("  proactive migrations:     %d\n", sum.Migrations)
-	fmt.Printf("  SLA violations:           %d (%d user-facing)\n", sum.SLAViolations, sum.UserFacingViolations)
-	fmt.Printf("  fleet energy:             %.3f kWh, mean availability %.4f\n", sum.EnergyKWh, sum.MeanAvailability)
-	fmt.Printf("  wall-clock:               %v at %d workers, %d shards\n",
+	fmt.Fprintf(out, "  windows at EOP:           %d of %d node-windows\n", sum.WindowsAtEOP, sum.Nodes*sum.Windows)
+	fmt.Fprintf(out, "  node crashes (recovered): %d (%d re-characterizations)\n", sum.Crashes, sum.Recharacterized)
+	fmt.Fprintf(out, "  correctable masked:       %d\n", sum.CorrectableMasked)
+	fmt.Fprintf(out, "  node energy saved:        %.2f Wh\n", sum.EnergySavedWh)
+	fmt.Fprintf(out, "  VMs scheduled/rejected:   %d / %d\n", sum.Scheduled, sum.Rejected)
+	fmt.Fprintf(out, "  proactive migrations:     %d\n", sum.Migrations)
+	fmt.Fprintf(out, "  SLA violations:           %d (%d user-facing)\n", sum.SLAViolations, sum.UserFacingViolations)
+	fmt.Fprintf(out, "  fleet energy:             %.3f kWh, mean availability %.4f\n", sum.EnergyKWh, sum.MeanAvailability)
+	fmt.Fprintf(out, "  wall-clock:               %v at %d workers, %d shards\n",
 		sum.WallClock.Round(time.Millisecond), sum.Workers, sum.Shards)
-	fmt.Printf("  peak heap:                %.1f MiB\n", float64(peak)/(1<<20))
+	fmt.Fprintf(out, "  peak heap:                %.1f MiB\n", float64(peak)/(1<<20))
 	if cache != nil {
 		st := cache.Stats()
-		fmt.Printf("  archetype bins:           %d characterized, %d templates compiled, %d nodes cloned\n",
+		fmt.Fprintf(out, "  archetype bins:           %d characterized, %d templates compiled, %d nodes cloned\n",
 			st.Misses, st.Compiled, st.Hits)
 	}
 	if streamed > 0 {
-		fmt.Printf("  per-node summaries:       %d streamed, none retained (fleet > %d nodes)\n",
+		fmt.Fprintf(out, "  per-node summaries:       %d streamed, none retained (fleet > %d nodes)\n",
 			streamed, maxPerNodePrint)
 	}
 	for _, n := range sum.PerNode {
-		fmt.Printf("    %-14s %-9s crashes %2d  eop %3d/%d  saved %7.2f Wh  safe %d mV\n",
+		fmt.Fprintf(out, "    %-14s %-9s crashes %2d  eop %3d/%d  saved %7.2f Wh  safe %d mV\n",
 			n.Name, n.Model, n.Crashes, n.WindowsAtEOP, sum.Windows, n.EnergySavedWh, n.FinalSafeVoltageMV)
 	}
 	if len(sum.PerNode) > 0 && len(sum.PerNode[0].Epochs) > 0 {
-		fmt.Printf("\n  margin trajectory (%s; %d re-characterizations fleet-wide):\n",
+		fmt.Fprintf(out, "\n  margin trajectory (%s; %d re-characterizations fleet-wide):\n",
 			sum.PerNode[0].Name, sum.Recharacterized)
-		printTrajectory(sum.PerNode[0].Epochs, sum.PerNode[0].FinalAgeShiftMV)
+		printTrajectory(out, sum.PerNode[0].Epochs, sum.PerNode[0].FinalAgeShiftMV)
 	}
 	fp := sha256.Sum256([]byte(sum.Fingerprint()))
-	fmt.Printf("\nfingerprint sha256:%s\n", hex.EncodeToString(fp[:]))
-	fmt.Println("(same preset + same seed => same fingerprint, at any -workers/-shards)")
+	fmt.Fprintf(out, "\nfingerprint sha256:%s\n", hex.EncodeToString(fp[:]))
+	fmt.Fprintln(out, "(same scenario + same seed => same fingerprint, at any -workers/-shards)")
 	return nil
 }
 
@@ -520,7 +535,6 @@ type campaignOpts struct {
 	seed                           uint64
 	seedCount                      int
 	workers, parallel              int
-	shareCharact                   bool
 	charactDir, reportPath         string
 	// storeDir, when set, routes the run through the campaignd engine
 	// against a persistent result store: cells persist as they finish,
@@ -564,7 +578,6 @@ func buildCampaign(o campaignOpts) (scenario.Campaign, error) {
 	}
 	camp.FleetWorkers = o.workers
 	camp.Parallel = o.parallel
-	camp.DisableCharactShare = !o.shareCharact
 	camp.CharactDir = o.charactDir
 	return camp, nil
 }
@@ -581,9 +594,8 @@ func runCampaignCLI(ctx context.Context, out io.Writer, o campaignOpts) error {
 	}
 	camp.Context = ctx
 
-	fmt.Fprintf(out, "== campaign: %d scenarios x %d seeds (%d cells, %d-way parallel, charact sharing %s) ==\n",
-		len(camp.Scenarios), len(camp.Seeds), len(camp.Scenarios)*len(camp.Seeds), camp.EffectiveParallel(),
-		map[bool]string{true: "on", false: "off"}[o.shareCharact])
+	fmt.Fprintf(out, "== campaign: %d scenarios x %d seeds (%d cells, %d-way parallel) ==\n",
+		len(camp.Scenarios), len(camp.Seeds), len(camp.Scenarios)*len(camp.Seeds), camp.EffectiveParallel())
 	start := time.Now()
 
 	var rep scenario.Report
@@ -637,31 +649,27 @@ func runCampaignCLI(ctx context.Context, out io.Writer, o campaignOpts) error {
 		fmt.Fprintf(out, "\ncampaign fingerprint sha256:%s  (%v wall-clock)\n",
 			rep.FingerprintSHA256, time.Since(start).Round(time.Millisecond))
 	}
-	if o.shareCharact {
-		hits, misses := rep.CharactCacheHits, rep.CharactCacheMisses
-		reuse := 1.0
-		if work := misses + rep.CharactDiskHits; work > 0 {
-			reuse = float64(hits+work) / float64(work)
+	hits, misses := rep.CharactCacheHits, rep.CharactCacheMisses
+	reuse := 1.0
+	if work := misses + rep.CharactDiskHits; work > 0 {
+		reuse = float64(hits+work) / float64(work)
+	}
+	fmt.Fprintf(out, "snapshot cache: %d hits / %d misses across %d-way parallel cells (%.1fx characterization reuse)\n",
+		hits, misses, rep.EffectiveParallel, reuse)
+	if rep.CharactCompiled > 0 {
+		fmt.Fprintf(out, "snapshot cache: %d snapshots taken; every hit stamped from a snapshot instead of re-characterized\n",
+			rep.CharactCompiled)
+	}
+	if rep.CharactCoalesced > 0 {
+		fmt.Fprintf(out, "snapshot cache: %d concurrent misses coalesced onto in-flight characterizations\n",
+			rep.CharactCoalesced)
+	}
+	if o.charactDir != "" {
+		fmt.Fprintf(out, "snapshot cache dir %s: %d entries served from disk (characterizations shared across processes)\n",
+			o.charactDir, rep.CharactDiskHits)
+		if rep.CharactDiskErr != "" {
+			fmt.Fprintf(out, "WARNING: snapshot cache dir is not accumulating: %s\n", rep.CharactDiskErr)
 		}
-		fmt.Fprintf(out, "snapshot cache: %d hits / %d misses across %d-way parallel cells (%.1fx characterization reuse)\n",
-			hits, misses, rep.EffectiveParallel, reuse)
-		if rep.CharactCompiled > 0 {
-			fmt.Fprintf(out, "snapshot cache: %d snapshots taken; every hit stamped from a snapshot instead of re-characterized\n",
-				rep.CharactCompiled)
-		}
-		if rep.CharactCoalesced > 0 {
-			fmt.Fprintf(out, "snapshot cache: %d concurrent misses coalesced onto in-flight characterizations\n",
-				rep.CharactCoalesced)
-		}
-		if o.charactDir != "" {
-			fmt.Fprintf(out, "snapshot cache dir %s: %d entries served from disk (characterizations shared across processes)\n",
-				o.charactDir, rep.CharactDiskHits)
-			if rep.CharactDiskErr != "" {
-				fmt.Fprintf(out, "WARNING: snapshot cache dir is not accumulating: %s\n", rep.CharactDiskErr)
-			}
-		}
-	} else {
-		fmt.Fprintf(out, "snapshot cache: disabled (-share-charact=false); every cell characterized its own nodes\n")
 	}
 	if st != nil {
 		stats := st.Stats()
@@ -814,91 +822,8 @@ func runDiff(args []string, out io.Writer) error {
 	return nil
 }
 
-// runFleet drives the concurrent multi-node engine and prints the
-// aggregate fleet summary.
-func runFleet(nodes, workers, shards int, seed uint64, m vfr.Mode, risk float64, windows int, archetypes bool, driftMargin float64, eccLoop bool, plan *core.LifetimePlan, healthOut *os.File) error {
-	cfg := fleet.DefaultConfig(nodes)
-	cfg.Workers = workers
-	cfg.Shards = shards
-	cfg.Seed = seed
-	cfg.Mode = m
-	cfg.RiskTarget = risk
-	cfg.Windows = windows
-	cfg.Lifetime = plan
-	cfg.Archetypes = archetypes
-	if driftMargin >= 0 {
-		cfg.Drift = &fleet.DriftPolicy{MarginFrac: driftMargin}
-	}
-	if eccLoop {
-		cfg.ECC = &fleet.ECCPolicy{}
-	}
-	if healthOut != nil {
-		cfg.HealthLogOut = healthOut
-	}
-	var cache *fleet.CharactCache
-	if archetypes {
-		cache = fleet.NewCharactCache()
-		cfg.Charact = cache
-	}
-	streamed := 0
-	if nodes > maxPerNodePrint {
-		cfg.OnNode = func(fleet.NodeSummary) { streamed++ }
-	}
-
-	fmt.Printf("== UniServer fleet: %d nodes, %d workers (GOMAXPROCS %d), %d shards, seed %d ==\n",
-		nodes, fleet.EffectiveWorkers(workers, nodes), runtime.GOMAXPROCS(0),
-		fleet.EffectiveShards(shards, nodes), seed)
-	if plan != nil {
-		fmt.Printf("\n[1/2] parallel characterization + %d-epoch lifetime (%d windows per epoch, %d-day gaps)\n",
-			plan.Epochs(), windows, plan.Gaps[0].Days)
-	} else {
-		fmt.Printf("\n[1/2] parallel pre-deployment characterization + %d runtime epochs\n", windows)
-	}
-
-	var sum fleet.Summary
-	var runErr error
-	peak := fleet.HeapWatermark(func() { sum, runErr = fleet.Run(cfg) })
-	if runErr != nil {
-		return runErr
-	}
-
-	fmt.Println("\n[2/2] fleet summary (deterministic: same seed, same numbers, any worker count)")
-	fmt.Printf("  windows at EOP:           %d of %d node-windows\n", sum.WindowsAtEOP, sum.Nodes*sum.Windows)
-	fmt.Printf("  node crashes (recovered): %d (%d re-characterizations)\n", sum.Crashes, sum.Recharacterized)
-	fmt.Printf("  correctable masked:       %d\n", sum.CorrectableMasked)
-	fmt.Printf("  node energy saved:        %.2f Wh\n", sum.EnergySavedWh)
-	fmt.Printf("  VMs scheduled/rejected:   %d / %d\n", sum.Scheduled, sum.Rejected)
-	fmt.Printf("  proactive migrations:     %d\n", sum.Migrations)
-	fmt.Printf("  SLA violations:           %d (%d user-facing)\n", sum.SLAViolations, sum.UserFacingViolations)
-	fmt.Printf("  fleet energy:             %.3f kWh, mean availability %.4f\n", sum.EnergyKWh, sum.MeanAvailability)
-	fmt.Printf("  wall-clock:               %v at %d workers, %d shards\n",
-		sum.WallClock.Round(time.Millisecond), sum.Workers, sum.Shards)
-	fmt.Printf("  peak heap:                %.1f MiB\n", float64(peak)/(1<<20))
-	if cache != nil {
-		cacheStats := cache.Stats()
-		fmt.Printf("  archetype bins:           %d characterized, %d templates compiled, %d nodes cloned\n",
-			cacheStats.Misses, cacheStats.Compiled, cacheStats.Hits)
-	}
-	if streamed > 0 {
-		fmt.Printf("  per-node summaries:       %d streamed, none retained (fleet > %d nodes)\n",
-			streamed, maxPerNodePrint)
-	}
-	for _, n := range sum.PerNode {
-		fmt.Printf("    %-14s crashes %2d  eop %3d/%d  saved %7.2f Wh  safe %d mV\n",
-			n.Name, n.Crashes, n.WindowsAtEOP, sum.Windows, n.EnergySavedWh, n.FinalSafeVoltageMV)
-	}
-	if plan != nil && len(sum.PerNode) > 0 && len(sum.PerNode[0].Epochs) > 0 {
-		fmt.Printf("\n  margin trajectory (%s):\n", sum.PerNode[0].Name)
-		printTrajectory(sum.PerNode[0].Epochs, sum.PerNode[0].FinalAgeShiftMV)
-	}
-	fp := sha256.Sum256([]byte(sum.Fingerprint()))
-	fmt.Printf("\nfingerprint sha256:%s\n", hex.EncodeToString(fp[:]))
-	fmt.Println("\ndone: fleet ran at extended operating points with reliability-aware scheduling")
-	return nil
-}
-
 // runSingleNode is the original one-node narration.
-func runSingleNode(seed uint64, m vfr.Mode, risk float64, windows int, closedLoop bool, plan *core.LifetimePlan, healthOut *os.File) error {
+func runSingleNode(out io.Writer, seed uint64, m vfr.Mode, risk float64, windows int, closedLoop bool, plan *core.LifetimePlan, healthOut *os.File) error {
 	opts := core.DefaultOptions()
 	opts.Seed = seed
 	opts.Mem = dram.Config{Channels: 4, DIMMsPerChannel: 1, DIMMBytes: 8 << 30, DeviceGb: 2, TempC: 45}
@@ -911,76 +836,76 @@ func runSingleNode(seed uint64, m vfr.Mode, risk float64, windows int, closedLoo
 		return err
 	}
 
-	fmt.Printf("== UniServer node (%s, %d cores, seed %d) ==\n",
+	fmt.Fprintf(out, "== UniServer node (%s, %d cores, seed %d) ==\n",
 		eco.Machine.Spec.Model, eco.Machine.Spec.Cores, seed)
 
-	fmt.Println("\n[1/3] pre-deployment characterization")
+	fmt.Fprintln(out, "\n[1/3] pre-deployment characterization")
 	rep, err := eco.PreDeployment()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  stress sweeps run:        %d (ECC events observed: %d)\n",
+	fmt.Fprintf(out, "  stress sweeps run:        %d (ECC events observed: %d)\n",
 		rep.Margins.SweepsRun, rep.Margins.ECCEvents)
 	for _, comp := range eco.Table().Components() {
 		mg, _ := eco.Table().Lookup(comp)
 		if comp == "dram/relaxed" {
-			fmt.Printf("  %-20s safe refresh %v (zero errors up to %v)\n",
+			fmt.Fprintf(out, "  %-20s safe refresh %v (zero errors up to %v)\n",
 				comp, mg.Safe.Refresh, rep.Margins.ZeroErrorRefresh)
 			continue
 		}
-		fmt.Printf("  %-20s safe %s (%.1f%% below nominal)\n",
+		fmt.Fprintf(out, "  %-20s safe %s (%.1f%% below nominal)\n",
 			comp, mg.Safe, mg.UndervoltHeadroomPct())
 	}
-	fmt.Printf("  fault injections:         %d SDCs, %d objects protected\n",
+	fmt.Fprintf(out, "  fault injections:         %d SDCs, %d objects protected\n",
 		rep.FaultsInjected, rep.ProtectedObjects)
-	fmt.Printf("  predictor accuracy:       %.1f%% on %d samples\n",
+	fmt.Fprintf(out, "  predictor accuracy:       %.1f%% on %d samples\n",
 		rep.PredictorAcc*100, rep.PredictorSamples)
 
 	wl := workload.WebFrontend()
 	if plan != nil {
-		fmt.Printf("\n[2/3] supervised lifetime: %d epochs x %d windows, %d-day gaps, %s mode\n",
+		fmt.Fprintf(out, "\n[2/3] supervised lifetime: %d epochs x %d windows, %d-day gaps, %s mode\n",
 			plan.Epochs(), windows, plan.Gaps[0].Days, m)
 		sum, err := eco.RunLifetime(m, risk, wl, *plan)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  windows at EOP / nominal:  %d / %d\n", sum.WindowsAtEOP, sum.WindowsAtNominal)
-		fmt.Printf("  crashes (all recovered):   %d\n", sum.Crashes)
-		fmt.Printf("  re-characterizations:      %d\n", sum.Recharacterized)
-		fmt.Printf("  energy saved:              %.2f Wh\n", sum.EnergySavedWh)
-		fmt.Println("  margin trajectory:")
-		printTrajectory(sum.Epochs, sum.FinalAgeShiftMV)
-		fmt.Println("\n[3/3] done: the EOP table tracked the aging margins across the lifetime")
+		fmt.Fprintf(out, "  windows at EOP / nominal:  %d / %d\n", sum.WindowsAtEOP, sum.WindowsAtNominal)
+		fmt.Fprintf(out, "  crashes (all recovered):   %d\n", sum.Crashes)
+		fmt.Fprintf(out, "  re-characterizations:      %d\n", sum.Recharacterized)
+		fmt.Fprintf(out, "  energy saved:              %.2f Wh\n", sum.EnergySavedWh)
+		fmt.Fprintln(out, "  margin trajectory:")
+		printTrajectory(out, sum.Epochs, sum.FinalAgeShiftMV)
+		fmt.Fprintln(out, "\n[3/3] done: the EOP table tracked the aging margins across the lifetime")
 		return nil
 	}
 	if closedLoop {
-		fmt.Printf("\n[2/3] supervised closed-loop deployment: %s mode, %d windows\n", m, windows)
+		fmt.Fprintf(out, "\n[2/3] supervised closed-loop deployment: %s mode, %d windows\n", m, windows)
 		sum, err := eco.RunDeployment(m, risk, wl, windows)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  windows at EOP / nominal:  %d / %d\n", sum.WindowsAtEOP, sum.WindowsAtNominal)
-		fmt.Printf("  crashes (all recovered):   %d\n", sum.Crashes)
-		fmt.Printf("  re-characterizations:      %d\n", sum.Recharacterized)
-		fmt.Printf("  energy saved:              %.2f Wh\n", sum.EnergySavedWh)
-		fmt.Printf("  aging drift:               +%.1f mV (final safe point %d mV)\n",
+		fmt.Fprintf(out, "  windows at EOP / nominal:  %d / %d\n", sum.WindowsAtEOP, sum.WindowsAtNominal)
+		fmt.Fprintf(out, "  crashes (all recovered):   %d\n", sum.Crashes)
+		fmt.Fprintf(out, "  re-characterizations:      %d\n", sum.Recharacterized)
+		fmt.Fprintf(out, "  energy saved:              %.2f Wh\n", sum.EnergySavedWh)
+		fmt.Fprintf(out, "  aging drift:               +%.1f mV (final safe point %d mV)\n",
 			sum.FinalAgeShiftMV, sum.FinalSafeVoltageMV)
-		fmt.Println("\n[3/3] done: closed loop kept the node at extended operating points")
+		fmt.Fprintln(out, "\n[3/3] done: closed loop kept the node at extended operating points")
 		return nil
 	}
 
-	fmt.Printf("\n[2/3] entering %s mode (risk target %.3g)\n", m, risk)
+	fmt.Fprintf(out, "\n[2/3] entering %s mode (risk target %.3g)\n", m, risk)
 	point, err := eco.EnterMode(m, risk, wl)
 	if err != nil {
 		return err
 	}
 	pw := eco.Power(wl.CPUActivity)
-	fmt.Printf("  operating point:          %s\n", point)
-	fmt.Printf("  CPU power:                %.2fW vs %.2fW nominal (%.1f%% saved)\n",
+	fmt.Fprintf(out, "  operating point:          %s\n", point)
+	fmt.Fprintf(out, "  CPU power:                %.2fW vs %.2fW nominal (%.1f%% saved)\n",
 		pw.CurrentW, pw.NominalW, pw.SavingsPct)
-	fmt.Printf("  DRAM refresh power saved: %.1f%%\n", pw.RefreshSavingsPct)
+	fmt.Fprintf(out, "  DRAM refresh power saved: %.1f%%\n", pw.RefreshSavingsPct)
 
-	fmt.Printf("\n[3/3] runtime: %d observation windows of %s\n", windows, wl.Name)
+	fmt.Fprintf(out, "\n[3/3] runtime: %d observation windows of %s\n", windows, wl.Name)
 	crashes, correctable, dramHits := 0, 0, 0
 	for i := 0; i < windows; i++ {
 		wrep := eco.RuntimeWindow(wl)
@@ -993,12 +918,12 @@ func runSingleNode(seed uint64, m vfr.Mode, risk float64, windows int, closedLoo
 		}
 	}
 	stats := eco.Hypervisor.Stats()
-	fmt.Printf("  crashes:                  %d\n", crashes)
-	fmt.Printf("  cache ECC corrections:    %d (masked by hypervisor)\n", correctable)
-	fmt.Printf("  DRAM retention hits:      %d (corrected by SECDED)\n", dramHits)
-	fmt.Printf("  hypervisor masked:        %d events, %d cores isolated\n",
+	fmt.Fprintf(out, "  crashes:                  %d\n", crashes)
+	fmt.Fprintf(out, "  cache ECC corrections:    %d (masked by hypervisor)\n", correctable)
+	fmt.Fprintf(out, "  DRAM retention hits:      %d (corrected by SECDED)\n", dramHits)
+	fmt.Fprintf(out, "  hypervisor masked:        %d events, %d cores isolated\n",
 		stats.ErrorsMasked, stats.CoresIsolated)
-	fmt.Printf("  pending stress requests:  %d\n", len(eco.Stress.Pending()))
-	fmt.Println("\ndone: node ran at extended operating points with non-disruptive operation")
+	fmt.Fprintf(out, "  pending stress requests:  %d\n", len(eco.Stress.Pending()))
+	fmt.Fprintln(out, "\ndone: node ran at extended operating points with non-disruptive operation")
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,8 +22,64 @@ func testCampaignOpts(storeDir string) campaignOpts {
 		seed:            11,
 		seedCount:       2,
 		parallel:        1,
-		shareCharact:    true,
 		storeDir:        storeDir,
+	}
+}
+
+// TestFleetFlagsRunAsScenario runs -nodes N fleets through the CLI
+// front end in-process. The fleet flags lower onto an inline scenario
+// compiled by Scenario.FleetConfig, and the fingerprints they print
+// are pinned: the lowering must reproduce the fleet runs the flags
+// always described, at any worker or shard count.
+func TestFleetFlagsRunAsScenario(t *testing.T) {
+	const (
+		plain     = "d44559a42a38fd9ff43d1bd02067842d3c6c3976f284b3c2fdadf04bc23809e9"
+		policies  = "ee2aa32bb2196861cb82313da32e6c584a2f55223b4eb46925bcc4764e1a8213"
+		archetype = "caf4eb5ff5ab3d161eb44f4d2f4d47cef262e5bed2ac0b5fca55239b51ccff17"
+		cadence   = "c8fcfcdb747cad680495adb0c7724116dcaccf47586cabda3e4a2ee2bedfa0ec"
+	)
+	for _, tc := range []struct{ args, want string }{
+		{"-nodes 4 -windows 30 -seed 9", plain},
+		{"-nodes 4 -windows 30 -seed 9 -workers 1", plain},
+		{"-nodes 4 -windows 30 -seed 9 -workers 2 -shards 2", plain},
+		{"-nodes 3 -windows 8 -lifetime 3x30 -recharact-every 30 -drift-margin 0.1 -ecc-loop", policies},
+		{"-nodes 6 -windows 20 -seed 3 -archetypes", archetype},
+		{"-nodes 3 -windows 8 -lifetime 3x30", cadence},
+		// 0 leaves the drift gate off: the same run as omitting the flag.
+		{"-nodes 3 -windows 8 -lifetime 3x30 -drift-margin 0", cadence},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(tc.args), &out); err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		if !strings.Contains(out.String(), "\nfingerprint sha256:"+tc.want+"\n") {
+			t.Errorf("%s: fingerprint is not %.16s…:\n%s", tc.args, tc.want, out.String())
+		}
+	}
+}
+
+// TestFleetFlagsRejectedBeforeHealthLog checks that the inline
+// scenario is validated before the health log is created: a
+// declaration error must not truncate an existing file.
+func TestFleetFlagsRejectedBeforeHealthLog(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "health.jsonl")
+	if err := os.WriteFile(logPath, []byte("kept\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []string{
+		"-nodes 3 -drift-margin 0.1",               // the drift gate needs -lifetime
+		"-nodes 3 -lifetime 3x30 -drift-margin -1", // negative margin
+		"-nodes 3 -lifetime 3x30 -gap-duty 2",      // duty outside [0,1]
+		"-nodes 3 -shards -1",                      // negative shard count
+		"-nodes 3 -windows 0",                      // no windows
+	} {
+		err := run(append(strings.Fields(args), "-healthlog", logPath), &bytes.Buffer{})
+		if err == nil {
+			t.Errorf("%s: accepted", args)
+		}
+	}
+	if b, err := os.ReadFile(logPath); err != nil || string(b) != "kept\n" {
+		t.Errorf("health log touched by rejected runs: %q, %v", b, err)
 	}
 }
 

@@ -1,18 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"uniserver/internal/openstack"
 	"uniserver/internal/predictor"
-	"uniserver/internal/vfr"
-	"uniserver/internal/workload"
 )
-
-// clusterReferenceWorkload is the profile the cluster constructor uses
-// to pick each node's operating point.
-func clusterReferenceWorkload() workload.Profile { return workload.WebFrontend() }
 
 // PredictedFailProb returns the node's per-window crash probability at
 // its current operating point for a mid-droop workload, as the trained
@@ -62,27 +55,4 @@ func (e *Ecosystem) Node(name string, memBytes uint64) (*openstack.Node, error) 
 	// operating point; disable the abstract multiplier.
 	n.EOPRiskFactor = 1
 	return n, nil
-}
-
-// Cluster builds a manager over n ecosystems exported as nodes, all
-// entered into the same mode. It is the Figure 2 story at rack scale:
-// every node runs its own daemons and margins; the resource manager
-// sees their reliability and energy characteristics.
-func Cluster(ecos []*Ecosystem, mode vfr.Mode, riskTarget float64, memBytesPerNode uint64, policy openstack.Policy) (*openstack.Manager, error) {
-	if len(ecos) == 0 {
-		return nil, errors.New("core: empty cluster")
-	}
-	nodes := make([]*openstack.Node, 0, len(ecos))
-	for i, e := range ecos {
-		wl := clusterReferenceWorkload()
-		if _, err := e.EnterMode(mode, riskTarget, wl); err != nil {
-			return nil, fmt.Errorf("core: node %d enter mode: %w", i, err)
-		}
-		n, err := e.Node(fmt.Sprintf("uniserver-%02d", i), memBytesPerNode)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, n)
-	}
-	return openstack.NewManager(policy, nodes...)
 }

@@ -2,10 +2,7 @@ package core
 
 import (
 	"testing"
-	"time"
 
-	"uniserver/internal/openstack"
-	"uniserver/internal/rng"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -48,44 +45,5 @@ func TestNodeExportReflectsOperatingPoint(t *testing.T) {
 	}
 	if eopNode.Cores != e.Hypervisor.AvailableCores() {
 		t.Fatal("core count mismatch")
-	}
-}
-
-func TestClusterSchedulesStream(t *testing.T) {
-	ecos := make([]*Ecosystem, 3)
-	for i := range ecos {
-		e, _ := readyEcosystem(t, 60+uint64(i))
-		ecos[i] = e
-	}
-	m, err := Cluster(ecos, vfr.ModeHighPerformance, 0.05, 64<<30, openstack.UniServerPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Nodes()) != 3 {
-		t.Fatalf("nodes = %d", len(m.Nodes()))
-	}
-	arrivals, err := workload.Stream(workload.StreamConfig{
-		N: 12, MeanGap: 2 * time.Minute, MeanLifetime: time.Hour, MinLifetime: 10 * time.Minute,
-	}, rng.New(61))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := openstack.DefaultSimConfig()
-	cfg.Horizon = 3 * time.Hour
-	res, err := openstack.RunStream(m, arrivals, cfg, rng.New(62))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheduled == 0 {
-		t.Fatal("cluster scheduled nothing")
-	}
-	if res.EnergyKWh <= 0 {
-		t.Fatal("no energy integrated")
-	}
-}
-
-func TestClusterValidation(t *testing.T) {
-	if _, err := Cluster(nil, vfr.ModeNominal, 0.05, 1<<30, openstack.UniServerPolicy()); err == nil {
-		t.Fatal("empty cluster accepted")
 	}
 }

@@ -151,8 +151,7 @@ func RunScenario(s Scenario, seed uint64, workers int) (Result, error) {
 }
 
 // runScenarioWith is RunScenario against a caller-supplied snapshot
-// cache (nil disables caching entirely); campaigns pass their shared
-// cache here.
+// cache; campaigns pass their shared cache here.
 func runScenarioWith(s Scenario, seed uint64, workers int, cache *fleet.CharactCache) (Result, error) {
 	cfg, err := s.FleetConfig(seed)
 	if err != nil {
@@ -186,19 +185,11 @@ type Campaign struct {
 	// Parallel bounds how many grid cells run concurrently; <= 0
 	// means GOMAXPROCS.
 	Parallel int
-	// DisableCharactShare turns off the campaign-wide characterization
-	// snapshot cache. Sharing is on by default because cells at the
-	// same seed re-characterize identical (seed, node spec) pairs once
-	// per scenario; the cache runs each pair once and stamps nodes from
-	// its snapshot everywhere else, with byte-identical results (pinned
-	// by the preset golden tests). Disable only to measure the uncached
-	// cost or to bisect a suspected stamp divergence.
-	DisableCharactShare bool
-	// CharactDir, when set (and sharing is on), spills characterized
-	// snapshots to this versioned directory and serves later processes
-	// from it — CLI reruns and CI legs share characterizations across
-	// processes, byte-identically. Attaching refuses a directory
-	// stamped by a different snapshot-format version.
+	// CharactDir, when set, spills characterized snapshots to this
+	// versioned directory and serves later processes from it — CLI
+	// reruns and CI legs share characterizations across processes,
+	// byte-identically. Attaching refuses a directory stamped by a
+	// different snapshot-format version.
 	CharactDir string
 
 	// Context, when non-nil, cancels the campaign at cell boundaries:
@@ -293,16 +284,16 @@ func RunCampaign(c Campaign) (Report, error) {
 
 	// One snapshot cache spans the whole grid: cells sharing a seed
 	// share their node characterizations across scenarios, which is
-	// where the campaign's dominant cost used to be. The cache is
-	// concurrency-safe, so cells racing on the same key serialize on
-	// one characterization instead of duplicating it.
-	var cache *fleet.CharactCache
-	if !c.DisableCharactShare {
-		cache = fleet.NewCharactCache()
-		if c.CharactDir != "" {
-			if err := cache.AttachDir(c.CharactDir); err != nil {
-				return Report{}, err
-			}
+	// where the campaign's dominant cost used to be. The cache runs
+	// each (seed, node spec) pair once and stamps nodes from its
+	// snapshot everywhere else, with byte-identical results (pinned by
+	// the preset golden tests). It is concurrency-safe, so cells racing
+	// on the same key serialize on one characterization instead of
+	// duplicating it.
+	cache := fleet.NewCharactCache()
+	if c.CharactDir != "" {
+		if err := cache.AttachDir(c.CharactDir); err != nil {
+			return Report{}, err
 		}
 	}
 
@@ -371,15 +362,13 @@ func RunCampaign(c Campaign) (Report, error) {
 		Results:           results,
 		EffectiveParallel: parallel,
 	}
-	if cache != nil {
-		st := cache.Stats()
-		rep.CharactCacheHits, rep.CharactCacheMisses = st.Hits, st.Misses
-		rep.CharactCoalesced = st.Coalesced
-		rep.CharactDiskHits = st.DiskHits
-		rep.CharactCompiled = st.Compiled
-		if err := cache.DiskErr(); err != nil {
-			rep.CharactDiskErr = err.Error()
-		}
+	st := cache.Stats()
+	rep.CharactCacheHits, rep.CharactCacheMisses = st.Hits, st.Misses
+	rep.CharactCoalesced = st.Coalesced
+	rep.CharactDiskHits = st.DiskHits
+	rep.CharactCompiled = st.Compiled
+	if err := cache.DiskErr(); err != nil {
+		rep.CharactDiskErr = err.Error()
 	}
 	var firstErr error
 	allFPs := ""

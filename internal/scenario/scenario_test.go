@@ -300,7 +300,8 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 // not move a single byte of any cell's fingerprint, must actually
 // reuse work (cells at the same seed share their node specs across
 // scenarios), and must report its traffic in the Report so perf runs
-// are self-describing.
+// are self-describing. The reference leg runs each cell alone through
+// RunScenario, whose run-private cache shares nothing across cells.
 func TestCampaignCharactShareByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet characterization is slow; skipping in -short")
@@ -318,20 +319,14 @@ func TestCampaignCharactShareByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo := grid
-	solo.DisableCharactShare = true
-	unshared, err := RunCampaign(solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.FingerprintSHA256 != unshared.FingerprintSHA256 {
-		t.Fatalf("sharing characterization moved the campaign fingerprint: %s vs %s",
-			shared.FingerprintSHA256, unshared.FingerprintSHA256)
-	}
-	for i := range shared.Results {
-		if shared.Results[i].Fingerprint != unshared.Results[i].Fingerprint {
-			t.Fatalf("cell %d (%s seed %d) diverged under sharing",
-				i, shared.Results[i].Scenario, shared.Results[i].Seed)
+	for i, res := range shared.Results {
+		s, seed := grid.Scenarios[i/len(grid.Seeds)], grid.Seeds[i%len(grid.Seeds)]
+		solo, err := RunScenario(s, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fingerprint != solo.Fingerprint {
+			t.Fatalf("cell %d (%s seed %d) diverged under sharing", i, res.Scenario, res.Seed)
 		}
 	}
 	// 3 scenarios × 2 seeds × 2 nodes = 12 characterizations unshared.
@@ -343,10 +338,6 @@ func TestCampaignCharactShareByteIdentical(t *testing.T) {
 	}
 	if got := shared.CharactCacheHits; got != 6 {
 		t.Errorf("want 6 cache hits, got %d", got)
-	}
-	if unshared.CharactCacheHits != 0 || unshared.CharactCacheMisses != 0 {
-		t.Errorf("disabled cache reported traffic: %d hits / %d misses",
-			unshared.CharactCacheHits, unshared.CharactCacheMisses)
 	}
 	if shared.EffectiveParallel != grid.EffectiveParallel() {
 		t.Errorf("report parallelism %d != campaign's %d", shared.EffectiveParallel, grid.EffectiveParallel())

@@ -1,10 +1,8 @@
 package stress
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"uniserver/internal/cpu"
@@ -87,42 +85,6 @@ func (a *Archive) Entries() []ArchiveEntry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// archiveJSON is the wire format.
-type archiveJSON struct {
-	Version int            `json:"version"`
-	Entries []ArchiveEntry `json:"entries"`
-}
-
-const archiveVersion = 1
-
-// Save writes the archive as JSON.
-func (a *Archive) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(archiveJSON{Version: archiveVersion, Entries: a.Entries()}); err != nil {
-		return fmt.Errorf("stress: saving archive: %w", err)
-	}
-	return nil
-}
-
-// LoadArchive reads an archive written by Save.
-func LoadArchive(r io.Reader) (*Archive, error) {
-	var in archiveJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("stress: loading archive: %w", err)
-	}
-	if in.Version != archiveVersion {
-		return nil, fmt.Errorf("stress: unsupported archive version %d", in.Version)
-	}
-	a := NewArchive()
-	for _, e := range in.Entries {
-		if err := a.Put(e); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
 }
 
 // ObtainVirus returns a virus for the machine/objective pair: the best

@@ -1,8 +1,6 @@
 package stress
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"uniserver/internal/cpu"
@@ -59,37 +57,6 @@ func TestArchiveBest(t *testing.T) {
 	}
 	if _, ok := a.Best("unknown", MaxVoltageNoise); ok {
 		t.Fatal("unknown machine matched")
-	}
-}
-
-func TestArchiveSaveLoadRoundTrip(t *testing.T) {
-	a := NewArchive()
-	if err := a.Put(sampleEntry("v1", "i5-4200U", 750)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadArchive(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("len = %d", got.Len())
-	}
-	e := got.Entries()[0]
-	if e.Name != "v1" || e.Genome.VecFrac != 0.5 || e.Fitness != 750 {
-		t.Fatalf("entry = %+v", e)
-	}
-}
-
-func TestLoadArchiveRejectsGarbage(t *testing.T) {
-	if _, err := LoadArchive(strings.NewReader("{")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadArchive(strings.NewReader(`{"version":7}`)); err == nil {
-		t.Fatal("future version accepted")
 	}
 }
 
