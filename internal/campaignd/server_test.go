@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"uniserver/internal/core"
 	"uniserver/internal/resultstore"
 	"uniserver/internal/scenario"
 )
@@ -367,6 +371,50 @@ func TestConcurrentSubmissionsShareOneStore(t *testing.T) {
 	for _, r := range rows {
 		if r["status"] != resultstore.RunComplete {
 			t.Errorf("run %v status = %v, want complete", r["id"], r["status"])
+		}
+	}
+}
+
+// TestSubmitBesideOtherVersionSpill: a store whose spill directories
+// were stamped by builds with other snapshot formats — the unversioned
+// charact/ of older stores and the previous format's directory — still
+// completes a submission, byte-identical to the direct run, spilling
+// into a fresh directory of this build's format and leaving the old
+// ones untouched.
+func TestSubmitBesideOtherVersionSpill(t *testing.T) {
+	ref := referenceReport(t)
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open store: %v", err)
+	}
+	prev := strconv.Itoa(core.SnapshotFormatVersion - 1)
+	stale := []string{"charact", "charact-v" + prev}
+	for _, sub := range stale {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sub, "VERSION"), []byte(prev+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(Options{Store: st, Pool: 1})
+	defer srv.Close()
+	scens, seeds := testGrid()
+	_, rep, err := srv.Submit(scens, seeds, 0, 1, nil)
+	if err != nil {
+		t.Fatalf("submission against a store with other-version spills failed: %v", err)
+	}
+	if rep.FingerprintSHA256 != ref.FingerprintSHA256 {
+		t.Errorf("campaign fingerprint diverged from the direct run")
+	}
+	if spills, _ := filepath.Glob(filepath.Join(st.CharactDir(), "*.charact")); len(spills) == 0 {
+		t.Errorf("nothing spilled into %s", st.CharactDir())
+	}
+	for _, sub := range stale {
+		data, err := os.ReadFile(filepath.Join(dir, sub, "VERSION"))
+		if err != nil || strings.TrimSpace(string(data)) != prev {
+			t.Errorf("%s stamp = %q, %v; want it left at %s", sub, data, err, prev)
 		}
 	}
 }

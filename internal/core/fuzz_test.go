@@ -2,15 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
 // FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes, both as a whole
 // file and as a payload framed with a matching length and checksum —
-// the second form is how the fuzzer gets past the checksum to the
-// decoder and the image validation behind it. LoadSnapshot must never
-// panic, and whatever it accepts must re-save to exactly the bytes it
-// read.
+// the second form is how the fuzzer gets past the checksum to the gob
+// head, the columns and the image validation behind them. LoadSnapshot
+// must never panic, and whatever it accepts must re-save to exactly
+// the bytes it read.
 func FuzzLoadSnapshot(f *testing.F) {
 	opts := smallOptions(41)
 	opts.Mem.DIMMBytes = 1 << 28 // the least the hypervisor's own state fits in
@@ -42,10 +43,17 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	saved := buf.Bytes()
 	f.Add(saved)
-	for _, n := range []int{0, 7, snapshotHeader, snapshotHeader + 1, len(saved) / 2, len(saved) - 1} {
+	// The columns start behind the payload's head length and the head.
+	cols := snapshotHeader + 8 + int(binary.LittleEndian.Uint64(saved[snapshotHeader:]))
+	for _, n := range []int{0, 7, snapshotHeader, snapshotHeader + 1, (snapshotHeader + cols) / 2, cols, cols + 8, len(saved) - 1} {
 		f.Add(saved[:n])
 	}
-	f.Add(saved[snapshotHeader:]) // the raw payload: framed below with its own checksum
+	payload := saved[snapshotHeader:]
+	f.Add(payload) // the raw payload: framed below with its own checksum
+	// The payload's head and its columns, each cut short: the framed
+	// form reaches the head's and the columns' refusals.
+	f.Add(payload[:(8+cols-snapshotHeader)/2])
+	f.Add(payload[:len(payload)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		framed := frame(append(make([]byte, snapshotHeader), data...))

@@ -17,35 +17,59 @@ import (
 // simulator state, so a silent cross-version read would corrupt
 // results instead of failing loudly. Bump it whenever the images
 // change shape or meaning.
-const SnapshotFormatVersion = 3
+const SnapshotFormatVersion = 4
 
 // snapshotHeader is the frame in front of the encoded images: the
 // format version and the payload length as little-endian uint64s,
 // then the payload's sha256.
 const snapshotHeader = 8 + 8 + sha256.Size
 
+// headRoom is the room Save reserves for the gob head, which is tens
+// of kilobytes; a larger head only costs Save a copy.
+const headRoom = 64 << 10
+
 // Save writes the snapshot's images: the format version, the payload
-// length and the payload's sha256, then the gob-encoded images.
-// Only pre-deployment characterization snapshots are writable — the
-// checkpoint the on-disk cache spills, before any mode is entered or
-// window run.
+// length and the payload's sha256, then the payload — the gob head's
+// length as a little-endian uint64, the gob-encoded images without
+// their bulk slabs, and the slabs as fixed-width columns, the memory
+// image's (dram.FlatMemory.AppendColumns) then the hypervisor's
+// (hypervisor.Image.AppendColumns). Only pre-deployment
+// characterization snapshots are writable — the checkpoint the on-disk
+// cache spills, before any mode is entered or window run.
 func (s *Snapshot) Save(w io.Writer) error {
-	if err := s.persistable(); err != nil {
+	if err := s.img.persistable(); err != nil {
 		return err
 	}
-	b, err := s.img.encode(0)
+	b, err := s.img.encode()
 	if err == nil {
 		_, err = w.Write(frame(b))
 	}
 	return err
 }
 
-// persistable refuses the snapshots Save does not write.
-func (s *Snapshot) persistable() error {
+// encode returns the payload behind room for the header.
+func (img *images) encode() ([]byte, error) {
+	size := snapshotHeader + 8 + headRoom + img.Mem.ColumnsLen() + img.Hyp.ColumnsLen()
+	b, err := img.appendHead(make([]byte, snapshotHeader+8, size))
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint64(b[snapshotHeader:], uint64(len(b)-snapshotHeader-8))
+	if b, err = img.Mem.AppendColumns(b); err != nil {
+		return nil, fmt.Errorf("core: encoding snapshot memory image: %w", err)
+	}
+	if b, err = img.Hyp.AppendColumns(b); err != nil {
+		return nil, fmt.Errorf("core: encoding snapshot hypervisor image: %w", err)
+	}
+	return b, nil
+}
+
+// persistable refuses the images Save does not write.
+func (img *images) persistable() error {
 	switch {
-	case s.img.WindowsRun > 0:
-		return fmt.Errorf("core: refusing to serialize a mid-life snapshot (%d windows run); only pre-deployment characterization snapshots persist", s.img.WindowsRun)
-	case s.img.Mode != vfr.ModeNominal:
+	case img.WindowsRun > 0:
+		return fmt.Errorf("core: refusing to serialize a mid-life snapshot (%d windows run); only pre-deployment characterization snapshots persist", img.WindowsRun)
+	case img.Mode != vfr.ModeNominal:
 		return errors.New("core: refusing to serialize a snapshot taken after mode entry; snapshot between PreDeployment and EnterMode")
 	}
 	return nil
@@ -58,19 +82,19 @@ func (s *Snapshot) persistable() error {
 // encoding the same in every process — which LoadSnapshot's canonical
 // check, and spill files shared between processes, rely on.
 func init() {
-	if _, err := (&images{}).encode(0); err != nil {
+	if _, err := (&images{}).appendHead(nil); err != nil {
 		panic(err)
 	}
 }
 
-// encode returns the encoded images behind room for the header, in a
-// buffer presized for size payload bytes when the size is known.
-func (img *images) encode(size int) ([]byte, error) {
-	b := bytes.NewBuffer(make([]byte, snapshotHeader, snapshotHeader+size))
-	if err := gob.NewEncoder(b).Encode(img); err != nil {
+// appendHead appends the gob head — the images without the slabs gob
+// does not see — to b.
+func (img *images) appendHead(b []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(b)
+	if err := gob.NewEncoder(buf).Encode(img); err != nil {
 		return nil, fmt.Errorf("core: encoding snapshot images: %w", err)
 	}
-	return b.Bytes(), nil
+	return buf.Bytes(), nil
 }
 
 // frame fills the header reserved at the front of b for the payload
@@ -87,10 +111,10 @@ func frame(b []byte) []byte {
 // checks the version, the length and the sha256 before it decodes,
 // then refuses images that Save could not have written: extents
 // outside their slabs, a core count that disagrees with the chip, a
-// snapshot Save would refuse, or bytes that are not the images'
-// canonical encoding. What it returns is the images themselves —
-// stamps from a loaded snapshot are bit-identical to stamps from the
-// one that was saved.
+// snapshot Save would refuse, a head that is not the images' canonical
+// encoding, or bytes after the columns. What it returns is the images
+// themselves — stamps from a loaded snapshot are bit-identical to
+// stamps from the one that was saved.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	var hdr [snapshotHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -100,38 +124,82 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshot format version %d does not match this build's %d; refusing to load",
 			v, SnapshotFormatVersion)
 	}
-	n := binary.LittleEndian.Uint64(hdr[8:])
-	// Presize for the claimed length, but no further than a corrupt
-	// header could make a short input allocate.
-	buf := bytes.NewBuffer(make([]byte, 0, min(n, 1<<20)))
-	if _, err := io.CopyN(buf, r, int64(min(n, 1<<62))); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("core: reading snapshot images: %w", err)
-	}
-	payload := buf.Bytes()
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("core: snapshot truncated: %d of %d payload bytes", len(payload), n)
+	payload, err := readPayload(r, binary.LittleEndian.Uint64(hdr[8:]))
+	if err != nil {
+		return nil, err
 	}
 	if sha256.Sum256(payload) != [sha256.Size]byte(hdr[16:]) {
 		return nil, errors.New("core: snapshot checksum mismatch")
 	}
 	s := &Snapshot{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s.img); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot images: %w", err)
-	}
-	if err := s.img.validate(); err != nil {
+	if err := s.img.decode(payload); err != nil {
 		return nil, err
-	}
-	if err := s.persistable(); err != nil {
-		return nil, err
-	}
-	// gob ignores fields it does not know, accepts redundant encodings
-	// and stops before trailing bytes; only the canonical bytes re-save
-	// identically.
-	if canon, err := s.img.encode(len(payload)); err != nil || !bytes.Equal(canon[snapshotHeader:], payload) {
-		return nil, errors.New("core: snapshot images are not in canonical encoding")
 	}
 	s.derive()
 	return s, nil
+}
+
+// readPayload reads the n payload bytes that follow the header. A
+// reader that reports its remaining length (a *bytes.Reader) is read
+// into one allocation of exactly n bytes, once it holds them; any
+// other grows a buffer from a presize no larger than a corrupt header
+// could make a short input allocate.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	var payload []byte
+	if lr, ok := r.(interface{ Len() int }); ok {
+		if left := uint64(lr.Len()); left < n {
+			return nil, fmt.Errorf("core: snapshot truncated: %d of %d payload bytes", left, n)
+		}
+		payload = make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, fmt.Errorf("core: reading snapshot images: %w", err)
+		}
+		return payload, nil
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, 1<<20)))
+	if _, err := io.CopyN(buf, r, int64(min(n, 1<<62))); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("core: reading snapshot images: %w", err)
+	}
+	if payload = buf.Bytes(); uint64(len(payload)) != n {
+		return nil, fmt.Errorf("core: snapshot truncated: %d of %d payload bytes", len(payload), n)
+	}
+	return payload, nil
+}
+
+// decode reads a payload Save wrote into img and refuses it unless it
+// is exactly what Save writes for the images it holds.
+func (img *images) decode(p []byte) error {
+	if len(p) < 8 || binary.LittleEndian.Uint64(p) > uint64(len(p)-8) {
+		return fmt.Errorf("core: snapshot head overruns its %d-byte payload", len(p))
+	}
+	n := 8 + binary.LittleEndian.Uint64(p)
+	head, cols := p[8:n], p[n:]
+	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(img); err != nil {
+		return fmt.Errorf("core: decoding snapshot images: %w", err)
+	}
+	cols, err := img.Mem.DecodeColumns(cols)
+	if err != nil {
+		return fmt.Errorf("core: snapshot memory image: %w", err)
+	}
+	if cols, err = img.Hyp.DecodeColumns(cols); err != nil {
+		return fmt.Errorf("core: snapshot hypervisor image: %w", err)
+	}
+	if len(cols) != 0 {
+		return fmt.Errorf("core: %d bytes after the snapshot columns", len(cols))
+	}
+	if err := img.validate(); err != nil {
+		return err
+	}
+	if err := img.persistable(); err != nil {
+		return err
+	}
+	// gob ignores fields it does not know, accepts redundant encodings
+	// and stops before trailing bytes; only the canonical head re-saves
+	// identically. The columns have one encoding per value.
+	if canon, err := img.appendHead(make([]byte, 0, len(head))); err != nil || !bytes.Equal(canon, head) {
+		return errors.New("core: snapshot images are not in canonical encoding")
+	}
+	return nil
 }
 
 // validate refuses decoded images a stamp could not use safely.

@@ -63,10 +63,11 @@ type Snapshot struct {
 }
 
 // images is the snapshot's content, field for field the ecosystem
-// state a stamp overwrites. It is what Save encodes, so every field is
-// exported and pointer-free (the table encodes through vfr's own
-// format), and nothing in it is a map, so the encoding is
-// deterministic.
+// state a stamp overwrites. It is what Save encodes: gob encodes its
+// fields, which are all exported and pointer-free (the table encodes
+// through vfr's own format), and nothing in it is a map, so the
+// encoding is deterministic; the bulk slabs inside Mem and Hyp are
+// unexported, out of gob's sight, and encode as columns.
 type images struct {
 	Opts    Options // HealthLogOut always nil
 	Clock   time.Time

@@ -322,7 +322,7 @@ func sharedStateDigest(eco *Ecosystem) string {
 // stamp may alias or copy.
 func snapshotDigest(t *testing.T, snap *Snapshot) string {
 	t.Helper()
-	b, err := snap.img.encode(0)
+	b, err := snap.img.encode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,18 +14,20 @@ import (
 // entries of the next level it owns (a DIMM with v VRT cells owns
 // ⌈v/8⌉ bitset bytes, bit j%8 of byte j/8 holding VRT cell j's state).
 // It is built once per snapshot (Flatten) and stamped into arena
-// memory systems (StampInto), whose DIMMs alias the slabs. A FlatMemory is immutable after Flatten and safe for
-// concurrent StampInto calls — and concurrent reads through the
-// stamped DIMMs — from many workers. Its fields are exported for
-// encoding only.
+// memory systems (StampInto), whose DIMMs alias the slabs. A FlatMemory
+// is immutable after Flatten and safe for concurrent StampInto calls —
+// and concurrent reads through the stamped DIMMs — from many workers.
+// Its exported fields are the head a snapshot encodes with gob; the
+// slabs are unexported and encode as fixed-width columns
+// (AppendColumns).
 type FlatMemory struct {
 	Model   RetentionModel
 	TempC   float64
 	Domains []FlatDomain
 	DIMMs   []FlatDIMM
-	Cells   CellSlab
-	VRT     []int
-	Low     []byte
+	cells   []WeakCell
+	vrt     []int
+	low     []byte
 }
 
 // FlatDomain is one refresh domain of a FlatMemory, owning the next
@@ -62,16 +64,18 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 			n += len(d.Weak)
 		}
 	}
-	f.Cells = make(CellSlab, 0, n)
+	if n > 0 {
+		f.cells = make([]WeakCell, 0, n)
+	}
 	for _, dom := range ms.Domains {
 		f.Domains = append(f.Domains, FlatDomain{Name: dom.Name, Refresh: dom.Refresh, Reliable: dom.Reliable, DIMMs: len(dom.DIMMs)})
 		for _, d := range dom.DIMMs {
 			f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: d.CapacityBytes, DeviceGb: d.DeviceGb, Cells: len(d.Weak), VRT: len(d.vrt)})
-			f.Cells = append(f.Cells, d.Weak...)
-			f.VRT = append(f.VRT, d.vrt...)
-			lo := len(f.Low)
-			f.Low = append(f.Low, d.low...)
-			d.foldInto(f.Low[lo:])
+			f.cells = append(f.cells, d.Weak...)
+			f.vrt = append(f.vrt, d.vrt...)
+			lo := len(f.low)
+			f.low = append(f.low, d.low...)
+			d.foldInto(f.low[lo:])
 		}
 	}
 	return f
@@ -93,14 +97,14 @@ func (f *FlatMemory) Validate() error {
 	}
 	cells, vrt, low := 0, 0, 0
 	for i, d := range f.DIMMs {
-		if d.CapacityBytes == 0 || d.Cells < 0 || d.Cells > len(f.Cells)-cells || d.VRT < 0 || d.VRT > len(f.VRT)-vrt ||
-			lowBytes(d.VRT) > len(f.Low)-low {
+		if d.CapacityBytes == 0 || d.Cells < 0 || d.Cells > len(f.cells)-cells || d.VRT < 0 || d.VRT > len(f.vrt)-vrt ||
+			lowBytes(d.VRT) > len(f.low)-low {
 			return fmt.Errorf("dram: DIMM %d (%d bytes) claims %d of %d cells, %d of %d VRT indices and %d of %d bitset bytes left",
-				i, d.CapacityBytes, d.Cells, len(f.Cells)-cells, d.VRT, len(f.VRT)-vrt, lowBytes(d.VRT), len(f.Low)-low)
+				i, d.CapacityBytes, d.Cells, len(f.cells)-cells, d.VRT, len(f.vrt)-vrt, lowBytes(d.VRT), len(f.low)-low)
 		}
-		index := f.VRT[vrt : vrt+d.VRT]
+		index := f.vrt[vrt : vrt+d.VRT]
 		k := 0
-		for ci, c := range f.Cells[cells : cells+d.Cells] {
+		for ci, c := range f.cells[cells : cells+d.Cells] {
 			if !(c.RetentionSec > 0) {
 				return fmt.Errorf("dram: DIMM %d cell %d has retention %v", i, ci, c.RetentionSec)
 			}
@@ -115,14 +119,14 @@ func (f *FlatMemory) Validate() error {
 			return fmt.Errorf("dram: DIMM %d VRT index lists %d stable cells", i, len(index)-k)
 		}
 		low += lowBytes(d.VRT)
-		if d.VRT&7 != 0 && f.Low[low-1]>>(d.VRT&7) != 0 {
+		if d.VRT&7 != 0 && f.low[low-1]>>(d.VRT&7) != 0 {
 			return fmt.Errorf("dram: DIMM %d bitset has bits past its %d VRT cells", i, d.VRT)
 		}
 		cells, vrt = cells+d.Cells, vrt+d.VRT
 	}
-	if dimms != len(f.DIMMs) || cells != len(f.Cells) || vrt != len(f.VRT) || low != len(f.Low) {
+	if dimms != len(f.DIMMs) || cells != len(f.cells) || vrt != len(f.vrt) || low != len(f.low) {
 		return fmt.Errorf("dram: image owns %d of %d DIMMs, %d of %d cells, %d of %d VRT indices, %d of %d bitset bytes",
-			dimms, len(f.DIMMs), cells, len(f.Cells), vrt, len(f.VRT), low, len(f.Low))
+			dimms, len(f.DIMMs), cells, len(f.cells), vrt, len(f.vrt), low, len(f.low))
 	}
 	return nil
 }
@@ -171,9 +175,9 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			if !d.lowShared {
 				d.spareLow = d.low[:0]
 			}
-			d.Weak = f.Cells[cell : cell+fdim.Cells : cell+fdim.Cells]
-			d.vrt = f.VRT[vrt : vrt+fdim.VRT : vrt+fdim.VRT]
-			d.low = f.Low[low : low+n : low+n]
+			d.Weak = f.cells[cell : cell+fdim.Cells : cell+fdim.Cells]
+			d.vrt = f.vrt[vrt : vrt+fdim.VRT : vrt+fdim.VRT]
+			d.low = f.low[low : low+n : low+n]
 			d.cellsShared, d.lowShared = true, true
 			d.reset()
 			dimm, cell, vrt, low = dimm+1, cell+fdim.Cells, vrt+fdim.VRT, low+n
@@ -194,75 +198,161 @@ func (f *FlatMemory) shapeMatches(ms *MemorySystem) bool {
 	return true
 }
 
-// CellSlab is a weak-cell slab that encodes as binary records instead
-// of gob's per-field form: a snapshot's cells are most of its bytes.
-// The slab is a uvarint count, then per cell the offset and the
-// retention time's IEEE-754 bits as little-endian uint64s, a flag
-// byte, and the short retention time's bits for VRT cells only.
-type CellSlab []WeakCell
-
+// A FlatMemory's slabs encode as five columns, each a little-endian
+// uint64 count followed by that many fixed-width little-endian values:
+//
+//	offsets    uint64 per cell
+//	retention  uint64 per cell: RetentionSec's IEEE-754 bits
+//	flags      byte per cell: flagTrueCell, flagVRT
+//	short      uint64 per VRT cell, in cell order: AltRetentionSec's bits
+//	bitset     the telegraph bitset's bytes
+//
+// The VRT index is not encoded: it is exactly the cells flagged VRT,
+// and DecodeColumns derives it. Every value has one encoding, so a
+// decoded image re-encodes to the bytes it was read from.
 const (
 	flagTrueCell = 1 << iota
-	flagVRT      // AltRetentionSec follows
+	flagVRT
 )
 
-// GobEncode implements gob.GobEncoder.
-func (s CellSlab) GobEncode() ([]byte, error) {
-	b := binary.AppendUvarint(make([]byte, 0, 18*len(s)+binary.MaxVarintLen64), uint64(len(s)))
-	for _, c := range s {
-		b = binary.LittleEndian.AppendUint64(b, c.Offset)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.RetentionSec))
-		var flags byte
+// ColumnsLen returns the number of bytes AppendColumns appends.
+func (f *FlatMemory) ColumnsLen() int {
+	return 5*8 + 17*len(f.cells) + 8*len(f.vrt) + len(f.low)
+}
+
+// AppendColumns appends the image's slabs to b as columns. It refuses
+// a cell whose short retention is non-zero but not positive, or whose
+// VRT cells disagree with the index: the columns cannot hold them.
+func (f *FlatMemory) AppendColumns(b []byte) ([]byte, error) {
+	at := len(b)
+	b = slices.Grow(b, f.ColumnsLen())[:at+f.ColumnsLen()]
+	offs, w := putColumn(b[at:], len(f.cells), 8)
+	rets, w := putColumn(w, len(f.cells), 8)
+	flags, w := putColumn(w, len(f.cells), 1)
+	short, w := putColumn(w, len(f.vrt), 8)
+	low, _ := putColumn(w, len(f.low), 1)
+	k := 0
+	for i, c := range f.cells {
+		binary.LittleEndian.PutUint64(offs[8*i:], c.Offset)
+		binary.LittleEndian.PutUint64(rets[8*i:], math.Float64bits(c.RetentionSec))
+		var fl byte
 		if c.TrueCell {
-			flags |= flagTrueCell
+			fl |= flagTrueCell
 		}
 		if c.AltRetentionSec != 0 {
-			flags |= flagVRT
+			if !(c.AltRetentionSec > 0) || k == len(f.vrt) {
+				return nil, fmt.Errorf("dram: cell %d's short retention %v is not an indexed VRT cell's", i, c.AltRetentionSec)
+			}
+			fl |= flagVRT
+			binary.LittleEndian.PutUint64(short[8*k:], math.Float64bits(c.AltRetentionSec))
+			k++
 		}
-		b = append(b, flags)
-		if flags&flagVRT != 0 {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.AltRetentionSec))
+		flags[i] = fl
+	}
+	if k != len(f.vrt) {
+		return nil, fmt.Errorf("dram: image has %d VRT cells and %d VRT indices", k, len(f.vrt))
+	}
+	copy(low, f.low)
+	return b, nil
+}
+
+// putColumn writes a column's count of n at the front of w and returns
+// the column's n values of width bytes and the bytes after them.
+func putColumn(w []byte, n, width int) (col, rest []byte) {
+	binary.LittleEndian.PutUint64(w, uint64(n))
+	return w[8 : 8+n*width], w[8+n*width:]
+}
+
+// DecodeColumns reads the columns AppendColumns wrote from the front
+// of b into exact-size slabs of f, whose head — Domains and DIMMs — is
+// already decoded, and returns the bytes after them. It refuses a
+// count that disagrees with the head's DIMMs, a short column, unknown
+// flag bits and a VRT cell whose short retention is not positive;
+// Validate checks the rest.
+func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
+	// A cell takes at least 17 bytes, so counts summing past len(b)
+	// are short columns — and the sums cannot overflow.
+	cells, vrt, low := 0, 0, 0
+	for i, d := range f.DIMMs {
+		if d.Cells < 0 || d.VRT < 0 || d.Cells > len(b)-cells || d.VRT > len(b)-vrt {
+			return nil, fmt.Errorf("dram: DIMM %d claims %d cells and %d VRT cells of a %d-byte image", i, d.Cells, d.VRT, len(b))
+		}
+		cells, vrt, low = cells+d.Cells, vrt+d.VRT, low+lowBytes(d.VRT)
+	}
+	offs, b, err := column(b, "offset", cells, 8)
+	if err != nil {
+		return nil, err
+	}
+	rets, b, err := column(b, "retention", cells, 8)
+	if err != nil {
+		return nil, err
+	}
+	flags, b, err := column(b, "flag", cells, 1)
+	if err != nil {
+		return nil, err
+	}
+	short, b, err := column(b, "short-retention", vrt, 8)
+	if err != nil {
+		return nil, err
+	}
+	bits, b, err := column(b, "bitset", low, 1)
+	if err != nil {
+		return nil, err
+	}
+	if cells > 0 {
+		f.cells = make([]WeakCell, cells)
+	}
+	if vrt > 0 {
+		f.vrt = make([]int, vrt)
+	}
+	if low > 0 {
+		f.low = slices.Clone(bits)
+	}
+	ci, k := 0, 0
+	for di, d := range f.DIMMs {
+		end := k + d.VRT
+		for i := range d.Cells {
+			fl := flags[ci]
+			if fl&^(flagTrueCell|flagVRT) != 0 {
+				return nil, fmt.Errorf("dram: DIMM %d cell %d has unknown flags %#x", di, i, fl)
+			}
+			c := &f.cells[ci]
+			c.Offset = binary.LittleEndian.Uint64(offs[8*ci:])
+			c.RetentionSec = math.Float64frombits(binary.LittleEndian.Uint64(rets[8*ci:]))
+			c.TrueCell = fl&flagTrueCell != 0
+			if fl&flagVRT != 0 {
+				if k == end {
+					return nil, fmt.Errorf("dram: DIMM %d flags more than its %d VRT cells", di, d.VRT)
+				}
+				if c.AltRetentionSec = math.Float64frombits(binary.LittleEndian.Uint64(short[8*k:])); !(c.AltRetentionSec > 0) {
+					return nil, fmt.Errorf("dram: DIMM %d VRT cell %d has short retention %v", di, i, c.AltRetentionSec)
+				}
+				f.vrt[k] = i
+				k++
+			}
+			ci++
+		}
+		if k != end {
+			return nil, fmt.Errorf("dram: DIMM %d flags %d of its %d VRT cells", di, d.VRT-(end-k), d.VRT)
 		}
 	}
 	return b, nil
 }
 
-// GobDecode implements gob.GobDecoder, refusing truncated records,
-// unknown flag bits and trailing bytes.
-func (s *CellSlab) GobDecode(b []byte) error {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b))/17 { // a record is at least 17 bytes
-		return fmt.Errorf("dram: cell slab claims %d cells in %d bytes", n, len(b))
+// column reads a column of n values of width bytes from the front of
+// b, refusing any other count and a short column, and returns the
+// values and the bytes after them.
+func column(b []byte, name string, n, width int) (col, rest []byte, err error) {
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("dram: %s column truncated", name)
 	}
-	cells := make(CellSlab, n)
-	b = b[k:]
-	for i := range cells {
-		if len(b) < 17 {
-			return fmt.Errorf("dram: cell %d truncated", i)
-		}
-		flags := b[16]
-		if flags&^(flagTrueCell|flagVRT) != 0 {
-			return fmt.Errorf("dram: cell %d has unknown flags %#x", i, flags)
-		}
-		cells[i] = WeakCell{
-			Offset:       binary.LittleEndian.Uint64(b),
-			RetentionSec: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-			TrueCell:     flags&flagTrueCell != 0,
-		}
-		b = b[17:]
-		if flags&flagVRT != 0 {
-			if len(b) < 8 {
-				return fmt.Errorf("dram: cell %d truncated", i)
-			}
-			cells[i].AltRetentionSec = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-		}
+	if got := binary.LittleEndian.Uint64(b); got != uint64(n) {
+		return nil, nil, fmt.Errorf("dram: %s column holds %d values, the head %d", name, got, n)
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("dram: %d bytes after the cell slab", len(b))
+	if n > (len(b)-8)/width {
+		return nil, nil, fmt.Errorf("dram: %s column truncated", name)
 	}
-	*s = cells
-	return nil
+	return b[8 : 8+n*width], b[8+n*width:], nil
 }
 
 // AllocatorImage is an Allocator's snapshot form, naming each domain

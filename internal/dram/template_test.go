@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
@@ -32,11 +31,10 @@ func sharedSystem(t *testing.T) (*MemorySystem, *FlatMemory) {
 // digest hashes the image's slabs — the bytes every stamped DIMM reads.
 // A changed digest means some writer wrote through to the image.
 func digest(f *FlatMemory) [sha256.Size]byte {
-	b, _ := f.Cells.GobEncode()
-	for _, i := range f.VRT {
+	b, _ := f.AppendColumns(nil)
+	for _, i := range f.vrt {
 		b = binary.LittleEndian.AppendUint64(b, uint64(i))
 	}
-	b = append(b, f.Low...)
 	return sha256.Sum256(b)
 }
 
@@ -58,12 +56,12 @@ func within[T any](x, slab []T) bool {
 
 // aliases reports whether d's weak cells are the image slab's.
 func aliases(d *DIMM, f *FlatMemory) bool {
-	return len(d.Weak) == 0 || within(d.Weak, f.Cells)
+	return len(d.Weak) == 0 || within(d.Weak, f.cells)
 }
 
 // lowAliases reports whether d's telegraph bitset is the image's.
 func lowAliases(d *DIMM, f *FlatMemory) bool {
-	return len(d.low) == 0 || within(d.low, f.Low)
+	return len(d.low) == 0 || within(d.low, f.low)
 }
 
 // TestStampSharesUntilFirstWrite pins the copy-on-write contract of
@@ -258,21 +256,21 @@ func TestFlatMemoryValidate(t *testing.T) {
 		"uncovered DIMM":     func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
 		"cell overrun":       func(f *FlatMemory) { f.DIMMs[3].Cells++ },
 		"cell negative":      func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
-		"uncovered cells":    func(f *FlatMemory) { f.Cells = append(f.Cells, WeakCell{RetentionSec: 1}) },
+		"uncovered cells":    func(f *FlatMemory) { f.cells = append(f.cells, WeakCell{RetentionSec: 1}) },
 		"vrt overrun":        func(f *FlatMemory) { f.DIMMs[3].VRT++ },
-		"vrt outside DIMM":   func(f *FlatMemory) { f.VRT[0] = f.DIMMs[0].Cells },
-		"negative vrt":       func(f *FlatMemory) { f.VRT[0] = -1 },
-		"vrt out of order":   func(f *FlatMemory) { f.VRT[0], f.VRT[1] = f.VRT[1], f.VRT[0] },
-		"stable cell listed": func(f *FlatMemory) { f.Cells[f.VRT[0]].AltRetentionSec = 0 },
-		"VRT cell unlisted":  func(f *FlatMemory) { f.Cells[f.VRT[0]+1].AltRetentionSec = 1 },
-		"no retention":       func(f *FlatMemory) { f.Cells[2].RetentionSec = 0 },
-		"NaN retention":      func(f *FlatMemory) { f.Cells[2].RetentionSec = math.NaN() },
-		"bitset overrun":     func(f *FlatMemory) { f.Low = f.Low[:len(f.Low)-1] },
-		"uncovered bitset":   func(f *FlatMemory) { f.Low = append(f.Low, 0) },
-		"bit past VRT cells": func(f *FlatMemory) { f.Low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
+		"vrt outside DIMM":   func(f *FlatMemory) { f.vrt[0] = f.DIMMs[0].Cells },
+		"negative vrt":       func(f *FlatMemory) { f.vrt[0] = -1 },
+		"vrt out of order":   func(f *FlatMemory) { f.vrt[0], f.vrt[1] = f.vrt[1], f.vrt[0] },
+		"stable cell listed": func(f *FlatMemory) { f.cells[f.vrt[0]].AltRetentionSec = 0 },
+		"VRT cell unlisted":  func(f *FlatMemory) { f.cells[f.vrt[0]+1].AltRetentionSec = 1 },
+		"no retention":       func(f *FlatMemory) { f.cells[2].RetentionSec = 0 },
+		"NaN retention":      func(f *FlatMemory) { f.cells[2].RetentionSec = math.NaN() },
+		"bitset overrun":     func(f *FlatMemory) { f.low = f.low[:len(f.low)-1] },
+		"uncovered bitset":   func(f *FlatMemory) { f.low = append(f.low, 0) },
+		"bit past VRT cells": func(f *FlatMemory) { f.low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
 		"no capacity":        func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
 	}
-	if f.DIMMs[0].VRT%8 == 0 || f.VRT[0]+1 == f.VRT[1] {
+	if f.DIMMs[0].VRT%8 == 0 || f.vrt[0]+1 == f.vrt[1] {
 		t.Fatal("the image no longer exercises a padded bitset word or an unlisted-cell break")
 	}
 	for name, brk := range breaks {
@@ -284,41 +282,69 @@ func TestFlatMemoryValidate(t *testing.T) {
 	}
 }
 
-// TestCellSlabGobRoundTrip: the binary cell records decode to the
-// same cells, and malformed record streams are refused.
-func TestCellSlabGobRoundTrip(t *testing.T) {
+// TestFlatMemoryColumnsRoundTrip: the columns decode into the same
+// slabs — the VRT index derived from the flags — and re-encode to the
+// same bytes, and every column a head's DIMMs cannot own is refused.
+func TestFlatMemoryColumnsRoundTrip(t *testing.T) {
 	_, f := sharedSystem(t)
-	b, err := f.Cells.GobEncode()
+	b, err := f.AppendColumns(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got CellSlab
-	if err := got.GobDecode(b); err != nil {
+	if len(b) != f.ColumnsLen() {
+		t.Fatalf("AppendColumns wrote %d bytes, ColumnsLen says %d", len(b), f.ColumnsLen())
+	}
+	decode := func(b []byte) (*FlatMemory, error) {
+		g := &FlatMemory{Model: f.Model, TempC: f.TempC, Domains: f.Domains, DIMMs: f.DIMMs}
+		rest, err := g.DecodeColumns(b)
+		if err == nil && len(rest) != 0 {
+			t.Fatalf("%d bytes left after the columns", len(rest))
+		}
+		return g, err
+	}
+	g, err := decode(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, f.Cells) {
-		t.Fatal("cells changed across the round trip")
+	if !reflect.DeepEqual(g, f) {
+		t.Fatal("image changed across the round trip")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		t.Fatal(err)
+	if again, _ := g.AppendColumns(nil); !bytes.Equal(again, b) {
+		t.Fatal("decoded image re-encodes to different bytes")
 	}
-	var g FlatMemory
-	if err := gob.NewDecoder(&buf).Decode(&g); err != nil {
-		t.Fatal(err)
+
+	// The byte offsets of each column, behind its 8-byte count.
+	n, v := len(f.cells), len(f.vrt)
+	rets := 8 + 8*n
+	flags := rets + 8 + 8*n
+	short := flags + 8 + n
+	vrtCell := flags + 8 + f.vrt[0] // the first DIMM's first VRT cell's flag byte
+	breaks := map[string]func(b []byte) []byte{
+		"truncated":          func(b []byte) []byte { return b[:len(b)-1] },
+		"no columns":         func(b []byte) []byte { return nil },
+		"cell count":         func(b []byte) []byte { b[0]++; return b },
+		"flag count":         func(b []byte) []byte { b[flags]--; return b },
+		"short count":        func(b []byte) []byte { b[short]++; return b },
+		"unknown flags":      func(b []byte) []byte { b[flags+8] |= 0x80; return b },
+		"unflagged VRT cell": func(b []byte) []byte { b[vrtCell] &^= flagVRT; return b },
+		"extra VRT cell":     func(b []byte) []byte { b[vrtCell+1] |= flagVRT; return b },
+		"zero short":         func(b []byte) []byte { clear(b[short+8 : short+16]); return b },
+		"NaN short": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[short+8:], math.Float64bits(math.NaN()))
+			return b
+		},
 	}
-	if digest(&g) != digest(f) {
-		t.Fatal("image slabs changed across a gob round trip")
+	if v == 0 || f.vrt[0]+1 == f.vrt[1] {
+		t.Fatal("the image no longer has a stable cell after its first VRT cell")
 	}
-	if err := got.GobDecode(b[:len(b)-1]); err == nil {
-		t.Fatal("partial record accepted")
+	for name, brk := range breaks {
+		if _, err := decode(brk(bytes.Clone(b))); err == nil {
+			t.Errorf("%s: broken columns accepted", name)
+		}
 	}
-	if err := got.GobDecode(append(b, 0)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	one, _ := CellSlab{{Offset: 5, RetentionSec: 1}}.GobEncode() // count, 16 bytes, flags
-	one[17] |= 0x80
-	if err := got.GobDecode(one); err == nil {
-		t.Fatal("unknown flag bits accepted")
+
+	bad := &FlatMemory{cells: []WeakCell{{RetentionSec: 1, AltRetentionSec: -1}}}
+	if _, err := bad.AppendColumns(nil); err == nil {
+		t.Fatal("encoded a cell whose short retention is negative")
 	}
 }

@@ -1,9 +1,11 @@
 package hypervisor
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"uniserver/internal/dram"
@@ -15,10 +17,13 @@ import (
 // operating point, the isolation state and the resilience counters.
 // Its maps are stored as slices sorted by key, so an image encodes to
 // the same bytes every time. An image is immutable once taken: stamped
-// hypervisors alias Objects until their first protection call.
+// hypervisors alias its objects until their first protection call.
+// Its exported fields are the head a snapshot encodes with gob; the
+// object inventory is unexported and encodes as a fixed-width column
+// (AppendColumns).
 type Image struct {
 	Cfg         Config
-	Objects     []Object
+	objects     []Object
 	Profiles    []CategoryProfile
 	Alloc       dram.AllocatorImage
 	Point       vfr.Point
@@ -44,12 +49,14 @@ func (h *Hypervisor) Image() (Image, error) {
 	}
 	img := Image{
 		Cfg:      h.cfg,
-		Objects:  slices.Clone(h.objects.Objects),
 		Profiles: slices.Clone(h.objects.profiles),
 		Alloc:    h.alloc.Image(),
 		Point:    h.point,
 		Stats:    h.stats,
 		Panicked: h.panicked,
+	}
+	if len(h.objects.Objects) > 0 {
+		img.objects = slices.Clone(h.objects.Objects)
 	}
 	for _, c := range slices.Sorted(maps.Keys(h.isolatedCores)) {
 		if h.isolatedCores[c] {
@@ -77,7 +84,7 @@ func (h *Hypervisor) StampFrom(img *Image, mem *dram.MemorySystem) error {
 	if h.objects == nil {
 		h.objects = &ObjectMap{}
 	}
-	h.objects.share(img.Objects, img.Profiles)
+	h.objects.share(img.objects, img.Profiles)
 	if h.alloc == nil {
 		h.alloc = &dram.Allocator{}
 	}
@@ -108,6 +115,101 @@ func (h *Hypervisor) StampFrom(img *Image, mem *dram.MemorySystem) error {
 	h.stats = img.Stats
 	h.panicked = img.Panicked
 	return nil
+}
+
+// The object inventory encodes as one column: a little-endian uint64
+// count, then per object its ID as a little-endian uint64, its
+// category as one byte — the index of the first profile of that
+// category — its size as a little-endian uint64 and a flag byte
+// (objectCrucial, objectProtected). Every value has one encoding, so a
+// decoded image re-encodes to the bytes it was read from.
+const (
+	objectCrucial = 1 << iota
+	objectProtected
+
+	objectRecord = 8 + 1 + 8 + 1
+)
+
+// ColumnsLen returns the number of bytes AppendColumns appends.
+func (img *Image) ColumnsLen() int { return 8 + objectRecord*len(img.objects) }
+
+// AppendColumns appends the object inventory to b as a column. It
+// refuses an object whose category has no profile among the first 256.
+func (img *Image) AppendColumns(b []byte) ([]byte, error) {
+	at := len(b)
+	b = slices.Grow(b, img.ColumnsLen())[:at+img.ColumnsLen()]
+	w := b[at:]
+	binary.LittleEndian.PutUint64(w, uint64(len(img.objects)))
+	w = w[8:]
+	cat, last := -1, Category("")
+	for i, o := range img.objects {
+		if cat < 0 || o.Category != last {
+			if cat = img.profileIndex(o.Category); cat < 0 || cat > math.MaxUint8 {
+				return nil, fmt.Errorf("hypervisor: object %d has category %q, which no profile among the first 256 names", i, o.Category)
+			}
+			last = o.Category
+		}
+		r := w[i*objectRecord : (i+1)*objectRecord]
+		binary.LittleEndian.PutUint64(r, uint64(o.ID))
+		r[8] = byte(cat)
+		binary.LittleEndian.PutUint64(r[9:], uint64(o.Bytes))
+		var fl byte
+		if o.Crucial {
+			fl |= objectCrucial
+		}
+		if o.Protected {
+			fl |= objectProtected
+		}
+		r[17] = fl
+	}
+	return b, nil
+}
+
+// profileIndex returns the index of c's first profile, or -1.
+func (img *Image) profileIndex(c Category) int {
+	return slices.IndexFunc(img.Profiles, func(p CategoryProfile) bool { return p.Category == c })
+}
+
+// DecodeColumns reads the column AppendColumns wrote from the front of
+// b into an exact-size inventory of img, whose head — Profiles — is
+// already decoded, and returns the bytes after it. It refuses a short
+// column, a category that is not the first profile of its name and
+// unknown flag bits.
+func (img *Image) DecodeColumns(b []byte) ([]byte, error) {
+	if len(b) < 8 {
+		return nil, errors.New("hypervisor: object column truncated")
+	}
+	n := binary.LittleEndian.Uint64(b)
+	b = b[8:]
+	if n > uint64(len(b)/objectRecord) {
+		return nil, fmt.Errorf("hypervisor: object column claims %d objects in %d bytes", n, len(b))
+	}
+	first := make([]bool, len(img.Profiles))
+	for i, p := range img.Profiles {
+		first[i] = img.profileIndex(p.Category) == i
+	}
+	if n > 0 {
+		img.objects = make([]Object, n)
+	}
+	for i := range img.objects {
+		r := b[i*objectRecord : (i+1)*objectRecord]
+		cat := int(r[8])
+		if cat >= len(first) || !first[cat] {
+			return nil, fmt.Errorf("hypervisor: object %d names category %d of %d profiles", i, cat, len(img.Profiles))
+		}
+		fl := r[17]
+		if fl&^(objectCrucial|objectProtected) != 0 {
+			return nil, fmt.Errorf("hypervisor: object %d has unknown flags %#x", i, fl)
+		}
+		img.objects[i] = Object{
+			ID:        int(binary.LittleEndian.Uint64(r)),
+			Category:  img.Profiles[cat].Category,
+			Bytes:     int(binary.LittleEndian.Uint64(r[9:])),
+			Crucial:   fl&objectCrucial != 0,
+			Protected: fl&objectProtected != 0,
+		}
+	}
+	return b[int(n)*objectRecord:], nil
 }
 
 // emptied returns m cleared for reuse, or a new map when m is nil.

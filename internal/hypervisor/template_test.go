@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -107,5 +108,65 @@ func TestImageStampRoundTrip(t *testing.T) {
 	}
 	if _, err := src.Image(); err == nil {
 		t.Fatal("imaged a host with guests")
+	}
+}
+
+// TestImageColumnsRoundTrip: the object column decodes into the same
+// inventory and re-encodes to the same bytes, and a column the head's
+// profiles cannot name, or that is cut short, is refused.
+func TestImageColumnsRoundTrip(t *testing.T) {
+	src := testHypervisor(t, 3)
+	src.Objects().Protect(CatFS)
+	img, err := src.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := img.AppendColumns(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != img.ColumnsLen() {
+		t.Fatalf("AppendColumns wrote %d bytes, ColumnsLen says %d", len(b), img.ColumnsLen())
+	}
+	decode := func(b []byte) (Image, error) {
+		got := img
+		got.objects = nil
+		rest, err := got.DecodeColumns(b)
+		if err == nil && len(rest) != 0 {
+			t.Fatalf("%d bytes left after the column", len(rest))
+		}
+		return got, err
+	}
+	got, err := decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, img) {
+		t.Fatal("image changed across the round trip")
+	}
+	if again, _ := got.AppendColumns(nil); !bytes.Equal(again, b) {
+		t.Fatal("decoded image re-encodes to different bytes")
+	}
+
+	last := 8 + objectRecord*(len(img.objects)-1) // the last record
+	breaks := map[string]func(b []byte) []byte{
+		"truncated":        func(b []byte) []byte { return b[:len(b)-1] },
+		"no column":        func(b []byte) []byte { return b[:7] },
+		"count":            func(b []byte) []byte { b[0]++; return b },
+		"unknown category": func(b []byte) []byte { b[last+8] = byte(len(img.Profiles)); return b },
+		"unknown flags":    func(b []byte) []byte { b[last+17] |= 0x80; return b },
+	}
+	for name, brk := range breaks {
+		if _, err := decode(brk(bytes.Clone(b))); err == nil {
+			t.Errorf("%s: broken column accepted", name)
+		}
+	}
+	// A profile that repeats an earlier category's name is never the
+	// one a record names: the first is.
+	img.Profiles = append(img.Profiles, img.Profiles[0])
+	dup := bytes.Clone(b)
+	dup[last+8] = byte(len(img.Profiles) - 1)
+	if _, err := decode(dup); err == nil {
+		t.Error("a record naming a repeated profile was accepted")
 	}
 }

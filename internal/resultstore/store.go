@@ -33,6 +33,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"uniserver/internal/core"
 	"uniserver/internal/fleet"
 	"uniserver/internal/scenario"
 )
@@ -49,7 +50,6 @@ const (
 	cellsDir      = "cells"
 	runsDir       = "runs"
 	quarantineDir = "quarantine"
-	charactSubdir = "charact"
 )
 
 // Store is a content-addressed on-disk result store. It is safe for
@@ -95,8 +95,16 @@ func (st *Store) Dir() string { return st.dir }
 // directory — hand it to Campaign.CharactDir (it is created and
 // version-stamped by fleet.CharactCache.AttachDir on first use), so
 // resumed campaigns skip not only completed cells but also the
-// pre-deployment characterizations of incomplete ones.
-func (st *Store) CharactDir() string { return filepath.Join(st.dir, charactSubdir) }
+// pre-deployment characterizations of incomplete ones. The directory
+// is named by core.SnapshotFormatVersion ("charact-v<N>"), so a build
+// that changes the snapshot format starts a fresh spill beside the
+// old one instead of having AttachDir refuse every campaign. No build
+// reads another version's directory (nor the unversioned "charact"
+// of stores written before the name carried the version); they may be
+// deleted.
+func (st *Store) CharactDir() string {
+	return filepath.Join(st.dir, "charact-v"+strconv.Itoa(core.SnapshotFormatVersion))
+}
 
 // Stats counts the store's traffic: a hit is a cell served from disk,
 // a miss a key not present (or quarantined), a put a record written,
