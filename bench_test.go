@@ -12,13 +12,15 @@ package uniserver_test
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"uniserver/internal/benchhist"
 	"uniserver/internal/core"
 	"uniserver/internal/cpu"
 	"uniserver/internal/dram"
@@ -526,13 +528,13 @@ func BenchmarkFleetRuntime(b *testing.B) {
 	// measured wall-clock against the 1-worker variant of the same
 	// process — never estimated from goroutine-elapsed sums.
 	if nsPerOp[1] > 0 {
-		variants := make([]variant, 0, len(workerCounts))
+		variants := make([]benchhist.Variant, 0, len(workerCounts))
 		for _, workers := range workerCounts {
 			if nsPerOp[workers] == 0 {
 				continue
 			}
 			speedup := float64(nsPerOp[1]) / float64(nsPerOp[workers])
-			variants = append(variants, variant{
+			variants = append(variants, benchhist.Variant{
 				Workers:    workers,
 				NsPerOp:    nsPerOp[workers],
 				Speedup:    speedup,
@@ -540,7 +542,7 @@ func BenchmarkFleetRuntime(b *testing.B) {
 				PeakBytes:  peakBytes[workers],
 			})
 		}
-		var hist fleetBenchFile
+		var hist benchhist.FleetFile
 		loadBenchHistory(b, "BENCH_fleet.json", &hist)
 		// Efficiency fence: the max-worker variant's parallel efficiency
 		// (speedup ÷ workers) may not drop more than 15% below the most
@@ -554,10 +556,10 @@ func BenchmarkFleetRuntime(b *testing.B) {
 		if _, rerun := benchRecordSlot["BENCH_fleet.json"]; !rerun {
 			checkEfficiencyFence(b, hist.Records, variants)
 		}
-		hist.Benchmark = "BenchmarkFleetRuntime"
+		hist.Benchmark = benchhist.FleetBenchmark
 		hist.Nodes, hist.Windows = benchNodes, benchWindows
-		hist.Records = appendBenchRecord("BENCH_fleet.json", hist.Records, fleetBenchRecord{
-			benchStamp:  newBenchStamp(),
+		hist.Records = appendBenchRecord("BENCH_fleet.json", hist.Records, benchhist.FleetRecord{
+			Stamp:       benchhist.NewStamp(),
 			Fingerprint: fmt.Sprintf("%x", sha256.Sum256([]byte(baseline.Fingerprint()))),
 			Variants:    variants,
 		})
@@ -573,104 +575,28 @@ func BenchmarkFleetRuntime(b *testing.B) {
 // the fence is tighter than the 20% ns/op gate.
 const efficiencyTolerance = 0.85
 
-// maxWorkerEfficiency extracts the highest-worker-count variant's
-// efficiency from a variant set, deriving it from speedup for records
-// that predate the efficiency field. Returns zeros on empty sets.
-func maxWorkerEfficiency(vs []variant) (workers int, eff float64) {
-	for _, v := range vs {
-		if v.Workers <= workers {
-			continue
-		}
-		workers = v.Workers
-		eff = v.Efficiency
-		if eff == 0 && v.Workers > 0 {
-			eff = v.Speedup / float64(v.Workers)
-		}
-	}
-	return workers, eff
-}
-
 // checkEfficiencyFence compares this run's max-worker efficiency
-// against the previous comparable record (see previousRecord). A >15%
-// drop is a regression (see reportRegression). Records measured at a
-// different max worker count don't gate — their efficiency is not
-// comparable.
-func checkEfficiencyFence(b *testing.B, records []fleetBenchRecord, current []variant) {
-	workers, eff := maxWorkerEfficiency(current)
-	if workers == 0 || eff <= 0 {
+// against the previous comparable record (see benchhist.Previous). A
+// >15% drop is a regression (see reportRegression). Records measured
+// at a different max worker count don't gate — their efficiency is
+// not comparable.
+func checkEfficiencyFence(b *testing.B, records []benchhist.FleetRecord, current []benchhist.Variant) {
+	top := benchhist.MaxWorker(current)
+	if top.Workers == 0 || top.Eff() <= 0 {
 		return
 	}
-	prev, ok := previousRecord(records, nil)
+	prev, ok := benchhist.Previous(records, nil)
 	if !ok {
 		return
 	}
-	prevWorkers, prevEff := maxWorkerEfficiency(prev.Variants)
-	if prevWorkers != workers || prevEff <= 0 {
+	prevTop := benchhist.MaxWorker(prev.Variants)
+	if prevTop.Workers != top.Workers || prevTop.Eff() <= 0 {
 		return
 	}
-	if eff < prevEff*efficiencyTolerance {
+	if top.Eff() < prevTop.Eff()*efficiencyTolerance {
 		reportRegression(b, fmt.Sprintf("parallel efficiency regressed: %d-worker speedup/worker %.3f vs %.3f in the previous record (GOMAXPROCS=%d env=%s, recorded %s) — a new serial phase or lock contention, not plain slowness",
-			workers, eff, prevEff, prev.GOMAXPROCS, prev.envClass(), prev.Date))
+			top.Workers, top.Eff(), prevTop.Eff(), prev.GOMAXPROCS, prev.EnvClass(), prev.Date))
 	}
-}
-
-// variant is one worker-count leg of a fleet measurement. Efficiency
-// is speedup per worker (1.0 = perfect scaling) — the first-class
-// number behind the ROADMAP's 8-worker-stall observation — and
-// PeakBytes is the HeapAlloc high-water across the variant's
-// measurement loop, the bounded-memory claim in longitudinal form.
-// Both are zero in records that predate them.
-type variant struct {
-	Workers    int     `json:"workers"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	Speedup    float64 `json:"speedup_vs_1_worker"`
-	Efficiency float64 `json:"efficiency,omitempty"`
-	PeakBytes  int64   `json:"peak_bytes,omitempty"`
-}
-
-// benchStamp says when and where a history record was measured. Every
-// record type embeds it first, so its fields lead each JSON record.
-type benchStamp struct {
-	Date       string `json:"date,omitempty"`
-	Env        string `json:"env,omitempty"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// newBenchStamp stamps a record measured now, by this process.
-func newBenchStamp() benchStamp {
-	return benchStamp{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		Env:        benchEnv(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-func (s benchStamp) stamp() benchStamp { return s }
-
-// envClass is the record's environment class; records without an env
-// stamp are the committed "local" reference numbers.
-func (s benchStamp) envClass() string {
-	if s.Env == "" {
-		return "local"
-	}
-	return s.Env
-}
-
-// previousRecord returns the most recent record measured at this
-// process's GOMAXPROCS and environment class for which usable (when
-// set) holds. Numbers across core counts or host classes measure the
-// machine, not the code, so every gate compares against this record
-// only.
-func previousRecord[T interface{ stamp() benchStamp }](records []T, usable func(T) bool) (T, bool) {
-	for i := len(records) - 1; i >= 0; i-- {
-		st := records[i].stamp()
-		if st.GOMAXPROCS == runtime.GOMAXPROCS(0) && st.envClass() == benchEnv() &&
-			(usable == nil || usable(records[i])) {
-			return records[i], true
-		}
-	}
-	var zero T
-	return zero, false
 }
 
 // reportRegression reports a failed perf gate: fatal under CI, a
@@ -687,7 +613,7 @@ func reportRegression(b *testing.B, msg string) {
 // comparable record is re-measured up to twice and judged on its best
 // — a single sample on a shared runner can catch a noisy neighbour,
 // while a real code regression is slow every time.
-func gateNsPerOp(b *testing.B, what string, tol float64, ns int64, prev benchStamp, prevNs int64, remeasure func() int64) {
+func gateNsPerOp(b *testing.B, what string, tol float64, ns int64, prev benchhist.Stamp, prevNs int64, remeasure func() int64) {
 	best := ns
 	for retry := 0; retry < 2 && float64(best)/float64(prevNs) > tol; retry++ {
 		if r := remeasure(); r < best {
@@ -696,68 +622,8 @@ func gateNsPerOp(b *testing.B, what string, tol float64, ns int64, prev benchSta
 	}
 	if ratio := float64(best) / float64(prevNs); ratio > tol {
 		reportRegression(b, fmt.Sprintf("%s regressed %.0f%% vs the previous record (%d -> %d ns/op best-of-retries at GOMAXPROCS=%d env=%s, recorded %s)",
-			what, (ratio-1)*100, prevNs, best, prev.GOMAXPROCS, prev.envClass(), prev.Date))
+			what, (ratio-1)*100, prevNs, best, prev.GOMAXPROCS, prev.EnvClass(), prev.Date))
 	}
-}
-
-// fleetBenchRecord is one dated BenchmarkFleetRuntime measurement.
-type fleetBenchRecord struct {
-	benchStamp
-	Fingerprint string    `json:"fingerprint_sha256"`
-	Variants    []variant `json:"variants"`
-}
-
-// fleetBenchFile is the run-over-run BENCH_fleet.json layout.
-type fleetBenchFile struct {
-	Benchmark string             `json:"benchmark"`
-	Nodes     int                `json:"nodes"`
-	Windows   int                `json:"windows"`
-	Records   []fleetBenchRecord `json:"records"`
-	// Restore is BenchmarkSnapshotRestore's history: the per-node fixed
-	// cost of materializing a cached characterization, a reference leg
-	// vs the warm stamp the fleet runs, tracked run over run in the same
-	// file the fleet-scaling records live in.
-	Restore []restoreBenchRecord `json:"restore,omitempty"`
-}
-
-// restoreBenchRecord is one dated BenchmarkSnapshotRestore
-// measurement: both legs from the same snapshot in the same process,
-// so the speedup column compares like with like. The legacy_* fields
-// hold the reference leg, which Reference names: records without it
-// measured the deep-clone restore that has since been deleted, later
-// ones a cold stamp into a fresh arena.
-type restoreBenchRecord struct {
-	benchStamp
-	Reference       string  `json:"reference,omitempty"`
-	LegacyNsPerOp   int64   `json:"legacy_ns_per_op"`
-	LegacyAllocs    float64 `json:"legacy_allocs_per_op"`
-	TemplateNsPerOp int64   `json:"template_ns_per_op"`
-	TemplateAllocs  float64 `json:"template_allocs_per_op"`
-	Speedup         float64 `json:"speedup_vs_legacy"`
-}
-
-// benchHistoryCap bounds the retained history so the committed records
-// stay reviewable; 100 runs is years of CI at current cadence.
-const benchHistoryCap = 100
-
-func capRecords[T any](rs []T) []T {
-	if len(rs) > benchHistoryCap {
-		rs = rs[len(rs)-benchHistoryCap:]
-	}
-	return rs
-}
-
-// benchEnv classifies the measuring environment. Records only compare
-// against records of the same class: committed numbers come from the
-// reference container ("local"), CI runners are their own class, and
-// a >20% gap between the two classes measures the hosts, not the
-// code. The CI-side gate therefore arms once a CI-produced record
-// (from the uploaded artifact) is committed into the history.
-func benchEnv() string {
-	if os.Getenv("CI") != "" {
-		return "ci"
-	}
-	return "local"
 }
 
 // benchRecordSlot remembers, per BENCH file, the record index this
@@ -777,34 +643,24 @@ func appendBenchRecord[T any](path string, records []T, rec T) []T {
 		records[idx] = rec
 		return records
 	}
-	records = capRecords(append(records, rec))
+	records = benchhist.Append(records, rec)
 	benchRecordSlot[path] = len(records) - 1
 	return records
 }
 
 // loadBenchHistory reads an existing BENCH file into v. A missing file
-// starts a fresh history; a malformed one fails the benchmark rather
-// than silently clobbering the committed run-over-run record.
+// starts a fresh history; an unreadable or malformed one fails the
+// benchmark rather than silently clobbering the committed run-over-run
+// record.
 func loadBenchHistory(b *testing.B, path string, v any) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return
-	}
-	if err != nil {
-		b.Fatalf("reading %s: %v — refusing to overwrite the committed history", path, err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		b.Fatalf("%s is malformed (%v) — fix or delete it before benchmarking, or the history would be lost", path, err)
+	if err := benchhist.Load(path, v); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		b.Fatalf("%v — fix or delete it before benchmarking, or the history would be lost", err)
 	}
 }
 
 // writeBenchHistory rewrites the BENCH file with the appended history.
 func writeBenchHistory(b *testing.B, path string, v any) {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		b.Fatalf("marshaling %s: %v", path, err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+	if err := benchhist.Write(path, v); err != nil {
 		b.Logf("writing %s: %v (perf record not updated)", path, err)
 	}
 }
@@ -832,38 +688,15 @@ const (
 	campaignBeforeNsPerOp = 3_313_541_000
 )
 
-// campaignBenchRecord is one dated BenchmarkCampaign measurement. The
-// cache counters make a perf claim auditable from the record alone: a
-// speedup with zero hits did not come from the snapshot cache.
-type campaignBenchRecord struct {
-	benchStamp
-	Fingerprint string  `json:"fingerprint_sha256"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	Speedup     float64 `json:"speedup_vs_pre_optimization"`
-	CacheHits   uint64  `json:"charact_cache_hits"`
-	CacheMisses uint64  `json:"charact_cache_misses"`
-}
-
-// campaignBenchFile is the run-over-run BENCH_campaign.json layout.
-type campaignBenchFile struct {
-	Benchmark string                `json:"benchmark"`
-	Scenarios int                   `json:"scenarios"`
-	Seeds     int                   `json:"seeds"`
-	Nodes     int                   `json:"nodes"`
-	Windows   int                   `json:"windows"`
-	BeforeNs  int64                 `json:"before_ns_per_op"`
-	Records   []campaignBenchRecord `json:"records"`
-}
-
 // campaignRegressionTolerance is how much slower than the previous
 // record of the same shape — same GOMAXPROCS *and* same environment
-// class (see benchEnv) — the campaign may run before the benchmark is
-// treated as a perf regression. Enforcement is fatal under CI and a
-// warning interactively (laptops throttle). The CI-side gate arms
-// when a CI-produced record from the uploaded artifact is committed
-// into BENCH_campaign.json; until then CI still hard-fails on golden
-// fingerprint divergence, and the gate protects the committed
-// reference-container records.
+// class (see benchhist.NewStamp) — the campaign may run before the
+// benchmark is treated as a perf regression. Enforcement is fatal
+// under CI and a warning interactively (laptops throttle). The
+// CI-side gate arms when a CI-produced record from the uploaded
+// artifact is committed into BENCH_campaign.json; until then CI still
+// hard-fails on golden fingerprint divergence, and the gate protects
+// the committed reference-container records.
 const campaignRegressionTolerance = 1.20
 
 // BenchmarkCampaign measures the scenario campaign engine end to end:
@@ -918,7 +751,7 @@ func BenchmarkCampaign(b *testing.B) {
 	b.ReportMetric(speedup, "speedup_vs_pre_opt")
 	b.ReportMetric(float64(rep.CharactCacheHits), "cache_hits")
 
-	var hist campaignBenchFile
+	var hist benchhist.CampaignFile
 	loadBenchHistory(b, "BENCH_campaign.json", &hist)
 
 	// Regression gate against the previous comparable record (a
@@ -926,8 +759,8 @@ func BenchmarkCampaign(b *testing.B) {
 	// Calibration re-runs of this function are exempt: they would
 	// compare against their own just-written record.
 	if _, rerun := benchRecordSlot["BENCH_campaign.json"]; !rerun {
-		if prev, ok := previousRecord(hist.Records, func(r campaignBenchRecord) bool { return r.NsPerOp > 0 }); ok {
-			gateNsPerOp(b, "campaign", campaignRegressionTolerance, nsPerOp, prev.benchStamp, prev.NsPerOp, func() int64 {
+		if prev, ok := benchhist.Previous(hist.Records, func(r benchhist.CampaignRecord) bool { return r.NsPerOp > 0 }); ok {
+			gateNsPerOp(b, "campaign", campaignRegressionTolerance, nsPerOp, prev.Stamp, prev.NsPerOp, func() int64 {
 				start := time.Now()
 				if _, err := scenario.RunCampaign(c); err != nil {
 					b.Fatal(err)
@@ -937,12 +770,12 @@ func BenchmarkCampaign(b *testing.B) {
 		}
 	}
 
-	hist.Benchmark = "BenchmarkCampaign"
+	hist.Benchmark = benchhist.CampaignBenchmark
 	hist.Scenarios, hist.Seeds = len(scaled), campaignSeeds
 	hist.Nodes, hist.Windows = campaignNodes, campaignWindows
 	hist.BeforeNs = campaignBeforeNsPerOp
-	hist.Records = appendBenchRecord("BENCH_campaign.json", hist.Records, campaignBenchRecord{
-		benchStamp:  newBenchStamp(),
+	hist.Records = appendBenchRecord("BENCH_campaign.json", hist.Records, benchhist.CampaignRecord{
+		Stamp:       benchhist.NewStamp(),
 		Fingerprint: rep.FingerprintSHA256,
 		NsPerOp:     nsPerOp,
 		Speedup:     speedup,
@@ -1038,7 +871,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			tmplNs, coldNs))
 	}
 
-	var hist fleetBenchFile
+	var hist benchhist.FleetFile
 	loadBenchHistory(b, "BENCH_fleet.json", &hist)
 
 	// Regression gate on the path the fleet actually runs: the template
@@ -1047,8 +880,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	// are exempt.
 	const slotKey = "BENCH_fleet.json#restore"
 	if _, rerun := benchRecordSlot[slotKey]; !rerun {
-		if prev, ok := previousRecord(hist.Restore, func(r restoreBenchRecord) bool { return r.TemplateNsPerOp > 0 }); ok {
-			gateNsPerOp(b, "snapshot restore", restoreRegressionTolerance, tmplNs, prev.benchStamp, prev.TemplateNsPerOp, func() int64 {
+		if prev, ok := benchhist.Previous(hist.Restore, func(r benchhist.RestoreRecord) bool { return r.TemplateNsPerOp > 0 }); ok {
+			gateNsPerOp(b, "snapshot restore", restoreRegressionTolerance, tmplNs, prev.Stamp, prev.TemplateNsPerOp, func() int64 {
 				const n = 2000
 				start := time.Now()
 				for i := 0; i < n; i++ {
@@ -1061,8 +894,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		}
 	}
 
-	hist.Restore = appendBenchRecord(slotKey, hist.Restore, restoreBenchRecord{
-		benchStamp:      newBenchStamp(),
+	hist.Restore = appendBenchRecord(slotKey, hist.Restore, benchhist.RestoreRecord{
+		Stamp:           benchhist.NewStamp(),
 		Reference:       "cold stamp",
 		LegacyNsPerOp:   coldNs,
 		LegacyAllocs:    coldAllocs,

@@ -2,28 +2,33 @@
 // histories (BENCH_fleet.json, BENCH_campaign.json) as a markdown
 // report: one table per benchmark plus an ASCII sparkline of the
 // ns/op trajectory, so a perf trend is visible at a glance — in the
-// terminal, in a CI artifact, or pasted into a PR. It is read-only:
-// the benchmarks own the histories; this tool only draws them.
+// terminal, in a CI artifact, or pasted into a PR. The benchmarks own
+// the histories; this tool draws them, and merges artifacts into them.
 //
 //	go run ./cmd/benchgraph                 # render both histories to stdout
 //	go run ./cmd/benchgraph -o BENCH_HISTORY.md
 //	go run ./cmd/benchgraph -merge artifact/BENCH_fleet.json
+//	go run ./cmd/benchgraph -merge artifact/BENCH_campaign.json
 //
 // -merge is the one write operation: it folds the records of a
-// CI-produced bench artifact into the committed history, deduplicated
-// by date+environment, so committing a runner's multi-core
-// measurements (the records that arm the CI-class regression fences)
-// is one command plus `git commit` instead of hand-edited JSON.
+// CI-produced bench artifact into the committed history its
+// "benchmark" field names (-campaign for BenchmarkCampaign, -fleet
+// otherwise), deduplicated by date+environment, so committing a
+// runner's measurements (the records that arm the CI-class regression
+// fences) is one command plus `git commit` instead of hand-edited
+// JSON. The history is rewritten exactly as the benchmarks write it,
+// so a merge that adds nothing leaves it byte-identical.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"strings"
+
+	"uniserver/internal/benchhist"
 )
 
 func main() {
@@ -32,11 +37,11 @@ func main() {
 	fleetPath := flag.String("fleet", "BENCH_fleet.json", "fleet benchmark history (empty to skip)")
 	campaignPath := flag.String("campaign", "BENCH_campaign.json", "campaign benchmark history (empty to skip)")
 	outPath := flag.String("o", "", "write the markdown report here (default stdout)")
-	mergePath := flag.String("merge", "", "merge the records of this downloaded bench artifact into -fleet, then exit")
+	mergePath := flag.String("merge", "", "merge the records of this downloaded bench artifact into -fleet or -campaign, then exit")
 	flag.Parse()
 
 	if *mergePath != "" {
-		if err := mergeFleet(*fleetPath, *mergePath); err != nil {
+		if err := merge(*fleetPath, *campaignPath, *mergePath); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -68,149 +73,20 @@ func main() {
 	}
 }
 
-// fleetFile mirrors BENCH_fleet.json (the fields this tool draws).
-type fleetFile struct {
-	Benchmark string `json:"benchmark"`
-	Nodes     int    `json:"nodes"`
-	Windows   int    `json:"windows"`
-	Records   []struct {
-		Date        string `json:"date"`
-		Env         string `json:"env"`
-		GOMAXPROCS  int    `json:"gomaxprocs"`
-		Fingerprint string `json:"fingerprint_sha256"`
-		Variants    []struct {
-			Workers    int     `json:"workers"`
-			NsPerOp    int64   `json:"ns_per_op"`
-			Speedup    float64 `json:"speedup_vs_1_worker"`
-			Efficiency float64 `json:"efficiency"`
-			PeakBytes  int64   `json:"peak_bytes"`
-		} `json:"variants"`
-	} `json:"records"`
-	Restore []struct {
-		Date            string  `json:"date"`
-		Env             string  `json:"env"`
-		GOMAXPROCS      int     `json:"gomaxprocs"`
-		Reference       string  `json:"reference"`
-		LegacyNsPerOp   int64   `json:"legacy_ns_per_op"`
-		LegacyAllocs    float64 `json:"legacy_allocs_per_op"`
-		TemplateNsPerOp int64   `json:"template_ns_per_op"`
-		TemplateAllocs  float64 `json:"template_allocs_per_op"`
-		Speedup         float64 `json:"speedup_vs_legacy"`
-	} `json:"restore"`
-}
-
-// campaignFile mirrors BENCH_campaign.json.
-type campaignFile struct {
-	Benchmark string `json:"benchmark"`
-	Scenarios int    `json:"scenarios"`
-	Seeds     int    `json:"seeds"`
-	Nodes     int    `json:"nodes"`
-	Windows   int    `json:"windows"`
-	BeforeNs  int64  `json:"before_ns_per_op"`
-	Records   []struct {
-		Date        string  `json:"date"`
-		Env         string  `json:"env"`
-		GOMAXPROCS  int     `json:"gomaxprocs"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		Speedup     float64 `json:"speedup_vs_pre_optimization"`
-		CacheHits   uint64  `json:"charact_cache_hits"`
-		CacheMisses uint64  `json:"charact_cache_misses"`
-	} `json:"records"`
-}
-
-// mergeHistoryCap mirrors the benchmarks' own history cap: merging
-// never grows a record slice past what a benchmark run would keep.
-const mergeHistoryCap = 100
-
-// mergeFleet folds the "records" and "restore" histories of a
-// downloaded bench artifact into the committed fleet history. It works
-// on raw JSON values (json.Number, no struct round-trip) so fields
-// this tool does not draw survive the rewrite, and deduplicates by
-// date+env+gomaxprocs — re-merging the same artifact is a no-op.
-func mergeFleet(committedPath, artifactPath string) error {
-	var committed, artifact map[string]any
-	if err := loadRaw(committedPath, &committed); err != nil {
-		return err
-	}
-	if err := loadRaw(artifactPath, &artifact); err != nil {
-		return err
-	}
-	added := 0
-	for _, key := range []string{"records", "restore"} {
-		have, _ := committed[key].([]any)
-		seen := make(map[string]bool, len(have))
-		for _, r := range have {
-			seen[recordIdentity(r)] = true
-		}
-		incoming, _ := artifact[key].([]any)
-		for _, r := range incoming {
-			if id := recordIdentity(r); !seen[id] {
-				have = append(have, r)
-				seen[id] = true
-				added++
-			}
-		}
-		if len(have) > mergeHistoryCap {
-			have = have[len(have)-mergeHistoryCap:]
-		}
-		if have != nil {
-			committed[key] = have
-		}
-	}
-	buf, err := json.MarshalIndent(committed, "", "  ")
+// merge folds the artifact into the committed history of the
+// benchmark that wrote it (see benchhist.Merge).
+func merge(fleetPath, campaignPath, artifact string) error {
+	dst, added, err := benchhist.Merge(fleetPath, campaignPath, artifact)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(committedPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("merged %d new record(s) from %s into %s", added, artifactPath, committedPath)
-	return nil
-}
-
-// recordIdentity keys a history record for merge deduplication. Dated
-// records (every record the current benchmarks write) are identified
-// by when and where they were measured; anything undated falls back to
-// its full serialized form.
-func recordIdentity(r any) string {
-	if m, ok := r.(map[string]any); ok {
-		if d, _ := m["date"].(string); d != "" {
-			return fmt.Sprintf("%s|%v|%v", d, m["env"], m["gomaxprocs"])
-		}
-	}
-	b, _ := json.Marshal(r)
-	return string(b)
-}
-
-// loadRaw decodes path preserving numeric literals (json.Number), for
-// the merge path that rewrites the file.
-func loadRaw(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
-func load(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
+	log.Printf("merged %d new record(s) from %s into %s", added, artifact, dst)
 	return nil
 }
 
 func renderFleet(out io.Writer, path string) error {
-	var f fleetFile
-	if err := load(path, &f); err != nil {
+	var f benchhist.FleetFile
+	if err := benchhist.Load(path, &f); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\n## %s (%d nodes × %d windows)\n\n", f.Benchmark, f.Nodes, f.Windows)
@@ -220,14 +96,6 @@ func renderFleet(out io.Writer, path string) error {
 	for i, r := range f.Records {
 		var oneW, best int64
 		var bestSpeed float64
-		// Efficiency (speedup per worker) and peak heap are reported at
-		// the record's highest worker count: that is where the ROADMAP's
-		// scaling stall lives and where memory pressure peaks. Old
-		// records predate both fields; efficiency falls back to
-		// speedup/workers, peak renders as a dash.
-		var maxWorkers int
-		var eff float64
-		var peak int64
 		// recordEffs is the record's efficiency at each worker count, in
 		// variant order — the per-record scaling curve. Rendered on an
 		// absolute 0..1 scale (1.0 = perfect scaling) so the curves are
@@ -244,22 +112,19 @@ func renderFleet(out io.Writer, path string) error {
 			if v.Speedup > bestSpeed {
 				bestSpeed = v.Speedup
 			}
-			ve := v.Efficiency
-			if ve == 0 && v.Workers > 0 {
-				ve = v.Speedup / float64(v.Workers)
-			}
-			recordEffs = append(recordEffs, ve)
-			if v.Workers > maxWorkers {
-				maxWorkers = v.Workers
-				eff = ve
-				peak = v.PeakBytes
-			}
+			recordEffs = append(recordEffs, v.Eff())
 		}
+		// Efficiency (speedup per worker) and peak heap are reported at
+		// the record's highest worker count: that is where the ROADMAP's
+		// scaling stall lives and where memory pressure peaks. Old
+		// records predate both fields; efficiency falls back to
+		// speedup/workers, peak renders as a dash.
+		top := benchhist.MaxWorker(r.Variants)
 		fmt.Fprintf(out, "| %d | %s | %s | %d | %s | %s | %.2fx | %.2f @%dw | `%s` | %s |\n",
 			i+1, orDash(r.Date), orDash(r.Env), r.GOMAXPROCS, ns(oneW), ns(best), bestSpeed,
-			eff, maxWorkers, absSparkline(recordEffs, 0, 1), mib(peak))
+			top.Eff(), top.Workers, absSparkline(recordEffs, 0, 1), mib(top.PeakBytes))
 		series = append(series, float64(oneW))
-		effSeries = append(effSeries, eff)
+		effSeries = append(effSeries, top.Eff())
 	}
 	fmt.Fprintf(out, "\nns/op @1 worker, run over run (lower is better):\n\n    %s\n", sparkline(series))
 	fmt.Fprintf(out, "\nmax-worker parallel efficiency (speedup/worker), run over run on a 0..1 scale (higher is better):\n\n    %s\n",
@@ -274,7 +139,7 @@ func renderFleet(out io.Writer, path string) error {
 // per-node cost of materializing a cached characterization, a
 // reference leg vs the warm stamp the fleet runs. Records without a
 // reference name measured the deep-clone restore, since deleted.
-func renderRestore(out io.Writer, f fleetFile) {
+func renderRestore(out io.Writer, f benchhist.FleetFile) {
 	fmt.Fprintf(out, "\n## BenchmarkSnapshotRestore (per-node restore from a cached characterization)\n\n")
 	fmt.Fprintf(out, "| run | date | env | gomaxprocs | reference | reference ns/op | reference allocs/op | template ns/op | template allocs/op | speedup |\n")
 	fmt.Fprintf(out, "|----:|------|-----|-----------:|-----------|----------------:|--------------------:|---------------:|-------------------:|--------:|\n")
@@ -301,8 +166,8 @@ func mib(v int64) string {
 }
 
 func renderCampaign(out io.Writer, path string) error {
-	var f campaignFile
-	if err := load(path, &f); err != nil {
+	var f benchhist.CampaignFile
+	if err := benchhist.Load(path, &f); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\n## %s (%d presets × %d seeds, %d nodes × %d windows)\n\n",

@@ -12,8 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
+	"uniserver/internal/atomicfile"
 	"uniserver/internal/core"
 )
 
@@ -37,64 +37,16 @@ const charactDirVersionFile = "VERSION"
 // builds at different directories (or clear the stale one).
 //
 // Any number of caches, in this process or others, may attach one
-// fresh directory at once: the stamp is written to a temp file and
-// renamed into place, so a reader sees either no stamp or a whole
-// one, and every attacher re-reads the stamp that won. An empty stamp
-// — left by a writer that truncated it in place and has not written
-// yet, or died doing so — counts as missing: the attacher stamps the
-// directory itself and reads again.
+// fresh directory at once (see atomicfile.Stamp).
 func (c *CharactCache) AttachDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fleet: creating characterization cache dir: %w", err)
 	}
-	vpath := filepath.Join(dir, charactDirVersionFile)
-	want := strconv.Itoa(core.SnapshotFormatVersion)
-	const attempts = 8
-	for i := 0; i < attempts; i++ {
-		data, err := os.ReadFile(vpath)
-		if err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("fleet: reading characterization cache version: %w", err)
-		}
-		if got := strings.TrimSpace(string(data)); got != "" {
-			if got != want {
-				return fmt.Errorf("fleet: characterization cache dir %s is version %s, this build writes version %s; refusing mismatched versions (clear the dir or use another)",
-					dir, got, want)
-			}
-			c.dir.Store(dir)
-			return nil
-		}
-		if err := stampVersion(dir, vpath, want); err != nil {
-			return fmt.Errorf("fleet: stamping characterization cache dir: %w", err)
-		}
+	if err := atomicfile.Stamp(filepath.Join(dir, charactDirVersionFile), strconv.Itoa(core.SnapshotFormatVersion)); err != nil {
+		return fmt.Errorf("fleet: characterization cache dir: %w", err)
 	}
-	return fmt.Errorf("fleet: characterization cache dir %s: version stamp still empty after %d attempts", dir, attempts)
-}
-
-// stampVersion atomically replaces the directory's version stamp.
-func stampVersion(dir, vpath, version string) error {
-	return writeAtomic(dir, vpath, func(w io.Writer) error {
-		_, err := io.WriteString(w, version+"\n")
-		return err
-	})
-}
-
-// writeAtomic writes path through a temp file in dir and a rename, so
-// readers — in this process or others — see the old file or the whole
-// new one, never a torn write.
-func writeAtomic(dir, path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	c.dir.Store(dir)
+	return nil
 }
 
 // diskEntry is the header of one spill file: the key (the filename is
@@ -192,7 +144,7 @@ func (c *CharactCache) quarantine(path string, cause error) {
 	c.noteDiskErr(fmt.Errorf("fleet: quarantined corrupt characterization spill %s: %w", filepath.Base(path), cause))
 }
 
-// spillDisk persists an entry atomically (writeAtomic), so concurrent
+// spillDisk persists an entry atomically (atomicfile.Write), so concurrent
 // processes sharing the directory never observe a torn write. Spill
 // failures never fail the simulation — the in-memory result is already
 // correct — but the first one is retained for the caller to surface
@@ -208,7 +160,7 @@ func (c *CharactCache) spillDisk(key string, snap *core.Snapshot, pre core.PreDe
 	binary.LittleEndian.PutUint64(b, uint64(len(b)-entryFrame))
 	sum := sha256.Sum256(b[entryFrame:])
 	copy(b[8:], sum[:])
-	err := writeAtomic(c.spillDir(), c.entryPath(key), func(w io.Writer) error {
+	err := atomicfile.Write(c.entryPath(key), func(w io.Writer) error {
 		if _, err := w.Write(b); err != nil {
 			return err
 		}

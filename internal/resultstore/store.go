@@ -26,6 +26,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,6 +34,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"uniserver/internal/atomicfile"
 	"uniserver/internal/core"
 	"uniserver/internal/fleet"
 	"uniserver/internal/scenario"
@@ -64,26 +66,16 @@ type Store struct {
 
 // Open roots a store at dir, creating and version-stamping it if
 // needed. A directory stamped by a different format version is
-// refused: clear it or point the store elsewhere.
+// refused: clear it or point the store elsewhere. Any number of
+// stores may open one fresh directory at once (see atomicfile.Stamp).
 func Open(dir string) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, cellsDir), filepath.Join(dir, runsDir), filepath.Join(dir, quarantineDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("resultstore: creating %s: %w", d, err)
 		}
 	}
-	vpath := filepath.Join(dir, versionFile)
-	want := strconv.Itoa(FormatVersion)
-	if data, err := os.ReadFile(vpath); err == nil {
-		if got := strings.TrimSpace(string(data)); got != want {
-			return nil, fmt.Errorf("resultstore: %s is version %s, this build writes version %s; refusing mismatched versions (clear the dir or use another)",
-				dir, got, want)
-		}
-	} else if os.IsNotExist(err) {
-		if err := os.WriteFile(vpath, []byte(want+"\n"), 0o644); err != nil {
-			return nil, fmt.Errorf("resultstore: stamping %s: %w", dir, err)
-		}
-	} else {
-		return nil, fmt.Errorf("resultstore: reading version stamp: %w", err)
+	if err := atomicfile.Stamp(filepath.Join(dir, versionFile), strconv.Itoa(FormatVersion)); err != nil {
+		return nil, fmt.Errorf("resultstore: version stamp: %w", err)
 	}
 	return &Store{dir: dir}, nil
 }
@@ -350,20 +342,12 @@ func (st *Store) writeAtomic(path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: marshaling %s: %w", filepath.Base(path), err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	err = atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("resultstore: temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
 		return fmt.Errorf("resultstore: writing %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("resultstore: closing %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("resultstore: committing %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"uniserver/internal/scenario"
@@ -52,6 +54,63 @@ func TestCellRoundTrip(t *testing.T) {
 	stats := st.Stats()
 	if stats.Hits != 1 || stats.Misses != 1 || stats.Puts != 1 || stats.Quarantined != 0 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 put / 0 quarantined", stats)
+	}
+}
+
+// TestOpenEmptyStamp treats an empty VERSION — a writer truncated it
+// and has not written yet, or died — as not stamped: Open stamps the
+// store instead of refusing it as a mismatch.
+func TestOpenEmptyStamp(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, versionFile), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatalf("empty stamp refused: %v", err)
+	}
+	checkStamp(t, dir)
+}
+
+// checkStamp fails unless dir is stamped with FormatVersion.
+func checkStamp(t *testing.T, dir string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, versionFile))
+	if got, want := strings.TrimSpace(string(data)), strconv.Itoa(FormatVersion); err != nil || got != want {
+		t.Fatalf("stamp %q (%v), want %q", got, err, want)
+	}
+}
+
+// TestOpenConcurrentFresh opens one fresh store from many goroutines
+// at once, as parallel CLI runs sharing a -result-store do. Every Open
+// must succeed — none may read another's half-written stamp as a
+// version mismatch — and the store ends up stamped with this build's
+// version, with no leftover temp files.
+func TestOpenConcurrentFresh(t *testing.T) {
+	const openers, rounds = 16, 200
+	for r := 0; r < rounds; r++ {
+		dir := filepath.Join(t.TempDir(), "store")
+		var wg sync.WaitGroup
+		errs := make([]error, openers)
+		start := make(chan struct{})
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[g] = Open(dir)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: opener %d: %v", r, g, err)
+			}
+		}
+		checkStamp(t, dir)
+		if tmp, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmp) > 0 {
+			t.Fatalf("round %d: leftover temp files %v", r, tmp)
+		}
 	}
 }
 
