@@ -793,7 +793,7 @@ func runDiff(args []string, out io.Writer) error {
 	if !ok {
 		return fmt.Errorf("diff: no run %q in %s", fs.Arg(1), *storeDir)
 	}
-	d, err := resultstore.DiffRuns(a, b, resultstore.DiffOptions{})
+	d, err := resultstore.DiffRuns(a, b)
 	if err != nil {
 		return err
 	}

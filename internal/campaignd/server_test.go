@@ -451,3 +451,41 @@ func TestHealthz(t *testing.T) {
 		t.Errorf("healthz status = %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestEscapedTraversalIsNotFound pins the read endpoints' path
+// boundary: the router unescapes %2F inside {key} and {id}, so
+// "..%2F..%2Fvictim" reaches the store as "../../victim". The request
+// must be a 404, and the file the traversal names — one that is not a
+// valid record — must survive byte for byte rather than be read,
+// quarantined or deleted.
+func TestEscapedTraversalIsNotFound(t *testing.T) {
+	base := t.TempDir()
+	st, err := resultstore.Open(filepath.Join(base, "store"))
+	if err != nil {
+		t.Fatalf("Open store: %v", err)
+	}
+	srv := New(Options{Store: st, Pool: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	sentinel := []byte("sentinel, not a record\n")
+	victim := filepath.Join(base, "victim.json")
+	if err := os.WriteFile(victim, sentinel, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/api/v1/cells/..%2F..%2Fvictim", "/api/v1/runs/..%2F..%2Fvictim"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s status = %d, want 404", path, resp.StatusCode)
+		}
+		if got, err := os.ReadFile(victim); err != nil || !bytes.Equal(got, sentinel) {
+			t.Fatalf("GET %s touched the sentinel: %q, %v", path, got, err)
+		}
+	}
+}

@@ -212,7 +212,7 @@ func (c *CharactCache) characterized(key string, wantLog bool,
 // canonicalized to the part DefaultOptions resolves it to, so
 // explicit-default and implicit-default specs collide.
 //
-// The same string serves two consumers: charactKey scopes it by node
+// The same string serves two consumers: scopedKey scopes it by node
 // seed for the per-node snapshot cache, and archetype-clone
 // characterization (Config.Archetypes) uses it seedless, as the bin
 // identity all same-spec nodes share. The %+v renderings are
@@ -236,16 +236,12 @@ func ArchetypeSeed(seed uint64, bin string) uint64 {
 	return rng.New(seed).SplitLabeled("fleet/archetype/" + bin).Uint64()
 }
 
-// charactKey scopes a characterization identity by the seed that
-// drives it (the node seed on the per-node path, the bin seed under
-// Config.Archetypes). wantLog is part of the key because log bytes are
-// captured only when a health log was requested.
-func charactKey(seed uint64, spec NodeSpec, wantLog bool) string {
-	return scopedKey(seed, wantLog, ArchetypeBin(spec))
-}
-
-// scopedKey renders charactKey from an already-rendered bin, byte for
-// byte what fmt's "seed=%d log=%t %s" produces, without fmt.
+// scopedKey scopes a rendered bin by the seed that drives its
+// characterization (the node seed on the per-node path, the bin seed
+// under Config.Archetypes) — byte for byte what fmt's
+// "seed=%d log=%t %s" produces, without fmt. wantLog is part of the
+// key because log bytes are captured only when a health log was
+// requested.
 func scopedKey(seed uint64, wantLog bool, bin string) string {
 	return "seed=" + strconv.FormatUint(seed, 10) + " log=" + strconv.FormatBool(wantLog) + " " + bin
 }
@@ -276,7 +272,7 @@ type binSpec struct {
 type binInfo struct {
 	bin     string // ArchetypeBin(spec)
 	binSeed uint64 // ArchetypeSeed(fleetSeed, bin)
-	archKey string // charactKey(binSeed, spec, wantLog)
+	archKey string // scopedKey(binSeed, wantLog, bin)
 }
 
 func newBinMemo(fleetSeed uint64, wantLog bool) *binMemo {
@@ -298,7 +294,7 @@ func (m *binMemo) lookup(spec NodeSpec) *binInfo {
 	return b
 }
 
-// nodeKey is charactKey for a node's own seed on the per-node cached
+// nodeKey is the cache key of a node's own seed on the per-node cached
 // path.
 func (m *binMemo) nodeKey(seed uint64, spec NodeSpec) string {
 	return scopedKey(seed, m.wantLog, m.lookup(spec).bin)

@@ -83,32 +83,33 @@ func TestCharactCacheReuse(t *testing.T) {
 // collides with an implicit zero part.
 func TestCharactKeyCanonicalization(t *testing.T) {
 	base := DefaultConfig(2).BaseSpec()
-	key := charactKey(42, base, false)
+	keys := newBinMemo(1, false)
+	key := keys.nodeKey(42, base)
 
 	deployment := base
 	deployment.Mode = 2
 	deployment.RiskTarget = 0.5
 	deployment.MemBytes = 1 << 30
 	deployment.AmbientCPUC, deployment.AmbientDIMMC = 40, 46
-	if got := charactKey(42, deployment, false); got != key {
+	if got := keys.nodeKey(42, deployment); got != key {
 		t.Fatalf("deployment-only fields split the key:\n%s\nvs\n%s", key, got)
 	}
 
 	explicit := base
 	explicit.Part = core.DefaultOptions().Part
-	if got := charactKey(42, explicit, false); got != key {
+	if got := keys.nodeKey(42, explicit); got != key {
 		t.Fatalf("explicit default part split the key:\n%s\nvs\n%s", key, got)
 	}
 
-	if got := charactKey(43, base, false); got == key {
+	if got := keys.nodeKey(43, base); got == key {
 		t.Fatal("seed did not split the key")
 	}
 	mem := base
 	mem.Mem.Channels++
-	if got := charactKey(42, mem, false); got == key {
+	if got := keys.nodeKey(42, mem); got == key {
 		t.Fatal("DRAM config did not split the key")
 	}
-	if got := charactKey(42, base, true); got == key {
+	if got := newBinMemo(1, true).nodeKey(42, base); got == key {
 		t.Fatal("log capture did not split the key")
 	}
 }

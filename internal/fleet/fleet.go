@@ -90,8 +90,6 @@ type Config struct {
 	// VMs is the number of VM arrivals streamed at the fleet; <= 0
 	// picks 3 per node.
 	VMs int
-	// Repair is how long a crashed node stays offline.
-	Repair time.Duration
 	// HealthLogOut, when set, receives every node's JSON-lines health
 	// log, concatenated in node order (deterministic at any worker
 	// count).
@@ -313,7 +311,6 @@ func DefaultConfig(nodes int) Config {
 		Mem:             dram.Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 8 << 30, DeviceGb: 2, TempC: 45},
 		MemBytesPerNode: 64 << 30,
 		Policy:          policy,
-		Repair:          15 * time.Minute,
 	}
 }
 
@@ -538,6 +535,10 @@ type nodeState struct {
 // as they did when characterization was its own phase.
 const charactWindow = -1
 
+// repairTime is how long a crashed node stays offline in the cloud
+// layer's replay.
+const repairTime = 15 * time.Minute
+
 // specOptions resolves a node's spec and seed into the core Options
 // both characterization paths build from; keeping it single-sourced is
 // what guarantees the cached and direct paths configure identical
@@ -556,9 +557,9 @@ func specOptions(spec NodeSpec, seed uint64) core.Options {
 
 // charactBuilder returns the direct-characterization closure for
 // (spec, seed): build the ecosystem, run the full pre-deployment
-// pipeline, log into out (nil discards). All three characterization
-// paths — direct, cached, archetype — run exactly this, so they can
-// never configure divergent ecosystems.
+// pipeline, log into out (nil discards). Every characterization —
+// direct, cached, archetype — runs exactly this, so no two can ever
+// configure divergent ecosystems.
 func charactBuilder(spec NodeSpec, seed uint64) func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
 	return func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
 		opts := specOptions(spec, seed)
@@ -575,79 +576,60 @@ func charactBuilder(spec NodeSpec, seed uint64) func(out io.Writer) (*core.Ecosy
 	}
 }
 
-// characterize is the direct path: build the node's ecosystem and run
-// the full pre-deployment pipeline on it. The per-node log buffer (and
-// the JSON marshal every window that fills it) exists only when the
-// caller asked for the log; the health daemon's triggers and retention
-// behave identically either way.
-func (s *nodeState) characterize(spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
+// characterize is the one way a node gets its characterized
+// ecosystem. The per-node log buffer (and the JSON marshal every
+// window that fills it) exists only when the caller asked for the log;
+// the health daemon's triggers and retention behave identically either
+// way.
+//
+// With no cache it builds and characterizes directly. With one, the
+// cache runs that build at most once per key — logging into a
+// cache-owned buffer — and every consumer, the characterizing node
+// included, replays the captured log bytes and stamps an independent
+// node from the snapshot with its own log writer and ambient. Routing
+// the first consumer through the stamp too pins the cached path to the
+// direct path's goldens: a stamp imperfection shows up as a
+// fingerprint divergence instead of hiding behind a warm cache. The
+// key is the node's own seed and spec; under archetypes it is the
+// bin's, the bin seed (ArchetypeSeed) drives the campaign, and each
+// node reseeds its runtime streams with its own seed — which node
+// fills the bin entry first can never matter.
+func (s *nodeState) characterize(cache *CharactCache, arena *core.RestoreArena, bins *binMemo,
+	spec NodeSpec, archetypes, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
 	var out io.Writer
 	if wantLog {
 		out = &s.log
 	}
-	return charactBuilder(spec, s.seed)(out)
-}
-
-// restoreFrom materializes this node's ecosystem from a cached
-// characterization: replay the captured log bytes (when logging), then
-// stamp the snapshot into the worker's arena with the node's log
-// writer and ambient (copies into reused storage, the bulk shared with
-// the snapshot until first write, no shared locks).
-func (s *nodeState) restoreFrom(snap *core.Snapshot, arena *core.RestoreArena,
-	spec NodeSpec, logBytes []byte, wantLog bool) (*core.Ecosystem, error) {
-	ropts := core.RestoreOptions{
-		AmbientCPUC:  spec.AmbientCPUC,
-		AmbientDIMMC: spec.AmbientDIMMC,
+	if cache == nil {
+		return charactBuilder(spec, s.seed)(out)
+	}
+	var key string
+	seed := s.seed
+	if archetypes {
+		b := bins.lookup(spec)
+		key, seed = b.archKey, b.binSeed
+	} else {
+		key = bins.nodeKey(s.seed, spec)
+	}
+	snap, pre, logBytes, err := cache.characterized(key, wantLog, charactBuilder(spec, seed))
+	if err != nil {
+		return nil, core.PreDeploymentReport{}, err
 	}
 	if wantLog {
 		s.log.Write(logBytes)
-		ropts.HealthLogOut = &s.log
 	}
-	return snap.RestoreInto(arena, ropts)
-}
-
-// characterizeCached is the snapshot path: the cache runs the direct
-// characterization at most once per (seed, spec) key — logging into a
-// cache-owned buffer — and every consumer, the characterizing node
-// included, replays the captured log bytes and stamps an independent
-// node from the snapshot. Routing the first consumer through the stamp
-// too keeps the two paths' outputs pinned to each other: any stamp
-// imperfection shows up as a fingerprint divergence against the direct
-// path's goldens instead of hiding behind a warm cache.
-func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreArena,
-	bins *binMemo, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
-	snap, pre, logBytes, err := cache.characterized(bins.nodeKey(s.seed, spec), wantLog,
-		charactBuilder(spec, s.seed))
+	eco, err := snap.RestoreInto(arena, core.RestoreOptions{
+		HealthLogOut: out,
+		AmbientCPUC:  spec.AmbientCPUC,
+		AmbientDIMMC: spec.AmbientDIMMC,
+	})
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
-	eco, err := s.restoreFrom(snap, arena, spec, logBytes, wantLog)
-	if err != nil {
-		return nil, core.PreDeploymentReport{}, err
-	}
-	return eco, pre, nil
-}
-
-// characterizeArchetype is the bin-clone path: the whole archetype bin
-// shares one characterization, seeded by the bin (ArchetypeSeed), and
-// each node stamps its own copy and reseeds its runtime streams with
-// its own node seed. Which node populates the bin entry first can
-// never matter — the bin seed, not the node seed, drives the campaign
-// — so results are worker- and shard-invariant by construction.
-func (s *nodeState) characterizeArchetype(cache *CharactCache, arena *core.RestoreArena,
-	bins *binMemo, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
-	b := bins.lookup(spec)
-	snap, pre, logBytes, err := cache.characterized(b.archKey, wantLog,
-		charactBuilder(spec, b.binSeed))
-	if err != nil {
-		return nil, core.PreDeploymentReport{}, err
-	}
-	eco, err := s.restoreFrom(snap, arena, spec, logBytes, wantLog)
-	if err != nil {
-		return nil, core.PreDeploymentReport{}, err
-	}
-	if err := eco.Reseed(s.seed); err != nil {
-		return nil, core.PreDeploymentReport{}, err
+	if archetypes {
+		if err := eco.Reseed(s.seed); err != nil {
+			return nil, core.PreDeploymentReport{}, err
+		}
 	}
 	return eco, pre, nil
 }
@@ -669,19 +651,19 @@ func Run(cfg Config) (Summary, error) {
 	if cfg.Windows < 0 {
 		return Summary{}, errors.New("fleet: negative window count")
 	}
+	// A plain run is the one-epoch plan of cfg.Windows windows.
+	plan := core.LifetimePlan{EpochWindows: []int{cfg.Windows}}
 	if cfg.Lifetime != nil {
 		if err := cfg.Lifetime.Validate(); err != nil {
 			return Summary{}, fmt.Errorf("fleet: lifetime plan: %w", err)
 		}
 		// The plan owns the window axis: the cloud layer replays the
 		// concatenated epoch windows.
-		cfg.Windows = cfg.Lifetime.TotalWindows()
+		plan = *cfg.Lifetime
+		cfg.Windows = plan.TotalWindows()
 	}
 	workers := EffectiveWorkers(cfg.Workers, cfg.Nodes)
 	shards := EffectiveShards(cfg.Shards, cfg.Nodes)
-	if cfg.Repair <= 0 {
-		cfg.Repair = 15 * time.Minute
-	}
 	charact := cfg.Charact
 	if charact == nil && cfg.Archetypes {
 		// The cache is where archetype dedup lives: a run without a
@@ -736,31 +718,6 @@ func Run(cfg Config) (Summary, error) {
 		gateMu.Unlock()
 	}
 
-	// failFloor is the earliest failing window any node has reported:
-	// once a run is doomed, healthy nodes stop at that window instead
-	// of simulating out their full horizon: a doomed run never replays
-	// the cloud layer. Purely an early-exit; results on the success
-	// path are untouched. When a health log was requested the early
-	// exit is disabled: where a healthy node happens to observe the
-	// floor depends on goroutine scheduling, and a log truncated at a
-	// scheduling-dependent window would break the contract that the
-	// flushed log is byte-identical across runs — on the error path,
-	// exactly where the diagnostics matter most.
-	earlyExit := cfg.HealthLogOut == nil
-	var failFloor atomic.Int64
-	failFloor.Store(int64(cfg.Windows))
-	reportFail := func(w int) {
-		if w < 0 {
-			w = 0
-		}
-		for {
-			cur := failFloor.Load()
-			if int64(w) >= cur || failFloor.CompareAndSwap(cur, int64(w)) {
-				break
-			}
-		}
-	}
-
 	// runNode is one node's fused lifecycle — characterization, mode
 	// entry, cloud export, the full window sequence, and the final
 	// deployment summary. The ecosystem and deployment are locals: when
@@ -769,27 +726,17 @@ func Run(cfg Config) (Summary, error) {
 	// worker's restore arena to overwrite the graph in place for the
 	// next node. At most `workers` ecosystems exist at any instant,
 	// however many nodes the fleet has; cached-path nodes reuse their
-	// worker's one arena graph instead of rebuilding it.
+	// worker's one arena graph instead of rebuilding it. A failing node
+	// records its error and window and stops; every other node still
+	// steps to its horizon, so nothing a node computes depends on when
+	// another one failed.
 	runNode := func(i int, arena *core.RestoreArena) {
 		s := states[i]
 		failNode := func(w int, err error) {
 			s.err, s.errWindow = err, w
-			reportFail(w)
 		}
 		spec := cfg.nodeSpec(i)
-		var (
-			eco *core.Ecosystem
-			pre core.PreDeploymentReport
-			err error
-		)
-		switch {
-		case cfg.Archetypes:
-			eco, pre, err = s.characterizeArchetype(charact, arena, bins, spec, wantLog)
-		case charact != nil:
-			eco, pre, err = s.characterizeCached(charact, arena, bins, spec, wantLog)
-		default:
-			eco, pre, err = s.characterize(spec, wantLog)
-		}
+		eco, pre, err := s.characterize(charact, arena, bins, spec, cfg.Archetypes, wantLog)
 		if err != nil {
 			failNode(charactWindow, fmt.Errorf("fleet: node %d characterization: %w", i, err))
 			return
@@ -801,9 +748,7 @@ func Run(cfg Config) (Summary, error) {
 			failNode(charactWindow, fmt.Errorf("fleet: node %d mode entry: %w", i, err))
 			return
 		}
-		if cfg.Lifetime != nil {
-			dep.SetCadence(cfg.Lifetime.RecharactEvery)
-		}
+		dep.SetCadence(plan.RecharactEvery)
 		if cfg.Drift != nil {
 			dep.SetDriftPolicy(cfg.Drift.MarginFrac)
 		}
@@ -831,60 +776,17 @@ func Run(cfg Config) (Summary, error) {
 		// state. The buffer is allocated full-length up front and
 		// written by index, so it never regrows; the coordinator's replay
 		// reads it only after every worker has returned.
+		//
+		// The lifetime axis: each epoch batches its windows; between
+		// epochs the node fast-forwards the gap and honours the
+		// re-characterization cadence. Gap failures are charged to the
+		// first window of the entered epoch — the earliest window the
+		// failure can shadow.
 		s.health = make([]epochHealth, cfg.Windows)
-		stepWindow := func(w int) bool {
-			if earlyExit && int64(w) >= failFloor.Load() {
-				return false
-			}
-			if cfg.Perturb != nil {
-				p := cfg.Perturb(i, w)
-				if p.Ambient != nil {
-					eco.SetAmbient(p.Ambient.CPUC, p.Ambient.DIMMC)
-				}
-				if p.Workload != nil {
-					dep.SetWorkload(*p.Workload)
-				}
-				if p.Mode != nil {
-					if err := dep.SwitchMode(p.Mode.Mode, p.Mode.RiskTarget); err != nil {
-						failNode(w, fmt.Errorf("fleet: node %d window %d mode switch: %w", i, w, err))
-						return false
-					}
-				}
-			}
-			rep, err := dep.Step()
-			if err != nil {
-				failNode(w, fmt.Errorf("fleet: node %d window %d: %w", i, w, err))
-				return false
-			}
-			fp, err := eco.PredictedFailProb()
-			if err != nil {
-				failNode(w, fmt.Errorf("fleet: node %d window %d: %w", i, w, err))
-				return false
-			}
-			s.health[w] = epochHealth{
-				failProb:     fp,
-				correctable:  int32(rep.Correctable),
-				thermalAlarm: uint8(rep.ThermalAlarm),
-				crashed:      rep.Crashed,
-			}
-			return true
-		}
-		// The lifetime axis: each epoch batches its windows exactly as
-		// the single-epoch engine does; between epochs the node
-		// fast-forwards the gap and honours the re-characterization
-		// cadence. Gap failures are charged to the first window of the
-		// entered epoch — the earliest window the failure can shadow.
 		w := 0
-		epochs := 1
-		if cfg.Lifetime != nil {
-			epochs = cfg.Lifetime.Epochs()
-		}
-		for ei := 0; ei < epochs; ei++ {
+		for ei, windows := range plan.EpochWindows {
 			if ei > 0 {
-				if earlyExit && int64(w) >= failFloor.Load() {
-					return
-				}
-				if err := dep.FastForward(cfg.Lifetime.Gaps[ei-1]); err != nil {
+				if err := dep.FastForward(plan.Gaps[ei-1]); err != nil {
 					failNode(w, fmt.Errorf("fleet: node %d epoch %d gap: %w", i, ei, err))
 					return
 				}
@@ -893,20 +795,41 @@ func Run(cfg Config) (Summary, error) {
 					return
 				}
 			}
-			epochWindows := cfg.Windows
-			if cfg.Lifetime != nil {
-				epochWindows = cfg.Lifetime.EpochWindows[ei]
-			}
-			for k := 0; k < epochWindows; k++ {
-				if !stepWindow(w) {
+			for end := w + windows; w < end; w++ {
+				if cfg.Perturb != nil {
+					p := cfg.Perturb(i, w)
+					if p.Ambient != nil {
+						eco.SetAmbient(p.Ambient.CPUC, p.Ambient.DIMMC)
+					}
+					if p.Workload != nil {
+						dep.SetWorkload(*p.Workload)
+					}
+					if p.Mode != nil {
+						if err := dep.SwitchMode(p.Mode.Mode, p.Mode.RiskTarget); err != nil {
+							failNode(w, fmt.Errorf("fleet: node %d window %d mode switch: %w", i, w, err))
+							return
+						}
+					}
+				}
+				rep, err := dep.Step()
+				if err != nil {
+					failNode(w, fmt.Errorf("fleet: node %d window %d: %w", i, w, err))
 					return
 				}
-				w++
+				fp, err := eco.PredictedFailProb()
+				if err != nil {
+					failNode(w, fmt.Errorf("fleet: node %d window %d: %w", i, w, err))
+					return
+				}
+				s.health[w] = epochHealth{
+					failProb:     fp,
+					correctable:  int32(rep.Correctable),
+					thermalAlarm: uint8(rep.ThermalAlarm),
+					crashed:      rep.Crashed,
+				}
 			}
 		}
-		if s.err == nil {
-			s.depSum = dep.Summary()
-		}
+		s.depSum = dep.Summary()
 	}
 
 	// flushHealthLog concatenates every node's JSON-lines log in node
@@ -1083,7 +1006,7 @@ func Run(cfg Config) (Summary, error) {
 	// Fold loop (coordinator): shards drain strictly in shard order,
 	// nodes within a shard in node order, exactly as the phased engine
 	// folded them. A shard whose range (or any earlier shard) holds a
-	// failed node is left unfolded — the run is doomed and returns the
+	// failed node is left unfolded — the run has failed and returns the
 	// earliest failure below — so OnNode consumers only ever see
 	// summaries from the error-free prefix.
 	failed := false
@@ -1118,7 +1041,7 @@ func Run(cfg Config) (Summary, error) {
 		// failures carry charactWindow and therefore outrank every
 		// stepping failure, exactly as when characterization was a
 		// separate phase; node failures outrank stream and replay
-		// errors, which a doomed run never reaches.
+		// errors, which a failed run never reaches.
 		failWindow, failErr := cfg.Windows, error(nil)
 		for _, s := range states {
 			if s.err != nil && s.errWindow < failWindow {
@@ -1161,7 +1084,7 @@ func Run(cfg Config) (Summary, error) {
 				ThermalAlarm: int(h.thermalAlarm),
 			}
 		}
-		stats, err := mgr.StepFleet(health, time.Minute, now, cfg.Repair)
+		stats, err := mgr.StepFleet(health, time.Minute, now, repairTime)
 		if err != nil {
 			return fail(err)
 		}

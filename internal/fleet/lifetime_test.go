@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,6 +90,44 @@ func TestFleetSingleEpochFingerprintUnchanged(t *testing.T) {
 	for _, n := range sum.PerNode {
 		if n.Epochs != nil {
 			t.Fatalf("node %s has a trajectory without a lifetime plan", n.Name)
+		}
+	}
+}
+
+// TestFleetOneEpochPlanMatchesPlainRun pins the node task's one epoch
+// loop: a plain W-window run is the one-epoch plan of W windows, so
+// setting that plan explicitly changes nothing — fingerprint, per-node
+// summaries and health log — at 1 and 3 workers.
+func TestFleetOneEpochPlanMatchesPlainRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet characterization is slow; skipping in -short")
+	}
+	const windows = 6
+	run := func(workers int, plan *core.LifetimePlan) (Summary, []byte) {
+		cfg := smallConfig(3, workers)
+		cfg.Windows = windows
+		cfg.Lifetime = plan
+		var log bytes.Buffer
+		cfg.HealthLogOut = &log
+		sum, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d plan=%v: %v", workers, plan != nil, err)
+		}
+		return sum, log.Bytes()
+	}
+	plain, plainLog := run(1, nil)
+	for _, workers := range []int{1, 3} {
+		got, gotLog := run(workers, &core.LifetimePlan{EpochWindows: []int{windows}})
+		if got.Fingerprint() != plain.Fingerprint() {
+			t.Fatalf("workers=%d: one-epoch plan diverged from the plain run:\n--- plain ---\n%s--- plan ---\n%s",
+				workers, plain.Fingerprint(), got.Fingerprint())
+		}
+		if !reflect.DeepEqual(got.PerNode, plain.PerNode) {
+			t.Fatalf("workers=%d: per-node summaries differ:\nplain %+v\nplan  %+v", workers, plain.PerNode, got.PerNode)
+		}
+		if len(plainLog) == 0 || !bytes.Equal(gotLog, plainLog) {
+			t.Fatalf("workers=%d: health log (%d bytes) differs from the plain run's (%d bytes)",
+				workers, len(gotLog), len(plainLog))
 		}
 	}
 }

@@ -296,9 +296,9 @@ func TestShardedRunReportsEarliestFailure(t *testing.T) {
 
 // TestFleetHealthLogOnFailure pins the error-path half of the health
 // log contract: a failing run still flushes every node's log, and the
-// flushed bytes are identical at any worker count. A health log
-// disables the doomed-run early exit for exactly this reason — where a
-// healthy node would observe the failure floor depends on scheduling.
+// flushed bytes are identical at any worker count. Healthy nodes step
+// to their horizon whether or not another node failed, so nothing in
+// the log depends on when the failure was observed.
 func TestFleetHealthLogOnFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet characterization is slow; skipping in -short")

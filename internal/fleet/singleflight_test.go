@@ -33,7 +33,7 @@ func TestCharactCacheCoalescing(t *testing.T) {
 			cache := NewCharactCache()
 			spec := DefaultConfig(1).BaseSpec()
 			seed := NodeSeed(7, 0)
-			key := charactKey(seed, spec, false)
+			key := newBinMemo(0, false).nodeKey(seed, spec)
 			inner := charactBuilder(spec, seed)
 			characterize := func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
 				deadline := time.Now().Add(singleflightDeadline)
@@ -115,7 +115,7 @@ func TestCharactCacheDistinctKeysParallel(t *testing.T) {
 						}
 						return inner(out)
 					}
-					if _, _, _, err := cache.characterized(charactKey(seed, spec, false), false, characterize); err != nil {
+					if _, _, _, err := cache.characterized(newBinMemo(0, false).nodeKey(seed, spec), false, characterize); err != nil {
 						t.Errorf("key %d: %v", g, err)
 					}
 				}()

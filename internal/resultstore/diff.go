@@ -7,23 +7,13 @@ import (
 	"uniserver/internal/scenario"
 )
 
-// DiffOptions tune the regression thresholds. Zero values mean the
-// defaults: an availability drop of more than 0.0005 or an energy
-// increase of more than 2% flags a regression.
-type DiffOptions struct {
-	AvailEps  float64
-	EnergyPct float64
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.AvailEps == 0 {
-		o.AvailEps = 0.0005
-	}
-	if o.EnergyPct == 0 {
-		o.EnergyPct = 2.0
-	}
-	return o
-}
+// The regression thresholds: an availability drop of more than
+// availEps or an energy increase of more than energyPct percent flags
+// a regression.
+const (
+	availEps  = 0.0005
+	energyPct = 2.0
+)
 
 // DiffRow compares one scenario's aggregate row across two runs.
 type DiffRow struct {
@@ -83,8 +73,7 @@ type DiffReport struct {
 // DiffRuns compares two completed runs scenario row by scenario row.
 // Both manifests must carry their reports (status complete or failed
 // with a partial report).
-func DiffRuns(a, b RunManifest, opts DiffOptions) (DiffReport, error) {
-	opts = opts.withDefaults()
+func DiffRuns(a, b RunManifest) (DiffReport, error) {
 	if a.Report == nil {
 		return DiffReport{}, fmt.Errorf("resultstore: run %s has no report (status %s); diff needs completed runs", a.ID, a.Status)
 	}
@@ -125,11 +114,11 @@ func DiffRuns(a, b RunManifest, opts DiffOptions) (DiffReport, error) {
 		if !row.FingerprintMatch {
 			row.Flags = append(row.Flags, "fingerprint-changed")
 		}
-		if -row.AvailDelta > opts.AvailEps {
+		if -row.AvailDelta > availEps {
 			row.Flags = append(row.Flags, "availability-regression")
 			rep.Regressions = append(rep.Regressions, ra.Scenario+": availability-regression")
 		}
-		if row.EnergyDeltaPct > opts.EnergyPct {
+		if row.EnergyDeltaPct > energyPct {
 			row.Flags = append(row.Flags, "energy-regression")
 			rep.Regressions = append(rep.Regressions, ra.Scenario+": energy-regression")
 		}

@@ -169,8 +169,29 @@ func (r CellRecord) valid(key string) bool {
 	return r.Key == key && r.Fingerprint != "" && sha256Hex(r.Fingerprint) == r.FingerprintSHA256
 }
 
-func (st *Store) cellPath(key string) string {
-	return filepath.Join(st.dir, cellsDir, key+".json")
+// cellPath is where the record of key lives. Only the shape CellKey
+// mints — 64 lowercase hex digits — names a file: any other key (a
+// request path such as "../../victim" included) resolves to no path,
+// so it can never read, quarantine or overwrite a file outside the
+// cell directory.
+func (st *Store) cellPath(key string) (string, bool) {
+	if !isLowerHex(key, 2*sha256.Size) {
+		return "", false
+	}
+	return filepath.Join(st.dir, cellsDir, key+".json"), true
+}
+
+// isLowerHex reports whether s is exactly n lowercase hex digits.
+func isLowerHex(s string, n int) bool {
+	if len(s) != n {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // PutCell writes rec atomically (temp file + rename into place), so a
@@ -181,7 +202,11 @@ func (st *Store) PutCell(rec CellRecord) error {
 	if !rec.valid(rec.Key) {
 		return fmt.Errorf("resultstore: refusing to store inconsistent cell record for %s.%d", rec.Scenario, rec.Seed)
 	}
-	if err := st.writeAtomic(st.cellPath(rec.Key), rec); err != nil {
+	path, ok := st.cellPath(rec.Key)
+	if !ok {
+		return fmt.Errorf("resultstore: refusing to store cell record under malformed key %q", rec.Key)
+	}
+	if err := st.writeAtomic(path, rec); err != nil {
 		return err
 	}
 	st.puts.Add(1)
@@ -193,9 +218,14 @@ func (st *Store) PutCell(rec CellRecord) error {
 // corruption, a record filed under the wrong address) is moved to the
 // quarantine directory and reported as a miss — the caller re-runs the
 // cell and overwrites it, and the quarantined bytes stay available for
-// post-mortem.
+// post-mortem. A key CellKey could not have minted is a miss that
+// touches no file.
 func (st *Store) GetCell(key string) (CellRecord, bool) {
-	path := st.cellPath(key)
+	path, ok := st.cellPath(key)
+	if !ok {
+		st.misses.Add(1)
+		return CellRecord{}, false
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		st.misses.Add(1)
@@ -282,22 +312,33 @@ func RunID(cellKeys []string) string {
 	return "r" + hex.EncodeToString(sum[:8])
 }
 
-func (st *Store) runPath(id string) string {
-	return filepath.Join(st.dir, runsDir, id+".json")
+// runPath is where the manifest of run id lives. Like cellPath, it
+// accepts only the shape RunID mints — "r" and 16 lowercase hex
+// digits — and resolves anything else to no path.
+func (st *Store) runPath(id string) (string, bool) {
+	if len(id) == 0 || id[0] != 'r' || !isLowerHex(id[1:], 16) {
+		return "", false
+	}
+	return filepath.Join(st.dir, runsDir, id+".json"), true
 }
 
 // PutRun writes a run manifest atomically.
 func (st *Store) PutRun(m RunManifest) error {
-	if m.ID == "" {
-		return fmt.Errorf("resultstore: run manifest without an ID")
+	path, ok := st.runPath(m.ID)
+	if !ok {
+		return fmt.Errorf("resultstore: refusing to store run manifest under malformed ID %q", m.ID)
 	}
-	return st.writeAtomic(st.runPath(m.ID), m)
+	return st.writeAtomic(path, m)
 }
 
 // GetRun loads a run manifest. A torn or corrupted manifest is
-// quarantined and reported as absent, like a cell record.
+// quarantined and reported as absent, like a cell record; an ID RunID
+// could not have minted is absent without touching any file.
 func (st *Store) GetRun(id string) (RunManifest, bool) {
-	path := st.runPath(id)
+	path, ok := st.runPath(id)
+	if !ok {
+		return RunManifest{}, false
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return RunManifest{}, false
@@ -311,7 +352,8 @@ func (st *Store) GetRun(id string) (RunManifest, bool) {
 }
 
 // ListRuns returns every readable run manifest, sorted by ID for a
-// stable listing.
+// stable listing. A file whose name is not a run ID is skipped, not
+// quarantined.
 func (st *Store) ListRuns() ([]RunManifest, error) {
 	entries, err := os.ReadDir(filepath.Join(st.dir, runsDir))
 	if err != nil {

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -295,7 +296,7 @@ func TestDiffRuns(t *testing.T) {
 		},
 	}
 	a := RunManifest{ID: "ra", Status: RunComplete, Report: repA}
-	same, err := DiffRuns(a, a, DiffOptions{})
+	same, err := DiffRuns(a, a)
 	if err != nil {
 		t.Fatalf("DiffRuns: %v", err)
 	}
@@ -311,7 +312,7 @@ func TestDiffRuns(t *testing.T) {
 		},
 	}
 	b := RunManifest{ID: "rb", Status: RunComplete, Report: repB}
-	d, err := DiffRuns(a, b, DiffOptions{})
+	d, err := DiffRuns(a, b)
 	if err != nil {
 		t.Fatalf("DiffRuns: %v", err)
 	}
@@ -333,7 +334,7 @@ func TestDiffRuns(t *testing.T) {
 	}
 
 	// Runs without reports are refused.
-	if _, err := DiffRuns(RunManifest{ID: "rx", Status: RunRunning}, a, DiffOptions{}); err == nil {
+	if _, err := DiffRuns(RunManifest{ID: "rx", Status: RunRunning}, a); err == nil {
 		t.Errorf("diff accepted a report-less run")
 	}
 }
@@ -352,11 +353,11 @@ func TestManifestReportJSONStable(t *testing.T) {
 			{Scenario: "baseline", MeanAvailability: 0.5, FingerprintSHA256: "f00d"},
 		},
 	}
-	m := RunManifest{ID: "rz", Status: RunComplete, FingerprintSHA256: "cafe", Report: rep}
+	m := RunManifest{ID: RunID([]string{"z"}), Status: RunComplete, FingerprintSHA256: "cafe", Report: rep}
 	if err := st.PutRun(m); err != nil {
 		t.Fatalf("PutRun: %v", err)
 	}
-	got, ok := st.GetRun("rz")
+	got, ok := st.GetRun(m.ID)
 	if !ok || got.Report == nil {
 		t.Fatalf("manifest with report did not round trip")
 	}
@@ -364,5 +365,59 @@ func TestManifestReportJSONStable(t *testing.T) {
 	b, _ := json.Marshal(got.Report)
 	if string(a) != string(b) {
 		t.Errorf("embedded report changed across the round trip:\n got %s\nwant %s", b, a)
+	}
+}
+
+// TestMalformedNamesTouchNoFile pins the store's path boundary: a cell
+// key or run ID that CellKey or RunID could not have minted — a
+// traversal such as "../x" above all — is a miss that reads, moves and
+// deletes nothing, Put refuses it, and ListRuns skips a stray file
+// without quarantining it.
+func TestMalformedNamesTouchNoFile(t *testing.T) {
+	base := t.TempDir()
+	st, err := Open(filepath.Join(base, "store"))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	// Not a valid record: a store that opened one of these would
+	// quarantine it.
+	sentinel := []byte("sentinel, not a record\n")
+	inStore := filepath.Join(st.Dir(), "x.json")
+	outside := filepath.Join(base, "victim.json")
+	for _, path := range []string{inStore, outside} {
+		if err := os.WriteFile(path, sentinel, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"../x", "../../victim", "", "r", "R0123456789abcdef",
+		"r0123456789ABCDEF", strings.Repeat("A", 64), strings.Repeat("a", 63)} {
+		if _, ok := st.GetCell(name); ok {
+			t.Errorf("GetCell(%q) served a record", name)
+		}
+		if _, ok := st.GetRun(name); ok {
+			t.Errorf("GetRun(%q) served a manifest", name)
+		}
+		if err := st.PutRun(RunManifest{ID: name}); err == nil {
+			t.Errorf("PutRun accepted ID %q", name)
+		}
+	}
+	rec := CellRecord{Key: "../x", Fingerprint: "fp", FingerprintSHA256: sha256Hex("fp")}
+	if err := st.PutCell(rec); err == nil {
+		t.Error("PutCell accepted key \"../x\"")
+	}
+	stray := filepath.Join(st.Dir(), runsDir, "notes.json")
+	if err := os.WriteFile(stray, sentinel, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if runs, err := st.ListRuns(); err != nil || len(runs) != 0 {
+		t.Errorf("ListRuns = %v, %v; want no runs", runs, err)
+	}
+	for _, path := range []string{inStore, outside, stray} {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, sentinel) {
+			t.Errorf("%s was touched: %q, %v", filepath.Base(path), got, err)
+		}
+	}
+	if q := st.Stats().Quarantined; q != 0 {
+		t.Errorf("%d files quarantined, want 0", q)
 	}
 }

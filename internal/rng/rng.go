@@ -110,11 +110,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Bool returns true with probability 1/2.
 func (s *Source) Bool() bool {
 	return s.Uint64()&1 == 1
