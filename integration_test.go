@@ -5,16 +5,11 @@ package uniserver_test
 
 import (
 	"testing"
-	"time"
 
 	"uniserver/internal/core"
 	"uniserver/internal/cpu"
 	"uniserver/internal/dram"
-	"uniserver/internal/ecc"
 	"uniserver/internal/fleet"
-	"uniserver/internal/rng"
-	"uniserver/internal/security"
-	"uniserver/internal/stress"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -32,109 +27,6 @@ func smallEcosystem(t *testing.T, seed uint64) *core.Ecosystem {
 		t.Fatal(err)
 	}
 	return e
-}
-
-// TestIntegrationDroopAttackDetection runs the security detector
-// against an undervolted node hosting both benign guests and a
-// malicious VM executing a GA-grade dI/dt virus: the detector flags
-// only the attacker, and evicting it removes the elevated crash risk.
-func TestIntegrationDroopAttackDetection(t *testing.T) {
-	e := smallEcosystem(t, 41)
-	if _, err := e.EnterMode(vfr.ModeHighPerformance, 0.01, workload.WebFrontend()); err != nil {
-		t.Fatal(err)
-	}
-
-	virus := stress.HandCodedViruses()[0]
-	benign := workload.WebFrontend()
-	det := security.NewDetector(security.DefaultDetectorConfig())
-
-	flagged := false
-	for w := 0; w < 10 && !flagged; w++ {
-		det.Observe("benign-vm", benign.DroopIntensity)
-		flagged = det.Observe("evil-vm", virus.DroopIntensity)
-	}
-	if !flagged {
-		t.Fatal("droop virus not detected on undervolted node")
-	}
-	if got := det.Flagged(); len(got) != 1 || got[0] != "evil-vm" {
-		t.Fatalf("flagged = %v; benign guest must not be flagged", got)
-	}
-
-	// Quantify the risk the detector removed: crash probability of the
-	// virus at the advised point versus the benign workload. The EOP
-	// margin was characterized against viruses, so even the attacker
-	// should mostly fail to crash the node — but it must be at least
-	// as dangerous as the benign tenant.
-	point := e.Hypervisor.Point()
-	benignBench := cpu.Benchmark{
-		Name:           benign.Name,
-		DroopIntensity: benign.DroopIntensity,
-		CacheStress:    0.5,
-		Activity:       benign.CPUActivity,
-	}
-	virusCrashes, benignCrashes := 0, 0
-	for i := 0; i < 200; i++ {
-		if e.Machine.RunAt(0, virus, point.VoltageMV).Crashed {
-			virusCrashes++
-		}
-		if e.Machine.RunAt(0, benignBench, point.VoltageMV).Crashed {
-			benignCrashes++
-		}
-	}
-	if virusCrashes < benignCrashes {
-		t.Fatalf("virus (%d crashes) should be at least as dangerous as benign (%d) at the EOP point",
-			virusCrashes, benignCrashes)
-	}
-}
-
-// TestIntegrationSECDEDUnderRelaxedRefresh wires the DRAM controller
-// over a relaxed domain and checks the full §6.B argument: at the
-// margin the StressLog publishes, tenant reads remain correct because
-// SECDED absorbs the (rare) retention upsets.
-func TestIntegrationSECDEDUnderRelaxedRefresh(t *testing.T) {
-	cfg := dram.Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 8 << 30, DeviceGb: 2, TempC: 45}
-	ms, err := dram.New(cfg, dram.DefaultRetentionModel(), rng.New(43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := ms.RelaxedDomains()[0]
-	// Deep relaxation: 5 s (78x nominal), the paper's extreme point.
-	if err := dom.SetRefresh(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := dram.NewController(dom, ms.Model, ms.TempC)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	now := time.Unix(0, 0)
-	src := rng.New(44)
-	const words = 5000
-	for i := uint64(0); i < words; i++ {
-		if err := ctl.Write(i, i^0xA5A5A5A5A5A5A5A5, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wrong, uncorrectable := 0, 0
-	for i := uint64(0); i < words; i++ {
-		data, res, err := ctl.Read(i, now.Add(10*time.Second), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res == ecc.Detected {
-			uncorrectable++
-			continue
-		}
-		if data != i^0xA5A5A5A5A5A5A5A5 {
-			wrong++
-		}
-	}
-	if wrong != 0 {
-		t.Fatalf("%d silently wrong reads; SECDED must not lie", wrong)
-	}
-	if uncorrectable != 0 {
-		t.Fatalf("%d uncorrectable words at BER ~1e-9; double upsets should be absent at this scale", uncorrectable)
-	}
 }
 
 // TestIntegrationYearOfService runs the closed deployment loop for a

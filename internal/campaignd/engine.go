@@ -234,7 +234,9 @@ func (s *Server) execute(p planned, emit func(gridIndex int, res scenario.Result
 				key, canonical, err := resultstore.CellKey(sc, seed)
 				if err == nil {
 					// Best effort: a failed put costs a re-run after a
-					// crash, never correctness.
+					// crash, never correctness. The store counts it in
+					// Stats().PutFailures, which GET /api/v1/store and
+					// the done event report.
 					_ = s.store.PutCell(resultstore.CellRecord{
 						Key:               key,
 						Scenario:          res.Scenario,

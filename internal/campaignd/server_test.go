@@ -419,6 +419,49 @@ func TestSubmitBesideOtherVersionSpill(t *testing.T) {
 	}
 }
 
+// TestSubmitCountsPutFailures: with a store whose cells directory
+// cannot be written, a campaign still completes with the direct run's
+// fingerprint, and every cell write it could not make is counted in
+// the store's stats rather than dropped silently.
+func TestSubmitCountsPutFailures(t *testing.T) {
+	ref := referenceReport(t)
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open store: %v", err)
+	}
+	// A regular file where the cells directory was: every cell write
+	// fails, also for a process that ignores permission bits.
+	cells := filepath.Join(dir, "cells")
+	if err := os.Remove(cells); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cells, nil, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{Store: st, Pool: 1})
+	defer srv.Close()
+	scens, seeds := testGrid()
+	_, rep, err := srv.Submit(scens, seeds, 0, 1, nil)
+	if err != nil {
+		t.Fatalf("campaign over an unwritable cells directory failed: %v", err)
+	}
+	if rep.FingerprintSHA256 != ref.FingerprintSHA256 {
+		t.Errorf("campaign fingerprint diverged from the direct run")
+	}
+	stats := st.Stats()
+	if stats.PutFailures != uint64(len(rep.Results)) || stats.Puts != 0 {
+		t.Errorf("store stats = %+v, want %d put failures and no puts", stats, len(rep.Results))
+	}
+	data, err := json.Marshal(resultstore.Stats{Puts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "put_failures") {
+		t.Errorf("stats with no put failures marshal as %s; want the field omitted", data)
+	}
+}
+
 // TestDuplicateConcurrentSubmissionRefused: the same campaign submitted
 // twice at once executes once; the duplicate is told the run is already
 // executing rather than racing it on the same manifest.

@@ -103,7 +103,7 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 // dropFirstDIMMVRT removes the first DIMM's VRT cells, leaving it a
 // DIMM with weak cells but an empty telegraph bitset.
 func dropFirstDIMMVRT(t *testing.T, eco *Ecosystem) {
-	vrt := func(c dram.WeakCell) bool { return c.AltRetentionSec > 0 }
+	vrt := dram.WeakCell.VRT
 	d := eco.Mem.Domains[0].DIMMs[0]
 	if !slices.ContainsFunc(d.Weak, vrt) {
 		t.Fatal("the first DIMM has no VRT cells to drop")

@@ -114,6 +114,9 @@ type WeakCell struct {
 	AltRetentionSec float64
 }
 
+// VRT reports whether the cell is a variable-retention-time cell.
+func (c WeakCell) VRT() bool { return c.AltRetentionSec > 0 }
+
 // VRT population constants, per the retention studies the paper cites:
 // a noticeable minority of weak cells exhibit VRT with a modest
 // retention ratio, switching states on second-to-minute timescales.
@@ -671,7 +674,7 @@ func (ms *MemorySystem) Reindex() {
 			var vrt []int
 			var low []byte
 			for i := range d.Weak {
-				if !(d.Weak[i].AltRetentionSec > 0) {
+				if !d.Weak[i].VRT() {
 					continue
 				}
 				j := len(vrt)

@@ -108,7 +108,7 @@ func (f *FlatMemory) Validate() error {
 			if !(c.RetentionSec > 0) {
 				return fmt.Errorf("dram: DIMM %d cell %d has retention %v", i, ci, c.RetentionSec)
 			}
-			if c.AltRetentionSec > 0 {
+			if c.VRT() {
 				if k == len(index) || index[k] != ci {
 					return fmt.Errorf("dram: DIMM %d VRT index does not list VRT cell %d in order", i, ci)
 				}

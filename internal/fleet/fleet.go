@@ -833,10 +833,11 @@ func Run(cfg Config) (Summary, error) {
 	}
 
 	// flushHealthLog concatenates every node's JSON-lines log in node
-	// order. It also runs on error paths (best effort) so a failed run
-	// still leaves its diagnostics behind — the moment the log matters
-	// most. Buffering until here is deliberate: streaming from workers
-	// would interleave nodes nondeterministically.
+	// order. It also runs on error paths so a failed run still leaves
+	// its diagnostics behind — the moment the log matters most; a flush
+	// that fails there is joined to the run's error. Buffering until
+	// here is deliberate: streaming from workers would interleave nodes
+	// nondeterministically.
 	flushHealthLog := func() error {
 		if cfg.HealthLogOut == nil {
 			return nil
@@ -849,7 +850,9 @@ func Run(cfg Config) (Summary, error) {
 		return nil
 	}
 	fail := func(err error) (Summary, error) {
-		_ = flushHealthLog()
+		if ferr := flushHealthLog(); ferr != nil {
+			return Summary{}, errors.Join(err, ferr)
+		}
 		return Summary{}, err
 	}
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -331,5 +332,42 @@ func TestFleetHealthLogOnFailure(t *testing.T) {
 			t.Fatalf("workers=%d: health log (%d bytes) differs from workers=1 (%d bytes)",
 				workers, log.Len(), len(want))
 		}
+	}
+}
+
+// errWriter fails every write with err.
+type errWriter struct{ err error }
+
+func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestFleetHealthLogFlushErrorOnFailure: when a failing run cannot
+// flush its health log either, neither error is dropped — the run
+// returns both, joined.
+func TestFleetHealthLogFlushErrorOnFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet characterization is slow; skipping in -short")
+	}
+	t.Parallel()
+	cfg := smallConfig(2, 2)
+	cfg.Windows = 4
+	cfg.Perturb = func(i, w int) Perturbation {
+		if i == 1 && w == 2 {
+			return Perturbation{Mode: &ModeChange{Mode: vfr.ModeHighPerformance, RiskTarget: -1}}
+		}
+		return Perturbation{}
+	}
+	_, runErr := Run(cfg)
+	if runErr == nil {
+		t.Fatal("perturbed run did not fail")
+	}
+	writeErr := errors.New("disk full")
+	cfg.HealthLogOut = errWriter{writeErr}
+	_, err := Run(cfg)
+	if !errors.Is(err, writeErr) {
+		t.Fatalf("got %v, want the health-log write error", err)
+	}
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok || len(joined.Unwrap()) != 2 || joined.Unwrap()[0].Error() != runErr.Error() {
+		t.Fatalf("got %v, want the run's error %q joined with the write error", err, runErr)
 	}
 }

@@ -52,24 +52,3 @@ func BenchmarkObjectMapConstruction(b *testing.B) {
 		_ = NewObjectMap(DefaultProfiles(), rng.New(uint64(i)))
 	}
 }
-
-func BenchmarkLiveMigration(b *testing.B) {
-	// Ping-pong one guest between two hosts so per-iteration work is
-	// just the migration itself.
-	a := benchHypervisor(b)
-	c := benchHypervisor(b)
-	if err := a.StartVM(vmSpec("vm", 2)); err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultMigrationConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, dst := a, c
-		if i%2 == 1 {
-			src, dst = c, a
-		}
-		if _, err := MigrateVM(src, dst, "vm", cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

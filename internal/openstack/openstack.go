@@ -2,12 +2,11 @@
 // Section 4.B: an OpenStack-style scheduler and node manager extended,
 // as the paper proposes, with (a) a node reliability metric alongside
 // the traditional availability, utilization and energy metrics,
-// (b) fine-grained VM monitoring, (c) failure prediction from node
-// health data, and (d) proactive live migration of workloads off
-// nodes predicted to fail — "proactively migrate the running
-// workloads on the healthy nodes, which is critical to sustain
-// high-availability especially for high value and user-facing
-// workloads".
+// (b) failure prediction from node health data, and (c) proactive
+// live migration of workloads off nodes predicted to fail —
+// "proactively migrate the running workloads on the healthy nodes,
+// which is critical to sustain high-availability especially for high
+// value and user-facing workloads".
 package openstack
 
 import (

@@ -61,7 +61,7 @@ const (
 type Store struct {
 	dir string
 
-	hits, misses, puts, quarantined atomic.Uint64
+	hits, misses, puts, putFailures, quarantined atomic.Uint64
 }
 
 // Open roots a store at dir, creating and version-stamping it if
@@ -99,12 +99,14 @@ func (st *Store) CharactDir() string {
 }
 
 // Stats counts the store's traffic: a hit is a cell served from disk,
-// a miss a key not present (or quarantined), a put a record written,
-// and quarantined the records integrity checking pulled aside.
+// a miss a key not present (or quarantined), a put a record written, a
+// put failure a PutCell or PutRun that returned an error, and
+// quarantined the records integrity checking pulled aside.
 type Stats struct {
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
 	Puts        uint64 `json:"puts"`
+	PutFailures uint64 `json:"put_failures,omitempty"`
 	Quarantined uint64 `json:"quarantined,omitempty"`
 }
 
@@ -114,6 +116,7 @@ func (st *Store) Stats() Stats {
 		Hits:        st.hits.Load(),
 		Misses:      st.misses.Load(),
 		Puts:        st.puts.Load(),
+		PutFailures: st.putFailures.Load(),
 		Quarantined: st.quarantined.Load(),
 	}
 }
@@ -200,17 +203,23 @@ func isLowerHex(s string, n int) bool {
 // idempotent: content addressing means the bytes are equal.
 func (st *Store) PutCell(rec CellRecord) error {
 	if !rec.valid(rec.Key) {
-		return fmt.Errorf("resultstore: refusing to store inconsistent cell record for %s.%d", rec.Scenario, rec.Seed)
+		return st.putFailed(fmt.Errorf("resultstore: refusing to store inconsistent cell record for %s.%d", rec.Scenario, rec.Seed))
 	}
 	path, ok := st.cellPath(rec.Key)
 	if !ok {
-		return fmt.Errorf("resultstore: refusing to store cell record under malformed key %q", rec.Key)
+		return st.putFailed(fmt.Errorf("resultstore: refusing to store cell record under malformed key %q", rec.Key))
 	}
 	if err := st.writeAtomic(path, rec); err != nil {
-		return err
+		return st.putFailed(err)
 	}
 	st.puts.Add(1)
 	return nil
+}
+
+// putFailed counts a failed PutCell or PutRun and returns its error.
+func (st *Store) putFailed(err error) error {
+	st.putFailures.Add(1)
+	return err
 }
 
 // GetCell serves key from disk. Missing keys are plain misses; a
@@ -326,9 +335,12 @@ func (st *Store) runPath(id string) (string, bool) {
 func (st *Store) PutRun(m RunManifest) error {
 	path, ok := st.runPath(m.ID)
 	if !ok {
-		return fmt.Errorf("resultstore: refusing to store run manifest under malformed ID %q", m.ID)
+		return st.putFailed(fmt.Errorf("resultstore: refusing to store run manifest under malformed ID %q", m.ID))
 	}
-	return st.writeAtomic(path, m)
+	if err := st.writeAtomic(path, m); err != nil {
+		return st.putFailed(err)
+	}
+	return nil
 }
 
 // GetRun loads a run manifest. A torn or corrupted manifest is

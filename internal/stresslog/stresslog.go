@@ -215,14 +215,6 @@ func (d *Daemon) SkipPeriodic() {
 	d.lastRun = d.clock.Now()
 }
 
-// LastRun returns when the last campaign published its margin vector
-// (the zero time before any campaign has run).
-func (d *Daemon) LastRun() time.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastRun
-}
-
 // RunCampaign takes the machine offline, executes the stress suite on
 // every core, sweeps the DRAM refresh grid, publishes the resulting
 // margin vector, and brings the machine back online.

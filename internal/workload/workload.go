@@ -24,35 +24,11 @@ type Profile struct {
 	DroopIntensity float64
 	// MemTargetBytes is the steady-state working set.
 	MemTargetBytes uint64
-	// RampWindows is how many observation windows the working set
-	// takes to reach its target from zero.
-	RampWindows int
 	// DiskIOPS and NetMbps characterize the I/O pressure (used by the
 	// scheduler's interference model and the footprint experiment's
 	// "stresses the CPU, disk I/O and network" claim).
 	DiskIOPS float64
 	NetMbps  float64
-}
-
-// MemAtWindow returns the working set at observation window w: a
-// linear ramp to the target followed by a small deterministic sawtooth
-// (±4%) that mimics query-driven churn.
-func (p Profile) MemAtWindow(w int) uint64 {
-	if w < 0 {
-		return 0
-	}
-	if p.RampWindows > 0 && w < p.RampWindows {
-		return p.MemTargetBytes * uint64(w+1) / uint64(p.RampWindows)
-	}
-	// Sawtooth over 8 windows: -4%..+4% of target.
-	phase := w % 8
-	delta := int64(p.MemTargetBytes / 25) // 4%
-	offset := delta * int64(phase-4) / 4
-	v := int64(p.MemTargetBytes) + offset
-	if v < 0 {
-		v = 0
-	}
-	return uint64(v)
 }
 
 // LDBCSocialNetwork returns the LDBC SNB interactive workload profile
@@ -64,7 +40,6 @@ func LDBCSocialNetwork() Profile {
 		CPUActivity:    0.72,
 		DroopIntensity: 0.55,
 		MemTargetBytes: 3576 << 20, // ~3.5 GiB per VM instance
-		RampWindows:    12,
 		DiskIOPS:       2400,
 		NetMbps:        320,
 	}
@@ -78,7 +53,6 @@ func IoTEdgeAnalytics() Profile {
 		CPUActivity:    0.45,
 		DroopIntensity: 0.30,
 		MemTargetBytes: 512 << 20,
-		RampWindows:    4,
 		DiskIOPS:       150,
 		NetMbps:        90,
 	}
@@ -92,7 +66,6 @@ func WebFrontend() Profile {
 		CPUActivity:    0.38,
 		DroopIntensity: 0.42,
 		MemTargetBytes: 1024 << 20,
-		RampWindows:    2,
 		DiskIOPS:       400,
 		NetMbps:        210,
 	}
@@ -106,7 +79,6 @@ func BatchAnalytics() Profile {
 		CPUActivity:    0.88,
 		DroopIntensity: 0.65,
 		MemTargetBytes: 6 << 30,
-		RampWindows:    6,
 		DiskIOPS:       900,
 		NetMbps:        80,
 	}
@@ -123,7 +95,6 @@ func DroopVirus() Profile {
 		CPUActivity:    0.95,
 		DroopIntensity: 0.98,
 		MemTargetBytes: 256 << 20,
-		RampWindows:    1,
 		DiskIOPS:       50,
 		NetMbps:        10,
 	}

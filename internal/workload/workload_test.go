@@ -30,36 +30,6 @@ func TestProfilesCatalogue(t *testing.T) {
 	}
 }
 
-func TestMemRampMonotone(t *testing.T) {
-	p := LDBCSocialNetwork()
-	prev := uint64(0)
-	for w := 0; w < p.RampWindows; w++ {
-		m := p.MemAtWindow(w)
-		if m < prev {
-			t.Fatalf("ramp not monotone at window %d", w)
-		}
-		prev = m
-	}
-	if got := p.MemAtWindow(p.RampWindows - 1); got != p.MemTargetBytes {
-		t.Fatalf("ramp end = %d, want target %d", got, p.MemTargetBytes)
-	}
-}
-
-func TestMemSteadyStateSawtooth(t *testing.T) {
-	p := LDBCSocialNetwork()
-	lo := p.MemTargetBytes - p.MemTargetBytes/20
-	hi := p.MemTargetBytes + p.MemTargetBytes/20
-	for w := p.RampWindows; w < p.RampWindows+32; w++ {
-		m := p.MemAtWindow(w)
-		if m < lo || m > hi {
-			t.Fatalf("steady-state memory %d outside ±5%% of target at window %d", m, w)
-		}
-	}
-	if p.MemAtWindow(-1) != 0 {
-		t.Fatal("negative window should be 0")
-	}
-}
-
 func TestLDBCStressesEverything(t *testing.T) {
 	p := LDBCSocialNetwork()
 	// Paper: "This application stresses the CPU, disk I/O and network."
