@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"uniserver/internal/resultstore"
 	"uniserver/internal/scenario"
@@ -57,6 +58,11 @@ type Server struct {
 	mu     sync.Mutex
 	active map[string]bool // run IDs currently executing in this process
 
+	// resumeFailures counts the runs ResumeIncomplete relaunched whose
+	// execution failed for a reason other than a duplicate or the
+	// server's shutdown.
+	resumeFailures atomic.Uint64
+
 	// testCellDone, when set (tests only), observes every finished
 	// cell after it is persisted and streamed — the hook the
 	// crash-resume test uses to kill the engine at a precise cell
@@ -82,6 +88,19 @@ func New(opts Options) *Server {
 		cancel: cancel,
 		active: make(map[string]bool),
 	}
+}
+
+// storeStats is the result store's counters as the service reports
+// them — GET /api/v1/store and a submission's done event — with the
+// resumed runs whose execution failed. The counters describe this
+// process's traffic, never a run's results.
+type storeStats struct {
+	resultstore.Stats
+	ResumeFailures uint64 `json:"resume_failures,omitempty"`
+}
+
+func (s *Server) stats() storeStats {
+	return storeStats{s.store.Stats(), s.resumeFailures.Load()}
 }
 
 // Store returns the server's result store.
@@ -349,8 +368,13 @@ func (s *Server) ResumeIncomplete() (int, error) {
 		go func() {
 			defer s.wg.Done()
 			// launch/execute manage their own wg add; this outer guard
-			// keeps Close honest about the goroutine itself.
-			_, _ = s.launch(p, nil)
+			// keeps Close honest about the goroutine itself. No caller
+			// waits on a resumed run, so its failure is counted where
+			// the store's put failures are reported (stats).
+			_, err := s.launch(p, nil)
+			if err != nil && err != errAlreadyRunning && !errors.Is(err, context.Canceled) {
+				s.resumeFailures.Add(1)
+			}
 		}()
 	}
 	return n, nil

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 
-	"uniserver/internal/resultstore"
 	"uniserver/internal/scenario"
 )
 
@@ -152,10 +151,10 @@ type event struct {
 	Summary           *cellSummary `json:"summary,omitempty"`
 
 	// done
-	Status        string             `json:"status,omitempty"`
-	CachedCells   int                `json:"cached_cells,omitempty"`
-	CanceledCells int                `json:"canceled_cells,omitempty"`
-	Store         *resultstore.Stats `json:"store,omitempty"`
+	Status        string      `json:"status,omitempty"`
+	CachedCells   int         `json:"cached_cells,omitempty"`
+	CanceledCells int         `json:"canceled_cells,omitempty"`
+	Store         *storeStats `json:"store,omitempty"`
 }
 
 // cellSummary is the per-cell stream excerpt: the headline metrics,
@@ -249,7 +248,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Type: "done", RunID: p.runID,
 		CachedCells: rep.CachedCells, CanceledCells: rep.CanceledCells,
 	}
-	stats := s.store.Stats()
+	stats := s.stats()
 	done.Store = &stats
 	switch {
 	case err == errAlreadyRunning:
@@ -324,8 +323,8 @@ func (s *Server) handleStore(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
-		Dir   string            `json:"dir"`
-		Cells int               `json:"cells"`
-		Stats resultstore.Stats `json:"stats"`
-	}{s.store.Dir(), n, s.store.Stats()})
+		Dir   string     `json:"dir"`
+		Cells int        `json:"cells"`
+		Stats storeStats `json:"stats"`
+	}{s.store.Dir(), n, s.stats()})
 }

@@ -1,6 +1,12 @@
 package campaignd
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,5 +269,83 @@ func TestCrashResumeDeterminism(t *testing.T) {
 	}
 	if rep.FingerprintSHA256 != ref.FingerprintSHA256 {
 		t.Errorf("fully-cached rerun fingerprint diverged")
+	}
+}
+
+// TestResumeCountsFailedRuns: a run resumed in the background whose
+// execution fails — here because the store's characterization spill
+// directory is stamped by another snapshot format — is counted in
+// resume_failures, which GET /api/v1/store and the done event report,
+// and the counter stays out of every fingerprint: once the spill is
+// repaired, the same campaign completes with the direct run's
+// fingerprint while the done event still carries the count.
+func TestResumeCountsFailedRuns(t *testing.T) {
+	ref := referenceReport(t)
+	scens, seeds := testGrid()
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open store: %v", err)
+	}
+	// A crashed run: its manifest says running and no cell completed.
+	p, err := New(Options{Store: st}).plan(scens, seeds, 0, 1)
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	if err := st.PutRun(p.manifest(resultstore.RunRunning)); err != nil {
+		t.Fatal(err)
+	}
+	stamp := filepath.Join(st.CharactDir(), "VERSION")
+	if err := os.MkdirAll(st.CharactDir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stamp, []byte("999\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(Options{Store: st, Pool: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	if n, err := srv.ResumeIncomplete(); err != nil || n != 1 {
+		t.Fatalf("ResumeIncomplete = %d, %v; want 1 run", n, err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for srv.stats().ResumeFailures == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the resumed run's failure was never counted")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if m, ok := st.GetRun(p.runID); !ok || m.Status != resultstore.RunFailed {
+		t.Fatalf("resumed run's manifest = %+v (ok=%t), want failed", m, ok)
+	}
+	var storeInfo struct {
+		Stats storeStats `json:"stats"`
+	}
+	getJSON(t, ts, "/api/v1/store", &storeInfo)
+	if storeInfo.Stats.ResumeFailures != 1 {
+		t.Errorf("GET /api/v1/store stats = %+v, want 1 resume failure", storeInfo.Stats)
+	}
+
+	if err := os.Remove(stamp); err != nil {
+		t.Fatal(err)
+	}
+	code, events := submit(t, ts, inlineSubmission(t))
+	done := events[len(events)-1]
+	if code != http.StatusOK || done.Type != "done" || done.Status != "complete" {
+		t.Fatalf("resubmission: status %d, last event %+v", code, done)
+	}
+	if done.FingerprintSHA256 != ref.FingerprintSHA256 {
+		t.Errorf("fingerprint after a counted resume failure diverged from the direct run:\n got %s\nwant %s",
+			done.FingerprintSHA256, ref.FingerprintSHA256)
+	}
+	if done.Store == nil || done.Store.ResumeFailures != 1 {
+		t.Errorf("done store stats = %+v, want 1 resume failure", done.Store)
+	}
+	if data, err := json.Marshal(storeStats{}); err != nil || strings.Contains(string(data), "resume_failures") {
+		t.Errorf("stats with no resume failures marshal as %s (%v); want the field omitted", data, err)
 	}
 }

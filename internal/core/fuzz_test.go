@@ -27,10 +27,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 	// the fuzzer mutates kilobytes instead of hundreds of them.
 	for _, dom := range eco.Mem.Domains {
 		for _, d := range dom.DIMMs {
-			d.Weak = d.Weak[:min(len(d.Weak), 24)]
+			d.Retain(func(i int, _ bool) bool { return i < 24 })
 		}
 	}
-	eco.Mem.Reindex()
 	objs := eco.Hypervisor.Objects()
 	objs.Objects = objs.Objects[:32]
 	snap, err := eco.Snapshot()

@@ -36,7 +36,7 @@ func vrtStates(e *Ecosystem) []bool {
 	var out []bool
 	for _, dom := range e.Mem.Domains {
 		for _, dimm := range dom.DIMMs {
-			for i := range dimm.Weak {
+			for i := range dimm.Len() {
 				out = append(out, dimm.LowState(i))
 			}
 		}

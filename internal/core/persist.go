@@ -17,7 +17,7 @@ import (
 // simulator state, so a silent cross-version read would corrupt
 // results instead of failing loudly. Bump it whenever the images
 // change shape or meaning.
-const SnapshotFormatVersion = 4
+const SnapshotFormatVersion = 5
 
 // snapshotHeader is the frame in front of the encoded images: the
 // format version and the payload length as little-endian uint64s,
@@ -55,9 +55,7 @@ func (img *images) encode() ([]byte, error) {
 		return nil, err
 	}
 	binary.LittleEndian.PutUint64(b[snapshotHeader:], uint64(len(b)-snapshotHeader-8))
-	if b, err = img.Mem.AppendColumns(b); err != nil {
-		return nil, fmt.Errorf("core: encoding snapshot memory image: %w", err)
-	}
+	b = img.Mem.AppendColumns(b)
 	if b, err = img.Hyp.AppendColumns(b); err != nil {
 		return nil, fmt.Errorf("core: encoding snapshot hypervisor image: %w", err)
 	}

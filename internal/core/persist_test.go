@@ -6,12 +6,10 @@ import (
 	"encoding/gob"
 	"io"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"uniserver/internal/cpu"
-	"uniserver/internal/dram"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -103,14 +101,13 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 // dropFirstDIMMVRT removes the first DIMM's VRT cells, leaving it a
 // DIMM with weak cells but an empty telegraph bitset.
 func dropFirstDIMMVRT(t *testing.T, eco *Ecosystem) {
-	vrt := dram.WeakCell.VRT
 	d := eco.Mem.Domains[0].DIMMs[0]
-	if !slices.ContainsFunc(d.Weak, vrt) {
+	before := d.Len()
+	d.Retain(func(_ int, vrt bool) bool { return !vrt })
+	if d.Len() == before {
 		t.Fatal("the first DIMM has no VRT cells to drop")
 	}
-	d.Weak = slices.DeleteFunc(slices.Clone(d.Weak), vrt)
-	eco.Mem.Reindex()
-	if len(d.Weak) == 0 {
+	if d.Len() == 0 {
 		t.Fatal("the first DIMM has no stable cells")
 	}
 }

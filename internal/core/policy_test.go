@@ -324,7 +324,7 @@ func TestWeakGrowthAcrossFastForward(t *testing.T) {
 		n := 0
 		for _, dom := range e.Mem.Domains {
 			for _, dimm := range dom.DIMMs {
-				n += len(dimm.Weak)
+				n += dimm.Len()
 			}
 		}
 		return n

@@ -39,11 +39,10 @@ import (
 // inside hypervisor: selective protection). Every stamped node
 // therefore reads the snapshot for as long as it runs, which makes
 // immutability a contract with every package, not only with the
-// stamp: no code outside dram may write
-// dram.DIMM.Weak, and none outside hypervisor may write
-// hypervisor.ObjectMap.Objects. Both fields are exported for reading;
-// nothing outside their packages writes either, and the
-// concurrent-writer test pins the snapshot's bytes.
+// stamp: none outside hypervisor may write
+// hypervisor.ObjectMap.Objects, which is exported for reading (a
+// DIMM's weak cells are private to dram), and the concurrent-writer
+// test pins the snapshot's bytes.
 //
 // Take the snapshot when the thermal state is re-derivable from
 // ambient: after PreDeployment and before the first runtime window,

@@ -304,16 +304,10 @@ func writtenTrace(t *testing.T, eco *Ecosystem, windows int) string {
 
 // sharedStateDigest hashes the state a stamp shares with its snapshot
 // until first write: every DIMM's weak cells with their telegraph
-// states, and the object inventory.
+// states (the memory image's columns), and the object inventory.
 func sharedStateDigest(eco *Ecosystem) string {
 	h := sha256.New()
-	for _, dom := range eco.Mem.Domains {
-		for _, d := range dom.DIMMs {
-			for i, c := range d.Weak {
-				fmt.Fprintf(h, "%v %t\n", c, d.LowState(i))
-			}
-		}
-	}
+	h.Write(eco.Mem.Flatten().AppendColumns(nil))
 	fmt.Fprintf(h, "%v\n", eco.Hypervisor.Objects().Objects)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -462,9 +456,8 @@ func TestStampSharesWithTemplate(t *testing.T) {
 		}
 	}
 	same := func() (weak, objs bool) {
-		wa, wb := a.eco.Mem.Domains[1].DIMMs[0].Weak, b.eco.Mem.Domains[1].DIMMs[0].Weak
 		oa, ob := a.eco.Hypervisor.Objects().Objects, b.eco.Hypervisor.Objects().Objects
-		return &wa[0] == &wb[0], &oa[0] == &ob[0]
+		return a.eco.Mem.Domains[1].DIMMs[0].SameCells(b.eco.Mem.Domains[1].DIMMs[0]), &oa[0] == &ob[0]
 	}
 	if w, o := same(); !w || !o {
 		t.Fatalf("stamps do not share: weak cells %t, objects %t", w, o)

@@ -79,43 +79,107 @@ func (m RetentionModel) FailProb(interval time.Duration, tempC float64) float64 
 // temperature) conditioned on it being below the given horizon, using
 // inverse-CDF sampling of the truncated tail.
 func (m RetentionModel) SampleWeakRetention(horizon time.Duration, src *rng.Source) float64 {
-	return m.sampleWeakTail(m.FailProb(horizon, m.RefTempC), src)
+	return tail{m.MuLog, m.SigmaLog, m.FailProb(horizon, m.RefTempC)}.retention(drawU(src))
 }
 
-// sampleWeakTail is SampleWeakRetention with the horizon's tail mass
-// pH already evaluated: fabrication draws tens of thousands of cells
-// against the same horizon, so the CDF evaluation is hoisted out of
-// the per-cell loop.
-func (m RetentionModel) sampleWeakTail(pH float64, src *rng.Source) float64 {
+// tail is a retention model's weak-cell tail below WeakCellHorizon:
+// the parameters that map a weak cell's tail uniform u to its
+// retention exp(μ + σ·Φ⁻¹(u·pH)), pH being the tail's mass.
+type tail struct{ mu, sigma, pH float64 }
+
+// tail returns the model's weak-cell tail. Fabrication draws tens of
+// thousands of cells against it, so pH is evaluated once, not per cell.
+func (m RetentionModel) tail() tail {
+	return tail{m.MuLog, m.SigmaLog, m.FailProb(WeakCellHorizon, m.RefTempC)}
+}
+
+// drawU draws a weak cell's tail uniform, redrawing an exact zero, and
+// returns its IEEE-754 bits. It is the draw fabrication makes for a
+// cell's retention; the retention itself is evaluated only when a
+// pattern test's screen admits the cell (tail.retention).
+func drawU(src *rng.Source) uint64 {
 	u := src.Float64()
 	for u == 0 {
 		u = src.Float64()
 	}
-	return math.Exp(m.MuLog + m.SigmaLog*stats.NormalQuantile(u*pH))
+	return math.Float64bits(u)
 }
 
-// WeakCell is one cell in the retention-failure tail of a DIMM.
-type WeakCell struct {
-	// Offset is the bit offset of the cell within its DIMM.
-	Offset uint64
-	// RetentionSec is the cell's retention time at the model's
-	// reference temperature (the long state, for VRT cells).
-	RetentionSec float64
-	// TrueCell reports the cell's polarity: a true cell leaks toward 0
-	// and only corrupts data when storing 1; an anti cell the reverse.
-	TrueCell bool
-	// AltRetentionSec, when non-zero, marks a variable-retention-time
-	// (VRT) cell: the cell random-telegraph-switches between
-	// RetentionSec and this shorter retention. VRT is why a
-	// characterization pass can miss a cell that later fails in the
-	// field (Liu et al. [32]), and why the StressLog derates the
-	// longest observed error-free interval before publishing it. The
-	// cell's current state lives in its DIMM (DIMM.LowState).
-	AltRetentionSec float64
+// retention returns the retention, in seconds at the reference
+// temperature, of the cell whose tail uniform has bits u. It is
+// non-decreasing in u up to rounding: u·pH stays below
+// NormalQuantile's low-tail bound, where the quantile is a rational
+// function of sqrt(−2·ln p).
+func (t tail) retention(u uint64) float64 {
+	return math.Exp(t.mu + t.sigma*stats.NormalQuantile(math.Float64frombits(u)*t.pH))
 }
 
-// VRT reports whether the cell is a variable-retention-time cell.
-func (c WeakCell) VRT() bool { return c.AltRetentionSec > 0 }
+// The tail uniforms fabrication draws lie in [minU, 1): Float64 yields
+// multiples of 2^-53 and drawU redraws zero.
+var (
+	minU = math.Float64bits(0x1p-53)
+	oneU = math.Float64bits(1)
+)
+
+// usable reports whether the tail can evaluate every u in [minU, 1)
+// and is increasing in u, which the pattern test's screen relies on.
+func (t tail) usable() bool {
+	return !math.IsNaN(t.mu) && !math.IsInf(t.mu, 0) && t.sigma > 0 && !math.IsInf(t.sigma, 0) &&
+		t.pH*0x1p-53 > 0 && t.pH <= 1
+}
+
+// threshold returns the smallest u bits in [minU, oneU] whose
+// retention reaches r, bisecting the implemented retention function
+// (not NormalCDF: Acklam's quantile is not its exact inverse). oneU
+// means no tail uniform reaches r.
+func (t tail) threshold(r float64) uint64 {
+	lo, hi := minU, oneU
+	if t.retention(lo) >= r {
+		return lo
+	}
+	// Invariant: retention(lo) < r, and hi is oneU or reaches r.
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if t.retention(mid) < r {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// screenMargin widens the screen's retention bounds relative to the
+// watermark. Retention is monotone in u only up to a few ulps of
+// rounding (about 1e-15 relative), so a cell at or past a threshold
+// has a retention no less than the bound times 1 − 1e-15, which the
+// margin keeps above the watermark.
+const screenMargin = 1e-9
+
+// screen maps a watermark w onto the tail-uniform column: a stable
+// cell whose u bits are at least thr[0], or a VRT cell whose u bits
+// are at least thr[1], has a shorter retention of at least w, so a
+// pattern test evaluates the retention of the other cells only. The
+// thresholds are bisected on first use and shared by every DIMM of a
+// pattern test.
+type screen struct {
+	t   tail
+	w   float64
+	thr [2]uint64
+	set bool
+}
+
+// thresholds returns the screen's u thresholds, indexed by class.
+func (s *screen) thresholds() [2]uint64 {
+	if !s.set {
+		s.thr = [2]uint64{
+			s.t.threshold(s.w * (1 + screenMargin)),
+			s.t.threshold(s.w * VRTRetentionRatio * (1 + screenMargin)),
+		}
+		s.set = true
+	}
+	return s.thr
+}
 
 // VRT population constants, per the retention studies the paper cites:
 // a noticeable minority of weak cells exhibit VRT with a modest
@@ -133,30 +197,35 @@ const (
 
 // DIMM is one memory module with its explicit weak-cell population.
 //
-// Only the cells that can fail cost anything per pattern test or VRT
-// toggle. The DIMM keeps a retention watermark and the list of cells
-// whose shorter retention is below it (the candidates); a pattern test
-// raises the watermark to its interval and walks only the candidates,
-// the way RAIDR (Liu et al., ISCA 2012) bins rows by retention so that
-// refresh attends only to the weak ones. A toggle flips the candidate
-// VRT cells at once and defers everyone else's draws to a log, since
-// cell j of a toggle at stream position b takes draw b+j+1
-// (rng.Source.Peek): the log is folded into the telegraph bitset when
-// a cell joins the candidates, when an image is taken (Flatten) and
-// when it reaches maxToggleLog entries.
+// The cells are columns (cells): each cell's bit offset, the bits of
+// the tail uniform u that fixes its retention, and its flags. A
+// retention is evaluated only for the cells a pattern test can fail.
+// The DIMM keeps a retention watermark and the list of cells whose
+// shorter retention is below it (the candidates), each with its
+// evaluated retention; a pattern test raises the watermark to its
+// interval and walks only the candidates, the way RAIDR (Liu et al.,
+// ISCA 2012) bins rows by retention so that refresh attends only to the
+// weak ones. Raising the watermark scans the u column against a screen
+// (an integer compare per cell) and evaluates only the cells it admits.
+// A toggle flips the candidate VRT cells at once and defers everyone
+// else's draws to a log, since cell j of a toggle at stream position b
+// takes draw b+j+1 (rng.Source.Peek): the log is folded into the
+// telegraph bitset when a cell joins the candidates, when an image is
+// taken (Flatten) and when it reaches maxToggleLog entries.
 type DIMM struct {
 	// CapacityBytes is the module size (the paper uses 8 GB modules).
 	CapacityBytes uint64
 	// DeviceGb is the per-device density in gigabits (refresh power).
 	DeviceGb int
-	// Weak holds every cell whose retention falls below the simulation
+
+	// weak holds every cell whose retention falls below the simulation
 	// horizon; all other cells never fail at the intervals simulated.
 	// It is immutable once fabricated: Grow appends and nothing writes
-	// a cell in place. No code outside this package may write Weak.
-	Weak []WeakCell
+	// a cell in place.
+	weak cells
 
-	// vrt indexes the VRT cells within Weak, in cell order; a cell's
-	// position in it is its VRT ordinal. Immutable like Weak.
+	// vrt indexes the VRT cells within weak, in cell order; a cell's
+	// position in it is its VRT ordinal. Immutable like weak.
 	vrt []int
 
 	// low is the telegraph state by VRT ordinal: bit j is set while
@@ -164,30 +233,87 @@ type DIMM struct {
 	// toggles in log.
 	low []byte
 
-	// A stamped DIMM's Weak and vrt alias the image's slabs
-	// (cellsShared) until Grow copies them into spareWeak and spareVRT,
+	// A stamped DIMM's weak and vrt alias the image's slabs
+	// (cellsShared) until Grow copies them into spare and spareVRT,
 	// and its low aliases the image's bitset (lowShared) until its
 	// first write copies it into spareLow (own). The spares are the
 	// buffers the DIMM owned before the stamp.
 	cellsShared, lowShared bool
-	spareWeak              []WeakCell
+	spare                  cells
 	spareVRT               []int
 	spareLow               []byte
 
 	// Derived state, reset by every stamp and never serialized. The
 	// candidates are exactly the cells whose shorter retention is below
 	// watermark, in cell order; no other cell's shorter retention is
-	// below floor; candMask marks the candidates by VRT ordinal; log
-	// holds the toggles no non-candidate VRT cell has taken yet.
+	// below floor, and a cell of class k whose u bits are
+	// at least unscreened[k] is not a candidate and has a shorter
+	// retention of at least floor, so a grown cell is evaluated only
+	// below it; candMask marks the candidates by VRT ordinal; log holds
+	// the toggles no non-candidate VRT cell has taken yet.
 	watermark, floor float64
+	unscreened       [2]uint64
 	cand             []candidate
 	candMask         []byte
 	log              []toggle
 }
 
-// candidate is one cell of a DIMM's candidate list: its index in Weak
-// and its VRT ordinal, -1 for a stable cell.
-type candidate struct{ cell, ord int }
+// cells is a weak-cell population as columns, one entry per cell in
+// cell order: the bit offset within the DIMM, the IEEE-754 bits of the
+// tail uniform u (tail.retention), and the flags (flagTrueCell,
+// flagVRT). A snapshot writes the same columns.
+type cells struct {
+	off, u []uint64
+	flags  []byte
+}
+
+// The cell flags. A true cell leaks toward 0 and only corrupts data
+// when storing 1, an anti cell the reverse. A variable-retention-time
+// (VRT) cell random-telegraph-switches between its retention and that
+// retention divided by VRTRetentionRatio; VRT is why a
+// characterization pass can miss a cell that later fails in the field
+// (Liu et al. [32]), and why the StressLog derates the longest
+// observed error-free interval before publishing it. The cell's
+// current state lives in its DIMM (DIMM.LowState).
+const (
+	flagTrueCell = 1 << iota
+	flagVRT
+)
+
+// class returns a cell's screen class: 1 for a VRT cell, 0 otherwise.
+func class(flags byte) int { return int(flags&flagVRT) >> 1 }
+
+func (c *cells) len() int { return len(c.u) }
+
+func (c *cells) add(off, u uint64, flags byte) {
+	c.off, c.u, c.flags = append(c.off, off), append(c.u, u), append(c.flags, flags)
+}
+
+// appendTo appends the cells to dst and returns it.
+func (c *cells) appendTo(dst cells) cells {
+	return cells{append(dst.off, c.off...), append(dst.u, c.u...), append(dst.flags, c.flags...)}
+}
+
+// slice returns cells i..j-1, capacity-clamped so an append copies.
+func (c *cells) slice(i, j int) cells {
+	return cells{c.off[i:j:j], c.u[i:j:j], c.flags[i:j:j]}
+}
+
+// candidate is one cell of a DIMM's candidate list: its index in weak,
+// its VRT ordinal (-1 for a stable cell) and its evaluated retention
+// in the long state.
+type candidate struct {
+	cell, ord int
+	ret       float64
+}
+
+// shorter returns the retention the candidate has in its shorter state.
+func (c candidate) shorter() float64 {
+	if c.ord >= 0 {
+		return c.ret / VRTRetentionRatio
+	}
+	return c.ret
+}
 
 // toggle is one deferred telegraph toggle: VRT cell j < count flips
 // iff draw j+1 from at (at.Peek(j+1)) is below thr.
@@ -231,23 +357,14 @@ func (d *DIMM) flip(j int) {
 	d.low[j>>3] ^= 1 << (j & 7)
 }
 
-// shorter returns the retention a cell has in its shorter state.
-func (d *DIMM) shorter(c candidate) float64 {
-	cell := &d.Weak[c.cell]
-	if c.ord >= 0 && cell.AltRetentionSec < cell.RetentionSec {
-		return cell.AltRetentionSec
-	}
-	return cell.RetentionSec
-}
-
-// retention returns a cell's retention at the reference temperature in
-// its current telegraph state; a candidate's state is always current.
+// retention returns a candidate's retention at the reference
+// temperature in its current telegraph state; a candidate's state is
+// always current.
 func (d *DIMM) retention(c candidate) float64 {
-	cell := &d.Weak[c.cell]
 	if c.ord >= 0 && bit(d.low, c.ord) {
-		return cell.AltRetentionSec
+		return c.ret / VRTRetentionRatio
 	}
-	return cell.RetentionSec
+	return c.ret
 }
 
 // LowState reports whether cell i currently sits in its
@@ -325,8 +442,10 @@ func (d *DIMM) markCand(j int) {
 // it joins, so candidates always hold their current state.
 // The watermark only rises between stamps, and the cells are scanned
 // only when w passes the floor, which a characterization's rising
-// sweep does a few times at most.
-func (d *DIMM) raise(w float64) {
+// sweep does a few times at most. A scan compares each cell's u bits
+// with the screen's thresholds and evaluates the retention of the few
+// cells below them; everyone else's shorter retention is at least w.
+func (d *DIMM) raise(w float64, sc *screen) {
 	if !(w > d.watermark) {
 		return
 	}
@@ -337,14 +456,25 @@ func (d *DIMM) raise(w float64) {
 	prev := d.watermark
 	d.watermark, d.floor = w, math.Inf(1)
 	d.cand = d.cand[:0]
-	j := 0
-	for i := range d.Weak {
-		c := candidate{cell: i, ord: -1}
-		if j < len(d.vrt) && d.vrt[j] == i {
+	thr := sc.thresholds()
+	least := [2]uint64{math.MaxUint64, math.MaxUint64}
+	us, flags := d.weak.u, d.weak.flags[:len(d.weak.u)]
+	j := 0 // the VRT ordinal of the next VRT cell
+	for i, u := range us {
+		k := class(flags[i])
+		if u >= thr[k] {
+			if u < least[k] {
+				least[k] = u
+			}
+			j += k
+			continue
+		}
+		c := candidate{cell: i, ord: -1, ret: sc.t.retention(u)}
+		if k == 1 {
 			c.ord = j
 			j++
 		}
-		r := d.shorter(c)
+		r := c.shorter()
 		if !(r < w) {
 			if r < d.floor {
 				d.floor = r
@@ -359,12 +489,29 @@ func (d *DIMM) raise(w float64) {
 			d.markCand(c.ord)
 		}
 	}
+	// An unscreened cell's retention is at least its class minimum's,
+	// up to the rounding screenMargin covers, and its shorter retention
+	// is at least w.
+	d.unscreened = least
+	for k, u := range least {
+		if u == math.MaxUint64 {
+			continue
+		}
+		r := sc.t.retention(u)
+		if k == 1 {
+			r /= VRTRetentionRatio
+		}
+		if r *= 1 - screenMargin; r < d.floor {
+			d.floor = r
+		}
+	}
+	d.floor = math.Max(d.floor, w)
 }
 
 // reset drops the derived state, as after a stamp: no candidates, an
 // unscanned floor and an empty log.
 func (d *DIMM) reset() {
-	d.watermark, d.floor = 0, 0
+	d.watermark, d.floor, d.unscreened = 0, 0, [2]uint64{}
 	d.cand, d.candMask, d.log = d.cand[:0], d.candMask[:0], d.log[:0]
 }
 
@@ -376,31 +523,36 @@ const WeakCellHorizon = 12 * time.Second
 
 // NewDIMM fabricates a DIMM: the weak-cell count is drawn from the
 // binomial tail of the retention model and each weak cell gets a
-// position, a retention time and a polarity.
+// position, a tail uniform fixing its retention, and a polarity.
 func NewDIMM(capacityBytes uint64, deviceGb int, model RetentionModel, src *rng.Source) *DIMM {
 	bits := capacityBytes * 8
-	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
-	n := src.Binomial(clampInt(bits), pWeak)
-	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, Weak: make([]WeakCell, 0, n)}
+	t := model.tail()
+	n := src.Binomial(clampInt(bits), t.pH)
+	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, weak: cells{
+		off: make([]uint64, 0, n), u: make([]uint64, 0, n), flags: make([]byte, 0, n),
+	}}
 	for i := 0; i < n; i++ {
-		d.addCell(bits, pWeak, model, src)
+		d.addCell(bits, t, src)
 	}
 	return d
 }
 
-// addCell draws one weak cell — position, retention from the weak
-// tail, polarity, VRT membership and a VRT cell's starting telegraph
-// state — and appends it, admitting it to the candidates if its
-// shorter retention is below the watermark.
-func (d *DIMM) addCell(bits uint64, pWeak float64, model RetentionModel, src *rng.Source) {
-	cell := WeakCell{
-		Offset:       src.Uint64() % bits,
-		RetentionSec: model.sampleWeakTail(pWeak, src),
-		TrueCell:     src.Bool(),
+// addCell draws one weak cell — position, tail uniform, polarity, VRT
+// membership and a VRT cell's starting telegraph state — and appends
+// it, admitting it to the candidates if its shorter retention is below
+// the watermark. Its retention is evaluated only when its u lies below
+// its class's unscreened minimum, which is never before the DIMM's
+// first pattern test.
+func (d *DIMM) addCell(bits uint64, t tail, src *rng.Source) {
+	off := src.Uint64() % bits
+	u := drawU(src)
+	var flags byte
+	if src.Bool() {
+		flags |= flagTrueCell
 	}
-	c := candidate{cell: len(d.Weak), ord: -1}
+	c := candidate{cell: d.weak.len(), ord: -1}
 	if src.Bernoulli(VRTFraction) {
-		cell.AltRetentionSec = cell.RetentionSec / VRTRetentionRatio
+		flags |= flagVRT
 		c.ord = len(d.vrt)
 		d.vrt = append(d.vrt, c.cell)
 		if c.ord&7 == 0 {
@@ -411,10 +563,14 @@ func (d *DIMM) addCell(bits uint64, pWeak float64, model RetentionModel, src *rn
 			d.flip(c.ord)
 		}
 	}
-	d.Weak = append(d.Weak, cell)
+	d.weak.add(off, u, flags)
+	if u >= d.unscreened[class(flags)] {
+		return
+	}
 	// No deferred toggle covers a new VRT ordinal, so a new candidate
 	// needs no catch-up.
-	if r := d.shorter(c); r < d.watermark {
+	c.ret = t.retention(u)
+	if r := c.shorter(); r < d.watermark {
 		d.cand = append(d.cand, c)
 		if c.ord >= 0 {
 			d.markCand(c.ord)
@@ -434,11 +590,16 @@ func clampInt(v uint64) int {
 // Bits returns the DIMM capacity in bits.
 func (d *DIMM) Bits() uint64 { return d.CapacityBytes * 8 }
 
+// Len returns the number of weak cells.
+func (d *DIMM) Len() int { return d.weak.len() }
+
 // Grow appends n freshly-activated weak cells to the DIMM, drawing
-// each exactly like fabrication does (position, retention from the
-// weak tail, polarity, VRT membership) and keeping the VRT index and
-// the candidates current. Field data says the weak-cell population is
-// not static (Qureshi et al., AVATAR, DSN 2015: new weak cells keep
+// each exactly like fabrication does (position, tail uniform,
+// polarity, VRT membership) and keeping the VRT index and the
+// candidates current. The model must be the one the DIMM was
+// fabricated under: it is the one its pattern tests evaluate
+// retentions with. Field data says the weak-cell population is not
+// static (Qureshi et al., AVATAR, DSN 2015: new weak cells keep
 // appearing at a roughly constant rate over a device's life); Grow is
 // the mechanism lifetime fast-forwards use to model that.
 func (d *DIMM) Grow(n int, model RetentionModel, src *rng.Source) {
@@ -446,15 +607,53 @@ func (d *DIMM) Grow(n int, model RetentionModel, src *rng.Source) {
 		return
 	}
 	if d.cellsShared {
-		d.Weak = append(d.spareWeak[:0], d.Weak...)
+		d.weak = d.weak.appendTo(cells{d.spare.off[:0], d.spare.u[:0], d.spare.flags[:0]})
 		d.vrt = append(d.spareVRT[:0], d.vrt...)
-		d.spareWeak, d.spareVRT, d.cellsShared = nil, nil, false
+		d.spare, d.spareVRT, d.cellsShared = cells{}, nil, false
 	}
 	bits := d.Bits()
-	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
+	t := model.tail()
 	for i := 0; i < n; i++ {
-		d.addCell(bits, pWeak, model, src)
+		d.addCell(bits, t, src)
 	}
+}
+
+// Retain keeps the weak cells keep accepts, in order and in their
+// current telegraph states, and drops the others; keep is given each
+// cell's index and whether it is a VRT cell. It leaves the DIMM as a
+// stamp does, with no candidates, and is how tools and tests cut a
+// fabricated population down.
+func (d *DIMM) Retain(keep func(i int, vrt bool) bool) {
+	var kept cells
+	var vrt []int
+	var low []byte
+	for i, fl := range d.weak.flags {
+		if !keep(i, fl&flagVRT != 0) {
+			continue
+		}
+		if fl&flagVRT != 0 {
+			j := len(vrt)
+			if j&7 == 0 {
+				low = append(low, 0)
+			}
+			if d.LowState(i) {
+				low[j>>3] |= 1 << (j & 7)
+			}
+			vrt = append(vrt, kept.len())
+		}
+		kept.add(d.weak.off[i], d.weak.u[i], fl)
+	}
+	if kept.len() < d.weak.len() {
+		d.weak, d.cellsShared = kept, false
+	}
+	d.vrt, d.low, d.lowShared = vrt, low, false
+	d.reset()
+}
+
+// SameCells reports whether two DIMMs read one weak-cell storage, as
+// DIMMs stamped from one image do until either grows.
+func (d *DIMM) SameCells(o *DIMM) bool {
+	return d.weak.len() > 0 && o.weak.len() > 0 && &d.weak.u[0] == &o.weak.u[0]
 }
 
 // GrowWeakCells advances the domain's weak-cell population by `days`
@@ -664,30 +863,12 @@ func ToggleVRTCoarse(dom *Domain, windows int, src *rng.Source) {
 }
 
 // Reindex rebuilds every DIMM's derived state from its weak cells: the
-// VRT index (the cells with an AltRetentionSec), the telegraph bitset,
-// in which every cell keeps its current state and a newly indexed one
-// starts in its long state, and an empty candidate set. A DIMM built
-// as a literal gets its derived state here.
+// VRT index (the cells flagged VRT), the telegraph bitset, in which
+// every cell keeps its current state, and an empty candidate set.
 func (ms *MemorySystem) Reindex() {
 	for _, dom := range ms.Domains {
 		for _, d := range dom.DIMMs {
-			var vrt []int
-			var low []byte
-			for i := range d.Weak {
-				if !d.Weak[i].VRT() {
-					continue
-				}
-				j := len(vrt)
-				if j&7 == 0 {
-					low = append(low, 0)
-				}
-				if d.LowState(i) {
-					low[j>>3] |= 1 << (j & 7)
-				}
-				vrt = append(vrt, i)
-			}
-			d.vrt, d.low, d.lowShared = vrt, low, false
-			d.reset()
+			d.Retain(func(int, bool) bool { return true })
 		}
 	}
 }
@@ -704,15 +885,18 @@ func (ms *MemorySystem) Reindex() {
 // shorter retention is below interval/scale, widened by
 // watermarkMargin, and each candidate still takes the exact
 // comparison in cell order, so the pattern draws are those of a scan
-// over every weak cell.
+// over every weak cell. The memory system's model evaluates the
+// candidates' retentions: it must be the model the DIMMs were
+// fabricated under.
 func (ms *MemorySystem) RunPatternTest(dom *Domain, src *rng.Source) PatternTestResult {
 	res := PatternTestResult{Domain: dom.Name, Refresh: dom.Refresh, BitsRead: dom.Bits()}
 	toggleVRT(dom, src)
 	interval := dom.Refresh.Seconds()
 	scale := ms.Model.tempScale(ms.TempC)
 	w := interval / scale * (1 + watermarkMargin)
+	sc := screen{t: ms.Model.tail(), w: w}
 	for _, d := range dom.DIMMs {
-		d.raise(w)
+		d.raise(w, &sc)
 		for _, c := range d.cand {
 			if d.retention(c)*scale < interval && src.Bool() {
 				res.BitErrors++

@@ -78,12 +78,12 @@ func TestNewDIMMWeakPopulation(t *testing.T) {
 	}
 	// Expected weak cells: 64e9 * P(<30s). Should be in the thousands,
 	// not zero and not millions.
-	if len(d.Weak) < 1000 || len(d.Weak) > 1000000 {
-		t.Fatalf("weak cell count = %d, implausible", len(d.Weak))
+	if d.Len() < 1000 || d.Len() > 1000000 {
+		t.Fatalf("weak cell count = %d, implausible", d.Len())
 	}
-	for _, c := range d.Weak[:10] {
-		if c.Offset >= d.Bits() {
-			t.Fatalf("weak cell offset %d out of range", c.Offset)
+	for _, off := range d.weak.off[:10] {
+		if off >= d.Bits() {
+			t.Fatalf("weak cell offset %d out of range", off)
 		}
 	}
 }

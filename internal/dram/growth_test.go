@@ -13,27 +13,28 @@ import (
 func TestGrowAppendsFabricationLikeCells(t *testing.T) {
 	m := DefaultRetentionModel()
 	d := NewDIMM(8<<30, 2, m, rng.New(7))
-	before, vrtBefore := len(d.Weak), len(d.vrt)
+	before, vrtBefore := d.Len(), len(d.vrt)
 	d.Grow(500, m, rng.New(9))
-	if got := len(d.Weak) - before; got != 500 {
+	if got := d.Len() - before; got != 500 {
 		t.Fatalf("grew %d cells, want 500", got)
 	}
-	for _, c := range d.Weak[before:] {
-		if c.Offset >= d.Bits() {
-			t.Fatalf("grown cell offset %d out of range", c.Offset)
+	for i := before; i < d.Len(); i++ {
+		c := materialize(d, i, m)
+		if c.offset >= d.Bits() {
+			t.Fatalf("grown cell offset %d out of range", c.offset)
 		}
-		if c.RetentionSec <= 0 || c.RetentionSec >= WeakCellHorizon.Seconds() {
-			t.Fatalf("grown cell retention %v outside the weak tail", c.RetentionSec)
+		if c.ret <= 0 || c.ret >= WeakCellHorizon.Seconds() {
+			t.Fatalf("grown cell retention %v outside the weak tail", c.ret)
 		}
 	}
 	if len(d.vrt) == vrtBefore {
 		t.Fatal("500 grown cells produced no VRT members at a 10% fraction")
 	}
 	for _, i := range d.vrt {
-		if i < 0 || i >= len(d.Weak) {
+		if i < 0 || i >= d.Len() {
 			t.Fatalf("vrt index %d out of range after growth", i)
 		}
-		if d.Weak[i].AltRetentionSec == 0 {
+		if d.weak.flags[i]&flagVRT == 0 {
 			t.Fatalf("vrt index %d addresses a non-VRT cell", i)
 		}
 	}
@@ -45,12 +46,12 @@ func TestGrowAppendsFabricationLikeCells(t *testing.T) {
 func TestGrowNonPositiveIsNoOp(t *testing.T) {
 	m := DefaultRetentionModel()
 	d := NewDIMM(8<<30, 2, m, rng.New(7))
-	before := len(d.Weak)
+	before := d.Len()
 	src := rng.New(5)
 	d.Grow(0, m, src)
 	d.Grow(-3, m, src)
-	if len(d.Weak) != before {
-		t.Fatalf("no-op growth changed the population: %d -> %d", before, len(d.Weak))
+	if d.Len() != before {
+		t.Fatalf("no-op growth changed the population: %d -> %d", before, d.Len())
 	}
 	if got, want := src.Uint64(), rng.New(5).Uint64(); got != want {
 		t.Fatal("no-op growth consumed the source stream")
@@ -73,7 +74,7 @@ func TestGrowWeakCellsDeterministicAndRateScaled(t *testing.T) {
 	count := func(dom *Domain) int {
 		n := 0
 		for _, d := range dom.DIMMs {
-			n += len(d.Weak)
+			n += d.Len()
 		}
 		return n
 	}
@@ -83,8 +84,8 @@ func TestGrowWeakCellsDeterministicAndRateScaled(t *testing.T) {
 		t.Fatalf("same seed grew different counts: %d vs %d", count(a), count(b))
 	}
 	for di := range a.DIMMs {
-		for ci := range a.DIMMs[di].Weak {
-			if a.DIMMs[di].Weak[ci] != b.DIMMs[di].Weak[ci] {
+		for ci := range a.DIMMs[di].Len() {
+			if materialize(a.DIMMs[di], ci, m) != materialize(b.DIMMs[di], ci, m) {
 				t.Fatalf("same seed grew different cells at DIMM %d cell %d", di, ci)
 			}
 		}

@@ -7,18 +7,28 @@ import (
 	"time"
 
 	"uniserver/internal/rng"
+	"uniserver/internal/stats"
 )
 
-// The sequential kernels the candidate index and the lazy telegraph
-// replaced, kept as the reference the production kernels must match
-// draw for draw: one telegraph flag per cell, one float Bernoulli draw
-// per VRT cell per toggle, and a scan of every weak cell per pattern
-// test.
+// The sequential kernels the candidate index, the lazy telegraph and
+// the lazily evaluated retentions replaced, kept as the reference the
+// production kernels must match draw for draw and bit for bit: an
+// eager fabrication that evaluates every cell's retention, one
+// telegraph flag per cell, one float Bernoulli draw per VRT cell per
+// toggle, and a scan of every weak cell per pattern test.
+
+// refCell is a weak cell as eager fabrication materializes it: a VRT
+// cell's alternate (short-state) retention is non-zero.
+type refCell struct {
+	offset        uint64
+	ret, alt      float64
+	trueCell, vrt bool
+}
 
 // refDIMM is a DIMM under the reference kernels.
 type refDIMM struct {
 	bits uint64
-	weak []WeakCell
+	weak []refCell
 	low  []bool // by cell
 	vrt  []int
 }
@@ -45,14 +55,17 @@ func refBernoulli(src *rng.Source, p float64) bool {
 func (d *refDIMM) grow(n int, model RetentionModel, src *rng.Source) {
 	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
 	for i := 0; i < n; i++ {
-		cell := WeakCell{
-			Offset:       src.Uint64() % d.bits,
-			RetentionSec: model.sampleWeakTail(pWeak, src),
-			TrueCell:     src.Bool(),
+		cell := refCell{offset: src.Uint64() % d.bits}
+		u := src.Float64()
+		for u == 0 {
+			u = src.Float64()
 		}
+		cell.ret = math.Exp(model.MuLog + model.SigmaLog*stats.NormalQuantile(u*pWeak))
+		cell.trueCell = src.Bool()
 		low := false
 		if refBernoulli(src, VRTFraction) {
-			cell.AltRetentionSec = cell.RetentionSec / VRTRetentionRatio
+			cell.vrt = true
+			cell.alt = cell.ret / VRTRetentionRatio
 			low = src.Bool()
 			d.vrt = append(d.vrt, len(d.weak))
 		}
@@ -98,9 +111,9 @@ func (r *refSystem) patternTest(di int, refresh time.Duration, src *rng.Source) 
 	errs := 0
 	for _, d := range r.domains[di] {
 		for i, c := range d.weak {
-			ret := c.RetentionSec
-			if c.AltRetentionSec > 0 && d.low[i] {
-				ret = c.AltRetentionSec
+			ret := c.ret
+			if c.vrt && d.low[i] {
+				ret = c.alt
 			}
 			if ret*scale < interval && src.Bool() {
 				errs++
@@ -118,21 +131,89 @@ func (r *refSystem) growWeakCells(di, days int, rate float64, src *rng.Source) {
 	}
 }
 
+// materialize returns cell i of a DIMM as eager fabrication would have
+// drawn it under the model, its retention evaluated from its tail
+// uniform.
+func materialize(d *DIMM, i int, model RetentionModel) refCell {
+	fl := d.weak.flags[i]
+	c := refCell{offset: d.weak.off[i], ret: model.tail().retention(d.weak.u[i]),
+		trueCell: fl&flagTrueCell != 0, vrt: fl&flagVRT != 0}
+	if c.vrt {
+		c.alt = c.ret / VRTRetentionRatio
+	}
+	return c
+}
+
+// planted is a weak cell a test places by hand: its offset, its
+// long-state retention in seconds at the reference temperature, and
+// its flags.
+type planted struct {
+	offset        uint64
+	ret           float64
+	trueCell, vrt bool
+}
+
+// plant builds a DIMM holding exactly the planted cells in their long
+// telegraph states. Each gets the smallest tail uniform whose
+// retention under the model reaches the planted one, which it exceeds
+// by rounding at most.
+func plant(capacityBytes uint64, model RetentionModel, cs ...planted) *DIMM {
+	d := &DIMM{CapacityBytes: capacityBytes}
+	t := model.tail()
+	for i, c := range cs {
+		var fl byte
+		if c.trueCell {
+			fl |= flagTrueCell
+		}
+		if c.vrt {
+			fl |= flagVRT
+			if len(d.vrt)&7 == 0 {
+				d.low = append(d.low, 0)
+			}
+			d.vrt = append(d.vrt, i)
+		}
+		d.weak.add(c.offset, t.threshold(c.ret), fl)
+	}
+	return d
+}
+
 // sameState reports the first difference between ms and the reference:
-// the cells, the VRT index and every cell's materialized telegraph
-// state.
+// the cells with their materialized retentions, bit for bit, the VRT
+// index, every cell's materialized telegraph state, and the derived
+// state the screen maintains — the candidates are exactly the cells
+// whose shorter retention is below the watermark, each holding the
+// reference's retention, and no other cell's is below the floor.
 func sameState(ms *MemorySystem, r *refSystem) error {
 	for di, dom := range ms.Domains {
 		for dj, d := range dom.DIMMs {
 			ref := r.domains[di][dj]
-			if len(d.Weak) != len(ref.weak) || len(d.vrt) != len(ref.vrt) {
+			if d.Len() != len(ref.weak) || len(d.vrt) != len(ref.vrt) {
 				return fmt.Errorf("domain %d DIMM %d: %d cells %d VRT, reference %d and %d",
-					di, dj, len(d.Weak), len(d.vrt), len(ref.weak), len(ref.vrt))
+					di, dj, d.Len(), len(d.vrt), len(ref.weak), len(ref.vrt))
 			}
-			for i := range d.Weak {
-				if d.Weak[i] != ref.weak[i] || d.LowState(i) != ref.low[i] {
+			k := 0
+			for i := range ref.weak {
+				c, rc := materialize(d, i, r.model), ref.weak[i]
+				if c != rc || d.LowState(i) != ref.low[i] {
 					return fmt.Errorf("domain %d DIMM %d cell %d: %+v low=%t, reference %+v low=%t",
-						di, dj, i, d.Weak[i], d.LowState(i), ref.weak[i], ref.low[i])
+						di, dj, i, c, d.LowState(i), rc, ref.low[i])
+				}
+				short := rc.ret
+				if rc.vrt {
+					short = rc.alt
+				}
+				isCand := k < len(d.cand) && d.cand[k].cell == i
+				switch {
+				case isCand != (short < d.watermark):
+					return fmt.Errorf("domain %d DIMM %d cell %d: candidate=%t, shorter retention %v, watermark %v",
+						di, dj, i, isCand, short, d.watermark)
+				case isCand && d.cand[k].ret != rc.ret:
+					return fmt.Errorf("domain %d DIMM %d cell %d: candidate retention %v, reference %v", di, dj, i, d.cand[k].ret, rc.ret)
+				case !isCand && short < d.floor:
+					return fmt.Errorf("domain %d DIMM %d cell %d: shorter retention %v below the floor %v", di, dj, i, short, d.floor)
+				}
+				if isCand {
+					k++
 				}
 			}
 			for j, i := range d.vrt {
@@ -159,7 +240,8 @@ var toggleProbs = []float64{
 // intervals and temperatures, log-bound bursts, reindexing and
 // Flatten/StampInto round trips, and after every step compares the
 // production kernels with the reference: the bit errors, the source's
-// position, and every cell with its materialized telegraph state.
+// position, every cell with its materialized retentions and telegraph
+// state, and the candidates and floor the screen derives.
 func TestKernelsMatchReference(t *testing.T) {
 	model := DefaultRetentionModel()
 	intervals := []time.Duration{

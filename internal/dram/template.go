@@ -9,23 +9,23 @@ import (
 )
 
 // FlatMemory is the snapshot image of a MemorySystem: every DIMM's
-// weak cells, VRT index and telegraph bitset concatenated into three
-// slabs, in domain order, each domain and DIMM recording how many
-// entries of the next level it owns (a DIMM with v VRT cells owns
-// ⌈v/8⌉ bitset bytes, bit j%8 of byte j/8 holding VRT cell j's state).
-// It is built once per snapshot (Flatten) and stamped into arena
-// memory systems (StampInto), whose DIMMs alias the slabs. A FlatMemory
-// is immutable after Flatten and safe for concurrent StampInto calls —
-// and concurrent reads through the stamped DIMMs — from many workers.
-// Its exported fields are the head a snapshot encodes with gob; the
-// slabs are unexported and encode as fixed-width columns
-// (AppendColumns).
+// weak-cell columns (offset, tail-uniform bits, flags), VRT index and
+// telegraph bitset concatenated into slabs, in domain order, each
+// domain and DIMM recording how many entries of the next level it owns
+// (a DIMM with v VRT cells owns ⌈v/8⌉ bitset bytes, bit j%8 of byte
+// j/8 holding VRT cell j's state). It is built once per snapshot
+// (Flatten) by column copies and stamped into arena memory systems
+// (StampInto), whose DIMMs alias the slabs. A FlatMemory is immutable
+// after Flatten and safe for concurrent StampInto calls — and
+// concurrent reads through the stamped DIMMs — from many workers. Its
+// exported fields are the head a snapshot encodes with gob; the slabs
+// are unexported and encode as fixed-width columns (AppendColumns).
 type FlatMemory struct {
 	Model   RetentionModel
 	TempC   float64
 	Domains []FlatDomain
 	DIMMs   []FlatDIMM
-	cells   []WeakCell
+	cells   cells
 	vrt     []int
 	low     []byte
 }
@@ -40,8 +40,8 @@ type FlatDomain struct {
 }
 
 // FlatDIMM is one DIMM of a FlatMemory, owning the next Cells entries
-// of the cell slab, the next VRT entries of the VRT slab and the next
-// ⌈VRT/8⌉ bytes of the telegraph bitset.
+// of the cell columns, the next VRT entries of the VRT slab and the
+// next ⌈VRT/8⌉ bytes of the telegraph bitset.
 type FlatDIMM struct {
 	CapacityBytes uint64
 	DeviceGb      int
@@ -61,17 +61,17 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 	n := 0
 	for _, dom := range ms.Domains {
 		for _, d := range dom.DIMMs {
-			n += len(d.Weak)
+			n += d.weak.len()
 		}
 	}
 	if n > 0 {
-		f.cells = make([]WeakCell, 0, n)
+		f.cells = cells{make([]uint64, 0, n), make([]uint64, 0, n), make([]byte, 0, n)}
 	}
 	for _, dom := range ms.Domains {
 		f.Domains = append(f.Domains, FlatDomain{Name: dom.Name, Refresh: dom.Refresh, Reliable: dom.Reliable, DIMMs: len(dom.DIMMs)})
 		for _, d := range dom.DIMMs {
-			f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: d.CapacityBytes, DeviceGb: d.DeviceGb, Cells: len(d.Weak), VRT: len(d.vrt)})
-			f.cells = append(f.cells, d.Weak...)
+			f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: d.CapacityBytes, DeviceGb: d.DeviceGb, Cells: d.weak.len(), VRT: len(d.vrt)})
+			f.cells = d.weak.appendTo(f.cells)
 			f.vrt = append(f.vrt, d.vrt...)
 			lo := len(f.low)
 			f.low = append(f.low, d.low...)
@@ -82,11 +82,13 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 }
 
 // Validate reports an image whose counts do not add up to its slabs,
-// whose DIMMs have no capacity, whose cells have no positive
-// retention, whose VRT index is not exactly its DIMM's cells with an
-// AltRetentionSec in cell order, or whose bitset has bits set past its
-// VRT cells. A decoded image that passes stamps and runs without
-// indexing outside its slabs, exactly as the image Flatten wrote.
+// whose DIMMs have no capacity, whose cells carry unknown flags or a
+// tail uniform outside [2^-53, 1) — the range fabrication draws from —
+// or whose model cannot evaluate them, whose VRT index is not exactly
+// its DIMM's cells flagged VRT in cell order, or whose bitset has bits
+// set past its VRT cells. A decoded image that passes stamps and runs
+// without indexing outside its slabs, exactly as the image Flatten
+// wrote.
 func (f *FlatMemory) Validate() error {
 	dimms := 0
 	for _, fd := range f.Domains {
@@ -95,20 +97,28 @@ func (f *FlatMemory) Validate() error {
 		}
 		dimms += fd.DIMMs
 	}
+	n := f.cells.len()
+	if len(f.cells.off) != n || len(f.cells.flags) != n {
+		return fmt.Errorf("dram: image has %d offsets, %d tail uniforms and %d flags", len(f.cells.off), n, len(f.cells.flags))
+	}
+	if t := f.Model.tail(); n > 0 && !t.usable() {
+		return fmt.Errorf("dram: image's retention model %+v cannot evaluate its weak cells", f.Model)
+	}
 	cells, vrt, low := 0, 0, 0
 	for i, d := range f.DIMMs {
-		if d.CapacityBytes == 0 || d.Cells < 0 || d.Cells > len(f.cells)-cells || d.VRT < 0 || d.VRT > len(f.vrt)-vrt ||
+		if d.CapacityBytes == 0 || d.Cells < 0 || d.Cells > n-cells || d.VRT < 0 || d.VRT > len(f.vrt)-vrt ||
 			lowBytes(d.VRT) > len(f.low)-low {
 			return fmt.Errorf("dram: DIMM %d (%d bytes) claims %d of %d cells, %d of %d VRT indices and %d of %d bitset bytes left",
-				i, d.CapacityBytes, d.Cells, len(f.cells)-cells, d.VRT, len(f.vrt)-vrt, lowBytes(d.VRT), len(f.low)-low)
+				i, d.CapacityBytes, d.Cells, n-cells, d.VRT, len(f.vrt)-vrt, lowBytes(d.VRT), len(f.low)-low)
 		}
 		index := f.vrt[vrt : vrt+d.VRT]
 		k := 0
-		for ci, c := range f.cells[cells : cells+d.Cells] {
-			if !(c.RetentionSec > 0) {
-				return fmt.Errorf("dram: DIMM %d cell %d has retention %v", i, ci, c.RetentionSec)
+		for ci := range d.Cells {
+			u, fl := f.cells.u[cells+ci], f.cells.flags[cells+ci]
+			if err := checkCell(i, ci, u, fl); err != nil {
+				return err
 			}
-			if c.VRT() {
+			if fl&flagVRT != 0 {
 				if k == len(index) || index[k] != ci {
 					return fmt.Errorf("dram: DIMM %d VRT index does not list VRT cell %d in order", i, ci)
 				}
@@ -124,9 +134,22 @@ func (f *FlatMemory) Validate() error {
 		}
 		cells, vrt = cells+d.Cells, vrt+d.VRT
 	}
-	if dimms != len(f.DIMMs) || cells != len(f.cells) || vrt != len(f.vrt) || low != len(f.low) {
+	if dimms != len(f.DIMMs) || cells != n || vrt != len(f.vrt) || low != len(f.low) {
 		return fmt.Errorf("dram: image owns %d of %d DIMMs, %d of %d cells, %d of %d VRT indices, %d of %d bitset bytes",
-			dimms, len(f.DIMMs), cells, len(f.cells), vrt, len(f.vrt), low, len(f.low))
+			dimms, len(f.DIMMs), cells, n, vrt, len(f.vrt), low, len(f.low))
+	}
+	return nil
+}
+
+// checkCell refuses unknown flag bits and a tail uniform outside
+// [2^-53, 1): the retention of any other u is not one fabrication can
+// give, and a zero u would reach NormalQuantile's panic.
+func checkCell(dimm, cell int, u uint64, flags byte) error {
+	if flags&^(flagTrueCell|flagVRT) != 0 {
+		return fmt.Errorf("dram: DIMM %d cell %d has unknown flags %#x", dimm, cell, flags)
+	}
+	if u < minU || u >= oneU {
+		return fmt.Errorf("dram: DIMM %d cell %d has tail uniform %v outside [2^-53, 1)", dimm, cell, math.Float64frombits(u))
 	}
 	return nil
 }
@@ -139,15 +162,16 @@ func (f *FlatMemory) Validate() error {
 // stamps, which lets an Allocator stamped alongside keep its
 // per-domain usage map keys stable.
 //
-// Nothing is copied: each DIMM's weak cells, VRT index and telegraph
+// Nothing is copied: each DIMM's cell columns, VRT index and telegraph
 // bitset alias capacity-clamped extents of the image's slabs. Pattern
-// tests and toggles never write the cells or the index; Grow copies
-// them into the DIMM's own buffers before it appends. The bitset is
-// copied on its first write (own). So the slabs are never written and
-// any number of workers may stamp from and read them concurrently. The
-// buffers a DIMM owned before the stamp are kept for those copies, and
-// the derived candidate list and toggle log keep their storage, so a
-// warm arena allocates nothing.
+// tests and toggles never write the cells or the index (a candidate's
+// evaluated retention lives in the DIMM's own candidate list); Grow
+// copies them into the DIMM's own buffers before it appends. The
+// bitset is copied on its first write (own). So the slabs are never
+// written and any number of workers may stamp from and read them
+// concurrently. The buffers a DIMM owned before the stamp are kept for
+// those copies, and the derived candidate list and toggle log keep
+// their storage, so a warm arena allocates nothing.
 func (f *FlatMemory) StampInto(ms *MemorySystem) {
 	ms.Model = f.Model
 	ms.TempC = f.TempC
@@ -170,12 +194,12 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			n := lowBytes(fdim.VRT)
 			d.CapacityBytes, d.DeviceGb = fdim.CapacityBytes, fdim.DeviceGb
 			if !d.cellsShared {
-				d.spareWeak, d.spareVRT = d.Weak[:0], d.vrt[:0]
+				d.spare, d.spareVRT = cells{d.weak.off[:0], d.weak.u[:0], d.weak.flags[:0]}, d.vrt[:0]
 			}
 			if !d.lowShared {
 				d.spareLow = d.low[:0]
 			}
-			d.Weak = f.cells[cell : cell+fdim.Cells : cell+fdim.Cells]
+			d.weak = f.cells.slice(cell, cell+fdim.Cells)
 			d.vrt = f.vrt[vrt : vrt+fdim.VRT : vrt+fdim.VRT]
 			d.low = f.low[low : low+n : low+n]
 			d.cellsShared, d.lowShared = true, true
@@ -198,62 +222,43 @@ func (f *FlatMemory) shapeMatches(ms *MemorySystem) bool {
 	return true
 }
 
-// A FlatMemory's slabs encode as five columns, each a little-endian
-// uint64 count followed by that many fixed-width little-endian values:
+// A FlatMemory's slabs encode as four columns, each a little-endian
+// uint64 count followed by that many fixed-width little-endian values
+// (snapshot format 5):
 //
 //	offsets    uint64 per cell
-//	retention  uint64 per cell: RetentionSec's IEEE-754 bits
+//	uniforms   uint64 per cell: the tail uniform u's IEEE-754 bits
 //	flags      byte per cell: flagTrueCell, flagVRT
-//	short      uint64 per VRT cell, in cell order: AltRetentionSec's bits
 //	bitset     the telegraph bitset's bytes
 //
-// The VRT index is not encoded: it is exactly the cells flagged VRT,
+// A cell takes 17 bytes. Retentions are not encoded: a stamped DIMM
+// evaluates them from u when a pattern test admits the cell. The VRT
+// index is not encoded either: it is exactly the cells flagged VRT,
 // and DecodeColumns derives it. Every value has one encoding, so a
 // decoded image re-encodes to the bytes it was read from.
-const (
-	flagTrueCell = 1 << iota
-	flagVRT
-)
 
 // ColumnsLen returns the number of bytes AppendColumns appends.
 func (f *FlatMemory) ColumnsLen() int {
-	return 5*8 + 17*len(f.cells) + 8*len(f.vrt) + len(f.low)
+	return 4*8 + 17*f.cells.len() + len(f.low)
 }
 
-// AppendColumns appends the image's slabs to b as columns. It refuses
-// a cell whose short retention is non-zero but not positive, or whose
-// VRT cells disagree with the index: the columns cannot hold them.
-func (f *FlatMemory) AppendColumns(b []byte) ([]byte, error) {
-	at := len(b)
+// AppendColumns appends the image's slabs to b as columns.
+func (f *FlatMemory) AppendColumns(b []byte) []byte {
+	at, n := len(b), f.cells.len()
 	b = slices.Grow(b, f.ColumnsLen())[:at+f.ColumnsLen()]
-	offs, w := putColumn(b[at:], len(f.cells), 8)
-	rets, w := putColumn(w, len(f.cells), 8)
-	flags, w := putColumn(w, len(f.cells), 1)
-	short, w := putColumn(w, len(f.vrt), 8)
+	offs, w := putColumn(b[at:], n, 8)
+	us, w := putColumn(w, n, 8)
+	flags, w := putColumn(w, n, 1)
 	low, _ := putColumn(w, len(f.low), 1)
-	k := 0
-	for i, c := range f.cells {
-		binary.LittleEndian.PutUint64(offs[8*i:], c.Offset)
-		binary.LittleEndian.PutUint64(rets[8*i:], math.Float64bits(c.RetentionSec))
-		var fl byte
-		if c.TrueCell {
-			fl |= flagTrueCell
-		}
-		if c.AltRetentionSec != 0 {
-			if !(c.AltRetentionSec > 0) || k == len(f.vrt) {
-				return nil, fmt.Errorf("dram: cell %d's short retention %v is not an indexed VRT cell's", i, c.AltRetentionSec)
-			}
-			fl |= flagVRT
-			binary.LittleEndian.PutUint64(short[8*k:], math.Float64bits(c.AltRetentionSec))
-			k++
-		}
-		flags[i] = fl
+	for i, v := range f.cells.off {
+		binary.LittleEndian.PutUint64(offs[8*i:], v)
 	}
-	if k != len(f.vrt) {
-		return nil, fmt.Errorf("dram: image has %d VRT cells and %d VRT indices", k, len(f.vrt))
+	for i, v := range f.cells.u {
+		binary.LittleEndian.PutUint64(us[8*i:], v)
 	}
+	copy(flags, f.cells.flags)
 	copy(low, f.low)
-	return b, nil
+	return b
 }
 
 // putColumn writes a column's count of n at the front of w and returns
@@ -267,8 +272,8 @@ func putColumn(w []byte, n, width int) (col, rest []byte) {
 // of b into exact-size slabs of f, whose head — Domains and DIMMs — is
 // already decoded, and returns the bytes after them. It refuses a
 // count that disagrees with the head's DIMMs, a short column, unknown
-// flag bits and a VRT cell whose short retention is not positive;
-// Validate checks the rest.
+// flag bits and a tail uniform outside [2^-53, 1); Validate checks the
+// rest.
 func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	// A cell takes at least 17 bytes, so counts summing past len(b)
 	// are short columns — and the sums cannot overflow.
@@ -283,7 +288,7 @@ func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rets, b, err := column(b, "retention", cells, 8)
+	us, b, err := column(b, "tail-uniform", cells, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -291,52 +296,52 @@ func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	short, b, err := column(b, "short-retention", vrt, 8)
-	if err != nil {
-		return nil, err
-	}
 	bits, b, err := column(b, "bitset", low, 1)
 	if err != nil {
 		return nil, err
 	}
-	if cells > 0 {
-		f.cells = make([]WeakCell, cells)
-	}
+	f.cells, f.vrt, f.low = decodeCells(offs, us, flags), nil, nil
 	if vrt > 0 {
-		f.vrt = make([]int, vrt)
+		f.vrt = make([]int, 0, vrt)
 	}
 	if low > 0 {
 		f.low = slices.Clone(bits)
 	}
-	ci, k := 0, 0
+	ci := 0
 	for di, d := range f.DIMMs {
-		end := k + d.VRT
+		end := len(f.vrt) + d.VRT
 		for i := range d.Cells {
-			fl := flags[ci]
-			if fl&^(flagTrueCell|flagVRT) != 0 {
-				return nil, fmt.Errorf("dram: DIMM %d cell %d has unknown flags %#x", di, i, fl)
+			fl := f.cells.flags[ci]
+			if err := checkCell(di, i, f.cells.u[ci], fl); err != nil {
+				return nil, err
 			}
-			c := &f.cells[ci]
-			c.Offset = binary.LittleEndian.Uint64(offs[8*ci:])
-			c.RetentionSec = math.Float64frombits(binary.LittleEndian.Uint64(rets[8*ci:]))
-			c.TrueCell = fl&flagTrueCell != 0
 			if fl&flagVRT != 0 {
-				if k == end {
+				if len(f.vrt) == end {
 					return nil, fmt.Errorf("dram: DIMM %d flags more than its %d VRT cells", di, d.VRT)
 				}
-				if c.AltRetentionSec = math.Float64frombits(binary.LittleEndian.Uint64(short[8*k:])); !(c.AltRetentionSec > 0) {
-					return nil, fmt.Errorf("dram: DIMM %d VRT cell %d has short retention %v", di, i, c.AltRetentionSec)
-				}
-				f.vrt[k] = i
-				k++
+				f.vrt = append(f.vrt, i)
 			}
 			ci++
 		}
-		if k != end {
-			return nil, fmt.Errorf("dram: DIMM %d flags %d of its %d VRT cells", di, d.VRT-(end-k), d.VRT)
+		if len(f.vrt) != end {
+			return nil, fmt.Errorf("dram: DIMM %d flags %d of its %d VRT cells", di, d.VRT-(end-len(f.vrt)), d.VRT)
 		}
 	}
 	return b, nil
+}
+
+// decodeCells copies encoded cell columns into exact-size slabs.
+func decodeCells(offs, us, flags []byte) cells {
+	n := len(flags)
+	if n == 0 {
+		return cells{}
+	}
+	c := cells{make([]uint64, n), make([]uint64, n), slices.Clone(flags)}
+	for i := range c.off {
+		c.off[i] = binary.LittleEndian.Uint64(offs[8*i:])
+		c.u[i] = binary.LittleEndian.Uint64(us[8*i:])
+	}
+	return c
 }
 
 // column reads a column of n values of width bytes from the front of

@@ -31,7 +31,7 @@ func sharedSystem(t *testing.T) (*MemorySystem, *FlatMemory) {
 // digest hashes the image's slabs — the bytes every stamped DIMM reads.
 // A changed digest means some writer wrote through to the image.
 func digest(f *FlatMemory) [sha256.Size]byte {
-	b, _ := f.AppendColumns(nil)
+	b := f.AppendColumns(nil)
 	for _, i := range f.vrt {
 		b = binary.LittleEndian.AppendUint64(b, uint64(i))
 	}
@@ -56,7 +56,7 @@ func within[T any](x, slab []T) bool {
 
 // aliases reports whether d's weak cells are the image slab's.
 func aliases(d *DIMM, f *FlatMemory) bool {
-	return len(d.Weak) == 0 || within(d.Weak, f.cells)
+	return d.Len() == 0 || within(d.weak.u, f.cells.u) && within(d.weak.off, f.cells.off) && within(d.weak.flags, f.cells.flags)
 }
 
 // lowAliases reports whether d's telegraph bitset is the image's.
@@ -187,10 +187,11 @@ func sameSystems(a, b *MemorySystem) error {
 	for di, dom := range a.Domains {
 		for i, d := range dom.DIMMs {
 			r := b.Domains[di].DIMMs[i]
-			if !slices.Equal(d.Weak, r.Weak) || !slices.Equal(d.vrt, r.vrt) {
+			if !slices.Equal(d.weak.off, r.weak.off) || !slices.Equal(d.weak.u, r.weak.u) ||
+				!slices.Equal(d.weak.flags, r.weak.flags) || !slices.Equal(d.vrt, r.vrt) {
 				return fmt.Errorf("domain %s DIMM %d: cells or VRT index differ", dom.Name, i)
 			}
-			for c := range d.Weak {
+			for c := range d.Len() {
 				if d.LowState(c) != r.LowState(c) {
 					return fmt.Errorf("domain %s DIMM %d cell %d: telegraph state differs", dom.Name, i, c)
 				}
@@ -222,7 +223,7 @@ func TestRestampAfterUnshareShares(t *testing.T) {
 	if d.lowShared || lowAliases(d, f) || d.cellsShared || aliases(d, f) {
 		t.Fatal("a pattern test, a coarse toggle and growth left the DIMM shared")
 	}
-	private, privateCells := &d.low[0], &d.Weak[0]
+	private, privateCells := &d.low[0], &d.weak.u[0]
 	f.StampInto(ms)
 	if ms.Domains[1].DIMMs[0] != d {
 		t.Fatal("same-shape stamp replaced the DIMM object")
@@ -230,7 +231,7 @@ func TestRestampAfterUnshareShares(t *testing.T) {
 	if !d.lowShared || !d.cellsShared || !aliases(d, f) || !lowAliases(d, f) {
 		t.Fatal("re-stamp after a write does not share the image slabs")
 	}
-	if &d.spareLow[:1][0] != private || &d.spareWeak[:1][0] != privateCells {
+	if &d.spareLow[:1][0] != private || &d.spare.u[:1][0] != privateCells {
 		t.Fatal("re-stamp dropped the DIMM's private buffers")
 	}
 	src := rng.New(2)
@@ -251,24 +252,30 @@ func TestFlatMemoryValidate(t *testing.T) {
 		t.Fatalf("flattened image refused: %v", err)
 	}
 	breaks := map[string]func(f *FlatMemory){
-		"domain overrun":     func(f *FlatMemory) { f.Domains[1].DIMMs++ },
-		"domain negative":    func(f *FlatMemory) { f.Domains[0].DIMMs, f.Domains[1].DIMMs = -1, 5 },
-		"uncovered DIMM":     func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
-		"cell overrun":       func(f *FlatMemory) { f.DIMMs[3].Cells++ },
-		"cell negative":      func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
-		"uncovered cells":    func(f *FlatMemory) { f.cells = append(f.cells, WeakCell{RetentionSec: 1}) },
-		"vrt overrun":        func(f *FlatMemory) { f.DIMMs[3].VRT++ },
-		"vrt outside DIMM":   func(f *FlatMemory) { f.vrt[0] = f.DIMMs[0].Cells },
-		"negative vrt":       func(f *FlatMemory) { f.vrt[0] = -1 },
-		"vrt out of order":   func(f *FlatMemory) { f.vrt[0], f.vrt[1] = f.vrt[1], f.vrt[0] },
-		"stable cell listed": func(f *FlatMemory) { f.cells[f.vrt[0]].AltRetentionSec = 0 },
-		"VRT cell unlisted":  func(f *FlatMemory) { f.cells[f.vrt[0]+1].AltRetentionSec = 1 },
-		"no retention":       func(f *FlatMemory) { f.cells[2].RetentionSec = 0 },
-		"NaN retention":      func(f *FlatMemory) { f.cells[2].RetentionSec = math.NaN() },
-		"bitset overrun":     func(f *FlatMemory) { f.low = f.low[:len(f.low)-1] },
-		"uncovered bitset":   func(f *FlatMemory) { f.low = append(f.low, 0) },
-		"bit past VRT cells": func(f *FlatMemory) { f.low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
-		"no capacity":        func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
+		"domain overrun":      func(f *FlatMemory) { f.Domains[1].DIMMs++ },
+		"domain negative":     func(f *FlatMemory) { f.Domains[0].DIMMs, f.Domains[1].DIMMs = -1, 5 },
+		"uncovered DIMM":      func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
+		"cell overrun":        func(f *FlatMemory) { f.DIMMs[3].Cells++ },
+		"cell negative":       func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
+		"uncovered cells":     func(f *FlatMemory) { f.cells.add(0, minU, 0) },
+		"short offsets":       func(f *FlatMemory) { f.cells.off = f.cells.off[:len(f.cells.off)-1] },
+		"vrt overrun":         func(f *FlatMemory) { f.DIMMs[3].VRT++ },
+		"vrt outside DIMM":    func(f *FlatMemory) { f.vrt[0] = f.DIMMs[0].Cells },
+		"negative vrt":        func(f *FlatMemory) { f.vrt[0] = -1 },
+		"vrt out of order":    func(f *FlatMemory) { f.vrt[0], f.vrt[1] = f.vrt[1], f.vrt[0] },
+		"stable cell listed":  func(f *FlatMemory) { f.cells.flags[f.vrt[0]] &^= flagVRT },
+		"VRT cell unlisted":   func(f *FlatMemory) { f.cells.flags[f.vrt[0]+1] |= flagVRT },
+		"unknown flags":       func(f *FlatMemory) { f.cells.flags[2] |= 0x80 },
+		"zero uniform":        func(f *FlatMemory) { f.cells.u[2] = 0 },
+		"uniform below draws": func(f *FlatMemory) { f.cells.u[2] = minU - 1 },
+		"uniform one":         func(f *FlatMemory) { f.cells.u[2] = oneU },
+		"NaN uniform":         func(f *FlatMemory) { f.cells.u[2] = math.Float64bits(math.NaN()) },
+		"flat tail":           func(f *FlatMemory) { f.Model.SigmaLog = 0 },
+		"empty tail":          func(f *FlatMemory) { f.Model.MuLog = 1e6 },
+		"bitset overrun":      func(f *FlatMemory) { f.low = f.low[:len(f.low)-1] },
+		"uncovered bitset":    func(f *FlatMemory) { f.low = append(f.low, 0) },
+		"bit past VRT cells":  func(f *FlatMemory) { f.low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
+		"no capacity":         func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
 	}
 	if f.DIMMs[0].VRT%8 == 0 || f.vrt[0]+1 == f.vrt[1] {
 		t.Fatal("the image no longer exercises a padded bitset word or an unlisted-cell break")
@@ -287,10 +294,7 @@ func TestFlatMemoryValidate(t *testing.T) {
 // same bytes, and every column a head's DIMMs cannot own is refused.
 func TestFlatMemoryColumnsRoundTrip(t *testing.T) {
 	_, f := sharedSystem(t)
-	b, err := f.AppendColumns(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := f.AppendColumns(nil)
 	if len(b) != f.ColumnsLen() {
 		t.Fatalf("AppendColumns wrote %d bytes, ColumnsLen says %d", len(b), f.ColumnsLen())
 	}
@@ -309,42 +313,38 @@ func TestFlatMemoryColumnsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(g, f) {
 		t.Fatal("image changed across the round trip")
 	}
-	if again, _ := g.AppendColumns(nil); !bytes.Equal(again, b) {
+	if again := g.AppendColumns(nil); !bytes.Equal(again, b) {
 		t.Fatal("decoded image re-encodes to different bytes")
 	}
 
 	// The byte offsets of each column, behind its 8-byte count.
-	n, v := len(f.cells), len(f.vrt)
-	rets := 8 + 8*n
-	flags := rets + 8 + 8*n
-	short := flags + 8 + n
+	n := f.cells.len()
+	us := 8 + 8*n
+	flags := us + 8 + 8*n
+	bitset := flags + 8 + n
 	vrtCell := flags + 8 + f.vrt[0] // the first DIMM's first VRT cell's flag byte
+	setU := func(b []byte, u uint64) []byte { binary.LittleEndian.PutUint64(b[us+8:], u); return b }
 	breaks := map[string]func(b []byte) []byte{
-		"truncated":          func(b []byte) []byte { return b[:len(b)-1] },
-		"no columns":         func(b []byte) []byte { return nil },
-		"cell count":         func(b []byte) []byte { b[0]++; return b },
-		"flag count":         func(b []byte) []byte { b[flags]--; return b },
-		"short count":        func(b []byte) []byte { b[short]++; return b },
-		"unknown flags":      func(b []byte) []byte { b[flags+8] |= 0x80; return b },
-		"unflagged VRT cell": func(b []byte) []byte { b[vrtCell] &^= flagVRT; return b },
-		"extra VRT cell":     func(b []byte) []byte { b[vrtCell+1] |= flagVRT; return b },
-		"zero short":         func(b []byte) []byte { clear(b[short+8 : short+16]); return b },
-		"NaN short": func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[short+8:], math.Float64bits(math.NaN()))
-			return b
-		},
+		"truncated":           func(b []byte) []byte { return b[:len(b)-1] },
+		"no columns":          func(b []byte) []byte { return nil },
+		"cell count":          func(b []byte) []byte { b[0]++; return b },
+		"uniform count":       func(b []byte) []byte { b[us]++; return b },
+		"flag count":          func(b []byte) []byte { b[flags]--; return b },
+		"bitset count":        func(b []byte) []byte { b[bitset]++; return b },
+		"unknown flags":       func(b []byte) []byte { b[flags+8] |= 0x80; return b },
+		"unflagged VRT cell":  func(b []byte) []byte { b[vrtCell] &^= flagVRT; return b },
+		"extra VRT cell":      func(b []byte) []byte { b[vrtCell+1] |= flagVRT; return b },
+		"zero uniform":        func(b []byte) []byte { return setU(b, 0) },
+		"uniform below draws": func(b []byte) []byte { return setU(b, minU-1) },
+		"uniform one":         func(b []byte) []byte { return setU(b, oneU) },
+		"NaN uniform":         func(b []byte) []byte { return setU(b, math.Float64bits(math.NaN())) },
 	}
-	if v == 0 || f.vrt[0]+1 == f.vrt[1] {
+	if len(f.vrt) < 2 || f.vrt[0]+1 == f.vrt[1] {
 		t.Fatal("the image no longer has a stable cell after its first VRT cell")
 	}
 	for name, brk := range breaks {
 		if _, err := decode(brk(bytes.Clone(b))); err == nil {
 			t.Errorf("%s: broken columns accepted", name)
 		}
-	}
-
-	bad := &FlatMemory{cells: []WeakCell{{RetentionSec: 1, AltRetentionSec: -1}}}
-	if _, err := bad.AppendColumns(nil); err == nil {
-		t.Fatal("encoded a cell whose short retention is negative")
 	}
 }

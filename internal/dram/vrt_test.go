@@ -13,25 +13,28 @@ import (
 func TestVRTPopulationExists(t *testing.T) {
 	d := NewDIMM(8<<30, 2, DefaultRetentionModel(), rng.New(91))
 	vrt := 0
-	for _, c := range d.Weak {
-		if c.AltRetentionSec > 0 {
+	for i := range d.Len() {
+		if c := materialize(d, i, DefaultRetentionModel()); c.vrt {
 			vrt++
-			if c.AltRetentionSec >= c.RetentionSec {
+			if c.alt >= c.ret {
 				t.Fatal("VRT short state not shorter than long state")
 			}
 		}
 	}
-	frac := float64(vrt) / float64(len(d.Weak))
+	frac := float64(vrt) / float64(d.Len())
 	if frac < 0.05 || frac > 0.15 {
 		t.Fatalf("VRT fraction = %.3f, want ~%.2f", frac, VRTFraction)
 	}
 }
 
 func TestEffectiveRetentionHonoursState(t *testing.T) {
-	d := &DIMM{CapacityBytes: 1 << 20, Weak: []WeakCell{{RetentionSec: 6, AltRetentionSec: 4}, {RetentionSec: 6}}}
-	ms := &MemorySystem{Domains: []*Domain{{DIMMs: []*DIMM{d}}}}
-	ms.Reindex()
-	vrtCell, stable := candidate{cell: 0, ord: 0}, candidate{cell: 1, ord: -1}
+	model := DefaultRetentionModel()
+	d := plant(1<<20, model, planted{ret: 6, vrt: true}, planted{ret: 6})
+	six := materialize(d, 1, model).ret
+	if math.Abs(six-6) > 1e-12 {
+		t.Fatalf("planted retention %v, want 6", six)
+	}
+	vrtCell, stable := candidate{cell: 0, ord: 0, ret: six}, candidate{cell: 1, ord: -1, ret: six}
 	long := d.retention(vrtCell)
 	d.flip(0)
 	if !d.LowState(0) {
@@ -40,7 +43,7 @@ func TestEffectiveRetentionHonoursState(t *testing.T) {
 	if short := d.retention(vrtCell); short >= long {
 		t.Fatalf("low state retention %v not below long %v", short, long)
 	}
-	if d.LowState(1) || d.retention(stable) != 6 {
+	if d.LowState(1) || d.retention(stable) != six {
 		t.Fatal("stable cell affected by the telegraph state")
 	}
 }
@@ -53,8 +56,8 @@ func TestToggleVRTOnlyTouchesVRTCells(t *testing.T) {
 		toggleVRT(dom, src)
 	}
 	d := dom.DIMMs[0]
-	for i, c := range d.Weak {
-		if c.AltRetentionSec == 0 && d.LowState(i) {
+	for i, fl := range d.weak.flags {
+		if fl&flagVRT == 0 && d.LowState(i) {
 			t.Fatal("stable cell state mutated")
 		}
 	}
@@ -77,21 +80,11 @@ func setLow(d *DIMM, i int, low bool) {
 // explicitly so the mechanism is demonstrated deterministically.
 func TestVRTJustifiesDerate(t *testing.T) {
 	// One DIMM with exactly one VRT cell: long retention 3 s, short
-	// state 2 s, currently (and during characterization) in the long
-	// state.
-	dimm := &DIMM{
-		CapacityBytes: 8 << 30,
-		DeviceGb:      2,
-		Weak: []WeakCell{{
-			Offset:          12345,
-			RetentionSec:    3,
-			TrueCell:        true,
-			AltRetentionSec: 2,
-		}},
-	}
+	// state 2 s (3 s / VRTRetentionRatio), currently (and during
+	// characterization) in the long state.
+	dimm := plant(8<<30, DefaultRetentionModel(), planted{offset: 12345, ret: 3, trueCell: true, vrt: true})
 	dom := &Domain{Name: "planted", DIMMs: []*DIMM{dimm}, Refresh: vfr.NominalRefresh}
 	ms := &MemorySystem{Model: DefaultRetentionModel(), Domains: []*Domain{dom}, TempC: 45}
-	ms.Reindex()
 
 	// Characterization with a toggle-free stream: the cell stays high.
 	points, err := ms.CharacterizeRefresh(
@@ -169,7 +162,7 @@ func TestToggleVRTCoarseTouchesOnlyVRT(t *testing.T) {
 		}
 		ref := newRefSystem(cfg, model, rng.New(7))
 		if admit {
-			ms.Domains[1].DIMMs[0].raise(8)
+			ms.Domains[1].DIMMs[0].raise(8, &screen{t: model.tail(), w: 8})
 		}
 		src, refSrc := rng.New(3), rng.New(3)
 		for day := 0; day < 90; day++ {
@@ -183,8 +176,8 @@ func TestToggleVRTCoarseTouchesOnlyVRT(t *testing.T) {
 			t.Fatalf("admit=%t: %v", admit, err)
 		}
 		d := ms.Domains[1].DIMMs[0]
-		for i, cell := range d.Weak {
-			if cell.AltRetentionSec == 0 && d.LowState(i) {
+		for i, fl := range d.weak.flags {
+			if fl&flagVRT == 0 && d.LowState(i) {
 				t.Fatalf("coarse toggle flipped a non-VRT cell %d", i)
 			}
 		}

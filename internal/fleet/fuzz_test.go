@@ -135,10 +135,9 @@ func writeDecodeEntryCorpus(t *testing.T) {
 	// the object inventory, which are most of a snapshot's bytes.
 	for _, dom := range eco.Mem.Domains {
 		for _, d := range dom.DIMMs {
-			d.Weak = d.Weak[:min(len(d.Weak), 24)]
+			d.Retain(func(i int, _ bool) bool { return i < 24 })
 		}
 	}
-	eco.Mem.Reindex()
 	objs := eco.Hypervisor.Objects()
 	objs.Objects = objs.Objects[:32]
 	snap, err := eco.Snapshot()
@@ -163,7 +162,18 @@ func writeDecodeEntryCorpus(t *testing.T) {
 	valid := spill(fuzzEntryKey)
 	head := entryFrame + int(binary.LittleEndian.Uint64(valid))
 	seeds := map[string][]byte{"valid": valid, "wrong-key": spill("fuzz/other")}
-	for _, n := range []int{0, 7, entryFrame, entryFrame + 1, (entryFrame + head) / 2, head, len(valid) - 1} {
+	cuts := []int{0, 7, entryFrame, entryFrame + 1, (entryFrame + head) / 2, head, len(valid) - 1}
+	// The snapshot behind the entry head: a frame of version, payload
+	// length and sha256, then the gob head's length and the gob head,
+	// then the memory image's columns — offsets, tail uniforms, flags
+	// and the telegraph bitset, each behind its count. Cut at each
+	// column's start and inside the tail uniforms.
+	cols := head + 8 + 8 + sha256.Size + 8 + int(binary.LittleEndian.Uint64(valid[head+8+8+sha256.Size:]))
+	n := int(binary.LittleEndian.Uint64(valid[cols:]))
+	us := cols + 8 + 8*n
+	flags := us + 8 + 8*n
+	cuts = append(cuts, cols, us, us+8+4*n, flags, flags+8+n)
+	for _, n := range cuts {
 		seeds["truncated-"+strconv.Itoa(n)] = valid[:n]
 	}
 	if err := os.RemoveAll(corpusDir); err != nil {
