@@ -98,9 +98,6 @@ func (f *FlatMemory) Validate() error {
 		dimms += fd.DIMMs
 	}
 	n := f.cells.len()
-	if len(f.cells.off) != n || len(f.cells.flags) != n {
-		return fmt.Errorf("dram: image has %d offsets, %d tail uniforms and %d flags", len(f.cells.off), n, len(f.cells.flags))
-	}
 	if t := f.Model.tail(); n > 0 && !t.usable() {
 		return fmt.Errorf("dram: image's retention model %+v cannot evaluate its weak cells", f.Model)
 	}

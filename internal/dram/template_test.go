@@ -258,7 +258,6 @@ func TestFlatMemoryValidate(t *testing.T) {
 		"cell overrun":        func(f *FlatMemory) { f.DIMMs[3].Cells++ },
 		"cell negative":       func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
 		"uncovered cells":     func(f *FlatMemory) { f.cells.add(0, minU, 0) },
-		"short offsets":       func(f *FlatMemory) { f.cells.off = f.cells.off[:len(f.cells.off)-1] },
 		"vrt overrun":         func(f *FlatMemory) { f.DIMMs[3].VRT++ },
 		"vrt outside DIMM":    func(f *FlatMemory) { f.vrt[0] = f.DIMMs[0].Cells },
 		"negative vrt":        func(f *FlatMemory) { f.vrt[0] = -1 },
