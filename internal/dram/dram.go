@@ -107,9 +107,8 @@ func drawU(src *rng.Source) uint64 {
 
 // retention returns the retention, in seconds at the reference
 // temperature, of the cell whose tail uniform has bits u. It is
-// non-decreasing in u up to rounding: u·pH stays below
-// NormalQuantile's low-tail bound, where the quantile is a rational
-// function of sqrt(−2·ln p).
+// non-decreasing in u up to rounding while u·pH stays below
+// stats.NormalLowTail, as it does for every usable tail.
 func (t tail) retention(u uint64) float64 {
 	return math.Exp(t.mu + t.sigma*stats.NormalQuantile(math.Float64frombits(u)*t.pH))
 }
@@ -122,10 +121,12 @@ var (
 )
 
 // usable reports whether the tail can evaluate every u in [minU, 1)
-// and is increasing in u, which the pattern test's screen relies on.
+// and is increasing in u, which the pattern test's screen relies on:
+// u·pH must neither underflow to zero nor leave NormalQuantile's low
+// tail.
 func (t tail) usable() bool {
 	return !math.IsNaN(t.mu) && !math.IsInf(t.mu, 0) && t.sigma > 0 && !math.IsInf(t.sigma, 0) &&
-		t.pH*0x1p-53 > 0 && t.pH <= 1
+		t.pH*0x1p-53 > 0 && t.pH <= stats.NormalLowTail
 }
 
 // threshold returns the smallest u bits in [minU, oneU] whose

@@ -252,29 +252,30 @@ func TestFlatMemoryValidate(t *testing.T) {
 		t.Fatalf("flattened image refused: %v", err)
 	}
 	breaks := map[string]func(f *FlatMemory){
-		"domain overrun":      func(f *FlatMemory) { f.Domains[1].DIMMs++ },
-		"domain negative":     func(f *FlatMemory) { f.Domains[0].DIMMs, f.Domains[1].DIMMs = -1, 5 },
-		"uncovered DIMM":      func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
-		"cell overrun":        func(f *FlatMemory) { f.DIMMs[3].Cells++ },
-		"cell negative":       func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
-		"uncovered cells":     func(f *FlatMemory) { f.cells.add(0, minU, 0) },
-		"vrt overrun":         func(f *FlatMemory) { f.DIMMs[3].VRT++ },
-		"vrt outside DIMM":    func(f *FlatMemory) { f.vrt[0] = f.DIMMs[0].Cells },
-		"negative vrt":        func(f *FlatMemory) { f.vrt[0] = -1 },
-		"vrt out of order":    func(f *FlatMemory) { f.vrt[0], f.vrt[1] = f.vrt[1], f.vrt[0] },
-		"stable cell listed":  func(f *FlatMemory) { f.cells.flags[f.vrt[0]] &^= flagVRT },
-		"VRT cell unlisted":   func(f *FlatMemory) { f.cells.flags[f.vrt[0]+1] |= flagVRT },
-		"unknown flags":       func(f *FlatMemory) { f.cells.flags[2] |= 0x80 },
-		"zero uniform":        func(f *FlatMemory) { f.cells.u[2] = 0 },
-		"uniform below draws": func(f *FlatMemory) { f.cells.u[2] = minU - 1 },
-		"uniform one":         func(f *FlatMemory) { f.cells.u[2] = oneU },
-		"NaN uniform":         func(f *FlatMemory) { f.cells.u[2] = math.Float64bits(math.NaN()) },
-		"flat tail":           func(f *FlatMemory) { f.Model.SigmaLog = 0 },
-		"empty tail":          func(f *FlatMemory) { f.Model.MuLog = 1e6 },
-		"bitset overrun":      func(f *FlatMemory) { f.low = f.low[:len(f.low)-1] },
-		"uncovered bitset":    func(f *FlatMemory) { f.low = append(f.low, 0) },
-		"bit past VRT cells":  func(f *FlatMemory) { f.low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
-		"no capacity":         func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
+		"domain overrun":         func(f *FlatMemory) { f.Domains[1].DIMMs++ },
+		"domain negative":        func(f *FlatMemory) { f.Domains[0].DIMMs, f.Domains[1].DIMMs = -1, 5 },
+		"uncovered DIMM":         func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
+		"cell overrun":           func(f *FlatMemory) { f.DIMMs[3].Cells++ },
+		"cell negative":          func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
+		"uncovered cells":        func(f *FlatMemory) { f.cells.add(0, minU, 0) },
+		"vrt overrun":            func(f *FlatMemory) { f.DIMMs[3].VRT++ },
+		"vrt outside DIMM":       func(f *FlatMemory) { f.vrt[0] = f.DIMMs[0].Cells },
+		"negative vrt":           func(f *FlatMemory) { f.vrt[0] = -1 },
+		"vrt out of order":       func(f *FlatMemory) { f.vrt[0], f.vrt[1] = f.vrt[1], f.vrt[0] },
+		"stable cell listed":     func(f *FlatMemory) { f.cells.flags[f.vrt[0]] &^= flagVRT },
+		"VRT cell unlisted":      func(f *FlatMemory) { f.cells.flags[f.vrt[0]+1] |= flagVRT },
+		"unknown flags":          func(f *FlatMemory) { f.cells.flags[2] |= 0x80 },
+		"zero uniform":           func(f *FlatMemory) { f.cells.u[2] = 0 },
+		"uniform below draws":    func(f *FlatMemory) { f.cells.u[2] = minU - 1 },
+		"uniform one":            func(f *FlatMemory) { f.cells.u[2] = oneU },
+		"NaN uniform":            func(f *FlatMemory) { f.cells.u[2] = math.Float64bits(math.NaN()) },
+		"flat tail":              func(f *FlatMemory) { f.Model.SigmaLog = 0 },
+		"empty tail":             func(f *FlatMemory) { f.Model.MuLog = 1e6 },
+		"tail past the low tail": func(f *FlatMemory) { f.Model.MuLog = 0 },
+		"bitset overrun":         func(f *FlatMemory) { f.low = f.low[:len(f.low)-1] },
+		"uncovered bitset":       func(f *FlatMemory) { f.low = append(f.low, 0) },
+		"bit past VRT cells":     func(f *FlatMemory) { f.low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
+		"no capacity":            func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
 	}
 	if f.DIMMs[0].VRT%8 == 0 || f.vrt[0]+1 == f.vrt[1] {
 		t.Fatal("the image no longer exercises a padded bitset word or an unlisted-cell break")

@@ -2,6 +2,12 @@ package stats
 
 import "math"
 
+// NormalLowTail is the probability below which NormalQuantile
+// evaluates its low-tail approximation, a rational function of
+// sqrt(−2·ln p) that rises with p up to rounding. The approximations
+// of the three regions do not meet exactly at their bounds.
+const NormalLowTail = 0.02425
+
 // NormalQuantile returns the inverse CDF (quantile function) of the
 // standard normal distribution, using Acklam's rational approximation
 // (relative error < 1.15e-9 over the full domain). It is used to
@@ -39,7 +45,7 @@ func NormalQuantile(p float64) float64 {
 		d3 = 2.445134137142996e+00
 		d4 = 3.754408661907416e+00
 
-		pLow  = 0.02425
+		pLow  = NormalLowTail
 		pHigh = 1 - pLow
 	)
 
