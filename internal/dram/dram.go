@@ -295,9 +295,22 @@ func (c *cells) appendTo(dst cells) cells {
 	return cells{append(dst.off, c.off...), append(dst.u, c.u...), append(dst.flags, c.flags...)}
 }
 
-// slice returns cells i..j-1, capacity-clamped so an append copies.
+// slice returns cells i..j-1, capacity-clamped so an append copies,
+// and no columns at all when the range is empty.
 func (c *cells) slice(i, j int) cells {
+	if i == j {
+		return cells{}
+	}
 	return cells{c.off[i:j:j], c.u[i:j:j], c.flags[i:j:j]}
+}
+
+// clamped returns the first n entries of s, capacity-clamped so an
+// append copies, or nil when n is 0.
+func clamped(s []int, n int) []int {
+	if n == 0 {
+		return nil
+	}
+	return s[:n:n]
 }
 
 // candidate is one cell of a DIMM's candidate list: its index in weak,

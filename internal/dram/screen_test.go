@@ -186,7 +186,7 @@ func FuzzDecodeColumns(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	// The same image with its first tail uniform zeroed.
 	zero := bytes.Clone(valid)
-	clear(zero[1+2*len(img.DIMMs)+8+8*img.cells.len()+8:][:8])
+	clear(zero[1+2*len(img.DIMMs)+8+8*img.cellCount()+8:][:8])
 	f.Add(zero)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, cols := fuzzImage(data)

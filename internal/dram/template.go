@@ -9,24 +9,25 @@ import (
 )
 
 // FlatMemory is the snapshot image of a MemorySystem: every DIMM's
-// weak-cell columns (offset, tail-uniform bits, flags), VRT index and
-// telegraph bitset concatenated into slabs, in domain order, each
-// domain and DIMM recording how many entries of the next level it owns
-// (a DIMM with v VRT cells owns ⌈v/8⌉ bitset bytes, bit j%8 of byte
-// j/8 holding VRT cell j's state). It is built once per snapshot
-// (Flatten) by column copies and stamped into arena memory systems
-// (StampInto), whose DIMMs alias the slabs. A FlatMemory is immutable
-// after Flatten and safe for concurrent StampInto calls — and
-// concurrent reads through the stamped DIMMs — from many workers. Its
-// exported fields are the head a snapshot encodes with gob; the slabs
-// are unexported and encode as fixed-width columns (AppendColumns).
+// weak-cell columns (offset, tail-uniform bits, flags) and VRT index,
+// and the DIMMs' telegraph bitsets concatenated into one slab, in
+// domain order, each domain and DIMM recording how many entries of the
+// next level it owns (a DIMM with v VRT cells owns ⌈v/8⌉ bitset bytes,
+// bit j%8 of byte j/8 holding VRT cell j's state). It is built once
+// per snapshot (Flatten), which aliases the cells and copies only the
+// bitsets, and stamped into arena memory systems (StampInto), whose
+// DIMMs alias it in turn. A FlatMemory is immutable after Flatten and
+// safe for concurrent StampInto calls — and concurrent reads through
+// the stamped DIMMs — from many workers. Its exported fields are the
+// head a snapshot encodes with gob; the rest is unexported and encodes
+// as fixed-width columns (AppendColumns).
 type FlatMemory struct {
 	Model   RetentionModel
 	TempC   float64
 	Domains []FlatDomain
 	DIMMs   []FlatDIMM
-	cells   cells
-	vrt     []int
+	cells   []cells // by DIMM
+	vrt     [][]int // by DIMM
 	low     []byte
 }
 
@@ -39,9 +40,9 @@ type FlatDomain struct {
 	DIMMs    int
 }
 
-// FlatDIMM is one DIMM of a FlatMemory, owning the next Cells entries
-// of the cell columns, the next VRT entries of the VRT slab and the
-// next ⌈VRT/8⌉ bytes of the telegraph bitset.
+// FlatDIMM is one DIMM of a FlatMemory: it has Cells weak cells, VRT
+// of them VRT cells, and owns the next ⌈VRT/8⌉ bytes of the telegraph
+// bitset.
 type FlatDIMM struct {
 	CapacityBytes uint64
 	DeviceGb      int
@@ -51,28 +52,24 @@ type FlatDIMM struct {
 // lowBytes is the length of the telegraph bitset of v VRT cells.
 func lowBytes(v int) int { return (v + 7) / 8 }
 
-// Flatten copies the memory system into its snapshot image, with every
-// deferred VRT toggle applied to the image's bitset: an image holds
-// only materialized state, never a log or a candidate list. The image
-// shares no storage with ms, so ms may keep running; ms must not be
-// mutated concurrently.
+// Flatten takes the memory system's snapshot image. Cells are never
+// written once appended, so the image aliases each DIMM's cell columns
+// and VRT index (capacity-clamped) and marks them shared, exactly as a
+// stamp does: ms may keep running, and its next growth copies them
+// first. The telegraph bitsets, which ms keeps writing, are copied,
+// with every deferred toggle applied: an image holds only materialized
+// state, never a log or a candidate list. ms must not be mutated
+// concurrently.
 func (ms *MemorySystem) Flatten() *FlatMemory {
 	f := &FlatMemory{Model: ms.Model, TempC: ms.TempC}
-	n := 0
-	for _, dom := range ms.Domains {
-		for _, d := range dom.DIMMs {
-			n += d.weak.len()
-		}
-	}
-	if n > 0 {
-		f.cells = cells{make([]uint64, 0, n), make([]uint64, 0, n), make([]byte, 0, n)}
-	}
 	for _, dom := range ms.Domains {
 		f.Domains = append(f.Domains, FlatDomain{Name: dom.Name, Refresh: dom.Refresh, Reliable: dom.Reliable, DIMMs: len(dom.DIMMs)})
 		for _, d := range dom.DIMMs {
-			f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: d.CapacityBytes, DeviceGb: d.DeviceGb, Cells: d.weak.len(), VRT: len(d.vrt)})
-			f.cells = d.weak.appendTo(f.cells)
-			f.vrt = append(f.vrt, d.vrt...)
+			n, v := d.weak.len(), len(d.vrt)
+			f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: d.CapacityBytes, DeviceGb: d.DeviceGb, Cells: n, VRT: v})
+			f.cells = append(f.cells, d.weak.slice(0, n))
+			f.vrt = append(f.vrt, clamped(d.vrt, v))
+			d.cellsShared = true
 			lo := len(f.low)
 			f.low = append(f.low, d.low...)
 			d.foldInto(f.low[lo:])
@@ -81,14 +78,14 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 	return f
 }
 
-// Validate reports an image whose counts do not add up to its slabs,
-// whose DIMMs have no capacity, whose cells carry unknown flags or a
-// tail uniform outside [2^-53, 1) — the range fabrication draws from —
-// or whose model cannot evaluate them, whose VRT index is not exactly
-// its DIMM's cells flagged VRT in cell order, or whose bitset has bits
-// set past its VRT cells. A decoded image that passes stamps and runs
-// without indexing outside its slabs, exactly as the image Flatten
-// wrote.
+// Validate reports an image whose counts do not match its DIMMs' cells
+// and VRT indices or do not tile its bitset, whose DIMMs have no
+// capacity, whose cells carry unknown flags or a tail uniform outside
+// [2^-53, 1) — the range fabrication draws from — or whose model cannot
+// evaluate them, whose VRT index is not exactly its DIMM's cells
+// flagged VRT in cell order, or whose bitset has bits set past its VRT
+// cells. A decoded image that passes stamps and runs without indexing
+// outside its slabs, exactly as the image Flatten wrote.
 func (f *FlatMemory) Validate() error {
 	dimms := 0
 	for _, fd := range f.Domains {
@@ -97,21 +94,24 @@ func (f *FlatMemory) Validate() error {
 		}
 		dimms += fd.DIMMs
 	}
-	n := f.cells.len()
-	if t := f.Model.tail(); n > 0 && !t.usable() {
-		return fmt.Errorf("dram: image's retention model %+v cannot evaluate its weak cells", f.Model)
+	if dimms != len(f.DIMMs) || len(f.cells) != dimms || len(f.vrt) != dimms {
+		return fmt.Errorf("dram: image's domains own %d of %d DIMMs, with %d cell and %d VRT columns",
+			dimms, len(f.DIMMs), len(f.cells), len(f.vrt))
 	}
-	cells, vrt, low := 0, 0, 0
+	tailOK := f.Model.tail().usable()
+	low := 0
 	for i, d := range f.DIMMs {
-		if d.CapacityBytes == 0 || d.Cells < 0 || d.Cells > n-cells || d.VRT < 0 || d.VRT > len(f.vrt)-vrt ||
-			lowBytes(d.VRT) > len(f.low)-low {
+		c, index := &f.cells[i], f.vrt[i]
+		if d.CapacityBytes == 0 || d.Cells != c.len() || d.VRT != len(index) || lowBytes(d.VRT) > len(f.low)-low {
 			return fmt.Errorf("dram: DIMM %d (%d bytes) claims %d of %d cells, %d of %d VRT indices and %d of %d bitset bytes left",
-				i, d.CapacityBytes, d.Cells, n-cells, d.VRT, len(f.vrt)-vrt, lowBytes(d.VRT), len(f.low)-low)
+				i, d.CapacityBytes, d.Cells, c.len(), d.VRT, len(index), lowBytes(d.VRT), len(f.low)-low)
 		}
-		index := f.vrt[vrt : vrt+d.VRT]
+		if d.Cells > 0 && !tailOK {
+			return fmt.Errorf("dram: image's retention model %+v cannot evaluate its weak cells", f.Model)
+		}
 		k := 0
-		for ci := range d.Cells {
-			u, fl := f.cells.u[cells+ci], f.cells.flags[cells+ci]
+		for ci, u := range c.u {
+			fl := c.flags[ci]
 			if err := checkCell(i, ci, u, fl); err != nil {
 				return err
 			}
@@ -129,11 +129,9 @@ func (f *FlatMemory) Validate() error {
 		if d.VRT&7 != 0 && f.low[low-1]>>(d.VRT&7) != 0 {
 			return fmt.Errorf("dram: DIMM %d bitset has bits past its %d VRT cells", i, d.VRT)
 		}
-		cells, vrt = cells+d.Cells, vrt+d.VRT
 	}
-	if dimms != len(f.DIMMs) || cells != n || vrt != len(f.vrt) || low != len(f.low) {
-		return fmt.Errorf("dram: image owns %d of %d DIMMs, %d of %d cells, %d of %d VRT indices, %d of %d bitset bytes",
-			dimms, len(f.DIMMs), cells, n, vrt, len(f.vrt), low, len(f.low))
+	if low != len(f.low) {
+		return fmt.Errorf("dram: image's DIMMs own %d of %d bitset bytes", low, len(f.low))
 	}
 	return nil
 }
@@ -159,8 +157,9 @@ func checkCell(dimm, cell int, u uint64, flags byte) error {
 // stamps, which lets an Allocator stamped alongside keep its
 // per-domain usage map keys stable.
 //
-// Nothing is copied: each DIMM's cell columns, VRT index and telegraph
-// bitset alias capacity-clamped extents of the image's slabs. Pattern
+// Nothing is copied: each DIMM's cell columns and VRT index alias the
+// image's, and its telegraph bitset a capacity-clamped extent of the
+// image's bitset slab. Pattern
 // tests and toggles never write the cells or the index (a candidate's
 // evaluated retention lives in the DIMM's own candidate list); Grow
 // copies them into the DIMM's own buffers before it appends. The
@@ -182,7 +181,7 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			ms.Domains[di] = dom
 		}
 	}
-	dimm, cell, vrt, low := 0, 0, 0, 0
+	dimm, low := 0, 0
 	for di, fd := range f.Domains {
 		dom := ms.Domains[di]
 		dom.Name, dom.Refresh, dom.Reliable = fd.Name, fd.Refresh, fd.Reliable
@@ -196,12 +195,11 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			if !d.lowShared {
 				d.spareLow = d.low[:0]
 			}
-			d.weak = f.cells.slice(cell, cell+fdim.Cells)
-			d.vrt = f.vrt[vrt : vrt+fdim.VRT : vrt+fdim.VRT]
+			d.weak, d.vrt = f.cells[dimm], f.vrt[dimm]
 			d.low = f.low[low : low+n : low+n]
 			d.cellsShared, d.lowShared = true, true
 			d.reset()
-			dimm, cell, vrt, low = dimm+1, cell+fdim.Cells, vrt+fdim.VRT, low+n
+			dimm, low = dimm+1, low+n
 		}
 	}
 }
@@ -234,26 +232,40 @@ func (f *FlatMemory) shapeMatches(ms *MemorySystem) bool {
 // and DecodeColumns derives it. Every value has one encoding, so a
 // decoded image re-encodes to the bytes it was read from.
 
-// ColumnsLen returns the number of bytes AppendColumns appends.
-func (f *FlatMemory) ColumnsLen() int {
-	return 4*8 + 17*f.cells.len() + len(f.low)
+// cellCount returns the number of weak cells in the image.
+func (f *FlatMemory) cellCount() int {
+	n := 0
+	for i := range f.cells {
+		n += f.cells[i].len()
+	}
+	return n
 }
 
-// AppendColumns appends the image's slabs to b as columns.
+// ColumnsLen returns the number of bytes AppendColumns appends.
+func (f *FlatMemory) ColumnsLen() int {
+	return 4*8 + 17*f.cellCount() + len(f.low)
+}
+
+// AppendColumns appends the image's cells and bitset to b as columns,
+// each DIMM's cells after the previous DIMM's.
 func (f *FlatMemory) AppendColumns(b []byte) []byte {
-	at, n := len(b), f.cells.len()
+	at, n := len(b), f.cellCount()
 	b = slices.Grow(b, f.ColumnsLen())[:at+f.ColumnsLen()]
 	offs, w := putColumn(b[at:], n, 8)
 	us, w := putColumn(w, n, 8)
 	flags, w := putColumn(w, n, 1)
 	low, _ := putColumn(w, len(f.low), 1)
-	for i, v := range f.cells.off {
-		binary.LittleEndian.PutUint64(offs[8*i:], v)
+	for i := range f.cells {
+		c := &f.cells[i]
+		for j, v := range c.off {
+			binary.LittleEndian.PutUint64(offs[8*j:], v)
+		}
+		for j, v := range c.u {
+			binary.LittleEndian.PutUint64(us[8*j:], v)
+		}
+		copy(flags, c.flags)
+		offs, us, flags = offs[8*c.len():], us[8*c.len():], flags[c.len():]
 	}
-	for i, v := range f.cells.u {
-		binary.LittleEndian.PutUint64(us[8*i:], v)
-	}
-	copy(flags, f.cells.flags)
 	copy(low, f.low)
 	return b
 }
@@ -266,30 +278,31 @@ func putColumn(w []byte, n, width int) (col, rest []byte) {
 }
 
 // DecodeColumns reads the columns AppendColumns wrote from the front
-// of b into exact-size slabs of f, whose head — Domains and DIMMs — is
-// already decoded, and returns the bytes after them. It refuses a
+// of b into exact-size slabs, which f's DIMMs then own in turn, f's
+// head — Domains and DIMMs — being already decoded, and returns the
+// bytes after them. It refuses a
 // count that disagrees with the head's DIMMs, a short column, unknown
 // flag bits and a tail uniform outside [2^-53, 1); Validate checks the
 // rest.
 func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	// A cell takes at least 17 bytes, so counts summing past len(b)
 	// are short columns — and the sums cannot overflow.
-	cells, vrt, low := 0, 0, 0
+	n, vrt, low := 0, 0, 0
 	for i, d := range f.DIMMs {
-		if d.Cells < 0 || d.VRT < 0 || d.Cells > len(b)-cells || d.VRT > len(b)-vrt {
+		if d.Cells < 0 || d.VRT < 0 || d.Cells > len(b)-n || d.VRT > len(b)-vrt {
 			return nil, fmt.Errorf("dram: DIMM %d claims %d cells and %d VRT cells of a %d-byte image", i, d.Cells, d.VRT, len(b))
 		}
-		cells, vrt, low = cells+d.Cells, vrt+d.VRT, low+lowBytes(d.VRT)
+		n, vrt, low = n+d.Cells, vrt+d.VRT, low+lowBytes(d.VRT)
 	}
-	offs, b, err := column(b, "offset", cells, 8)
+	offs, b, err := column(b, "offset", n, 8)
 	if err != nil {
 		return nil, err
 	}
-	us, b, err := column(b, "tail-uniform", cells, 8)
+	us, b, err := column(b, "tail-uniform", n, 8)
 	if err != nil {
 		return nil, err
 	}
-	flags, b, err := column(b, "flag", cells, 1)
+	flags, b, err := column(b, "flag", n, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -297,32 +310,31 @@ func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.cells, f.vrt, f.low = decodeCells(offs, us, flags), nil, nil
-	if vrt > 0 {
-		f.vrt = make([]int, 0, vrt)
-	}
+	all, index := decodeCells(offs, us, flags), make([]int, 0, vrt)
+	f.cells, f.vrt, f.low = make([]cells, len(f.DIMMs)), make([][]int, len(f.DIMMs)), nil
 	if low > 0 {
 		f.low = slices.Clone(bits)
 	}
 	ci := 0
 	for di, d := range f.DIMMs {
-		end := len(f.vrt) + d.VRT
+		lo, end := len(index), len(index)+d.VRT
 		for i := range d.Cells {
-			fl := f.cells.flags[ci]
-			if err := checkCell(di, i, f.cells.u[ci], fl); err != nil {
+			fl := all.flags[ci+i]
+			if err := checkCell(di, i, all.u[ci+i], fl); err != nil {
 				return nil, err
 			}
 			if fl&flagVRT != 0 {
-				if len(f.vrt) == end {
+				if len(index) == end {
 					return nil, fmt.Errorf("dram: DIMM %d flags more than its %d VRT cells", di, d.VRT)
 				}
-				f.vrt = append(f.vrt, i)
+				index = append(index, i)
 			}
-			ci++
 		}
-		if len(f.vrt) != end {
-			return nil, fmt.Errorf("dram: DIMM %d flags %d of its %d VRT cells", di, d.VRT-(end-len(f.vrt)), d.VRT)
+		if len(index) != end {
+			return nil, fmt.Errorf("dram: DIMM %d flags %d of its %d VRT cells", di, d.VRT-(end-len(index)), d.VRT)
 		}
+		f.cells[di], f.vrt[di] = all.slice(ci, ci+d.Cells), clamped(index[lo:], d.VRT)
+		ci += d.Cells
 	}
 	return b, nil
 }

@@ -32,8 +32,10 @@ func sharedSystem(t *testing.T) (*MemorySystem, *FlatMemory) {
 // A changed digest means some writer wrote through to the image.
 func digest(f *FlatMemory) [sha256.Size]byte {
 	b := f.AppendColumns(nil)
-	for _, i := range f.vrt {
-		b = binary.LittleEndian.AppendUint64(b, uint64(i))
+	for _, index := range f.vrt {
+		for _, i := range index {
+			b = binary.LittleEndian.AppendUint64(b, uint64(i))
+		}
 	}
 	return sha256.Sum256(b)
 }
@@ -54,9 +56,17 @@ func within[T any](x, slab []T) bool {
 	return false
 }
 
-// aliases reports whether d's weak cells are the image slab's.
+// aliases reports whether d's weak cells are one of the image's DIMMs'.
 func aliases(d *DIMM, f *FlatMemory) bool {
-	return d.Len() == 0 || within(d.weak.u, f.cells.u) && within(d.weak.off, f.cells.off) && within(d.weak.flags, f.cells.flags)
+	if d.Len() == 0 {
+		return true
+	}
+	for i := range f.cells {
+		if c := &f.cells[i]; c.len() > 0 && &c.u[0] == &d.weak.u[0] && &c.off[0] == &d.weak.off[0] && &c.flags[0] == &d.weak.flags[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // lowAliases reports whether d's telegraph bitset is the image's.
@@ -257,18 +267,20 @@ func TestFlatMemoryValidate(t *testing.T) {
 		"uncovered DIMM":         func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
 		"cell overrun":           func(f *FlatMemory) { f.DIMMs[3].Cells++ },
 		"cell negative":          func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
-		"uncovered cells":        func(f *FlatMemory) { f.cells.add(0, minU, 0) },
+		"uncovered cells":        func(f *FlatMemory) { f.cells[1].add(0, minU, 0) },
+		"uncovered DIMM cells":   func(f *FlatMemory) { f.cells = append(f.cells, cells{}) },
 		"vrt overrun":            func(f *FlatMemory) { f.DIMMs[3].VRT++ },
-		"vrt outside DIMM":       func(f *FlatMemory) { f.vrt[0] = f.DIMMs[0].Cells },
-		"negative vrt":           func(f *FlatMemory) { f.vrt[0] = -1 },
-		"vrt out of order":       func(f *FlatMemory) { f.vrt[0], f.vrt[1] = f.vrt[1], f.vrt[0] },
-		"stable cell listed":     func(f *FlatMemory) { f.cells.flags[f.vrt[0]] &^= flagVRT },
-		"VRT cell unlisted":      func(f *FlatMemory) { f.cells.flags[f.vrt[0]+1] |= flagVRT },
-		"unknown flags":          func(f *FlatMemory) { f.cells.flags[2] |= 0x80 },
-		"zero uniform":           func(f *FlatMemory) { f.cells.u[2] = 0 },
-		"uniform below draws":    func(f *FlatMemory) { f.cells.u[2] = minU - 1 },
-		"uniform one":            func(f *FlatMemory) { f.cells.u[2] = oneU },
-		"NaN uniform":            func(f *FlatMemory) { f.cells.u[2] = math.Float64bits(math.NaN()) },
+		"vrt outside DIMM":       func(f *FlatMemory) { f.vrt[0][0] = f.DIMMs[0].Cells },
+		"negative vrt":           func(f *FlatMemory) { f.vrt[0][0] = -1 },
+		"vrt out of order":       func(f *FlatMemory) { f.vrt[0][0], f.vrt[0][1] = f.vrt[0][1], f.vrt[0][0] },
+		"uncovered vrt":          func(f *FlatMemory) { f.vrt = append(f.vrt, nil) },
+		"stable cell listed":     func(f *FlatMemory) { f.cells[0].flags[f.vrt[0][0]] &^= flagVRT },
+		"VRT cell unlisted":      func(f *FlatMemory) { f.cells[0].flags[f.vrt[0][0]+1] |= flagVRT },
+		"unknown flags":          func(f *FlatMemory) { f.cells[0].flags[2] |= 0x80 },
+		"zero uniform":           func(f *FlatMemory) { f.cells[0].u[2] = 0 },
+		"uniform below draws":    func(f *FlatMemory) { f.cells[0].u[2] = minU - 1 },
+		"uniform one":            func(f *FlatMemory) { f.cells[0].u[2] = oneU },
+		"NaN uniform":            func(f *FlatMemory) { f.cells[0].u[2] = math.Float64bits(math.NaN()) },
 		"flat tail":              func(f *FlatMemory) { f.Model.SigmaLog = 0 },
 		"empty tail":             func(f *FlatMemory) { f.Model.MuLog = 1e6 },
 		"tail past the low tail": func(f *FlatMemory) { f.Model.MuLog = 0 },
@@ -277,7 +289,7 @@ func TestFlatMemoryValidate(t *testing.T) {
 		"bit past VRT cells":     func(f *FlatMemory) { f.low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
 		"no capacity":            func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
 	}
-	if f.DIMMs[0].VRT%8 == 0 || f.vrt[0]+1 == f.vrt[1] {
+	if f.DIMMs[0].VRT%8 == 0 || f.vrt[0][0]+1 == f.vrt[0][1] {
 		t.Fatal("the image no longer exercises a padded bitset word or an unlisted-cell break")
 	}
 	for name, brk := range breaks {
@@ -318,11 +330,11 @@ func TestFlatMemoryColumnsRoundTrip(t *testing.T) {
 	}
 
 	// The byte offsets of each column, behind its 8-byte count.
-	n := f.cells.len()
+	n := f.cellCount()
 	us := 8 + 8*n
 	flags := us + 8 + 8*n
 	bitset := flags + 8 + n
-	vrtCell := flags + 8 + f.vrt[0] // the first DIMM's first VRT cell's flag byte
+	vrtCell := flags + 8 + f.vrt[0][0] // the first DIMM's first VRT cell's flag byte
 	setU := func(b []byte, u uint64) []byte { binary.LittleEndian.PutUint64(b[us+8:], u); return b }
 	breaks := map[string]func(b []byte) []byte{
 		"truncated":           func(b []byte) []byte { return b[:len(b)-1] },
@@ -339,7 +351,7 @@ func TestFlatMemoryColumnsRoundTrip(t *testing.T) {
 		"uniform one":         func(b []byte) []byte { return setU(b, oneU) },
 		"NaN uniform":         func(b []byte) []byte { return setU(b, math.Float64bits(math.NaN())) },
 	}
-	if len(f.vrt) < 2 || f.vrt[0]+1 == f.vrt[1] {
+	if len(f.vrt[0]) < 2 || f.vrt[0][0]+1 == f.vrt[0][1] {
 		t.Fatal("the image no longer has a stable cell after its first VRT cell")
 	}
 	for name, brk := range breaks {
