@@ -26,9 +26,11 @@ import (
 // part, memory) configuration, Snapshot the result, and stamp a node
 // per consumer (RestoreInto) instead of re-running the multi-second
 // campaign. Save and LoadSnapshot write and read the same images. A
-// snapshot holds no pointer into its source, which may keep running,
-// and is never written after it is built, so any number of workers may
-// stamp from it concurrently.
+// snapshot holds no pointer into its source that the source can still
+// write — its weak cells, which nothing writes once appended, are
+// shared the way stamps share them — so the source may keep running;
+// and it is never written after it is built, so any number of workers
+// may stamp from it concurrently.
 //
 // Stamped nodes do not copy the bulk images at all: a node's DRAM
 // weak cells, VRT indices and telegraph bitsets alias the snapshot's
@@ -93,8 +95,9 @@ type images struct {
 }
 
 // Snapshot captures the ecosystem's current state as images. Every
-// image is a copy, so the live ecosystem can keep running (or be
-// discarded) without disturbing later stamps. It returns an error
+// image is a copy, except the DRAM weak cells, which the images share
+// copy-on-write (dram.MemorySystem.Flatten), so the live ecosystem can
+// keep running (or be discarded) without disturbing later stamps. It returns an error
 // when runtime windows have run and the ecosystem is not on an epoch
 // boundary: a stamp re-derives the thermal nodes from ambient, which
 // is exact only where the thermal state already sits at ambient.
