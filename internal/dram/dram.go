@@ -114,10 +114,11 @@ func (t tail) retention(u uint64) float64 {
 }
 
 // The tail uniforms fabrication draws lie in [minU, 1): Float64 yields
-// multiples of 2^-53 and drawU redraws zero.
-var (
-	minU = math.Float64bits(0x1p-53)
-	oneU = math.Float64bits(1)
+// multiples of 2^-53 and drawU redraws zero. minU and oneU are the
+// IEEE-754 bits of 2^-53 and 1.
+const (
+	minU uint64 = 0x3ca0000000000000
+	oneU uint64 = 0x3ff0000000000000
 )
 
 // usable reports whether the tail can evaluate every u in [minU, 1)

@@ -3,6 +3,7 @@ package dram
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -15,6 +16,9 @@ import (
 // on a dense grid of the bit patterns and runs of consecutive ulps
 // around random points.
 func TestRetentionMonotone(t *testing.T) {
+	if minU != math.Float64bits(0x1p-53) || oneU != math.Float64bits(1) {
+		t.Fatalf("minU %#x and oneU %#x are not the bits of 2^-53 and 1", minU, oneU)
+	}
 	tl := DefaultRetentionModel().tail()
 	worst := 0.0
 	check := func(a, b uint64) {

@@ -112,8 +112,8 @@ func (f *FlatMemory) Validate() error {
 		k := 0
 		for ci, u := range c.u {
 			fl := c.flags[ci]
-			if err := checkCell(i, ci, u, fl); err != nil {
-				return err
+			if !cellOK(u, fl) {
+				return checkCell(i, ci, u, fl)
 			}
 			if fl&flagVRT != 0 {
 				if k == len(index) || index[k] != ci {
@@ -136,9 +136,15 @@ func (f *FlatMemory) Validate() error {
 	return nil
 }
 
-// checkCell refuses unknown flag bits and a tail uniform outside
-// [2^-53, 1): the retention of any other u is not one fabrication can
-// give, and a zero u would reach NormalQuantile's panic.
+// cellOK reports whether a cell has only known flag bits and a tail
+// uniform in [2^-53, 1): the retention of any other u is not one
+// fabrication can give, and a zero u would reach NormalQuantile's
+// panic.
+func cellOK(u uint64, flags byte) bool {
+	return u-minU < oneU-minU && flags&^(flagTrueCell|flagVRT) == 0
+}
+
+// checkCell returns the error that refuses a cell cellOK rejects.
 func checkCell(dimm, cell int, u uint64, flags byte) error {
 	if flags&^(flagTrueCell|flagVRT) != 0 {
 		return fmt.Errorf("dram: DIMM %d cell %d has unknown flags %#x", dimm, cell, flags)
@@ -310,7 +316,8 @@ func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	all, index := decodeCells(offs, us, flags), make([]int, 0, vrt)
+	all := cells{make([]uint64, n), make([]uint64, n), slices.Clone(flags)}
+	index := make([]int, 0, vrt)
 	f.cells, f.vrt, f.low = make([]cells, len(f.DIMMs)), make([][]int, len(f.DIMMs)), nil
 	if low > 0 {
 		f.low = slices.Clone(bits)
@@ -319,38 +326,25 @@ func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	for di, d := range f.DIMMs {
 		lo, end := len(index), len(index)+d.VRT
 		for i := range d.Cells {
-			fl := all.flags[ci+i]
-			if err := checkCell(di, i, all.u[ci+i], fl); err != nil {
-				return nil, err
+			u, fl := binary.LittleEndian.Uint64(us[8*ci:]), flags[ci]
+			if !cellOK(u, fl) {
+				return nil, checkCell(di, i, u, fl)
 			}
+			all.off[ci], all.u[ci] = binary.LittleEndian.Uint64(offs[8*ci:]), u
 			if fl&flagVRT != 0 {
 				if len(index) == end {
 					return nil, fmt.Errorf("dram: DIMM %d flags more than its %d VRT cells", di, d.VRT)
 				}
 				index = append(index, i)
 			}
+			ci++
 		}
 		if len(index) != end {
 			return nil, fmt.Errorf("dram: DIMM %d flags %d of its %d VRT cells", di, d.VRT-(end-len(index)), d.VRT)
 		}
-		f.cells[di], f.vrt[di] = all.slice(ci, ci+d.Cells), clamped(index[lo:], d.VRT)
-		ci += d.Cells
+		f.cells[di], f.vrt[di] = all.slice(ci-d.Cells, ci), clamped(index[lo:], d.VRT)
 	}
 	return b, nil
-}
-
-// decodeCells copies encoded cell columns into exact-size slabs.
-func decodeCells(offs, us, flags []byte) cells {
-	n := len(flags)
-	if n == 0 {
-		return cells{}
-	}
-	c := cells{make([]uint64, n), make([]uint64, n), slices.Clone(flags)}
-	for i := range c.off {
-		c.off[i] = binary.LittleEndian.Uint64(offs[8*i:])
-		c.u[i] = binary.LittleEndian.Uint64(us[8*i:])
-	}
-	return c
 }
 
 // column reads a column of n values of width bytes from the front of
