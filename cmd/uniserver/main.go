@@ -923,7 +923,7 @@ func runSingleNode(out io.Writer, seed uint64, m vfr.Mode, risk float64, windows
 	fmt.Fprintf(out, "  DRAM retention hits:      %d (corrected by SECDED)\n", dramHits)
 	fmt.Fprintf(out, "  hypervisor masked:        %d events, %d cores isolated\n",
 		stats.ErrorsMasked, stats.CoresIsolated)
-	fmt.Fprintf(out, "  pending stress requests:  %d\n", len(eco.Stress.Pending()))
+	fmt.Fprintf(out, "  pending stress requests:  %d\n", eco.Stress.PendingCount())
 	fmt.Fprintln(out, "\ndone: node ran at extended operating points with non-disruptive operation")
 	return nil
 }

@@ -431,7 +431,7 @@ type WindowReport struct {
 func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	e.windowsRun++
 	e.atEpochBoundary = false
-	e.Clock.Advance(time.Minute)
+	now := e.Clock.Advance(time.Minute)
 	var rep WindowReport
 	point := e.Hypervisor.Point()
 	bench := cpu.Benchmark{
@@ -452,12 +452,16 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	cpuW := e.power.TotalWAt(point, wl.CPUActivity, e.leak.factor(e.power, point.VoltageMV), e.cpuTherm.TempC)
 	rep.CPUTempC = e.cpuTherm.Step(cpuW, time.Minute)
 	memW := e.refresh.TotalMemW
-	if doms := e.Mem.RelaxedDomains(); len(doms) > 0 {
-		memW = e.refresh.TotalW(doms[0].Refresh)
+	for _, dom := range e.Mem.Domains {
+		if !dom.Reliable { // the first relaxed domain, without RelaxedDomains' slice
+			memW = e.refresh.TotalW(dom.Refresh)
+			break
+		}
 	}
 	e.Mem.TempC = e.memTherm.Step(memW, time.Minute)
 
 	vec := telemetry.InfoVector{
+		Time:      now, // nothing moves the clock after Advance
 		Component: comp,
 		Point:     point,
 		Sensors: []telemetry.Reading{
@@ -515,7 +519,7 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 		}, owner, -1, noCore)
 		rep.Actions = append(rep.Actions, act)
 	}
-	rep.PendingTests = len(e.Stress.Pending())
+	rep.PendingTests = e.Stress.PendingCount()
 	return rep
 }
 

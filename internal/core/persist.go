@@ -188,6 +188,7 @@ func (img *images) decode(p []byte) error {
 	if err := img.validate(); err != nil {
 		return err
 	}
+	img.Health.Expand()
 	if err := img.persistable(); err != nil {
 		return err
 	}

@@ -6,13 +6,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"uniserver/internal/cpu"
 	"uniserver/internal/hypervisor"
 	"uniserver/internal/rng"
+	"uniserver/internal/telemetry"
 	"uniserver/internal/thermal"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
@@ -304,33 +307,45 @@ func writtenTrace(t *testing.T, eco *Ecosystem, windows int) string {
 
 // sharedStateDigest hashes the state a stamp shares with its snapshot
 // until first write: every DIMM's weak cells with their telegraph
-// states (the memory image's columns), and the object inventory.
+// states (the memory image's columns), and the object inventory; and
+// the health histories, whose stamped vectors the snapshot shares for
+// good.
 func sharedStateDigest(eco *Ecosystem) string {
 	h := sha256.New()
 	h.Write(eco.Mem.Flatten().AppendColumns(nil))
 	fmt.Fprintf(h, "%v\n", eco.Hypervisor.Objects().Objects)
+	for _, comp := range slices.Sorted(slices.Values(eco.Health.Components())) {
+		fmt.Fprintf(h, "%s %v\n", comp, eco.Health.Query(comp, time.Time{}))
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // snapshotDigest hashes the snapshot's encoded images — everything a
-// stamp may alias or copy.
+// stamp may alias or copy — and the shared state of a fresh stamp,
+// which reads the health vectors the encoding holds only copies of.
 func snapshotDigest(t *testing.T, snap *Snapshot) string {
 	t.Helper()
 	b, err := snap.img.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(b)
+	e, err := snap.RestoreInto(NewRestoreArena(), RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(append(b, sharedStateDigest(e)...))
 	return hex.EncodeToString(sum[:])
 }
 
 // TestTemplateImmutableUnderConcurrentWriters pins the ownership
 // invariant the shared stamp rests on. Two goroutines stamp arenas
-// from one snapshot — so their DIMMs and object inventories alias the
-// snapshot's — and drive every writer of that state on them:
-// fast-forward with weak-cell growth, re-characterization, pattern
-// tests, reindexing, and both protection calls. A third drives the
-// same writers on the snapshot's source ecosystem, which the snapshot
+// from one snapshot — so their DIMMs, object inventories and health
+// histories alias the snapshot's — and drive every writer of that
+// state on them: fast-forward with weak-cell growth,
+// re-characterization, pattern tests, reindexing, both protection
+// calls, and runtime windows recording past the health log's one-hour
+// window, whose cursor walks the shared health vectors. A third drives
+// the same writers on the snapshot's source ecosystem, which the snapshot
 // must hold no pointer into. Afterwards the snapshot must hash exactly
 // as before, and under -race any writer that skipped copy-on-write —
 // or any image that still aliases its source — is a reported data
@@ -385,6 +400,11 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 		{"protect-objects", func(t *testing.T, e *Ecosystem) {
 			e.Hypervisor.Objects().ProtectObjects([]int{0, 100, 16000})
 		}},
+		{"runtime-windows", func(t *testing.T, e *Ecosystem) {
+			for range 75 { // past the one-hour threshold window
+				e.RuntimeWindow(workload.WebFrontend())
+			}
+		}},
 	}
 
 	const goroutines, reps = 2, 2
@@ -433,10 +453,11 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 }
 
 // TestStampSharesWithTemplate pins the sharing itself, seen from core:
-// two arenas stamped from one snapshot read the same weak-cell and
-// object storage, cold stamps included; a write gives one arena a
-// private object inventory while its weak cells, which pattern tests
-// and VRT toggles never write, stay shared; and its next stamp shares
+// two arenas stamped from one snapshot read the same weak-cell, object
+// and health-vector storage, cold stamps included; a write gives one
+// arena a private object inventory while its weak cells, which pattern
+// tests and VRT toggles never write, and its stamped health vectors,
+// which recording never writes, stay shared; and its next stamp shares
 // again. (The DRAM telegraph bitset's copy-on-write is pinned inside
 // dram.)
 func TestStampSharesWithTemplate(t *testing.T) {
@@ -455,8 +476,23 @@ func TestStampSharesWithTemplate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The first stamped health vector carrying sensor readings: its
+	// readings live in the image, so two stamps read the same ones.
+	comp := snap.img.Health.Comps[0].Name
+	firstReading := func(e *Ecosystem) *telemetry.Reading {
+		for _, v := range e.Health.Query(comp, time.Time{}) {
+			if len(v.Sensors) > 0 {
+				return &v.Sensors[0]
+			}
+		}
+		t.Fatalf("no stamped %s vector carries sensor readings", comp)
+		return nil
+	}
 	same := func() (weak, objs bool) {
 		oa, ob := a.eco.Hypervisor.Objects().Objects, b.eco.Hypervisor.Objects().Objects
+		if firstReading(a.eco) != firstReading(b.eco) {
+			t.Fatal("stamps do not share their health vectors")
+		}
 		return a.eco.Mem.Domains[1].DIMMs[0].SameCells(b.eco.Mem.Domains[1].DIMMs[0]), &oa[0] == &ob[0]
 	}
 	if w, o := same(); !w || !o {

@@ -82,11 +82,6 @@ type Daemon struct {
 	crashes   uint64
 	writeErr  error
 
-	// sensorSlab and errorSlab back the stamped vectors of an arena
-	// daemon (Compiled.StampInto): one bulk copy per stamp instead of
-	// two allocations per retained vector. Unused on live daemons.
-	sensorSlab []telemetry.Reading
-	errorSlab  []telemetry.ErrorEvent
 	// spare holds histories a stamp swept out of byComp (their
 	// component is absent from the stamped image), kept with their
 	// buffers so the next component to appear reuses one instead of
@@ -98,17 +93,21 @@ type Daemon struct {
 // compHistory is one component's retained vectors plus the rolling
 // sliding-window error bookkeeping: winStart indexes the first
 // retained vector inside the current window and winErrs sums the
-// correctable counts of vecs()[winStart:]. The rolling form is valid
-// only while record times are nondecreasing (the daemon clock only
-// advances); an out-of-order record marks the history dirty and the
-// threshold check falls back to the full scan, which is the rolling
-// form's definition.
+// correctable counts of the retained vectors from winStart on. The
+// rolling form is valid only while record times are nondecreasing
+// (the daemon clock only advances); an out-of-order record marks the
+// history dirty and the threshold check falls back to the full scan,
+// which is the rolling form's definition.
 //
-// The retained vectors are buf[start:]: buf is the history's own
-// backing array, and retention trims advance start instead of
-// reslicing the array away, so push can compact the live window back
-// to the front and keep recording into the same storage.
+// The retained vectors are base followed by buf[start:]. base is a
+// stamped history's share of its snapshot image (Compiled.StampInto),
+// read-only and never written; buf is the history's own backing
+// array and holds what was recorded since. Retention trims eat into
+// base first — dropping it once they pass its end — and then advance
+// start instead of reslicing buf away, so push can compact the live
+// window back to the front and keep recording into the same storage.
 type compHistory struct {
+	base     []telemetry.InfoVector
 	buf      []telemetry.InfoVector
 	start    int
 	winStart int
@@ -117,11 +116,32 @@ type compHistory struct {
 	dirty    bool
 }
 
-// vecs returns the retained vectors, oldest first.
-func (h *compHistory) vecs() []telemetry.InfoVector { return h.buf[h.start:] }
+// len returns the number of retained vectors.
+func (h *compHistory) len() int { return len(h.base) + len(h.buf) - h.start }
+
+// at returns the i-th retained vector, oldest first, in place: a
+// stamped one is the image's and must not be written.
+func (h *compHistory) at(i int) *telemetry.InfoVector {
+	if i < len(h.base) {
+		return &h.base[i]
+	}
+	return &h.buf[h.start+i-len(h.base)]
+}
+
+// trim drops the n oldest retained vectors.
+func (h *compHistory) trim(n int) {
+	if k := min(n, len(h.base)); k > 0 {
+		if h.base = h.base[k:]; len(h.base) == 0 {
+			h.base = nil // release the image once trimming passes it
+		}
+		n -= k
+	}
+	h.start += n
+}
 
 // reset empties the history, keeping its buffer.
 func (h *compHistory) reset() {
+	h.base = nil
 	h.buf = h.buf[:0]
 	h.start = 0
 	h.winStart, h.winErrs = 0, 0
@@ -130,13 +150,13 @@ func (h *compHistory) reset() {
 
 // push appends v to the retained vectors, amortized O(1) and without
 // allocating once the buffer has grown to twice the retained window.
-// When the buffer is full it either compacts the live window to the
+// When the buffer is full it either compacts its live part to the
 // front — when at least half the buffer is trimmed history, so each
 // compaction is paid for by as many pushes as it copies — or moves the
-// live window into a buffer twice its length.
+// live part into a buffer twice its length.
 func (h *compHistory) push(v telemetry.InfoVector) {
 	if len(h.buf) == cap(h.buf) {
-		live := h.vecs()
+		live := h.buf[h.start:]
 		if h.start > 0 && h.start >= len(live) {
 			n := copy(h.buf, live)
 			clear(h.buf[n:]) // drop trimmed vectors' payload references
@@ -197,6 +217,7 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 	if v.Time.IsZero() {
 		v.Time = d.clock.Now()
 	}
+	correctable := v.CorrectableCount()
 
 	d.mu.Lock()
 	d.recorded++
@@ -210,14 +231,13 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 		h.lastTime = v.Time
 	}
 	h.push(v)
-	if trim := len(h.buf) - h.start - d.cfg.RetainVectors; trim > 0 {
+	if trim := h.len() - d.cfg.RetainVectors; trim > 0 {
 		// Vectors falling out of retention also fall out of the
 		// threshold window — the scan only ever saw retained history.
-		vecs := h.vecs()
 		for i := h.winStart; i < trim; i++ {
-			h.winErrs -= vecs[i].CorrectableCount()
+			h.winErrs -= h.at(i).CorrectableCount()
 		}
-		h.start += trim
+		h.trim(trim)
 		if h.winStart -= trim; h.winStart < 0 {
 			h.winStart = 0
 		}
@@ -233,7 +253,7 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 
 	listeners := d.listeners
 	var reason *TriggerReason
-	if n := h.windowErrors(v, d.cfg.Window); n > d.cfg.ErrorThreshold {
+	if n := h.windowErrors(v.Time, correctable, d.cfg.Window); n > d.cfg.ErrorThreshold {
 		reason = &TriggerReason{
 			Component:  v.Component,
 			WindowErrs: n,
@@ -275,32 +295,38 @@ func (d *Daemon) history(name string) *compHistory {
 }
 
 // windowErrors returns the component's correctable errors inside the
-// sliding window ending at the just-recorded vector v. On the ordered
-// fast path it advances the rolling cursor past expired vectors and
-// adds v's count — O(expired) instead of O(retained) per record, with
-// the exact same total the full scan produces. Caller holds d.mu.
-func (h *compHistory) windowErrors(v telemetry.InfoVector, window time.Duration) int {
-	cutoff := v.Time.Add(-window)
-	vecs := h.vecs()
+// sliding window ending at the just-recorded vector, recorded at t
+// with correctable errors. On the ordered fast path it advances the
+// rolling cursor past expired vectors and adds the new count —
+// O(expired) instead of O(retained) per record, with the exact same
+// total the full scan produces. Caller holds d.mu.
+func (h *compHistory) windowErrors(t time.Time, correctable int, window time.Duration) int {
+	cutoff := t.Add(-window)
+	n := h.len()
 	if h.dirty {
-		n := 0
-		for _, w := range vecs {
-			if w.Time.After(cutoff) && !w.Time.After(v.Time) {
-				n += w.CorrectableCount()
+		errs := 0
+		for i := range n {
+			if w := h.at(i); w.Time.After(cutoff) && !w.Time.After(t) {
+				errs += w.CorrectableCount()
 			}
 		}
-		return n
+		return errs
 	}
-	for h.winStart < len(vecs)-1 && !vecs[h.winStart].Time.After(cutoff) {
-		h.winErrs -= vecs[h.winStart].CorrectableCount()
-		h.winStart++
+	for ; h.winStart < n-1; h.winStart++ {
+		w := h.at(h.winStart)
+		if w.Time.After(cutoff) {
+			break
+		}
+		h.winErrs -= w.CorrectableCount()
 	}
-	h.winErrs += v.CorrectableCount()
+	h.winErrs += correctable
 	return h.winErrs
 }
 
 // Query returns the retained vectors for a component recorded at or
-// after `since`, in record order (on-demand service).
+// after `since`, in record order (on-demand service). Vectors stamped
+// from a snapshot image share their sensor and error payloads with
+// it: the caller must not write into them.
 func (d *Daemon) Query(component string, since time.Time) []telemetry.InfoVector {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -309,9 +335,9 @@ func (d *Daemon) Query(component string, since time.Time) []telemetry.InfoVector
 		return nil
 	}
 	var out []telemetry.InfoVector
-	for _, v := range h.vecs() {
-		if !v.Time.Before(since) {
-			out = append(out, v)
+	for i := range h.len() {
+		if v := h.at(i); !v.Time.Before(since) {
+			out = append(out, *v)
 		}
 	}
 	return out

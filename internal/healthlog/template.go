@@ -14,10 +14,11 @@ import (
 // vectors with their sensor and error payloads concatenated into two
 // slabs, each component owning the next Vecs vectors and each vector
 // the next Sensors readings and Errors events. Compile builds it once
-// per snapshot; StampInto replays it into an arena daemon with bulk
-// copies — no per-vector allocations, no locks on the shared image. A
+// per snapshot, and Expand lays its vectors out ready to share;
+// StampInto hands each stamped history its component's share of them —
+// no copies, no per-vector work, no locks on the shared image. A
 // Compiled is immutable once built and safe for concurrent StampInto
-// calls. Its fields are exported for encoding only.
+// calls. Its exported fields are its encoding.
 type Compiled struct {
 	Config   Config
 	Recorded uint64
@@ -26,6 +27,10 @@ type Compiled struct {
 	Vecs     []CompiledVec
 	Sensors  []telemetry.Reading
 	Errors   []telemetry.ErrorEvent
+
+	// vecs is Vecs in ready form (Expand): each payload resliced from
+	// the slabs. Stamped histories alias it read-only.
+	vecs []telemetry.InfoVector
 }
 
 // CompiledComp is one component's retained history and rolling-window
@@ -57,18 +62,41 @@ func (d *Daemon) Compile() *Compiled {
 	c := &Compiled{Config: d.cfg, Recorded: d.recorded, Crashes: d.crashes}
 	for _, name := range slices.Sorted(maps.Keys(d.byComp)) {
 		h := d.byComp[name]
-		vecs := h.vecs()
-		c.Comps = append(c.Comps, CompiledComp{Name: name, Vecs: len(vecs), WinStart: h.winStart,
+		c.Comps = append(c.Comps, CompiledComp{Name: name, Vecs: h.len(), WinStart: h.winStart,
 			WinErrs: h.winErrs, LastTime: h.lastTime, Dirty: h.dirty})
-		for _, v := range vecs {
+		for i := range h.len() {
+			v := h.at(i)
 			c.Sensors = append(c.Sensors, v.Sensors...)
 			c.Errors = append(c.Errors, v.Errors...)
-			cv := CompiledVec{Vec: v, Sensors: len(v.Sensors), Errors: len(v.Errors)}
+			cv := CompiledVec{Vec: *v, Sensors: len(v.Sensors), Errors: len(v.Errors)}
 			cv.Vec.Sensors, cv.Vec.Errors = nil, nil
 			c.Vecs = append(c.Vecs, cv)
 		}
 	}
+	c.Expand()
 	return c
+}
+
+// Expand lays the image's vectors out in the ready form StampInto
+// shares: each vector's Sensors and Errors resliced from the slabs,
+// capacity-clamped so a consumer appending to a queried vector
+// reallocates instead of overwriting its neighbour, and nil where the
+// vector has none. Compile calls it; a decoder calls it once Validate
+// accepts the image, and StampInto requires it.
+func (c *Compiled) Expand() {
+	c.vecs = make([]telemetry.InfoVector, len(c.Vecs))
+	sens, errs := c.Sensors, c.Errors
+	for i, cv := range c.Vecs {
+		v := &c.vecs[i]
+		*v = cv.Vec
+		v.Sensors, v.Errors = nil, nil
+		if cv.Sensors > 0 {
+			v.Sensors, sens = sens[:cv.Sensors:cv.Sensors], sens[cv.Sensors:]
+		}
+		if cv.Errors > 0 {
+			v.Errors, errs = errs[:cv.Errors:cv.Errors], errs[cv.Errors:]
+		}
+	}
 }
 
 // Validate reports an image whose counts do not add up to its slabs or
@@ -101,12 +129,13 @@ func (c *Compiled) Validate() error {
 // StampInto overwrites d with the image, timestamping with clock and
 // writing future log lines to out; a zero Daemon is a valid
 // destination. It reuses d's component histories (or parked spares)
-// with their vector buffers, and its sensor/error slabs; stamped
-// vectors' Sensors/Errors alias the daemon-owned slabs
-// (capacity-clamped, so a consumer appending to a queried vector
-// reallocates instead of corrupting a neighbour). Listeners and
-// trigger callbacks are dropped — they are closures over the source's
-// sibling daemons — and the caller re-subscribes.
+// with their vector buffers, and each stamped history reads its
+// component's vectors straight from the image (Expand) until
+// retention trims them away: the stamp copies no vector, and the
+// stamped vectors — Query's results included — alias the image
+// read-only. Listeners and trigger callbacks are dropped — they are
+// closures over the source's sibling daemons — and the caller
+// re-subscribes.
 //
 // The caller must own d exclusively: StampInto is the arena path, not
 // a concurrent mutation of a live daemon.
@@ -123,9 +152,6 @@ func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
 	d.listeners = d.listeners[:0]
 	d.onTrigger = d.onTrigger[:0]
 
-	d.sensorSlab = append(d.sensorSlab[:0], c.Sensors...)
-	d.errorSlab = append(d.errorSlab[:0], c.Errors...)
-
 	if d.byComp == nil {
 		d.byComp = make(map[string]*compHistory, len(c.Comps))
 	} else {
@@ -140,20 +166,17 @@ func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
 			}
 		}
 	}
-	vecs, sens, errs := c.Vecs, d.sensorSlab, d.errorSlab
+	vecs := c.vecs
 	for _, cc := range c.Comps {
 		h := d.history(cc.Name)
 		h.reset()
+		if cc.Vecs > 0 {
+			h.base = vecs[:cc.Vecs:cc.Vecs]
+		}
 		h.winStart = cc.WinStart
 		h.winErrs = cc.WinErrs
 		h.lastTime = cc.LastTime
 		h.dirty = cc.Dirty
-		for _, cv := range vecs[:cc.Vecs] {
-			v := cv.Vec
-			v.Sensors, sens = sens[:cv.Sensors:cv.Sensors], sens[cv.Sensors:]
-			v.Errors, errs = errs[:cv.Errors:cv.Errors], errs[cv.Errors:]
-			h.buf = append(h.buf, v)
-		}
 		vecs = vecs[cc.Vecs:]
 	}
 }

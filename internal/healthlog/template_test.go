@@ -14,17 +14,31 @@ import (
 // equal a reference that keeps the last RetainVectors vectors in a
 // fresh slice and counts window errors by full scan — so compacting
 // the history buffer in place changes neither retention nor the
-// rolling window bookkeeping.
+// rolling window bookkeeping. A second daemon records the same stream
+// but is re-stamped from its own image every few records, at gaps
+// below and past the retention bound: its history is then an aliased
+// image base plus its own tail, which trims cross and the out-of-order
+// scan reads across, and its retained window, trigger decisions and
+// next image must all equal the first daemon's.
 func TestRetentionCompactionMatchesScan(t *testing.T) {
 	const retain = 7
 	clock := telemetry.NewClock(time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC))
 	cfg := Config{ErrorThreshold: 6, Window: 25 * time.Minute, RetainVectors: retain}
-	d := New(cfg, clock, nil)
-	fired := 0
+	d, s := New(cfg, clock, nil), New(cfg, clock, nil)
+	fired, sFired := 0, 0
 	d.OnStressTrigger(func(TriggerReason) { fired++ })
+	countS := func(TriggerReason) { sFired++ }
+	s.OnStressTrigger(countS)
+	gaps := []int{1, 3, 8, 2, 12, 5}
+	nextStamp := 0
 
 	var ref []telemetry.InfoVector
 	for i := 0; i < 500; i++ {
+		if i == nextStamp {
+			s.Compile().StampInto(s, clock, nil)
+			s.RewireStressTrigger(countS)
+			nextStamp += gaps[i%len(gaps)]
+		}
 		clock.Advance(time.Duration(1+i%7) * time.Minute)
 		v := vec("core0", i%4)
 		v.Time = clock.Now()
@@ -32,6 +46,7 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 			v.Time = v.Time.Add(-2 * time.Hour) // out of order: the scan fallback
 		}
 		d.Record(v)
+		s.Record(v)
 		ref = append(ref, v)
 		if len(ref) > retain {
 			ref = append([]telemetry.InfoVector(nil), ref[len(ref)-retain:]...)
@@ -48,17 +63,25 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 		if want > cfg.ErrorThreshold {
 			wantFired = 1
 		}
-		if fired != wantFired {
-			t.Fatalf("record %d: trigger fired %d times, reference scan says %d (window errors %d)",
-				i, fired, wantFired, want)
+		if fired != wantFired || sFired != wantFired {
+			t.Fatalf("record %d: trigger fired %d times, %d on the re-stamped daemon, reference scan says %d (window errors %d)",
+				i, fired, sFired, wantFired, want)
 		}
-		fired = 0
+		fired, sFired = 0, 0
 		if got := d.Query("core0", time.Time{}); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("record %d: retained %d vectors differing from the last %d recorded", i, len(got), len(ref))
 		}
+		if got := s.Query("core0", time.Time{}); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("record %d: re-stamped daemon retained %d vectors differing from the last %d recorded", i, len(got), len(ref))
+		}
+		if got, want := s.Compile(), d.Compile(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d: re-stamped daemon's image differs:\n%+v\nwant\n%+v", i, got, want)
+		}
 	}
-	if h := d.byComp["core0"]; cap(h.buf) > 4*retain {
-		t.Fatalf("history buffer grew to %d for a %d-vector window", cap(h.buf), retain)
+	for _, dd := range []*Daemon{d, s} {
+		if h := dd.byComp["core0"]; cap(h.buf) > 4*retain {
+			t.Fatalf("history buffer grew to %d for a %d-vector window", cap(h.buf), retain)
+		}
 	}
 }
 

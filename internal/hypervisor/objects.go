@@ -10,6 +10,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 
 	"uniserver/internal/rng"
 )
@@ -129,7 +130,12 @@ func (om *ObjectMap) unshare() {
 
 // NewObjectMap fabricates the object inventory from the profiles.
 func NewObjectMap(profiles []CategoryProfile, src *rng.Source) *ObjectMap {
+	total := 0
+	for _, p := range profiles {
+		total += max(p.Count, 0)
+	}
 	om := &ObjectMap{profiles: append([]CategoryProfile(nil), profiles...)}
+	om.Objects = slices.Grow(om.Objects, total)
 	id := 0
 	for _, p := range profiles {
 		for i := 0; i < p.Count; i++ {

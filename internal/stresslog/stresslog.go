@@ -156,11 +156,12 @@ func (d *Daemon) TriggerHandler() func(healthlog.TriggerReason) {
 	}
 }
 
-// Pending returns the queued on-demand trigger reasons.
-func (d *Daemon) Pending() []healthlog.TriggerReason {
+// PendingCount returns the number of queued on-demand trigger
+// requests.
+func (d *Daemon) PendingCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]healthlog.TriggerReason(nil), d.pending...)
+	return len(d.pending)
 }
 
 // Online reports whether the machine is serving load (true) or taken

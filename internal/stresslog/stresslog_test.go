@@ -190,14 +190,14 @@ func TestTriggerQueue(t *testing.T) {
 			},
 		})
 	}
-	if len(d.Pending()) == 0 {
+	if d.PendingCount() == 0 {
 		t.Fatal("error flood did not queue a stress request")
 	}
 	// Running the campaign clears pending requests.
 	if _, err := d.RunCampaign(quickParams(), rng.New(13)); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Pending()) != 0 {
+	if d.PendingCount() != 0 {
 		t.Fatal("pending requests not cleared after campaign")
 	}
 }

@@ -206,7 +206,7 @@ type InfoVector struct {
 }
 
 // CorrectableCount sums correctable error counts in the vector.
-func (v InfoVector) CorrectableCount() int {
+func (v *InfoVector) CorrectableCount() int {
 	n := 0
 	for _, e := range v.Errors {
 		if e.Kind == ErrCorrectable {
@@ -217,7 +217,7 @@ func (v InfoVector) CorrectableCount() int {
 }
 
 // HasCrash reports whether the vector carries a crash event.
-func (v InfoVector) HasCrash() bool {
+func (v *InfoVector) HasCrash() bool {
 	for _, e := range v.Errors {
 		if e.Kind == ErrCrash {
 			return true
