@@ -17,7 +17,7 @@ import (
 // simulator state, so a silent cross-version read would corrupt
 // results instead of failing loudly. Bump it whenever the images
 // change shape or meaning.
-const SnapshotFormatVersion = 5
+const SnapshotFormatVersion = 6
 
 // snapshotHeader is the frame in front of the encoded images: the
 // format version and the payload length as little-endian uint64s,

@@ -75,13 +75,6 @@ func (m RetentionModel) FailProb(interval time.Duration, tempC float64) float64 
 	return stats.NormalCDF(z)
 }
 
-// SampleWeakRetention samples a retention time (seconds, at reference
-// temperature) conditioned on it being below the given horizon, using
-// inverse-CDF sampling of the truncated tail.
-func (m RetentionModel) SampleWeakRetention(horizon time.Duration, src *rng.Source) float64 {
-	return tail{m.MuLog, m.SigmaLog, m.FailProb(horizon, m.RefTempC)}.retention(drawU(src))
-}
-
 // tail is a retention model's weak-cell tail below WeakCellHorizon:
 // the parameters that map a weak cell's tail uniform u to its
 // retention exp(μ + σ·Φ⁻¹(u·pH)), pH being the tail's mass.
@@ -199,9 +192,9 @@ const (
 
 // DIMM is one memory module with its explicit weak-cell population.
 //
-// The cells are columns (cells): each cell's bit offset, the bits of
-// the tail uniform u that fixes its retention, and its flags. A
-// retention is evaluated only for the cells a pattern test can fail.
+// A cell is the bits of the tail uniform u that fixes its retention;
+// the VRT index says which cells are VRT. A retention is evaluated
+// only for the cells a pattern test can fail.
 // The DIMM keeps a retention watermark and the list of cells whose
 // shorter retention is below it (the candidates), each with its
 // evaluated retention; a pattern test raises the watermark to its
@@ -220,14 +213,22 @@ type DIMM struct {
 	// DeviceGb is the per-device density in gigabits (refresh power).
 	DeviceGb int
 
-	// weak holds every cell whose retention falls below the simulation
-	// horizon; all other cells never fail at the intervals simulated.
-	// It is immutable once fabricated: Grow appends and nothing writes
-	// a cell in place.
-	weak cells
+	// weak holds the IEEE-754 bits of the tail uniform u
+	// (tail.retention) of every cell whose retention falls below the
+	// simulation horizon, in cell order; all other cells never fail at
+	// the intervals simulated. It is immutable once fabricated: Grow
+	// appends and nothing writes a cell in place.
+	weak []uint64
 
-	// vrt indexes the VRT cells within weak, in cell order; a cell's
-	// position in it is its VRT ordinal. Immutable like weak.
+	// vrt lists the VRT cells' indices in weak, strictly increasing; it
+	// is the only record of which cells are VRT, and a cell's position
+	// in it is its VRT ordinal. Immutable like weak. A VRT
+	// (variable-retention-time) cell random-telegraph-switches between
+	// its retention and that retention divided by VRTRetentionRatio;
+	// VRT is why a characterization pass can miss a cell that later
+	// fails in the field (Liu et al. [32]), and why the StressLog
+	// derates the longest observed error-free interval before
+	// publishing it.
 	vrt []int
 
 	// low is the telegraph state by VRT ordinal: bit j is set while
@@ -241,7 +242,7 @@ type DIMM struct {
 	// first write copies it into spareLow (own). The spares are the
 	// buffers the DIMM owned before the stamp.
 	cellsShared, lowShared bool
-	spare                  cells
+	spare                  []uint64
 	spareVRT               []int
 	spareLow               []byte
 
@@ -260,54 +261,9 @@ type DIMM struct {
 	log              []toggle
 }
 
-// cells is a weak-cell population as columns, one entry per cell in
-// cell order: the bit offset within the DIMM, the IEEE-754 bits of the
-// tail uniform u (tail.retention), and the flags (flagTrueCell,
-// flagVRT). A snapshot writes the same columns.
-type cells struct {
-	off, u []uint64
-	flags  []byte
-}
-
-// The cell flags. A true cell leaks toward 0 and only corrupts data
-// when storing 1, an anti cell the reverse. A variable-retention-time
-// (VRT) cell random-telegraph-switches between its retention and that
-// retention divided by VRTRetentionRatio; VRT is why a
-// characterization pass can miss a cell that later fails in the field
-// (Liu et al. [32]), and why the StressLog derates the longest
-// observed error-free interval before publishing it. The cell's
-// current state lives in its DIMM (DIMM.LowState).
-const (
-	flagTrueCell = 1 << iota
-	flagVRT
-)
-
-// class returns a cell's screen class: 1 for a VRT cell, 0 otherwise.
-func class(flags byte) int { return int(flags&flagVRT) >> 1 }
-
-func (c *cells) len() int { return len(c.u) }
-
-func (c *cells) add(off, u uint64, flags byte) {
-	c.off, c.u, c.flags = append(c.off, off), append(c.u, u), append(c.flags, flags)
-}
-
-// appendTo appends the cells to dst and returns it.
-func (c *cells) appendTo(dst cells) cells {
-	return cells{append(dst.off, c.off...), append(dst.u, c.u...), append(dst.flags, c.flags...)}
-}
-
-// slice returns cells i..j-1, capacity-clamped so an append copies,
-// and no columns at all when the range is empty.
-func (c *cells) slice(i, j int) cells {
-	if i == j {
-		return cells{}
-	}
-	return cells{c.off[i:j:j], c.u[i:j:j], c.flags[i:j:j]}
-}
-
 // clamped returns the first n entries of s, capacity-clamped so an
 // append copies, or nil when n is 0.
-func clamped(s []int, n int) []int {
+func clamped[T any](s []T, n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -473,10 +429,12 @@ func (d *DIMM) raise(w float64, sc *screen) {
 	d.cand = d.cand[:0]
 	thr := sc.thresholds()
 	least := [2]uint64{math.MaxUint64, math.MaxUint64}
-	us, flags := d.weak.u, d.weak.flags[:len(d.weak.u)]
 	j := 0 // the VRT ordinal of the next VRT cell
-	for i, u := range us {
-		k := class(flags[i])
+	for i, u := range d.weak {
+		k := 0 // the cell's screen class: 1 for a VRT cell
+		if j < len(d.vrt) && d.vrt[j] == i {
+			k = 1
+		}
 		if u >= thr[k] {
 			if u < least[k] {
 				least[k] = u
@@ -537,37 +495,34 @@ func (d *DIMM) reset() {
 const WeakCellHorizon = 12 * time.Second
 
 // NewDIMM fabricates a DIMM: the weak-cell count is drawn from the
-// binomial tail of the retention model and each weak cell gets a
-// position, a tail uniform fixing its retention, and a polarity.
+// binomial tail of the retention model and each weak cell gets a tail
+// uniform fixing its retention.
 func NewDIMM(capacityBytes uint64, deviceGb int, model RetentionModel, src *rng.Source) *DIMM {
-	bits := capacityBytes * 8
 	t := model.tail()
-	n := src.Binomial(clampInt(bits), t.pH)
-	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, weak: cells{
-		off: make([]uint64, 0, n), u: make([]uint64, 0, n), flags: make([]byte, 0, n),
-	}}
+	n := src.Binomial(clampInt(capacityBytes*8), t.pH)
+	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, weak: make([]uint64, 0, n)}
 	for i := 0; i < n; i++ {
-		d.addCell(bits, t, src)
+		d.addCell(t, src)
 	}
 	return d
 }
 
-// addCell draws one weak cell — position, tail uniform, polarity, VRT
-// membership and a VRT cell's starting telegraph state — and appends
-// it, admitting it to the candidates if its shorter retention is below
-// the watermark. Its retention is evaluated only when its u lies below
-// its class's unscreened minimum, which is never before the DIMM's
-// first pattern test.
-func (d *DIMM) addCell(bits uint64, t tail, src *rng.Source) {
-	off := src.Uint64() % bits
+// addCell draws one weak cell — tail uniform, VRT membership and a VRT
+// cell's starting telegraph state — and appends it, admitting it to
+// the candidates if its shorter retention is below the watermark. Its
+// retention is evaluated only when its u lies below its class's
+// unscreened minimum, which is never before the DIMM's first pattern
+// test. The stream also holds a bit offset and a polarity per cell,
+// which nothing reads (a pattern test draws each candidate's
+// leak-sensitive bit afresh), so they are skipped.
+func (d *DIMM) addCell(t tail, src *rng.Source) {
+	src.Skip(1) // the cell's bit offset
 	u := drawU(src)
-	var flags byte
-	if src.Bool() {
-		flags |= flagTrueCell
-	}
-	c := candidate{cell: d.weak.len(), ord: -1}
+	src.Skip(1) // its polarity
+	c := candidate{cell: len(d.weak), ord: -1}
+	k := 0 // the cell's screen class: 1 for a VRT cell
 	if src.Bernoulli(VRTFraction) {
-		flags |= flagVRT
+		k = 1
 		c.ord = len(d.vrt)
 		d.vrt = append(d.vrt, c.cell)
 		if c.ord&7 == 0 {
@@ -578,8 +533,8 @@ func (d *DIMM) addCell(bits uint64, t tail, src *rng.Source) {
 			d.flip(c.ord)
 		}
 	}
-	d.weak.add(off, u, flags)
-	if u >= d.unscreened[class(flags)] {
+	d.weak = append(d.weak, u)
+	if u >= d.unscreened[k] {
 		return
 	}
 	// No deferred toggle covers a new VRT ordinal, so a new candidate
@@ -606,13 +561,12 @@ func clampInt(v uint64) int {
 func (d *DIMM) Bits() uint64 { return d.CapacityBytes * 8 }
 
 // Len returns the number of weak cells.
-func (d *DIMM) Len() int { return d.weak.len() }
+func (d *DIMM) Len() int { return len(d.weak) }
 
 // Grow appends n freshly-activated weak cells to the DIMM, drawing
-// each exactly like fabrication does (position, tail uniform,
-// polarity, VRT membership) and keeping the VRT index and the
-// candidates current. The model must be the one the DIMM was
-// fabricated under: it is the one its pattern tests evaluate
+// each exactly like fabrication does (addCell) and keeping the VRT
+// index and the candidates current. The model must be the one the
+// DIMM was fabricated under: it is the one its pattern tests evaluate
 // retentions with. Field data says the weak-cell population is not
 // static (Qureshi et al., AVATAR, DSN 2015: new weak cells keep
 // appearing at a roughly constant rate over a device's life); Grow is
@@ -622,14 +576,13 @@ func (d *DIMM) Grow(n int, model RetentionModel, src *rng.Source) {
 		return
 	}
 	if d.cellsShared {
-		d.weak = d.weak.appendTo(cells{d.spare.off[:0], d.spare.u[:0], d.spare.flags[:0]})
+		d.weak = append(d.spare[:0], d.weak...)
 		d.vrt = append(d.spareVRT[:0], d.vrt...)
-		d.spare, d.spareVRT, d.cellsShared = cells{}, nil, false
+		d.spare, d.spareVRT, d.cellsShared = nil, nil, false
 	}
-	bits := d.Bits()
 	t := model.tail()
 	for i := 0; i < n; i++ {
-		d.addCell(bits, t, src)
+		d.addCell(t, src)
 	}
 }
 
@@ -639,14 +592,19 @@ func (d *DIMM) Grow(n int, model RetentionModel, src *rng.Source) {
 // stamp does, with no candidates, and is how tools and tests cut a
 // fabricated population down.
 func (d *DIMM) Retain(keep func(i int, vrt bool) bool) {
-	var kept cells
+	var kept []uint64
 	var vrt []int
 	var low []byte
-	for i, fl := range d.weak.flags {
-		if !keep(i, fl&flagVRT != 0) {
+	next := 0 // the VRT ordinal of the next VRT cell
+	for i, u := range d.weak {
+		isVRT := next < len(d.vrt) && d.vrt[next] == i
+		if isVRT {
+			next++
+		}
+		if !keep(i, isVRT) {
 			continue
 		}
-		if fl&flagVRT != 0 {
+		if isVRT {
 			j := len(vrt)
 			if j&7 == 0 {
 				low = append(low, 0)
@@ -654,11 +612,11 @@ func (d *DIMM) Retain(keep func(i int, vrt bool) bool) {
 			if d.LowState(i) {
 				low[j>>3] |= 1 << (j & 7)
 			}
-			vrt = append(vrt, kept.len())
+			vrt = append(vrt, len(kept))
 		}
-		kept.add(d.weak.off[i], d.weak.u[i], fl)
+		kept = append(kept, u)
 	}
-	if kept.len() < d.weak.len() {
+	if len(kept) < len(d.weak) {
 		d.weak, d.cellsShared = kept, false
 	}
 	d.vrt, d.low, d.lowShared = vrt, low, false
@@ -668,7 +626,7 @@ func (d *DIMM) Retain(keep func(i int, vrt bool) bool) {
 // SameCells reports whether two DIMMs read one weak-cell storage, as
 // DIMMs stamped from one image do until either grows.
 func (d *DIMM) SameCells(o *DIMM) bool {
-	return d.weak.len() > 0 && o.weak.len() > 0 && &d.weak.u[0] == &o.weak.u[0]
+	return len(d.weak) > 0 && len(o.weak) > 0 && &d.weak[0] == &o.weak[0]
 }
 
 // GrowWeakCells advances the domain's weak-cell population by `days`
@@ -877,9 +835,10 @@ func ToggleVRTCoarse(dom *Domain, windows int, src *rng.Source) {
 	toggleVRTWith(dom, CoarseToggleProb(windows), src)
 }
 
-// Reindex rebuilds every DIMM's derived state from its weak cells: the
-// VRT index (the cells flagged VRT), the telegraph bitset, in which
-// every cell keeps its current state, and an empty candidate set.
+// Reindex rebuilds every DIMM's derived state from its weak cells and
+// VRT index: the telegraph bitset, in which every VRT cell keeps its
+// current state with the deferred toggles applied, and an empty
+// candidate set.
 func (ms *MemorySystem) Reindex() {
 	for _, dom := range ms.Domains {
 		for _, d := range dom.DIMMs {

@@ -59,11 +59,14 @@ func TestFailProbMonotoneInInterval(t *testing.T) {
 	}
 }
 
+// TestSampleWeakRetentionBelowHorizon: a weak cell's retention, drawn
+// as fabrication draws it (a tail uniform mapped through the tail), lies
+// below the horizon.
 func TestSampleWeakRetentionBelowHorizon(t *testing.T) {
-	m := DefaultRetentionModel()
+	tl := DefaultRetentionModel().tail()
 	src := rng.New(3)
 	for i := 0; i < 2000; i++ {
-		r := m.SampleWeakRetention(WeakCellHorizon, src)
+		r := tl.retention(drawU(src))
 		if r <= 0 || r >= WeakCellHorizon.Seconds() {
 			t.Fatalf("weak retention %v outside (0, %v)", r, WeakCellHorizon.Seconds())
 		}
@@ -80,11 +83,6 @@ func TestNewDIMMWeakPopulation(t *testing.T) {
 	// not zero and not millions.
 	if d.Len() < 1000 || d.Len() > 1000000 {
 		t.Fatalf("weak cell count = %d, implausible", d.Len())
-	}
-	for _, off := range d.weak.off[:10] {
-		if off >= d.Bits() {
-			t.Fatalf("weak cell offset %d out of range", off)
-		}
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // TestGrowAppendsFabricationLikeCells: cells grown in the field draw
-// from the same distributions fabrication does — in-range offsets,
-// weak-tail retention, a VRT minority — and the private VRT index must
-// keep addressing real VRT cells after the append.
+// from the same distributions fabrication does — weak-tail retention,
+// a VRT minority — and the private VRT index must keep listing cells
+// of the DIMM in strictly increasing order after the append.
 func TestGrowAppendsFabricationLikeCells(t *testing.T) {
 	m := DefaultRetentionModel()
 	d := NewDIMM(8<<30, 2, m, rng.New(7))
@@ -20,9 +20,6 @@ func TestGrowAppendsFabricationLikeCells(t *testing.T) {
 	}
 	for i := before; i < d.Len(); i++ {
 		c := materialize(d, i, m)
-		if c.offset >= d.Bits() {
-			t.Fatalf("grown cell offset %d out of range", c.offset)
-		}
 		if c.ret <= 0 || c.ret >= WeakCellHorizon.Seconds() {
 			t.Fatalf("grown cell retention %v outside the weak tail", c.ret)
 		}
@@ -30,12 +27,9 @@ func TestGrowAppendsFabricationLikeCells(t *testing.T) {
 	if len(d.vrt) == vrtBefore {
 		t.Fatal("500 grown cells produced no VRT members at a 10% fraction")
 	}
-	for _, i := range d.vrt {
-		if i < 0 || i >= d.Len() {
-			t.Fatalf("vrt index %d out of range after growth", i)
-		}
-		if d.weak.flags[i]&flagVRT == 0 {
-			t.Fatalf("vrt index %d addresses a non-VRT cell", i)
+	for j, i := range d.vrt[vrtBefore:] {
+		if i < before || i >= d.Len() || i <= d.vrt[vrtBefore+j-1] {
+			t.Fatalf("grown VRT index entry %d is cell %d, after cell %d of %d", vrtBefore+j, i, d.vrt[vrtBefore+j-1], d.Len())
 		}
 	}
 }

@@ -26,13 +26,13 @@ func TestFailProbMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestWeakRetentionTailProperty: sampled weak retentions are always in
-// (0, horizon) and deterministic per seed.
+// TestWeakRetentionTailProperty: weak retentions drawn as fabrication
+// draws them are always in (0, horizon) and deterministic per seed.
 func TestWeakRetentionTailProperty(t *testing.T) {
-	m := DefaultRetentionModel()
+	tl := DefaultRetentionModel().tail()
 	err := quick.Check(func(seed uint64) bool {
-		a := m.SampleWeakRetention(WeakCellHorizon, rng.New(seed))
-		b := m.SampleWeakRetention(WeakCellHorizon, rng.New(seed))
+		a := tl.retention(drawU(rng.New(seed)))
+		b := tl.retention(drawU(rng.New(seed)))
 		return a == b && a > 0 && a < WeakCellHorizon.Seconds()
 	}, nil)
 	if err != nil {

@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,9 +21,8 @@ import (
 // refCell is a weak cell as eager fabrication materializes it: a VRT
 // cell's alternate (short-state) retention is non-zero.
 type refCell struct {
-	offset        uint64
-	ret, alt      float64
-	trueCell, vrt bool
+	ret, alt float64
+	vrt      bool
 }
 
 // refDIMM is a DIMM under the reference kernels.
@@ -55,13 +55,13 @@ func refBernoulli(src *rng.Source, p float64) bool {
 func (d *refDIMM) grow(n int, model RetentionModel, src *rng.Source) {
 	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
 	for i := 0; i < n; i++ {
-		cell := refCell{offset: src.Uint64() % d.bits}
+		src.Uint64() // the cell's bit offset, which no kernel reads
 		u := src.Float64()
 		for u == 0 {
 			u = src.Float64()
 		}
-		cell.ret = math.Exp(model.MuLog + model.SigmaLog*stats.NormalQuantile(u*pWeak))
-		cell.trueCell = src.Bool()
+		cell := refCell{ret: math.Exp(model.MuLog + model.SigmaLog*stats.NormalQuantile(u*pWeak))}
+		src.Bool() // its polarity, which no kernel reads either
 		low := false
 		if refBernoulli(src, VRTFraction) {
 			cell.vrt = true
@@ -133,24 +133,22 @@ func (r *refSystem) growWeakCells(di, days int, rate float64, src *rng.Source) {
 
 // materialize returns cell i of a DIMM as eager fabrication would have
 // drawn it under the model, its retention evaluated from its tail
-// uniform.
+// uniform and its VRT membership read from the VRT index.
 func materialize(d *DIMM, i int, model RetentionModel) refCell {
-	fl := d.weak.flags[i]
-	c := refCell{offset: d.weak.off[i], ret: model.tail().retention(d.weak.u[i]),
-		trueCell: fl&flagTrueCell != 0, vrt: fl&flagVRT != 0}
+	_, vrt := slices.BinarySearch(d.vrt, i)
+	c := refCell{ret: model.tail().retention(d.weak[i]), vrt: vrt}
 	if c.vrt {
 		c.alt = c.ret / VRTRetentionRatio
 	}
 	return c
 }
 
-// planted is a weak cell a test places by hand: its offset, its
-// long-state retention in seconds at the reference temperature, and
-// its flags.
+// planted is a weak cell a test places by hand: its long-state
+// retention in seconds at the reference temperature, and whether it is
+// a VRT cell.
 type planted struct {
-	offset        uint64
-	ret           float64
-	trueCell, vrt bool
+	ret float64
+	vrt bool
 }
 
 // plant builds a DIMM holding exactly the planted cells in their long
@@ -161,18 +159,13 @@ func plant(capacityBytes uint64, model RetentionModel, cs ...planted) *DIMM {
 	d := &DIMM{CapacityBytes: capacityBytes}
 	t := model.tail()
 	for i, c := range cs {
-		var fl byte
-		if c.trueCell {
-			fl |= flagTrueCell
-		}
 		if c.vrt {
-			fl |= flagVRT
 			if len(d.vrt)&7 == 0 {
 				d.low = append(d.low, 0)
 			}
 			d.vrt = append(d.vrt, i)
 		}
-		d.weak.add(c.offset, t.threshold(c.ret), fl)
+		d.weak = append(d.weak, t.threshold(c.ret))
 	}
 	return d
 }

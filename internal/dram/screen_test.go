@@ -2,6 +2,7 @@ package dram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -50,14 +51,14 @@ func TestRetentionMonotone(t *testing.T) {
 func boundaryDIMM(us []uint64) *DIMM {
 	d := &DIMM{CapacityBytes: 1 << 30}
 	for _, u := range us {
-		for _, fl := range []byte{flagTrueCell, flagVRT} {
-			if fl&flagVRT != 0 {
+		for _, vrt := range []bool{false, true} {
+			if vrt {
 				if len(d.vrt)&7 == 0 {
 					d.low = append(d.low, 0)
 				}
 				d.vrt = append(d.vrt, d.Len())
 			}
-			d.weak.add(uint64(d.Len()), u, fl)
+			d.weak = append(d.weak, u)
 		}
 	}
 	return d
@@ -132,11 +133,11 @@ func TestScreenBoundary(t *testing.T) {
 			refused += d.Len() - len(d.cand)
 			for i := range d.Len() {
 				c := materialize(d, i, model)
-				short := c.ret
+				short, class := c.ret, 0
 				if c.vrt {
-					short = c.alt
+					short, class = c.alt, 1
 				}
-				if d.weak.u[i] >= d.unscreened[class(d.weak.flags[i])] && (short < w || short < d.floor) {
+				if d.weak[i] >= d.unscreened[class] && (short < w || short < d.floor) {
 					t.Fatalf("%s: unscreened cell %d has shorter retention %v (watermark %v, floor %v)", name, i, short, w, d.floor)
 				}
 			}
@@ -188,10 +189,18 @@ func FuzzDecodeColumns(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	// The same image with its first tail uniform zeroed.
+	// The same image with its first tail uniform zeroed, and with its
+	// first DIMM's first two VRT index entries swapped.
+	cols := 1 + 2*len(img.DIMMs)
 	zero := bytes.Clone(valid)
-	clear(zero[1+2*len(img.DIMMs)+8+8*img.cellCount()+8:][:8])
+	clear(zero[cols+8:][:8])
 	f.Add(zero)
+	n, _ := img.counts()
+	swapped := bytes.Clone(valid)
+	index := swapped[cols+8+8*n+8:]
+	binary.LittleEndian.PutUint64(index, uint64(img.vrt[0][1]))
+	binary.LittleEndian.PutUint64(index[8:], uint64(img.vrt[0][0]))
+	f.Add(swapped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, cols := fuzzImage(data)
 		rest, err := g.DecodeColumns(cols)

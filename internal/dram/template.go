@@ -9,8 +9,8 @@ import (
 )
 
 // FlatMemory is the snapshot image of a MemorySystem: every DIMM's
-// weak-cell columns (offset, tail-uniform bits, flags) and VRT index,
-// and the DIMMs' telegraph bitsets concatenated into one slab, in
+// weak cells (their tail-uniform bits) and VRT index, and the DIMMs'
+// telegraph bitsets concatenated into one slab, in
 // domain order, each domain and DIMM recording how many entries of the
 // next level it owns (a DIMM with v VRT cells owns ⌈v/8⌉ bitset bytes,
 // bit j%8 of byte j/8 holding VRT cell j's state). It is built once
@@ -26,8 +26,8 @@ type FlatMemory struct {
 	TempC   float64
 	Domains []FlatDomain
 	DIMMs   []FlatDIMM
-	cells   []cells // by DIMM
-	vrt     [][]int // by DIMM
+	weak    [][]uint64 // by DIMM
+	vrt     [][]int    // by DIMM
 	low     []byte
 }
 
@@ -53,8 +53,8 @@ type FlatDIMM struct {
 func lowBytes(v int) int { return (v + 7) / 8 }
 
 // Flatten takes the memory system's snapshot image. Cells are never
-// written once appended, so the image aliases each DIMM's cell columns
-// and VRT index (capacity-clamped) and marks them shared, exactly as a
+// written once appended, so the image aliases each DIMM's cells and
+// VRT index (capacity-clamped) and marks them shared, exactly as a
 // stamp does: ms may keep running, and its next growth copies them
 // first. The telegraph bitsets, which ms keeps writing, are copied,
 // with every deferred toggle applied: an image holds only materialized
@@ -65,9 +65,9 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 	for _, dom := range ms.Domains {
 		f.Domains = append(f.Domains, FlatDomain{Name: dom.Name, Refresh: dom.Refresh, Reliable: dom.Reliable, DIMMs: len(dom.DIMMs)})
 		for _, d := range dom.DIMMs {
-			n, v := d.weak.len(), len(d.vrt)
+			n, v := len(d.weak), len(d.vrt)
 			f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: d.CapacityBytes, DeviceGb: d.DeviceGb, Cells: n, VRT: v})
-			f.cells = append(f.cells, d.weak.slice(0, n))
+			f.weak = append(f.weak, clamped(d.weak, n))
 			f.vrt = append(f.vrt, clamped(d.vrt, v))
 			d.cellsShared = true
 			lo := len(f.low)
@@ -80,12 +80,12 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 
 // Validate reports an image whose counts do not match its DIMMs' cells
 // and VRT indices or do not tile its bitset, whose DIMMs have no
-// capacity, whose cells carry unknown flags or a tail uniform outside
-// [2^-53, 1) — the range fabrication draws from — or whose model cannot
-// evaluate them, whose VRT index is not exactly its DIMM's cells
-// flagged VRT in cell order, or whose bitset has bits set past its VRT
-// cells. A decoded image that passes stamps and runs without indexing
-// outside its slabs, exactly as the image Flatten wrote.
+// capacity, whose cells carry a tail uniform outside [2^-53, 1) — the
+// range fabrication draws from — or whose model cannot evaluate them,
+// whose VRT index does not list cells of its DIMM in strictly
+// increasing order, or whose bitset has bits set past its VRT cells. A
+// decoded image that passes stamps and runs without indexing outside
+// its slabs, exactly as the image Flatten wrote.
 func (f *FlatMemory) Validate() error {
 	dimms := 0
 	for _, fd := range f.Domains {
@@ -94,36 +94,28 @@ func (f *FlatMemory) Validate() error {
 		}
 		dimms += fd.DIMMs
 	}
-	if dimms != len(f.DIMMs) || len(f.cells) != dimms || len(f.vrt) != dimms {
+	if dimms != len(f.DIMMs) || len(f.weak) != dimms || len(f.vrt) != dimms {
 		return fmt.Errorf("dram: image's domains own %d of %d DIMMs, with %d cell and %d VRT columns",
-			dimms, len(f.DIMMs), len(f.cells), len(f.vrt))
+			dimms, len(f.DIMMs), len(f.weak), len(f.vrt))
 	}
 	tailOK := f.Model.tail().usable()
 	low := 0
 	for i, d := range f.DIMMs {
-		c, index := &f.cells[i], f.vrt[i]
-		if d.CapacityBytes == 0 || d.Cells != c.len() || d.VRT != len(index) || lowBytes(d.VRT) > len(f.low)-low {
+		us, index := f.weak[i], f.vrt[i]
+		if d.CapacityBytes == 0 || d.Cells != len(us) || d.VRT != len(index) || lowBytes(d.VRT) > len(f.low)-low {
 			return fmt.Errorf("dram: DIMM %d (%d bytes) claims %d of %d cells, %d of %d VRT indices and %d of %d bitset bytes left",
-				i, d.CapacityBytes, d.Cells, c.len(), d.VRT, len(index), lowBytes(d.VRT), len(f.low)-low)
+				i, d.CapacityBytes, d.Cells, len(us), d.VRT, len(index), lowBytes(d.VRT), len(f.low)-low)
 		}
 		if d.Cells > 0 && !tailOK {
 			return fmt.Errorf("dram: image's retention model %+v cannot evaluate its weak cells", f.Model)
 		}
-		k := 0
-		for ci, u := range c.u {
-			fl := c.flags[ci]
-			if !cellOK(u, fl) {
-				return checkCell(i, ci, u, fl)
-			}
-			if fl&flagVRT != 0 {
-				if k == len(index) || index[k] != ci {
-					return fmt.Errorf("dram: DIMM %d VRT index does not list VRT cell %d in order", i, ci)
-				}
-				k++
+		for ci, u := range us {
+			if !uniformOK(u) {
+				return uniformErr(i, ci, u)
 			}
 		}
-		if k != len(index) {
-			return fmt.Errorf("dram: DIMM %d VRT index lists %d stable cells", i, len(index)-k)
+		if err := checkIndex(i, index, d.Cells); err != nil {
+			return err
 		}
 		low += lowBytes(d.VRT)
 		if d.VRT&7 != 0 && f.low[low-1]>>(d.VRT&7) != 0 {
@@ -136,21 +128,26 @@ func (f *FlatMemory) Validate() error {
 	return nil
 }
 
-// cellOK reports whether a cell has only known flag bits and a tail
-// uniform in [2^-53, 1): the retention of any other u is not one
-// fabrication can give, and a zero u would reach NormalQuantile's
-// panic.
-func cellOK(u uint64, flags byte) bool {
-	return u-minU < oneU-minU && flags&^(flagTrueCell|flagVRT) == 0
+// uniformOK reports whether a cell's tail uniform lies in [2^-53, 1):
+// the retention of any other u is not one fabrication can give, and a
+// zero u would reach NormalQuantile's panic.
+func uniformOK(u uint64) bool { return u-minU < oneU-minU }
+
+// uniformErr returns the error that refuses a cell uniformOK rejects.
+func uniformErr(dimm, cell int, u uint64) error {
+	return fmt.Errorf("dram: DIMM %d cell %d has tail uniform %v outside [2^-53, 1)", dimm, cell, math.Float64frombits(u))
 }
 
-// checkCell returns the error that refuses a cell cellOK rejects.
-func checkCell(dimm, cell int, u uint64, flags byte) error {
-	if flags&^(flagTrueCell|flagVRT) != 0 {
-		return fmt.Errorf("dram: DIMM %d cell %d has unknown flags %#x", dimm, cell, flags)
-	}
-	if u < minU || u >= oneU {
-		return fmt.Errorf("dram: DIMM %d cell %d has tail uniform %v outside [2^-53, 1)", dimm, cell, math.Float64frombits(u))
+// checkIndex refuses a VRT index that does not list cells of a DIMM of
+// n cells in strictly increasing order: one out of order, repeated or
+// outside [0, n).
+func checkIndex(dimm int, index []int, n int) error {
+	prev := -1
+	for _, i := range index {
+		if i <= prev || i >= n {
+			return fmt.Errorf("dram: DIMM %d VRT index lists cell %d after cell %d; it must rise strictly below %d", dimm, i, prev, n)
+		}
+		prev = i
 	}
 	return nil
 }
@@ -163,7 +160,7 @@ func checkCell(dimm, cell int, u uint64, flags byte) error {
 // stamps, which lets an Allocator stamped alongside keep its
 // per-domain usage map keys stable.
 //
-// Nothing is copied: each DIMM's cell columns and VRT index alias the
+// Nothing is copied: each DIMM's cells and VRT index alias the
 // image's, and its telegraph bitset a capacity-clamped extent of the
 // image's bitset slab. Pattern
 // tests and toggles never write the cells or the index (a candidate's
@@ -196,12 +193,12 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			n := lowBytes(fdim.VRT)
 			d.CapacityBytes, d.DeviceGb = fdim.CapacityBytes, fdim.DeviceGb
 			if !d.cellsShared {
-				d.spare, d.spareVRT = cells{d.weak.off[:0], d.weak.u[:0], d.weak.flags[:0]}, d.vrt[:0]
+				d.spare, d.spareVRT = d.weak[:0], d.vrt[:0]
 			}
 			if !d.lowShared {
 				d.spareLow = d.low[:0]
 			}
-			d.weak, d.vrt = f.cells[dimm], f.vrt[dimm]
+			d.weak, d.vrt = f.weak[dimm], f.vrt[dimm]
 			d.low = f.low[low : low+n : low+n]
 			d.cellsShared, d.lowShared = true, true
 			d.reset()
@@ -223,54 +220,51 @@ func (f *FlatMemory) shapeMatches(ms *MemorySystem) bool {
 	return true
 }
 
-// A FlatMemory's slabs encode as four columns, each a little-endian
+// A FlatMemory's slabs encode as three columns, each a little-endian
 // uint64 count followed by that many fixed-width little-endian values
-// (snapshot format 5):
+// (snapshot format 6):
 //
-//	offsets    uint64 per cell
 //	uniforms   uint64 per cell: the tail uniform u's IEEE-754 bits
-//	flags      byte per cell: flagTrueCell, flagVRT
+//	VRT index  uint64 per VRT cell: its cell's index within its DIMM
 //	bitset     the telegraph bitset's bytes
 //
-// A cell takes 17 bytes. Retentions are not encoded: a stamped DIMM
-// evaluates them from u when a pattern test admits the cell. The VRT
-// index is not encoded either: it is exactly the cells flagged VRT,
-// and DecodeColumns derives it. Every value has one encoding, so a
-// decoded image re-encodes to the bytes it was read from.
+// A cell takes 8 bytes and a VRT cell 8 more. Retentions are not
+// encoded: a stamped DIMM evaluates them from u when a pattern test
+// admits the cell. Every value has one encoding — a DIMM's VRT index
+// lists its cells in strictly increasing order — so a decoded image
+// re-encodes to the bytes it was read from.
 
-// cellCount returns the number of weak cells in the image.
-func (f *FlatMemory) cellCount() int {
-	n := 0
-	for i := range f.cells {
-		n += f.cells[i].len()
+// counts returns the number of weak cells and VRT cells in the image.
+func (f *FlatMemory) counts() (cells, vrt int) {
+	for i := range f.weak {
+		cells, vrt = cells+len(f.weak[i]), vrt+len(f.vrt[i])
 	}
-	return n
+	return cells, vrt
 }
 
 // ColumnsLen returns the number of bytes AppendColumns appends.
 func (f *FlatMemory) ColumnsLen() int {
-	return 4*8 + 17*f.cellCount() + len(f.low)
+	n, v := f.counts()
+	return 3*8 + 8*n + 8*v + len(f.low)
 }
 
-// AppendColumns appends the image's cells and bitset to b as columns,
-// each DIMM's cells after the previous DIMM's.
+// AppendColumns appends the image's cells, VRT indices and bitset to b
+// as columns, each DIMM's entries after the previous DIMM's.
 func (f *FlatMemory) AppendColumns(b []byte) []byte {
-	at, n := len(b), f.cellCount()
-	b = slices.Grow(b, f.ColumnsLen())[:at+f.ColumnsLen()]
-	offs, w := putColumn(b[at:], n, 8)
-	us, w := putColumn(w, n, 8)
-	flags, w := putColumn(w, n, 1)
+	at, size := len(b), f.ColumnsLen()
+	n, v := f.counts()
+	b = slices.Grow(b, size)[:at+size]
+	us, w := putColumn(b[at:], n, 8)
+	index, w := putColumn(w, v, 8)
 	low, _ := putColumn(w, len(f.low), 1)
-	for i := range f.cells {
-		c := &f.cells[i]
-		for j, v := range c.off {
-			binary.LittleEndian.PutUint64(offs[8*j:], v)
+	for i, cells := range f.weak {
+		for j, u := range cells {
+			binary.LittleEndian.PutUint64(us[8*j:], u)
 		}
-		for j, v := range c.u {
-			binary.LittleEndian.PutUint64(us[8*j:], v)
+		for j, c := range f.vrt[i] {
+			binary.LittleEndian.PutUint64(index[8*j:], uint64(c))
 		}
-		copy(flags, c.flags)
-		offs, us, flags = offs[8*c.len():], us[8*c.len():], flags[c.len():]
+		us, index = us[8*len(cells):], index[8*len(f.vrt[i]):]
 	}
 	copy(low, f.low)
 	return b
@@ -286,13 +280,13 @@ func putColumn(w []byte, n, width int) (col, rest []byte) {
 // DecodeColumns reads the columns AppendColumns wrote from the front
 // of b into exact-size slabs, which f's DIMMs then own in turn, f's
 // head — Domains and DIMMs — being already decoded, and returns the
-// bytes after them. It refuses a
-// count that disagrees with the head's DIMMs, a short column, unknown
-// flag bits and a tail uniform outside [2^-53, 1); Validate checks the
-// rest.
+// bytes after them. It refuses a count that disagrees with the head's
+// DIMMs, a short column, a tail uniform outside [2^-53, 1) and a VRT
+// index that does not list its DIMM's cells in strictly increasing
+// order; Validate checks the rest.
 func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
-	// A cell takes at least 17 bytes, so counts summing past len(b)
-	// are short columns — and the sums cannot overflow.
+	// A cell or a VRT cell takes at least 8 bytes, so counts summing
+	// past len(b) are short columns — and the sums cannot overflow.
 	n, vrt, low := 0, 0, 0
 	for i, d := range f.DIMMs {
 		if d.Cells < 0 || d.VRT < 0 || d.Cells > len(b)-n || d.VRT > len(b)-vrt {
@@ -300,15 +294,11 @@ func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 		}
 		n, vrt, low = n+d.Cells, vrt+d.VRT, low+lowBytes(d.VRT)
 	}
-	offs, b, err := column(b, "offset", n, 8)
-	if err != nil {
-		return nil, err
-	}
 	us, b, err := column(b, "tail-uniform", n, 8)
 	if err != nil {
 		return nil, err
 	}
-	flags, b, err := column(b, "flag", n, 1)
+	indices, b, err := column(b, "VRT index", vrt, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -316,33 +306,29 @@ func (f *FlatMemory) DecodeColumns(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := cells{make([]uint64, n), make([]uint64, n), slices.Clone(flags)}
-	index := make([]int, 0, vrt)
-	f.cells, f.vrt, f.low = make([]cells, len(f.DIMMs)), make([][]int, len(f.DIMMs)), nil
+	all, index := make([]uint64, n), make([]int, vrt)
+	f.weak, f.vrt, f.low = make([][]uint64, len(f.DIMMs)), make([][]int, len(f.DIMMs)), nil
 	if low > 0 {
 		f.low = slices.Clone(bits)
 	}
-	ci := 0
+	ci, vi := 0, 0
 	for di, d := range f.DIMMs {
-		lo, end := len(index), len(index)+d.VRT
 		for i := range d.Cells {
-			u, fl := binary.LittleEndian.Uint64(us[8*ci:]), flags[ci]
-			if !cellOK(u, fl) {
-				return nil, checkCell(di, i, u, fl)
+			u := binary.LittleEndian.Uint64(us[8*(ci+i):])
+			if !uniformOK(u) {
+				return nil, uniformErr(di, i, u)
 			}
-			all.off[ci], all.u[ci] = binary.LittleEndian.Uint64(offs[8*ci:]), u
-			if fl&flagVRT != 0 {
-				if len(index) == end {
-					return nil, fmt.Errorf("dram: DIMM %d flags more than its %d VRT cells", di, d.VRT)
-				}
-				index = append(index, i)
-			}
-			ci++
+			all[ci+i] = u
 		}
-		if len(index) != end {
-			return nil, fmt.Errorf("dram: DIMM %d flags %d of its %d VRT cells", di, d.VRT-(end-len(index)), d.VRT)
+		for j := range d.VRT {
+			// Clamped to the DIMM's cell count, which checkIndex refuses.
+			index[vi+j] = int(min(binary.LittleEndian.Uint64(indices[8*(vi+j):]), uint64(d.Cells)))
 		}
-		f.cells[di], f.vrt[di] = all.slice(ci-d.Cells, ci), clamped(index[lo:], d.VRT)
+		if err := checkIndex(di, index[vi:vi+d.VRT], d.Cells); err != nil {
+			return nil, err
+		}
+		f.weak[di], f.vrt[di] = clamped(all[ci:], d.Cells), clamped(index[vi:], d.VRT)
+		ci, vi = ci+d.Cells, vi+d.VRT
 	}
 	return b, nil
 }

@@ -31,13 +31,7 @@ func sharedSystem(t *testing.T) (*MemorySystem, *FlatMemory) {
 // digest hashes the image's slabs — the bytes every stamped DIMM reads.
 // A changed digest means some writer wrote through to the image.
 func digest(f *FlatMemory) [sha256.Size]byte {
-	b := f.AppendColumns(nil)
-	for _, index := range f.vrt {
-		for _, i := range index {
-			b = binary.LittleEndian.AppendUint64(b, uint64(i))
-		}
-	}
-	return sha256.Sum256(b)
+	return sha256.Sum256(f.AppendColumns(nil))
 }
 
 func stamped(f *FlatMemory) *MemorySystem {
@@ -61,8 +55,8 @@ func aliases(d *DIMM, f *FlatMemory) bool {
 	if d.Len() == 0 {
 		return true
 	}
-	for i := range f.cells {
-		if c := &f.cells[i]; c.len() > 0 && &c.u[0] == &d.weak.u[0] && &c.off[0] == &d.weak.off[0] && &c.flags[0] == &d.weak.flags[0] {
+	for _, c := range f.weak {
+		if len(c) > 0 && &c[0] == &d.weak[0] {
 			return true
 		}
 	}
@@ -197,8 +191,7 @@ func sameSystems(a, b *MemorySystem) error {
 	for di, dom := range a.Domains {
 		for i, d := range dom.DIMMs {
 			r := b.Domains[di].DIMMs[i]
-			if !slices.Equal(d.weak.off, r.weak.off) || !slices.Equal(d.weak.u, r.weak.u) ||
-				!slices.Equal(d.weak.flags, r.weak.flags) || !slices.Equal(d.vrt, r.vrt) {
+			if !slices.Equal(d.weak, r.weak) || !slices.Equal(d.vrt, r.vrt) {
 				return fmt.Errorf("domain %s DIMM %d: cells or VRT index differ", dom.Name, i)
 			}
 			for c := range d.Len() {
@@ -233,7 +226,7 @@ func TestRestampAfterUnshareShares(t *testing.T) {
 	if d.lowShared || lowAliases(d, f) || d.cellsShared || aliases(d, f) {
 		t.Fatal("a pattern test, a coarse toggle and growth left the DIMM shared")
 	}
-	private, privateCells := &d.low[0], &d.weak.u[0]
+	private, privateCells := &d.low[0], &d.weak[0]
 	f.StampInto(ms)
 	if ms.Domains[1].DIMMs[0] != d {
 		t.Fatal("same-shape stamp replaced the DIMM object")
@@ -241,7 +234,7 @@ func TestRestampAfterUnshareShares(t *testing.T) {
 	if !d.lowShared || !d.cellsShared || !aliases(d, f) || !lowAliases(d, f) {
 		t.Fatal("re-stamp after a write does not share the image slabs")
 	}
-	if &d.spareLow[:1][0] != private || &d.spare.u[:1][0] != privateCells {
+	if &d.spareLow[:1][0] != private || &d.spare[:1][0] != privateCells {
 		t.Fatal("re-stamp dropped the DIMM's private buffers")
 	}
 	src := rng.New(2)
@@ -267,20 +260,19 @@ func TestFlatMemoryValidate(t *testing.T) {
 		"uncovered DIMM":         func(f *FlatMemory) { f.DIMMs = append(f.DIMMs, FlatDIMM{CapacityBytes: 1}) },
 		"cell overrun":           func(f *FlatMemory) { f.DIMMs[3].Cells++ },
 		"cell negative":          func(f *FlatMemory) { f.DIMMs[0].Cells, f.DIMMs[1].Cells = -1, f.DIMMs[1].Cells+f.DIMMs[0].Cells+1 },
-		"uncovered cells":        func(f *FlatMemory) { f.cells[1].add(0, minU, 0) },
-		"uncovered DIMM cells":   func(f *FlatMemory) { f.cells = append(f.cells, cells{}) },
+		"uncovered cells":        func(f *FlatMemory) { f.weak[1] = append(f.weak[1], minU) },
+		"uncovered DIMM cells":   func(f *FlatMemory) { f.weak = append(f.weak, nil) },
 		"vrt overrun":            func(f *FlatMemory) { f.DIMMs[3].VRT++ },
-		"vrt outside DIMM":       func(f *FlatMemory) { f.vrt[0][0] = f.DIMMs[0].Cells },
+		"vrt count short":        func(f *FlatMemory) { f.vrt[0] = f.vrt[0][:len(f.vrt[0])-1] },
+		"vrt at Cells":           func(f *FlatMemory) { f.vrt[0][len(f.vrt[0])-1] = f.DIMMs[0].Cells },
 		"negative vrt":           func(f *FlatMemory) { f.vrt[0][0] = -1 },
 		"vrt out of order":       func(f *FlatMemory) { f.vrt[0][0], f.vrt[0][1] = f.vrt[0][1], f.vrt[0][0] },
+		"vrt duplicate":          func(f *FlatMemory) { f.vrt[0][1] = f.vrt[0][0] },
 		"uncovered vrt":          func(f *FlatMemory) { f.vrt = append(f.vrt, nil) },
-		"stable cell listed":     func(f *FlatMemory) { f.cells[0].flags[f.vrt[0][0]] &^= flagVRT },
-		"VRT cell unlisted":      func(f *FlatMemory) { f.cells[0].flags[f.vrt[0][0]+1] |= flagVRT },
-		"unknown flags":          func(f *FlatMemory) { f.cells[0].flags[2] |= 0x80 },
-		"zero uniform":           func(f *FlatMemory) { f.cells[0].u[2] = 0 },
-		"uniform below draws":    func(f *FlatMemory) { f.cells[0].u[2] = minU - 1 },
-		"uniform one":            func(f *FlatMemory) { f.cells[0].u[2] = oneU },
-		"NaN uniform":            func(f *FlatMemory) { f.cells[0].u[2] = math.Float64bits(math.NaN()) },
+		"zero uniform":           func(f *FlatMemory) { f.weak[0][2] = 0 },
+		"uniform below draws":    func(f *FlatMemory) { f.weak[0][2] = minU - 1 },
+		"uniform one":            func(f *FlatMemory) { f.weak[0][2] = oneU },
+		"NaN uniform":            func(f *FlatMemory) { f.weak[0][2] = math.Float64bits(math.NaN()) },
 		"flat tail":              func(f *FlatMemory) { f.Model.SigmaLog = 0 },
 		"empty tail":             func(f *FlatMemory) { f.Model.MuLog = 1e6 },
 		"tail past the low tail": func(f *FlatMemory) { f.Model.MuLog = 0 },
@@ -289,8 +281,8 @@ func TestFlatMemoryValidate(t *testing.T) {
 		"bit past VRT cells":     func(f *FlatMemory) { f.low[lowBytes(f.DIMMs[0].VRT)-1] |= 0x80 },
 		"no capacity":            func(f *FlatMemory) { f.DIMMs[2].CapacityBytes = 0 },
 	}
-	if f.DIMMs[0].VRT%8 == 0 || f.vrt[0][0]+1 == f.vrt[0][1] {
-		t.Fatal("the image no longer exercises a padded bitset word or an unlisted-cell break")
+	if f.DIMMs[0].VRT%8 == 0 {
+		t.Fatal("the image no longer exercises a padded bitset word")
 	}
 	for name, brk := range breaks {
 		_, g := sharedSystem(t)
@@ -302,8 +294,8 @@ func TestFlatMemoryValidate(t *testing.T) {
 }
 
 // TestFlatMemoryColumnsRoundTrip: the columns decode into the same
-// slabs — the VRT index derived from the flags — and re-encode to the
-// same bytes, and every column a head's DIMMs cannot own is refused.
+// slabs and re-encode to the same bytes, and every column a head's
+// DIMMs cannot own is refused.
 func TestFlatMemoryColumnsRoundTrip(t *testing.T) {
 	_, f := sharedSystem(t)
 	b := f.AppendColumns(nil)
@@ -330,29 +322,31 @@ func TestFlatMemoryColumnsRoundTrip(t *testing.T) {
 	}
 
 	// The byte offsets of each column, behind its 8-byte count.
-	n := f.cellCount()
-	us := 8 + 8*n
-	flags := us + 8 + 8*n
-	bitset := flags + 8 + n
-	vrtCell := flags + 8 + f.vrt[0][0] // the first DIMM's first VRT cell's flag byte
-	setU := func(b []byte, u uint64) []byte { binary.LittleEndian.PutUint64(b[us+8:], u); return b }
+	n, v := f.counts()
+	index := 8 + 8*n
+	bitset := index + 8 + 8*v
+	// setIndex overwrites entry j of the first DIMM's VRT index.
+	setIndex := func(b []byte, j int, i uint64) []byte { binary.LittleEndian.PutUint64(b[index+8+8*j:], i); return b }
+	setU := func(b []byte, u uint64) []byte { binary.LittleEndian.PutUint64(b[8:], u); return b }
+	last, cells := len(f.vrt[0])-1, uint64(f.DIMMs[0].Cells)
 	breaks := map[string]func(b []byte) []byte{
 		"truncated":           func(b []byte) []byte { return b[:len(b)-1] },
 		"no columns":          func(b []byte) []byte { return nil },
 		"cell count":          func(b []byte) []byte { b[0]++; return b },
-		"uniform count":       func(b []byte) []byte { b[us]++; return b },
-		"flag count":          func(b []byte) []byte { b[flags]--; return b },
+		"vrt count high":      func(b []byte) []byte { b[index]++; return b },
+		"vrt count low":       func(b []byte) []byte { b[index]--; return b },
 		"bitset count":        func(b []byte) []byte { b[bitset]++; return b },
-		"unknown flags":       func(b []byte) []byte { b[flags+8] |= 0x80; return b },
-		"unflagged VRT cell":  func(b []byte) []byte { b[vrtCell] &^= flagVRT; return b },
-		"extra VRT cell":      func(b []byte) []byte { b[vrtCell+1] |= flagVRT; return b },
+		"vrt out of order":    func(b []byte) []byte { return setIndex(setIndex(b, 0, uint64(f.vrt[0][1])), 1, uint64(f.vrt[0][0])) },
+		"vrt duplicate":       func(b []byte) []byte { return setIndex(b, 1, uint64(f.vrt[0][0])) },
+		"vrt at Cells":        func(b []byte) []byte { return setIndex(b, last, cells) },
+		"vrt beyond int":      func(b []byte) []byte { return setIndex(b, last, math.MaxUint64) },
 		"zero uniform":        func(b []byte) []byte { return setU(b, 0) },
 		"uniform below draws": func(b []byte) []byte { return setU(b, minU-1) },
 		"uniform one":         func(b []byte) []byte { return setU(b, oneU) },
 		"NaN uniform":         func(b []byte) []byte { return setU(b, math.Float64bits(math.NaN())) },
 	}
-	if len(f.vrt[0]) < 2 || f.vrt[0][0]+1 == f.vrt[0][1] {
-		t.Fatal("the image no longer has a stable cell after its first VRT cell")
+	if len(f.vrt[0]) < 2 {
+		t.Fatal("the image's first DIMM no longer has two VRT cells")
 	}
 	for name, brk := range breaks {
 		if _, err := decode(brk(bytes.Clone(b))); err == nil {

@@ -165,14 +165,14 @@ func writeDecodeEntryCorpus(t *testing.T) {
 	cuts := []int{0, 7, entryFrame, entryFrame + 1, (entryFrame + head) / 2, head, len(valid) - 1}
 	// The snapshot behind the entry head: a frame of version, payload
 	// length and sha256, then the gob head's length and the gob head,
-	// then the memory image's columns — offsets, tail uniforms, flags
-	// and the telegraph bitset, each behind its count. Cut at each
-	// column's start and inside the tail uniforms.
+	// then the memory image's columns — tail uniforms, VRT index and
+	// the telegraph bitset, each behind its count. Cut at each column's
+	// start and inside the tail uniforms.
 	cols := head + 8 + 8 + sha256.Size + 8 + int(binary.LittleEndian.Uint64(valid[head+8+8+sha256.Size:]))
 	n := int(binary.LittleEndian.Uint64(valid[cols:]))
-	us := cols + 8 + 8*n
-	flags := us + 8 + 8*n
-	cuts = append(cuts, cols, us, us+8+4*n, flags, flags+8+n)
+	index := cols + 8 + 8*n
+	bitset := index + 8 + 8*int(binary.LittleEndian.Uint64(valid[index:]))
+	cuts = append(cuts, cols, cols+8+4*n, index, bitset)
 	for _, n := range cuts {
 		seeds["truncated-"+strconv.Itoa(n)] = valid[:n]
 	}
