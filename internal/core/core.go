@@ -420,6 +420,9 @@ type WindowReport struct {
 	// 1 is a warning event, 2 forced a fallback to nominal.
 	CPUTempC     float64
 	ThermalAlarm int
+
+	// now is the window's clock instant.
+	now time.Time
 }
 
 // RuntimeWindow advances the deployment by one observation window: the
@@ -432,7 +435,7 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	e.windowsRun++
 	e.atEpochBoundary = false
 	now := e.Clock.Advance(time.Minute)
-	var rep WindowReport
+	rep := WindowReport{now: now}
 	point := e.Hypervisor.Point()
 	bench := cpu.Benchmark{
 		Name:           wl.Name,

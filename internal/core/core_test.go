@@ -183,11 +183,11 @@ func TestDeterminism(t *testing.T) {
 
 func TestPeriodicRecharacterizationDue(t *testing.T) {
 	e, _ := readyEcosystem(t, 8)
-	if e.Stress.DuePeriodic() {
+	if e.Stress.DueAt(e.Clock.Now()) {
 		t.Fatal("fresh characterization should not be due")
 	}
 	e.Clock.Advance(80 * 24 * time.Hour)
-	if !e.Stress.DuePeriodic() {
+	if !e.Stress.DueAt(e.Clock.Now()) {
 		t.Fatal("re-characterization should be due after ~2.5 months")
 	}
 }

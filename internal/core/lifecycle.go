@@ -255,12 +255,13 @@ func (d *Deployment) driftDue() bool {
 }
 
 // scheduledCampaignDue reports whether a periodic-cadence campaign
-// should run now. Without a drift policy it is exactly
-// Stress.DuePeriodic. With one, a due slot runs only when driftDue;
-// otherwise the slot is consumed (SkipPeriodic) so the decision
-// recurs at the next cadence tick, not on every following window.
-func (d *Deployment) scheduledCampaignDue() bool {
-	if !d.eco.Stress.DuePeriodic() {
+// should run at now, the ecosystem clock's current instant. Without a
+// drift policy it is exactly Stress.DueAt. With one, a due slot runs
+// only when driftDue; otherwise the slot is consumed (SkipPeriodic) so
+// the decision recurs at the next cadence tick, not on every following
+// window.
+func (d *Deployment) scheduledCampaignDue(now time.Time) bool {
+	if !d.eco.Stress.DueAt(now) {
 		return false
 	}
 	if !d.driftOn {
@@ -349,7 +350,9 @@ func (d *Deployment) Step() (WindowReport, error) {
 	if rep.PendingTests > 0 {
 		needCampaign = true
 	}
-	if !needCampaign && d.scheduledCampaignDue() {
+	// Nothing after RuntimeWindow's clock advance has moved the clock,
+	// so the window's instant is the clock's.
+	if !needCampaign && d.scheduledCampaignDue(rep.now) {
 		needCampaign = true
 	}
 	if needCampaign {

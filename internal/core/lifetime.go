@@ -266,7 +266,7 @@ func (d *Deployment) SetCadence(every time.Duration) {
 // months" schedule implies — and reports whether one ran. An armed
 // drift policy gates the decision exactly as it does inside Step.
 func (d *Deployment) MaybeRecharacterize() (bool, error) {
-	if !d.scheduledCampaignDue() {
+	if !d.scheduledCampaignDue(d.eco.Clock.Now()) {
 		return false, nil
 	}
 	if err := d.RecharacterizeNow(); err != nil {

@@ -23,16 +23,16 @@ func startedDeployment(t *testing.T, seed uint64) *Deployment {
 }
 
 // TestScheduledCampaignPassthroughWhenDisarmed: without a drift
-// policy the scheduler is exactly Stress.DuePeriodic, and the policy
+// policy the scheduler is exactly Stress.DueAt, and the policy
 // counters never move.
 func TestScheduledCampaignPassthroughWhenDisarmed(t *testing.T) {
 	d := startedDeployment(t, 41)
 	e := d.eco
-	if d.scheduledCampaignDue() {
+	if d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("campaign due immediately after characterization")
 	}
 	e.Clock.Advance(e.Stress.Period())
-	if !d.scheduledCampaignDue() {
+	if !d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("elapsed cadence not reported without a policy")
 	}
 	if d.sum.RecharTriggered != 0 || d.sum.RecharSuppressed != 0 {
@@ -50,19 +50,19 @@ func TestDriftGateSuppressesFreshMargins(t *testing.T) {
 	e := d.eco
 	d.SetDriftPolicy(0.25)
 	e.Clock.Advance(e.Stress.Period())
-	if !e.Stress.DuePeriodic() {
+	if !e.Stress.DueAt(e.Clock.Now()) {
 		t.Fatal("precondition: cadence should have elapsed")
 	}
-	if d.scheduledCampaignDue() {
+	if d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("gate opened with zero accumulated drift")
 	}
 	if d.sum.RecharSuppressed != 1 {
 		t.Fatalf("RecharSuppressed = %d, want 1", d.sum.RecharSuppressed)
 	}
-	if e.Stress.DuePeriodic() {
+	if e.Stress.DueAt(e.Clock.Now()) {
 		t.Fatal("suppressed slot was not consumed")
 	}
-	if d.scheduledCampaignDue() || d.sum.RecharSuppressed != 1 {
+	if d.scheduledCampaignDue(e.Clock.Now()) || d.sum.RecharSuppressed != 1 {
 		t.Fatal("suppression decision repeated before the next cadence tick")
 	}
 }
@@ -79,7 +79,7 @@ func TestDriftGateOpensOnAccumulatedDrift(t *testing.T) {
 	// clears a tenth of the advised headroom (~5-6 mV) comfortably.
 	e.Machine.Chip.Age(silicon.DefaultAgingModel(), 365*24*time.Hour, 1)
 	e.Clock.Advance(e.Stress.Period())
-	if !d.scheduledCampaignDue() {
+	if !d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("gate stayed closed after a year of aging")
 	}
 	if d.sum.RecharTriggered != 1 {
@@ -89,7 +89,7 @@ func TestDriftGateOpensOnAccumulatedDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Clock.Advance(e.Stress.Period())
-	if d.scheduledCampaignDue() {
+	if d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("gate open with no drift since the campaign refreshed the baseline")
 	}
 	if d.sum.RecharSuppressed != 1 {
@@ -106,7 +106,7 @@ func TestDriftGateZeroFractionAlwaysOpen(t *testing.T) {
 	d.SetDriftPolicy(0)
 	for tick := 1; tick <= 3; tick++ {
 		e.Clock.Advance(e.Stress.Period())
-		if !d.scheduledCampaignDue() {
+		if !d.scheduledCampaignDue(e.Clock.Now()) {
 			t.Fatalf("zero-margin gate closed at tick %d", tick)
 		}
 		if err := d.RecharacterizeNow(); err != nil {
@@ -127,7 +127,7 @@ func TestSetDriftPolicyNegativeDisarms(t *testing.T) {
 	d.SetDriftPolicy(10)
 	d.SetDriftPolicy(-1)
 	e.Clock.Advance(e.Stress.Period())
-	if !d.scheduledCampaignDue() {
+	if !d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("disarmed gate still filtering scheduled campaigns")
 	}
 	if d.sum.RecharTriggered != 0 || d.sum.RecharSuppressed != 0 {

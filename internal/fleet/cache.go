@@ -37,6 +37,12 @@ import (
 // byte-identical no matter which consumer populates an entry first, at
 // any worker count or campaign parallelism: who computes a key is
 // unobservable in the results.
+//
+// That purity also lets a waiter help instead of block. Campaigns
+// Plan each claimed cell's keys; a consumer that finds its own key in
+// flight characterizes the next planned key nobody has started (Help)
+// and blocks only once the plan is empty, and a campaign slot that
+// runs out of cells drains the plan the same way.
 type CharactCache struct {
 	// entries maps key → *charactEntry. A sync.Map instead of a
 	// mutex-guarded map because the steady state of a campaign is
@@ -57,7 +63,25 @@ type CharactCache struct {
 	diskErrMu sync.Mutex
 	diskErr   error
 
+	// plan holds the keys Plan queued, oldest first: keys planned
+	// cells will need that nobody had started when they were planned.
+	// Help pops from the front and skips keys started since.
+	planMu sync.Mutex
+	plan   []plannedKey
+
 	hits, misses, coalesced, diskHits, compiled atomic.Uint64
+}
+
+// charactFunc runs one characterization, logging into out (nil
+// discards).
+type charactFunc func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error)
+
+// plannedKey is one queued key with the builder its consumer would
+// have run.
+type plannedKey struct {
+	key     string
+	wantLog bool
+	build   charactFunc
 }
 
 // charactEntry is one key's singleflight slot. The creating goroutine
@@ -72,6 +96,10 @@ type charactEntry struct {
 	pre  core.PreDeploymentReport
 	log  []byte
 	err  error
+	// helped marks an entry a helper created ahead of its consumers.
+	// The first consumer clears it and is not counted as a hit, just
+	// as it would not have been as the entry's creator.
+	helped atomic.Bool
 }
 
 // NewCharactCache returns an empty cache.
@@ -82,11 +110,13 @@ func NewCharactCache() *CharactCache {
 // CacheStats counts cache outcomes: a miss is a characterization
 // actually run, a hit is a node served from an in-memory snapshot,
 // and a disk hit is a key's first consumer served from the attached
-// spill directory instead of re-running the campaign. Coalesced is
-// the subset of hits that arrived while the key's characterization
-// was still in flight and blocked on it instead of duplicating it.
-// Hits, misses and disk hits are deterministic functions of the run
-// (misses = distinct keys characterized); Coalesced depends on
+// spill directory instead of re-running the campaign. A key a helper
+// characterized counts its miss (or disk hit) once and its first
+// consumer no hit, exactly as if that consumer had characterized it.
+// Coalesced counts consumers that found their key in flight with no
+// planned key left to help with and blocked on it. Hits, misses and
+// disk hits are deterministic functions of the run (misses = distinct
+// keys characterized), at any parallelism; Coalesced depends on
 // goroutine timing and is execution telemetry, like wall-clock.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
@@ -123,35 +153,55 @@ func (c *CharactCache) entry(key string) (*charactEntry, bool) {
 // characterized returns the snapshot, characterization report and
 // captured health-log bytes for key, invoking characterize at most
 // once per key across all goroutines: the entry's creator runs it,
-// duplicate concurrent arrivals coalesce onto the in-flight run, and
-// later arrivals are plain hits. When wantLog is set the
-// characterization writes its health log into a cache-owned buffer
-// whose bytes every consumer replays into its own node log — the
-// lines are identical to what a fresh characterization would have
-// written, because characterization is deterministic in the key.
+// duplicate concurrent arrivals help with planned keys and then
+// coalesce onto the in-flight run, and later arrivals are plain hits.
+// When wantLog is set the characterization writes its health log into
+// a cache-owned buffer whose bytes every consumer replays into its own
+// node log — the lines are identical to what a fresh characterization
+// would have written, because characterization is deterministic in
+// the key.
 func (c *CharactCache) characterized(key string, wantLog bool,
-	characterize func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error),
-) (*core.Snapshot, core.PreDeploymentReport, []byte, error) {
+	characterize charactFunc) (*core.Snapshot, core.PreDeploymentReport, []byte, error) {
 	e, creator := c.entry(key)
-	if !creator {
-		// Served from the cache. Distinguish a completed entry (plain
-		// hit) from an in-flight one (coalesced: we block on the single
-		// characterization instead of running our own). The distinction
-		// is timing-dependent telemetry; the total hit count is not.
+	if creator {
+		c.create(key, e, wantLog, characterize)
+	} else {
+		c.await(e)
+		// The load keeps the common hit from writing the shared entry.
+		if !e.helped.Load() || !e.helped.CompareAndSwap(true, false) {
+			c.hits.Add(1)
+		}
+	}
+	return e.snap, e.pre, e.log, e.err
+}
+
+// await returns once e is published. While e is in flight it
+// characterizes planned keys nobody has started, and it blocks only
+// when none is left.
+func (c *CharactCache) await(e *charactEntry) {
+	for {
 		select {
 		case <-e.done:
+			return
 		default:
-			c.coalesced.Add(1)
-			<-e.done
 		}
-		c.hits.Add(1)
-		return e.snap, e.pre, e.log, e.err
+		if !c.Help() {
+			break
+		}
 	}
+	select {
+	case <-e.done:
+	default:
+		c.coalesced.Add(1)
+		<-e.done
+	}
+}
 
-	// This goroutine owns the key's one characterization. The attached
-	// spill directory serves a key's first consumer in this process
-	// when another process already characterized it; anything
-	// unreadable falls through to a fresh run.
+// create runs key's one characterization on the calling goroutine,
+// which created e. The attached spill directory serves a key's first
+// consumer in this process when another process already characterized
+// it; anything unreadable falls through to a fresh run.
+func (c *CharactCache) create(key string, e *charactEntry, wantLog bool, characterize charactFunc) {
 	fromDisk := false
 	if c.spillDir() != "" {
 		if snap, pre, log, ok := c.loadDisk(key); ok {
@@ -196,7 +246,74 @@ func (c *CharactCache) characterized(key string, wantLog bool,
 			c.spillDisk(key, e.snap, e.pre, e.log)
 		}
 	}
-	return e.snap, e.pre, e.log, e.err
+}
+
+// planNodes bounds how many of a cell's nodes Plan resolves, so
+// planning a 100k-node cell costs a handful of Node calls, not 100k.
+// Campaign cells past the bound characterize as they always did.
+const planNodes = 16
+
+// Plan queues the keys of cfg's first nodes, in node order, that the
+// cache has not seen, each with the builder fleet.Run would give it.
+// Goroutines blocked on an in-flight key then characterize them
+// instead of waiting (Help). Results do not depend on it: a planned
+// key is characterized exactly as its node would have characterized
+// it. A campaign plans each cell it claims; fleet.Run never plans.
+func (c *CharactCache) Plan(cfg Config) {
+	wantLog := cfg.HealthLogOut != nil
+	bins := newBinMemo(cfg.Seed, wantLog)
+	var keys []plannedKey
+	for i := range min(cfg.Nodes, planNodes) {
+		spec := cfg.nodeSpec(i)
+		key, seed := bins.job(NodeSeed(cfg.Seed, i), spec, cfg.Archetypes)
+		if _, seen := c.entries.Load(key); !seen {
+			keys = append(keys, plannedKey{key: key, wantLog: wantLog, build: charactBuilder(spec, seed)})
+		}
+	}
+	c.planMu.Lock()
+	c.plan = append(c.plan, keys...)
+	c.planMu.Unlock()
+}
+
+// Pending reports whether a planned key is still unstarted.
+func (c *CharactCache) Pending() bool {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	for len(c.plan) > 0 {
+		if _, seen := c.entries.Load(c.plan[0].key); !seen {
+			return true
+		}
+		c.popPlan()
+	}
+	return false
+}
+
+// Help characterizes the first planned key nobody has started, on the
+// calling goroutine, and reports whether there was one.
+func (c *CharactCache) Help() bool {
+	for {
+		c.planMu.Lock()
+		if len(c.plan) == 0 {
+			c.planMu.Unlock()
+			return false
+		}
+		p := c.popPlan()
+		c.planMu.Unlock()
+		if e, creator := c.entry(p.key); creator {
+			e.helped.Store(true)
+			c.create(p.key, e, p.wantLog, p.build)
+			return true
+		}
+	}
+}
+
+// popPlan removes and returns the plan's first key. c.planMu must be
+// held.
+func (c *CharactCache) popPlan() plannedKey {
+	p := c.plan[0]
+	c.plan[0] = plannedKey{} // release the builder's closure
+	c.plan = c.plan[1:]
+	return p
 }
 
 // ArchetypeBin canonically renders the characterization identity of a
@@ -298,4 +415,20 @@ func (m *binMemo) lookup(spec NodeSpec) *binInfo {
 // path.
 func (m *binMemo) nodeKey(seed uint64, spec NodeSpec) string {
 	return scopedKey(seed, m.wantLog, m.lookup(spec).bin)
+}
+
+// job resolves the characterization a node of this seed and spec
+// needs: its cache key and the seed its builder, charactBuilder(spec,
+// seed), runs. Under archetypes both are the bin's. fleet.Run's nodes
+// and Plan both resolve through here, so a planned key and its builder
+// cannot drift from what the node would run. It returns the seed
+// rather than the builder so a node's builder closure can stay on its
+// stack: a returned closure escapes, one heap copy of the spec per
+// node.
+func (m *binMemo) job(seed uint64, spec NodeSpec, archetypes bool) (string, uint64) {
+	if archetypes {
+		b := m.lookup(spec)
+		return b.archKey, b.binSeed
+	}
+	return m.nodeKey(seed, spec), seed
 }

@@ -560,7 +560,7 @@ func specOptions(spec NodeSpec, seed uint64) core.Options {
 // pipeline, log into out (nil discards). Every characterization —
 // direct, cached, archetype — runs exactly this, so no two can ever
 // configure divergent ecosystems.
-func charactBuilder(spec NodeSpec, seed uint64) func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+func charactBuilder(spec NodeSpec, seed uint64) charactFunc {
 	return func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
 		opts := specOptions(spec, seed)
 		opts.HealthLogOut = out
@@ -603,14 +603,7 @@ func (s *nodeState) characterize(cache *CharactCache, arena *core.RestoreArena, 
 	if cache == nil {
 		return charactBuilder(spec, s.seed)(out)
 	}
-	var key string
-	seed := s.seed
-	if archetypes {
-		b := bins.lookup(spec)
-		key, seed = b.archKey, b.binSeed
-	} else {
-		key = bins.nodeKey(s.seed, spec)
-	}
+	key, seed := bins.job(s.seed, spec, archetypes)
 	snap, pre, logBytes, err := cache.characterized(key, wantLog, charactBuilder(spec, seed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err

@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,5 +173,70 @@ func TestFleetArchetypeSingleflight(t *testing.T) {
 		} else if sum.Fingerprint() != baseline {
 			t.Errorf("workers=%d: fingerprint diverged from the 1-worker run", workers)
 		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack
+// header ("goroutine N [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
+}
+
+// TestCharactCacheHelpsPlannedKey pins helping: with keys K1 and K2
+// planned and K1's builder blocked, a second consumer of K1 runs K2's
+// builder on its own goroutine while K1 is still in flight — K1's
+// builder cannot return until K2's has run. The stats are the ones a
+// cache without helping would report for the same consumers: K2's
+// first consumer is not a hit.
+func TestCharactCacheHelpsPlannedKey(t *testing.T) {
+	cache := NewCharactCache()
+	errK1, errK2 := errors.New("k1"), errors.New("k2")
+	k1Started, k2Ran := make(chan struct{}), make(chan struct{})
+	var helper atomic.Uint64
+	cache.plan = []plannedKey{
+		{key: "K1", build: func(io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+			close(k1Started)
+			select {
+			case <-k2Ran:
+			case <-time.After(singleflightDeadline):
+				t.Error("K1's characterization finished without K2's builder having run")
+			}
+			return nil, core.PreDeploymentReport{}, errK1
+		}},
+		{key: "K2", build: func(io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+			helper.Store(goid())
+			close(k2Ran)
+			return nil, core.PreDeploymentReport{}, errK2
+		}},
+	}
+	k1 := cache.plan[0].build
+
+	first := make(chan error)
+	go func() {
+		_, _, _, err := cache.characterized("K1", false, k1)
+		first <- err
+	}()
+	<-k1Started
+	second := goid()
+	if _, _, _, err := cache.characterized("K1", false, k1); err != errK1 {
+		t.Errorf("second consumer of K1 got %v, want K1's entry", err)
+	}
+	if err := <-first; err != errK1 {
+		t.Errorf("K1's creator got %v", err)
+	}
+	if got := helper.Load(); got != second {
+		t.Errorf("K2's builder ran on goroutine %d, want the waiting consumer's %d", got, second)
+	}
+	if _, _, _, err := cache.characterized("K2", false, nil); err != errK2 {
+		t.Errorf("K2's consumer got %v, want the helped entry", err)
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Errorf("want 2 misses / 1 hit, as without helping; got %d / %d", st.Misses, st.Hits)
+	}
+	if cache.Pending() || cache.Help() {
+		t.Error("plan not drained")
 	}
 }

@@ -154,16 +154,69 @@ func (s *Source) Range(lo, hi float64) float64 {
 // Normal returns a sample from the normal distribution with the given
 // mean and standard deviation, using the Marsaglia polar method.
 func (s *Source) Normal(mean, stddev float64) float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q == 0 || q >= 1 {
-			continue
+	u, q := s.polar()
+	return polarSample(mean, stddev, u, q)
+}
+
+// NormalAbove draws exactly what Normal(mean, stddev) draws and
+// reports whether the sample exceeds x, returning the sample when it
+// does (and 0 when it does not). It skips the log and square root
+// when the polar pair bounds the sample at or below x: with q in
+// [2^(e-1), 2^e), the sample is at most mean + stddev·u·√(-2 ln q / q)
+// ≤ mean + stddev·√(2(1-e)·ln 2) for u > 0, and at most mean for
+// u ≤ 0. The bound carries a relative slack of 1e-6, far above the
+// rounding of either side, and rounding is monotonic, so a skip can
+// never flip the comparison.
+func (s *Source) NormalAbove(mean, stddev, x float64) (float64, bool) {
+	u, q := s.polar()
+	if stddev >= 0 {
+		b := 0.0
+		if u > 0 {
+			b = math.Inf(1)
+			if _, e := math.Frexp(q); -e < len(polarBound) {
+				b = polarBound[-e]
+			}
 		}
-		return mean + stddev*u*math.Sqrt(-2*math.Log(q)/q)
+		if mean+stddev*b <= x {
+			return 0, false
+		}
+	}
+	if v := polarSample(mean, stddev, u, q); v > x {
+		return v, true
+	}
+	return 0, false
+}
+
+// polar draws a Marsaglia polar pair and returns its first coordinate
+// u and q = u² + v², 0 < q < 1.
+func (s *Source) polar() (u, q float64) {
+	for {
+		u = 2*s.Float64() - 1
+		v := 2*s.Float64() - 1
+		q = u*u + v*v
+		if q > 0 && q < 1 {
+			return u, q
+		}
 	}
 }
+
+// polarSample turns a polar pair into the normal sample. The
+// conversion rounds the scaled deviate before the mean is added, so no
+// build may fuse the two and mean + Normal(0, sd) is always
+// Normal(mean, sd).
+func polarSample(mean, stddev, u, q float64) float64 {
+	return mean + float64(stddev*u*math.Sqrt(-2*math.Log(q)/q))
+}
+
+// polarBound[k] bounds u·√(-2 ln q / q) for u > 0 and q whose Frexp
+// exponent is -k: √(2(1+k)·ln 2)·(1+1e-6). A q in (0, 1) drawn from
+// two Float64s has k ≤ 104.
+var polarBound = func() (b [128]float64) {
+	for k := range b {
+		b[k] = math.Sqrt(2*float64(1+k)*math.Ln2) * (1 + 1e-6)
+	}
+	return b
+}()
 
 // LogNormal returns a sample whose natural logarithm is normally
 // distributed with parameters mu and sigma. DRAM cell retention times

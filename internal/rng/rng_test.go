@@ -466,3 +466,71 @@ func BenchmarkBinomialLarge(b *testing.B) {
 		_ = s.Binomial(1<<30, 1e-9)
 	}
 }
+
+// TestNormalAboveMatchesNormal: NormalAbove leaves the stream where
+// Normal leaves it, its verdict is Normal's sample > x, and the sample
+// it returns is Normal's bit for bit (and mean + Normal(0, sd)'s,
+// which is how the ECC-onset draw uses it) — for thresholds drawn
+// around the distribution, far out in the tails, exactly at the
+// computed sample and one ulp below it, and on the skip bound itself.
+func TestNormalAboveMatchesNormal(t *testing.T) {
+	g := New(2024)
+	skipped := 0
+	check := func(state uint64, mean, sd, x float64) {
+		t.Helper()
+		ref := FromState(state)
+		want := ref.Normal(mean, sd)
+		got := FromState(state)
+		v, above := got.NormalAbove(mean, sd, x)
+		if got.State() != ref.State() {
+			t.Fatalf("state %#x mean %g sd %g x %g: stream at %#x, Normal leaves it at %#x",
+				state, mean, sd, x, got.State(), ref.State())
+		}
+		if above != (want > x) {
+			t.Fatalf("state %#x mean %g sd %g x %g: verdict %t, Normal drew %g", state, mean, sd, x, above, want)
+		}
+		if above {
+			shifted := mean + FromState(state).Normal(0, sd)
+			if math.Float64bits(v) != math.Float64bits(want) || math.Float64bits(v) != math.Float64bits(shifted) {
+				t.Fatalf("state %#x mean %g sd %g x %g: sample %g, Normal %g, mean+Normal(0,sd) %g",
+					state, mean, sd, x, v, want, shifted)
+			}
+		}
+		if u, q := FromState(state).polar(); sd >= 0 {
+			b := 0.0
+			if u > 0 {
+				_, e := math.Frexp(q)
+				b = polarBound[-e]
+			}
+			if mean+sd*b <= x {
+				skipped++
+			}
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		state := g.Uint64()
+		mean := g.Range(-50, 50)
+		sd := g.Range(0, 10)
+		switch i % 10 {
+		case 0:
+			sd = 0
+		case 1:
+			sd = -sd // no skip: the bound assumes sd >= 0
+		}
+		sample := FromState(state).Normal(mean, sd)
+		check(state, mean, sd, mean+sd*g.Range(-4, 4))
+		check(state, mean, sd, mean+sd*g.Range(3, 40))
+		check(state, mean, sd, sample)
+		check(state, mean, sd, math.Nextafter(sample, math.Inf(-1)))
+		check(state, mean, sd, math.Nextafter(sample, math.Inf(1)))
+		if u, q := FromState(state).polar(); u > 0 && sd >= 0 {
+			_, e := math.Frexp(q)
+			bound := mean + sd*polarBound[-e]
+			check(state, mean, sd, bound)
+			check(state, mean, sd, math.Nextafter(bound, math.Inf(-1)))
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no threshold took the skip path")
+	}
+}

@@ -147,18 +147,22 @@ func sha256Hex(s string) string {
 // snapshot→stamp path campaigns rely on — which is what lets the
 // preset golden tests pin that path byte for byte.
 func RunScenario(s Scenario, seed uint64, workers int) (Result, error) {
-	return runScenarioWith(s, seed, workers, fleet.NewCharactCache())
+	return runScenarioWith(s, seed, workers, fleet.NewCharactCache(), false)
 }
 
 // runScenarioWith is RunScenario against a caller-supplied snapshot
-// cache; campaigns pass their shared cache here.
-func runScenarioWith(s Scenario, seed uint64, workers int, cache *fleet.CharactCache) (Result, error) {
+// cache; campaigns pass their shared cache here, with plan set so the
+// cell's keys are queued (CharactCache.Plan) before it runs.
+func runScenarioWith(s Scenario, seed uint64, workers int, cache *fleet.CharactCache, plan bool) (Result, error) {
 	cfg, err := s.FleetConfig(seed)
 	if err != nil {
 		return Result{Scenario: s.Name, Seed: seed, Err: err.Error()}, err
 	}
 	cfg.Workers = workers
 	cfg.Charact = cache
+	if plan {
+		cache.Plan(cfg)
+	}
 	sum, err := fleet.Run(cfg)
 	if err != nil {
 		return Result{Scenario: s.Name, Seed: seed, Err: err.Error()}, err
@@ -213,11 +217,13 @@ type Campaign struct {
 	// Canceled cells are not reported. gridIndex is the cell's
 	// scenario-major, seed-minor grid position.
 	OnCell func(gridIndex int, res Result)
-	// Gate, when set, wraps each cell's execution (Lookup included) —
-	// the hook a long-running service uses to share one bounded worker
-	// pool across concurrent campaigns. A Gate that returns without
-	// invoking run (e.g. because the service is shutting down) marks
-	// the cell CellCanceled.
+	// Gate, when set, wraps each cell's execution (Lookup included)
+	// and each characterization a slot out of cells runs for cells
+	// still in flight — the hook a long-running service uses to share
+	// one bounded worker pool across concurrent campaigns. A Gate that
+	// returns without invoking run (e.g. because the service is
+	// shutting down) marks the cell CellCanceled, or ends the slot's
+	// draining.
 	Gate func(run func())
 }
 
@@ -289,7 +295,9 @@ func RunCampaign(c Campaign) (Report, error) {
 	// snapshot everywhere else, with byte-identical results (pinned by
 	// the preset golden tests). It is concurrency-safe, so cells racing
 	// on the same key serialize on one characterization instead of
-	// duplicating it.
+	// duplicating it. Each claimed cell plans its keys, so a slot that
+	// would wait on another cell's in-flight key characterizes a
+	// planned one instead, and a slot out of cells drains the plan.
 	cache := fleet.NewCharactCache()
 	if c.CharactDir != "" {
 		if err := cache.AttachDir(c.CharactDir); err != nil {
@@ -317,8 +325,25 @@ func RunCampaign(c Campaign) (Report, error) {
 				return
 			}
 		}
-		res, _ := runScenarioWith(s, seed, workers, cache)
+		res, _ := runScenarioWith(s, seed, workers, cache, true)
 		results[gi] = res
+	}
+	gate := c.Gate
+	if gate == nil {
+		gate = func(run func()) { run() }
+	}
+	canceled := func() bool { return c.Context != nil && c.Context.Err() != nil }
+	// drain characterizes planned keys other slots' cells still need,
+	// one key per pass through the Gate, so the pool bound holds for
+	// drains too; a Gate that declines ends it.
+	drain := func() {
+		for cache.Pending() && !canceled() {
+			helped := false
+			gate(func() { helped = cache.Help() })
+			if !helped {
+				return
+			}
+		}
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -326,6 +351,7 @@ func RunCampaign(c Campaign) (Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer drain()
 			for {
 				gi := int(next.Add(1)) - 1
 				if gi >= len(grid) {
@@ -335,15 +361,11 @@ func RunCampaign(c Campaign) (Report, error) {
 				// Cancellation lands at cell boundaries only: a claimed
 				// cell either runs whole or not at all, so every stored
 				// result is a complete, fingerprinted cell.
-				if c.Context != nil && c.Context.Err() != nil {
+				if canceled() {
 					results[gi] = Result{Scenario: c.Scenarios[g.si].Name, Seed: c.Seeds[g.ki], Err: CellCanceled}
 					continue
 				}
-				if c.Gate != nil {
-					c.Gate(func() { runCell(gi) })
-				} else {
-					runCell(gi)
-				}
+				gate(func() { runCell(gi) })
 				if results[gi].Scenario == "" && results[gi].Err == "" {
 					// The Gate declined to run the cell (shutdown race).
 					results[gi] = Result{Scenario: c.Scenarios[g.si].Name, Seed: c.Seeds[g.ki], Err: CellCanceled}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,5 +140,103 @@ func TestCampaignGateBoundsConcurrency(t *testing.T) {
 	}
 	if rep.FingerprintSHA256 != full.FingerprintSHA256 {
 		t.Errorf("gated campaign fingerprint diverged from the ungated run")
+	}
+}
+
+// TestCampaignDrainsThroughGate: a slot that runs out of cells drains
+// the characterization plan through the Gate, so a counting Gate never
+// sees more concurrent run calls than it allows, drains included. The
+// grid is skewed — a one-node cell beside a twelve-node one — so the
+// slot that finishes first has planned keys left to drain; the results
+// and the deterministic cache counts match an ungated serial run.
+func TestCampaignDrainsThroughGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real characterizations; skipping in -short")
+	}
+	skewed := func() Campaign {
+		return Campaign{
+			Scenarios: []Scenario{Baseline().Scale(1, 4), ModeChurn().Scale(12, 4)},
+			Seeds:     []uint64{5},
+			Parallel:  2,
+		}
+	}
+	serial := skewed()
+	serial.Parallel = 1
+	ref, err := RunCampaign(serial)
+	if err != nil {
+		t.Fatalf("serial campaign: %v", err)
+	}
+	for _, pool := range []int{1, 2} {
+		camp := skewed()
+		sem := make(chan struct{}, pool)
+		var active, peak, runs atomic.Int64
+		camp.Gate = func(run func()) {
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			runs.Add(1)
+			n := active.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			run()
+			active.Add(-1)
+		}
+		rep, err := RunCampaign(camp)
+		if err != nil {
+			t.Fatalf("pool %d: %v", pool, err)
+		}
+		if peak.Load() > int64(pool) {
+			t.Errorf("pool %d: %d run calls in flight at once", pool, peak.Load())
+		}
+		if pool == 2 && runs.Load() <= int64(len(rep.Results)) {
+			t.Errorf("pool %d: %d run calls for %d cells: the idle slot drained nothing through the Gate",
+				pool, runs.Load(), len(rep.Results))
+		}
+		if rep.FingerprintSHA256 != ref.FingerprintSHA256 {
+			t.Errorf("pool %d: fingerprint diverged from the serial run", pool)
+		}
+		if rep.CharactCacheHits != ref.CharactCacheHits || rep.CharactCacheMisses != ref.CharactCacheMisses {
+			t.Errorf("pool %d: %d hits / %d misses, serial run %d / %d", pool,
+				rep.CharactCacheHits, rep.CharactCacheMisses, ref.CharactCacheHits, ref.CharactCacheMisses)
+		}
+	}
+}
+
+// TestCampaignHelpingKeepsGridGolden: the six classic presets at four
+// nodes and sixteen windows over seeds 1–3 (the grid BenchmarkCampaign
+// tracks) give the same cache counts and campaign fingerprint at any
+// Parallel: who characterizes a key, and whether a waiter helped, is
+// unobservable.
+func TestCampaignHelpingKeepsGridGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 18-cell grid three times; skipping in -short")
+	}
+	const golden = "4768b42dbb52c1578c203da357462c81840278c9c6b8e4aaf1046ceda9d8b592"
+	var scens []Scenario
+	for _, name := range []string{"baseline", "diurnal-burst", "droop-attack", "hetero-bins", "mode-churn", "thermal-summer"} {
+		s, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scens = append(scens, s.Scale(4, 16))
+	}
+	first := ""
+	for _, parallel := range []int{1, 2, 4} {
+		rep, err := RunCampaign(Campaign{Scenarios: scens, Seeds: []uint64{1, 2, 3}, Parallel: parallel})
+		if err != nil {
+			t.Fatalf("parallel %d: %v", parallel, err)
+		}
+		if rep.CharactCacheHits != 54 || rep.CharactCacheMisses != 18 {
+			t.Errorf("parallel %d: %d hits / %d misses, want 54 / 18", parallel, rep.CharactCacheHits, rep.CharactCacheMisses)
+		}
+		if first == "" {
+			first = rep.FingerprintSHA256
+		} else if rep.FingerprintSHA256 != first {
+			t.Errorf("parallel %d: fingerprint %s, parallel 1 gave %s", parallel, rep.FingerprintSHA256, first)
+		}
+		// The golden was recorded on linux/amd64; other math-library
+		// builds may round transcendentals differently.
+		if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" && rep.FingerprintSHA256 != golden {
+			t.Errorf("parallel %d: fingerprint %s, want %s", parallel, rep.FingerprintSHA256, golden)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestRecharacterizationTracksAging(t *testing.T) {
 	served := 180 * 24 * time.Hour
 	clock.Advance(served)
 	d.machine.Chip.Age(silicon.DefaultAgingModel(), served, 0.9)
-	if !d.DuePeriodic() {
+	if !d.DueAt(clock.Now()) {
 		t.Fatal("periodic campaign should be due after six months")
 	}
 

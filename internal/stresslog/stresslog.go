@@ -179,11 +179,14 @@ func (d *Daemon) History() []MarginVector {
 	return append([]MarginVector(nil), d.history...)
 }
 
-// DuePeriodic reports whether the periodic re-characterization is due.
-func (d *Daemon) DuePeriodic() bool {
+// DueAt reports whether the periodic re-characterization is due at
+// now, the daemon clock's current instant. Callers pass the instant
+// they already hold — the window step passes the one its clock advance
+// returned — so the check never takes the clock's lock.
+func (d *Daemon) DueAt(now time.Time) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.clock.Now().Sub(d.lastRun) >= d.period
+	return now.Sub(d.lastRun) >= d.period
 }
 
 // Period returns the current periodic re-characterization interval.
@@ -206,7 +209,7 @@ func (d *Daemon) SetPeriod(p time.Duration) {
 }
 
 // SkipPeriodic consumes the current periodic slot without running a
-// campaign: lastRun advances to now, so DuePeriodic stays false until
+// campaign: lastRun advances to now, so DueAt stays false until
 // a full period elapses again. This is how a drift policy declines a
 // scheduled campaign — the skipped slot waits for the next cadence
 // tick instead of re-arming on every window.

@@ -162,17 +162,17 @@ func TestOfflineDuringCampaign(t *testing.T) {
 
 func TestPeriodicScheduling(t *testing.T) {
 	d, clock, _ := testRig(t, 11)
-	if !d.DuePeriodic() {
+	if !d.DueAt(clock.Now()) {
 		t.Fatal("never-characterized machine should be due")
 	}
 	if _, err := d.RunCampaign(quickParams(), rng.New(11)); err != nil {
 		t.Fatal(err)
 	}
-	if d.DuePeriodic() {
+	if d.DueAt(clock.Now()) {
 		t.Fatal("freshly characterized machine should not be due")
 	}
 	clock.Advance(61 * 24 * time.Hour)
-	if !d.DuePeriodic() {
+	if !d.DueAt(clock.Now()) {
 		t.Fatal("machine should be due after the period elapses")
 	}
 }
