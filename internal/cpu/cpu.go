@@ -257,24 +257,13 @@ func (m *Machine) eccEventsAt(b Benchmark, v, crash float64) int {
 		return 0
 	}
 	gap := v - crash
-	var onset float64
-	if gap >= 2 {
-		// The onset's floor of 2 cannot decide the comparison here, so
-		// the draw only has to say whether the onset clears the gap —
-		// which it rarely does on a sweep's way down.
-		var above bool
-		if onset, above = m.src.NormalAbove(m.Spec.ECCOnsetMeanMV, m.Spec.ECCOnsetSigmaMV, gap); !above {
-			return 0
-		}
-	} else {
-		onset = m.Spec.ECCOnsetMeanMV + m.src.Normal(0, m.Spec.ECCOnsetSigmaMV)
-		if onset < 2 {
-			onset = 2
-		}
-		if gap >= onset {
-			return 0
-		}
+	// The onset is floored at 2, so below a gap of 2 a sample at or
+	// under the gap still yields an onset above it.
+	onset, above := m.src.NormalAbove(m.Spec.ECCOnsetMeanMV, m.Spec.ECCOnsetSigmaMV, gap)
+	if !above && gap >= 2 {
+		return 0
 	}
+	onset = max(onset, 2)
 	// Rate grows from ~0 at the onset boundary to its maximum just
 	// above the crash point.
 	closeness := 1 - gap/onset

@@ -38,8 +38,8 @@ import (
 // any worker count or campaign parallelism: who computes a key is
 // unobservable in the results.
 //
-// That purity also lets a waiter help instead of block. Campaigns
-// Plan each claimed cell's keys; a consumer that finds its own key in
+// That purity also lets a waiter help instead of block. Scenario
+// runs Plan each cell's keys; a consumer that finds its own key in
 // flight characterizes the next planned key nobody has started (Help)
 // and blocks only once the plan is empty, and a campaign slot that
 // runs out of cells drains the plan the same way.
@@ -258,7 +258,8 @@ const planNodes = 16
 // Goroutines blocked on an in-flight key then characterize them
 // instead of waiting (Help). Results do not depend on it: a planned
 // key is characterized exactly as its node would have characterized
-// it. A campaign plans each cell it claims; fleet.Run never plans.
+// it. Scenario runs plan each cell before running it; fleet.Run never
+// plans.
 func (c *CharactCache) Plan(cfg Config) {
 	wantLog := cfg.HealthLogOut != nil
 	bins := newBinMemo(cfg.Seed, wantLog)

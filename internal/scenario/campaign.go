@@ -147,22 +147,20 @@ func sha256Hex(s string) string {
 // snapshot→stamp path campaigns rely on — which is what lets the
 // preset golden tests pin that path byte for byte.
 func RunScenario(s Scenario, seed uint64, workers int) (Result, error) {
-	return runScenarioWith(s, seed, workers, fleet.NewCharactCache(), false)
+	return runScenarioWith(s, seed, workers, fleet.NewCharactCache())
 }
 
 // runScenarioWith is RunScenario against a caller-supplied snapshot
-// cache; campaigns pass their shared cache here, with plan set so the
-// cell's keys are queued (CharactCache.Plan) before it runs.
-func runScenarioWith(s Scenario, seed uint64, workers int, cache *fleet.CharactCache, plan bool) (Result, error) {
+// cache; campaigns pass their shared cache here. The cell's keys are
+// queued (CharactCache.Plan) before it runs.
+func runScenarioWith(s Scenario, seed uint64, workers int, cache *fleet.CharactCache) (Result, error) {
 	cfg, err := s.FleetConfig(seed)
 	if err != nil {
 		return Result{Scenario: s.Name, Seed: seed, Err: err.Error()}, err
 	}
 	cfg.Workers = workers
 	cfg.Charact = cache
-	if plan {
-		cache.Plan(cfg)
-	}
+	cache.Plan(cfg)
 	sum, err := fleet.Run(cfg)
 	if err != nil {
 		return Result{Scenario: s.Name, Seed: seed, Err: err.Error()}, err
@@ -325,7 +323,7 @@ func RunCampaign(c Campaign) (Report, error) {
 				return
 			}
 		}
-		res, _ := runScenarioWith(s, seed, workers, cache, true)
+		res, _ := runScenarioWith(s, seed, workers, cache)
 		results[gi] = res
 	}
 	gate := c.Gate
