@@ -132,13 +132,13 @@ type Ecosystem struct {
 	worstComp   string
 	worstMargin vfr.Margin
 
-	// windowsRun counts RuntimeWindow invocations; Snapshot refuses to
-	// capture once it is non-zero, unless the ecosystem sits on an
-	// epoch boundary (see snapshot.go). atEpochBoundary is set by
-	// FastForward — which re-seats the thermal state at ambient, the
-	// property a stamp relies on — and cleared by the next window.
-	windowsRun      int
-	atEpochBoundary bool
+	// predictorAcc is the predictor's accuracy on its training
+	// samples, set by PreDeployment.
+	predictorAcc float64
+
+	// windowsRun counts RuntimeWindow invocations; Snapshot and Reseed
+	// refuse once it is non-zero (see snapshot.go).
+	windowsRun int
 
 	// Per-window scratch state, owned by RuntimeWindow. None of it is
 	// observable between windows; it exists so steady-state stepping
@@ -267,6 +267,7 @@ func (e *Ecosystem) PreDeployment() (PreDeploymentReport, error) {
 		return rep, fmt.Errorf("core: predictor training: %w", err)
 	}
 	rep.PredictorAcc = e.Model.Accuracy(samples)
+	e.predictorAcc = rep.PredictorAcc
 	e.advisor = predictor.NewAdvisor(e.Model, e.table)
 
 	// The machine returns to service: move past the HealthLog's
@@ -298,6 +299,11 @@ func (e *Ecosystem) trainingSamples(n int) []predictor.Sample {
 	}
 	return out
 }
+
+// PredictorAcc returns the predictor's accuracy on its training
+// samples (zero before PreDeployment). A stamp carries it from its
+// snapshot.
+func (e *Ecosystem) PredictorAcc() float64 { return e.predictorAcc }
 
 // Table returns the published EOP table (nil before PreDeployment).
 func (e *Ecosystem) Table() *vfr.EOPTable { return e.table }
@@ -433,7 +439,6 @@ type WindowReport struct {
 // caller can fall back to nominal and trigger re-characterization.
 func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	e.windowsRun++
-	e.atEpochBoundary = false
 	now := e.Clock.Advance(time.Minute)
 	rep := WindowReport{now: now}
 	point := e.Hypervisor.Point()

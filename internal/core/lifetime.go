@@ -158,8 +158,7 @@ const windowsPerDay = int(24 * time.Hour / telemetry.WindowQuantum)
 // accumulates), and advances every DRAM VRT cell's telegraph state by
 // a day's worth of switching in one draw (dram.CoarseToggleProb). At
 // the end the thermal nodes and the DRAM temperature re-seat at
-// ambient — months dwarf their RC constants — which is also what
-// makes a post-gap ecosystem snapshot-legal (see Snapshot).
+// ambient — months dwarf their RC constants.
 //
 // What fast-forward deliberately does NOT touch: the guests and the
 // hypervisor (tenant traffic across gaps is not modeled), the
@@ -209,7 +208,6 @@ func (e *Ecosystem) FastForward(g Gap, model silicon.AgingModel) error {
 	e.cpuTherm.TempC = e.cpuTherm.AmbientC
 	e.memTherm.TempC = e.memTherm.AmbientC
 	e.Mem.TempC = e.memTherm.AmbientC
-	e.atEpochBoundary = true
 	return nil
 }
 

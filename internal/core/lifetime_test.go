@@ -149,51 +149,6 @@ func TestFastForwardAgesAndReseats(t *testing.T) {
 	}
 }
 
-// TestSnapshotAtEpochBoundary pins the extended snapshot legality:
-// mid-epoch snapshots still refuse, but a post-gap boundary snapshot
-// stamps an ecosystem whose forward window trace is bit-identical to
-// the original's as it keeps running.
-func TestSnapshotAtEpochBoundary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("characterization is slow; skipping in -short")
-	}
-	eco := characterized(t, 9)
-	d, err := eco.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 5; w++ {
-		if _, err := d.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eco.Snapshot(); err == nil {
-		t.Fatal("mid-epoch snapshot accepted")
-	}
-	if err := d.FastForward(Gap{Days: 30, Duty: 0.6, AmbientCPUC: 33, AmbientDIMMC: 39}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := eco.Snapshot()
-	if err != nil {
-		t.Fatalf("boundary snapshot refused: %v", err)
-	}
-	// The stamp must re-seat at the CURRENT ambient for exactness.
-	restored := coldStamp(t, snap, RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39})
-	wl := d.Workload()
-	for w := 0; w < 6; w++ {
-		ra := eco.RuntimeWindow(wl)
-		rb := restored.RuntimeWindow(wl)
-		if ra.Crashed != rb.Crashed || ra.Correctable != rb.Correctable ||
-			ra.CPUTempC != rb.CPUTempC || ra.PendingTests != rb.PendingTests {
-			t.Fatalf("restored boundary snapshot diverged at window %d:\n%+v\n%+v", w, ra, rb)
-		}
-	}
-	// And the restored ecosystem is mid-epoch again: snapshots refuse.
-	if _, err := restored.Snapshot(); err == nil {
-		t.Fatal("mid-epoch snapshot accepted on restored ecosystem")
-	}
-}
-
 // TestRunLifetimeCadenceAndTrajectory drives a full multi-epoch
 // lifetime and checks the tentpole observables: the cadence-driven
 // re-characterizations actually run, the margin trajectory has one

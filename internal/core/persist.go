@@ -8,8 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"uniserver/internal/vfr"
 )
 
 // SnapshotFormatVersion identifies the on-disk snapshot encoding.
@@ -17,7 +15,7 @@ import (
 // simulator state, so a silent cross-version read would corrupt
 // results instead of failing loudly. Bump it whenever the images
 // change shape or meaning.
-const SnapshotFormatVersion = 6
+const SnapshotFormatVersion = 7
 
 // snapshotHeader is the frame in front of the encoded images: the
 // format version and the payload length as little-endian uint64s,
@@ -33,13 +31,8 @@ const headRoom = 64 << 10
 // length as a little-endian uint64, the gob-encoded images without
 // their bulk slabs, and the slabs as fixed-width columns, the memory
 // image's (dram.FlatMemory.AppendColumns) then the hypervisor's
-// (hypervisor.Image.AppendColumns). Only pre-deployment
-// characterization snapshots are writable — the checkpoint the on-disk
-// cache spills, before any mode is entered or window run.
+// (hypervisor.Image.AppendColumns).
 func (s *Snapshot) Save(w io.Writer) error {
-	if err := s.img.persistable(); err != nil {
-		return err
-	}
 	b, err := s.img.encode()
 	if err == nil {
 		_, err = w.Write(frame(b))
@@ -62,23 +55,12 @@ func (img *images) encode() ([]byte, error) {
 	return b, nil
 }
 
-// persistable refuses the images Save does not write.
-func (img *images) persistable() error {
-	switch {
-	case img.WindowsRun > 0:
-		return fmt.Errorf("core: refusing to serialize a mid-life snapshot (%d windows run); only pre-deployment characterization snapshots persist", img.WindowsRun)
-	case img.Mode != vfr.ModeNominal:
-		return errors.New("core: refusing to serialize a snapshot taken after mode entry; snapshot between PreDeployment and EnterMode")
-	}
-	return nil
-}
-
 // gob numbers types in the order a process first encodes them, and
 // the numbers are part of the encoding. Encoding the images once at
-// init, before anything in the process can encode a type they share
-// (the fleet spill header holds a PreDeploymentReport), makes their
-// encoding the same in every process — which LoadSnapshot's canonical
-// check, and spill files shared between processes, rely on.
+// init, before anything else in the process can encode a type they
+// share, makes their encoding the same in every process — which
+// LoadSnapshot's canonical check, and spill files shared between
+// processes, rely on.
 func init() {
 	if _, err := (&images{}).appendHead(nil); err != nil {
 		panic(err)
@@ -109,10 +91,10 @@ func frame(b []byte) []byte {
 // checks the version, the length and the sha256 before it decodes,
 // then refuses images that Save could not have written: extents
 // outside their slabs, a core count that disagrees with the chip, a
-// snapshot Save would refuse, a head that is not the images' canonical
-// encoding, or bytes after the columns. What it returns is the images
-// themselves — stamps from a loaded snapshot are bit-identical to
-// stamps from the one that was saved.
+// stress history without a published table, a head that is not the
+// images' canonical encoding, or bytes after the columns. What it
+// returns is the images themselves — stamps from a loaded snapshot are
+// bit-identical to stamps from the one that was saved.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	var hdr [snapshotHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -189,9 +171,6 @@ func (img *images) decode(p []byte) error {
 		return err
 	}
 	img.Health.Expand()
-	if err := img.persistable(); err != nil {
-		return err
-	}
 	// gob ignores fields it does not know, accepts redundant encodings
 	// and stops before trailing bytes; only the canonical head re-saves
 	// identically. The columns have one encoding per value.
@@ -214,6 +193,9 @@ func (img *images) validate() error {
 	}
 	if cores := len(img.Machine.Chip.Cores); cores == 0 || img.Opts.Part.Cores != cores {
 		return fmt.Errorf("core: snapshot part has %d cores, its chip %d", img.Opts.Part.Cores, cores)
+	}
+	if img.Stress.Table() == nil {
+		return errors.New("core: snapshot stress history publishes no table")
 	}
 	return nil
 }

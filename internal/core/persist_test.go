@@ -184,9 +184,32 @@ func TestLoadSnapshotRefusesMismatchedVersion(t *testing.T) {
 	}
 }
 
-// TestSaveRefusesPostDeploymentState: disk persistence covers the
-// pre-deployment characterization checkpoint only; snapshots taken
-// after mode entry (or mid-life) must refuse loudly.
+// TestLoadSnapshotRefusesEmptyStressHistory: a stamp takes its
+// published table from the last stress-history entry, so a correctly
+// framed, canonically encoded image without one is refused.
+func TestLoadSnapshotRefusesEmptyStressHistory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	eco, _ := readyEcosystem(t, 17)
+	snap, err := eco.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.img.Stress.History = nil
+	b, err := snap.img.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(bytes.NewReader(frame(b))); err == nil || !strings.Contains(err.Error(), "publishes no table") {
+		t.Fatalf("image without a stress history not refused by its table check: %v", err)
+	}
+}
+
+// TestSaveRefusesPostDeploymentState pins that no post-deployment
+// state reaches disk: the only way to Save is through a Snapshot, and
+// Snapshot refuses an ecosystem that has entered a mode, so nothing
+// taken after EnterMode can be serialized.
 func TestSaveRefusesPostDeploymentState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -202,11 +225,10 @@ func TestSaveRefusesPostDeploymentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, err := eco.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Save(&bytes.Buffer{}); err == nil {
-		t.Fatal("serialized a snapshot taken after mode entry")
+	if err == nil {
+		if err := snap.Save(&bytes.Buffer{}); err == nil {
+			t.Fatal("serialized a snapshot taken after mode entry")
+		}
 	}
 }
 

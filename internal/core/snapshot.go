@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -46,16 +47,14 @@ import (
 // DIMM's weak cells are private to dram), and the concurrent-writer
 // test pins the snapshot's bytes.
 //
-// Take the snapshot when the thermal state is re-derivable from
-// ambient: after PreDeployment and before the first runtime window,
-// or — since the lifetime engine — on an epoch boundary right after a
-// fast-forward gap, which re-seats the thermal nodes at ambient
-// exactly as a stamp does. In both positions a stamped ecosystem is
-// indistinguishable, stream for stream and byte for byte, from its
-// source (pass the source's current ambient in RestoreOptions for
-// mid-life snapshots). Snapshotting mid-epoch would lose the
-// accumulated die/DIMM temperatures, so Snapshot refuses it with an
-// error rather than corrupting stamps silently.
+// A snapshot is the pre-deployment checkpoint only: Snapshot refuses
+// an ecosystem that has no published table, has entered a mode or has
+// run a window. That is the one point where the thermal state is
+// exactly what a stamp re-derives from ambient and every image holds a
+// table and an advisor, so a stamped ecosystem is indistinguishable,
+// stream for stream and byte for byte, from its source. In the field,
+// margins are refreshed by live re-characterization, never by
+// restoring a checkpoint.
 type Snapshot struct {
 	img images
 	// coreNames is derived from img's part: the per-window component
@@ -65,10 +64,12 @@ type Snapshot struct {
 
 // images is the snapshot's content, field for field the ecosystem
 // state a stamp overwrites. It is what Save encodes: gob encodes its
-// fields, which are all exported and pointer-free (the table encodes
-// through vfr's own format), and nothing in it is a map, so the
-// encoding is deterministic; the bulk slabs inside Mem and Hyp are
-// unexported, out of gob's sight, and encode as columns.
+// fields, which are all exported and pointer-free (the history's
+// tables encode through vfr's own format), and nothing in it is a map,
+// so the encoding is deterministic; the bulk slabs inside Mem and Hyp
+// are unexported, out of gob's sight, and encode as columns. The
+// published table is the last entry of Stress.History, and the advisor
+// is the model over it.
 type images struct {
 	Opts    Options // HealthLogOut always nil
 	Clock   time.Time
@@ -79,31 +80,31 @@ type images struct {
 	Stress  stresslog.Compiled
 	Hyp     hypervisor.Image
 	Model   predictor.Model
-	Table   *vfr.EOPTable // nil before characterization
-	// Advised: the model, the table and MaxBackoffMV form an advisor.
-	Advised          bool
-	MaxBackoffMV     int
+	// PredictorAcc is the model's accuracy on its training samples.
+	PredictorAcc     float64
 	Power            power.CPUModel
 	Refresh          power.DRAMRefreshModel
-	Mode             vfr.Mode
 	WeakGrowthPerDay float64
 	Trip             thermal.Trip
 	WorstComp        string
 	WorstMargin      vfr.Margin
-	WindowsRun       int
-	AtEpochBoundary  bool
 }
 
-// Snapshot captures the ecosystem's current state as images. Every
+// Snapshot captures the characterized ecosystem as images. Every
 // image is a copy, except the DRAM weak cells, which the images share
-// copy-on-write (dram.MemorySystem.Flatten), so the live ecosystem can
-// keep running (or be discarded) without disturbing later stamps. It returns an error
-// when runtime windows have run and the ecosystem is not on an epoch
-// boundary: a stamp re-derives the thermal nodes from ambient, which
-// is exact only where the thermal state already sits at ambient.
+// copy-on-write (dram.MemorySystem.Flatten), and the published EOP
+// tables, which nothing writes once published; so the live ecosystem
+// can keep running (or be discarded) without disturbing later stamps.
+// It returns an error outside the pre-deployment checkpoint: before
+// PreDeployment, after a mode entry, or once a runtime window has run.
 func (e *Ecosystem) Snapshot() (*Snapshot, error) {
-	if e.windowsRun > 0 && !e.atEpochBoundary {
-		return nil, fmt.Errorf("core: snapshot after %d runtime windows is unsupported mid-epoch (thermal state would be lost on restore); snapshot before the first window or on a fast-forward epoch boundary", e.windowsRun)
+	switch {
+	case e.advisor == nil: // PreDeployment sets it after the table
+		return nil, fmt.Errorf("core: snapshot: %w", ErrNotCharacterized)
+	case e.mode != vfr.ModeNominal:
+		return nil, errors.New("core: snapshot after mode entry is unsupported; snapshot between PreDeployment and EnterMode")
+	case e.windowsRun > 0:
+		return nil, fmt.Errorf("core: snapshot after %d runtime windows is unsupported (thermal state would be lost on restore); snapshot before the first window", e.windowsRun)
 	}
 	hyp, err := e.Hypervisor.Image()
 	if err != nil {
@@ -119,25 +120,15 @@ func (e *Ecosystem) Snapshot() (*Snapshot, error) {
 		Stress:           *e.Stress.Compile(),
 		Hyp:              hyp,
 		Model:            *e.Model,
+		PredictorAcc:     e.predictorAcc,
 		Power:            e.power,
 		Refresh:          e.refresh,
-		Mode:             e.mode,
 		WeakGrowthPerDay: e.weakGrowthPerDay,
 		Trip:             e.trip,
 		WorstComp:        e.worstComp,
 		WorstMargin:      e.worstMargin,
-		WindowsRun:       e.windowsRun,
-		AtEpochBoundary:  e.atEpochBoundary,
 	}}
 	s.img.Opts.HealthLogOut = nil
-	if e.table != nil {
-		s.img.Table = &vfr.EOPTable{}
-		s.img.Table.CopyFrom(e.table)
-	}
-	if e.advisor != nil {
-		s.img.Advised = true
-		s.img.MaxBackoffMV = e.advisor.MaxBackoffMV
-	}
 	s.derive()
 	return s, nil
 }
@@ -219,6 +210,7 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 			memTherm:   &thermal.Node{},
 			dramHits:   make(map[string]int),
 		}
+		c.advisor = predictor.NewAdvisor(c.Model, nil)
 		c.coreOf = func(string) int { return c.curCore }
 		a.eco = c
 		a.trigger = c.Stress.TriggerHandler()
@@ -242,33 +234,18 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 
 	*c.src = *rng.FromState(img.Src)
 	*c.Model = img.Model
+	c.predictorAcc = img.PredictorAcc
+	c.table = img.Stress.Table() // shared: a published table is never written
+	c.advisor.Table = c.table
 	c.power = img.Power
 	c.leak = voltMemo{}
 	c.refresh = img.Refresh
-	c.mode = img.Mode
+	c.mode = vfr.ModeNominal
 	c.weakGrowthPerDay = img.WeakGrowthPerDay
 	c.trip = img.Trip
 	c.worstComp = img.WorstComp
 	c.worstMargin = img.WorstMargin
-	c.windowsRun = img.WindowsRun
-	c.atEpochBoundary = img.AtEpochBoundary
-
-	if img.Table == nil {
-		c.table = nil
-	} else {
-		if c.table == nil {
-			c.table = &vfr.EOPTable{}
-		}
-		c.table.CopyFrom(img.Table)
-	}
-	if !img.Advised {
-		c.advisor = nil
-	} else {
-		if c.advisor == nil {
-			c.advisor = &predictor.Advisor{}
-		}
-		*c.advisor = predictor.Advisor{Model: c.Model, Table: c.table, MaxBackoffMV: img.MaxBackoffMV}
-	}
+	c.windowsRun = 0
 
 	c.coreNames = append(c.coreNames[:0], s.coreNames...)
 	clear(c.dramHits)
@@ -299,12 +276,11 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 // measurement stream moves to a labeled split of the same seed
 // ("machine/runtime" — a label no construction-time consumer uses),
 // repositioned in place so the StressLog daemon's machine reference
-// observes it too. Like Snapshot, reseeding is only exact where no
-// mid-epoch runtime state could alias the old streams: before the
-// first window or on an epoch boundary.
+// observes it too. Like Snapshot, reseeding is only exact before the
+// first window, where no runtime state could alias the old streams.
 func (e *Ecosystem) Reseed(seed uint64) error {
-	if e.windowsRun > 0 && !e.atEpochBoundary {
-		return fmt.Errorf("core: reseed after %d runtime windows is unsupported mid-epoch; reseed before the first window or on a fast-forward epoch boundary", e.windowsRun)
+	if e.windowsRun > 0 {
+		return fmt.Errorf("core: reseed after %d runtime windows is unsupported; reseed before the first window", e.windowsRun)
 	}
 	e.opts.Seed = seed
 	e.src = rng.New(seed)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -88,51 +89,71 @@ func directEcosystem(t *testing.T, seed uint64, ambCPU, ambDIMM float64) *Ecosys
 	return e
 }
 
-// TestSnapshotRestoreEquivalence is the equivalence contract the
-// characterization cache rests on: an ecosystem stamped from a
-// post-characterization snapshot into a fresh arena must be
-// indistinguishable — window by window, bit by bit — from one freshly
-// built and characterized with the same options, including when the
-// stamp re-seats the thermal nodes at a different ambient than the
-// snapshot source was built with (that is what lets cells differing
-// only in environment share one characterization).
-func TestSnapshotRestoreEquivalence(t *testing.T) {
+// TestSnapshotRefusesMidDeployment pins the checkpoint contract: a
+// snapshot is the pre-deployment characterization only. Snapshot
+// refuses an ecosystem before PreDeployment, after a mode entry, after
+// one runtime window and after a later fast-forward gap, because a
+// stamp re-derives thermal state from ambient and holds a table and an
+// advisor; Reseed refuses once a window has run. Each case runs on its
+// own stamp of the accepted snapshot.
+func TestSnapshotRefusesMidDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
 	}
-	const windows = 40
-	for _, seed := range []uint64{3, 19} {
-		for _, amb := range []struct{ cpu, dimm float64 }{{0, 0}, {38, 44}} {
-			name := fmt.Sprintf("seed=%d/ambient=%v", seed, amb.cpu)
-			t.Run(name, func(t *testing.T) {
-				// Fresh path: built at the cell's ambient, characterized.
-				fresh := directEcosystem(t, seed, amb.cpu, amb.dimm)
-
-				// Cached path: characterized at the DEFAULT ambient,
-				// snapshotted, stamped at the cell's ambient.
-				snap, err := directEcosystem(t, seed, 0, 0).Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored := coldStamp(t, snap, RestoreOptions{AmbientCPUC: amb.cpu, AmbientDIMMC: amb.dimm})
-
-				want := deploymentTrace(t, fresh, windows)
-				got := deploymentTrace(t, restored, windows)
-				if got != want {
-					t.Fatalf("restored deployment diverged from fresh characterization:\n--- fresh ---\n%s--- restored ---\n%s",
-						want, got)
-				}
-			})
-		}
+	fresh, err := New(smallOptions(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Snapshot(); !errors.Is(err, ErrNotCharacterized) {
+		t.Fatalf("snapshot before PreDeployment: got %v, want ErrNotCharacterized", err)
+	}
+	eco, _ := readyEcosystem(t, 11)
+	snap, err := eco.Snapshot()
+	if err != nil {
+		t.Fatalf("pre-deployment snapshot refused: %v", err)
+	}
+	wl := workload.WebFrontend()
+	cases := []struct {
+		name   string
+		reseed bool // Reseed must refuse too
+		do     func(t *testing.T, e *Ecosystem)
+	}{
+		{"after EnterMode", false, func(t *testing.T, e *Ecosystem) {
+			if _, err := e.EnterMode(vfr.ModeHighPerformance, 0.01, wl); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"after one window", true, func(t *testing.T, e *Ecosystem) { e.RuntimeWindow(wl) }},
+		{"after a later FastForward", true, func(t *testing.T, e *Ecosystem) {
+			d, err := e.StartDeployment(vfr.ModeHighPerformance, 0.01, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.FastForward(Gap{Days: 30, Duty: 0.6}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := coldStamp(t, snap, RestoreOptions{})
+			c.do(t, e)
+			if _, err := e.Snapshot(); err == nil {
+				t.Fatal("snapshot accepted; restores would silently lose deployment state")
+			}
+			if err := e.Reseed(7); c.reseed && err == nil {
+				t.Fatal("reseed accepted after a runtime window")
+			}
+		})
 	}
 }
 
-// TestSnapshotRestoresAreIndependent pins the alias-free property:
-// nodes stamped from one snapshot into separate arenas must not share
-// any mutable state, so running one to completion (mutating its
-// silicon aging, DRAM VRT states, healthlog history, hypervisor
-// counters and rng positions) must leave a sibling's, the snapshot's
-// and the snapshot source's behaviour untouched.
+// TestSnapshotRestoresAreIndependent pins that cold restores share no
+// mutable state: sibling restores, a later restore and the snapshot's
+// source all trace the same deployment, whatever ran before them.
 func TestSnapshotRestoresAreIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -165,26 +186,6 @@ func TestSnapshotRestoresAreIndependent(t *testing.T) {
 	if traceOrig != traceA {
 		t.Fatalf("snapshot source diverged from its restores:\n--- source ---\n%s--- restore ---\n%s",
 			traceOrig, traceA)
-	}
-}
-
-// TestSnapshotRefusesMidDeployment pins the capture-window guard:
-// a stamp re-derives thermal state from ambient, which is only exact
-// before the first runtime window, so a later Snapshot must fail
-// loudly instead of producing restores that silently diverge.
-func TestSnapshotRefusesMidDeployment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("characterization is slow; skipping in -short")
-	}
-	eco, _ := readyEcosystem(t, 11)
-	if _, err := eco.Snapshot(); err != nil {
-		t.Fatalf("pre-deployment snapshot refused: %v", err)
-	}
-	if _, err := eco.RunDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eco.Snapshot(); err == nil {
-		t.Fatal("mid-deployment snapshot accepted; restores would silently lose thermal state")
 	}
 }
 
@@ -228,8 +229,7 @@ func TestSnapshotRestoreAllocBudget(t *testing.T) {
 // PreDeployment consume only labeled child streams), and the machine's
 // measurement stream sits at the "machine/runtime" labeled split of
 // the same seed — repositioned in place, so the StressLog daemon's
-// machine reference observes it too. Mid-epoch reseeds are refused for
-// the same reason mid-epoch snapshots are.
+// machine reference observes it too.
 func TestReseedRepositionsStreams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -264,11 +264,5 @@ func TestReseedRepositionsStreams(t *testing.T) {
 	}
 	if a, b := deploymentTrace(t, clone, 10), deploymentTrace(t, clone2, 10); a != b {
 		t.Fatalf("same-seed reseeded clones diverged:\n--- a ---\n%s--- b ---\n%s", a, b)
-	}
-
-	// Mid-epoch refusal: once runtime windows have run, the streams are
-	// entangled with thermal state a reseed cannot reposition.
-	if err := clone.Reseed(7); err == nil {
-		t.Fatal("mid-deployment reseed accepted")
 	}
 }

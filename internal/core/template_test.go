@@ -175,59 +175,13 @@ func TestTemplateRestoreReseed(t *testing.T) {
 	}
 }
 
-// TestTemplateRestoreEpochBoundary pins the lifetime-engine capture
-// window: a snapshot taken on a fast-forward epoch boundary after an
-// in-field re-characterization (the AVATAR growth path: aged silicon,
-// grown VRT state, refreshed margins) must stamp, cold and warm,
-// exactly the ecosystem its source keeps running as.
-func TestTemplateRestoreEpochBoundary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("characterization is slow; skipping in -short")
-	}
-	eco, _ := readyEcosystem(t, 11)
-	d, err := eco.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 15; w++ {
-		if _, err := d.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.FastForward(Gap{Days: 60, Duty: 0.5, AmbientCPUC: 33, AmbientDIMMC: 39}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RecharacterizeNow(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := eco.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	arena := NewRestoreArena()
-	ropts := RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39}
-	var traces []string
-	for range 2 { // cold, then warm
-		stamped, err := snap.RestoreInto(arena, ropts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces = append(traces, deploymentTrace(t, stamped, 30))
-	}
-	want := deploymentTrace(t, eco, 30)
-	for i, got := range traces {
-		if got != want {
-			t.Fatalf("epoch-boundary stamp %d diverged from its source:\n--- source ---\n%s--- stamped ---\n%s", i, want, got)
-		}
-	}
-}
-
 // TestTemplateRestoreIndependence pins the alias-free property across
 // arenas: running one stamped node to completion (mutating silicon
 // aging, VRT telegraph state, health history, hypervisor counters,
 // stream positions) must leave the snapshot — and nodes stamped from
-// it afterwards, on the same or other arenas — untouched.
+// it afterwards, on the same or other arenas — untouched, and so must
+// it leave the snapshot's source, which shares the weak cells and the
+// published tables with every stamp.
 func TestTemplateRestoreIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -264,6 +218,11 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 	if traceD := deploymentTrace(t, directEcosystem(t, 13, 0, 0), 30); traceD != traceA {
 		t.Fatalf("stamps diverged from direct characterization:\n--- direct ---\n%s--- stamped ---\n%s",
 			traceD, traceA)
+	}
+	// The source, run only after all of the above, traces the same.
+	if traceSrc := deploymentTrace(t, eco, 30); traceSrc != traceA {
+		t.Fatalf("snapshot source diverged from its stamps:\n--- source ---\n%s--- stamped ---\n%s",
+			traceSrc, traceA)
 	}
 }
 

@@ -74,7 +74,7 @@ type CharactCache struct {
 
 // charactFunc runs one characterization, logging into out (nil
 // discards).
-type charactFunc func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error)
+type charactFunc func(out io.Writer) (*core.Ecosystem, error)
 
 // plannedKey is one queued key with the builder its consumer would
 // have run.
@@ -93,7 +93,6 @@ type charactEntry struct {
 	// snap is shared read-only by every consumer: the stamp path takes
 	// zero lock acquisitions on shared state.
 	snap *core.Snapshot
-	pre  core.PreDeploymentReport
 	log  []byte
 	err  error
 	// helped marks an entry a helper created ahead of its consumers.
@@ -150,18 +149,17 @@ func (c *CharactCache) entry(key string) (*charactEntry, bool) {
 	return v.(*charactEntry), !loaded
 }
 
-// characterized returns the snapshot, characterization report and
-// captured health-log bytes for key, invoking characterize at most
-// once per key across all goroutines: the entry's creator runs it,
-// duplicate concurrent arrivals help with planned keys and then
-// coalesce onto the in-flight run, and later arrivals are plain hits.
-// When wantLog is set the characterization writes its health log into
-// a cache-owned buffer whose bytes every consumer replays into its own
-// node log — the lines are identical to what a fresh characterization
-// would have written, because characterization is deterministic in
-// the key.
+// characterized returns the snapshot and captured health-log bytes
+// for key, invoking characterize at most once per key across all
+// goroutines: the entry's creator runs it, duplicate concurrent
+// arrivals help with planned keys and then coalesce onto the in-flight
+// run, and later arrivals are plain hits. When wantLog is set the
+// characterization writes its health log into a cache-owned buffer
+// whose bytes every consumer replays into its own node log — the lines
+// are identical to what a fresh characterization would have written,
+// because characterization is deterministic in the key.
 func (c *CharactCache) characterized(key string, wantLog bool,
-	characterize charactFunc) (*core.Snapshot, core.PreDeploymentReport, []byte, error) {
+	characterize charactFunc) (*core.Snapshot, []byte, error) {
 	e, creator := c.entry(key)
 	if creator {
 		c.create(key, e, wantLog, characterize)
@@ -172,7 +170,7 @@ func (c *CharactCache) characterized(key string, wantLog bool,
 			c.hits.Add(1)
 		}
 	}
-	return e.snap, e.pre, e.log, e.err
+	return e.snap, e.log, e.err
 }
 
 // await returns once e is published. While e is in flight it
@@ -204,9 +202,9 @@ func (c *CharactCache) await(e *charactEntry) {
 func (c *CharactCache) create(key string, e *charactEntry, wantLog bool, characterize charactFunc) {
 	fromDisk := false
 	if c.spillDir() != "" {
-		if snap, pre, log, ok := c.loadDisk(key); ok {
+		if snap, log, ok := c.loadDisk(key); ok {
 			fromDisk = true
-			e.snap, e.pre, e.log = snap, pre, log
+			e.snap, e.log = snap, log
 		}
 	}
 	if !fromDisk {
@@ -216,15 +214,11 @@ func (c *CharactCache) create(key string, e *charactEntry, wantLog bool, charact
 			buf = &bytes.Buffer{}
 			out = buf
 		}
-		eco, pre, err := characterize(out)
+		eco, err := characterize(out)
 		if err == nil {
-			var snap *core.Snapshot
-			snap, err = eco.Snapshot()
-			if err == nil {
-				e.snap, e.pre = snap, pre
-				if buf != nil {
-					e.log = buf.Bytes()
-				}
+			e.snap, err = eco.Snapshot()
+			if err == nil && buf != nil {
+				e.log = buf.Bytes()
 			}
 		}
 		e.err = err
@@ -243,7 +237,7 @@ func (c *CharactCache) create(key string, e *charactEntry, wantLog bool, charact
 	} else {
 		c.misses.Add(1)
 		if e.err == nil && c.spillDir() != "" {
-			c.spillDisk(key, e.snap, e.pre, e.log)
+			c.spillDisk(key, e.snap, e.log)
 		}
 	}
 }

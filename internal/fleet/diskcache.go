@@ -19,7 +19,7 @@ import (
 
 // The on-disk spill of the characterization snapshot cache: a cache
 // with an attached directory persists every characterized snapshot
-// (plus its report and captured health-log bytes) as one file, and
+// (plus its captured health-log bytes) as one file, and
 // serves later processes — CLI reruns, CI legs — from disk instead of
 // re-running the campaign, byte-identically (a loaded snapshot is the
 // saved images). Every part of a file is length-framed and
@@ -50,12 +50,11 @@ func (c *CharactCache) AttachDir(dir string) error {
 }
 
 // diskEntry is the header of one spill file: the key (the filename is
-// only its hash), the report and the captured health-log bytes. The
-// file holds its gob payload's length and sha256, the payload, then
-// the snapshot as core.Snapshot.Save frames it.
+// only its hash) and the captured health-log bytes. The file holds its
+// gob payload's length and sha256, the payload, then the snapshot as
+// core.Snapshot.Save frames it.
 type diskEntry struct {
 	Key string
-	Pre core.PreDeploymentReport
 	Log []byte
 }
 
@@ -88,18 +87,18 @@ func (c *CharactCache) entryPath(key string) string {
 // or snapshot check is quarantined first, and the failure is kept for
 // DiskErr. Only the version stamp refuses loudly, and that happens at
 // AttachDir.
-func (c *CharactCache) loadDisk(key string) (*core.Snapshot, core.PreDeploymentReport, []byte, bool) {
+func (c *CharactCache) loadDisk(key string) (*core.Snapshot, []byte, bool) {
 	path := c.entryPath(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, core.PreDeploymentReport{}, nil, false
+		return nil, nil, false
 	}
 	snap, ent, err := decodeEntry(data, key)
 	if err != nil {
 		c.quarantine(path, err)
-		return nil, core.PreDeploymentReport{}, nil, false
+		return nil, nil, false
 	}
-	return snap, ent.Pre, ent.Log, true
+	return snap, ent.Log, true
 }
 
 // decodeEntry checks and decodes one spill file filed under key.
@@ -149,10 +148,10 @@ func (c *CharactCache) quarantine(path string, cause error) {
 // failures never fail the simulation — the in-memory result is already
 // correct — but the first one is retained for the caller to surface
 // (DiskErr).
-func (c *CharactCache) spillDisk(key string, snap *core.Snapshot, pre core.PreDeploymentReport, log []byte) {
+func (c *CharactCache) spillDisk(key string, snap *core.Snapshot, log []byte) {
 	var head bytes.Buffer
 	head.Write(make([]byte, entryFrame))
-	if err := gob.NewEncoder(&head).Encode(&diskEntry{Key: key, Pre: pre, Log: log}); err != nil {
+	if err := gob.NewEncoder(&head).Encode(&diskEntry{Key: key, Log: log}); err != nil {
 		c.noteDiskErr(err)
 		return
 	}

@@ -514,10 +514,10 @@ type nodeState struct {
 	seed  uint64
 	model string
 
-	osNode *openstack.Node
-	pre    core.PreDeploymentReport
-	depSum core.DeploymentSummary
-	log    bytes.Buffer
+	osNode       *openstack.Node
+	predictorAcc float64
+	depSum       core.DeploymentSummary
+	log          bytes.Buffer
 
 	// health[w] is the node's window-w report; errWindow is the window
 	// the node failed at — cfg.Windows when it didn't, charactWindow
@@ -561,18 +561,17 @@ func specOptions(spec NodeSpec, seed uint64) core.Options {
 // direct, cached, archetype — runs exactly this, so no two can ever
 // configure divergent ecosystems.
 func charactBuilder(spec NodeSpec, seed uint64) charactFunc {
-	return func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+	return func(out io.Writer) (*core.Ecosystem, error) {
 		opts := specOptions(spec, seed)
 		opts.HealthLogOut = out
 		eco, err := core.New(opts)
 		if err != nil {
-			return nil, core.PreDeploymentReport{}, err
+			return nil, err
 		}
-		pre, err := eco.PreDeployment()
-		if err != nil {
-			return nil, core.PreDeploymentReport{}, err
+		if _, err := eco.PreDeployment(); err != nil {
+			return nil, err
 		}
-		return eco, pre, nil
+		return eco, nil
 	}
 }
 
@@ -595,7 +594,7 @@ func charactBuilder(spec NodeSpec, seed uint64) charactFunc {
 // node reseeds its runtime streams with its own seed — which node
 // fills the bin entry first can never matter.
 func (s *nodeState) characterize(cache *CharactCache, arena *core.RestoreArena, bins *binMemo,
-	spec NodeSpec, archetypes, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
+	spec NodeSpec, archetypes, wantLog bool) (*core.Ecosystem, error) {
 	var out io.Writer
 	if wantLog {
 		out = &s.log
@@ -604,9 +603,9 @@ func (s *nodeState) characterize(cache *CharactCache, arena *core.RestoreArena, 
 		return charactBuilder(spec, s.seed)(out)
 	}
 	key, seed := bins.job(s.seed, spec, archetypes)
-	snap, pre, logBytes, err := cache.characterized(key, wantLog, charactBuilder(spec, seed))
+	snap, logBytes, err := cache.characterized(key, wantLog, charactBuilder(spec, seed))
 	if err != nil {
-		return nil, core.PreDeploymentReport{}, err
+		return nil, err
 	}
 	if wantLog {
 		s.log.Write(logBytes)
@@ -617,14 +616,14 @@ func (s *nodeState) characterize(cache *CharactCache, arena *core.RestoreArena, 
 		AmbientDIMMC: spec.AmbientDIMMC,
 	})
 	if err != nil {
-		return nil, core.PreDeploymentReport{}, err
+		return nil, err
 	}
 	if archetypes {
 		if err := eco.Reseed(s.seed); err != nil {
-			return nil, core.PreDeploymentReport{}, err
+			return nil, err
 		}
 	}
-	return eco, pre, nil
+	return eco, nil
 }
 
 // Run executes a full fleet lifecycle: every node's fused
@@ -729,13 +728,13 @@ func Run(cfg Config) (Summary, error) {
 			s.err, s.errWindow = err, w
 		}
 		spec := cfg.nodeSpec(i)
-		eco, pre, err := s.characterize(charact, arena, bins, spec, cfg.Archetypes, wantLog)
+		eco, err := s.characterize(charact, arena, bins, spec, cfg.Archetypes, wantLog)
 		if err != nil {
 			failNode(charactWindow, fmt.Errorf("fleet: node %d characterization: %w", i, err))
 			return
 		}
 		s.model = eco.Machine.Spec.Model
-		s.pre = pre
+		s.predictorAcc = eco.PredictorAcc()
 		dep, err := eco.StartDeployment(spec.Mode, spec.RiskTarget, spec.Workload)
 		if err != nil {
 			failNode(charactWindow, fmt.Errorf("fleet: node %d mode entry: %w", i, err))
@@ -881,7 +880,7 @@ func Run(cfg Config) (Summary, error) {
 			Name:               s.name,
 			Model:              s.model,
 			Seed:               s.seed,
-			PredictorAcc:       s.pre.PredictorAcc,
+			PredictorAcc:       s.predictorAcc,
 			Crashes:            d.Crashes,
 			Recharacterized:    d.Recharacterized,
 			WindowsAtEOP:       d.WindowsAtEOP,
@@ -899,14 +898,10 @@ func Run(cfg Config) (Summary, error) {
 		if len(d.Epochs) > 0 {
 			ns.FinalAgeShiftMV = d.FinalAgeShiftMV
 		}
-		// The fold is the last reader of the deployment summary and the
-		// characterization report: zero both so the only per-node state
-		// retained to the replay phase is the compact health buffer and
-		// the exported cloud-layer node. pre.Margins in particular keeps
-		// a node's whole EOP margin table alive — an O(nodes × cores)
-		// term that would dominate peak heap at 100k nodes.
+		// The fold is the last reader of the deployment summary: zero it
+		// so the only per-node state retained to the replay phase is the
+		// compact health buffer and the exported cloud-layer node.
 		s.depSum = core.DeploymentSummary{}
-		s.pre = core.PreDeploymentReport{}
 		if cfg.OnNode != nil {
 			cfg.OnNode(ns)
 			return
@@ -922,9 +917,8 @@ func Run(cfg Config) (Summary, error) {
 	//   workers      claim node indices in node order from one atomic
 	//                cursor and run the fused node tasks, staying at
 	//                most two shards ahead of the fold so the unfolded
-	//                per-node backlog (pre-reports, deployment
-	//                summaries) stays bounded by shard size, not fleet
-	//                size;
+	//                per-node backlog (deployment summaries) stays
+	//                bounded by shard size, not fleet size;
 	//   coordinator  folds shard s in node order the moment its last
 	//                node finishes — while shard s+1 is still
 	//                computing — then, once the pool has drained,

@@ -127,8 +127,7 @@ func writeDecodeEntryCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := eco.PreDeployment()
-	if err != nil {
+	if _, err := eco.PreDeployment(); err != nil {
 		t.Fatal(err)
 	}
 	// A seed needs to be valid, not realistic: trim the weak cells and
@@ -149,7 +148,7 @@ func writeDecodeEntryCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	spill := func(key string) []byte {
-		cache.spillDisk(key, snap, pre, []byte(`{"log":"line"}`+"\n"))
+		cache.spillDisk(key, snap, []byte(`{"log":"line"}`+"\n"))
 		if err := cache.DiskErr(); err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func TestCharactCacheCoalescing(t *testing.T) {
 			seed := NodeSeed(7, 0)
 			key := newBinMemo(0, false).nodeKey(seed, spec)
 			inner := charactBuilder(spec, seed)
-			characterize := func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+			characterize := func(out io.Writer) (*core.Ecosystem, error) {
 				deadline := time.Now().Add(singleflightDeadline)
 				for cache.Stats().Coalesced < uint64(n-1) {
 					if time.Now().After(deadline) {
@@ -57,7 +57,7 @@ func TestCharactCacheCoalescing(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					snap, _, _, err := cache.characterized(key, false, characterize)
+					snap, _, err := cache.characterized(key, false, characterize)
 					if err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 						return
@@ -107,7 +107,7 @@ func TestCharactCacheDistinctKeysParallel(t *testing.T) {
 					defer wg.Done()
 					seed := NodeSeed(11, g) // distinct seeds → distinct keys
 					inner := charactBuilder(spec, seed)
-					characterize := func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+					characterize := func(out io.Writer) (*core.Ecosystem, error) {
 						if inflight.Add(1) == int32(k) {
 							close(allIn)
 						}
@@ -119,7 +119,7 @@ func TestCharactCacheDistinctKeysParallel(t *testing.T) {
 						}
 						return inner(out)
 					}
-					if _, _, _, err := cache.characterized(newBinMemo(0, false).nodeKey(seed, spec), false, characterize); err != nil {
+					if _, _, err := cache.characterized(newBinMemo(0, false).nodeKey(seed, spec), false, characterize); err != nil {
 						t.Errorf("key %d: %v", g, err)
 					}
 				}()
@@ -197,31 +197,31 @@ func TestCharactCacheHelpsPlannedKey(t *testing.T) {
 	k1Started, k2Ran := make(chan struct{}), make(chan struct{})
 	var helper atomic.Uint64
 	cache.plan = []plannedKey{
-		{key: "K1", build: func(io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+		{key: "K1", build: func(io.Writer) (*core.Ecosystem, error) {
 			close(k1Started)
 			select {
 			case <-k2Ran:
 			case <-time.After(singleflightDeadline):
 				t.Error("K1's characterization finished without K2's builder having run")
 			}
-			return nil, core.PreDeploymentReport{}, errK1
+			return nil, errK1
 		}},
-		{key: "K2", build: func(io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error) {
+		{key: "K2", build: func(io.Writer) (*core.Ecosystem, error) {
 			helper.Store(goid())
 			close(k2Ran)
-			return nil, core.PreDeploymentReport{}, errK2
+			return nil, errK2
 		}},
 	}
 	k1 := cache.plan[0].build
 
 	first := make(chan error)
 	go func() {
-		_, _, _, err := cache.characterized("K1", false, k1)
+		_, _, err := cache.characterized("K1", false, k1)
 		first <- err
 	}()
 	<-k1Started
 	second := goid()
-	if _, _, _, err := cache.characterized("K1", false, k1); err != errK1 {
+	if _, _, err := cache.characterized("K1", false, k1); err != errK1 {
 		t.Errorf("second consumer of K1 got %v, want K1's entry", err)
 	}
 	if err := <-first; err != errK1 {
@@ -230,7 +230,7 @@ func TestCharactCacheHelpsPlannedKey(t *testing.T) {
 	if got := helper.Load(); got != second {
 		t.Errorf("K2's builder ran on goroutine %d, want the waiting consumer's %d", got, second)
 	}
-	if _, _, _, err := cache.characterized("K2", false, nil); err != errK2 {
+	if _, _, err := cache.characterized("K2", false, nil); err != errK2 {
 		t.Errorf("K2's consumer got %v, want the helped entry", err)
 	}
 	if st := cache.Stats(); st.Misses != 2 || st.Hits != 1 {

@@ -15,15 +15,16 @@ import (
 // Compiled is a daemon's snapshot image: the schedule position,
 // pending triggers, published-margin history and virus archive,
 // copied out of the source daemon so stamping needs no locks on
-// shared state and the source may keep running. Its fields are
-// exported for encoding only.
+// shared state and the source may keep running. The history's tables
+// are shared, not copied: a published table is never written. Its
+// fields are exported for encoding only.
 type Compiled struct {
 	Refresh power.DRAMRefreshModel
 	Period  time.Duration
 	Online  bool
 	LastRun time.Time
 	Pending []healthlog.TriggerReason
-	History []MarginVector        // each Table a private copy
+	History []MarginVector
 	Archive []stress.ArchiveEntry // sorted by name
 }
 
@@ -31,7 +32,7 @@ type Compiled struct {
 func (d *Daemon) Compile() *Compiled {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := &Compiled{
+	return &Compiled{
 		Refresh: d.refresh,
 		Period:  d.period,
 		Online:  d.online,
@@ -40,21 +41,22 @@ func (d *Daemon) Compile() *Compiled {
 		History: append([]MarginVector(nil), d.history...),
 		Archive: d.archive.Entries(),
 	}
-	for i, vec := range c.History {
-		if vec.Table != nil {
-			t := &vfr.EOPTable{}
-			t.CopyFrom(vec.Table)
-			c.History[i].Table = t
-		}
+}
+
+// Table returns the last published table in the history, or nil when
+// there is none.
+func (c *Compiled) Table() *vfr.EOPTable {
+	if len(c.History) == 0 {
+		return nil
 	}
-	return c
+	return c.History[len(c.History)-1].Table
 }
 
 // StampInto overwrites d with the image, rebinding it to the arena's
 // clock, machine, memory and health daemon; a zero Daemon is a valid
-// destination. History tables are deep-copied into d's existing table
-// storage (CopyFrom reuses map buckets), and the archive likewise, so
-// a re-characterization on the stamped daemon evolves independently of
+// destination. The history's vectors are copied into d's own slice and
+// share the image's tables; the archive is copied, so a
+// re-characterization on the stamped daemon evolves independently of
 // the image. The caller owns d exclusively and re-hooks
 // TriggerHandler.
 func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, m *cpu.Machine,
@@ -72,21 +74,5 @@ func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, m *cpu.Machine,
 		d.archive = stress.NewArchive()
 	}
 	d.archive.Replace(c.Archive)
-
-	old := d.history
-	d.history = d.history[:0]
-	for i, vec := range c.History {
-		if vec.Table != nil {
-			var t *vfr.EOPTable
-			if i < len(old) {
-				t = old[i].Table
-			}
-			if t == nil {
-				t = &vfr.EOPTable{}
-			}
-			t.CopyFrom(vec.Table)
-			vec.Table = t
-		}
-		d.history = append(d.history, vec)
-	}
+	d.history = append(d.history[:0], c.History...)
 }

@@ -159,8 +159,9 @@ func (m Margin) UndervoltHeadroomPct() float64 {
 
 // EOPTable is the set of per-component extended operating points the
 // StressLog publishes to the system software. It is keyed by component
-// name and safe for copying (the map is the identity; callers clone
-// when mutating concurrently).
+// name. Only the table's builder calls Set: a published table is never
+// written, so its readers — the Predictor, the hypervisor, every
+// snapshot and stamp of the node — share it.
 type EOPTable struct {
 	margins map[string]Margin
 }
@@ -228,19 +229,4 @@ func (t *EOPTable) WorstCase() (Point, error) {
 		}
 	}
 	return worst, nil
-}
-
-// CopyFrom replaces t's contents with a copy of src's, reusing t's map
-// storage (Go maps keep their buckets across clear, so re-stamping the
-// same shape allocates nothing). A zero EOPTable is a valid
-// destination.
-func (t *EOPTable) CopyFrom(src *EOPTable) {
-	if t.margins == nil {
-		t.margins = make(map[string]Margin, len(src.margins))
-	} else {
-		clear(t.margins)
-	}
-	for k, v := range src.margins {
-		t.margins[k] = v
-	}
 }

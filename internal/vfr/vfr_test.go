@@ -160,17 +160,6 @@ func TestEOPTableWorstCase(t *testing.T) {
 	}
 }
 
-func TestEOPTableCopyFrom(t *testing.T) {
-	tab := NewEOPTable()
-	tab.Set(Margin{Component: "core0", Safe: Point{VoltageMV: 900, FreqMHz: 2000}})
-	var c EOPTable
-	c.CopyFrom(tab)
-	c.Set(Margin{Component: "core1", Safe: Point{VoltageMV: 800, FreqMHz: 2000}})
-	if tab.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("copy not independent: orig=%d copy=%d", tab.Len(), c.Len())
-	}
-}
-
 func TestVoltageOffsetSignProperty(t *testing.T) {
 	err := quick.Check(func(nominal uint16, delta int8) bool {
 		n := int(nominal)%2000 + 500 // 500..2499 mV
