@@ -1,7 +1,8 @@
 // Command healthlogcat inspects a HealthLog JSON-lines system logfile:
 // it validates every line, prints a summary (components, error counts,
-// time range), and optionally filters the vectors of one component —
-// the operator-facing half of the HealthLog's on-demand service.
+// time range), and optionally filters the vectors of one component.
+// It is the HealthLog's on-demand service: the daemon keeps only the
+// trigger windows in memory, and the logfile holds every vector.
 package main
 
 import (

@@ -823,7 +823,7 @@ func runDiff(args []string, out io.Writer) error {
 }
 
 // runSingleNode is the original one-node narration.
-func runSingleNode(out io.Writer, seed uint64, m vfr.Mode, risk float64, windows int, closedLoop bool, plan *core.LifetimePlan, healthOut *os.File) error {
+func runSingleNode(out io.Writer, seed uint64, m vfr.Mode, risk float64, windows int, closedLoop bool, plan *core.LifetimePlan, healthOut *os.File) (err error) {
 	opts := core.DefaultOptions()
 	opts.Seed = seed
 	opts.Mem = dram.Config{Channels: 4, DIMMsPerChannel: 1, DIMMBytes: 8 << 30, DeviceGb: 2, TempC: 45}
@@ -835,6 +835,13 @@ func runSingleNode(out io.Writer, seed uint64, m vfr.Mode, risk float64, windows
 	if err != nil {
 		return err
 	}
+	// The HealthLog keeps its first write error and stops writing; a
+	// run whose log is incomplete fails, whichever path it ends on.
+	defer func() {
+		if err == nil {
+			err = eco.Health.Err()
+		}
+	}()
 
 	fmt.Fprintf(out, "== UniServer node (%s, %d cores, seed %d) ==\n",
 		eco.Machine.Spec.Model, eco.Machine.Spec.Cores, seed)

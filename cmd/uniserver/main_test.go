@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"uniserver/internal/scenario"
+	"uniserver/internal/vfr"
 )
 
 // testCampaignOpts is the small grid the CLI tests run: two presets
@@ -80,6 +81,23 @@ func TestFleetFlagsRejectedBeforeHealthLog(t *testing.T) {
 	}
 	if b, err := os.ReadFile(logPath); err != nil || string(b) != "kept\n" {
 		t.Errorf("health log touched by rejected runs: %q, %v", b, err)
+	}
+}
+
+// TestSingleNodeHealthLogWriteFails checks that a single-node run
+// whose health log cannot be written fails instead of reporting
+// success with an empty or truncated log.
+func TestSingleNodeHealthLogWriteFails(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "health.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = runSingleNode(&bytes.Buffer{}, 1, vfr.ModeHighPerformance, 0.01, 2, false, nil, f)
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("run with a closed health log returned %v, want its write error", err)
 	}
 }
 

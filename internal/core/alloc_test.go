@@ -9,19 +9,14 @@ import (
 
 // stepAllocBudget is the per-window allocation allowance for a quiet
 // steady-state Deployment.Step — the regression fence behind the
-// zero-allocation stepping work (see DESIGN.md "Performance"). The
-// budget is not literally zero because two allocations are design
-// decisions, not leaks:
-//
-//   - the 3-reading sensor slice of the window's InfoVector, whose
-//     ownership is handed off to the HealthLog retention history (a
-//     reused buffer would alias the query-able history), and
-//   - the amortized growth of that retention history itself.
-//
-// Everything else — the DRAM window stream and hit map, the component
-// name, the core-resolver closure, the report — comes from per-
-// ecosystem scratch or the stack. If this budget ever needs raising,
-// the hot path grew a leak; find it instead.
+// zero-allocation stepping work (see DESIGN.md "Performance"). A quiet
+// window allocates nothing: the DRAM window stream and hit map, the
+// component name, the core-resolver closure, the information vector's
+// sensor readings (the HealthLog writes them and keeps none) and the
+// report all come from per-ecosystem scratch or the stack. The budget
+// leaves room for the amortized growth of the HealthLog's trigger
+// window, which a stamp hands over already grown. If this budget ever
+// needs raising, the hot path grew a leak; find it instead.
 const stepAllocBudget = 4.0
 
 // TestStepAllocationBudget pins the steady-state allocation count of
@@ -40,7 +35,7 @@ func TestStepAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the scratch state and the healthlog history's first growth
+	// Warm the scratch state and the HealthLog window's first growth
 	// steps so the measurement sees the steady state.
 	for i := 0; i < 64; i++ {
 		if _, err := d.Step(); err != nil {

@@ -143,10 +143,11 @@ type Ecosystem struct {
 	// Per-window scratch state, owned by RuntimeWindow. None of it is
 	// observable between windows; it exists so steady-state stepping
 	// does not allocate (see DESIGN.md "Performance").
-	coreNames []string       // precomputed "model/coreN" component names
-	dramSrc   rng.Source     // reseeded child stream for the DRAM window
-	dramHits  map[string]int // owner → errors, cleared every window
-	curCore   int            // core sampled this window, read by coreOf
+	coreNames []string             // precomputed "model/coreN" component names
+	dramSrc   rng.Source           // reseeded child stream for the DRAM window
+	dramHits  map[string]int       // owner → errors, cleared every window
+	curCore   int                  // core sampled this window, read by coreOf
+	sensors   [3]telemetry.Reading // the window vector's readings; Record keeps none
 	coreOf    func(string) int
 	leak      voltMemo // leakage voltage factor of the last point priced
 }
@@ -468,15 +469,16 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	}
 	e.Mem.TempC = e.memTherm.Step(memW, time.Minute)
 
+	e.sensors = [3]telemetry.Reading{
+		{Kind: telemetry.SensorVoltage, Value: float64(point.VoltageMV)},
+		{Kind: telemetry.SensorPower, Value: cpuW},
+		{Kind: telemetry.SensorTemperature, Value: rep.CPUTempC},
+	}
 	vec := telemetry.InfoVector{
 		Time:      now, // nothing moves the clock after Advance
 		Component: comp,
 		Point:     point,
-		Sensors: []telemetry.Reading{
-			{Kind: telemetry.SensorVoltage, Value: float64(point.VoltageMV)},
-			{Kind: telemetry.SensorPower, Value: cpuW},
-			{Kind: telemetry.SensorTemperature, Value: rep.CPUTempC},
-		},
+		Sensors:   e.sensors[:],
 	}
 	rep.ThermalAlarm = e.trip.Check(rep.CPUTempC)
 	if rep.ThermalAlarm > 0 {

@@ -15,7 +15,7 @@ import (
 // simulator state, so a silent cross-version read would corrupt
 // results instead of failing loudly. Bump it whenever the images
 // change shape or meaning.
-const SnapshotFormatVersion = 7
+const SnapshotFormatVersion = 8
 
 // snapshotHeader is the frame in front of the encoded images: the
 // format version and the payload length as little-endian uint64s,
@@ -170,7 +170,6 @@ func (img *images) decode(p []byte) error {
 	if err := img.validate(); err != nil {
 		return err
 	}
-	img.Health.Expand()
 	// gob ignores fields it does not know, accepts redundant encodings
 	// and stops before trailing bytes; only the canonical head re-saves
 	// identically. The columns have one encoding per value.

@@ -6,10 +6,13 @@ import (
 	"encoding/gob"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"uniserver/internal/cpu"
+	"uniserver/internal/healthlog"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -203,6 +206,51 @@ func TestLoadSnapshotRefusesEmptyStressHistory(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(bytes.NewReader(frame(b))); err == nil || !strings.Contains(err.Error(), "publishes no table") {
 		t.Fatalf("image without a stress history not refused by its table check: %v", err)
+	}
+}
+
+// TestLoadSnapshotRefusesMalformedHealthImage: the health image's
+// windows come from disk, so a correctly framed, canonically encoded
+// image whose components are unsorted or duplicated, whose window
+// entries go back in time, count negative errors or outnumber
+// RetainVectors, or whose daemon configuration holds a non-positive
+// value is refused.
+func TestLoadSnapshotRefusesMalformedHealthImage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	eco, _ := readyEcosystem(t, 17)
+	snap, err := eco.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comps := snap.img.Health.Comps; len(comps) < 2 || len(comps[0].Entries) < 2 {
+		t.Fatalf("health image too small to break: %d components", len(comps))
+	}
+	breaks := map[string]func(h *healthlog.Compiled){
+		"unsorted names":  func(h *healthlog.Compiled) { h.Comps[0], h.Comps[1] = h.Comps[1], h.Comps[0] },
+		"duplicate name":  func(h *healthlog.Compiled) { h.Comps[1].Name = h.Comps[0].Name },
+		"decreasing time": func(h *healthlog.Compiled) { h.Comps[0].Entries[1].Time = h.Comps[0].Entries[0].Time.Add(-time.Second) },
+		"negative count":  func(h *healthlog.Compiled) { h.Comps[0].Entries[0].Count = -1 },
+		"over retention":  func(h *healthlog.Compiled) { h.Config.RetainVectors = len(h.Comps[0].Entries) - 1 },
+		"zero threshold":  func(h *healthlog.Compiled) { h.Config.ErrorThreshold = 0 },
+		"negative window": func(h *healthlog.Compiled) { h.Config.Window = -time.Hour },
+		"zero retention":  func(h *healthlog.Compiled) { h.Config.RetainVectors = 0 },
+	}
+	for name, brk := range breaks {
+		img := snap.img
+		img.Health.Comps = slices.Clone(img.Health.Comps)
+		for i := range img.Health.Comps {
+			img.Health.Comps[i].Entries = slices.Clone(img.Health.Comps[i].Entries)
+		}
+		brk(&img.Health)
+		b, err := img.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(bytes.NewReader(frame(b))); err == nil || !strings.Contains(err.Error(), "health image") {
+			t.Errorf("%s: not refused by the health image check: %v", name, err)
+		}
 	}
 }
 

@@ -6,16 +6,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"uniserver/internal/cpu"
 	"uniserver/internal/hypervisor"
 	"uniserver/internal/rng"
-	"uniserver/internal/telemetry"
 	"uniserver/internal/thermal"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
@@ -266,22 +263,16 @@ func writtenTrace(t *testing.T, eco *Ecosystem, windows int) string {
 
 // sharedStateDigest hashes the state a stamp shares with its snapshot
 // until first write: every DIMM's weak cells with their telegraph
-// states (the memory image's columns), and the object inventory; and
-// the health histories, whose stamped vectors the snapshot shares for
-// good.
+// states (the memory image's columns), and the object inventory.
 func sharedStateDigest(eco *Ecosystem) string {
 	h := sha256.New()
 	h.Write(eco.Mem.Flatten().AppendColumns(nil))
 	fmt.Fprintf(h, "%v\n", eco.Hypervisor.Objects().Objects)
-	for _, comp := range slices.Sorted(slices.Values(eco.Health.Components())) {
-		fmt.Fprintf(h, "%s %v\n", comp, eco.Health.Query(comp, time.Time{}))
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // snapshotDigest hashes the snapshot's encoded images — everything a
-// stamp may alias or copy — and the shared state of a fresh stamp,
-// which reads the health vectors the encoding holds only copies of.
+// stamp may alias or copy — and the shared state of a fresh stamp.
 func snapshotDigest(t *testing.T, snap *Snapshot) string {
 	t.Helper()
 	b, err := snap.img.encode()
@@ -298,12 +289,11 @@ func snapshotDigest(t *testing.T, snap *Snapshot) string {
 
 // TestTemplateImmutableUnderConcurrentWriters pins the ownership
 // invariant the shared stamp rests on. Two goroutines stamp arenas
-// from one snapshot — so their DIMMs, object inventories and health
-// histories alias the snapshot's — and drive every writer of that
-// state on them: fast-forward with weak-cell growth,
-// re-characterization, pattern tests, reindexing, both protection
-// calls, and runtime windows recording past the health log's one-hour
-// window, whose cursor walks the shared health vectors. A third drives
+// from one snapshot — so their DIMMs and object inventories alias the
+// snapshot's — and drive every writer of that state on them:
+// fast-forward with weak-cell growth, re-characterization, pattern
+// tests, reindexing, both protection calls, and runtime windows
+// recording past the health log's one-hour window. A third drives
 // the same writers on the snapshot's source ecosystem, which the snapshot
 // must hold no pointer into. Afterwards the snapshot must hash exactly
 // as before, and under -race any writer that skipped copy-on-write —
@@ -412,11 +402,10 @@ func TestTemplateImmutableUnderConcurrentWriters(t *testing.T) {
 }
 
 // TestStampSharesWithTemplate pins the sharing itself, seen from core:
-// two arenas stamped from one snapshot read the same weak-cell, object
-// and health-vector storage, cold stamps included; a write gives one
-// arena a private object inventory while its weak cells, which pattern
-// tests and VRT toggles never write, and its stamped health vectors,
-// which recording never writes, stay shared; and its next stamp shares
+// two arenas stamped from one snapshot read the same weak-cell and
+// object storage, cold stamps included; a write gives one arena a
+// private object inventory while its weak cells, which pattern tests
+// and VRT toggles never write, stay shared; and its next stamp shares
 // again. (The DRAM telegraph bitset's copy-on-write is pinned inside
 // dram.)
 func TestStampSharesWithTemplate(t *testing.T) {
@@ -435,23 +424,8 @@ func TestStampSharesWithTemplate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The first stamped health vector carrying sensor readings: its
-	// readings live in the image, so two stamps read the same ones.
-	comp := snap.img.Health.Comps[0].Name
-	firstReading := func(e *Ecosystem) *telemetry.Reading {
-		for _, v := range e.Health.Query(comp, time.Time{}) {
-			if len(v.Sensors) > 0 {
-				return &v.Sensors[0]
-			}
-		}
-		t.Fatalf("no stamped %s vector carries sensor readings", comp)
-		return nil
-	}
 	same := func() (weak, objs bool) {
 		oa, ob := a.eco.Hypervisor.Objects().Objects, b.eco.Hypervisor.Objects().Objects
-		if firstReading(a.eco) != firstReading(b.eco) {
-			t.Fatal("stamps do not share their health vectors")
-		}
 		return a.eco.Mem.Domains[1].DIMMs[0].SameCells(b.eco.Mem.Domains[1].DIMMs[0]), &oa[0] == &ob[0]
 	}
 	if w, o := same(); !w || !o {
@@ -482,10 +456,10 @@ func TestStampSharesWithTemplate(t *testing.T) {
 // part models alternating on one arena. The stamp-only fence above
 // re-stamps one snapshot back to back and so cannot see churn that
 // only shows across a node's runtime or across archetype switches
-// (histories swept and rebuilt, health vectors outgrowing their
-// slices). Measured at 30 windows: 66 allocs and ~2.5 KB per node;
-// before the shared stamp and the reusable health histories, 97 allocs
-// and ~72 KB, which both budgets refuse.
+// (health windows swept and rebuilt, or outgrowing their rings).
+// Measured at 30 windows: 6 allocs and ~0.6 KB per node; before the
+// shared stamp and the reusable health histories, 97 allocs and
+// ~72 KB, which both budgets refuse.
 const (
 	stampRunWindows     = 30
 	stampRunAllocBudget = 80

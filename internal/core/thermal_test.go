@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"testing"
+
+	"uniserver/internal/healthlog"
 
 	"uniserver/internal/telemetry"
 	"uniserver/internal/vfr"
@@ -9,7 +12,17 @@ import (
 )
 
 func TestRuntimeWindowHeatsTheDie(t *testing.T) {
-	e, _ := readyEcosystem(t, 81)
+	var log bytes.Buffer
+	opts := smallOptions(81)
+	opts.HealthLogOut = &log
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.PreDeployment(); err != nil {
+		t.Fatal(err)
+	}
+	log.Reset() // keep the runtime windows' vectors only
 	if _, err := e.EnterMode(vfr.ModeHighPerformance, 0.05, workload.BatchAnalytics()); err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +49,14 @@ func TestRuntimeWindowHeatsTheDie(t *testing.T) {
 		t.Fatal("memory system temperature not updated")
 	}
 	// Temperature sensor recorded in the information vectors.
+	vecs, err := healthlog.ReadLog(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, comp := range e.Health.Components() {
-		for _, v := range e.Health.Query(comp, e.Clock.Now().Add(-2e9*60)) {
-			if _, ok := v.Sensor(telemetry.SensorTemperature); ok {
-				found = true
-			}
+	for _, v := range vecs {
+		if _, ok := v.Sensor(telemetry.SensorTemperature); ok {
+			found = true
 		}
 	}
 	if !found {

@@ -161,19 +161,29 @@ func writeDecodeEntryCorpus(t *testing.T) {
 	valid := spill(fuzzEntryKey)
 	head := entryFrame + int(binary.LittleEndian.Uint64(valid))
 	seeds := map[string][]byte{"valid": valid, "wrong-key": spill("fuzz/other")}
-	cuts := []int{0, 7, entryFrame, entryFrame + 1, (entryFrame + head) / 2, head, len(valid) - 1}
 	// The snapshot behind the entry head: a frame of version, payload
 	// length and sha256, then the gob head's length and the gob head,
 	// then the memory image's columns — tail uniforms, VRT index and
-	// the telegraph bitset, each behind its count. Cut at each column's
-	// start and inside the tail uniforms.
+	// the telegraph bitset, each behind its count. Each truncation is
+	// named by what it cuts, so a layout change keeps the seed names.
 	cols := head + 8 + 8 + sha256.Size + 8 + int(binary.LittleEndian.Uint64(valid[head+8+8+sha256.Size:]))
 	n := int(binary.LittleEndian.Uint64(valid[cols:]))
 	index := cols + 8 + 8*n
 	bitset := index + 8 + 8*int(binary.LittleEndian.Uint64(valid[index:]))
-	cuts = append(cuts, cols, cols+8+4*n, index, bitset)
-	for _, n := range cuts {
-		seeds["truncated-"+strconv.Itoa(n)] = valid[:n]
+	for name, cut := range map[string]int{
+		"empty":        0,
+		"in-frame":     7,
+		"frame":        entryFrame,
+		"past-frame":   entryFrame + 1,
+		"mid-head":     (entryFrame + head) / 2,
+		"head":         head,
+		"columns":      cols,
+		"mid-uniforms": cols + 8 + 4*n,
+		"vrt-index":    index,
+		"bitset":       bitset,
+		"last-byte":    len(valid) - 1,
+	} {
+		seeds["truncated-"+name] = valid[:cut]
 	}
 	if err := os.RemoveAll(corpusDir); err != nil {
 		t.Fatal(err)

@@ -2,18 +2,19 @@
 // the runtime daemon that records every hardware event — errors
 // (correctable or uncorrectable), system configuration values, sensor
 // readings and performance counters — as information vectors in a
-// system logfile, and exposes them to the higher layers.
+// system logfile.
 //
 // Per the paper, the daemon provides two service types:
 //
-//   - Event-driven services: subscribers (the Predictor, the
-//     Hypervisor) are notified synchronously whenever a vector is
-//     recorded, and a configurable correctable-error-rate threshold
-//     raises a stress-test trigger ("if the number of errors rises
-//     above a certain threshold a new stress-test cycle may be
-//     triggered").
-//   - On-demand services: the monitor answers queries from higher
-//     layers for specific information (per component, per time range).
+//   - Event-driven services: a component's correctable-error count in
+//     a sliding window above a configurable threshold raises a
+//     stress-test trigger ("if the number of errors rises above a
+//     certain threshold a new stress-test cycle may be triggered").
+//     The daemon keeps only what that count needs: each component's
+//     (time, correctable count) entries inside the window.
+//   - On-demand services: the logfile. ReadLog parses it back and
+//     Summarize aggregates it, for offline training and post-mortems
+//     (cmd/healthlogcat).
 package healthlog
 
 import (
@@ -24,9 +25,6 @@ import (
 
 	"uniserver/internal/telemetry"
 )
-
-// Listener receives every recorded vector (event-driven service).
-type Listener func(telemetry.InfoVector)
 
 // TriggerReason explains why a stress-test trigger fired.
 type TriggerReason struct {
@@ -49,9 +47,8 @@ type Config struct {
 	ErrorThreshold int
 	// Window is the sliding-window length for the threshold.
 	Window time.Duration
-	// RetainVectors bounds the in-memory history per component
-	// (on-demand queries read from this buffer; the full stream also
-	// goes to the log writer).
+	// RetainVectors bounds the records per component the threshold
+	// counts: the last RetainVectors, of those inside the window.
 	RetainVectors int
 }
 
@@ -71,105 +68,91 @@ type Daemon struct {
 	out   io.Writer // JSON-lines system logfile; may be nil
 
 	mu sync.Mutex
-	// byComp holds one history per component. listeners and onTrigger
-	// are copy-on-write: Subscribe/OnStressTrigger replace the whole
-	// slice, so Record can capture the header under the lock and range
-	// it after unlocking without a defensive per-record copy.
-	byComp    map[string]*compHistory
-	listeners []Listener
+	// byComp holds one trigger window per component. onTrigger is
+	// copy-on-write: OnStressTrigger replaces the whole slice, so
+	// Record can capture the header under the lock and range it after
+	// unlocking without a defensive per-record copy.
+	byComp    map[string]*window
 	onTrigger []func(TriggerReason)
 	recorded  uint64
 	crashes   uint64
 	writeErr  error
 
-	// spare holds histories a stamp swept out of byComp (their
-	// component is absent from the stamped image), kept with their
-	// buffers so the next component to appear reuses one instead of
-	// allocating: arenas alternating between archetypes of different
-	// part models rename every component on every stamp.
-	spare []*compHistory
+	// spare holds windows a stamp swept out of byComp (their component
+	// is absent from the stamped image), kept with their rings so
+	// the next component to appear reuses one instead of allocating:
+	// arenas alternating between archetypes of different part models
+	// rename every component on every stamp.
+	spare []*window
 }
 
-// compHistory is one component's retained vectors plus the rolling
-// sliding-window error bookkeeping: winStart indexes the first
-// retained vector inside the current window and winErrs sums the
-// correctable counts of the retained vectors from winStart on. The
-// rolling form is valid only while record times are nondecreasing
-// (the daemon clock only advances); an out-of-order record marks the
-// history dirty and the threshold check falls back to the full scan,
-// which is the rolling form's definition.
-//
-// The retained vectors are base followed by buf[start:]. base is a
-// stamped history's share of its snapshot image (Compiled.StampInto),
-// read-only and never written; buf is the history's own backing
-// array and holds what was recorded since. Retention trims eat into
-// base first — dropping it once they pass its end — and then advance
-// start instead of reslicing buf away, so push can compact the live
-// window back to the front and keep recording into the same storage.
-type compHistory struct {
-	base     []telemetry.InfoVector
-	buf      []telemetry.InfoVector
-	start    int
-	winStart int
-	winErrs  int
-	lastTime time.Time
-	dirty    bool
+// Entry is one record in a component's trigger window: its time and
+// its correctable-error count.
+type Entry struct {
+	Time  time.Time
+	Count int
 }
 
-// len returns the number of retained vectors.
-func (h *compHistory) len() int { return len(h.base) + len(h.buf) - h.start }
+// window is one component's trigger window: a FIFO ring of the
+// entries of its records inside the sliding window, oldest first, at
+// most RetainVectors of them, and the running sum of their counts.
+// Record times are nondecreasing per component, so both the last
+// RetainVectors records and the records inside the window are
+// suffixes of the component's record sequence; the ring holds the
+// shorter one, which is the set the threshold counts.
+type window struct {
+	ring    []Entry
+	head, n int
+	sum     int
+}
 
-// at returns the i-th retained vector, oldest first, in place: a
-// stamped one is the image's and must not be written.
-func (h *compHistory) at(i int) *telemetry.InfoVector {
-	if i < len(h.base) {
-		return &h.base[i]
+// at returns the i-th entry, oldest first.
+func (w *window) at(i int) Entry {
+	if i += w.head; i >= len(w.ring) {
+		i -= len(w.ring)
 	}
-	return &h.buf[h.start+i-len(h.base)]
+	return w.ring[i]
 }
 
-// trim drops the n oldest retained vectors.
-func (h *compHistory) trim(n int) {
-	if k := min(n, len(h.base)); k > 0 {
-		if h.base = h.base[k:]; len(h.base) == 0 {
-			h.base = nil // release the image once trimming passes it
+// last returns the newest entry's time, zero for an empty window.
+func (w *window) last() time.Time {
+	if w.n == 0 {
+		return time.Time{}
+	}
+	return w.at(w.n - 1).Time
+}
+
+// push appends e, moving the entries into a ring twice as long when
+// the ring is full: O(1) amortized, and allocation-free once the ring
+// has grown to the window's size.
+func (w *window) push(e Entry) {
+	if w.n == len(w.ring) {
+		ring := make([]Entry, max(2*w.n, 16))
+		for i := range w.n {
+			ring[i] = w.at(i)
 		}
-		n -= k
+		w.ring, w.head = ring, 0
 	}
-	h.start += n
+	i := w.head + w.n
+	if i >= len(w.ring) {
+		i -= len(w.ring)
+	}
+	w.ring[i] = e
+	w.n++
+	w.sum += e.Count
 }
 
-// reset empties the history, keeping its buffer.
-func (h *compHistory) reset() {
-	h.base = nil
-	h.buf = h.buf[:0]
-	h.start = 0
-	h.winStart, h.winErrs = 0, 0
-	h.lastTime, h.dirty = time.Time{}, false
+// pop drops the oldest entry.
+func (w *window) pop() {
+	w.sum -= w.ring[w.head].Count
+	if w.head++; w.head == len(w.ring) {
+		w.head = 0
+	}
+	w.n--
 }
 
-// push appends v to the retained vectors, amortized O(1) and without
-// allocating once the buffer has grown to twice the retained window.
-// When the buffer is full it either compacts its live part to the
-// front — when at least half the buffer is trimmed history, so each
-// compaction is paid for by as many pushes as it copies — or moves the
-// live part into a buffer twice its length.
-func (h *compHistory) push(v telemetry.InfoVector) {
-	if len(h.buf) == cap(h.buf) {
-		live := h.buf[h.start:]
-		if h.start > 0 && h.start >= len(live) {
-			n := copy(h.buf, live)
-			clear(h.buf[n:]) // drop trimmed vectors' payload references
-			h.buf = h.buf[:n]
-		} else {
-			nb := make([]telemetry.InfoVector, len(live), max(2*len(live), 16))
-			copy(nb, live)
-			h.buf = nb
-		}
-		h.start = 0
-	}
-	h.buf = append(h.buf, v)
-}
+// reset empties the window, keeping its ring.
+func (w *window) reset() { w.head, w.n, w.sum = 0, 0, 0 }
 
 // New returns a daemon writing JSON lines to out (nil discards) and
 // timestamping with the given clock.
@@ -187,17 +170,8 @@ func New(cfg Config, clock *telemetry.Clock, out io.Writer) *Daemon {
 		cfg:    cfg,
 		clock:  clock,
 		out:    out,
-		byComp: make(map[string]*compHistory),
+		byComp: make(map[string]*window),
 	}
-}
-
-// Subscribe registers an event-driven listener. Listeners run
-// synchronously on the recording goroutine, in registration order.
-func (d *Daemon) Subscribe(l Listener) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Copy-on-write: never extend the slice Record may be ranging.
-	d.listeners = append(append([]Listener(nil), d.listeners...), l)
 }
 
 // OnStressTrigger registers a callback invoked when a component's
@@ -206,41 +180,38 @@ func (d *Daemon) Subscribe(l Listener) {
 func (d *Daemon) OnStressTrigger(f func(TriggerReason)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Copy-on-write, as for Subscribe.
+	// Copy-on-write: never extend the slice Record may be ranging.
 	d.onTrigger = append(append([]func(TriggerReason){}, d.onTrigger...), f)
 }
 
 // Record ingests one information vector: stamps it with the daemon
-// clock if unstamped, persists it to the logfile, retains it for
-// queries, notifies listeners, and evaluates the error threshold.
+// clock if unstamped, writes it to the logfile, and evaluates the
+// error threshold over its component's window. The log line is
+// written before Record returns. A vector dated before its
+// component's last record panics: the daemon clock only advances, and
+// the window is exact only over nondecreasing times.
 func (d *Daemon) Record(v telemetry.InfoVector) {
 	if v.Time.IsZero() {
 		v.Time = d.clock.Now()
 	}
-	correctable := v.CorrectableCount()
 
 	d.mu.Lock()
+	w := d.window(v.Component)
+	if last := w.last(); v.Time.Before(last) {
+		d.mu.Unlock()
+		panic(fmt.Sprintf("healthlog: %s record at %s precedes its last at %s",
+			v.Component, v.Time.Format(time.RFC3339Nano), last.Format(time.RFC3339Nano)))
+	}
 	d.recorded++
 	if v.HasCrash() {
 		d.crashes++
 	}
-	h := d.history(v.Component)
-	if v.Time.Before(h.lastTime) {
-		h.dirty = true // rolling window invalid; fall back to scans
-	} else {
-		h.lastTime = v.Time
+	if w.n == d.cfg.RetainVectors {
+		w.pop()
 	}
-	h.push(v)
-	if trim := h.len() - d.cfg.RetainVectors; trim > 0 {
-		// Vectors falling out of retention also fall out of the
-		// threshold window — the scan only ever saw retained history.
-		for i := h.winStart; i < trim; i++ {
-			h.winErrs -= h.at(i).CorrectableCount()
-		}
-		h.trim(trim)
-		if h.winStart -= trim; h.winStart < 0 {
-			h.winStart = 0
-		}
+	w.push(Entry{Time: v.Time, Count: v.CorrectableCount()})
+	for cutoff := v.Time.Add(-d.cfg.Window); w.n > 1 && !w.at(0).Time.After(cutoff); {
+		w.pop()
 	}
 
 	if d.out != nil && d.writeErr == nil {
@@ -251,12 +222,11 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 		}
 	}
 
-	listeners := d.listeners
 	var reason *TriggerReason
-	if n := h.windowErrors(v.Time, correctable, d.cfg.Window); n > d.cfg.ErrorThreshold {
+	if w.sum > d.cfg.ErrorThreshold {
 		reason = &TriggerReason{
 			Component:  v.Component,
-			WindowErrs: n,
+			WindowErrs: w.sum,
 			Threshold:  d.cfg.ErrorThreshold,
 			At:         v.Time,
 		}
@@ -264,9 +234,6 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 	triggers := d.onTrigger
 	d.mu.Unlock()
 
-	for _, l := range listeners {
-		l(v)
-	}
 	if reason != nil {
 		for _, f := range triggers {
 			f(*reason)
@@ -274,84 +241,24 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 	}
 }
 
-// history returns the component's history, creating it — from the
-// spare list when one is parked there — on first use. Caller holds
-// d.mu.
-func (d *Daemon) history(name string) *compHistory {
-	h := d.byComp[name]
-	if h != nil {
-		return h
+// window returns the component's trigger window, creating it — from
+// the spare list when one is parked there — on first use. Caller
+// holds d.mu.
+func (d *Daemon) window(name string) *window {
+	w := d.byComp[name]
+	if w != nil {
+		return w
 	}
 	if n := len(d.spare); n > 0 {
-		h = d.spare[n-1]
+		w = d.spare[n-1]
 		d.spare[n-1] = nil
 		d.spare = d.spare[:n-1]
-		h.reset()
+		w.reset()
 	} else {
-		h = &compHistory{}
+		w = &window{}
 	}
-	d.byComp[name] = h
-	return h
-}
-
-// windowErrors returns the component's correctable errors inside the
-// sliding window ending at the just-recorded vector, recorded at t
-// with correctable errors. On the ordered fast path it advances the
-// rolling cursor past expired vectors and adds the new count —
-// O(expired) instead of O(retained) per record, with the exact same
-// total the full scan produces. Caller holds d.mu.
-func (h *compHistory) windowErrors(t time.Time, correctable int, window time.Duration) int {
-	cutoff := t.Add(-window)
-	n := h.len()
-	if h.dirty {
-		errs := 0
-		for i := range n {
-			if w := h.at(i); w.Time.After(cutoff) && !w.Time.After(t) {
-				errs += w.CorrectableCount()
-			}
-		}
-		return errs
-	}
-	for ; h.winStart < n-1; h.winStart++ {
-		w := h.at(h.winStart)
-		if w.Time.After(cutoff) {
-			break
-		}
-		h.winErrs -= w.CorrectableCount()
-	}
-	h.winErrs += correctable
-	return h.winErrs
-}
-
-// Query returns the retained vectors for a component recorded at or
-// after `since`, in record order (on-demand service). Vectors stamped
-// from a snapshot image share their sensor and error payloads with
-// it: the caller must not write into them.
-func (d *Daemon) Query(component string, since time.Time) []telemetry.InfoVector {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	h := d.byComp[component]
-	if h == nil {
-		return nil
-	}
-	var out []telemetry.InfoVector
-	for i := range h.len() {
-		if v := h.at(i); !v.Time.Before(since) {
-			out = append(out, *v)
-		}
-	}
-	return out
-}
-
-// Components returns the component names seen so far.
-func (d *Daemon) Components() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.byComp))
-	for name := range d.byComp {
-		out = append(out, name)
-	}
-	return out
+	d.byComp[name] = w
+	return w
 }
 
 // Stats summarizes the daemon's activity.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -58,50 +59,47 @@ func TestRecordStampsAndPersists(t *testing.T) {
 }
 
 func TestExplicitTimestampPreserved(t *testing.T) {
-	d, _ := newTestDaemon(nil)
+	var buf bytes.Buffer
+	d, _ := newTestDaemon(&buf)
 	want := time.Date(2017, 7, 1, 3, 0, 0, 0, time.UTC)
 	v := vec("core0", 0)
 	v.Time = want
 	d.Record(v)
-	got := d.Query("core0", time.Time{})
+	got, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 || !got[0].Time.Equal(want) {
 		t.Fatalf("timestamp overwritten: %v", got)
 	}
 }
 
-func TestEventDrivenListeners(t *testing.T) {
-	d, _ := newTestDaemon(nil)
-	var seen []string
-	d.Subscribe(func(v telemetry.InfoVector) { seen = append(seen, "a:"+v.Component) })
-	d.Subscribe(func(v telemetry.InfoVector) { seen = append(seen, "b:"+v.Component) })
-	d.Record(vec("core1", 0))
-	if len(seen) != 2 || seen[0] != "a:core1" || seen[1] != "b:core1" {
-		t.Fatalf("listener order/content wrong: %v", seen)
-	}
-}
-
-func TestOnDemandQuery(t *testing.T) {
-	d, clock := newTestDaemon(nil)
+// TestRecordOutOfOrderPanics: a vector dated before its component's
+// last record panics and leaves the daemon usable; other components
+// keep their own order.
+func TestRecordOutOfOrderPanics(t *testing.T) {
+	var buf bytes.Buffer
+	d, clock := newTestDaemon(&buf)
+	clock.Advance(time.Hour)
 	d.Record(vec("core0", 1))
-	clock.Advance(10 * time.Minute)
-	mark := clock.Now()
-	d.Record(vec("core0", 2))
-	d.Record(vec("core1", 3))
-
-	all := d.Query("core0", time.Time{})
-	if len(all) != 2 {
-		t.Fatalf("core0 history = %d", len(all))
+	late := vec("core0", 1)
+	late.Time = clock.Now().Add(-time.Second)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "precedes its last") {
+				t.Fatalf("out-of-order record recovered %v, want a panic", r)
+			}
+		}()
+		d.Record(late)
+	}()
+	late.Component = "core1"
+	d.Record(late) // an earlier time on another component is in order
+	d.Record(vec("core0", 1))
+	if s := d.Stats(); s.Recorded != 3 {
+		t.Fatalf("recorded %d vectors, want 3 (the refused one not counted)", s.Recorded)
 	}
-	recent := d.Query("core0", mark)
-	if len(recent) != 1 || recent[0].CorrectableCount() != 2 {
-		t.Fatalf("since-query wrong: %+v", recent)
-	}
-	if got := d.Query("ghost", time.Time{}); got != nil {
-		t.Fatalf("unknown component query = %v", got)
-	}
-	comps := d.Components()
-	if len(comps) != 2 {
-		t.Fatalf("Components = %v", comps)
+	if n := strings.Count(buf.String(), "\n"); n != 3 {
+		t.Fatalf("log has %d lines, want 3", n)
 	}
 }
 
@@ -154,15 +152,20 @@ func TestThresholdPerComponent(t *testing.T) {
 	}
 }
 
+// TestRetentionBound: the threshold counts at most the last
+// RetainVectors records of a component, however many fall inside the
+// window.
 func TestRetentionBound(t *testing.T) {
 	clock := telemetry.NewClock(time.Unix(0, 0))
-	d := New(Config{ErrorThreshold: 1000, Window: time.Hour, RetainVectors: 10}, clock, nil)
+	d := New(Config{ErrorThreshold: 5, Window: time.Hour, RetainVectors: 10}, clock, nil)
+	var last TriggerReason
+	d.OnStressTrigger(func(r TriggerReason) { last = r })
 	for i := 0; i < 50; i++ {
 		clock.Advance(time.Second)
-		d.Record(vec("core0", 0))
+		d.Record(vec("core0", 1))
 	}
-	if got := len(d.Query("core0", time.Time{})); got != 10 {
-		t.Fatalf("retained %d vectors, want 10", got)
+	if last.WindowErrs != 10 {
+		t.Fatalf("window counted %d errors, want the 10 retained", last.WindowErrs)
 	}
 }
 
@@ -189,10 +192,10 @@ func TestWriteErrorSurfaced(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}
-	// Daemon keeps functioning for queries after a write error.
+	// The daemon keeps recording after a write error.
 	d.Record(vec("core0", 0))
-	if len(d.Query("core0", time.Time{})) != 2 {
-		t.Fatal("daemon stopped retaining after write error")
+	if d.Stats().Recorded != 2 {
+		t.Fatal("daemon stopped recording after write error")
 	}
 }
 

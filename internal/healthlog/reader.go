@@ -10,9 +10,10 @@ import (
 )
 
 // ReadLog parses a HealthLog JSON-lines system logfile back into
-// information vectors — the offline path the Predictor uses to train
-// on historical data and operators use for post-mortems. Blank lines
-// are skipped; a malformed line aborts with its line number.
+// information vectors — the on-demand service: the daemon keeps no
+// vector in memory, so historical data for training and post-mortems
+// (cmd/healthlogcat) is read from the log. Blank lines are skipped; a
+// malformed line aborts with its line number.
 func ReadLog(r io.Reader) ([]telemetry.InfoVector, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -34,15 +35,6 @@ func ReadLog(r io.Reader) ([]telemetry.InfoVector, error) {
 		return nil, fmt.Errorf("healthlog: reading log: %w", err)
 	}
 	return out, nil
-}
-
-// Replay feeds logged vectors back into a daemon (e.g. after a daemon
-// restart, to rebuild its in-memory window state). Vectors keep their
-// original timestamps.
-func Replay(d *Daemon, vectors []telemetry.InfoVector) {
-	for _, v := range vectors {
-		d.Record(v)
-	}
 }
 
 // LogSummary aggregates a parsed logfile.

@@ -56,32 +56,6 @@ func TestReadLogReportsBadLine(t *testing.T) {
 	}
 }
 
-func TestReplayRebuildsState(t *testing.T) {
-	var buf bytes.Buffer
-	d1, clock := newTestDaemon(&buf)
-	for i := 0; i < 10; i++ {
-		clock.Advance(time.Minute)
-		d1.Record(vec("core0", 1))
-	}
-	vectors, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _ := newTestDaemon(nil)
-	Replay(d2, vectors)
-	if got := len(d2.Query("core0", time.Time{})); got != 10 {
-		t.Fatalf("replayed daemon has %d vectors", got)
-	}
-	// Replay preserves the original timestamps.
-	replayed := d2.Query("core0", time.Time{})
-	original := d1.Query("core0", time.Time{})
-	for i := range replayed {
-		if !replayed[i].Time.Equal(original[i].Time) {
-			t.Fatal("timestamps rewritten during replay")
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	vectors := []telemetry.InfoVector{
 		{Component: "core0", Time: time.Unix(100, 0), Errors: []telemetry.ErrorEvent{

@@ -9,17 +9,15 @@ import (
 )
 
 // TestRetentionCompactionMatchesScan drives one component far past its
-// retention bound, with in-order and out-of-order records, and checks
-// after every record that the retained window and the trigger decision
-// equal a reference that keeps the last RetainVectors vectors in a
-// fresh slice and counts window errors by full scan — so compacting
-// the history buffer in place changes neither retention nor the
-// rolling window bookkeeping. A second daemon records the same stream
-// but is re-stamped from its own image every few records, at gaps
-// below and past the retention bound: its history is then an aliased
-// image base plus its own tail, which trims cross and the out-of-order
-// scan reads across, and its retained window, trigger decisions and
-// next image must all equal the first daemon's.
+// retention bound with an in-order stream — equal timestamps, gaps
+// shorter than the window, exactly as long and longer — and checks after
+// every record that the trigger decision equals a reference that keeps
+// the last RetainVectors records in a fresh slice and counts window
+// errors by full scan, and that the daemon's window holds exactly the
+// reference records inside the window. A second daemon records the
+// same stream but is re-stamped from its own image every few records,
+// at gaps below and past the retention bound: its trigger decisions
+// and next image must equal the first daemon's.
 func TestRetentionCompactionMatchesScan(t *testing.T) {
 	const retain = 7
 	clock := telemetry.NewClock(time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC))
@@ -30,6 +28,8 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 	countS := func(TriggerReason) { sFired++ }
 	s.OnStressTrigger(countS)
 	gaps := []int{1, 3, 8, 2, 12, 5}
+	steps := []time.Duration{0, time.Minute, 0, 3 * time.Minute, 7 * time.Minute, 0, 0,
+		2 * time.Minute, 40 * time.Minute, time.Minute, cfg.Window, 11 * time.Minute}
 	nextStamp := 0
 
 	var ref []telemetry.InfoVector
@@ -39,24 +39,23 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 			s.RewireStressTrigger(countS)
 			nextStamp += gaps[i%len(gaps)]
 		}
-		clock.Advance(time.Duration(1+i%7) * time.Minute)
+		clock.Advance(steps[i%len(steps)])
 		v := vec("core0", i%4)
-		v.Time = clock.Now()
-		if i%97 == 50 {
-			v.Time = v.Time.Add(-2 * time.Hour) // out of order: the scan fallback
-		}
 		d.Record(v)
 		s.Record(v)
+		v.Time = clock.Now()
 		ref = append(ref, v)
 		if len(ref) > retain {
 			ref = append([]telemetry.InfoVector(nil), ref[len(ref)-retain:]...)
 		}
 
 		want := 0
+		var inWindow []Entry
 		cutoff := v.Time.Add(-cfg.Window)
 		for _, w := range ref {
 			if w.Time.After(cutoff) && !w.Time.After(v.Time) {
 				want += w.CorrectableCount()
+				inWindow = append(inWindow, Entry{Time: w.Time, Count: w.CorrectableCount()})
 			}
 		}
 		wantFired := 0
@@ -68,19 +67,17 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 				i, fired, sFired, wantFired, want)
 		}
 		fired, sFired = 0, 0
-		if got := d.Query("core0", time.Time{}); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("record %d: retained %d vectors differing from the last %d recorded", i, len(got), len(ref))
+		img := d.Compile()
+		if got := img.Comps[0].Entries; !reflect.DeepEqual(got, inWindow) {
+			t.Fatalf("record %d: window holds %v, want the reference's in-window records %v", i, got, inWindow)
 		}
-		if got := s.Query("core0", time.Time{}); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("record %d: re-stamped daemon retained %d vectors differing from the last %d recorded", i, len(got), len(ref))
-		}
-		if got, want := s.Compile(), d.Compile(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("record %d: re-stamped daemon's image differs:\n%+v\nwant\n%+v", i, got, want)
+		if got := s.Compile(); !reflect.DeepEqual(got, img) {
+			t.Fatalf("record %d: re-stamped daemon's image differs:\n%+v\nwant\n%+v", i, got, img)
 		}
 	}
 	for _, dd := range []*Daemon{d, s} {
-		if h := dd.byComp["core0"]; cap(h.buf) > 4*retain {
-			t.Fatalf("history buffer grew to %d for a %d-vector window", cap(h.buf), retain)
+		if w := dd.byComp["core0"]; len(w.ring) > max(16, 2*retain) {
+			t.Fatalf("window ring grew to %d for a %d-record window", len(w.ring), retain)
 		}
 	}
 }
@@ -89,8 +86,8 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 // with different component names on one arena daemon, recording a
 // burst after each stamp, as fleet workers alternating between
 // archetypes of different part models do. Once warm, the cycle must
-// not allocate: swept histories are parked and reused, and each
-// history records into its own buffer.
+// not allocate: swept windows are parked and reused, and each window
+// records into its own ring.
 func TestStampRecordCycleAllocationFree(t *testing.T) {
 	compiled := func(comps ...string) *Compiled {
 		d, clock := newTestDaemon(nil)
@@ -105,6 +102,7 @@ func TestStampRecordCycleAllocationFree(t *testing.T) {
 	a := compiled("i5/core0", "i5/core1")
 	b := compiled("i7/core0", "i7/core1", "i7/core2")
 	d, clock := newTestDaemon(nil)
+	clock.Advance(time.Hour) // past every image entry
 	bursts := []telemetry.InfoVector{vec("i5/core0", 1), vec("i7/core2", 0), vec("i7/core0", 2)}
 	cycle := func() {
 		for _, c := range []*Compiled{a, b} {
@@ -123,30 +121,21 @@ func TestStampRecordCycleAllocationFree(t *testing.T) {
 
 	// The stamp still reproduces the image exactly.
 	b.StampInto(d, clock, nil)
-	fresh := New(Config{}, clock, nil)
-	b.StampInto(fresh, clock, nil)
-	for _, name := range []string{"i7/core0", "i7/core1", "i7/core2"} {
-		if got, want := d.Query(name, time.Time{}), fresh.Query(name, time.Time{}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: reused arena stamp differs from a fresh daemon's", name)
-		}
-	}
-	if got := len(d.Components()); got != 3 {
-		t.Fatalf("arena holds %d components after stamping a 3-component image", got)
+	if got := d.Compile(); !reflect.DeepEqual(got, b) {
+		t.Fatalf("reused arena stamp compiles to\n%+v\nwant the image\n%+v", got, b)
 	}
 }
 
 // TestCompiledValidate: Compile's own output validates and stamps into
-// a zero daemon, and every broken count a decoded image could carry is
-// refused.
+// a zero daemon, and every malformed image a decoder could be handed
+// is refused.
 func TestCompiledValidate(t *testing.T) {
 	image := func() *Compiled {
 		d, clock := newTestDaemon(nil)
 		for i := 0; i < 6; i++ {
 			clock.Advance(time.Minute)
 			for _, c := range []string{"core0", "core1"} {
-				v := vec(c, i%3)
-				v.Sensors = []telemetry.Reading{{Kind: telemetry.SensorTemperature, Value: float64(40 + i)}}
-				d.Record(v)
+				d.Record(vec(c, i%3))
 			}
 		}
 		return d.Compile()
@@ -158,19 +147,18 @@ func TestCompiledValidate(t *testing.T) {
 	var zero Daemon
 	_, clock := newTestDaemon(nil)
 	c.StampInto(&zero, clock, nil)
-	if got := zero.Query("core1", time.Time{}); len(got) != 6 || len(got[5].Sensors) != 1 {
-		t.Fatalf("zero daemon stamp holds %d core1 vectors", len(got))
+	if got := zero.Compile(); !reflect.DeepEqual(got, c) {
+		t.Fatalf("zero daemon stamp compiles to %+v", got)
 	}
 	breaks := map[string]func(c *Compiled){
-		"vector overrun":   func(c *Compiled) { c.Comps[1].Vecs++ },
-		"vector negative":  func(c *Compiled) { c.Comps[0].Vecs, c.Comps[1].Vecs = -1, 13 },
-		"uncovered vector": func(c *Compiled) { c.Vecs = append(c.Vecs, CompiledVec{}) },
-		"window cursor":    func(c *Compiled) { c.Comps[0].WinStart = -1 },
-		"window overrun":   func(c *Compiled) { c.Comps[0].WinStart = 7 },
-		"sensor overrun":   func(c *Compiled) { c.Vecs[len(c.Vecs)-1].Sensors++ },
-		"sensor negative":  func(c *Compiled) { c.Vecs[0].Sensors, c.Vecs[1].Sensors = -1, 3 },
-		"error overrun":    func(c *Compiled) { c.Vecs[2].Errors += len(c.Errors) },
-		"uncovered errors": func(c *Compiled) { c.Errors = append(c.Errors, telemetry.ErrorEvent{}) },
+		"unsorted names":  func(c *Compiled) { c.Comps[0], c.Comps[1] = c.Comps[1], c.Comps[0] },
+		"duplicate name":  func(c *Compiled) { c.Comps[1].Name = c.Comps[0].Name },
+		"decreasing time": func(c *Compiled) { c.Comps[1].Entries[3].Time = c.Comps[1].Entries[2].Time.Add(-time.Second) },
+		"negative count":  func(c *Compiled) { c.Comps[0].Entries[0].Count = -1 },
+		"over retention":  func(c *Compiled) { c.Config.RetainVectors = len(c.Comps[0].Entries) - 1 },
+		"zero threshold":  func(c *Compiled) { c.Config.ErrorThreshold = 0 },
+		"negative window": func(c *Compiled) { c.Config.Window = -time.Minute },
+		"zero retention":  func(c *Compiled) { c.Config.RetainVectors = 0 },
 	}
 	for name, brk := range breaks {
 		c := image()

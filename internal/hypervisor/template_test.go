@@ -9,14 +9,14 @@ import (
 	"uniserver/internal/telemetry"
 )
 
-// TestCopyFromSharesUntilProtect pins the copy-on-write contract of
+// TestStampSharesObjectsUntilProtect pins the copy-on-write contract of
 // a stamped inventory (ObjectMap.share, the stamp's copy from an
 // image): the copy aliases the source objects until Protect or
 // ProtectObjects first writes it, the write lands only in the copy and
 // matches what it does to a second fabrication from the same seed,
 // and a later stamp shares again while keeping the private buffer for
 // the next write.
-func TestCopyFromSharesUntilProtect(t *testing.T) {
+func TestStampSharesObjectsUntilProtect(t *testing.T) {
 	src := NewObjectMap(DefaultProfiles(), rng.New(5))
 	pristine := append([]Object(nil), src.Objects...)
 	writers := []struct {

@@ -1,6 +1,8 @@
 package stresslog
 
 import (
+	"bytes"
+	"io"
 	"testing"
 	"time"
 
@@ -15,6 +17,13 @@ import (
 
 func testRig(t *testing.T, seed uint64) (*Daemon, *telemetry.Clock, *healthlog.Daemon) {
 	t.Helper()
+	return testRigLogging(t, seed, nil)
+}
+
+// testRigLogging is testRig with the HealthLog writing its logfile to
+// out.
+func testRigLogging(t *testing.T, seed uint64, out io.Writer) (*Daemon, *telemetry.Clock, *healthlog.Daemon) {
+	t.Helper()
 	clock := telemetry.NewClock(time.Date(2017, 2, 1, 0, 0, 0, 0, time.UTC))
 	machine := cpu.NewMachine(cpu.PartI5_4200U(), seed)
 	cfg := dram.Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 8 << 30, DeviceGb: 2, TempC: 45}
@@ -22,7 +31,7 @@ func testRig(t *testing.T, seed uint64) (*Daemon, *telemetry.Clock, *healthlog.D
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := healthlog.New(healthlog.DefaultConfig(), clock, nil)
+	health := healthlog.New(healthlog.DefaultConfig(), clock, out)
 	refresh := power.DRAMRefreshModel{DeviceGb: 2, TotalMemW: 10}
 	d := New(clock, machine, mem, health, refresh, 60*24*time.Hour) // ~2 months
 	return d, clock, health
@@ -110,7 +119,8 @@ func TestCampaignDRAMMargin(t *testing.T) {
 }
 
 func TestCampaignFeedsHealthLog(t *testing.T) {
-	d, _, health := testRig(t, 7)
+	var log bytes.Buffer
+	d, _, health := testRigLogging(t, 7, &log)
 	if _, err := d.RunCampaign(quickParams(), rng.New(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +131,19 @@ func TestCampaignFeedsHealthLog(t *testing.T) {
 	if stats.Crashes == 0 {
 		t.Fatal("campaign crashes not recorded")
 	}
-	vecs := health.Query("i5-4200U/core0", time.Time{})
-	if len(vecs) == 0 {
-		t.Fatal("no vectors for core0")
+	vecs, err := healthlog.ReadLog(&log)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sawCrash := false
+	sawCore0, sawCrash := false, false
 	for _, v := range vecs {
-		if v.HasCrash() {
-			sawCrash = true
+		if v.Component == "i5-4200U/core0" {
+			sawCore0 = true
+			sawCrash = sawCrash || v.HasCrash()
 		}
+	}
+	if !sawCore0 {
+		t.Fatal("no vectors for core0")
 	}
 	if !sawCrash {
 		t.Fatal("no crash events in core0 history")
@@ -137,18 +151,19 @@ func TestCampaignFeedsHealthLog(t *testing.T) {
 }
 
 func TestOfflineDuringCampaign(t *testing.T) {
-	d, _, _ := testRig(t, 9)
-	if !d.Online() {
-		t.Fatal("machine should start online")
-	}
-	// Hook a HealthLog listener that observes the online flag: during
+	// The HealthLog writes each vector's line before Record returns,
+	// so a logfile writer sees the online flag at every record: during
 	// the campaign the machine must be offline.
+	var d *Daemon
 	sawOffline := false
-	d.health.Subscribe(func(telemetry.InfoVector) {
+	d, _, _ = testRigLogging(t, 9, writerFunc(func() {
 		if !d.Online() {
 			sawOffline = true
 		}
-	})
+	}))
+	if !d.Online() {
+		t.Fatal("machine should start online")
+	}
 	if _, err := d.RunCampaign(quickParams(), rng.New(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +173,14 @@ func TestOfflineDuringCampaign(t *testing.T) {
 	if !d.Online() {
 		t.Fatal("machine not restored online")
 	}
+}
+
+// writerFunc is a logfile writer that calls itself on every line.
+type writerFunc func()
+
+func (f writerFunc) Write(p []byte) (int, error) {
+	f()
+	return len(p), nil
 }
 
 func TestPeriodicScheduling(t *testing.T) {
@@ -247,17 +270,16 @@ func TestCampaignWithViruses(t *testing.T) {
 }
 
 func TestConcurrentCampaignRejected(t *testing.T) {
-	d, _, _ := testRig(t, 19)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var once bool
-	d.health.Subscribe(func(telemetry.InfoVector) {
+	d, _, _ := testRigLogging(t, 19, writerFunc(func() {
 		if !once {
 			once = true
 			close(started)
 			<-release
 		}
-	})
+	}))
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := d.RunCampaign(quickParams(), rng.New(19))
