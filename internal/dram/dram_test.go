@@ -339,8 +339,9 @@ func TestKernelIsolationPreventsErrors(t *testing.T) {
 	}
 	// Sampled window should never strike the kernel.
 	src := rng.New(5)
+	hits := make(map[string]int)
 	for i := 0; i < 50; i++ {
-		hits := al.SimulateWindow(src)
+		al.SimulateWindowInto(src, hits)
 		if hits["kernel"] != 0 {
 			t.Fatalf("kernel struck by retention error while on reliable domain")
 		}

@@ -3,7 +3,9 @@ package dram
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"uniserver/internal/rng"
@@ -65,6 +67,10 @@ type Allocator struct {
 	allocations []Allocation
 	used        map[*Domain]uint64 // bytes allocated per domain
 	nextRelaxed int
+	// screens caches each domain's zero-draw table (SimulateWindowInto)
+	// for screenModel; StampFrom and a change of model clear it.
+	screens     []domainScreen
+	screenModel RetentionModel
 }
 
 // NewAllocator returns an allocator over the memory system.
@@ -192,25 +198,24 @@ func (al *Allocator) Exposure() []ExposureReport {
 	return out
 }
 
-// SimulateWindow samples the retention errors striking each owner over
-// one refresh window at current settings, returning errors per owner.
-// Owners on reliable domains see zero errors at nominal refresh by
-// construction; a kernel owner placed on a relaxed domain is exactly
-// the crash risk the paper's domain isolation removes.
-func (al *Allocator) SimulateWindow(src *rng.Source) map[string]int {
-	out := make(map[string]int)
-	al.SimulateWindowInto(src, out)
-	return out
-}
-
-// SimulateWindowInto is SimulateWindow writing into a caller-owned map
-// (not cleared first), so a per-window stepper can reuse one scratch
-// map for the whole deployment instead of allocating every window. The
-// per-bit failure probability is a function of (domain refresh, system
-// temperature) only, so it is evaluated once per domain rather than
-// once per allocation; the Binomial draws consume the stream in the
-// same allocation order with the same parameters as ever.
+// SimulateWindowInto samples the retention errors striking each owner
+// over one refresh window at current settings and adds them to out,
+// which it does not clear first, so a per-window stepper can reuse one
+// scratch map for the whole deployment. Owners on reliable domains see
+// zero errors at nominal refresh by construction; a kernel owner
+// placed on a relaxed domain is exactly the crash risk the paper's
+// domain isolation removes.
+//
+// Each allocation draws Binomial(bits, FailProb(refresh, T)/2). An
+// allocation the zero-draw screen (zeroDraw) decides only skips the
+// one uniform that draw would consume; every other allocation
+// evaluates the per-bit failure probability, once per domain, and
+// draws it.
 func (al *Allocator) SimulateWindowInto(src *rng.Source, out map[string]int) {
+	if al.screenModel != al.ms.Model {
+		al.screens, al.screenModel = al.screens[:0], al.ms.Model
+	}
+	tempC := al.ms.TempC
 	var (
 		pDom  [8]*Domain
 		pVal  [8]float64
@@ -222,7 +227,7 @@ func (al *Allocator) SimulateWindowInto(src *rng.Source, out map[string]int) {
 				return pVal[i]
 			}
 		}
-		p := al.ms.Model.FailProb(dom.Refresh, al.ms.TempC) / 2
+		p := al.ms.Model.FailProb(dom.Refresh, tempC) / 2
 		if nDoms < len(pDom) {
 			pDom[nDoms], pVal[nDoms] = dom, p
 			nDoms++
@@ -230,9 +235,130 @@ func (al *Allocator) SimulateWindowInto(src *rng.Source, out map[string]int) {
 		return p
 	}
 	for _, a := range al.allocations {
-		n := src.Binomial(int(a.Bytes()*8), probFor(a.Domain))
-		if n > 0 {
+		bits := int(a.Bytes() * 8)
+		if al.zeroDraw(a.Domain, bits, tempC) {
+			src.Skip(1)
+			continue
+		}
+		if n := src.Binomial(bits, probFor(a.Domain)); n > 0 {
 			out[a.Owner] += n
 		}
 	}
+}
+
+// The zero-draw table covers the integer temperatures screenMinC to
+// screenMinC+screenTemps−1 °C; screenMinP is the least lower bound on p
+// it trusts (zeroDraw).
+const (
+	screenMinC  = -50
+	screenTemps = 200
+	screenMinP  = 0x1p-1000
+)
+
+// zeroDraw reports whether the zero-draw screen decides that
+// Binomial(bits, FailProb(dom.Refresh, tempC)/2) draws one uniform and
+// returns 0, so that Skip(1) reproduces it exactly.
+//
+// For bits > 64 and a mean bits·p below 32, Binomial is Poisson(bits·p).
+// Knuth's product method computes limit = exp(−mean) and returns 0 on
+// the first uniform ≤ limit. Float64 is at most 1−2^-53, and for
+// 0 < mean ≤ 2^-56 the exact exp(−mean) lies in [1−2^-56, 1), so any
+// exp within one ulp — Go's pure-Go exp documents an error below one
+// ulp, and on amd64 it rounds to exactly 1 — gives limit ≥ 1−2^-53:
+// the draw is one consumed Uint64 and a 0, whichever way the
+// architecture rounds (rng.TestPoissonTinyMeanDrawsOnce pins this).
+//
+// FailProb rises with temperature, and screenTable[i] is FailProb/2 at
+// screenMinC+i °C with a relative slack of 1e-9, far above its
+// rounding. So for a temperature T in [screenMinC,
+// screenMinC+screenTemps−1), entry ⌊T⌋+1 bounds p from above, and
+// bits·tab[⌊T⌋+1] ≤ 2^-56 bounds the mean. Entry ⌊T⌋ bounds p from
+// below, and p must be positive for Binomial to draw at all; the
+// screen asks that entry to reach screenMinP, far inside the normal
+// range, because FailProb's rounding is monotone only where its value
+// is not subnormal. A NaN or infinite temperature is outside the
+// table, and anything the table cannot decide takes the exact path.
+func (al *Allocator) zeroDraw(dom *Domain, bits int, tempC float64) bool {
+	if !(tempC >= screenMinC && tempC < screenMinC+screenTemps-1) || bits <= 64 {
+		return false
+	}
+	tab := al.screenFor(dom)
+	i := int(math.Floor(tempC)) - screenMinC
+	return tab != nil && tab[i] >= screenMinP && float64(bits)*tab[i+1] <= 0x1p-56
+}
+
+// screenTable is one (retention model, refresh) pair's zero-draw table.
+type screenTable [screenTemps]float64
+
+// domainScreen is one domain's table, for the refresh it was built at.
+type domainScreen struct {
+	dom     *Domain
+	refresh time.Duration
+	tab     *screenTable // nil: the model is not screened
+}
+
+// screenFor returns the domain's zero-draw table at its current
+// refresh, building the cache entry on the domain's first window and
+// whenever its refresh has changed since (a mode change, a thermal
+// fallback).
+func (al *Allocator) screenFor(dom *Domain) *screenTable {
+	for i := range al.screens {
+		if s := &al.screens[i]; s.dom == dom {
+			if s.refresh != dom.Refresh {
+				s.refresh, s.tab = dom.Refresh, zeroDrawTable(al.ms.Model, dom.Refresh)
+			}
+			return s.tab
+		}
+	}
+	tab := zeroDrawTable(al.ms.Model, dom.Refresh)
+	al.screens = append(al.screens, domainScreen{dom: dom, refresh: dom.Refresh, tab: tab})
+	return tab
+}
+
+// screenMemo holds the zero-draw tables process-wide, so each stamped
+// allocator looks a table up instead of evaluating FailProb 200 times
+// per domain. A fleet uses a handful of (model, refresh) pairs; the
+// memo starts over when it reaches screenMemoCap, which bounds it
+// whatever a caller feeds it.
+var screenMemo struct {
+	sync.Mutex
+	m map[screenKey]*screenTable
+}
+
+type screenKey struct {
+	model   RetentionModel
+	refresh time.Duration
+}
+
+const screenMemoCap = 256
+
+// zeroDrawTable returns the memoized zero-draw table of the model at
+// the refresh interval, or nil for a model whose FailProb need not
+// rise with temperature: one with a non-finite field (a NaN field
+// would also never find its key again), a non-positive HalvingC or a
+// non-positive SigmaLog.
+func zeroDrawTable(m RetentionModel, refresh time.Duration) *screenTable {
+	for _, v := range [...]float64{m.MuLog, m.SigmaLog, m.RefTempC, m.HalvingC} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil
+		}
+	}
+	if m.HalvingC <= 0 || m.SigmaLog <= 0 {
+		return nil
+	}
+	key := screenKey{m, refresh}
+	screenMemo.Lock()
+	defer screenMemo.Unlock()
+	if tab := screenMemo.m[key]; tab != nil {
+		return tab
+	}
+	tab := new(screenTable)
+	for i := range tab {
+		tab[i] = m.FailProb(refresh, float64(screenMinC+i)) / 2 * (1 + 1e-9)
+	}
+	if len(screenMemo.m) >= screenMemoCap || screenMemo.m == nil {
+		screenMemo.m = make(map[screenKey]*screenTable)
+	}
+	screenMemo.m[key] = tab
+	return tab
 }

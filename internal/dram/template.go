@@ -396,6 +396,8 @@ func (al *Allocator) StampFrom(img *AllocatorImage, ms *MemorySystem) error {
 	}
 	al.ms = ms
 	al.nextRelaxed = img.NextRelaxed
+	clear(al.screens) // drop the old domains, which may belong to another system
+	al.screens = al.screens[:0]
 	al.allocations = al.allocations[:0]
 	if al.used == nil {
 		al.used = make(map[*Domain]uint64, len(ms.Domains))

@@ -534,3 +534,72 @@ func TestNormalAboveMatchesNormal(t *testing.T) {
 		t.Fatal("no threshold took the skip path")
 	}
 }
+
+// TestPoissonTinyMeanDrawsOnce pins the fact the DRAM window's
+// zero-draw screen rests on: for 0 < mean ≤ 2^-56, exp(−mean) is at
+// least 1−2^-53, the largest Float64, so Poisson(mean) returns 0 after
+// exactly one draw — whichever state the stream is in, including the
+// one whose next draw is the largest Uint64.
+func TestPoissonTinyMeanDrawsOnce(t *testing.T) {
+	const top = 1 - 0x1p-53
+	gen := New(11)
+	means := []float64{math.SmallestNonzeroFloat64, 0x1p-56}
+	for e := -1074; e <= -56; e++ {
+		means = append(means, math.Ldexp(1, e))
+		if e < -56 {
+			// A random mantissa in [1, 2) at this exponent; below the
+			// normal range Ldexp rounds it into a subnormal.
+			means = append(means, math.Ldexp(1+gen.Float64(), e))
+		}
+	}
+	for _, mean := range means {
+		if !(mean > 0 && mean <= 0x1p-56) {
+			t.Fatalf("generated mean %g outside (0, 2^-56]", mean)
+		}
+		if limit := math.Exp(-mean); limit < top {
+			t.Fatalf("exp(-%g) = %.17g < 1-2^-53", mean, limit)
+		}
+	}
+
+	// The state whose next Uint64 is MaxUint64, so the next Float64 is
+	// 1-2^-53: invert mix and step back one gamma.
+	maxState := unmix(math.MaxUint64) - goldenGamma
+	if s := FromState(maxState); s.Float64() != top {
+		t.Fatalf("state %#x does not draw the largest Float64", maxState)
+	}
+	states := []uint64{maxState, 0}
+	for range 200 {
+		states = append(states, gen.Uint64())
+	}
+	for _, state := range states {
+		for _, mean := range means {
+			s, want := FromState(state), FromState(state)
+			want.Skip(1)
+			if k := s.Poisson(mean); k != 0 || s.State() != want.State() {
+				t.Fatalf("Poisson(%g) from state %#x = %d at state %#x, want 0 at %#x", mean, state, k, s.State(), want.State())
+			}
+		}
+	}
+}
+
+// unmix inverts mix: each xor-shift by s is undone by iterating
+// x = y ^ x>>s, and each odd multiplier by its inverse mod 2^64.
+func unmix(z uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for range 64 / s {
+			x = y ^ x>>s
+		}
+		return x
+	}
+	inverse := func(a uint64) uint64 {
+		x := a // correct to 3 bits; each Newton step doubles that
+		for range 5 {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	z = unshift(z, 31) * inverse(0x94D049BB133111EB)
+	z = unshift(z, 27) * inverse(0xBF58476D1CE4E5B9)
+	return unshift(z, 30)
+}
