@@ -9,7 +9,7 @@
 // bundled preset (silicon-bin mixes, thermal seasons, bursty tenants,
 // mode churn, droop attacks; -list-scenarios names them), and -nodes N
 // lowers the fleet flags (-windows, -mode, -risk, -lifetime,
-// -drift-margin, -ecc-loop, -archetypes, -shards) onto an inline
+// -drift-margin, -ecc-loop, -archetypes) onto an inline
 // scenario. Either way N nodes characterize and step in parallel
 // across -workers goroutines, feeding per-epoch health into the
 // reliability-aware cloud scheduler, and the run prints a fingerprint
@@ -92,8 +92,6 @@ func run(args []string, out io.Writer) error {
 	nodes := fs.Int("nodes", 1, "fleet size; >1 runs the fleet flags as an inline scenario on the concurrent multi-node engine")
 	workers := fs.Int("workers", 0,
 		"worker goroutines for the fleet engine (0 = GOMAXPROCS; campaigns parallelize across cells instead, so 0 = 1 worker per cell)")
-	shards := fs.Int("shards", 0,
-		"fleet/scenario runs: execute the node range in this many sequential shards (0 = the scenario's choice, else unsharded); never changes results, bounds coordinator memory for population-scale fleets")
 	archetypes := fs.Bool("archetypes", false,
 		"fleet mode: characterize once per silicon/DRAM bin and clone per node (O(bins) campaigns instead of O(nodes); deterministic, but a different experiment than per-node characterization)")
 	listScenarios := fs.Bool("list-scenarios", false, "list the bundled scenario presets and exit")
@@ -177,9 +175,6 @@ func run(args []string, out io.Writer) error {
 		if set["drift-margin"] || set["ecc-loop"] {
 			return fmt.Errorf("scenarios declare their own adaptive policies (see the drift-cadence and ecc-closedloop presets); -drift-margin/-ecc-loop do not apply")
 		}
-		if set["shards"] && *campaignSpec != "" {
-			return fmt.Errorf("-shards does not apply to campaigns; each scenario declares its own shard count")
-		}
 	} else {
 		if *nodes > 1 && *closedLoop {
 			return fmt.Errorf("-closed-loop only applies to -nodes 1; the fleet engine always runs the supervised loop")
@@ -187,8 +182,8 @@ func run(args []string, out io.Writer) error {
 		if *nodes <= 1 && *workers != 0 {
 			return fmt.Errorf("-workers only applies to fleet mode (-nodes > 1); the single-node loop is sequential")
 		}
-		if *nodes <= 1 && (set["shards"] || set["archetypes"]) {
-			return fmt.Errorf("-shards and -archetypes only apply to fleet mode (-nodes > 1)")
+		if *nodes <= 1 && set["archetypes"] {
+			return fmt.Errorf("-archetypes only applies to fleet mode (-nodes > 1)")
 		}
 		if *nodes <= 1 && (set["drift-margin"] || set["ecc-loop"]) {
 			return fmt.Errorf("-drift-margin and -ecc-loop only apply to fleet mode (-nodes > 1)")
@@ -250,9 +245,6 @@ func run(args []string, out io.Writer) error {
 		if nodesOverride > 0 || windowsOverride > 0 {
 			s = s.Scale(nodesOverride, windowsOverride)
 		}
-		if *shards > 0 {
-			s.Shards = *shards
-		}
 		fleetScenario = &s
 	case *campaignSpec == "" && *nodes > 1:
 		fleetScenario = &scenario.Scenario{
@@ -265,7 +257,6 @@ func run(args []string, out io.Writer) error {
 			Lifetime:        life,
 			DriftMarginFrac: *driftMargin,
 			ECCLoop:         *eccLoop,
-			Shards:          *shards,
 			Archetypes:      *archetypes,
 		}
 	}
@@ -484,9 +475,8 @@ func runScenario(out io.Writer, s scenario.Scenario, seed uint64, workers int, h
 		cfg.OnNode = func(fleet.NodeSummary) { streamed++ }
 	}
 	fmt.Fprintf(out, "== scenario %s: %s ==\n", s.Name, s.Description)
-	fmt.Fprintf(out, "   %d nodes, %d windows, seed %d, %d workers (GOMAXPROCS %d), %d shards\n",
-		s.Nodes, s.Windows, seed, fleet.EffectiveWorkers(workers, s.Nodes), runtime.GOMAXPROCS(0),
-		fleet.EffectiveShards(s.Shards, s.Nodes))
+	fmt.Fprintf(out, "   %d nodes, %d windows, seed %d, %d workers (GOMAXPROCS %d)\n",
+		s.Nodes, s.Windows, seed, fleet.EffectiveWorkers(workers, s.Nodes), runtime.GOMAXPROCS(0))
 	var sum fleet.Summary
 	var runErr error
 	peak := fleet.HeapWatermark(func() { sum, runErr = fleet.Run(cfg) })
@@ -501,8 +491,8 @@ func runScenario(out io.Writer, s scenario.Scenario, seed uint64, workers int, h
 	fmt.Fprintf(out, "  proactive migrations:     %d\n", sum.Migrations)
 	fmt.Fprintf(out, "  SLA violations:           %d (%d user-facing)\n", sum.SLAViolations, sum.UserFacingViolations)
 	fmt.Fprintf(out, "  fleet energy:             %.3f kWh, mean availability %.4f\n", sum.EnergyKWh, sum.MeanAvailability)
-	fmt.Fprintf(out, "  wall-clock:               %v at %d workers, %d shards\n",
-		sum.WallClock.Round(time.Millisecond), sum.Workers, sum.Shards)
+	fmt.Fprintf(out, "  wall-clock:               %v at %d workers\n",
+		sum.WallClock.Round(time.Millisecond), sum.Workers)
 	fmt.Fprintf(out, "  peak heap:                %.1f MiB\n", float64(peak)/(1<<20))
 	if cache != nil {
 		st := cache.Stats()
@@ -524,7 +514,7 @@ func runScenario(out io.Writer, s scenario.Scenario, seed uint64, workers int, h
 	}
 	fp := sha256.Sum256([]byte(sum.Fingerprint()))
 	fmt.Fprintf(out, "\nfingerprint sha256:%s\n", hex.EncodeToString(fp[:]))
-	fmt.Fprintln(out, "(same scenario + same seed => same fingerprint, at any -workers/-shards)")
+	fmt.Fprintln(out, "(same scenario + same seed => same fingerprint, at any -workers)")
 	return nil
 }
 

@@ -31,7 +31,7 @@ func testCampaignOpts(storeDir string) campaignOpts {
 // front end in-process. The fleet flags lower onto an inline scenario
 // compiled by Scenario.FleetConfig, and the fingerprints they print
 // are pinned: the lowering must reproduce the fleet runs the flags
-// always described, at any worker or shard count.
+// always described, at any worker count.
 func TestFleetFlagsRunAsScenario(t *testing.T) {
 	const (
 		plain     = "d44559a42a38fd9ff43d1bd02067842d3c6c3976f284b3c2fdadf04bc23809e9"
@@ -42,7 +42,6 @@ func TestFleetFlagsRunAsScenario(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-nodes 4 -windows 30 -seed 9", plain},
 		{"-nodes 4 -windows 30 -seed 9 -workers 1", plain},
-		{"-nodes 4 -windows 30 -seed 9 -workers 2 -shards 2", plain},
 		{"-nodes 3 -windows 8 -lifetime 3x30 -recharact-every 30 -drift-margin 0.1 -ecc-loop", policies},
 		{"-nodes 6 -windows 20 -seed 3 -archetypes", archetype},
 		{"-nodes 3 -windows 8 -lifetime 3x30", cadence},
@@ -71,7 +70,6 @@ func TestFleetFlagsRejectedBeforeHealthLog(t *testing.T) {
 		"-nodes 3 -drift-margin 0.1",               // the drift gate needs -lifetime
 		"-nodes 3 -lifetime 3x30 -drift-margin -1", // negative margin
 		"-nodes 3 -lifetime 3x30 -gap-duty 2",      // duty outside [0,1]
-		"-nodes 3 -shards -1",                      // negative shard count
 		"-nodes 3 -windows 0",                      // no windows
 	} {
 		err := run(append(strings.Fields(args), "-healthlog", logPath), &bytes.Buffer{})

@@ -14,9 +14,9 @@ import (
 // SubmitRequest is the JSON body of POST /api/v1/campaigns. A
 // submission names its grid either by preset (Presets, with optional
 // Nodes/Windows rescaling) or inline (Scenarios, full declarations);
-// the two can mix. Seeds is required. Shards, FleetWorkers and
-// Parallel are execution knobs — they shape wall-clock and memory,
-// never results, and never the run's identity.
+// the two can mix. Seeds is required. FleetWorkers and Parallel are
+// execution knobs — they shape wall-clock and memory, never results,
+// and never the run's identity.
 type SubmitRequest struct {
 	// Presets names bundled scenario presets ("aging-year", "baseline",
 	// …, or "all" for the whole catalogue).
@@ -30,9 +30,6 @@ type SubmitRequest struct {
 	// taken as declared); 0 keeps the preset size.
 	Nodes   int `json:"nodes,omitempty"`
 	Windows int `json:"windows,omitempty"`
-	// Shards overrides each scenario's population shard count
-	// (execution knob: canonicalized out of the content address).
-	Shards int `json:"shards,omitempty"`
 
 	FleetWorkers int `json:"fleet_workers,omitempty"`
 	Parallel     int `json:"parallel,omitempty"`
@@ -102,15 +99,9 @@ func (r SubmitRequest) resolve() ([]scenario.Scenario, error) {
 	if len(r.Seeds) > maxSeeds {
 		return nil, fmt.Errorf("campaignd: submission has %d seeds, over the cap of %d", len(r.Seeds), maxSeeds)
 	}
-	if r.Shards < 0 {
-		return nil, fmt.Errorf("campaignd: negative shards (%d)", r.Shards)
-	}
 	nodeWindows := 0
-	for i, s := range scens {
-		if r.Shards > 0 {
-			scens[i].Shards = r.Shards
-		}
-		if err := scens[i].Validate(); err != nil {
+	for _, s := range scens {
+		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 		if s.Nodes > maxNodes {

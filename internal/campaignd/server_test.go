@@ -208,7 +208,10 @@ func TestSubmitRejectsMalformedRequests(t *testing.T) {
 		{"bad preset", `{"presets":["no-such-preset"],"seeds":[1]}`, "unknown preset"},
 		{"zero seeds", `{"presets":["baseline"],"seeds":[]}`, "no seeds"},
 		{"missing seeds", `{"presets":["baseline"]}`, "no seeds"},
-		{"negative shards", `{"presets":["baseline"],"seeds":[1],"shards":-2}`, "negative shards"},
+		// The engine has no shard knob: a body naming one is refused
+		// at decode, whatever its value.
+		{"negative shards", `{"presets":["baseline"],"seeds":[1],"shards":-2}`, `unknown field "shards"`},
+		{"shards knob", `{"presets":["baseline"],"seeds":[1],"shards":2}`, `unknown field "shards"`},
 		{"no scenarios", `{"seeds":[1]}`, "no scenarios"},
 		{"unknown field", `{"presets":["baseline"],"seeds":[1],"bogus":true}`, "unknown field"},
 		{"not json", `{{{`, "decoding"},

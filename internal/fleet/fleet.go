@@ -18,12 +18,9 @@
 // ecosystems are alive at any instant, independent of fleet size, so
 // peak heap scales as workers × ecosystem-size plus O(nodes) compact
 // state (health records, summaries, exported cloud nodes) — which is
-// what makes O(100k)-node populations runnable. Config.Shards
-// partitions the node range into contiguous batches claimed in
-// order, bounding the coordinator's unfolded-summary backlog to two
-// shards (the shard being folded and the one computing behind it);
-// Config.OnNode streams per-node summaries out instead of retaining
-// them; Config.Archetypes collapses characterization cost from
+// what makes O(100k)-node populations runnable. Config.OnNode
+// streams per-node summaries out instead of retaining them;
+// Config.Archetypes collapses characterization cost from
 // O(nodes) to O(distinct silicon/DRAM bins) by cloning one
 // characterized snapshot per bin with per-node stream reseating.
 //
@@ -34,11 +31,9 @@
 // workers write only to their own node's slot; and everything that
 // crosses nodes — health reports into the manager, VM arrivals, the
 // final summary — is merged in node order on the coordinator
-// goroutine. Shards fold strictly in shard order and nodes within a
-// shard in node order, so the global merge order is exactly the
-// unsharded engine's node order. The same seed therefore produces
-// byte-identical fleet fingerprints at any worker count AND any shard
-// count, while wall-clock drops with cores.
+// goroutine once the pool has drained. The same seed therefore
+// produces byte-identical fleet fingerprints at any worker count,
+// while wall-clock drops with cores.
 package fleet
 
 import (
@@ -133,33 +128,19 @@ type Config struct {
 	// runtime streams with the node's own seed (core.Ecosystem.Reseed),
 	// so characterization cost is O(bins) instead of O(nodes) while
 	// runtime stochasticity stays per-node. Results are deterministic
-	// and worker/shard-invariant, but intentionally differ from
+	// and worker-invariant, but intentionally differ from
 	// per-node characterization: nodes in a bin share the bin's
 	// published margins, weak-cell population and trained predictor
 	// instead of drawing their own silicon/DRAM lottery.
 	Archetypes bool
 
-	// Shards partitions the node range into contiguous batches
-	// claimed in order by the worker pool, each folding as soon
-	// as its last node finishes (shard s folds while shard s+1
-	// computes). Sharding never changes results — shards fold in shard
-	// order and nodes within a shard in node order, reproducing the
-	// unsharded engine's node-order merge exactly — it only bounds the
-	// coordinator's unfolded per-node backlog to two in-flight shards
-	// and gives OnNode consumers shard-granular streaming. <= 0 means
-	// one shard.
-	Shards int
-
 	// OnNode, when set, receives each node's finished summary as the
-	// coordinator folds it — node order within a shard, shard order
-	// across, always from the coordinator goroutine — and
-	// Summary.PerNode is left nil: callers that stream do not pay
-	// O(nodes) retained reports, and the fingerprint carries aggregate
-	// lines only (still deterministic at any worker and shard count,
-	// but not comparable against an OnNode-less run's fingerprint).
-	// On a failed run, summaries streamed from shards that completed
-	// before the failure was discovered will already have been
-	// delivered.
+	// coordinator folds it: from the coordinator goroutine, in node
+	// order, once every node has finished. Summary.PerNode is then left
+	// nil: callers that stream do not pay O(nodes) retained reports,
+	// and the fingerprint carries aggregate lines only (still
+	// deterministic at any worker count, but not comparable against an
+	// OnNode-less run's fingerprint). A failed run delivers no summary.
 	OnNode func(NodeSummary)
 
 	// Lifetime, when set, stretches every node's run across aging
@@ -327,25 +308,6 @@ func EffectiveWorkers(workers, nodes int) int {
 	return workers
 }
 
-// EffectiveShards resolves a requested shard count the way Run does:
-// non-positive means one shard, and never more shards than nodes.
-func EffectiveShards(shards, nodes int) int {
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > nodes {
-		shards = nodes
-	}
-	return shards
-}
-
-// shardRange returns shard s's contiguous node range [lo, hi) under
-// the balanced partition Run uses: sizes differ by at most one, and
-// concatenating the ranges in shard order yields [0, nodes) exactly.
-func shardRange(nodes, shards, s int) (lo, hi int) {
-	return nodes * s / shards, nodes * (s + 1) / shards
-}
-
 // NodeSeed derives node i's seed from the fleet seed. It is a pure
 // function of (seed, i) — independent of worker count and of every
 // other node — so characterization outcomes are stable however the
@@ -382,8 +344,8 @@ type NodeSummary struct {
 	ECCBackoffs      int `json:",omitempty"`
 }
 
-// Summary aggregates a fleet run. All fields except Workers, Shards
-// and WallClock are deterministic functions of the Config.
+// Summary aggregates a fleet run. All fields except Workers and
+// WallClock are deterministic functions of the Config.
 type Summary struct {
 	Nodes   int
 	Windows int
@@ -423,16 +385,15 @@ type Summary struct {
 	// run streamed summaries through Config.OnNode instead.
 	PerNode []NodeSummary
 
-	// Workers, Shards and WallClock describe this particular
-	// execution; they are excluded from Fingerprint — and from JSON,
-	// so serialized reports stay byte-comparable across runs — so
-	// summaries can be compared across worker and shard counts.
+	// Workers and WallClock describe this particular execution; they
+	// are excluded from Fingerprint — and from JSON, so serialized
+	// reports stay byte-comparable across runs — so summaries can be
+	// compared across worker counts.
 	// Realized speedup is measured by running the same Config at
 	// different worker counts and comparing WallClock — never
 	// estimated from goroutine-elapsed times, which oversubscription
 	// inflates.
 	Workers   int           `json:"-"`
-	Shards    int           `json:"-"`
 	WallClock time.Duration `json:"-"`
 }
 
@@ -507,8 +468,8 @@ type epochHealth struct {
 // fused worker task. The ecosystem and deployment live only inside the
 // task — what survives is the compact health sequence, the deployment
 // summary, the exported cloud node and (when requested) the log
-// buffer. Exactly one worker touches a slot during a shard's parallel
-// phase; the coordinator reads slots only after the shard's join.
+// buffer. Exactly one worker touches a slot while the pool runs; the
+// coordinator reads slots only after the pool's join.
 type nodeState struct {
 	name  string
 	seed  uint64
@@ -627,14 +588,13 @@ func (s *nodeState) characterize(cache *CharactCache, arena *core.RestoreArena, 
 }
 
 // Run executes a full fleet lifecycle: every node's fused
-// characterize→deploy→step task fans out across a persistent worker
-// pool in shard order, and the coordinator folds each shard into the
-// summary the moment its last node finishes. Once the pool drains, the
-// coordinator assembles the cluster, streams the VM arrivals and feeds
-// the buffered health into the cloud layer window by window. Both
-// coordinator streams are order-preserving, so results are
-// byte-identical to the strictly-phased engine at any worker and shard
-// count.
+// characterize→deploy→step task fans out across a worker pool. Once
+// the pool drains, the coordinator folds every node into the summary
+// in node order, assembles the cluster, streams the VM arrivals and
+// feeds the buffered health into the cloud layer window by window.
+// Every ordered operation runs on the coordinator in node order, so
+// results are byte-identical to the strictly-phased engine at any
+// worker count.
 func Run(cfg Config) (Summary, error) {
 	start := time.Now()
 	if cfg.Nodes <= 0 {
@@ -655,7 +615,6 @@ func Run(cfg Config) (Summary, error) {
 		cfg.Windows = plan.TotalWindows()
 	}
 	workers := EffectiveWorkers(cfg.Workers, cfg.Nodes)
-	shards := EffectiveShards(cfg.Shards, cfg.Nodes)
 	charact := cfg.Charact
 	if charact == nil && cfg.Archetypes {
 		// The cache is where archetype dedup lives: a run without a
@@ -674,41 +633,6 @@ func Run(cfg Config) (Summary, error) {
 
 	wantLog := cfg.HealthLogOut != nil
 	bins := newBinMemo(cfg.Seed, wantLog)
-
-	// The shard ledger. Workers count down their shard's unfinished
-	// nodes and ring the one condition variable only on a shard's last
-	// node; the fold loop counts drained shards and rings it once per
-	// shard — O(shards) broadcasts for the whole run. The fold loop
-	// waits on the gate for a shard to finish, and workers wait on it
-	// for the fold to catch up. The atomic read-modify-writes form the
-	// happens-before chain that makes a finished shard's slots safely
-	// visible to the coordinator (and keeps the structure -race-clean).
-	var (
-		gateMu sync.Mutex
-		gate   = sync.NewCond(&gateMu)
-		// shardLeft[s] counts shard s's unfinished nodes; the fold loop
-		// drains shard s when it reaches zero.
-		shardLeft = make([]atomic.Int32, shards)
-		// processedShards counts shards the fold loop has drained
-		// (folded or skipped); a worker about to run a node of shard
-		// s >= 2 waits for it to reach s-1, so claims stay at most two
-		// shards ahead of the fold.
-		processedShards atomic.Int32
-	)
-	for sh := 0; sh < shards; sh++ {
-		lo, hi := shardRange(cfg.Nodes, shards, sh)
-		shardLeft[sh].Store(int32(hi - lo))
-	}
-	// notify wakes every gate waiter. Broadcast under the mutex pairs
-	// with the waiters' check-then-Wait loops: a counter that reaches
-	// its target between a waiter's check and its Wait cannot lose the
-	// wakeup, because this broadcast cannot run until the waiter is
-	// parked.
-	notify := func() {
-		gateMu.Lock()
-		gate.Broadcast()
-		gateMu.Unlock()
-	}
 
 	// runNode is one node's fused lifecycle — characterization, mode
 	// entry, cloud export, the full window sequence, and the final
@@ -848,16 +772,14 @@ func Run(cfg Config) (Summary, error) {
 		return Summary{}, err
 	}
 
-	// The node-level merge, shared by every shard: fold one node into
-	// the running aggregates in node order — each float accumulator
-	// sees its contributions in exactly the order the unsharded,
-	// non-streaming engine added them, which is what makes shard count
-	// and OnNode fingerprint-invariant on the aggregate lines.
+	// The node-level merge: fold one node into the running aggregates
+	// in node order — each float accumulator sees its contributions in
+	// exactly the order the non-streaming engine added them, which is
+	// what makes OnNode fingerprint-invariant on the aggregate lines.
 	sum := Summary{
 		Nodes:   cfg.Nodes,
 		Windows: cfg.Windows,
 		Workers: workers,
-		Shards:  shards,
 	}
 	if cfg.OnNode == nil {
 		sum.PerNode = make([]NodeSummary, 0, cfg.Nodes)
@@ -911,41 +833,13 @@ func Run(cfg Config) (Summary, error) {
 
 	// ---- Execution ----
 	//
-	// Two overlapped roles, with every ordered operation issued from
-	// the coordinator goroutine in the phased engine's order:
-	//
-	//   workers      claim node indices in node order from one atomic
-	//                cursor and run the fused node tasks, staying at
-	//                most two shards ahead of the fold so the unfolded
-	//                per-node backlog (deployment summaries) stays
-	//                bounded by shard size, not fleet size;
-	//   coordinator  folds shard s in node order the moment its last
-	//                node finishes — while shard s+1 is still
-	//                computing — then, once the pool has drained,
-	//                replays the cloud layer window order × node order.
-	//
-	// The replay cannot start before the last node exports, and the
-	// last node exports only once it is claimed, so at most the final
-	// `workers` nodes could ever overlap it; running it after the join
-	// costs nothing measurable and needs no per-window ledger.
-	//
-	// Worker pool: persistent across shards (no per-shard goroutine
-	// churn or join barrier). Each worker claims the next node index
-	// from one atomic cursor, so claims are in node order with no
-	// hand-off goroutine between the workers and their work.
-	//
-	// Before running a node of shard sh >= 2 the worker waits until the
-	// fold has drained shard sh-2 (processedShards >= sh-1). Waiting on
-	// the fold, not mere shard completion, keeps at most two shards'
-	// unfolded state alive — the computing shard and the one the
-	// coordinator is folding — preserving the bounded-backlog property
-	// the 100k-node scale-out relies on, while never idling the pool at
-	// a shard boundary the way a per-shard join barrier would. The wait
-	// cannot deadlock: claims are in node order, so every node of shard
-	// sh-2 is already held by a running worker, and that worker's own
-	// wait (if any) is on a shard earlier still. A failed run needs no
-	// escape hatch either: the fold loop drains every shard, failed or
-	// not, so the gate always opens.
+	// Workers claim node indices in node order from one atomic cursor
+	// and run the fused node tasks back to back, with no hand-off
+	// goroutine and no wait between them. Every ordered operation runs
+	// on the coordinator goroutine after the pool's join, in the phased
+	// engine's order: the failure pick, the fold in node order, then
+	// the cloud-layer replay in window order × node order. The join is
+	// what makes every slot safely visible to the coordinator.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -956,92 +850,48 @@ func Run(cfg Config) (Summary, error) {
 			// stamp each node's ecosystem into it, reusing the graph
 			// built by the worker's first node.
 			arena := core.NewRestoreArena()
-			// sh is the shard of the worker's latest claim and hi its
-			// end; a worker's claims only increase, so sh only advances.
-			sh, hi := -1, 0
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= cfg.Nodes {
 					return
 				}
-				for i >= hi {
-					sh++
-					_, hi = shardRange(cfg.Nodes, shards, sh)
-				}
-				if sh >= 2 && processedShards.Load() < int32(sh-1) {
-					gateMu.Lock()
-					for processedShards.Load() < int32(sh-1) {
-						gate.Wait()
-					}
-					gateMu.Unlock()
-				}
 				runNode(i, arena)
-				if shardLeft[sh].Add(-1) == 0 {
-					// Last node of the shard: the fold loop can drain it.
-					notify()
-				}
 			}
 		}()
 	}
 
 	// Deterministic VM arrival stream for the scheduler to chew on — an
 	// explicit schedule (scenario layers) or the default exponential
-	// stream. A pure function of the Config, built while shard 0
+	// stream. A pure function of the Config, built while the pool
 	// computes; its error surfaces only if no node failed.
 	arrivals, streamErr := cfg.Arrivals, error(nil)
 	if arrivals == nil {
 		arrivals, streamErr = workload.Stream(cfg.StreamDefaults(), rng.New(cfg.Seed).SplitLabeled("fleet/arrivals"))
 	}
-
-	// Fold loop (coordinator): shards drain strictly in shard order,
-	// nodes within a shard in node order, exactly as the phased engine
-	// folded them. A shard whose range (or any earlier shard) holds a
-	// failed node is left unfolded — the run has failed and returns the
-	// earliest failure below — so OnNode consumers only ever see
-	// summaries from the error-free prefix.
-	failed := false
-	for sh := 0; sh < shards; sh++ {
-		gateMu.Lock()
-		for shardLeft[sh].Load() > 0 {
-			gate.Wait()
-		}
-		gateMu.Unlock()
-		if !failed {
-			lo, hi := shardRange(cfg.Nodes, shards, sh)
-			for i := lo; i < hi; i++ {
-				if states[i].err != nil {
-					failed = true
-					break
-				}
-			}
-			if !failed {
-				for i := lo; i < hi; i++ {
-					foldNode(states[i])
-				}
-			}
-		}
-		processedShards.Add(1)
-		notify()
-	}
 	wg.Wait()
 
-	if failed {
-		// Earliest failing window wins; ties resolve to the lowest node
-		// index (states are scanned in node order). Pre-deployment
-		// failures carry charactWindow and therefore outrank every
-		// stepping failure, exactly as when characterization was a
-		// separate phase; node failures outrank stream and replay
-		// errors, which a failed run never reaches.
-		failWindow, failErr := cfg.Windows, error(nil)
-		for _, s := range states {
-			if s.err != nil && s.errWindow < failWindow {
-				failWindow, failErr = s.errWindow, s.err
-			}
+	// Earliest failing window wins; ties resolve to the lowest node
+	// index (states are scanned in node order). Pre-deployment failures
+	// carry charactWindow and therefore outrank every stepping failure,
+	// exactly as when characterization was a separate phase; node
+	// failures outrank stream and replay errors, which a failed run
+	// never reaches. A failed run folds nothing, so OnNode sees no
+	// summary.
+	var failErr error
+	failWindow := 0
+	for _, s := range states {
+		if s.err != nil && (failErr == nil || s.errWindow < failWindow) {
+			failWindow, failErr = s.errWindow, s.err
 		}
+	}
+	if failErr != nil {
 		return fail(failErr)
 	}
 	if streamErr != nil {
 		return fail(streamErr)
+	}
+	for _, s := range states {
+		foldNode(s)
 	}
 
 	// Cluster assembly in node order, then the replay: the cloud layer
@@ -1050,7 +900,7 @@ func Run(cfg Config) (Summary, error) {
 	// exposed to that window's crash/migration outcome, as in the
 	// stream simulator), then the epoch's health lands in the scheduler
 	// in node order — byte-identical inputs in the identical order as
-	// under per-window barriers, at any worker or shard count.
+	// under per-window barriers, at any worker count.
 	osNodes := make([]*openstack.Node, len(states))
 	for i, s := range states {
 		osNodes[i] = s.osNode

@@ -10,8 +10,8 @@ import (
 // high-water runtime.MemStats HeapAlloc observed (bytes). It is how
 // the bounded-memory claim is measured — by the CLI's fleet runs and
 // by BenchmarkFleetRuntime's peak_bytes — rather than asserted: peak
-// live heap under the sharded engine should track
-// workers × ecosystem-size, not nodes × ecosystem-size.
+// live heap should track workers × ecosystem-size plus the compact
+// per-node state, not nodes × ecosystem-size.
 //
 // Sampling at 5 ms can miss a transient spike between GC cycles, so
 // the number is a floor on the true peak; it is plenty to distinguish

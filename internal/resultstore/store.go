@@ -7,7 +7,7 @@
 //
 // Content addressing is sound because the fleet engine is
 // deterministic: a cell's canonical request — the resolved Scenario
-// declaration (execution knobs excluded) and the seed — fully
+// declaration and the seed — fully
 // determines its fingerprint, so a stored record is byte-identical to
 // what re-running the cell would produce, and a campaign interrupted
 // at any cell boundary resumes by serving completed cells from the
@@ -22,13 +22,16 @@
 package resultstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -122,29 +125,51 @@ func (st *Store) Stats() Stats {
 }
 
 // cellRequest is the canonical content a cell's address hashes: the
-// format version, the seed, and the resolved scenario declaration.
+// format version, the seed, and the resolved scenario declaration in
+// its keyed encoding (keyedScenario).
 type cellRequest struct {
-	V        int               `json:"v"`
-	Seed     uint64            `json:"seed"`
-	Scenario scenario.Scenario `json:"scenario"`
+	V        int             `json:"v"`
+	Seed     uint64          `json:"seed"`
+	Scenario json.RawMessage `json:"scenario"`
 }
 
 // CellKey derives the content address of one (scenario, seed) cell:
 // the hex sha256 of its canonical request JSON, plus the request bytes
-// themselves (stored in the record for auditability). Execution knobs
-// that never change results are canonicalized out — Shards is zeroed
-// (the shard-invariance contract) — while every result-bearing field,
-// Archetypes included, stays in. Two requests therefore share a record
-// exactly when the determinism contract guarantees byte-identical
-// results.
+// themselves (stored in the record for auditability). A Scenario
+// carries no execution knob — worker counts are passed beside it — so
+// every field, Archetypes included, is result-bearing and stays in.
+// Two requests therefore share a record exactly when the determinism
+// contract guarantees byte-identical results.
 func CellKey(s scenario.Scenario, seed uint64) (key string, canonical []byte, err error) {
-	s.Shards = 0
-	canonical, err = json.Marshal(cellRequest{V: FormatVersion, Seed: seed, Scenario: s})
+	scen, err := keyedScenario(s)
+	if err == nil {
+		canonical, err = json.Marshal(cellRequest{V: FormatVersion, Seed: seed, Scenario: scen})
+	}
 	if err != nil {
 		return "", nil, fmt.Errorf("resultstore: canonicalizing cell request: %w", err)
 	}
 	sum := sha256.Sum256(canonical)
 	return hex.EncodeToString(sum[:]), canonical, nil
+}
+
+// keyedScenario is s's JSON as format-1 cell keys encode it. Those
+// keys were minted while Scenario still carried the fleet engine's
+// shard count, always canonicalized to zero and encoded just before
+// Archetypes, the struct's last field. The member stays in the
+// encoding as that constant, so every key a store or a recorded
+// benchmark already holds still addresses the same cell. JSON escapes
+// the quotes inside strings, so the last `,"Archetypes":` in the
+// encoding is the top-level member.
+func keyedScenario(s scenario.Scenario) ([]byte, error) {
+	b, err := json.Marshal(s)
+	if err != nil {
+		return nil, err
+	}
+	i := bytes.LastIndex(b, []byte(`,"Archetypes":`))
+	if i < 0 {
+		return nil, errors.New("scenario encodes no Archetypes member")
+	}
+	return slices.Concat(b[:i], []byte(`,"Shards":0`), b[i:]), nil
 }
 
 // CellRecord is one stored campaign cell. Fingerprint is the full

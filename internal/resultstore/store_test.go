@@ -115,23 +115,28 @@ func TestOpenConcurrentFresh(t *testing.T) {
 	}
 }
 
-// TestCellKeyCanonicalization pins what the content address does and
-// does not depend on: execution knobs that never change results
-// (Shards) are canonicalized out; everything result-bearing — the
-// seed, the declaration, the Archetypes experiment switch — splits
-// the key.
+// TestCellKeyCanonicalization pins what the content address depends
+// on: everything result-bearing — the seed, the declaration, the
+// Archetypes experiment switch — splits the key. The key format itself
+// is pinned too: keys minted by earlier builds must still address
+// their cells, so two keys recorded then must come out unchanged.
 func TestCellKeyCanonicalization(t *testing.T) {
 	base := scenario.Baseline().Scale(2, 4)
 	key0, _, err := CellKey(base, 7)
 	if err != nil {
 		t.Fatalf("CellKey: %v", err)
 	}
-
-	sharded := base
-	sharded.Shards = 4
-	if key, _, _ := CellKey(sharded, 7); key != key0 {
-		t.Errorf("shard count split the content address (shards never change results)")
+	if want := "3fece77be7906f9046050cbddd69a14c3347529051f05d1ed6cc5b08682cf51d"; key0 != want {
+		t.Errorf("baseline cell key %s, recorded %s (the key format moved)", key0, want)
 	}
+	aging, err := scenario.ByName("aging-year")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, _, _ := CellKey(aging, 3); key != "50c76532d7d96d78e21301665315a7e9a9c7a5f418fb1a3c6557800292df58d8" {
+		t.Errorf("aging-year cell key %s moved from the recorded 50c76532…", key)
+	}
+
 	if key, _, _ := CellKey(base, 8); key == key0 {
 		t.Errorf("seed did not split the content address")
 	}

@@ -141,12 +141,11 @@ func scheduleAttempts(t *testing.T, cfg fleet.Config) int {
 	return n
 }
 
-// TestGeneratedScenarios runs each generated scenario at every
-// (workers, shards) cell of {1,2,4} × {1,3}, with a characterization
-// cache shared across the cells and without one, and asserts one
-// fingerprint across all twelve runs, the recorded golden, and the
-// summary's conservation invariants. Every failure names the generator
-// seed, so `genScenario(g)` replays it.
+// TestGeneratedScenarios runs each generated scenario at 1, 2 and 4
+// workers, with a characterization cache shared across the runs and
+// without one, and asserts one fingerprint across all six runs, the
+// recorded golden, and the summary's conservation invariants. Every
+// failure names the generator seed, so `genScenario(g)` replays it.
 func TestGeneratedScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet characterization is slow; skipping in -short")
@@ -166,41 +165,39 @@ func TestGeneratedScenarios(t *testing.T) {
 			cache := fleet.NewCharactCache()
 			var want string
 			for _, cached := range []bool{true, false} {
-				for _, shards := range []int{1, 3} {
-					for _, workers := range []int{1, 2, 4} {
-						run := cfg
-						run.Workers, run.Shards = workers, shards
-						run.Charact = nil
-						if cached {
-							run.Charact = cache
+				for _, workers := range []int{1, 2, 4} {
+					run := cfg
+					run.Workers = workers
+					run.Charact = nil
+					if cached {
+						run.Charact = cache
+					}
+					sum, err := fleet.Run(run)
+					if err != nil {
+						t.Fatalf("generator seed %d, workers=%d cache=%t: %v", g, workers, cached, err)
+					}
+					if !(sum.MeanAvailability >= 0 && sum.MeanAvailability <= 1) || !(sum.EnergyKWh >= 0) ||
+						math.IsInf(sum.EnergyKWh, 0) || sum.Scheduled+sum.Rejected != attempts {
+						t.Fatalf("generator seed %d: availability %v, energy %v kWh, %d scheduled + %d rejected of %d attempts",
+							g, sum.MeanAvailability, sum.EnergyKWh, sum.Scheduled, sum.Rejected, attempts)
+					}
+					fp := sum.Fingerprint()
+					if want == "" {
+						want = fp
+						golden, ok := goldenGeneratedSHA[g]
+						switch got := sha256Hex(fp); {
+						case !goldenPlatform():
+							t.Logf("skipping golden comparison on %s/%s (recorded on linux/amd64)", runtime.GOOS, runtime.GOARCH)
+						case !ok:
+							t.Logf("generator seed %d: no golden recorded; fingerprint %s", g, got)
+						case got != golden:
+							t.Errorf("generator seed %d: fingerprint diverged from the recorded golden:\n got %s\nwant %s", g, got, golden)
 						}
-						sum, err := fleet.Run(run)
-						if err != nil {
-							t.Fatalf("generator seed %d, workers=%d shards=%d cache=%t: %v", g, workers, shards, cached, err)
-						}
-						if !(sum.MeanAvailability >= 0 && sum.MeanAvailability <= 1) || !(sum.EnergyKWh >= 0) ||
-							math.IsInf(sum.EnergyKWh, 0) || sum.Scheduled+sum.Rejected != attempts {
-							t.Fatalf("generator seed %d: availability %v, energy %v kWh, %d scheduled + %d rejected of %d attempts",
-								g, sum.MeanAvailability, sum.EnergyKWh, sum.Scheduled, sum.Rejected, attempts)
-						}
-						fp := sum.Fingerprint()
-						if want == "" {
-							want = fp
-							golden, ok := goldenGeneratedSHA[g]
-							switch got := sha256Hex(fp); {
-							case !goldenPlatform():
-								t.Logf("skipping golden comparison on %s/%s (recorded on linux/amd64)", runtime.GOOS, runtime.GOARCH)
-							case !ok:
-								t.Logf("generator seed %d: no golden recorded; fingerprint %s", g, got)
-							case got != golden:
-								t.Errorf("generator seed %d: fingerprint diverged from the recorded golden:\n got %s\nwant %s", g, got, golden)
-							}
-							continue
-						}
-						if fp != want {
-							t.Fatalf("generator seed %d: fingerprint diverged at workers=%d shards=%d cache=%t:\n--- first cell ---\n%s--- this cell ---\n%s",
-								g, workers, shards, cached, want, fp)
-						}
+						continue
+					}
+					if fp != want {
+						t.Fatalf("generator seed %d: fingerprint diverged at workers=%d cache=%t:\n--- first cell ---\n%s--- this cell ---\n%s",
+							g, workers, cached, want, fp)
 					}
 				}
 			}

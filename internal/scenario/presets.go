@@ -127,22 +127,21 @@ func AgingYear() Scenario {
 // Fleet100k is the population-scale preset the scale-out engine
 // exists for: a hundred thousand nodes drawn from the two Table 2
 // silicon bins under archetype-clone characterization — two
-// characterization campaigns serve the whole population — executed in
-// eight shards with memory bounded by workers × ecosystem-size. The
+// characterization campaigns serve the whole population — with memory
+// bounded by workers × ecosystem-size plus compact per-node state. The
 // VM stream is explicitly small: the scheduler's placement scan is
 // O(nodes) per VM, so at population scale VM count, not node count,
 // is the cloud layer's cost driver. Scaled down by the smoke grid it
-// doubles as the shard/archetype determinism specimen.
+// doubles as the archetype determinism specimen.
 func Fleet100k() Scenario {
 	s := Baseline()
 	s.Name = "fleet-100k"
-	s.Description = "population scale: 100k nodes, 2 archetype bins, 8 shards, bounded memory"
+	s.Description = "population scale: 100k nodes, 2 archetype bins, bounded memory"
 	s.Nodes = 100_000
 	s.Windows = 30
 	s.VMs = 2000
 	s.Bins = []string{"i5-4200U", "i7-3970X"}
 	s.Archetypes = true
-	s.Shards = 8
 	return s
 }
 

@@ -94,13 +94,6 @@ type Scenario struct {
 	// enabled Lifetime: growth only advances across gaps.
 	WeakCellsPerDay float64
 
-	// Shards partitions the fleet's node range into sequentially
-	// executed batches (fleet.Config.Shards). Shard count never changes
-	// results — it bounds the engine's unfolded per-node backlog — so
-	// it is an execution knob a scenario may pin for population-scale
-	// runs. <= 0 means unsharded.
-	Shards int
-
 	// Archetypes switches the fleet to archetype-clone
 	// characterization (fleet.Config.Archetypes): nodes sharing a
 	// silicon/DRAM bin characterize once per bin and clone, so
@@ -284,9 +277,6 @@ func (s Scenario) Validate() error {
 	}
 	if s.RiskTarget <= 0 || s.RiskTarget >= 1 {
 		return fmt.Errorf("scenario %s: risk target %g outside (0,1)", s.Name, s.RiskTarget)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("scenario %s: negative shard count", s.Name)
 	}
 	for _, b := range s.Bins {
 		if _, err := partByName(b); err != nil {
@@ -475,7 +465,6 @@ func (s Scenario) FleetConfig(seed uint64) (fleet.Config, error) {
 	cfg.VMs = s.VMs
 	cfg.Mode = s.Mode
 	cfg.RiskTarget = s.RiskTarget
-	cfg.Shards = s.Shards
 	cfg.Archetypes = s.Archetypes
 
 	// Lifetime axis: compile the model into a core plan — uniform
