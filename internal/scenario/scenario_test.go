@@ -109,6 +109,71 @@ func TestPresetDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestShardInvariance is the population engine's golden contract:
+// execution knobs never change results. The name dates from when
+// shard count was one of those knobs; what remains are worker count
+// and the characterization cache's warmth. Every (cache, workers)
+// cell of a representative preset slice — the plain homogeneous
+// fleet, the heterogeneous-bin fleet, the lifetime scenario, the
+// archetype-clone population preset, and the two adaptive-policy
+// presets (whose per-node policy state must fold through the single
+// node-order fold untouched) — must reproduce the recorded preset
+// golden byte for byte, whether each run characterizes afresh or the
+// runs share one cache, so later cells are stamped from snapshots an
+// earlier cell made.
+// Run with -race: the claim loop and the fold after the pool joins
+// are exactly where an ordering bug would race.
+func TestShardInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet characterization is slow; skipping in -short")
+	}
+	for _, name := range []string{"baseline", "hetero-bins", "aging-year", "fleet-100k", "drift-cadence", "ecc-closedloop"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			preset, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := preset.Scale(testNodes, testWindows)
+			shared := fleet.NewCharactCache()
+			var want string
+			for _, warm := range []bool{false, true} {
+				for _, workers := range []int{1, 4, 8} {
+					cache := fleet.NewCharactCache()
+					if warm {
+						cache = shared
+					}
+					res, err := runScenarioWith(s, 11, workers, cache)
+					if err != nil {
+						t.Fatalf("warm=%t workers=%d: %v", warm, workers, err)
+					}
+					if want == "" {
+						want = res.Fingerprint
+						golden := goldenPresetSHA[s.Name]
+						switch {
+						case !goldenPlatform():
+							t.Logf("skipping golden comparison on %s/%s (recorded on linux/amd64)",
+								runtime.GOOS, runtime.GOARCH)
+						case res.FingerprintSHA256 != golden:
+							t.Errorf("fingerprint diverged from the recorded golden:\n got %s\nwant %s",
+								res.FingerprintSHA256, golden)
+						}
+						continue
+					}
+					if res.Fingerprint != want {
+						t.Fatalf("fingerprint diverged at warm=%t workers=%d:\n--- first cell ---\n%s--- this cell ---\n%s",
+							warm, workers, want, res.Fingerprint)
+					}
+				}
+			}
+			if st := shared.Stats(); st.Hits == 0 {
+				t.Errorf("shared cache served no hits (%d misses): the warm cells ran cold", st.Misses)
+			}
+		})
+	}
+}
+
 // TestDriftZeroMarginEqualsPlainCadence pins the drift gate's
 // degenerate case, the acceptance criterion for the policy layer: at
 // MarginFrac = 0 every scheduled campaign's drift (aging is monotone,
