@@ -121,13 +121,15 @@ func (s *Server) Close() {
 }
 
 // planned is a resolved, identity-stamped campaign: the grid, its
-// content-addressed cell keys, and the run ID they derive.
+// content-addressed cell keys with the canonical requests they hash
+// (both in grid order), and the run ID they derive.
 type planned struct {
 	scenarios    []scenario.Scenario
 	seeds        []uint64
 	fleetWorkers int
 	parallel     int
 	cellKeys     []string
+	requests     [][]byte
 	runID        string
 }
 
@@ -143,16 +145,18 @@ func (s *Server) plan(scens []scenario.Scenario, seeds []uint64, fleetWorkers, p
 		fleetWorkers = s.opts.FleetWorkers
 	}
 	keys := make([]string, 0, len(scens)*len(seeds))
+	requests := make([][]byte, 0, len(scens)*len(seeds))
 	for _, sc := range scens {
 		if err := sc.Validate(); err != nil {
 			return planned{}, err
 		}
 		for _, seed := range seeds {
-			key, _, err := resultstore.CellKey(sc, seed)
+			key, canonical, err := resultstore.CellKey(sc, seed)
 			if err != nil {
 				return planned{}, err
 			}
 			keys = append(keys, key)
+			requests = append(requests, canonical)
 		}
 	}
 	return planned{
@@ -161,6 +165,7 @@ func (s *Server) plan(scens []scenario.Scenario, seeds []uint64, fleetWorkers, p
 		fleetWorkers: fleetWorkers,
 		parallel:     parallel,
 		cellKeys:     keys,
+		requests:     requests,
 		runID:        resultstore.RunID(keys),
 	}, nil
 }
@@ -248,24 +253,20 @@ func (s *Server) execute(p planned, emit func(gridIndex int, res scenario.Result
 		},
 		OnCell: func(gi int, res scenario.Result) {
 			if res.Err == "" && !res.Cached {
-				sc := p.scenarios[gi/len(p.seeds)]
-				seed := p.seeds[gi%len(p.seeds)]
-				key, canonical, err := resultstore.CellKey(sc, seed)
-				if err == nil {
-					// Best effort: a failed put costs a re-run after a
-					// crash, never correctness. The store counts it in
-					// Stats().PutFailures, which GET /api/v1/store and
-					// the done event report.
-					_ = s.store.PutCell(resultstore.CellRecord{
-						Key:               key,
-						Scenario:          res.Scenario,
-						Seed:              res.Seed,
-						Request:           canonical,
-						Fingerprint:       res.Fingerprint,
-						FingerprintSHA256: res.FingerprintSHA256,
-						Summary:           res.Summary,
-					})
-				}
+				// Best effort: a failed put costs a re-run after a
+				// crash, never correctness. The store counts it in
+				// Stats().PutFailures, which GET /api/v1/store and the
+				// done event report. The key and request are plan's,
+				// so every executed cell reaches PutCell.
+				_ = s.store.PutCell(resultstore.CellRecord{
+					Key:               p.cellKeys[gi],
+					Scenario:          res.Scenario,
+					Seed:              res.Seed,
+					Request:           p.requests[gi],
+					Fingerprint:       res.Fingerprint,
+					FingerprintSHA256: res.FingerprintSHA256,
+					Summary:           res.Summary,
+				})
 			}
 			if emit != nil {
 				emitMu.Lock()

@@ -150,6 +150,7 @@ type Ecosystem struct {
 	sensors   [3]telemetry.Reading // the window vector's readings; Record keeps none
 	coreOf    func(string) int
 	leak      voltMemo // leakage voltage factor of the last point priced
+	failProb  failMemo // PredictedFailProb of the last point asked
 }
 
 // dramwinLabel is the hoisted stream label of the per-window DRAM
@@ -264,6 +265,7 @@ func (e *Ecosystem) PreDeployment() (PreDeploymentReport, error) {
 	// Predictor training from labeled undervolt samples.
 	samples := e.trainingSamples(3000)
 	rep.PredictorSamples = len(samples)
+	e.failProb = failMemo{}
 	if err := e.Model.Fit(samples, 6, e.src.SplitLabeled("fit")); err != nil {
 		return rep, fmt.Errorf("core: predictor training: %w", err)
 	}
@@ -428,8 +430,10 @@ type WindowReport struct {
 	CPUTempC     float64
 	ThermalAlarm int
 
-	// now is the window's clock instant.
+	// now is the window's clock instant; err is the thermal trip's
+	// failed fallback to nominal, which Deployment.Step returns.
 	now time.Time
+	err error
 }
 
 // RuntimeWindow advances the deployment by one observation window: the
@@ -488,7 +492,9 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 		if rep.ThermalAlarm == 2 {
 			// Thermal excursions shrink voltage margins: retreat to
 			// nominal until conditions recover.
-			_ = e.HandleCrash()
+			if err := e.HandleCrash(); err != nil {
+				rep.err = fmt.Errorf("core: thermal-trip fallback: %w", err)
+			}
 		}
 	}
 	if out.Crashed {

@@ -16,10 +16,12 @@ func (e *Ecosystem) PredictedFailProb() (float64, error) {
 	if e.advisor == nil {
 		return 0, ErrNotCharacterized
 	}
-	point := e.Hypervisor.Point()
-	nominal := e.Machine.Spec.Nominal
+	point, nominal := e.Hypervisor.Point(), e.Machine.Spec.Nominal.VoltageMV
+	if m := &e.failProb; m.set && m.point == point.VoltageMV && m.nominal == nominal {
+		return m.p, nil
+	}
 	f := predictor.Features{
-		UndervoltPct:   -point.VoltageOffsetPct(nominal.VoltageMV),
+		UndervoltPct:   -point.VoltageOffsetPct(nominal),
 		DroopIntensity: 0.5,
 		TempC:          55,
 	}
@@ -29,7 +31,20 @@ func (e *Ecosystem) PredictedFailProb() (float64, error) {
 	if failProb < 1e-4 {
 		failProb = 1e-4
 	}
+	e.failProb = failMemo{point: point.VoltageMV, nominal: nominal, p: failProb, set: true}
 	return failProb, nil
+}
+
+// failMemo holds PredictedFailProb's answer for the last (point
+// voltage, nominal voltage) pair it priced: the answer's only other
+// input is the model, and the model changes only where the memo is
+// cleared — PreDeployment's Fit and RestoreInto. The point moves only
+// on mode changes, fallbacks and the ECC loop, so most windows reuse
+// it.
+type failMemo struct {
+	point, nominal int
+	p              float64
+	set            bool
 }
 
 // Node exports the characterized ecosystem as a schedulable cloud

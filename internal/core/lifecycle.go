@@ -320,6 +320,9 @@ func (d *Deployment) eccStep(correctable int) error {
 func (d *Deployment) Step() (WindowReport, error) {
 	e := d.eco
 	rep := e.RuntimeWindow(d.wl)
+	if rep.err != nil {
+		return rep, rep.err
+	}
 	d.sum.Windows++
 	d.sum.CorrectableMasked += rep.Correctable
 	for _, n := range rep.DRAMHits {

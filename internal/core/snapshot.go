@@ -234,6 +234,7 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 
 	*c.src = *rng.FromState(img.Src)
 	*c.Model = img.Model
+	c.failProb = failMemo{}
 	c.predictorAcc = img.PredictorAcc
 	c.table = img.Stress.Table() // shared: a published table is never written
 	c.advisor.Table = c.table

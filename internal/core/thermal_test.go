@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"uniserver/internal/healthlog"
@@ -99,5 +100,27 @@ func TestThermalWarningRecorded(t *testing.T) {
 	// A warning does not force a fallback.
 	if e.Mode() == vfr.ModeNominal {
 		t.Fatal("warning should not force nominal")
+	}
+}
+
+// TestThermalTripFallbackErrorReturned: a thermal trip whose fallback
+// to nominal fails — here the hypervisor refuses the machine's nominal
+// point as an overvolt — fails the deployment step with that error
+// instead of stepping on at the extended point.
+func TestThermalTripFallbackErrorReturned(t *testing.T) {
+	e, _ := readyEcosystem(t, 84)
+	d, err := e.StartDeployment(vfr.ModeHighPerformance, 0.05, workload.WebFrontend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Machine.Spec.Nominal.VoltageMV += 100
+	e.cpuTherm.AmbientC = 100
+	e.cpuTherm.TempC = 99
+	rep, err := d.Step()
+	if rep.ThermalAlarm != 2 {
+		t.Fatalf("alarm = %d, want trip", rep.ThermalAlarm)
+	}
+	if err == nil || !strings.Contains(err.Error(), "thermal-trip fallback") {
+		t.Fatalf("step error = %v, want the failed thermal-trip fallback", err)
 	}
 }

@@ -3,21 +3,22 @@
 // parallel. Each node's entire lifecycle is one fused worker task —
 // pre-deployment characterization (stress campaigns, fault-injection,
 // predictor training, or an archetype-snapshot restore), mode entry,
-// cloud export, then the full window sequence, buffering a compact
-// health record per window — after which the node's ecosystem is
-// dropped and only its summary, health records and exported cloud node
-// survive. Once every node has finished, the coordinator replays the
-// recorded health into the openstack.Manager scheduler window by
-// window (reliability metric, proactive migration, SLA accounting).
-// Batching is legal because node simulations never read cloud-layer
-// state: the replay feeds the manager byte-identical inputs, in the
-// identical order, as a per-window barrier would, at a fraction of the
+// cloud export, then the full window sequence, writing the node's row
+// of the run's health column (one failure probability and crash flag
+// per window) — after which the node's ecosystem is dropped and only
+// its summary, health row and exported cloud node survive. Once every
+// node has finished, the coordinator replays the column into the
+// openstack.Manager scheduler by node position, window by window
+// (reliability metric, proactive migration, SLA accounting). Batching
+// is legal because node simulations never read cloud-layer state: the
+// replay feeds the manager byte-identical inputs, in the identical
+// order, as a per-window barrier would, at a fraction of the
 // synchronization cost.
 //
 // The fused lifecycle is what bounds memory: at most `workers` full
 // ecosystems are alive at any instant, independent of fleet size, so
 // peak heap scales as workers × ecosystem-size plus O(nodes) compact
-// state (health records, summaries, exported cloud nodes) — which is
+// state (the health column, summaries, exported cloud nodes) — which is
 // what makes O(100k)-node populations runnable. Config.OnNode
 // streams per-node summaries out instead of retaining them;
 // Config.Archetypes collapses characterization cost from
@@ -450,26 +451,12 @@ func exactFloat(f float64) string {
 	return strconv.FormatFloat(f, 'x', -1, 64)
 }
 
-// epochHealth is one node's compact per-window health record, buffered
-// while the node batches through its windows and replayed into the
-// cloud layer afterwards. It is the dominant O(nodes × windows) term
-// of a population run's memory, so it is packed: a window's
-// correctable-error count and thermal alarm level fit comfortably in
-// 32 and 8 bits (alarms are 0/1/2; ECC events per one-minute window
-// are single digits).
-type epochHealth struct {
-	failProb     float64
-	correctable  int32
-	thermalAlarm uint8
-	crashed      bool
-}
-
 // nodeState is one node's slot: the state that outlives the node's
 // fused worker task. The ecosystem and deployment live only inside the
-// task — what survives is the compact health sequence, the deployment
-// summary, the exported cloud node and (when requested) the log
-// buffer. Exactly one worker touches a slot while the pool runs; the
-// coordinator reads slots only after the pool's join.
+// task — what survives is the deployment summary, the exported cloud
+// node and (when requested) the log buffer, beside the node's row of
+// the run's health column. Exactly one worker touches a slot while the
+// pool runs; the coordinator reads slots only after the pool's join.
 type nodeState struct {
 	name  string
 	seed  uint64
@@ -480,11 +467,9 @@ type nodeState struct {
 	depSum       core.DeploymentSummary
 	log          bytes.Buffer
 
-	// health[w] is the node's window-w report; errWindow is the window
-	// the node failed at — cfg.Windows when it didn't, charactWindow
-	// for failures before the first window (characterization, mode
-	// entry, export).
-	health    []epochHealth
+	// errWindow is the window the node failed at — cfg.Windows when it
+	// didn't, charactWindow for failures before the first window
+	// (characterization, mode entry, export).
 	errWindow int
 
 	err error
@@ -591,7 +576,7 @@ func (s *nodeState) characterize(cache *CharactCache, arena *core.RestoreArena, 
 // characterize→deploy→step task fans out across a worker pool. Once
 // the pool drains, the coordinator folds every node into the summary
 // in node order, assembles the cluster, streams the VM arrivals and
-// feeds the buffered health into the cloud layer window by window.
+// feeds the health column into the cloud layer window by window.
 // Every ordered operation runs on the coordinator in node order, so
 // results are byte-identical to the strictly-phased engine at any
 // worker count.
@@ -633,6 +618,11 @@ func Run(cfg Config) (Summary, error) {
 
 	wantLog := cfg.HealthLogOut != nil
 	bins := newBinMemo(cfg.Seed, wantLog)
+	// The run's one health column: node i's window-w failure
+	// probability and crash flag, written by the worker that runs node i
+	// and replayed into the cloud layer after the pool's join. It is
+	// the dominant O(nodes × windows) term of a population run.
+	health := openstack.NewHealthColumn(cfg.Nodes, cfg.Windows)
 
 	// runNode is one node's fused lifecycle — characterization, mode
 	// entry, cloud export, the full window sequence, and the final
@@ -682,23 +672,21 @@ func Run(cfg Config) (Summary, error) {
 		s.osNode = n
 
 		// Batched window stepping: the node runs its entire window
-		// sequence here, buffering a compact health record per window.
+		// sequence here, writing its health column row as it goes.
 		// Node simulations are mutually independent and independent of
 		// the cloud layer (the manager never feeds back into a node's
 		// ecosystem), so batching removes the per-window barrier — and
 		// its goroutine churn — without moving a single rng draw. The
 		// scenario interventions land immediately before the window they
 		// target: Perturb is pure in (i, w) and touches only node i's
-		// state. The buffer is allocated full-length up front and
-		// written by index, so it never regrows; the coordinator's replay
-		// reads it only after every worker has returned.
+		// state. The coordinator's replay reads the column only after
+		// every worker has returned.
 		//
 		// The lifetime axis: each epoch batches its windows; between
 		// epochs the node fast-forwards the gap and honours the
 		// re-characterization cadence. Gap failures are charged to the
 		// first window of the entered epoch — the earliest window the
 		// failure can shadow.
-		s.health = make([]epochHealth, cfg.Windows)
 		w := 0
 		for ei, windows := range plan.EpochWindows {
 			if ei > 0 {
@@ -737,12 +725,7 @@ func Run(cfg Config) (Summary, error) {
 					failNode(w, fmt.Errorf("fleet: node %d window %d: %w", i, w, err))
 					return
 				}
-				s.health[w] = epochHealth{
-					failProb:     fp,
-					correctable:  int32(rep.Correctable),
-					thermalAlarm: uint8(rep.ThermalAlarm),
-					crashed:      rep.Crashed,
-				}
+				health.Set(i, w, fp, rep.Crashed)
 			}
 		}
 		s.depSum = dep.Summary()
@@ -822,7 +805,7 @@ func Run(cfg Config) (Summary, error) {
 		}
 		// The fold is the last reader of the deployment summary: zero it
 		// so the only per-node state retained to the replay phase is the
-		// compact health buffer and the exported cloud-layer node.
+		// health column and the exported cloud-layer node.
 		s.depSum = core.DeploymentSummary{}
 		if cfg.OnNode != nil {
 			cfg.OnNode(ns)
@@ -895,12 +878,12 @@ func Run(cfg Config) (Summary, error) {
 	}
 
 	// Cluster assembly in node order, then the replay: the cloud layer
-	// advances in window order over the buffered health. Arrivals and
+	// advances in window order over the health column. Arrivals and
 	// departures resolve before each epoch (so newly placed VMs are
 	// exposed to that window's crash/migration outcome, as in the
 	// stream simulator), then the epoch's health lands in the scheduler
-	// in node order — byte-identical inputs in the identical order as
-	// under per-window barriers, at any worker count.
+	// by node position — byte-identical inputs in the identical order
+	// as under per-window barriers, at any worker count.
 	osNodes := make([]*openstack.Node, len(states))
 	for i, s := range states {
 		osNodes[i] = s.osNode
@@ -910,21 +893,10 @@ func Run(cfg Config) (Summary, error) {
 		return fail(err)
 	}
 	cursor := openstack.NewStreamCursor(arrivals)
-	health := make([]openstack.NodeHealth, len(states))
 	for w := 0; w < cfg.Windows; w++ {
 		now := time.Duration(w) * time.Minute
 		cursor.Advance(mgr, now)
-		for i, s := range states {
-			h := s.health[w]
-			health[i] = openstack.NodeHealth{
-				Name:         s.name,
-				FailProb:     h.failProb,
-				Crashed:      h.crashed,
-				Correctable:  int(h.correctable),
-				ThermalAlarm: int(h.thermalAlarm),
-			}
-		}
-		stats, err := mgr.StepFleet(health, time.Minute, now, repairTime)
+		stats, err := mgr.StepWindow(health, w, time.Minute, now, repairTime)
 		if err != nil {
 			return fail(err)
 		}

@@ -15,12 +15,14 @@
 //   - On-demand services: the logfile. ReadLog parses it back and
 //     Summarize aggregates it, for offline training and post-mortems
 //     (cmd/healthlogcat).
+//
+// A daemon belongs to one ecosystem, which one goroutine runs at a
+// time; it takes no locks.
 package healthlog
 
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"uniserver/internal/telemetry"
@@ -61,29 +63,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// Daemon is the HealthLog monitor. It is safe for concurrent use.
+// Daemon is the HealthLog monitor. It has one owner: it is not safe
+// for concurrent use.
 type Daemon struct {
 	cfg   Config
 	clock *telemetry.Clock
 	out   io.Writer // JSON-lines system logfile; may be nil
 
-	mu sync.Mutex
-	// byComp holds one trigger window per component. onTrigger is
-	// copy-on-write: OnStressTrigger replaces the whole slice, so
-	// Record can capture the header under the lock and range it after
-	// unlocking without a defensive per-record copy.
-	byComp    map[string]*window
+	// comps holds one trigger window per component, in order of first
+	// record. A node's components are its cores, a handful, so Record
+	// finds its window by a scan, cheaper than hashing the name. The
+	// windows past len(comps) are parked by a stamp, rings and all, for
+	// the next components to reuse: arenas alternating between
+	// archetypes of different part models rename every component on
+	// every stamp.
+	comps     []*window
 	onTrigger []func(TriggerReason)
 	recorded  uint64
 	crashes   uint64
 	writeErr  error
-
-	// spare holds windows a stamp swept out of byComp (their component
-	// is absent from the stamped image), kept with their rings so
-	// the next component to appear reuses one instead of allocating:
-	// arenas alternating between archetypes of different part models
-	// rename every component on every stamp.
-	spare []*window
 }
 
 // Entry is one record in a component's trigger window: its time and
@@ -101,6 +99,7 @@ type Entry struct {
 // suffixes of the component's record sequence; the ring holds the
 // shorter one, which is the set the threshold counts.
 type window struct {
+	name    string
 	ring    []Entry
 	head, n int
 	sum     int
@@ -166,22 +165,14 @@ func New(cfg Config, clock *telemetry.Clock, out io.Writer) *Daemon {
 	if cfg.RetainVectors <= 0 {
 		cfg.RetainVectors = DefaultConfig().RetainVectors
 	}
-	return &Daemon{
-		cfg:    cfg,
-		clock:  clock,
-		out:    out,
-		byComp: make(map[string]*window),
-	}
+	return &Daemon{cfg: cfg, clock: clock, out: out}
 }
 
 // OnStressTrigger registers a callback invoked when a component's
 // correctable-error rate crosses the configured threshold. The
 // StressLog daemon subscribes here.
 func (d *Daemon) OnStressTrigger(f func(TriggerReason)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Copy-on-write: never extend the slice Record may be ranging.
-	d.onTrigger = append(append([]func(TriggerReason){}, d.onTrigger...), f)
+	d.onTrigger = append(d.onTrigger, f)
 }
 
 // Record ingests one information vector: stamps it with the daemon
@@ -195,10 +186,8 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 		v.Time = d.clock.Now()
 	}
 
-	d.mu.Lock()
 	w := d.window(v.Component)
 	if last := w.last(); v.Time.Before(last) {
-		d.mu.Unlock()
 		panic(fmt.Sprintf("healthlog: %s record at %s precedes its last at %s",
 			v.Component, v.Time.Format(time.RFC3339Nano), last.Format(time.RFC3339Nano)))
 	}
@@ -222,42 +211,37 @@ func (d *Daemon) Record(v telemetry.InfoVector) {
 		}
 	}
 
-	var reason *TriggerReason
 	if w.sum > d.cfg.ErrorThreshold {
-		reason = &TriggerReason{
+		reason := TriggerReason{
 			Component:  v.Component,
 			WindowErrs: w.sum,
 			Threshold:  d.cfg.ErrorThreshold,
 			At:         v.Time,
 		}
-	}
-	triggers := d.onTrigger
-	d.mu.Unlock()
-
-	if reason != nil {
-		for _, f := range triggers {
-			f(*reason)
+		for _, f := range d.onTrigger {
+			f(reason)
 		}
 	}
 }
 
 // window returns the component's trigger window, creating it — from
-// the spare list when one is parked there — on first use. Caller
-// holds d.mu.
+// the windows parked past len(d.comps) when there is one — on first
+// use.
 func (d *Daemon) window(name string) *window {
-	w := d.byComp[name]
-	if w != nil {
-		return w
+	for _, w := range d.comps {
+		if w.name == name {
+			return w
+		}
 	}
-	if n := len(d.spare); n > 0 {
-		w = d.spare[n-1]
-		d.spare[n-1] = nil
-		d.spare = d.spare[:n-1]
-		w.reset()
+	n := len(d.comps)
+	if n == cap(d.comps) || d.comps[:n+1][n] == nil {
+		d.comps = append(d.comps, &window{})
 	} else {
-		w = &window{}
+		d.comps = d.comps[:n+1]
 	}
-	d.byComp[name] = w
+	w := d.comps[n]
+	w.name = name
+	w.reset()
 	return w
 }
 
@@ -269,14 +253,10 @@ type Stats struct {
 
 // Stats returns activity counters.
 func (d *Daemon) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return Stats{Recorded: d.recorded, Crashes: d.crashes}
 }
 
 // Err returns the first logfile write error, if any.
 func (d *Daemon) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.writeErr
 }

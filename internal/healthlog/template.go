@@ -3,8 +3,8 @@ package healthlog
 import (
 	"fmt"
 	"io"
-	"maps"
 	"slices"
+	"strings"
 
 	"uniserver/internal/telemetry"
 )
@@ -33,12 +33,10 @@ type CompiledComp struct {
 // storage with d, so d may keep recording. A failed log writer is not
 // part of the image: stamped daemons write to their own.
 func (d *Daemon) Compile() *Compiled {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	c := &Compiled{Config: d.cfg, Recorded: d.recorded, Crashes: d.crashes}
-	for _, name := range slices.Sorted(maps.Keys(d.byComp)) {
-		w := d.byComp[name]
-		cc := CompiledComp{Name: name, Entries: make([]Entry, w.n)}
+	byName := func(a, b *window) int { return strings.Compare(a.name, b.name) }
+	for _, w := range slices.SortedFunc(slices.Values(d.comps), byName) {
+		cc := CompiledComp{Name: w.name, Entries: make([]Entry, w.n)}
 		for i := range cc.Entries {
 			cc.Entries[i] = w.at(i)
 		}
@@ -79,13 +77,10 @@ func (c *Compiled) Validate() error {
 // StampInto overwrites d with the image, timestamping with clock and
 // writing future log lines to out; a zero Daemon is a valid
 // destination. It copies each component's entries into d's own
-// windows (or parked spares), reusing their rings, so a warm stamp
-// does not allocate and d shares nothing with the image. Trigger
-// callbacks are dropped — they are closures over the source's sibling
-// daemons — and the caller re-wires them.
-//
-// The caller must own d exclusively: StampInto is the arena path, not
-// a concurrent mutation of a live daemon.
+// windows, reusing their rings, so a warm stamp does not allocate and
+// d shares nothing with the image. Trigger callbacks are dropped —
+// they are closures over the source's sibling daemons — and the caller
+// re-wires them.
 func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
 	d.cfg = c.Config
 	d.clock = clock
@@ -98,23 +93,11 @@ func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
 	// RewireStressTrigger refills without allocating.
 	d.onTrigger = d.onTrigger[:0]
 
-	if d.byComp == nil {
-		d.byComp = make(map[string]*window, len(c.Comps))
-	} else {
-		// Sweep windows the image doesn't know (cross-snapshot arena
-		// reuse) onto the spare list, rings and all, for the image's
-		// own components to take over below; same-snapshot stamps find
-		// every key present.
-		for name, w := range d.byComp {
-			if !slices.ContainsFunc(c.Comps, func(cc CompiledComp) bool { return cc.Name == name }) {
-				delete(d.byComp, name)
-				d.spare = append(d.spare, w)
-			}
-		}
-	}
+	// Park every window for the image's components to take over below,
+	// in the image's order, rings and all.
+	d.comps = d.comps[:0]
 	for _, cc := range c.Comps {
 		w := d.window(cc.Name)
-		w.reset()
 		for _, e := range cc.Entries {
 			w.push(e)
 		}
@@ -122,12 +105,7 @@ func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
 }
 
 // RewireStressTrigger replaces every stress-trigger callback with f,
-// reusing the callback slice's storage. Stamp-path use only: the
-// caller must own the daemon exclusively (no concurrent Record), which
-// is what licenses breaking the copy-on-write discipline OnStressTrigger
-// maintains for live daemons.
+// reusing the callback slice's storage: the stamp path's re-wiring.
 func (d *Daemon) RewireStressTrigger(f func(TriggerReason)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.onTrigger = append(d.onTrigger[:0], f)
 }

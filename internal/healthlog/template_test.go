@@ -76,7 +76,7 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 		}
 	}
 	for _, dd := range []*Daemon{d, s} {
-		if w := dd.byComp["core0"]; len(w.ring) > max(16, 2*retain) {
+		if w := dd.window("core0"); len(w.ring) > max(16, 2*retain) {
 			t.Fatalf("window ring grew to %d for a %d-record window", len(w.ring), retain)
 		}
 	}

@@ -264,15 +264,13 @@ func (h *Hypervisor) StartVM(spec workload.VMSpec) error {
 
 // StopVM terminates a guest and releases its memory.
 func (h *Hypervisor) StopVM(name string) error {
-	vm, ok := h.vms[name]
-	if !ok {
+	if _, ok := h.vms[name]; !ok {
 		return fmt.Errorf("hypervisor: unknown VM %q", name)
 	}
 	h.alloc.Free(name)
 	h.alloc.Free(name + "/overhead")
 	h.pins.release(name)
 	delete(h.vms, name)
-	_ = vm
 	return nil
 }
 

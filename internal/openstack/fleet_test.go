@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"uniserver/internal/rng"
 )
 
 func TestStepFleetValidation(t *testing.T) {
@@ -201,7 +203,7 @@ func TestStepFleetBadListLeavesManagerUnchanged(t *testing.T) {
 // step's report is not crashed again by a later step that omits it.
 func TestStepFleetPartialList(t *testing.T) {
 	m := stepFleetManager(t, 4)
-	a, b := m.nodes["n-0000"], m.nodes["n-0001"]
+	a, b := m.order[m.nodes["n-0000"]], m.order[m.nodes["n-0001"]]
 	untouched := map[string]float64{}
 	for _, n := range m.sorted[1:] {
 		untouched[n.Name] = n.BaseFailProb
@@ -231,24 +233,147 @@ func TestStepFleetPartialList(t *testing.T) {
 	}
 }
 
-// TestStepFleetAllocationFree fences the replay's per-window cost: a
-// full 1,000-node report list with no crash and no node over the
+// TestStepWindowAllocationFree fences the replay's per-window cost: a
+// full 1,000-node health column with no crash and no node over the
 // migration threshold steps without allocating.
-func TestStepFleetAllocationFree(t *testing.T) {
-	const n = 1000
+func TestStepWindowAllocationFree(t *testing.T) {
+	const n, windows = 1000, 64
 	m := stepFleetManager(t, n)
-	health := make([]NodeHealth, n)
-	for i, node := range m.sorted {
-		health[i] = NodeHealth{Name: node.Name, FailProb: 0.001, Correctable: i % 3}
+	health := NewHealthColumn(n, windows)
+	for i := 0; i < n; i++ {
+		for w := 0; w < windows; w++ {
+			health.Set(i, w, 0.001, false)
+		}
 	}
 	w := 0
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := m.StepFleet(health, time.Minute, time.Duration(w)*time.Minute, time.Hour); err != nil {
+		if _, err := m.StepWindow(health, w%windows, time.Minute, time.Duration(w)*time.Minute, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		w++
 	})
 	if allocs != 0 {
-		t.Fatalf("StepFleet allocated %v times per step over %d nodes; want 0", allocs, n)
+		t.Fatalf("StepWindow allocated %v times per step over %d nodes; want 0", allocs, n)
+	}
+}
+
+// stepByName is the name-keyed window step written out with no
+// position anywhere: reported nodes take their failure probability,
+// proactive migration runs, and the window resolves with the reports'
+// crash flags looked up by name. It is the reference the positional
+// step must reproduce.
+func stepByName(m *Manager, health []NodeHealth, window, now, repair time.Duration) FleetStepStats {
+	var stats FleetStepStats
+	byName := map[string]*Node{}
+	for _, n := range m.sorted {
+		byName[n.Name] = n
+	}
+	crashed := map[string]bool{}
+	for _, h := range health {
+		byName[h.Name].BaseFailProb = h.FailProb
+		crashed[h.Name] = h.Crashed
+	}
+	stats.Migrations = m.ProactiveMigration()
+	m.resolveWindow(window, now, repair, func(_ int, n *Node) bool { return crashed[n.Name] }, &stats)
+	return stats
+}
+
+// TestStepWindowMatchesStepFleet is the property behind the fleet
+// replay's positional step: over generated health sequences — reports
+// in any list order, partial lists, crashes, repairs, migrations and
+// new placements — StepWindow over a column, StepFleet over the same
+// reports by name and the reference stepByName leave identical stats
+// and manager state. The nodes are named "uniserver-%02d" in
+// construction order, so past 100 nodes the name order
+// (uniserver-100 < uniserver-11) is not the position order the column
+// uses.
+func TestStepWindowMatchesStepFleet(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		src := rng.New(seed)
+		n := 101 + src.Intn(40)
+		windows := 1 + src.Intn(70)
+		build := func() *Manager {
+			nodes := make([]*Node, n)
+			for i := range nodes {
+				nodes[i] = NewNode(fmt.Sprintf("uniserver-%02d", i), 4, 16<<30, 0.0001)
+			}
+			m, err := NewManager(UniServerPolicy(), nodes...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		pos, named, ref := build(), build(), build()
+		health := NewHealthColumn(n, windows)
+		vm := 0
+		for w := 0; w < windows; w++ {
+			now := time.Duration(w) * time.Minute
+			for k := src.Intn(4); k > 0; k-- {
+				s, sla := spec(fmt.Sprintf("vm-%d", vm), 1+src.Intn(4), 2<<30), SLAFor(vm)
+				_, errP := pos.Schedule(s, sla)
+				_, errN := named.Schedule(s, sla)
+				_, errR := ref.Schedule(s, sla)
+				if (errP == nil) != (errN == nil) || (errP == nil) != (errR == nil) {
+					t.Fatalf("seed %d window %d: placement diverged: %v, %v, %v", seed, w, errP, errN, errR)
+				}
+				vm++
+			}
+			// Each node reports with probability 3/4; an unreported node
+			// keeps its failure probability and does not crash.
+			var list []NodeHealth
+			for i, node := range pos.order {
+				if src.Intn(4) == 0 {
+					health.Set(i, w, node.BaseFailProb, false)
+					continue
+				}
+				h := NodeHealth{Name: node.Name, FailProb: src.Range(0, 0.01), Crashed: src.Intn(20) == 0}
+				health.Set(i, w, h.FailProb, h.Crashed)
+				list = append(list, h)
+			}
+			src.Shuffle(len(list), func(a, b int) { list[a], list[b] = list[b], list[a] })
+			got, err := pos.StepWindow(health, w, time.Minute, now, 5*time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := named.StepFleet(list, time.Minute, now, 5*time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := stepByName(ref, list, time.Minute, now, 5*time.Minute); got != want || got != ref {
+				t.Fatalf("seed %d window %d: stats %+v by StepWindow, %+v by StepFleet, %+v by name", seed, w, got, want, ref)
+			}
+			a, b, c := managerState(pos), managerState(named), managerState(ref)
+			if a != c {
+				t.Fatalf("seed %d window %d: state diverged:\n--- StepWindow ---\n%s--- by name ---\n%s", seed, w, a, c)
+			}
+			if b != c {
+				t.Fatalf("seed %d window %d: state diverged:\n--- StepFleet ---\n%s--- by name ---\n%s", seed, w, b, c)
+			}
+		}
+		if pos.Crashes == 0 || pos.Migrations == 0 {
+			t.Fatalf("seed %d: %d crashes and %d migrations; the sequence should exercise both", seed, pos.Crashes, pos.Migrations)
+		}
+	}
+}
+
+// TestStepWindowRejectsMisshapenColumn: a column for another fleet size
+// or a window outside it is an error and changes nothing.
+func TestStepWindowRejectsMisshapenColumn(t *testing.T) {
+	m := stepFleetManager(t, 4)
+	before := managerState(m)
+	for _, tc := range []struct {
+		h *HealthColumn
+		w int
+	}{
+		{NewHealthColumn(3, 2), 0},
+		{NewHealthColumn(4, 2), 2},
+		{NewHealthColumn(4, 2), -1},
+	} {
+		if _, err := m.StepWindow(tc.h, tc.w, time.Minute, 0, time.Hour); err == nil {
+			t.Errorf("window %d of a %d-node column accepted by a 4-node manager", tc.w, tc.h.nodes)
+		}
+	}
+	if got := managerState(m); got != before {
+		t.Fatalf("rejected steps changed the manager:\n--- before ---\n%s--- after ---\n%s", before, got)
 	}
 }

@@ -82,21 +82,13 @@ type Node struct {
 	// scale it down.
 	IdlePowerW, BusyPowerW float64
 
-	online        bool
-	healthCrashed bool // staged by StepFleet; see healthEpoch
-	repairUntil   time.Duration
-	usedVCPUs     int
-	usedMem       uint64
-	vms           map[string]*Instance
-	windowsUp     int
-	windowsTotal  int
-
-	// StepFleet's staged health report, healthFailProb and
-	// healthCrashed (kept beside online to share its padding): valid
-	// only while healthEpoch equals the step's epoch, so a later step
-	// (or a step that failed validation) never reads a stale report.
-	healthEpoch    uint64
-	healthFailProb float64
+	online       bool
+	repairUntil  time.Duration
+	usedVCPUs    int
+	usedMem      uint64
+	vms          map[string]*Instance
+	windowsUp    int
+	windowsTotal int
 }
 
 // Instance is a placed VM.
@@ -259,15 +251,22 @@ func LegacyPolicy() Policy {
 // Manager is the cloud control plane over a fleet of nodes.
 type Manager struct {
 	Policy Policy
-	nodes  map[string]*Node
+	// order is the fleet as given to NewManager: a node's position in
+	// it is its position in a HealthColumn. nodes maps each name to
+	// that position.
+	order []*Node
+	nodes map[string]int
 	// sorted is the fleet in name order, built once: the node set is
 	// fixed at construction, and every scheduling walk (which must be
 	// deterministic, hence ordered) reuses this slice instead of
-	// sorting the map per call.
+	// sorting per call. pos[j] is the position of sorted[j].
 	sorted []*Node
-	// healthEpoch numbers StepFleet calls; a Node's staged report
-	// counts only in the step whose epoch it carries.
-	healthEpoch uint64
+	pos    []int
+
+	// StepFleet's scratch: its one-window column and the positions the
+	// current list has named.
+	named *HealthColumn
+	seen  []bool
 
 	// Stats.
 	Scheduled     int
@@ -287,26 +286,25 @@ func NewManager(policy Policy, nodes ...*Node) (*Manager, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("openstack: manager needs nodes")
 	}
-	m := &Manager{Policy: policy, nodes: make(map[string]*Node, len(nodes))}
-	for _, n := range nodes {
+	m := &Manager{
+		Policy: policy,
+		order:  append([]*Node(nil), nodes...),
+		nodes:  make(map[string]int, len(nodes)),
+		sorted: make([]*Node, len(nodes)),
+		pos:    make([]int, len(nodes)),
+	}
+	for i, n := range nodes {
 		if _, dup := m.nodes[n.Name]; dup {
 			return nil, fmt.Errorf("openstack: duplicate node %q", n.Name)
 		}
-		m.nodes[n.Name] = n
+		m.nodes[n.Name] = i
+		m.pos[i] = i
 	}
-	m.sorted = make([]*Node, 0, len(nodes))
-	for _, n := range m.nodes {
-		m.sorted = append(m.sorted, n)
+	sort.Slice(m.pos, func(a, b int) bool { return nodes[m.pos[a]].Name < nodes[m.pos[b]].Name })
+	for j, i := range m.pos {
+		m.sorted[j] = nodes[i]
 	}
-	sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i].Name < m.sorted[j].Name })
 	return m, nil
-}
-
-// Nodes returns the fleet sorted by name. The slice is the caller's
-// to keep (reordering it cannot perturb the manager's own walks);
-// in-package hot paths range m.sorted directly to skip the copy.
-func (m *Manager) Nodes() []*Node {
-	return append([]*Node(nil), m.sorted...)
 }
 
 // score weighs a candidate node for placement.
@@ -349,7 +347,7 @@ func (m *Manager) Schedule(spec workload.VMSpec, sla SLA) (string, error) {
 
 // Terminate removes a VM from whichever node hosts it.
 func (m *Manager) Terminate(name string) bool {
-	for _, n := range m.nodes {
+	for _, n := range m.sorted {
 		if _, ok := n.remove(name); ok {
 			return true
 		}
@@ -413,20 +411,20 @@ func (m *Manager) ProactiveMigration() int {
 // energy integration. Crashed nodes lose their instances (each loss is
 // an SLA violation) and come back after repair.
 func (m *Manager) Tick(window time.Duration, now time.Duration, repair time.Duration, src *rng.Source) {
-	m.resolveWindow(window, now, repair, func(n *Node) bool {
+	m.resolveWindow(window, now, repair, func(_ int, n *Node) bool {
 		return src.Bernoulli(n.FailProb())
 	}, nil)
 }
 
 // resolveWindow is the single per-window node-resolution loop shared
-// by Tick and StepFleet: repairs complete, availability and energy
+// by Tick and StepWindow: repairs complete, availability and energy
 // are accounted, and nodes for which crashed reports true go down for
 // the repair interval, losing their instances (each loss is an SLA
 // violation). Nodes resolve in sorted order; crashed is only called
-// for online nodes, in that order. stats, when non-nil, receives the
-// epoch's counters.
-func (m *Manager) resolveWindow(window, now, repair time.Duration, crashed func(*Node) bool, stats *FleetStepStats) {
-	for _, n := range m.sorted {
+// for online nodes, in that order, with the node's index in m.sorted.
+// stats, when non-nil, receives the epoch's counters.
+func (m *Manager) resolveWindow(window, now, repair time.Duration, crashed func(int, *Node) bool, stats *FleetStepStats) {
+	for j, n := range m.sorted {
 		n.windowsTotal++
 		if !n.online {
 			if now >= n.repairUntil {
@@ -442,7 +440,7 @@ func (m *Manager) resolveWindow(window, now, repair time.Duration, crashed func(
 			stats.OnlineNodes++
 			stats.PowerW += met.PowerW
 		}
-		if crashed(n) {
+		if crashed(j, n) {
 			m.Crashes++
 			if stats != nil {
 				stats.Crashes++

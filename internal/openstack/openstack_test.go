@@ -145,7 +145,7 @@ func TestTerminate(t *testing.T) {
 	if m.Terminate("vm1") {
 		t.Fatal("double terminate succeeded")
 	}
-	for _, n := range m.Nodes() {
+	for _, n := range m.sorted {
 		if len(n.Instances()) != 0 {
 			t.Fatal("instance left behind")
 		}

@@ -103,9 +103,9 @@ func RunStream(m *Manager, arrivals []workload.Arrival, cfg SimConfig, src *rng.
 		return SimResult{}, errors.New("openstack: sim needs positive window and horizon")
 	}
 	cursor := NewStreamCursor(arrivals)
-	original := make(map[string]float64, len(m.nodes))
-	for name, n := range m.nodes {
-		original[name] = n.BaseFailProb
+	original := make(map[string]float64, len(m.order))
+	for _, n := range m.order {
+		original[n.Name] = n.BaseFailProb
 	}
 
 	res := SimResult{}
@@ -115,7 +115,7 @@ func RunStream(m *Manager, arrivals []workload.Arrival, cfg SimConfig, src *rng.
 
 		// Degradation lottery: an online node turns erratic.
 		if src.Bernoulli(cfg.DegradeProb) {
-			online := make([]*Node, 0, len(m.nodes))
+			online := make([]*Node, 0, len(m.order))
 			for _, n := range m.sorted {
 				if n.Online() {
 					online = append(online, n)

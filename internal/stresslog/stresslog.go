@@ -15,12 +15,14 @@
 // campaign provokes (errors, sensor values, performance counters), and
 // the StressLog wraps the needed information into the margin vector it
 // hands upward.
+//
+// A daemon belongs to one ecosystem, which one goroutine runs at a
+// time; it takes no locks.
 package stresslog
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"uniserver/internal/cpu"
@@ -106,7 +108,8 @@ type MarginVector struct {
 	ECCEvents   int
 }
 
-// Daemon is the StressLog monitor.
+// Daemon is the StressLog monitor. It has one owner: it is not safe
+// for concurrent use.
 type Daemon struct {
 	clock   *telemetry.Clock
 	machine *cpu.Machine
@@ -115,7 +118,8 @@ type Daemon struct {
 	refresh power.DRAMRefreshModel
 	period  time.Duration
 
-	mu      sync.Mutex
+	// online is false while a campaign runs: it refuses a campaign
+	// started from inside one (a callback the campaign's records reach).
 	online  bool
 	lastRun time.Time
 	pending []healthlog.TriggerReason
@@ -150,8 +154,6 @@ func (d *Daemon) Archive() *stress.Archive { return d.archive }
 // healthlog.OnStressTrigger: it queues an on-demand campaign request.
 func (d *Daemon) TriggerHandler() func(healthlog.TriggerReason) {
 	return func(r healthlog.TriggerReason) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
 		d.pending = append(d.pending, r)
 	}
 }
@@ -159,40 +161,24 @@ func (d *Daemon) TriggerHandler() func(healthlog.TriggerReason) {
 // PendingCount returns the number of queued on-demand trigger
 // requests.
 func (d *Daemon) PendingCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return len(d.pending)
 }
 
 // Online reports whether the machine is serving load (true) or taken
 // offline for a stress campaign (false).
 func (d *Daemon) Online() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.online
 }
 
-// History returns the published margin vectors, oldest first.
-func (d *Daemon) History() []MarginVector {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]MarginVector(nil), d.history...)
-}
-
 // DueAt reports whether the periodic re-characterization is due at
-// now, the daemon clock's current instant. Callers pass the instant
-// they already hold — the window step passes the one its clock advance
-// returned — so the check never takes the clock's lock.
+// now, the daemon clock's current instant: the window step passes the
+// one its clock advance returned.
 func (d *Daemon) DueAt(now time.Time) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return now.Sub(d.lastRun) >= d.period
 }
 
 // Period returns the current periodic re-characterization interval.
 func (d *Daemon) Period() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.period
 }
 
@@ -203,8 +189,6 @@ func (d *Daemon) SetPeriod(p time.Duration) {
 	if p <= 0 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.period = p
 }
 
@@ -214,8 +198,6 @@ func (d *Daemon) SetPeriod(p time.Duration) {
 // scheduled campaign — the skipped slot waits for the next cadence
 // tick instead of re-arming on every window.
 func (d *Daemon) SkipPeriodic() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.lastRun = d.clock.Now()
 }
 
@@ -227,18 +209,11 @@ func (d *Daemon) RunCampaign(params TargetParams, src *rng.Source) (MarginVector
 		return MarginVector{}, err
 	}
 
-	d.mu.Lock()
 	if !d.online {
-		d.mu.Unlock()
 		return MarginVector{}, errors.New("stresslog: campaign already in progress")
 	}
 	d.online = false
-	d.mu.Unlock()
-	defer func() {
-		d.mu.Lock()
-		d.online = true
-		d.mu.Unlock()
-	}()
+	defer func() { d.online = true }()
 
 	suite := cpu.SPECSuite()
 	if params.UseViruses {
@@ -317,11 +292,9 @@ func (d *Daemon) RunCampaign(params TargetParams, src *rng.Source) (MarginVector
 		d.clock.Advance(time.Minute)
 	}
 
-	d.mu.Lock()
 	d.lastRun = d.clock.Now()
 	d.pending = nil
 	d.history = append(d.history, vec)
-	d.mu.Unlock()
 	return vec, nil
 }
 

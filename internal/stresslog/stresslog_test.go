@@ -233,7 +233,7 @@ func TestHistoryAccumulates(t *testing.T) {
 	if _, err := d.RunCampaign(quickParams(), rng.New(16)); err != nil {
 		t.Fatal(err)
 	}
-	h := d.History()
+	h := d.history
 	if len(h) != 2 {
 		t.Fatalf("history = %d entries", len(h))
 	}
@@ -269,28 +269,26 @@ func TestCampaignWithViruses(t *testing.T) {
 	}
 }
 
-func TestConcurrentCampaignRejected(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var once bool
-	d, _, _ := testRigLogging(t, 19, writerFunc(func() {
-		if !once {
-			once = true
-			close(started)
-			<-release
+// TestReentrantCampaignRejected: a campaign started while one runs —
+// from a callback the running campaign's health records reach, on the
+// same goroutine — is refused, and the running campaign completes.
+func TestReentrantCampaignRejected(t *testing.T) {
+	var d *Daemon
+	var inner error
+	tried := false
+	d, _, _ = testRigLogging(t, 19, writerFunc(func() {
+		if !tried {
+			tried = true
+			_, inner = d.RunCampaign(quickParams(), rng.New(20))
 		}
 	}))
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := d.RunCampaign(quickParams(), rng.New(19))
-		errCh <- err
-	}()
-	<-started
-	if _, err := d.RunCampaign(quickParams(), rng.New(20)); err == nil {
-		t.Error("second concurrent campaign accepted")
-	}
-	close(release)
-	if err := <-errCh; err != nil {
+	if _, err := d.RunCampaign(quickParams(), rng.New(19)); err != nil {
 		t.Fatal(err)
+	}
+	if !tried || inner == nil {
+		t.Fatalf("campaign started inside a running one: tried %t, error %v", tried, inner)
+	}
+	if !d.Online() || len(d.history) != 1 {
+		t.Fatalf("after the refused campaign: online %t, %d published vectors; want online and 1", d.Online(), len(d.history))
 	}
 }

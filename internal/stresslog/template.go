@@ -14,10 +14,9 @@ import (
 
 // Compiled is a daemon's snapshot image: the schedule position,
 // pending triggers, published-margin history and virus archive,
-// copied out of the source daemon so stamping needs no locks on
-// shared state and the source may keep running. The history's tables
-// are shared, not copied: a published table is never written. Its
-// fields are exported for encoding only.
+// copied out of the source daemon so the source may keep running. The
+// history's tables are shared, not copied: a published table is never
+// written. Its fields are exported for encoding only.
 type Compiled struct {
 	Refresh power.DRAMRefreshModel
 	Period  time.Duration
@@ -30,8 +29,6 @@ type Compiled struct {
 
 // Compile copies the daemon into its snapshot image.
 func (d *Daemon) Compile() *Compiled {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return &Compiled{
 		Refresh: d.refresh,
 		Period:  d.period,

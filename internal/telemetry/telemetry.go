@@ -9,23 +9,22 @@
 //
 // The package also provides the simulated clock every daemon runs on,
 // so that campaigns spanning simulated months execute in microseconds
-// and remain deterministic.
+// and remain deterministic. A clock belongs to one ecosystem, which one
+// goroutine runs at a time.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"uniserver/internal/vfr"
 )
 
 // Clock is a manually advanced simulation clock. The zero value starts
-// at the Unix epoch; use NewClock to pick an explicit origin. Clock is
-// safe for concurrent use.
+// at the Unix epoch; use NewClock to pick an explicit origin. A Clock
+// has one owner: it is not safe for concurrent use.
 type Clock struct {
-	mu  sync.Mutex
 	now time.Time
 }
 
@@ -36,8 +35,6 @@ func NewClock(origin time.Time) *Clock {
 
 // Now returns the current simulated time.
 func (c *Clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.now
 }
 
@@ -47,8 +44,6 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 	if d < 0 {
 		panic("telemetry: Advance with negative duration")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.now = c.now.Add(d)
 	return c.now
 }
@@ -56,11 +51,8 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 // Reset rewinds the clock to an arbitrary origin. Unlike Advance it
 // may move time backwards: it exists for arena reuse, where a clock
 // object is re-seated at a snapshot's instant before
-// a fresh simulation run. Callers must not Reset a clock that other
-// goroutines are concurrently advancing.
+// a fresh simulation run.
 func (c *Clock) Reset(origin time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.now = origin
 }
 
@@ -83,8 +75,6 @@ func (c *Clock) AdvanceCoarse(d time.Duration) (time.Time, error) {
 	if d%WindowQuantum != 0 {
 		return time.Time{}, fmt.Errorf("telemetry: AdvanceCoarse duration %v is not a whole number of %v windows", d, WindowQuantum)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.now.Truncate(WindowQuantum).Equal(c.now) {
 		return time.Time{}, fmt.Errorf("telemetry: refusing mid-window fast-forward at %v (not on a %v boundary)",
 			c.now.Format(time.RFC3339Nano), WindowQuantum)

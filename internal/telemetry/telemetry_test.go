@@ -31,25 +31,6 @@ func TestClockPanicsOnNegative(t *testing.T) {
 	NewClock(time.Unix(0, 0)).Advance(-time.Second)
 }
 
-func TestClockConcurrent(t *testing.T) {
-	c := NewClock(time.Unix(0, 0))
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				c.Advance(time.Millisecond)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if got := c.Now(); !got.Equal(time.Unix(0, 0).Add(4 * time.Second)) {
-		t.Fatalf("concurrent advances lost updates: %v", got)
-	}
-}
-
 func TestSensorKindString(t *testing.T) {
 	kinds := []SensorKind{SensorVoltage, SensorTemperature, SensorPower, SensorFrequency, SensorRefresh}
 	seen := map[string]bool{}
