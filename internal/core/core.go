@@ -151,6 +151,9 @@ type Ecosystem struct {
 	coreOf    func(string) int
 	leak      voltMemo // leakage voltage factor of the last point priced
 	failProb  failMemo // PredictedFailProb of the last point asked
+	// aging is the arena's window aging memo (RestoreArena); nil on an
+	// ecosystem built by New, whose windows each run once.
+	aging *agingMemo
 }
 
 // dramwinLabel is the hoisted stream label of the per-window DRAM

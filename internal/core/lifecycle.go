@@ -101,6 +101,7 @@ type Deployment struct {
 	risk     float64
 	wl       workload.Profile
 	aging    silicon.AgingModel
+	ageHours float64 // stressed hours a window adds at wl's activity
 	nominalW float64
 	tempSumC float64
 	sum      DeploymentSummary
@@ -155,6 +156,54 @@ func (l *ledgerMemo) totalW(m power.CPUModel, p vfr.Point, activity float64) flo
 	return l.w
 }
 
+// agingMemo is an arena's memo of the window step's aging, one entry
+// per window since the stamp. The arena's nodes are stamped from a few
+// archetypes and age at a few workload stresses, so window w of one
+// node usually repeats window w of an earlier node bit for bit, and
+// the entry spares its math.Pow. An entry is used only when its whole
+// input matches bit for bit, so a stale entry is never wrong and the
+// stamp leaves the memo as it is; a miss computes and overwrites. Its
+// length is the longest deployment the arena has run.
+type agingMemo struct {
+	steps []agingStep
+}
+
+// agingStep maps one window's aging input — the model, the chip's
+// stressed hours before the window and the hours it adds, as float64
+// bits — to the chip's stressed hours and Vcrit shift after it. The
+// zero step is exact for its own key: zero hours plus zero hours under
+// the zero model is zero hours and a zero shift.
+type agingStep struct {
+	key          [4]uint64
+	out, shiftMV float64
+}
+
+// ageWindow ages the chip by one window's stressed hours, as
+// Chip.AgeBy does, through the arena's memo when it has one.
+func (e *Ecosystem) ageWindow(model silicon.AgingModel, hours float64) {
+	chip := e.Machine.Chip
+	m, w := e.aging, e.windowsRun-1
+	if m == nil || w < 0 {
+		chip.AgeBy(model, hours)
+		return
+	}
+	key := [4]uint64{
+		math.Float64bits(model.CoeffMVPerKHour),
+		math.Float64bits(model.Exponent),
+		math.Float64bits(chip.StressedHours),
+		math.Float64bits(hours),
+	}
+	for len(m.steps) <= w {
+		m.steps = append(m.steps, agingStep{})
+	}
+	if s := &m.steps[w]; s.key == key {
+		chip.StressedHours, chip.AgeShiftMV = s.out, s.shiftMV
+		return
+	}
+	chip.AgeBy(model, hours)
+	m.steps[w] = agingStep{key: key, out: chip.StressedHours, shiftMV: chip.AgeShiftMV}
+}
+
 // Closed-loop undervolting constants (Bacha & Teodorescu, ISCA 2013:
 // reclaim voltage guardbands online, using correctable ECC errors as
 // the early-warning signal).
@@ -179,6 +228,7 @@ func (e *Ecosystem) StartDeployment(mode vfr.Mode, riskTarget float64, wl worklo
 		risk:          riskTarget,
 		wl:            wl,
 		aging:         silicon.DefaultAgingModel(),
+		ageHours:      silicon.StressedHoursOf(time.Minute, wl.CPUActivity),
 		nominalW:      e.power.TotalW(e.Machine.Spec.Nominal, wl.CPUActivity, 55),
 		epochEntryAge: e.Machine.Chip.AgeShiftMV,
 	}
@@ -339,7 +389,7 @@ func (d *Deployment) Step() (WindowReport, error) {
 	d.sum.EnergySavedWh += (d.nominalW - curW) / 60
 
 	// Continuous aging at the workload's stress level.
-	e.Machine.Chip.Age(d.aging, time.Minute, d.wl.CPUActivity)
+	e.ageWindow(d.aging, d.ageHours)
 
 	needCampaign := false
 	if rep.Crashed {
@@ -392,6 +442,7 @@ func (d *Deployment) SwitchMode(mode vfr.Mode, riskTarget float64) error {
 // factor so savings stay comparable across the switch.
 func (d *Deployment) SetWorkload(wl workload.Profile) {
 	d.wl = wl
+	d.ageHours = silicon.StressedHoursOf(time.Minute, wl.CPUActivity)
 	d.nominalW = d.eco.power.TotalW(d.eco.Machine.Spec.Nominal, wl.CPUActivity, 55)
 }
 

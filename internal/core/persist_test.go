@@ -214,7 +214,10 @@ func TestLoadSnapshotRefusesEmptyStressHistory(t *testing.T) {
 // image whose components are unsorted or duplicated, whose window
 // entries go back in time, count negative errors or outnumber
 // RetainVectors, or whose daemon configuration holds a non-positive
-// value is refused.
+// value is refused. A characterization's window entries have all
+// expired by the snapshot, so Compile leaves every window empty; the
+// fixture first gives the first component two live entries, an image
+// that loads, and each case breaks that.
 func TestLoadSnapshotRefusesMalformedHealthImage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -224,8 +227,18 @@ func TestLoadSnapshotRefusesMalformedHealthImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comps := snap.img.Health.Comps; len(comps) < 2 || len(comps[0].Entries) < 2 {
+	if comps := snap.img.Health.Comps; len(comps) < 2 {
 		t.Fatalf("health image too small to break: %d components", len(comps))
+	}
+	snap.img.Health.Comps = slices.Clone(snap.img.Health.Comps)
+	snap.img.Health.Comps[0].Entries = []healthlog.Entry{
+		{Time: snap.img.Clock.Add(-2 * time.Minute), Count: 1},
+		{Time: snap.img.Clock.Add(-time.Minute), Count: 2},
+	}
+	if b, err := snap.img.encode(); err != nil {
+		t.Fatal(err)
+	} else if _, err := LoadSnapshot(bytes.NewReader(frame(b))); err != nil {
+		t.Fatalf("the unbroken fixture is refused: %v", err)
 	}
 	breaks := map[string]func(h *healthlog.Compiled){
 		"unsorted names":  func(h *healthlog.Compiled) { h.Comps[0], h.Comps[1] = h.Comps[1], h.Comps[0] },

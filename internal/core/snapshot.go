@@ -209,6 +209,7 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 			cpuTherm:   &thermal.Node{},
 			memTherm:   &thermal.Node{},
 			dramHits:   make(map[string]int),
+			aging:      &agingMemo{},
 		}
 		c.advisor = predictor.NewAdvisor(c.Model, nil)
 		c.coreOf = func(string) int { return c.curCore }
@@ -235,6 +236,7 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 	*c.src = *rng.FromState(img.Src)
 	*c.Model = img.Model
 	c.failProb = failMemo{}
+	// c.aging is kept: its entries are keyed on their whole input.
 	c.predictorAcc = img.PredictorAcc
 	c.table = img.Stress.Table() // shared: a published table is never written
 	c.advisor.Table = c.table
@@ -255,8 +257,8 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 
 	c.opts.AmbientCPUC, c.opts.AmbientDIMMC = opts.AmbientCPUC, opts.AmbientDIMMC
 	c.opts.defaultAmbient()
-	*c.cpuTherm = *thermal.CPUNode(c.opts.AmbientCPUC)
-	*c.memTherm = *thermal.DIMMNode(c.opts.AmbientDIMMC)
+	c.cpuTherm.SettleCPU(c.opts.AmbientCPUC)
+	c.memTherm.SettleDIMM(c.opts.AmbientDIMMC)
 	return c, nil
 }
 

@@ -5,14 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"uniserver/internal/cpu"
 	"uniserver/internal/hypervisor"
 	"uniserver/internal/rng"
+	"uniserver/internal/silicon"
 	"uniserver/internal/thermal"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
@@ -537,4 +540,98 @@ func TestStampRunCycleAllocBudget(t *testing.T) {
 	if bytes > stampRunBytesBudget {
 		t.Errorf("stamp+run cycle allocates %.0f bytes per node, budget %d", bytes, stampRunBytesBudget)
 	}
+}
+
+// TestArenaAgingMemoMatchesChipAge: one arena stamps two archetypes
+// with different part models, start hours and workload activities
+// alternately, for deployments of different lengths, through a mode
+// switch, a workload change, a crash fallback and a
+// re-characterization. On every window the chip's stressed hours and
+// Vcrit shift must be bit-equal to a memo-free Chip.Age of the same
+// window, and the memo must have served some windows and missed
+// others (a window counts as served when its entry's start hours
+// match the chip's).
+func TestArenaAgingMemoMatchesChipAge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	var snaps []*Snapshot
+	for i, part := range []cpu.PartSpec{cpu.PartI5_4200U(), cpu.PartI7_3970X()} {
+		opts := smallOptions(uint64(41 + i))
+		opts.SetPart(part)
+		eco, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eco.PreDeployment(); err != nil {
+			t.Fatal(err)
+		}
+		// Archetypes that already carry different ages.
+		eco.Machine.Chip.Age(silicon.DefaultAgingModel(), time.Duration(100+900*i)*time.Hour, 0.7)
+		snap, err := eco.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	loads := []workload.Profile{workload.WebFrontend(), workload.BatchAnalytics()}
+	arena := NewRestoreArena()
+	hits, misses := 0, 0
+	// Back-to-back stamps of one archetype reuse the memo, up to the
+	// window where an odd round changes workload; a switch of
+	// archetype overwrites it.
+	for round, a := range []int{0, 0, 1, 1, 0, 0, 1, 0} {
+		eco, err := snaps[a].RestoreInto(arena, RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eco.Reseed(uint64(round)); err != nil {
+			t.Fatal(err)
+		}
+		d, err := eco.StartDeployment(vfr.ModeHighPerformance, 0.01, loads[a])
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := 20 + 5*(round%3)
+		for w := 0; w < windows; w++ {
+			switch w {
+			case 4:
+				if err := d.SwitchMode(vfr.ModeLowPower, 0.01); err != nil {
+					t.Fatal(err)
+				}
+			case 7:
+				if err := eco.HandleCrash(); err != nil {
+					t.Fatal(err)
+				}
+			case 9:
+				if err := d.RecharacterizeNow(); err != nil {
+					t.Fatal(err)
+				}
+			case 12:
+				if round%2 == 1 {
+					d.SetWorkload(loads[1-a])
+				}
+			}
+			ref := *eco.Machine.Chip
+			ref.Age(d.aging, time.Minute, d.Workload().CPUActivity)
+			if w < len(arena.eco.aging.steps) && arena.eco.aging.steps[w].key[2] == math.Float64bits(eco.Machine.Chip.StressedHours) {
+				hits++
+			} else {
+				misses++
+			}
+			if _, err := d.Step(); err != nil {
+				t.Fatal(err)
+			}
+			got := eco.Machine.Chip
+			if math.Float64bits(got.StressedHours) != math.Float64bits(ref.StressedHours) ||
+				math.Float64bits(got.AgeShiftMV) != math.Float64bits(ref.AgeShiftMV) {
+				t.Fatalf("round %d window %d: aged to %v h, %v mV; Chip.Age gives %v h, %v mV",
+					round, w, got.StressedHours, got.AgeShiftMV, ref.StressedHours, ref.AgeShiftMV)
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("memo served %d windows and missed %d; the rounds should do both", hits, misses)
+	}
+	t.Logf("aging memo: %d windows matched a memo entry's start hours, %d did not", hits, misses)
 }

@@ -180,7 +180,10 @@ func (d *Daemon) OnStressTrigger(f func(TriggerReason)) {
 // error threshold over its component's window. The log line is
 // written before Record returns. A vector dated before its
 // component's last record panics: the daemon clock only advances, and
-// the window is exact only over nondecreasing times.
+// the window is exact only over nondecreasing times. After a stamp
+// the guard sees only the image's live entries (see Compile), so a
+// component whose entries all expired has no floor until its next
+// record; no caller dates a record before the clock.
 func (d *Daemon) Record(v telemetry.InfoVector) {
 	if v.Time.IsZero() {
 		v.Time = d.clock.Now()

@@ -32,13 +32,31 @@ type CompiledComp struct {
 // reproducible regardless of map iteration. The image shares no
 // storage with d, so d may keep recording. A failed log writer is not
 // part of the image: stamped daemons write to their own.
+//
+// The image keeps only the live entries, those dated after the
+// clock's now minus Window; a component whose entries all expired
+// keeps its name and a nil window. That is exact for every daemon
+// stamped with a clock at or after d's now, which is how a snapshot
+// stamps (the clock resets to the snapshot's and only advances):
+// every later record is dated at or after that now, so its cutoff
+// pops every expired entry after its push, and the retention pop
+// before the push takes the oldest entry, an expired one whenever any
+// is left. Live entries are therefore all any record can count.
 func (d *Daemon) Compile() *Compiled {
 	c := &Compiled{Config: d.cfg, Recorded: d.recorded, Crashes: d.crashes}
+	cutoff := d.clock.Now().Add(-d.cfg.Window)
 	byName := func(a, b *window) int { return strings.Compare(a.name, b.name) }
 	for _, w := range slices.SortedFunc(slices.Values(d.comps), byName) {
-		cc := CompiledComp{Name: w.name, Entries: make([]Entry, w.n)}
-		for i := range cc.Entries {
-			cc.Entries[i] = w.at(i)
+		cc := CompiledComp{Name: w.name}
+		expired := 0
+		for expired < w.n && !w.at(expired).Time.After(cutoff) {
+			expired++
+		}
+		if n := w.n - expired; n > 0 {
+			cc.Entries = make([]Entry, n)
+			for i := range cc.Entries {
+				cc.Entries[i] = w.at(expired + i)
+			}
 		}
 		c.Comps = append(c.Comps, cc)
 	}

@@ -2,9 +2,12 @@ package healthlog
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"uniserver/internal/rng"
 	"uniserver/internal/telemetry"
 )
 
@@ -167,4 +170,135 @@ func TestCompiledValidate(t *testing.T) {
 			t.Errorf("%s: broken image accepted", name)
 		}
 	}
+}
+
+// untrimmedImage is Compile without its expiry trim: every entry the
+// daemon's windows hold, expired or not — the image Compile wrote
+// before it kept only live entries.
+func untrimmedImage(d *Daemon) *Compiled {
+	c := &Compiled{Config: d.cfg, Recorded: d.recorded, Crashes: d.crashes}
+	for _, w := range d.comps {
+		cc := CompiledComp{Name: w.name}
+		for i := range w.n {
+			cc.Entries = append(cc.Entries, w.at(i))
+		}
+		c.Comps = append(c.Comps, cc)
+	}
+	slices.SortFunc(c.Comps, func(a, b CompiledComp) int { return strings.Compare(a.Name, b.Name) })
+	return c
+}
+
+// liveEntries is each component's window entries dated after now
+// minus the window, the entries any later record can still count;
+// components with none are left out.
+func liveEntries(d *Daemon, now time.Time) map[string][]Entry {
+	live := map[string][]Entry{}
+	for _, w := range d.comps {
+		for i := range w.n {
+			if e := w.at(i); e.Time.After(now.Add(-d.cfg.Window)) {
+				live[w.name] = append(live[w.name], e)
+			}
+		}
+	}
+	return live
+}
+
+// TestTrimmedImageMatchesUntrimmed is the property behind Compile's
+// live-only image: over generated record sequences — several
+// components, a retention bound small enough to pop, steps of zero,
+// under and past the window — a daemon stamped from the trimmed image
+// and one stamped from the untrimmed reference, both at a gap below or
+// past the window after the snapshot, hold the same live entries from
+// the stamp on, and fire identical triggers, report identical Stats
+// and compile to identical images on every record.
+func TestTrimmedImageMatchesUntrimmed(t *testing.T) {
+	comps := []string{"core0", "core1", "core2", "dimm0"}
+	// The generator must reach the cases the trim is about: images
+	// that drop expired entries, retention pops and firing triggers.
+	dropped, popped, fired := 0, 0, 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		src := rng.New(seed)
+		cfg := Config{
+			ErrorThreshold: 1 + src.Intn(6),
+			Window:         time.Duration(5+src.Intn(40)) * time.Minute,
+			RetainVectors:  1 + src.Intn(6),
+		}
+		step := func() time.Duration {
+			switch src.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return cfg.Window + time.Duration(src.Intn(90))*time.Minute
+			default:
+				return time.Duration(src.Intn(int(cfg.Window/time.Second))) * time.Second
+			}
+		}
+		record := func(ds ...*Daemon) {
+			v := vec(comps[src.Intn(1+src.Intn(len(comps)))], src.Intn(4))
+			if src.Intn(15) == 0 {
+				v.Errors = append(v.Errors, telemetry.ErrorEvent{Kind: telemetry.ErrCrash, Component: v.Component})
+			}
+			for _, d := range ds {
+				d.Record(v)
+			}
+		}
+
+		clock := telemetry.NewClock(time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC))
+		source := New(cfg, clock, nil)
+		var trimmed, full Daemon
+		for round := 0; round < 8; round++ {
+			for i := src.Intn(30); i > 0; i-- {
+				clock.Advance(step())
+				record(source)
+			}
+			img, ref := source.Compile(), untrimmedImage(source)
+			if err := img.Validate(); err != nil {
+				t.Fatalf("seed %d round %d: trimmed image refused: %v", seed, round, err)
+			}
+			for i, cc := range ref.Comps {
+				if len(img.Comps[i].Entries) < len(cc.Entries) {
+					dropped++
+				}
+				if len(cc.Entries) == cfg.RetainVectors {
+					popped++
+				}
+			}
+			stamped := telemetry.NewClock(clock.Now())
+			img.StampInto(&trimmed, stamped, nil)
+			ref.StampInto(&full, stamped, nil)
+			var gotFired, wantFired []TriggerReason
+			trimmed.RewireStressTrigger(func(r TriggerReason) { gotFired = append(gotFired, r) })
+			full.RewireStressTrigger(func(r TriggerReason) { wantFired = append(wantFired, r) })
+			if got, want := liveEntries(&trimmed, stamped.Now()), liveEntries(&full, stamped.Now()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: trimmed stamp holds live entries %v, untrimmed %v", seed, round, got, want)
+			}
+
+			gap := time.Duration(src.Intn(int(cfg.Window/time.Second))) * time.Second
+			if src.Intn(2) == 0 {
+				gap += cfg.Window
+			}
+			stamped.Advance(gap)
+			for i := 1 + src.Intn(30); i > 0; i-- {
+				record(&trimmed, &full)
+				if !slices.Equal(gotFired, wantFired) {
+					t.Fatalf("seed %d round %d: trimmed image fired %v, untrimmed %v", seed, round, gotFired, wantFired)
+				}
+				if trimmed.Stats() != full.Stats() {
+					t.Fatalf("seed %d round %d: stats %+v from the trimmed image, %+v from the untrimmed", seed, round, trimmed.Stats(), full.Stats())
+				}
+				if got, want := liveEntries(&trimmed, stamped.Now()), liveEntries(&full, stamped.Now()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d round %d: trimmed stamp holds live entries %v, untrimmed %v", seed, round, got, want)
+				}
+				if got, want := trimmed.Compile(), full.Compile(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d round %d: trimmed stamp compiles to\n%+v\nwant\n%+v", seed, round, got, want)
+				}
+				stamped.Advance(step())
+			}
+			fired += len(wantFired)
+		}
+	}
+	if dropped == 0 || popped == 0 || fired == 0 {
+		t.Fatalf("generator too tame: %d trimmed windows, %d full ones, %d triggers", dropped, popped, fired)
+	}
+	t.Logf("%d trimmed windows, %d full ones, %d triggers", dropped, popped, fired)
 }

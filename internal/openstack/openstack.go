@@ -12,7 +12,9 @@ package openstack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"uniserver/internal/rng"
@@ -300,7 +302,24 @@ func NewManager(policy Policy, nodes ...*Node) (*Manager, error) {
 		m.nodes[n.Name] = i
 		m.pos[i] = i
 	}
-	sort.Slice(m.pos, func(a, b int) bool { return nodes[m.pos[a]].Name < nodes[m.pos[b]].Name })
+	// Names are unique, so every sort yields the one name-order
+	// permutation. A list already in name order skips it; otherwise
+	// the names are sorted beside their positions, which spares each
+	// comparison two node dereferences.
+	if !slices.IsSortedFunc(nodes, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) }) {
+		type named struct {
+			name string
+			pos  int
+		}
+		byName := make([]named, len(nodes))
+		for i, n := range nodes {
+			byName[i] = named{n.Name, i}
+		}
+		slices.SortFunc(byName, func(a, b named) int { return strings.Compare(a.name, b.name) })
+		for j, k := range byName {
+			m.pos[j] = k.pos
+		}
+	}
 	for j, i := range m.pos {
 		m.sorted[j] = nodes[i]
 	}

@@ -1,6 +1,8 @@
 package openstack
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,6 +37,48 @@ func TestNewManagerValidation(t *testing.T) {
 	n := NewNode("x", 4, 1<<30, 0.001)
 	if _, err := NewManager(UniServerPolicy(), n, n); err == nil {
 		t.Fatal("duplicate node accepted")
+	}
+}
+
+// TestNewManagerSortsNames: the manager's name order and its
+// positions hold whether the nodes arrive in name order (zero-padded
+// fleet names, where NewManager skips the sort), shuffled, or
+// unpadded, where position order is not name order (uniserver-10
+// sorts before uniserver-9).
+func TestNewManagerSortsNames(t *testing.T) {
+	names := func(format string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf(format, i)
+		}
+		return out
+	}
+	shuffled := names("uniserver-%03d", 40)
+	rng.New(5).Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	for _, tc := range []struct {
+		label string
+		names []string
+	}{
+		{"padded", names("uniserver-%02d", 12)},
+		{"shuffled", shuffled},
+		{"unpadded", names("uniserver-%d", 12)},
+		{"single", []string{"uniserver-0"}},
+	} {
+		nodes := make([]*Node, len(tc.names))
+		for i, name := range tc.names {
+			nodes[i] = NewNode(name, 4, 1<<30, 0.001)
+		}
+		m, err := NewManager(UniServerPolicy(), nodes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Sorted(slices.Values(tc.names))
+		for j, n := range m.sorted {
+			if n.Name != want[j] || m.order[m.pos[j]] != n {
+				t.Fatalf("%s: sorted[%d] is %q at position %d, want %q at the position it was given",
+					tc.label, j, n.Name, m.pos[j], want[j])
+			}
+		}
 	}
 }
 

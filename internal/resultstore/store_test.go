@@ -151,6 +151,133 @@ func TestCellKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// cellKeyFields is the decision, for every field a scenario
+// declaration encodes, on whether it bears on a cell's results. CellKey
+// hashes every field either way, so editing a label moves a preset's
+// key without moving its results; the table makes each new field a
+// decision rather than an accident. A field that bears on results must
+// never leave the key.
+var cellKeyFields = map[string]bool{
+	"Scenario.Name":            false, // labels the cell in reports
+	"Scenario.Description":     false, // prose
+	"Scenario.Nodes":           true,
+	"Scenario.Windows":         true,
+	"Scenario.VMs":             true,
+	"Scenario.Mode":            true,
+	"Scenario.RiskTarget":      true,
+	"Scenario.Bins":            true,
+	"Scenario.Ambient":         true,
+	"Scenario.Arrival":         true,
+	"Scenario.ModeSwitches":    true,
+	"Scenario.Attacks":         true,
+	"Scenario.Lifetime":        true,
+	"Scenario.DriftMarginFrac": true,
+	"Scenario.ECCLoop":         true,
+	"Scenario.ECCThreshold":    true,
+	"Scenario.WeakCellsPerDay": true,
+	"Scenario.Archetypes":      true,
+
+	"AmbientModel.BaseCPUC":      true,
+	"AmbientModel.BaseDIMMC":     true,
+	"AmbientModel.SwingC":        true,
+	"AmbientModel.PeriodWindows": true,
+	"AmbientModel.HeatStart":     true,
+	"AmbientModel.HeatWindows":   true,
+	"AmbientModel.HeatDeltaC":    true,
+
+	"ArrivalModel.DiurnalDepth":  true,
+	"ArrivalModel.PeriodWindows": true,
+	"ArrivalModel.BurstStart":    true,
+	"ArrivalModel.BurstWindows":  true,
+	"ArrivalModel.BurstFactor":   true,
+
+	"ModeSwitch.Window":     true,
+	"ModeSwitch.Node":       true,
+	"ModeSwitch.Mode":       true,
+	"ModeSwitch.RiskTarget": true,
+
+	"Attack.Node":    true,
+	"Attack.Window":  true,
+	"Attack.Windows": true,
+
+	"LifetimeModel.Epochs":             true,
+	"LifetimeModel.GapDays":            true,
+	"LifetimeModel.GapDuty":            true,
+	"LifetimeModel.RecharactEveryDays": true,
+	"LifetimeModel.SeasonCPUC":         true,
+	"LifetimeModel.SeasonDIMMC":        true,
+}
+
+// TestCellKeyFieldDecisions walks every exported field a scenario
+// declaration encodes, nested structs and slice elements included,
+// and fails on a field cellKeyFields has no decision for, or a
+// decision for a field that is gone. Then a run with every field
+// decided not to bear on results rewritten must fingerprint as the
+// original run does.
+func TestCellKeyFieldDecisions(t *testing.T) {
+	seen := map[string]bool{}
+	var walk func(typ reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Slice || typ.Kind() == reflect.Pointer {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct {
+			return
+		}
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name := typ.Name() + "." + f.Name
+			if seen[name] {
+				continue
+			}
+			seen[name] = true
+			if _, ok := cellKeyFields[name]; !ok {
+				t.Errorf("%s (%s) has no decision in cellKeyFields: does it bear on results?", name, f.Type)
+			}
+			walk(f.Type)
+		}
+	}
+	walk(reflect.TypeFor[scenario.Scenario]())
+	for name := range cellKeyFields {
+		if !seen[name] {
+			t.Errorf("cellKeyFields decides %s, which a scenario no longer encodes", name)
+		}
+	}
+
+	if testing.Short() {
+		t.Skip("running scenarios is slow; skipping in -short")
+	}
+	base := scenario.Baseline().Scale(2, 4)
+	want, err := scenario.RunScenario(base, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabeled := base
+	v := reflect.ValueOf(&relabeled).Elem()
+	for name, bears := range cellKeyFields {
+		if bears {
+			continue
+		}
+		field, top := strings.CutPrefix(name, "Scenario.")
+		if f := v.FieldByName(field); top && f.Kind() == reflect.String {
+			f.SetString("relabeled " + field)
+		} else {
+			t.Fatalf("%s is decided not to bear on results, but only top-level strings are checked", name)
+		}
+	}
+	got, err := scenario.RunScenario(relabeled, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.FingerprintSHA256 != want.FingerprintSHA256 {
+		t.Fatalf("a relabeled scenario fingerprints %s, the original %s: a label bears on results",
+			got.FingerprintSHA256, want.FingerprintSHA256)
+	}
+}
+
 // TestTornFileRecovery: a truncated record — a torn write from a
 // crashed process — must be quarantined and reported as a miss, never
 // returned and never crashed on, and the slot must accept a fresh put.

@@ -54,13 +54,26 @@ func (c *Chip) Age(model AgingModel, d time.Duration, stress float64) {
 	if d <= 0 {
 		return
 	}
+	c.AgeBy(model, StressedHoursOf(d, stress))
+}
+
+// StressedHoursOf returns the stressed hours d at stress adds, stress
+// clamped to [0,1]: what Age accumulates.
+func StressedHoursOf(d time.Duration, stress float64) float64 {
 	if stress < 0 {
 		stress = 0
 	}
 	if stress > 1 {
 		stress = 1
 	}
-	c.StressedHours += d.Hours() * stress
+	return d.Hours() * stress
+}
+
+// AgeBy accumulates the given stressed hours and recomputes the Vcrit
+// shift: Age(model, d, stress) for d > 0 is
+// AgeBy(model, StressedHoursOf(d, stress)).
+func (c *Chip) AgeBy(model AgingModel, stressedHours float64) {
+	c.StressedHours += stressedHours
 	c.AgeShiftMV = model.ShiftMV(c.StressedHours)
 }
 

@@ -9,8 +9,6 @@
 package thermal
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"time"
 )
@@ -34,23 +32,6 @@ type Node struct {
 	// Step returns before using alpha for dt <= 0.
 	alphaDt, alphaTau time.Duration
 	alpha             float64
-}
-
-// NewNode returns a node settled at ambient.
-func NewNode(name string, ambientC, resistanceCPerW float64, tau time.Duration) (*Node, error) {
-	if resistanceCPerW <= 0 {
-		return nil, errors.New("thermal: resistance must be positive")
-	}
-	if tau <= 0 {
-		return nil, errors.New("thermal: time constant must be positive")
-	}
-	return &Node{
-		Name:            name,
-		AmbientC:        ambientC,
-		ResistanceCPerW: resistanceCPerW,
-		TimeConstant:    tau,
-		TempC:           ambientC,
-	}, nil
 }
 
 // SteadyStateC returns the temperature the node converges to while
@@ -78,21 +59,29 @@ func (n *Node) Step(powerW float64, dt time.Duration) float64 {
 // CPUNode returns a node shaped like a micro-server SoC: ~0.8 °C/W
 // with a ~20 s time constant in an air-conditioned room.
 func CPUNode(ambientC float64) *Node {
-	n, err := NewNode("cpu", ambientC, 0.8, 20*time.Second)
-	if err != nil {
-		panic(fmt.Sprintf("thermal: CPUNode construction: %v", err))
-	}
+	n := new(Node)
+	n.SettleCPU(ambientC)
 	return n
 }
 
 // DIMMNode returns a node shaped like a DDR3 DIMM: slower and cooler
 // than the SoC (~1.5 °C/W, ~90 s).
 func DIMMNode(ambientC float64) *Node {
-	n, err := NewNode("dimm", ambientC, 1.5, 90*time.Second)
-	if err != nil {
-		panic(fmt.Sprintf("thermal: DIMMNode construction: %v", err))
-	}
+	n := new(Node)
+	n.SettleDIMM(ambientC)
 	return n
+}
+
+// SettleCPU overwrites n in place with CPUNode(ambientC), Step's
+// relaxation memo cleared: a reused node's re-seat, allocation-free.
+func (n *Node) SettleCPU(ambientC float64) {
+	*n = Node{Name: "cpu", AmbientC: ambientC, ResistanceCPerW: 0.8, TimeConstant: 20 * time.Second, TempC: ambientC}
+}
+
+// SettleDIMM overwrites n in place with DIMMNode(ambientC), Step's
+// relaxation memo cleared.
+func (n *Node) SettleDIMM(ambientC float64) {
+	*n = Node{Name: "dimm", AmbientC: ambientC, ResistanceCPerW: 1.5, TimeConstant: 90 * time.Second, TempC: ambientC}
 }
 
 // Trip is a thermal protection threshold.

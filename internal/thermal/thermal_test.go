@@ -7,15 +7,6 @@ import (
 	"time"
 )
 
-func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode("x", 25, 0, time.Second); err == nil {
-		t.Fatal("zero resistance accepted")
-	}
-	if _, err := NewNode("x", 25, 1, 0); err == nil {
-		t.Fatal("zero time constant accepted")
-	}
-}
-
 func TestStartsAtAmbient(t *testing.T) {
 	n := CPUNode(25)
 	if n.TempC != 25 {
