@@ -548,9 +548,10 @@ func TestStampRunCycleAllocBudget(t *testing.T) {
 // switch, a workload change, a crash fallback and a
 // re-characterization. On every window the chip's stressed hours and
 // Vcrit shift must be bit-equal to a memo-free Chip.Age of the same
-// window, and the memo must have served some windows and missed
-// others (a window counts as served when its entry's start hours
-// match the chip's).
+// window. A window whose memo entry matches its whole input must take
+// the entry's result (a sentinel planted in the entry shows it), a
+// miss must leave an entry holding Chip.Age's result, and the rounds
+// must do both.
 func TestArenaAgingMemoMatchesChipAge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -614,7 +615,32 @@ func TestArenaAgingMemoMatchesChipAge(t *testing.T) {
 			}
 			ref := *eco.Machine.Chip
 			ref.Age(d.aging, time.Minute, d.Workload().CPUActivity)
-			if w < len(arena.eco.aging.steps) && arena.eco.aging.steps[w].key[2] == math.Float64bits(eco.Machine.Chip.StressedHours) {
+			want := agingStep{
+				key: [4]uint64{
+					math.Float64bits(d.aging.CoeffMVPerKHour),
+					math.Float64bits(d.aging.Exponent),
+					math.Float64bits(eco.Machine.Chip.StressedHours),
+					math.Float64bits(d.ageHours),
+				},
+				out:     ref.StressedHours,
+				shiftMV: ref.AgeShiftMV,
+			}
+			// The window's entry: RuntimeWindow counts the window
+			// before the step ages the chip.
+			memo, i := arena.eco.aging, eco.windowsRun
+			hit := i < len(memo.steps) && memo.steps[i].key == want.key
+			sentinel := want
+			if hit {
+				// A stored entry holds Chip.Age's bits. Plant a
+				// sentinel one ulp away: only a served entry hands it
+				// to the chip.
+				if stored := memo.steps[i]; !sameAgingStep(stored, want) {
+					t.Fatalf("round %d window %d: entry holds %v h, %v mV; Chip.Age gives %v h, %v mV",
+						round, w, stored.out, stored.shiftMV, want.out, want.shiftMV)
+				}
+				sentinel.out = math.Nextafter(want.out, math.Inf(1))
+				sentinel.shiftMV = math.Nextafter(want.shiftMV, math.Inf(1))
+				memo.steps[i] = sentinel
 				hits++
 			} else {
 				misses++
@@ -623,6 +649,17 @@ func TestArenaAgingMemoMatchesChipAge(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := eco.Machine.Chip
+			if hit {
+				if got.StressedHours != sentinel.out || got.AgeShiftMV != sentinel.shiftMV || !sameAgingStep(memo.steps[i], sentinel) {
+					t.Fatalf("round %d window %d: the entry matched the input but the chip aged to %v h, %v mV, not the planted %v h, %v mV",
+						round, w, got.StressedHours, got.AgeShiftMV, sentinel.out, sentinel.shiftMV)
+				}
+				// Undo the sentinel before the next window.
+				got.StressedHours, got.AgeShiftMV = want.out, want.shiftMV
+				memo.steps[i] = want
+			} else if i >= len(memo.steps) || !sameAgingStep(memo.steps[i], want) {
+				t.Fatalf("round %d window %d: a miss left no entry for its input and Chip.Age's result", round, w)
+			}
 			if math.Float64bits(got.StressedHours) != math.Float64bits(ref.StressedHours) ||
 				math.Float64bits(got.AgeShiftMV) != math.Float64bits(ref.AgeShiftMV) {
 				t.Fatalf("round %d window %d: aged to %v h, %v mV; Chip.Age gives %v h, %v mV",
@@ -633,5 +670,12 @@ func TestArenaAgingMemoMatchesChipAge(t *testing.T) {
 	if hits == 0 || misses == 0 {
 		t.Fatalf("memo served %d windows and missed %d; the rounds should do both", hits, misses)
 	}
-	t.Logf("aging memo: %d windows matched a memo entry's start hours, %d did not", hits, misses)
+	t.Logf("aging memo: served %d windows, missed %d", hits, misses)
+}
+
+// sameAgingStep reports whether two memo entries agree bit for bit.
+func sameAgingStep(a, b agingStep) bool {
+	return a.key == b.key &&
+		math.Float64bits(a.out) == math.Float64bits(b.out) &&
+		math.Float64bits(a.shiftMV) == math.Float64bits(b.shiftMV)
 }

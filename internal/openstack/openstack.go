@@ -300,28 +300,22 @@ func NewManager(policy Policy, nodes ...*Node) (*Manager, error) {
 			return nil, fmt.Errorf("openstack: duplicate node %q", n.Name)
 		}
 		m.nodes[n.Name] = i
-		m.pos[i] = i
 	}
 	// Names are unique, so every sort yields the one name-order
-	// permutation. A list already in name order skips it; otherwise
-	// the names are sorted beside their positions, which spares each
-	// comparison two node dereferences.
-	if !slices.IsSortedFunc(nodes, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) }) {
-		type named struct {
-			name string
-			pos  int
-		}
-		byName := make([]named, len(nodes))
-		for i, n := range nodes {
-			byName[i] = named{n.Name, i}
-		}
-		slices.SortFunc(byName, func(a, b named) int { return strings.Compare(a.name, b.name) })
-		for j, k := range byName {
-			m.pos[j] = k.pos
-		}
+	// permutation. The names are sorted beside their positions, which
+	// spares each comparison two node dereferences.
+	type named struct {
+		name string
+		pos  int
 	}
-	for j, i := range m.pos {
-		m.sorted[j] = nodes[i]
+	byName := make([]named, len(nodes))
+	for i, n := range nodes {
+		byName[i] = named{n.Name, i}
+	}
+	slices.SortFunc(byName, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	for j, k := range byName {
+		m.pos[j] = k.pos
+		m.sorted[j] = nodes[k.pos]
 	}
 	return m, nil
 }

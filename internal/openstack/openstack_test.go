@@ -42,7 +42,7 @@ func TestNewManagerValidation(t *testing.T) {
 
 // TestNewManagerSortsNames: the manager's name order and its
 // positions hold whether the nodes arrive in name order (zero-padded
-// fleet names, where NewManager skips the sort), shuffled, or
+// names), shuffled, or
 // unpadded, where position order is not name order (uniserver-10
 // sorts before uniserver-9).
 func TestNewManagerSortsNames(t *testing.T) {
