@@ -416,6 +416,9 @@ func (d *DIMM) markCand(j int) {
 // sweep does a few times at most. A scan compares each cell's u bits
 // with the screen's thresholds and evaluates the retention of the few
 // cells below them; everyone else's shorter retention is at least w.
+// It walks the stable cells between two VRT cells in one tight loop,
+// then screens the VRT cell that ends the segment, so cells are still
+// screened and admitted in cell order.
 func (d *DIMM) raise(w float64, sc *screen) {
 	if !(w > d.watermark) {
 		return
@@ -429,39 +432,31 @@ func (d *DIMM) raise(w float64, sc *screen) {
 	d.cand = d.cand[:0]
 	thr := sc.thresholds()
 	least := [2]uint64{math.MaxUint64, math.MaxUint64}
-	j := 0 // the VRT ordinal of the next VRT cell
-	for i, u := range d.weak {
-		k := 0 // the cell's screen class: 1 for a VRT cell
-		if j < len(d.vrt) && d.vrt[j] == i {
-			k = 1
+	thr0, least0 := thr[0], least[0] // the stable class's, as scalars: an array element is never a register
+	weak, i := d.weak, 0
+	for j := 0; j <= len(d.vrt); j++ {
+		end := len(weak) // the cell ending this segment: VRT cell j
+		if j < len(d.vrt) {
+			end = d.vrt[j]
 		}
-		if u >= thr[k] {
-			if u < least[k] {
-				least[k] = u
+		for x, u := range weak[i:end] {
+			if u >= thr0 {
+				least0 = min(least0, u)
+			} else {
+				d.admit(candidate{cell: i + x, ord: -1, ret: sc.t.retention(u)}, prev)
 			}
-			j += k
-			continue
 		}
-		c := candidate{cell: i, ord: -1, ret: sc.t.retention(u)}
-		if k == 1 {
-			c.ord = j
-			j++
+		if j == len(d.vrt) {
+			break
 		}
-		r := c.shorter()
-		if !(r < w) {
-			if r < d.floor {
-				d.floor = r
-			}
-			continue
+		if u := weak[end]; u >= thr[1] {
+			least[1] = min(least[1], u)
+		} else {
+			d.admit(candidate{cell: end, ord: j, ret: sc.t.retention(u)}, prev)
 		}
-		d.cand = append(d.cand, c)
-		if c.ord >= 0 && !(r < prev) {
-			if d.logFlips(c.ord) {
-				d.flip(c.ord)
-			}
-			d.markCand(c.ord)
-		}
+		i = end + 1
 	}
+	least[0] = least0
 	// An unscreened cell's retention is at least its class minimum's,
 	// up to the rounding screenMargin covers, and its shorter retention
 	// is at least w.
@@ -479,6 +474,27 @@ func (d *DIMM) raise(w float64, sc *screen) {
 		}
 	}
 	d.floor = math.Max(d.floor, w)
+}
+
+// admit takes a cell whose retention has been evaluated: a candidate
+// if its shorter retention is below the watermark, and otherwise a
+// bound on the floor. A VRT cell that was no candidate under the
+// watermark prev takes the deferred toggles as it joins.
+func (d *DIMM) admit(c candidate, prev float64) {
+	r := c.shorter()
+	if !(r < d.watermark) {
+		if r < d.floor {
+			d.floor = r
+		}
+		return
+	}
+	d.cand = append(d.cand, c)
+	if c.ord >= 0 && !(r < prev) {
+		if d.logFlips(c.ord) {
+			d.flip(c.ord)
+		}
+		d.markCand(c.ord)
+	}
 }
 
 // reset drops the derived state, as after a stamp: no candidates, an
@@ -500,7 +516,7 @@ const WeakCellHorizon = 12 * time.Second
 func NewDIMM(capacityBytes uint64, deviceGb int, model RetentionModel, src *rng.Source) *DIMM {
 	t := model.tail()
 	n := src.Binomial(clampInt(capacityBytes*8), t.pH)
-	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, weak: make([]uint64, 0, n)}
+	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, weak: make([]uint64, 0, n), vrt: make([]int, 0, n/8)}
 	for i := 0; i < n; i++ {
 		d.addCell(t, src)
 	}
@@ -537,17 +553,10 @@ func (d *DIMM) addCell(t tail, src *rng.Source) {
 	if u >= d.unscreened[k] {
 		return
 	}
-	// No deferred toggle covers a new VRT ordinal, so a new candidate
-	// needs no catch-up.
+	// A new cell was no candidate under any watermark; no deferred
+	// toggle covers a new VRT ordinal, so its catch-up flips nothing.
 	c.ret = t.retention(u)
-	if r := c.shorter(); r < d.watermark {
-		d.cand = append(d.cand, c)
-		if c.ord >= 0 {
-			d.markCand(c.ord)
-		}
-	} else if r < d.floor {
-		d.floor = r
-	}
+	d.admit(c, 0)
 }
 
 func clampInt(v uint64) int {

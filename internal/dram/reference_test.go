@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -346,5 +347,202 @@ func TestKernelsMatchReference(t *testing.T) {
 				check(step, op)
 			}
 		})
+	}
+}
+
+// refRaise is raise as the single loop it was: every cell in turn,
+// told apart as VRT by comparing its index with the next VRT cell's,
+// with both classes' minima kept in one array. It is the reference the
+// segment-wise scan must match candidate for candidate.
+func (d *DIMM) refRaise(w float64, sc *screen) {
+	if !(w > d.watermark) {
+		return
+	}
+	if w <= d.floor {
+		d.watermark = w
+		return
+	}
+	prev := d.watermark
+	d.watermark, d.floor = w, math.Inf(1)
+	d.cand = d.cand[:0]
+	thr := sc.thresholds()
+	least := [2]uint64{math.MaxUint64, math.MaxUint64}
+	j := 0 // the VRT ordinal of the next VRT cell
+	for i, u := range d.weak {
+		k := 0 // the cell's screen class: 1 for a VRT cell
+		if j < len(d.vrt) && d.vrt[j] == i {
+			k = 1
+		}
+		if u >= thr[k] {
+			if u < least[k] {
+				least[k] = u
+			}
+			j += k
+			continue
+		}
+		c := candidate{cell: i, ord: -1, ret: sc.t.retention(u)}
+		if k == 1 {
+			c.ord = j
+			j++
+		}
+		r := c.shorter()
+		if !(r < w) {
+			if r < d.floor {
+				d.floor = r
+			}
+			continue
+		}
+		d.cand = append(d.cand, c)
+		if c.ord >= 0 && !(r < prev) {
+			if d.logFlips(c.ord) {
+				d.flip(c.ord)
+			}
+			d.markCand(c.ord)
+		}
+	}
+	d.unscreened = least
+	for k, u := range least {
+		if u == math.MaxUint64 {
+			continue
+		}
+		r := sc.t.retention(u)
+		if k == 1 {
+			r /= VRTRetentionRatio
+		}
+		if r *= 1 - screenMargin; r < d.floor {
+			d.floor = r
+		}
+	}
+	d.floor = math.Max(d.floor, w)
+}
+
+// cloneDIMM returns a deep copy of d's cells, telegraph state and
+// derived state, owning all of it.
+func cloneDIMM(d *DIMM) *DIMM {
+	return &DIMM{
+		CapacityBytes: d.CapacityBytes,
+		weak:          slices.Clone(d.weak),
+		vrt:           slices.Clone(d.vrt),
+		low:           slices.Clone(d.low),
+		watermark:     d.watermark,
+		floor:         d.floor,
+		unscreened:    d.unscreened,
+		cand:          slices.Clone(d.cand),
+		candMask:      slices.Clone(d.candMask),
+		log:           slices.Clone(d.log),
+	}
+}
+
+// sameScan reports the first difference in the state a scan writes.
+func sameScan(d, ref *DIMM) error {
+	switch {
+	case d.watermark != ref.watermark || d.floor != ref.floor:
+		return fmt.Errorf("watermark %v floor %v, reference %v and %v", d.watermark, d.floor, ref.watermark, ref.floor)
+	case d.unscreened != ref.unscreened:
+		return fmt.Errorf("unscreened %#x, reference %#x", d.unscreened, ref.unscreened)
+	case !slices.Equal(d.cand, ref.cand):
+		return fmt.Errorf("%d candidates %v, reference %d %v", len(d.cand), d.cand, len(ref.cand), ref.cand)
+	case !bytes.Equal(d.candMask, ref.candMask) || !bytes.Equal(d.low, ref.low):
+		return fmt.Errorf("candidate mask %x low %x, reference %x and %x", d.candMask, d.low, ref.candMask, ref.low)
+	}
+	return nil
+}
+
+// TestRaiseMatchesReference lays VRT cells over fabricated weak-cell
+// columns in every shape the segment-wise scan distinguishes — none,
+// all, at the first and last positions, in consecutive runs, at random
+// and on an empty DIMM — and drives raise and refRaise through the
+// same deferred toggles and rising watermarks, some passing the floor
+// and some not; after every step the scanned state must be identical.
+func TestRaiseMatchesReference(t *testing.T) {
+	model := DefaultRetentionModel()
+	layouts := []struct {
+		name string
+		vrt  func(n int, gen *rng.Source) []int
+	}{
+		{"no VRT", func(int, *rng.Source) []int { return nil }},
+		{"all VRT", func(n int, _ *rng.Source) []int {
+			var v []int
+			for i := range n {
+				v = append(v, i)
+			}
+			return v
+		}},
+		{"first and last", func(n int, _ *rng.Source) []int { return []int{0, n - 1} }},
+		{"runs", func(n int, gen *rng.Source) []int {
+			var v []int
+			for i := 0; i < n; {
+				run := 1 + gen.Intn(6)
+				for ; run > 0 && i < n; run-- {
+					v = append(v, i)
+					i++
+				}
+				i += gen.Intn(8)
+			}
+			return v
+		}},
+		{"random", func(n int, gen *rng.Source) []int {
+			var v []int
+			for i := range n {
+				if gen.Bernoulli(VRTFraction) {
+					v = append(v, i)
+				}
+			}
+			return v
+		}},
+		{"empty", nil},
+	}
+	scanned, skipped := 0, 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		base := NewDIMM(256<<20, 2, model, rng.New(seed))
+		for _, lay := range layouts {
+			gen := rng.New(seed + 50)
+			d := &DIMM{CapacityBytes: base.CapacityBytes}
+			if lay.vrt != nil {
+				d.weak = slices.Clone(base.weak)
+				d.vrt = lay.vrt(len(d.weak), gen)
+				for range lowBytes(len(d.vrt)) {
+					d.low = append(d.low, byte(gen.Uint64()))
+				}
+			}
+			ref := cloneDIMM(d)
+			dom, refDom := &Domain{DIMMs: []*DIMM{d}}, &Domain{DIMMs: []*DIMM{ref}}
+			src := rng.New(seed + 100)
+			w := 0.05
+			for step := range 40 {
+				fail := func(op string, err error) {
+					t.Fatalf("seed %d, %s, step %d %s: %v", seed, lay.name, step, op, err)
+				}
+				if gen.Intn(3) == 0 {
+					refSrc := *src
+					toggleVRTWith(dom, 0.3, src)
+					toggleVRTWith(refDom, 0.3, &refSrc)
+					if src.State() != refSrc.State() {
+						fail("toggle", fmt.Errorf("stream at %#x, reference %#x", src.State(), refSrc.State()))
+					}
+				}
+				// Every other watermark stays a hair above the last, below
+				// the floor a scan leaves; the rest climb past it.
+				if step%2 == 0 {
+					w *= 1 + 1e-12
+				} else {
+					w *= 1 + gen.Float64()
+				}
+				if w > d.floor {
+					scanned++
+				} else {
+					skipped++
+				}
+				sc, refSc := screen{t: model.tail(), w: w}, screen{t: model.tail(), w: w}
+				d.raise(w, &sc)
+				ref.refRaise(w, &refSc)
+				if err := sameScan(d, ref); err != nil {
+					fail(fmt.Sprintf("raise to %v", w), err)
+				}
+			}
+		}
+	}
+	if scanned == 0 || skipped == 0 {
+		t.Fatalf("%d raises scanned and %d stayed below the floor; want both", scanned, skipped)
 	}
 }

@@ -29,13 +29,16 @@ type Report struct {
 	Runs    int
 	Objects int
 	// Failures counts fatal (non-responsive hypervisor) outcomes per
-	// category, summed over objects and runs.
+	// category, summed over objects and runs; a category without one
+	// has no entry.
 	Failures map[hypervisor.Category]int
 	// Total is the sum of Failures.
 	Total int
-	// MarkedCrucial is the set of object IDs with at least one fatal
-	// outcome — the campaign's empirical criticality labels.
-	MarkedCrucial map[int]bool
+	// MarkedCrucial lists the IDs of the objects with at least one
+	// fatal outcome — the campaign's empirical criticality labels — in
+	// inventory order, which is ascending: an object's ID is its
+	// position (hypervisor.NewObjectMap).
+	MarkedCrucial []int
 	// Restored counts corruptions absorbed by selective protection.
 	Restored int
 }
@@ -60,6 +63,10 @@ func (r Report) String() string {
 // during the window (probability depends on category and load), the
 // object is crucial, and it is not covered by selective protection
 // (protected objects are detected and restored instead).
+// The draws are one Bernoulli per object per run, in inventory order.
+// The access probability is looked up once per stretch of consecutive
+// same-category objects, whose fatal outcomes reach Failures in one
+// write.
 func RunCampaign(om *hypervisor.ObjectMap, loaded bool, runs int, src *rng.Source) (Report, error) {
 	if om == nil {
 		return Report{}, errors.New("faultinject: nil object map")
@@ -68,27 +75,34 @@ func RunCampaign(om *hypervisor.ObjectMap, loaded bool, runs int, src *rng.Sourc
 		return Report{}, errors.New("faultinject: runs must be positive")
 	}
 	r := Report{
-		Loaded:        loaded,
-		Runs:          runs,
-		Objects:       om.Len(),
-		Failures:      make(map[hypervisor.Category]int),
-		MarkedCrucial: make(map[int]bool),
+		Loaded:   loaded,
+		Runs:     runs,
+		Objects:  om.Len(),
+		Failures: make(map[hypervisor.Category]int),
 	}
-	for _, obj := range om.Objects {
-		p := om.AccessProb(obj.Category, loaded)
-		for run := 0; run < runs; run++ {
-			if !src.Bernoulli(p) {
-				continue // corruption never consumed in this window
+	objs := om.Objects
+	for i := 0; i < len(objs); {
+		c := objs[i].Category
+		p := om.AccessProb(c, loaded)
+		fatal := 0
+		for ; i < len(objs) && objs[i].Category == c; i++ {
+			consumed := 0 // runs whose corruption was consumed in the window
+			for range runs {
+				if src.Bernoulli(p) {
+					consumed++
+				}
 			}
-			if obj.Protected {
-				r.Restored++
-				continue
+			switch obj := &objs[i]; {
+			case obj.Protected:
+				r.Restored += consumed
+			case obj.Crucial && consumed > 0:
+				fatal += consumed
+				r.MarkedCrucial = append(r.MarkedCrucial, obj.ID)
 			}
-			if obj.Crucial {
-				r.Failures[obj.Category]++
-				r.Total++
-				r.MarkedCrucial[obj.ID] = true
-			}
+		}
+		if fatal > 0 {
+			r.Failures[c] += fatal
+			r.Total += fatal
 		}
 	}
 	return r, nil
@@ -137,13 +151,11 @@ type ProtectionPlan struct {
 	Categories []hypervisor.Category
 }
 
-// PlanProtection builds the plan from a report.
+// PlanProtection builds the plan from a report. The plan's ObjectIDs
+// is the report's MarkedCrucial, already ascending, and shares its
+// storage.
 func PlanProtection(r Report, shareThreshold float64) ProtectionPlan {
-	var plan ProtectionPlan
-	for id := range r.MarkedCrucial {
-		plan.ObjectIDs = append(plan.ObjectIDs, id)
-	}
-	sort.Ints(plan.ObjectIDs)
+	plan := ProtectionPlan{ObjectIDs: r.MarkedCrucial}
 	if r.Total > 0 && shareThreshold > 0 {
 		for _, c := range hypervisor.Categories() {
 			if float64(r.Failures[c])/float64(r.Total) >= shareThreshold {

@@ -1,6 +1,9 @@
 package faultinject
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,9 +107,12 @@ func TestCrucialMarkingSubsetOfTruth(t *testing.T) {
 	if len(rep.MarkedCrucial) == 0 {
 		t.Fatal("campaign marked nothing crucial")
 	}
-	for id := range rep.MarkedCrucial {
+	for i, id := range rep.MarkedCrucial {
 		if !om.Objects[id].Crucial {
 			t.Fatalf("object %d marked crucial but is not", id)
+		}
+		if i > 0 && id <= rep.MarkedCrucial[i-1] {
+			t.Fatalf("crucial IDs not strictly ascending: %d after %d", id, rep.MarkedCrucial[i-1])
 		}
 	}
 	// More runs mark at least as many objects.
@@ -188,18 +194,102 @@ func TestPlanProtectionCategories(t *testing.T) {
 			hypervisor.CatKernel: 30,
 			hypervisor.CatVDSO:   10,
 		},
-		MarkedCrucial: map[int]bool{3: true, 1: true},
+		MarkedCrucial: []int{1, 3},
 	}
 	plan := PlanProtection(rep, 0.25)
 	if len(plan.Categories) != 2 {
 		t.Fatalf("categories = %v", plan.Categories)
 	}
-	if plan.ObjectIDs[0] != 1 || plan.ObjectIDs[1] != 3 {
-		t.Fatalf("object ids not sorted: %v", plan.ObjectIDs)
+	if !slices.Equal(plan.ObjectIDs, []int{1, 3}) {
+		t.Fatalf("object ids = %v, want the report's [1 3]", plan.ObjectIDs)
 	}
-	empty := PlanProtection(Report{MarkedCrucial: map[int]bool{}}, 0.5)
+	empty := PlanProtection(Report{}, 0.5)
 	if len(empty.ObjectIDs) != 0 || len(empty.Categories) != 0 {
 		t.Fatal("empty report produced non-empty plan")
+	}
+}
+
+// refRunCampaign is RunCampaign as it was before the category runs:
+// an access-probability lookup and a map write per object, and the
+// crucial IDs as a set. It is the reference the run-wise campaign must
+// match outcome for outcome and draw for draw.
+func refRunCampaign(om *hypervisor.ObjectMap, loaded bool, runs int, src *rng.Source) (Report, map[int]bool) {
+	r := Report{Loaded: loaded, Runs: runs, Objects: om.Len(), Failures: make(map[hypervisor.Category]int)}
+	crucial := make(map[int]bool)
+	for _, obj := range om.Objects {
+		p := om.AccessProb(obj.Category, loaded)
+		for run := 0; run < runs; run++ {
+			if !src.Bernoulli(p) {
+				continue
+			}
+			if obj.Protected {
+				r.Restored++
+				continue
+			}
+			if obj.Crucial {
+				r.Failures[obj.Category]++
+				r.Total++
+				crucial[obj.ID] = true
+			}
+		}
+	}
+	return r, crucial
+}
+
+// handBuilt fabricates an inventory whose categories recur in
+// non-contiguous stretches (fs, net, fs, ...), from repeated profiles,
+// and protects a random fifth of its objects.
+func handBuilt(seed uint64) *hypervisor.ObjectMap {
+	gen := rng.New(seed)
+	var profiles []hypervisor.CategoryProfile
+	for _, c := range []hypervisor.Category{hypervisor.CatFS, hypervisor.CatNet, hypervisor.CatFS,
+		hypervisor.CatVDSO, hypervisor.CatNet, hypervisor.CatFS} {
+		profiles = append(profiles, hypervisor.CategoryProfile{Category: c, Count: 1 + gen.Intn(300),
+			CrucialFrac: 0.5, AccessLoaded: 0.4, AccessUnloaded: 0.05, MeanObjectBytes: 64})
+	}
+	om := hypervisor.NewObjectMap(profiles, gen)
+	var ids []int
+	for id := range om.Len() {
+		if gen.Bernoulli(0.2) {
+			ids = append(ids, id)
+		}
+	}
+	om.ProtectObjects(ids)
+	return om
+}
+
+// TestCampaignMatchesReference drives RunCampaign and the per-object
+// reference over generated and fabricated inventories, at 1 and 5 runs,
+// loaded and unloaded: the failures, total, restorations, crucial IDs
+// (ascending) and the stream position must be identical.
+func TestCampaignMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		om := handBuilt(seed)
+		if seed%4 == 0 { // a fabricated inventory, one category protected
+			om = objectMap(seed)
+			om.Protect(hypervisor.CatKernel)
+		}
+		for _, runs := range []int{1, PaperRuns} {
+			for _, loaded := range []bool{false, true} {
+				name := fmt.Sprintf("seed %d, %d runs, loaded=%t", seed, runs, loaded)
+				src, refSrc := rng.New(seed+100), rng.New(seed+100)
+				got, err := RunCampaign(om, loaded, runs, src)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, crucial := refRunCampaign(om, loaded, runs, refSrc)
+				if !maps.Equal(got.Failures, want.Failures) || got.Total != want.Total || got.Restored != want.Restored {
+					t.Fatalf("%s: failures %v total %d restored %d, reference %v %d %d",
+						name, got.Failures, got.Total, got.Restored, want.Failures, want.Total, want.Restored)
+				}
+				if ids := slices.Sorted(maps.Keys(crucial)); !slices.Equal(got.MarkedCrucial, ids) {
+					t.Fatalf("%s: crucial IDs %v, reference %v", name, got.MarkedCrucial, ids)
+				}
+				if src.State() != refSrc.State() {
+					t.Fatalf("%s: stream at %#x, reference %#x", name, src.State(), refSrc.State())
+				}
+			}
+		}
 	}
 }
 

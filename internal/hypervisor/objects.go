@@ -102,9 +102,10 @@ type Object struct {
 }
 
 // ObjectMap is the hypervisor's statically allocated object inventory.
-// Only this package may write Objects: a stamped inventory aliases a
-// snapshot image's (share) until Protect or ProtectObjects gives it a
-// private copy.
+// An object's ID is its position in Objects. Only this package may
+// write Objects: an imaged inventory (lend) and a stamped one (share)
+// alias a snapshot image's until Protect or ProtectObjects gives them
+// a private copy.
 type ObjectMap struct {
 	Objects []Object
 	// profiles is written only while the inventory is built and is
@@ -112,7 +113,8 @@ type ObjectMap struct {
 	profiles []CategoryProfile
 
 	// shared marks Objects as aliasing a snapshot image's slice; spare
-	// is the slice om owned before, which unshare copies into.
+	// is the slice a stamped om owned before, which unshare copies
+	// into (nil for an imaged om: the image keeps its slice).
 	shared bool
 	spare  []Object
 }
@@ -128,7 +130,8 @@ func (om *ObjectMap) unshare() {
 	om.shared = false
 }
 
-// NewObjectMap fabricates the object inventory from the profiles.
+// NewObjectMap fabricates the object inventory from the profiles,
+// numbering the objects by position.
 func NewObjectMap(profiles []CategoryProfile, src *rng.Source) *ObjectMap {
 	total := 0
 	for _, p := range profiles {
@@ -213,15 +216,11 @@ func (om *ObjectMap) AccessProb(c Category, loaded bool) float64 {
 // Protect marks every object in the given categories as protected and
 // returns the number of objects covered.
 func (om *ObjectMap) Protect(categories ...Category) int {
-	set := make(map[Category]bool, len(categories))
-	for _, c := range categories {
-		set[c] = true
-	}
 	om.unshare()
 	n := 0
 	for i := range om.Objects {
-		if set[om.Objects[i].Category] && !om.Objects[i].Protected {
-			om.Objects[i].Protected = true
+		if o := &om.Objects[i]; !o.Protected && slices.Contains(categories, o.Category) {
+			o.Protected = true
 			n++
 		}
 	}

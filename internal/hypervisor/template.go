@@ -41,8 +41,11 @@ type ErrorCount struct {
 }
 
 // Image captures the hypervisor, which must host no guests: guests are
-// the cloud layer's, and no ecosystem places any. The image shares no
-// storage with h, so h may keep running.
+// the cloud layer's, and no ecosystem places any. The image takes the
+// object inventory copy-on-write: it aliases h's objects, and h's next
+// Protect or ProtectObjects copies them first (ObjectMap.lend), so h
+// may keep running and the image never changes. It shares nothing
+// else that h writes.
 func (h *Hypervisor) Image() (Image, error) {
 	if len(h.vms) > 0 {
 		return Image{}, fmt.Errorf("hypervisor: cannot image a host with %d guests", len(h.vms))
@@ -56,7 +59,7 @@ func (h *Hypervisor) Image() (Image, error) {
 		Panicked: h.panicked,
 	}
 	if len(h.objects.Objects) > 0 {
-		img.objects = slices.Clone(h.objects.Objects)
+		img.objects = h.objects.lend()
 	}
 	for _, c := range slices.Sorted(maps.Keys(h.isolatedCores)) {
 		if h.isolatedCores[c] {
@@ -173,8 +176,9 @@ func (img *Image) profileIndex(c Category) int {
 // DecodeColumns reads the column AppendColumns wrote from the front of
 // b into an exact-size inventory of img, whose head — Profiles — is
 // already decoded, and returns the bytes after it. It refuses a short
-// column, a category that is not the first profile of its name and
-// unknown flag bits.
+// column, an object whose ID is not its position (protection and error
+// handling index objects by ID), a category that is not the first
+// profile of its name and unknown flag bits.
 func (img *Image) DecodeColumns(b []byte) ([]byte, error) {
 	if len(b) < 8 {
 		return nil, errors.New("hypervisor: object column truncated")
@@ -193,6 +197,9 @@ func (img *Image) DecodeColumns(b []byte) ([]byte, error) {
 	}
 	for i := range img.objects {
 		r := b[i*objectRecord : (i+1)*objectRecord]
+		if id := binary.LittleEndian.Uint64(r); id != uint64(i) {
+			return nil, fmt.Errorf("hypervisor: object %d has ID %d", i, id)
+		}
 		cat := int(r[8])
 		if cat >= len(first) || !first[cat] {
 			return nil, fmt.Errorf("hypervisor: object %d names category %d of %d profiles", i, cat, len(img.Profiles))
@@ -202,7 +209,7 @@ func (img *Image) DecodeColumns(b []byte) ([]byte, error) {
 			return nil, fmt.Errorf("hypervisor: object %d has unknown flags %#x", i, fl)
 		}
 		img.objects[i] = Object{
-			ID:        int(binary.LittleEndian.Uint64(r)),
+			ID:        i,
 			Category:  img.Profiles[cat].Category,
 			Bytes:     int(binary.LittleEndian.Uint64(r[9:])),
 			Crucial:   fl&objectCrucial != 0,
@@ -236,4 +243,13 @@ func (om *ObjectMap) share(objects []Object, profiles []CategoryProfile) {
 	om.Objects = objects[:len(objects):len(objects)]
 	om.shared = true
 	om.profiles = profiles
+}
+
+// lend returns om's objects for an image to keep, capacity-clamped,
+// and marks om shared, so its next write copies them (unshare) rather
+// than write through to the image. An owned om gives its slice up; a
+// stamped one lends the image slice it aliases and keeps its spare.
+func (om *ObjectMap) lend() []Object {
+	om.shared = true
+	return om.Objects[:len(om.Objects):len(om.Objects)]
 }

@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"uniserver/internal/rng"
@@ -72,8 +73,11 @@ func TestStampSharesObjectsUntilProtect(t *testing.T) {
 // TestImageStampRoundTrip: a hypervisor stamped from an image — into
 // a zero Hypervisor, on a second fabrication of the same memory — has
 // the source's inventory, placements, isolation, error counts and
-// counters, and the image holds nothing the source can still write.
-// A host with guests is refused.
+// counters, and the image holds nothing the source can still write:
+// it aliases the source's inventory until the source's next Protect
+// copies it (ObjectMap.lend), and neither it nor its stamp sees that
+// write. Imaging allocates nothing per object. A host with guests is
+// refused.
 func TestImageStampRoundTrip(t *testing.T) {
 	src := testHypervisor(t, 3)
 	src.Objects().Protect(CatFS)
@@ -86,12 +90,31 @@ func TestImageStampRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if &img.objects[0] != &src.Objects().Objects[0] || cap(img.objects) != len(img.objects) {
+		t.Fatal("the image copied the inventory instead of aliasing it capacity-clamped")
+	}
+	pristine := slices.Clone(img.objects)
 	var h Hypervisor
 	mem := testMem(t, 3)
 	if err := h.StampFrom(&img, mem); err != nil {
 		t.Fatal(err)
 	}
-	src.Objects().Protect(CatNet) // the image must not see this
+	if src.Objects().Protect(CatNet) == 0 { // the image must not see this
+		t.Fatal("protecting net covered nothing")
+	}
+	if &img.objects[0] == &src.Objects().Objects[0] {
+		t.Fatal("Protect wrote through to the image's inventory")
+	}
+	if !reflect.DeepEqual(img.objects, pristine) || !reflect.DeepEqual(h.Objects().Objects, pristine) {
+		t.Fatal("protecting the source changed the image or its stamp")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := src.Image(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > imageAllocs {
+		t.Fatalf("Image allocates %.0f times, budget %d", allocs, imageAllocs)
+	}
 	if !reflect.DeepEqual(h.IsolatedCores(), []int{1}) || h.Stats() != img.Stats || h.Point() != img.Point {
 		t.Fatalf("stamped isolation/counters/point differ: %v %+v %v", h.IsolatedCores(), h.Stats(), h.Point())
 	}
@@ -111,9 +134,15 @@ func TestImageStampRoundTrip(t *testing.T) {
 	}
 }
 
+// imageAllocs bounds Image's allocations on a host with one isolated
+// core and one error count: its profiles, placements and sorted keys,
+// and no copy of the object inventory.
+const imageAllocs = 12
+
 // TestImageColumnsRoundTrip: the object column decodes into the same
 // inventory and re-encodes to the same bytes, and a column the head's
-// profiles cannot name, or that is cut short, is refused.
+// profiles cannot name, whose IDs are not positions, or that is cut
+// short, is refused.
 func TestImageColumnsRoundTrip(t *testing.T) {
 	src := testHypervisor(t, 3)
 	src.Objects().Protect(CatFS)
@@ -155,6 +184,11 @@ func TestImageColumnsRoundTrip(t *testing.T) {
 		"count":            func(b []byte) []byte { b[0]++; return b },
 		"unknown category": func(b []byte) []byte { b[last+8] = byte(len(img.Profiles)); return b },
 		"unknown flags":    func(b []byte) []byte { b[last+17] |= 0x80; return b },
+		"ID not position":  func(b []byte) []byte { b[last]++; return b },
+		"swapped IDs": func(b []byte) []byte {
+			b[8], b[8+objectRecord] = b[8+objectRecord], b[8]
+			return b
+		},
 	}
 	for name, brk := range breaks {
 		if _, err := decode(brk(bytes.Clone(b))); err == nil {
