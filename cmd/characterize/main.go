@@ -1,6 +1,9 @@
 // Command characterize regenerates the hardware characterization of
-// Section 6: Table 2 (CPU undervolting on the i5-4200U and i7-3970X)
-// and the Section 6.B DRAM refresh-relaxation sweep.
+// the paper: Table 1 (the manufacturers' voltage guardbands), Figure 1
+// (the performance bins of a fabricated population), Table 2 (CPU
+// undervolting on the i5-4200U and i7-3970X) and the Section 6.B DRAM
+// refresh-relaxation sweep. Figure 1 uses its benchmark's fixed seed,
+// so -seed moves only Table 2 and the DRAM sweep.
 package main
 
 import (
@@ -13,6 +16,8 @@ import (
 	"uniserver/internal/dram"
 	"uniserver/internal/power"
 	"uniserver/internal/rng"
+	"uniserver/internal/silicon"
+	"uniserver/internal/vfr"
 )
 
 func main() {
@@ -23,13 +28,46 @@ func main() {
 	runs := flag.Int("runs", 3, "consecutive runs per benchmark (paper: 3)")
 	what := flag.String("what", "all", "what to characterize: cpu | dram | all")
 	flag.Parse()
+	if *what != "cpu" && *what != "dram" && *what != "all" {
+		log.Fatalf("-what %q: want cpu, dram or all", *what)
+	}
+	if *runs < 1 {
+		log.Fatalf("-runs %d: want at least 1", *runs)
+	}
 
 	if *what == "cpu" || *what == "all" {
+		printGuardbands()
+		printBins()
 		characterizeCPU(*seed, *runs)
 	}
 	if *what == "dram" || *what == "all" {
 		characterizeDRAM(*seed)
 	}
+}
+
+func printGuardbands() {
+	fmt.Println("== Table 1: sources of variation and voltage guardbands ==")
+	gs := vfr.Table1Guardbands()
+	for _, g := range gs {
+		fmt.Printf("%-25s ~%.0f%%\n", g.Source, g.Pct)
+	}
+	fmt.Printf("%-25s ~%.0f%%\n\n", "total", vfr.TotalGuardbandPct(gs))
+}
+
+// printBins bins 2000 fabricated 4-core parts at the i5-4200U's
+// nominal point, as BenchmarkFigure1PerformanceBins does.
+func printBins() {
+	nominal := vfr.Point{VoltageMV: 844, FreqMHz: 2600}
+	ladder := silicon.BinLadder(3600, 100, 12)
+	pop := silicon.BinPopulation(silicon.Process28nm(), 2000, 4, nominal, ladder, rng.New(47))
+	fmt.Printf("== Figure 1: performance bins of %d fabricated 4-core parts at %s ==\n", pop.Total, nominal)
+	for _, bin := range ladder {
+		if n := pop.PerBin[bin.GradeMHz]; n > 0 {
+			fmt.Printf("%5d MHz  %4d parts\n", bin.GradeMHz, n)
+		}
+	}
+	fmt.Printf("discarded: %d (yield %.1f%%): each chip is intrinsically different\n\n",
+		pop.Discarded, pop.Yield()*100)
 }
 
 func characterizeCPU(seed uint64, runs int) {

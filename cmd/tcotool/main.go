@@ -16,16 +16,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tcotool: ")
 
-	scaling := flag.Float64("scaling", 1.5, "EE gain from technology scaling / FinFET")
-	sw := flag.Float64("sw", 4, "EE gain from ARM server software maturity")
-	fog := flag.Float64("fog", 2, "EE gain from running at the Edge")
-	margins := flag.Float64("margins", 3, "EE gain from extended operating points")
+	table3 := tco.Table3Gains()
+	scaling := flag.Float64("scaling", table3.Scaling, "EE gain from technology scaling / FinFET")
+	sw := flag.Float64("sw", table3.SWMaturity, "EE gain from ARM server software maturity")
+	fog := flag.Float64("fog", table3.Fog, "EE gain from running at the Edge")
+	margins := flag.Float64("margins", table3.Margins, "EE gain from extended operating points")
 	yield := flag.Float64("yield-discount", 0.10, "chip-cost discount from higher yield (0..1)")
 	flag.Parse()
 
 	gains := tco.GainSources{Scaling: *scaling, SWMaturity: *sw, Fog: *fog, Margins: *margins}
 	if err := gains.Validate(); err != nil {
 		log.Fatal(err)
+	}
+	if *yield < 0 || *yield >= 1 {
+		log.Fatalf("-yield-discount %v: want a fraction in [0,1)", *yield)
 	}
 
 	fmt.Println("== Table 3: energy efficiency and TCO improvement estimation ==")

@@ -103,9 +103,6 @@ func (s *Server) stats() storeStats {
 	return storeStats{s.store.Stats(), s.resumeFailures.Load()}
 }
 
-// Store returns the server's result store.
-func (s *Server) Store() *resultstore.Store { return s.store }
-
 // Shutdown cancels running campaigns at their next cell boundary
 // without waiting — the signal-handler half of Close. Completed cells
 // are already persisted; interrupted manifests stay "running".

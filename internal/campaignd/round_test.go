@@ -35,7 +35,7 @@ func TestExecutedCellsStoredUnderPlannedKeys(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, ok := srv.Store().GetCell(key)
+			rec, ok := srv.store.GetCell(key)
 			if !ok {
 				t.Fatalf("cell %s seed %d not stored under its key %s", sc.Name, seed, key)
 			}

@@ -215,11 +215,6 @@ func New(opts Options) (*Ecosystem, error) {
 	return e, nil
 }
 
-// Temperatures returns the current die and DIMM temperatures.
-func (e *Ecosystem) Temperatures() (cpuC, dimmC float64) {
-	return e.cpuTherm.TempC, e.memTherm.TempC
-}
-
 // SetAmbient retargets the ambient temperatures the die and DIMM
 // thermal nodes relax toward — the "variations of environmental
 // conditions" lever scenario layers pull (seasonal heat, a failed CRAC
@@ -332,9 +327,6 @@ func (e *Ecosystem) setTable(t *vfr.EOPTable) {
 		}
 	}
 }
-
-// Mode returns the current operating mode.
-func (e *Ecosystem) Mode() vfr.Mode { return e.mode }
 
 // SetWeakGrowth arms DRAM weak-cell population growth across
 // fast-forward gaps: the expected number of newly-activated weak cells

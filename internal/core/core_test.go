@@ -98,8 +98,8 @@ func TestEnterHighPerformanceSavesPower(t *testing.T) {
 	if rep.RefreshSavingsPct <= 0 {
 		t.Fatalf("refresh savings = %.1f%%, want positive", rep.RefreshSavingsPct)
 	}
-	if e.Mode() != vfr.ModeHighPerformance {
-		t.Fatalf("mode = %v", e.Mode())
+	if e.mode != vfr.ModeHighPerformance {
+		t.Fatalf("mode = %v", e.mode)
 	}
 	// Relaxed domains actually reconfigured.
 	for _, dom := range e.Mem.RelaxedDomains() {

@@ -468,9 +468,6 @@ func (d *Deployment) Summary() DeploymentSummary {
 	return sum
 }
 
-// Ecosystem returns the node the deployment is supervising.
-func (d *Deployment) Ecosystem() *Ecosystem { return d.eco }
-
 // RunDeployment supervises `windows` observation windows of the given
 // workload in the requested mode. It is the batch form of
 // StartDeployment + Step: kept for callers that do not need the

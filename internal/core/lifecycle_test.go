@@ -23,8 +23,8 @@ func TestHandleCrashFallsBackToNominal(t *testing.T) {
 	if e.Hypervisor.Point() != e.Machine.Spec.Nominal {
 		t.Fatalf("not at nominal after crash: %v", e.Hypervisor.Point())
 	}
-	if e.Mode() != vfr.ModeNominal {
-		t.Fatalf("mode = %v", e.Mode())
+	if e.mode != vfr.ModeNominal {
+		t.Fatalf("mode = %v", e.mode)
 	}
 	for _, dom := range e.Mem.RelaxedDomains() {
 		if dom.Refresh != vfr.NominalRefresh {
@@ -104,8 +104,8 @@ func TestRunDeploymentRespectsMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Mode() != vfr.ModeLowPower && sum.Crashes == 0 {
-		t.Fatalf("mode = %v with no crash to explain it", e.Mode())
+	if e.mode != vfr.ModeLowPower && sum.Crashes == 0 {
+		t.Fatalf("mode = %v with no crash to explain it", e.mode)
 	}
 	if e.Hypervisor.Point().FreqMHz >= e.Machine.Spec.Nominal.FreqMHz && sum.Crashes == 0 {
 		t.Fatal("low-power deployment running at full frequency")

@@ -140,7 +140,7 @@ func TestFastForwardAgesAndReseats(t *testing.T) {
 	if eco.Machine.Chip.AgeShiftMV <= 0 {
 		t.Fatal("gap produced no aging shift")
 	}
-	cpuC, dimmC := eco.Temperatures()
+	cpuC, dimmC := eco.cpuTherm.TempC, eco.memTherm.TempC
 	if cpuC != 38 || dimmC != 44 {
 		t.Fatalf("thermal state not re-seated at the gap ambient: %v / %v", cpuC, dimmC)
 	}

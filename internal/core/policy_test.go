@@ -31,7 +31,7 @@ func TestScheduledCampaignPassthroughWhenDisarmed(t *testing.T) {
 	if d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("campaign due immediately after characterization")
 	}
-	e.Clock.Advance(e.Stress.Period())
+	e.Clock.Advance(e.opts.StressPeriod)
 	if !d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("elapsed cadence not reported without a policy")
 	}
@@ -49,7 +49,7 @@ func TestDriftGateSuppressesFreshMargins(t *testing.T) {
 	d := startedDeployment(t, 42)
 	e := d.eco
 	d.SetDriftPolicy(0.25)
-	e.Clock.Advance(e.Stress.Period())
+	e.Clock.Advance(e.opts.StressPeriod)
 	if !e.Stress.DueAt(e.Clock.Now()) {
 		t.Fatal("precondition: cadence should have elapsed")
 	}
@@ -78,7 +78,7 @@ func TestDriftGateOpensOnAccumulatedDrift(t *testing.T) {
 	// A year of full-stress aging (~11 mV under the default power law)
 	// clears a tenth of the advised headroom (~5-6 mV) comfortably.
 	e.Machine.Chip.Age(silicon.DefaultAgingModel(), 365*24*time.Hour, 1)
-	e.Clock.Advance(e.Stress.Period())
+	e.Clock.Advance(e.opts.StressPeriod)
 	if !d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("gate stayed closed after a year of aging")
 	}
@@ -88,7 +88,7 @@ func TestDriftGateOpensOnAccumulatedDrift(t *testing.T) {
 	if err := d.RecharacterizeNow(); err != nil {
 		t.Fatal(err)
 	}
-	e.Clock.Advance(e.Stress.Period())
+	e.Clock.Advance(e.opts.StressPeriod)
 	if d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("gate open with no drift since the campaign refreshed the baseline")
 	}
@@ -105,7 +105,7 @@ func TestDriftGateZeroFractionAlwaysOpen(t *testing.T) {
 	e := d.eco
 	d.SetDriftPolicy(0)
 	for tick := 1; tick <= 3; tick++ {
-		e.Clock.Advance(e.Stress.Period())
+		e.Clock.Advance(e.opts.StressPeriod)
 		if !d.scheduledCampaignDue(e.Clock.Now()) {
 			t.Fatalf("zero-margin gate closed at tick %d", tick)
 		}
@@ -126,7 +126,7 @@ func TestSetDriftPolicyNegativeDisarms(t *testing.T) {
 	e := d.eco
 	d.SetDriftPolicy(10)
 	d.SetDriftPolicy(-1)
-	e.Clock.Advance(e.Stress.Period())
+	e.Clock.Advance(e.opts.StressPeriod)
 	if !d.scheduledCampaignDue(e.Clock.Now()) {
 		t.Fatal("disarmed gate still filtering scheduled campaigns")
 	}

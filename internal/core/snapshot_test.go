@@ -56,7 +56,7 @@ func traceWindow(t *testing.T, b *strings.Builder, eco *Ecosystem, d *Deployment
 func traceEnd(b *strings.Builder, eco *Ecosystem, d *Deployment) {
 	fmt.Fprintf(b, "summary=%+v\n", d.Summary())
 	fmt.Fprintf(b, "clock=%v mode=%v point=%v temps=%v,%v\n",
-		eco.Clock.Now(), eco.Mode(), eco.Hypervisor.Point(),
+		eco.Clock.Now(), eco.mode, eco.Hypervisor.Point(),
 		tempBits(eco.cpuTherm.TempC), tempBits(eco.memTherm.TempC))
 }
 

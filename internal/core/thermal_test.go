@@ -27,12 +27,12 @@ func TestRuntimeWindowHeatsTheDie(t *testing.T) {
 	if _, err := e.EnterMode(vfr.ModeHighPerformance, 0.05, workload.BatchAnalytics()); err != nil {
 		t.Fatal(err)
 	}
-	cpu0, dimm0 := e.Temperatures()
+	cpu0, dimm0 := e.cpuTherm.TempC, e.memTherm.TempC
 	var last WindowReport
 	for i := 0; i < 30; i++ {
 		last = e.RuntimeWindow(workload.BatchAnalytics())
 	}
-	cpu1, dimm1 := e.Temperatures()
+	cpu1, dimm1 := e.cpuTherm.TempC, e.memTherm.TempC
 	if cpu1 <= cpu0 {
 		t.Fatalf("die did not heat under load: %v -> %v", cpu0, cpu1)
 	}
@@ -56,8 +56,10 @@ func TestRuntimeWindowHeatsTheDie(t *testing.T) {
 	}
 	found := false
 	for _, v := range vecs {
-		if _, ok := v.Sensor(telemetry.SensorTemperature); ok {
-			found = true
+		for _, r := range v.Sensors {
+			if r.Kind == telemetry.SensorTemperature {
+				found = true
+			}
 		}
 	}
 	if !found {
@@ -78,7 +80,7 @@ func TestThermalTripForcesNominal(t *testing.T) {
 	if rep.ThermalAlarm != 2 {
 		t.Fatalf("alarm = %d, want trip", rep.ThermalAlarm)
 	}
-	if e.Mode() != vfr.ModeNominal {
+	if e.mode != vfr.ModeNominal {
 		t.Fatal("thermal trip did not force nominal fallback")
 	}
 	if e.Hypervisor.Point() != e.Machine.Spec.Nominal {
@@ -98,7 +100,7 @@ func TestThermalWarningRecorded(t *testing.T) {
 		t.Fatalf("alarm = %d, want warning", rep.ThermalAlarm)
 	}
 	// A warning does not force a fallback.
-	if e.Mode() == vfr.ModeNominal {
+	if e.mode == vfr.ModeNominal {
 		t.Fatal("warning should not force nominal")
 	}
 }

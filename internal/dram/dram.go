@@ -766,15 +766,6 @@ func (ms *MemorySystem) RelaxedDomains() []*Domain {
 	return out
 }
 
-// TotalBits returns the capacity of the whole memory system in bits.
-func (ms *MemorySystem) TotalBits() uint64 {
-	var total uint64
-	for _, d := range ms.Domains {
-		total += d.Bits()
-	}
-	return total
-}
-
 // PatternTestResult reports one pattern-test pass over a domain.
 type PatternTestResult struct {
 	Domain    string

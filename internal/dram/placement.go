@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -135,34 +134,6 @@ func (al *Allocator) Free(owner string) int {
 	}
 	al.allocations = kept
 	return removed
-}
-
-// UsedBytes returns the bytes allocated on the domain.
-func (al *Allocator) UsedBytes(dom *Domain) uint64 { return al.used[dom] }
-
-// Owners returns the distinct owners with live allocations, sorted.
-func (al *Allocator) Owners() []string {
-	set := map[string]bool{}
-	for _, a := range al.allocations {
-		set[a.Owner] = true
-	}
-	out := make([]string, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AllocationsOf returns the owner's allocations.
-func (al *Allocator) AllocationsOf(owner string) []Allocation {
-	var out []Allocation
-	for _, a := range al.allocations {
-		if a.Owner == owner {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // ExposureReport quantifies how a refresh-relaxation campaign would

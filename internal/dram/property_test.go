@@ -67,16 +67,14 @@ func TestAllocatorConservationProperty(t *testing.T) {
 		}
 		// Conservation: recompute from live allocations.
 		byDomain := map[*Domain]uint64{}
-		for _, owner := range owners {
-			for _, a := range al.AllocationsOf(owner) {
-				byDomain[a.Domain] += a.Bytes()
-			}
+		for _, a := range al.allocations {
+			byDomain[a.Domain] += a.Bytes()
 		}
 		for _, dom := range ms.Domains {
-			if al.UsedBytes(dom) != byDomain[dom] {
+			if al.used[dom] != byDomain[dom] {
 				return false
 			}
-			if al.UsedBytes(dom) > dom.Bits()/8 {
+			if al.used[dom] > dom.Bits()/8 {
 				return false
 			}
 		}

@@ -11,9 +11,7 @@ package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"strings"
 
 	"uniserver/internal/hypervisor"
 	"uniserver/internal/rng"
@@ -25,7 +23,6 @@ const PaperRuns = 5
 
 // Report aggregates one campaign.
 type Report struct {
-	Loaded  bool
 	Runs    int
 	Objects int
 	// Failures counts fatal (non-responsive hypervisor) outcomes per
@@ -41,21 +38,6 @@ type Report struct {
 	MarkedCrucial []int
 	// Restored counts corruptions absorbed by selective protection.
 	Restored int
-}
-
-// failuresLine renders one category series like the Figure 4 axis.
-func (r Report) String() string {
-	var b strings.Builder
-	cond := "no workload"
-	if r.Loaded {
-		cond = "with workload"
-	}
-	fmt.Fprintf(&b, "fault-injection (%s): %d objects x %d runs, %d fatal failures\n",
-		cond, r.Objects, r.Runs, r.Total)
-	for _, c := range hypervisor.Categories() {
-		fmt.Fprintf(&b, "  %-10s %d\n", c, r.Failures[c])
-	}
-	return b.String()
 }
 
 // RunCampaign injects one SDC per object per run and observes the
@@ -75,7 +57,6 @@ func RunCampaign(om *hypervisor.ObjectMap, loaded bool, runs int, src *rng.Sourc
 		return Report{}, errors.New("faultinject: runs must be positive")
 	}
 	r := Report{
-		Loaded:   loaded,
 		Runs:     runs,
 		Objects:  om.Len(),
 		Failures: make(map[hypervisor.Category]int),

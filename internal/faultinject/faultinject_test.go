@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"testing"
 
 	"uniserver/internal/hypervisor"
@@ -126,21 +125,6 @@ func TestCrucialMarkingSubsetOfTruth(t *testing.T) {
 	}
 }
 
-func TestReportString(t *testing.T) {
-	rep, err := RunCampaign(objectMap(9), false, 2, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	if !strings.Contains(s, "no workload") || !strings.Contains(s, "fs") {
-		t.Fatalf("report rendering incomplete:\n%s", s)
-	}
-	repL, _ := RunCampaign(objectMap(9), true, 2, rng.New(9))
-	if !strings.Contains(repL.String(), "with workload") {
-		t.Fatal("loaded report mislabeled")
-	}
-}
-
 func TestLoadAmplificationZeroDenominator(t *testing.T) {
 	if LoadAmplification(Report{Total: 5}, Report{Total: 0}) != 0 {
 		t.Fatal("zero-unloaded amplification should be 0")
@@ -214,7 +198,7 @@ func TestPlanProtectionCategories(t *testing.T) {
 // crucial IDs as a set. It is the reference the run-wise campaign must
 // match outcome for outcome and draw for draw.
 func refRunCampaign(om *hypervisor.ObjectMap, loaded bool, runs int, src *rng.Source) (Report, map[int]bool) {
-	r := Report{Loaded: loaded, Runs: runs, Objects: om.Len(), Failures: make(map[hypervisor.Category]int)}
+	r := Report{Runs: runs, Objects: om.Len(), Failures: make(map[hypervisor.Category]int)}
 	crucial := make(map[int]bool)
 	for _, obj := range om.Objects {
 		p := om.AccessProb(obj.Category, loaded)

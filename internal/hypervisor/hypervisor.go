@@ -92,24 +92,6 @@ const (
 	ActionPanic
 )
 
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case ActionMasked:
-		return "masked"
-	case ActionIsolated:
-		return "isolated"
-	case ActionVMRestart:
-		return "vm-restart"
-	case ActionRestored:
-		return "restored"
-	case ActionPanic:
-		return "panic"
-	default:
-		return fmt.Sprintf("Action(%d)", int(a))
-	}
-}
-
 // Stats aggregates the hypervisor's resilience bookkeeping.
 type Stats struct {
 	ErrorsMasked   uint64
@@ -351,16 +333,6 @@ func (h *Hypervisor) IsolateCore(core int) error {
 	return nil
 }
 
-// IsolatedCores returns the quarantined core indices, sorted.
-func (h *Hypervisor) IsolatedCores() []int {
-	out := make([]int, 0, len(h.isolatedCores))
-	for c := range h.isolatedCores {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // HandleError is the hypervisor's error-masking policy, fed from the
 // HealthLog's event stream:
 //
@@ -417,9 +389,6 @@ func (h *Hypervisor) HandleError(ev telemetry.ErrorEvent, owner string, objectID
 		return ActionMasked
 	}
 }
-
-// Panicked reports whether the host has fatally failed.
-func (h *Hypervisor) Panicked() bool { return h.panicked }
 
 // Stats returns resilience counters.
 func (h *Hypervisor) Stats() Stats { return h.stats }

@@ -31,6 +31,18 @@ func testHypervisor(t *testing.T, seed uint64) *Hypervisor {
 	return h
 }
 
+// placements returns the domains of the owner's allocations, read
+// from the allocator's image.
+func placements(h *Hypervisor, owner string) []*dram.Domain {
+	var out []*dram.Domain
+	for _, a := range h.Allocator().Image().Allocations {
+		if a.Owner == owner {
+			out = append(out, h.mem.Domains[a.Domain])
+		}
+	}
+	return out
+}
+
 func vmSpec(name string, vcpus int) workload.VMSpec {
 	p := workload.IoTEdgeAnalytics()
 	return workload.VMSpec{Name: name, VCPUs: vcpus, MemBytes: p.MemTargetBytes * 2, Profile: p}
@@ -41,7 +53,10 @@ func TestObjectMapInventory(t *testing.T) {
 	if om.Len() != TotalObjects {
 		t.Fatalf("object count = %d, want %d (paper)", om.Len(), TotalObjects)
 	}
-	counts := om.CountByCategory()
+	counts := make(map[Category]int)
+	for _, o := range om.Objects {
+		counts[o.Category]++
+	}
 	if len(counts) != len(Categories()) {
 		t.Fatalf("categories = %d, want %d", len(counts), len(Categories()))
 	}
@@ -72,8 +87,8 @@ func TestObjectMapAccessProbs(t *testing.T) {
 	if om.AccessProb("nope", true) != 0 {
 		t.Error("unknown category should have zero access prob")
 	}
-	if _, err := om.Profile("nope"); err == nil {
-		t.Error("unknown category profile should error")
+	if _, ok := om.profile("nope"); ok {
+		t.Error("unknown category has a profile")
 	}
 }
 
@@ -116,11 +131,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestHypervisorOwnStateOnReliableDomain(t *testing.T) {
 	h := testHypervisor(t, 5)
-	allocs := h.Allocator().AllocationsOf(DefaultConfig().Name + "/hypervisor")
-	if len(allocs) != 1 {
-		t.Fatalf("hypervisor allocations = %d", len(allocs))
+	doms := placements(h, DefaultConfig().Name+"/hypervisor")
+	if len(doms) != 1 {
+		t.Fatalf("hypervisor allocations = %d", len(doms))
 	}
-	if !allocs[0].Domain.Reliable {
+	if !doms[0].Reliable {
 		t.Fatal("hypervisor state not on reliable domain")
 	}
 }
@@ -141,13 +156,13 @@ func TestStartStopVM(t *testing.T) {
 		t.Fatalf("VM lookup = %+v, %v", vm, ok)
 	}
 	// Guest memory must be on relaxed domains; overhead on reliable.
-	for _, a := range h.Allocator().AllocationsOf("vm1") {
-		if a.Domain.Reliable {
+	for _, dom := range placements(h, "vm1") {
+		if dom.Reliable {
 			t.Error("guest memory landed on reliable domain")
 		}
 	}
-	for _, a := range h.Allocator().AllocationsOf("vm1/overhead") {
-		if !a.Domain.Reliable {
+	for _, dom := range placements(h, "vm1/overhead") {
+		if !dom.Reliable {
 			t.Error("VM overhead not on reliable domain")
 		}
 	}
@@ -157,7 +172,7 @@ func TestStartStopVM(t *testing.T) {
 	if err := h.StopVM("vm1"); err == nil {
 		t.Fatal("double stop accepted")
 	}
-	if len(h.Allocator().AllocationsOf("vm1")) != 0 {
+	if len(placements(h, "vm1")) != 0 {
 		t.Fatal("guest memory not freed")
 	}
 }
@@ -189,8 +204,8 @@ func TestIsolationReducesCapacity(t *testing.T) {
 	if h.AvailableCores() != 7 {
 		t.Fatalf("available after isolation = %d", h.AvailableCores())
 	}
-	if got := h.IsolatedCores(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("IsolatedCores = %v", got)
+	if got := h.isolatedCores; len(got) != 1 || !got[3] {
+		t.Fatalf("isolated cores = %v", got)
 	}
 	if err := h.IsolateCore(99); err == nil {
 		t.Fatal("out-of-range core accepted")
@@ -266,8 +281,8 @@ func TestHandleCorrectableIsolatesAfterThreshold(t *testing.T) {
 	if last != ActionIsolated {
 		t.Fatalf("last action = %v, want isolation at threshold", last)
 	}
-	if got := h.IsolatedCores(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("IsolatedCores = %v", got)
+	if got := h.isolatedCores; len(got) != 1 || !got[2] {
+		t.Fatalf("isolated cores = %v", got)
 	}
 }
 
@@ -284,7 +299,7 @@ func TestHandleUncorrectableInGuestRestartsVM(t *testing.T) {
 	if vm.Restarts != 1 {
 		t.Fatalf("restarts = %d", vm.Restarts)
 	}
-	if h.Panicked() {
+	if h.panicked {
 		t.Fatal("guest error must not panic the host")
 	}
 }
@@ -307,7 +322,7 @@ func TestHandleUncorrectableInProtectedObjectRestores(t *testing.T) {
 	if a := h.HandleError(ev, "", id, coreOfNone); a != ActionRestored {
 		t.Fatalf("action = %v, want restore", a)
 	}
-	if h.Panicked() {
+	if h.panicked {
 		t.Fatal("protected object corruption must not panic")
 	}
 }
@@ -325,7 +340,7 @@ func TestHandleUncorrectableInCrucialObjectPanics(t *testing.T) {
 	if a := h.HandleError(ev, "", id, coreOfNone); a != ActionPanic {
 		t.Fatalf("action = %v, want panic", a)
 	}
-	if !h.Panicked() {
+	if !h.panicked {
 		t.Fatal("host should be down")
 	}
 	// A downed host refuses new guests.
@@ -352,15 +367,7 @@ func TestHandleUncorrectableInNonCrucialObjectMasks(t *testing.T) {
 	}
 }
 
-func TestActionAndStateStrings(t *testing.T) {
-	for _, a := range []Action{ActionMasked, ActionIsolated, ActionVMRestart, ActionRestored, ActionPanic} {
-		if strings.HasPrefix(a.String(), "Action(") {
-			t.Errorf("action %d missing name", a)
-		}
-	}
-	if !strings.HasPrefix(Action(42).String(), "Action(") {
-		t.Error("unknown action fallback wrong")
-	}
+func TestVMStateString(t *testing.T) {
 	if VMRunning.String() != "running" || VMStopped.String() != "stopped" {
 		t.Error("VM state names wrong")
 	}

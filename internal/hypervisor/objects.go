@@ -9,7 +9,6 @@
 package hypervisor
 
 import (
-	"fmt"
 	"slices"
 
 	"uniserver/internal/rng"
@@ -158,15 +157,6 @@ func NewObjectMap(profiles []CategoryProfile, src *rng.Source) *ObjectMap {
 	return om
 }
 
-// Profile returns the category profile.
-func (om *ObjectMap) Profile(c Category) (CategoryProfile, error) {
-	p, ok := om.profile(c)
-	if !ok {
-		return CategoryProfile{}, fmt.Errorf("hypervisor: unknown category %q", c)
-	}
-	return p, nil
-}
-
 // profile finds c's profile; a linear scan, since an inventory has a
 // dozen categories.
 func (om *ObjectMap) profile(c Category) (CategoryProfile, bool) {
@@ -189,15 +179,6 @@ func (om *ObjectMap) StaticBytes() uint64 {
 		total += uint64(o.Bytes)
 	}
 	return total
-}
-
-// CountByCategory returns the object count per category.
-func (om *ObjectMap) CountByCategory() map[Category]int {
-	out := make(map[Category]int)
-	for _, o := range om.Objects {
-		out[o.Category]++
-	}
-	return out
 }
 
 // AccessProb returns the per-window consumption probability for an

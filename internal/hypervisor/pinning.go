@@ -83,16 +83,6 @@ func (p *pinner) evictCore(core int) map[string]int {
 	return displaced
 }
 
-// Pinning returns the VM's vCPU core assignment, sorted.
-func (h *Hypervisor) Pinning(vm string) []int {
-	cores := append([]int(nil), h.pins.byVM[vm]...)
-	sort.Ints(cores)
-	return cores
-}
-
-// CoreLoad returns the number of vCPUs pinned to the core.
-func (h *Hypervisor) CoreLoad(core int) int { return h.pins.load[core] }
-
 // usableCores lists the non-isolated physical cores.
 func (h *Hypervisor) usableCores() []int {
 	var out []int

@@ -2,21 +2,27 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
+
+// pinning returns the VM's vCPU core assignment, sorted.
+func pinning(h *Hypervisor, vm string) []int {
+	return slices.Sorted(slices.Values(h.pins.byVM[vm]))
+}
 
 func TestStartVMPinsVCPUs(t *testing.T) {
 	h := testHypervisor(t, 71)
 	if err := h.StartVM(vmSpec("vm1", 3)); err != nil {
 		t.Fatal(err)
 	}
-	cores := h.Pinning("vm1")
+	cores := pinning(h, "vm1")
 	if len(cores) != 3 {
 		t.Fatalf("pinned cores = %v", cores)
 	}
 	total := 0
 	for c := 0; c < 8; c++ {
-		total += h.CoreLoad(c)
+		total += h.pins.load[c]
 	}
 	if total != 3 {
 		t.Fatalf("total core load = %d", total)
@@ -24,7 +30,7 @@ func TestStartVMPinsVCPUs(t *testing.T) {
 	if err := h.StopVM("vm1"); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Pinning("vm1")) != 0 {
+	if len(pinning(h, "vm1")) != 0 {
 		t.Fatal("pins not released on stop")
 	}
 }
@@ -38,7 +44,7 @@ func TestPinningBalancesLoad(t *testing.T) {
 	}
 	// 16 vCPUs over 8 cores: perfectly balanced = 2 per core.
 	for c := 0; c < 8; c++ {
-		if got := h.CoreLoad(c); got != 2 {
+		if got := h.pins.load[c]; got != 2 {
 			t.Fatalf("core %d load = %d, want 2", c, got)
 		}
 	}
@@ -53,10 +59,10 @@ func TestIsolateCoreRehomesVCPUs(t *testing.T) {
 	if err := h.IsolateCore(3); err != nil {
 		t.Fatal(err)
 	}
-	if h.CoreLoad(3) != 0 {
-		t.Fatalf("isolated core still loaded: %d", h.CoreLoad(3))
+	if h.pins.load[3] != 0 {
+		t.Fatalf("isolated core still loaded: %d", h.pins.load[3])
 	}
-	cores := h.Pinning("vm1")
+	cores := pinning(h, "vm1")
 	if len(cores) != 8 {
 		t.Fatalf("vm1 lost vCPUs: %v", cores)
 	}
@@ -91,7 +97,7 @@ func TestIsolateCoreEvictsWhenFull(t *testing.T) {
 	}
 	// Survivors must not reference the isolated core.
 	for _, name := range h.VMNames() {
-		for _, c := range h.Pinning(name) {
+		for _, c := range pinning(h, name) {
 			if c == 0 {
 				t.Fatalf("%s still pinned to isolated core", name)
 			}
@@ -113,7 +119,7 @@ func TestStartVMRefusedWhenCoresExhausted(t *testing.T) {
 	if err := h.StartVM(vmSpec("small", 4)); err != nil {
 		t.Fatalf("4-vCPU VM should fit on the last core: %v", err)
 	}
-	if got := h.Pinning("small"); len(got) != 4 || got[0] != 7 {
+	if got := pinning(h, "small"); len(got) != 4 || got[0] != 7 {
 		t.Fatalf("small pinned to %v, want 4x core 7", got)
 	}
 }

@@ -115,16 +115,14 @@ func TestImageStampRoundTrip(t *testing.T) {
 	}); allocs > imageAllocs {
 		t.Fatalf("Image allocates %.0f times, budget %d", allocs, imageAllocs)
 	}
-	if !reflect.DeepEqual(h.IsolatedCores(), []int{1}) || h.Stats() != img.Stats || h.Point() != img.Point {
-		t.Fatalf("stamped isolation/counters/point differ: %v %+v %v", h.IsolatedCores(), h.Stats(), h.Point())
+	if !reflect.DeepEqual(h.isolatedCores, map[int]bool{1: true}) || h.Stats() != img.Stats || h.Point() != img.Point {
+		t.Fatalf("stamped isolation/counters/point differ: %v %+v %v", h.isolatedCores, h.Stats(), h.Point())
 	}
 	if h.errorCounts["core2"] != 1 || h.Objects().ProtectedBytes() == src.Objects().ProtectedBytes() {
 		t.Fatal("stamped error counts or inventory differ from the image")
 	}
-	for i, dom := range mem.Domains {
-		if got, want := h.Allocator().UsedBytes(dom), src.Allocator().UsedBytes(src.mem.Domains[i]); got != want {
-			t.Fatalf("domain %d: %d bytes placed, source has %d", i, got, want)
-		}
+	if got, want := h.Allocator().Image(), src.Allocator().Image(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stamped placements differ: %+v, source has %+v", got, want)
 	}
 	if err := src.StartVM(vmSpec("vm1", 2)); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@
 package power
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -58,23 +57,18 @@ func (m CPUModel) DynamicW(p vfr.Point, activity float64) float64 {
 	return activity * m.SwitchedCapNF * 1e-9 * v * v * f
 }
 
-// LeakageW returns the static power in watts at the given voltage and
-// temperature.
-func (m CPUModel) LeakageW(p vfr.Point, tempC float64) float64 {
-	return m.leakageWAt(p, m.VoltageFactor(p.VoltageMV), tempC)
-}
-
 // VoltageFactor returns the leakage model's supply-voltage term
-// (V/Vref)^VoltExp: the part of LeakageW that depends on the voltage
-// alone, so a caller pricing one point at many temperatures can
-// compute it once.
+// (V/Vref)^VoltExp: the part of the leakage power that depends on the
+// voltage alone, so a caller pricing one point at many temperatures
+// can compute it once.
 func (m CPUModel) VoltageFactor(voltageMV int) float64 {
 	v := float64(voltageMV) / 1000
 	vref := float64(m.RefVoltageMV) / 1000
 	return math.Pow(v/vref, m.VoltExp)
 }
 
-// leakageWAt is LeakageW given the point's VoltageFactor, bit for bit.
+// leakageWAt returns the static power in watts at the point and
+// temperature, given the point's VoltageFactor.
 func (m CPUModel) leakageWAt(p vfr.Point, voltFactor, tempC float64) float64 {
 	v := float64(p.VoltageMV) / 1000
 	scale := voltFactor * math.Exp(m.TempCoeffPerC*(tempC-m.RefTempC))
@@ -89,23 +83,6 @@ func (m CPUModel) TotalW(p vfr.Point, activity, tempC float64) float64 {
 // TotalWAt is TotalW given the point's VoltageFactor, bit for bit.
 func (m CPUModel) TotalWAt(p vfr.Point, activity, voltFactor, tempC float64) float64 {
 	return m.DynamicW(p, activity) + m.leakageWAt(p, voltFactor, tempC)
-}
-
-// EnergyJ returns the energy in joules to run for the given duration
-// at constant activity and temperature.
-func (m CPUModel) EnergyJ(p vfr.Point, activity, tempC float64, d time.Duration) float64 {
-	return m.TotalW(p, activity, tempC) * d.Seconds()
-}
-
-// EnergyPerWorkJ returns the energy to complete a fixed amount of work
-// (cycles) at the given point: work that takes baselineSeconds at
-// baselineFreqMHz stretches inversely with frequency.
-func (m CPUModel) EnergyPerWorkJ(p vfr.Point, activity, tempC float64, baselineSeconds float64, baselineFreqMHz int) float64 {
-	if p.FreqMHz <= 0 {
-		return math.Inf(1)
-	}
-	runtime := baselineSeconds * float64(baselineFreqMHz) / float64(p.FreqMHz)
-	return m.TotalW(p, activity, tempC) * runtime
 }
 
 // DynamicScalingFactor returns the ratio of dynamic power at
@@ -188,21 +165,4 @@ func (m DRAMRefreshModel) TotalW(interval time.Duration) float64 {
 // relaxing refresh from nominal (64 ms) to the given interval.
 func (m DRAMRefreshModel) SavingsPct(interval time.Duration) float64 {
 	return 100 * (m.TotalW(vfr.NominalRefresh) - m.TotalW(interval)) / m.TotalW(vfr.NominalRefresh)
-}
-
-// Budget tracks a node power budget and utilization against it.
-type Budget struct {
-	CapW float64
-}
-
-// Headroom returns how many watts remain under the cap for the given
-// draw; negative means the cap is exceeded.
-func (b Budget) Headroom(drawW float64) float64 { return b.CapW - drawW }
-
-// Validate returns an error when the budget is non-positive.
-func (b Budget) Validate() error {
-	if b.CapW <= 0 {
-		return fmt.Errorf("power: non-positive budget cap %v", b.CapW)
-	}
-	return nil
 }

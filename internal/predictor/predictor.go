@@ -137,26 +137,6 @@ func (m *Model) Accuracy(samples []Sample) float64 {
 	return float64(correct) / float64(len(samples))
 }
 
-// LogLoss returns the mean cross-entropy over the samples. An empty
-// sample set has no defined loss and returns NaN — consistent with Fit
-// and Accuracy — rather than a perfect-looking 0.
-func (m *Model) LogLoss(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	const eps = 1e-12
-	total := 0.0
-	for _, s := range samples {
-		p := m.Predict(s.F)
-		if s.Crashed {
-			total += -math.Log(p + eps)
-		} else {
-			total += -math.Log(1 - p + eps)
-		}
-	}
-	return total / float64(len(samples))
-}
-
 // Advice is the Predictor's recommendation to the Hypervisor.
 type Advice struct {
 	Component string

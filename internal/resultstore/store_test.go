@@ -250,11 +250,15 @@ func TestCellKeyFieldDecisions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("running scenarios is slow; skipping in -short")
 	}
-	base := scenario.Baseline().Scale(2, 4)
-	want, err := scenario.RunScenario(base, 7, 1)
-	if err != nil {
-		t.Fatal(err)
+	run := func(s scenario.Scenario) scenario.Result {
+		rep, err := scenario.RunCampaign(scenario.Campaign{Scenarios: []scenario.Scenario{s}, Seeds: []uint64{7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Results[0]
 	}
+	base := scenario.Baseline().Scale(2, 4)
+	want := run(base)
 	relabeled := base
 	v := reflect.ValueOf(&relabeled).Elem()
 	for name, bears := range cellKeyFields {
@@ -268,11 +272,7 @@ func TestCellKeyFieldDecisions(t *testing.T) {
 			t.Fatalf("%s is decided not to bear on results, but only top-level strings are checked", name)
 		}
 	}
-	got, err := scenario.RunScenario(relabeled, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FingerprintSHA256 != want.FingerprintSHA256 {
+	if got := run(relabeled); got.FingerprintSHA256 != want.FingerprintSHA256 {
 		t.Fatalf("a relabeled scenario fingerprints %s, the original %s: a label bears on results",
 			got.FingerprintSHA256, want.FingerprintSHA256)
 	}

@@ -218,13 +218,6 @@ var polarBound = func() (b [128]float64) {
 	return b
 }()
 
-// LogNormal returns a sample whose natural logarithm is normally
-// distributed with parameters mu and sigma. DRAM cell retention times
-// are conventionally modeled as log-normal (Liu et al., ISCA 2013).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // Exponential returns a sample from the exponential distribution with
 // the given rate (lambda). It panics if rate <= 0.
 func (s *Source) Exponential(rate float64) float64 {
@@ -305,19 +298,6 @@ func (s *Source) Binomial(n int, p float64) int {
 	}
 }
 
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using the provided swap
 // function, mirroring math/rand.Shuffle.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
@@ -325,29 +305,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		j := s.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Choice returns a uniformly chosen index weighted by the given
-// non-negative weights. It panics if weights is empty or sums to zero.
-func (s *Source) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: Choice with negative weight")
-		}
-		total += w
-	}
-	if len(weights) == 0 || total == 0 {
-		panic("rng: Choice with empty or zero-sum weights")
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // State returns the generator's internal state word — the persistence

@@ -139,20 +139,13 @@ func sha256Hex(s string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// RunScenario executes one scenario at one seed on the given fleet
-// worker count and returns its result. Worker count never changes the
-// fingerprint, only the wall-clock. The run goes through a run-private
-// characterization snapshot cache: node seeds within one run are all
-// distinct, so nothing is reused, but every node exercises the same
-// snapshot→stamp path campaigns rely on — which is what lets the
-// preset golden tests pin that path byte for byte.
-func RunScenario(s Scenario, seed uint64, workers int) (Result, error) {
-	return runScenarioWith(s, seed, workers, fleet.NewCharactCache())
-}
-
-// runScenarioWith is RunScenario against a caller-supplied snapshot
-// cache; campaigns pass their shared cache here. The cell's keys are
-// queued (CharactCache.Plan) before it runs.
+// runScenarioWith executes one scenario at one seed on the given fleet
+// worker count against a snapshot cache and returns its result; campaigns
+// pass their shared cache here. Worker count never changes the
+// fingerprint, only the wall-clock. Every node goes through the cache's
+// snapshot→stamp path, even when nothing is reused, which is what lets
+// the preset golden tests pin that path byte for byte. The cell's keys
+// are queued (CharactCache.Plan) before it runs.
 func runScenarioWith(s Scenario, seed uint64, workers int, cache *fleet.CharactCache) (Result, error) {
 	cfg, err := s.FleetConfig(seed)
 	if err != nil {

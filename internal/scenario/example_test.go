@@ -7,24 +7,29 @@ import (
 	"uniserver/internal/scenario"
 )
 
-// ExampleRunScenario picks a bundled preset, scales it down, and runs
-// it at two worker counts: the scenario layer inherits the fleet
-// engine's determinism, so the fingerprints match byte for byte.
-func ExampleRunScenario() {
+// ExampleRunCampaign_workers picks a bundled preset, scales it down,
+// and runs it as a one-cell campaign at two fleet worker counts: the
+// scenario layer inherits the fleet engine's determinism, so the
+// fingerprints match byte for byte.
+func ExampleRunCampaign_workers() {
 	preset, err := scenario.ByName("droop-attack")
 	if err != nil {
 		log.Fatal(err)
 	}
 	s := preset.Scale(2, 8) // 2 nodes, 8 windows: example-sized
 
-	seq, err := scenario.RunScenario(s, 7, 1)
-	if err != nil {
-		log.Fatal(err)
+	run := func(workers int) scenario.Result {
+		rep, err := scenario.RunCampaign(scenario.Campaign{
+			Scenarios:    []scenario.Scenario{s},
+			Seeds:        []uint64{7},
+			FleetWorkers: workers,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep.Results[0]
 	}
-	par, err := scenario.RunScenario(s, 7, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
+	seq, par := run(1), run(4)
 
 	fmt.Printf("scenario: %s (%d nodes, %d windows)\n", s.Name, s.Nodes, s.Windows)
 	fmt.Printf("fingerprints identical across worker counts: %v\n",

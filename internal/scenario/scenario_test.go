@@ -10,6 +10,13 @@ import (
 	"uniserver/internal/fleet"
 )
 
+// runCell runs one scenario at one seed through a run-private
+// characterization cache: node seeds within one run are all distinct,
+// so nothing is reused, but every node takes the snapshot→stamp path.
+func runCell(s Scenario, seed uint64, workers int) (Result, error) {
+	return runScenarioWith(s, seed, workers, fleet.NewCharactCache())
+}
+
 // testSize keeps runs fast: presets scale down to this grid for the
 // determinism sweeps.
 const (
@@ -83,7 +90,7 @@ func TestPresetDeterminismAcrossWorkerCounts(t *testing.T) {
 			s := preset.Scale(testNodes, testWindows)
 			var want string
 			for _, workers := range []int{1, 4, 8} {
-				res, err := RunScenario(s, 11, workers)
+				res, err := runCell(s, 11, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -250,7 +257,7 @@ func TestBaselineEqualsPlainFleet(t *testing.T) {
 		t.Skip("fleet characterization is slow; skipping in -short")
 	}
 	s := Baseline().Scale(2, 8)
-	res, err := RunScenario(s, 5, 2)
+	res, err := runCell(s, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +317,7 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 // reuse work (cells at the same seed share their node specs across
 // scenarios), and must report its traffic in the Report so perf runs
 // are self-describing. The reference leg runs each cell alone through
-// RunScenario, whose run-private cache shares nothing across cells.
+// runCell, whose run-private cache shares nothing across cells.
 func TestCampaignCharactShareByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet characterization is slow; skipping in -short")
@@ -330,7 +337,7 @@ func TestCampaignCharactShareByteIdentical(t *testing.T) {
 	}
 	for i, res := range shared.Results {
 		s, seed := grid.Scenarios[i/len(grid.Seeds)], grid.Seeds[i%len(grid.Seeds)]
-		solo, err := RunScenario(s, seed, 1)
+		solo, err := runCell(s, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +369,7 @@ func TestScenarioEffectsObservable(t *testing.T) {
 		t.Skip("fleet characterization is slow; skipping in -short")
 	}
 	hetero := HeteroBins().Scale(2, 6)
-	res, err := RunScenario(hetero, 2, 2)
+	res, err := runCell(hetero, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +384,11 @@ func TestScenarioEffectsObservable(t *testing.T) {
 	attacked := DroopAttack().Scale(2, 16)
 	clean := attacked
 	clean.Attacks = nil
-	resAtt, err := RunScenario(attacked, 2, 2)
+	resAtt, err := runCell(attacked, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resClean, err := RunScenario(clean, 2, 2)
+	resClean, err := runCell(clean, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

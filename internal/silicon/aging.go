@@ -1,7 +1,6 @@
 package silicon
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -75,10 +74,4 @@ func StressedHoursOf(d time.Duration, stress float64) float64 {
 func (c *Chip) AgeBy(model AgingModel, stressedHours float64) {
 	c.StressedHours += stressedHours
 	c.AgeShiftMV = model.ShiftMV(c.StressedHours)
-}
-
-// AgingReport summarizes a chip's aging state.
-func (c *Chip) AgingReport() string {
-	return fmt.Sprintf("%s: %.0f stressed hours, Vcrit shift +%.1f mV",
-		c.Model, c.StressedHours, c.AgeShiftMV)
 }

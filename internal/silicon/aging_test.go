@@ -1,7 +1,6 @@
 package silicon
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -93,14 +92,5 @@ func TestChipAgeStressScaling(t *testing.T) {
 	c.Age(DefaultAgingModel(), -time.Hour, 1)
 	if c.StressedHours != 100 {
 		t.Fatal("negative duration aged the chip")
-	}
-}
-
-func TestAgingReport(t *testing.T) {
-	c := agedChip(5)
-	c.Age(DefaultAgingModel(), 500*time.Hour, 1)
-	s := c.AgingReport()
-	if !strings.Contains(s, "aging-part") || !strings.Contains(s, "mV") {
-		t.Fatalf("report = %q", s)
 	}
 }

@@ -22,12 +22,3 @@ func BenchmarkBinPopulation(b *testing.B) {
 		_ = BinPopulation(Process28nm(), 500, 4, nominal, ladder, rng.New(uint64(i)))
 	}
 }
-
-func BenchmarkDroopEvent(b *testing.B) {
-	c := Fabricate(Process28nm(), "part", 4, vfr.Point{VoltageMV: 844, FreqMHz: 2600}, 1, rng.New(1))
-	src := rng.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.DroopEvent(0.5, src)
-	}
-}

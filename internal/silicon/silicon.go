@@ -16,7 +16,6 @@ package silicon
 
 import (
 	"fmt"
-	"math"
 
 	"uniserver/internal/rng"
 	"uniserver/internal/vfr"
@@ -167,18 +166,6 @@ func (c *Chip) WorstCore() int {
 	return worst
 }
 
-// BestCore returns the index of the core with the lowest critical
-// voltage.
-func (c *Chip) BestCore() int {
-	best := 0
-	for i := 1; i < len(c.Cores); i++ {
-		if c.Cores[i].VcritOffsetMV < c.Cores[best].VcritOffsetMV {
-			best = i
-		}
-	}
-	return best
-}
-
 // GuardbandedVminMV returns the voltage a conservative manufacturer
 // rates the part at for the given frequency: the process-mean critical
 // voltage plus the full Table 1 guardband, independent of this
@@ -189,26 +176,6 @@ func (c *Chip) GuardbandedVminMV(freqMHz int) float64 {
 	base := c.Proc.VthMV + c.Proc.SlopeMVPerGHz*ghz
 	guard := vfr.TotalGuardbandPct(vfr.Table1Guardbands()) / 100
 	return base * (1 + guard)
-}
-
-// DroopEvent samples a transient voltage droop (in millivolts) for a
-// workload with the given current-step intensity in [0,1]; intensity 1
-// corresponds to a synchronized power virus hitting the worst-case
-// di/dt droop.
-func (c *Chip) DroopEvent(intensity float64, src *rng.Source) float64 {
-	if intensity < 0 {
-		intensity = 0
-	}
-	if intensity > 1 {
-		intensity = 1
-	}
-	pct := c.Proc.DroopPctTypical + (c.Proc.DroopPctWorst-c.Proc.DroopPctTypical)*intensity
-	// Droop events jitter around their magnitude by ~10%.
-	pct *= 1 + src.Normal(0, 0.1)
-	if pct < 0 {
-		pct = 0
-	}
-	return float64(c.Nominal.VoltageMV) * pct / 100
 }
 
 // Bin is a speed grade assigned by product binning (Figure 1).
@@ -277,23 +244,4 @@ func (p PopulationStats) Yield() float64 {
 		return 0
 	}
 	return 1 - float64(p.Discarded)/float64(p.Total)
-}
-
-// SpreadMV returns the spread (max-min) of per-core critical voltages
-// within the chip at the given frequency — the within-die
-// heterogeneity UniServer exposes per component instead of hiding
-// behind the core-to-core guardband.
-func (c *Chip) SpreadMV(freqMHz int) float64 {
-	lo := math.Inf(1)
-	hi := math.Inf(-1)
-	for i := range c.Cores {
-		v := c.VcritMV(i, freqMHz)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return hi - lo
 }

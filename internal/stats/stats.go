@@ -1,16 +1,8 @@
-// Package stats provides the small set of descriptive statistics used
-// by the characterization harnesses and benchmark reporters: means,
-// standard deviations, percentiles, min/max summaries and fixed-width
-// histograms. It exists so that every experiment reports numbers
-// through one audited code path.
+// Package stats provides the small set of statistics the simulator
+// uses: means, minima and maxima, and the standard normal quantile and
+// CDF. It exists so that every experiment reports numbers through one
+// audited code path.
 package stats
-
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -22,26 +14,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 when fewer than
-// two samples are present.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // Min returns the minimum of xs. It panics on an empty slice.
@@ -70,138 +42,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. It panics on an empty
-// slice or an out-of-range p.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic("stats: Percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Summary captures the descriptive statistics of one metric series.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary for xs. An empty input yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P50:    Median(xs),
-		P95:    Percentile(xs, 95),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary as a single human-readable line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi) with overflow and
-// underflow buckets tracked separately.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int
-	Underflow int
-	Overflow  int
-}
-
-// NewHistogram returns a histogram with the given number of equal-width
-// buckets spanning [lo, hi). It panics if buckets <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 {
-		panic("stats: NewHistogram with non-positive bucket count")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if idx == len(h.Counts) { // guard float rounding at upper edge
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BucketCenter returns the midpoint of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// String renders the histogram as an ASCII bar chart, one bucket per
-// line, scaled so the widest bar is 40 characters.
-func (h *Histogram) String() string {
-	max := 0
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := 0
-		if max > 0 {
-			bar = c * 40 / max
-		}
-		fmt.Fprintf(&b, "%10.4g | %-40s %d\n", h.BucketCenter(i), strings.Repeat("#", bar), c)
-	}
-	return b.String()
 }

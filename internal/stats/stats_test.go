@@ -2,10 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -16,19 +13,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("Mean(nil) = %v, want 0", got)
-	}
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almost(got, 4, 1e-12) {
-		t.Fatalf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almost(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-	if got := Variance([]float64{1}); got != 0 {
-		t.Fatalf("Variance single = %v, want 0", got)
 	}
 }
 
@@ -49,166 +33,4 @@ func TestMinPanicsEmpty(t *testing.T) {
 		}
 	}()
 	Min(nil)
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := Percentile([]float64{42}, 99); got != 42 {
-		t.Errorf("Percentile single = %v, want 42", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	Percentile(xs, 50)
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatalf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestPercentileBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Percentile(101) did not panic")
-		}
-	}()
-	Percentile([]float64{1}, 101)
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Fatalf("unexpected summary: %+v", s)
-	}
-	if !strings.Contains(s.String(), "n=5") {
-		t.Fatalf("summary string missing n: %s", s)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatalf("Summarize(nil) = %+v", z)
-	}
-}
-
-func TestPercentileOrderProperty(t *testing.T) {
-	err := quick.Check(func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		p25 := Percentile(xs, 25)
-		p50 := Percentile(xs, 50)
-		p75 := Percentile(xs, 75)
-		return p25 <= p50 && p50 <= p75 && Min(xs) <= p25 && p75 <= Max(xs)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPercentileMatchesSortEndpoints(t *testing.T) {
-	err := quick.Check(func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		return Percentile(xs, 0) == sorted[0] && Percentile(xs, 100) == sorted[len(sorted)-1]
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 11} {
-		h.Add(v)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("Underflow = %d, want 1", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("Overflow = %d, want 2", h.Overflow)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bucket 1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bucket 4 = %d, want 1", h.Counts[4])
-	}
-}
-
-func TestHistogramBucketCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.BucketCenter(0); got != 1 {
-		t.Fatalf("BucketCenter(0) = %v, want 1", got)
-	}
-	if got := h.BucketCenter(4); got != 9 {
-		t.Fatalf("BucketCenter(4) = %v, want 9", got)
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(1.6)
-	s := h.String()
-	if !strings.Contains(s, "#") {
-		t.Fatalf("histogram rendering missing bars:\n%s", s)
-	}
-	if len(strings.Split(strings.TrimSpace(s), "\n")) != 2 {
-		t.Fatalf("histogram should render 2 lines:\n%s", s)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(0,0,1) did not panic")
-		}
-	}()
-	NewHistogram(0, 0, 1)
-}
-
-func TestHistogramConservesCount(t *testing.T) {
-	err := quick.Check(func(raw []float64) bool {
-		h := NewHistogram(-100, 100, 13)
-		n := 0
-		for _, v := range raw {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-			n++
-		}
-		return h.Total()+h.Underflow+h.Overflow == n
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -58,9 +58,6 @@ func (a *Archive) Replace(entries []ArchiveEntry) {
 	}
 }
 
-// Len returns the number of archived viruses.
-func (a *Archive) Len() int { return len(a.entries) }
-
 // Best returns the highest-fitness entry for the machine/objective
 // pair, if any.
 func (a *Archive) Best(machine string, obj Objective) (ArchiveEntry, bool) {

@@ -25,14 +25,14 @@ func TestArchivePutValidation(t *testing.T) {
 	if err := a.Put(sampleEntry("v1", "m", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 {
-		t.Fatalf("len = %d", a.Len())
+	if len(a.entries) != 1 {
+		t.Fatalf("len = %d", len(a.entries))
 	}
 	// Replacement, not duplication.
 	if err := a.Put(sampleEntry("v1", "m", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 {
+	if len(a.entries) != 1 {
 		t.Fatal("replacement duplicated")
 	}
 }
@@ -69,7 +69,7 @@ func TestObtainVirusEvolvesOnceThenReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 {
+	if len(a.entries) != 1 {
 		t.Fatal("evolved virus not archived")
 	}
 	// Second call hits the archive: identical virus, no new entries,
@@ -78,7 +78,7 @@ func TestObtainVirusEvolvesOnceThenReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 {
+	if len(a.entries) != 1 {
 		t.Fatal("archive grew on reuse")
 	}
 	if v1.DroopIntensity != v2.DroopIntensity || v1.CacheStress != v2.CacheStress {
@@ -88,8 +88,8 @@ func TestObtainVirusEvolvesOnceThenReuses(t *testing.T) {
 	if _, err := ObtainVirus(a, cfg, MaxPower, m, 0, rng.New(2)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 2 {
-		t.Fatalf("len = %d", a.Len())
+	if len(a.entries) != 2 {
+		t.Fatalf("len = %d", len(a.entries))
 	}
 	if _, err := ObtainVirus(nil, cfg, MaxPower, m, 0, rng.New(3)); err == nil {
 		t.Fatal("nil archive accepted")

@@ -336,22 +336,6 @@ func sortByFitness(pop []scored) {
 	}
 }
 
-// Suite is the StressLog's workload suite: "different benchmarks and
-// kernels that either represent real-life applications or are
-// hand-coded to stress specific components of the system".
-type Suite struct {
-	Name       string
-	Benchmarks []cpu.Benchmark
-}
-
-// DefaultSuite combines the SPEC-like real workloads with the given
-// generated viruses.
-func DefaultSuite(viruses ...cpu.Benchmark) Suite {
-	s := Suite{Name: "stresslog-default", Benchmarks: cpu.SPECSuite()}
-	s.Benchmarks = append(s.Benchmarks, viruses...)
-	return s
-}
-
 // HandCodedViruses returns fixed stress kernels for deployments that
 // skip GA generation: a dI/dt resonance virus and a cache thrasher.
 func HandCodedViruses() []cpu.Benchmark {

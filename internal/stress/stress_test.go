@@ -196,17 +196,6 @@ func TestEvolveCacheStressObjective(t *testing.T) {
 	}
 }
 
-func TestDefaultSuite(t *testing.T) {
-	viruses := HandCodedViruses()
-	s := DefaultSuite(viruses...)
-	if len(s.Benchmarks) != len(cpu.SPECSuite())+len(viruses) {
-		t.Fatalf("suite size = %d", len(s.Benchmarks))
-	}
-	if s.Name == "" {
-		t.Fatal("suite must be named")
-	}
-}
-
 func BenchmarkEvolveVoltageNoise(b *testing.B) {
 	cfg := GAConfig{PopSize: 8, Generations: 5, TournamentK: 2, MutSigma: 0.1, Elite: 1}
 	m := cpu.NewMachine(cpu.PartI5_4200U(), 1)

@@ -15,24 +15,24 @@ func TestVirusArchiveReusedAcrossCampaigns(t *testing.T) {
 	p.UseViruses = true
 	p.Runs = 1
 
-	if d.Archive().Len() != 0 {
+	if len(d.archive.Entries()) != 0 {
 		t.Fatal("archive not empty at start")
 	}
 	if _, err := d.RunCampaign(p, rng.New(25)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Archive().Len() != 1 {
-		t.Fatalf("archive len = %d after first campaign", d.Archive().Len())
+	if len(d.archive.Entries()) != 1 {
+		t.Fatalf("archive len = %d after first campaign", len(d.archive.Entries()))
 	}
-	first := d.Archive().Entries()[0]
+	first := d.archive.Entries()[0]
 
 	if _, err := d.RunCampaign(p, rng.New(26)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Archive().Len() != 1 {
-		t.Fatalf("second campaign re-evolved: archive len = %d", d.Archive().Len())
+	if len(d.archive.Entries()) != 1 {
+		t.Fatalf("second campaign re-evolved: archive len = %d", len(d.archive.Entries()))
 	}
-	if d.Archive().Entries()[0] != first {
+	if d.archive.Entries()[0] != first {
 		t.Fatal("archived virus mutated across campaigns")
 	}
 	if first.Machine != "i5-4200U" {

@@ -146,10 +146,6 @@ func New(clock *telemetry.Clock, m *cpu.Machine, mem *dram.MemorySystem,
 	return d
 }
 
-// Archive exposes the daemon's persistent virus library (evolved
-// viruses are stored on first use and reused by later campaigns).
-func (d *Daemon) Archive() *stress.Archive { return d.archive }
-
 // TriggerHandler returns the callback higher layers hook into
 // healthlog.OnStressTrigger: it queues an on-demand campaign request.
 func (d *Daemon) TriggerHandler() func(healthlog.TriggerReason) {
@@ -164,22 +160,11 @@ func (d *Daemon) PendingCount() int {
 	return len(d.pending)
 }
 
-// Online reports whether the machine is serving load (true) or taken
-// offline for a stress campaign (false).
-func (d *Daemon) Online() bool {
-	return d.online
-}
-
 // DueAt reports whether the periodic re-characterization is due at
 // now, the daemon clock's current instant: the window step passes the
 // one its clock advance returned.
 func (d *Daemon) DueAt(now time.Time) bool {
 	return now.Sub(d.lastRun) >= d.period
-}
-
-// Period returns the current periodic re-characterization interval.
-func (d *Daemon) Period() time.Duration {
-	return d.period
 }
 
 // SetPeriod retargets the periodic re-characterization cadence — the

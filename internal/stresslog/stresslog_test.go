@@ -157,11 +157,11 @@ func TestOfflineDuringCampaign(t *testing.T) {
 	var d *Daemon
 	sawOffline := false
 	d, _, _ = testRigLogging(t, 9, writerFunc(func() {
-		if !d.Online() {
+		if !d.online {
 			sawOffline = true
 		}
 	}))
-	if !d.Online() {
+	if !d.online {
 		t.Fatal("machine should start online")
 	}
 	if _, err := d.RunCampaign(quickParams(), rng.New(9)); err != nil {
@@ -170,7 +170,7 @@ func TestOfflineDuringCampaign(t *testing.T) {
 	if !sawOffline {
 		t.Fatal("machine was never offline during campaign")
 	}
-	if !d.Online() {
+	if !d.online {
 		t.Fatal("machine not restored online")
 	}
 }
@@ -288,7 +288,7 @@ func TestReentrantCampaignRejected(t *testing.T) {
 	if !tried || inner == nil {
 		t.Fatalf("campaign started inside a running one: tried %t, error %v", tried, inner)
 	}
-	if !d.Online() || len(d.history) != 1 {
-		t.Fatalf("after the refused campaign: online %t, %d published vectors; want online and 1", d.Online(), len(d.history))
+	if !d.online || len(d.history) != 1 {
+		t.Fatalf("after the refused campaign: online %t, %d published vectors; want online and 1", d.online, len(d.history))
 	}
 }

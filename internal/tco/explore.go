@@ -47,24 +47,6 @@ func SweepMargins(base DataCenter, fixed GainSources, marginGains []float64) ([]
 	return out, nil
 }
 
-// CompareDeployments evaluates the same gain hypothesis across
-// deployments (cloud versus edge), returning one projection per
-// deployment in input order.
-func CompareDeployments(gains GainSources, dcs ...DataCenter) ([]Table3Projection, error) {
-	if len(dcs) == 0 {
-		return nil, errors.New("tco: no deployments to compare")
-	}
-	out := make([]Table3Projection, 0, len(dcs))
-	for _, dc := range dcs {
-		p, err := ProjectTable3(dc, gains)
-		if err != nil {
-			return nil, fmt.Errorf("tco: deployment %q: %w", dc.Name, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // RenderSweep renders a margins sweep as a text table.
 func RenderSweep(points []SweepPoint) string {
 	var b strings.Builder

@@ -127,24 +127,6 @@ type PerfCounters struct {
 	BranchMisses uint64 `json:"branch_misses"`
 }
 
-// IPC returns instructions per cycle, or 0 when no cycles elapsed.
-func (p PerfCounters) IPC() float64 {
-	if p.Cycles == 0 {
-		return 0
-	}
-	return float64(p.Instructions) / float64(p.Cycles)
-}
-
-// Add returns the sum of two counter snapshots.
-func (p PerfCounters) Add(o PerfCounters) PerfCounters {
-	return PerfCounters{
-		Instructions: p.Instructions + o.Instructions,
-		Cycles:       p.Cycles + o.Cycles,
-		CacheMisses:  p.CacheMisses + o.CacheMisses,
-		BranchMisses: p.BranchMisses + o.BranchMisses,
-	}
-}
-
 // ErrorKind classifies a hardware error event.
 type ErrorKind int
 
@@ -214,16 +196,6 @@ func (v *InfoVector) HasCrash() bool {
 		}
 	}
 	return false
-}
-
-// Sensor returns the first reading of the given kind.
-func (v InfoVector) Sensor(kind SensorKind) (float64, bool) {
-	for _, r := range v.Sensors {
-		if r.Kind == kind {
-			return r.Value, true
-		}
-	}
-	return 0, false
 }
 
 // MarshalLine encodes the vector as a single JSON line, the on-disk

@@ -51,9 +51,6 @@ func (p Point) VoltageOffsetPct(nominalMV int) float64 {
 // WithVoltage returns a copy of p at the given voltage.
 func (p Point) WithVoltage(mv int) Point { p.VoltageMV = mv; return p }
 
-// WithRefresh returns a copy of p at the given refresh interval.
-func (p Point) WithRefresh(d time.Duration) Point { p.Refresh = d; return p }
-
 // Mode labels the operating regimes the Predictor advises on.
 type Mode int
 

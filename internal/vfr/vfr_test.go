@@ -47,11 +47,11 @@ func TestVoltageOffsetPct(t *testing.T) {
 
 func TestWithHelpers(t *testing.T) {
 	p := Point{VoltageMV: 844, FreqMHz: 2600}
-	q := p.WithVoltage(800).WithRefresh(time.Second)
-	if q.VoltageMV != 800 || q.Refresh != time.Second || q.FreqMHz != 2600 {
-		t.Fatalf("WithVoltage/WithRefresh produced %v", q)
+	q := p.WithVoltage(800)
+	if q.VoltageMV != 800 || q.FreqMHz != 2600 {
+		t.Fatalf("WithVoltage produced %v", q)
 	}
-	if p.VoltageMV != 844 || p.Refresh != 0 {
+	if p.VoltageMV != 844 {
 		t.Fatal("With helpers mutated receiver")
 	}
 }
