@@ -910,9 +910,7 @@ func runSingleNode(out io.Writer, seed uint64, m vfr.Mode, risk float64, windows
 			crashes++
 		}
 		correctable += wrep.Correctable
-		for _, n := range wrep.DRAMHits {
-			dramHits += n
-		}
+		dramHits += wrep.DRAMCorrected
 	}
 	stats := eco.Hypervisor.Stats()
 	fmt.Fprintf(out, "  crashes:                  %d\n", crashes)

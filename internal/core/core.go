@@ -146,11 +146,9 @@ type Ecosystem struct {
 	coreNames []string             // precomputed "model/coreN" component names
 	dramSrc   rng.Source           // reseeded child stream for the DRAM window
 	dramHits  map[string]int       // owner → errors, cleared every window
-	curCore   int                  // core sampled this window, read by coreOf
 	sensors   [3]telemetry.Reading // the window vector's readings; Record keeps none
-	coreOf    func(string) int
-	leak      voltMemo // leakage voltage factor of the last point priced
-	failProb  failMemo // PredictedFailProb of the last point asked
+	leak      voltMemo             // leakage voltage factor of the last point priced
+	failProb  failMemo             // PredictedFailProb of the last point asked
 	// aging is the arena's window aging memo (RestoreArena); nil on an
 	// ecosystem built by New, whose windows each run once.
 	aging *agingMemo
@@ -159,10 +157,6 @@ type Ecosystem struct {
 // dramwinLabel is the hoisted stream label of the per-window DRAM
 // sample (stream-identical to SplitLabeled("dramwin") every window).
 var dramwinLabel = rng.MakeLabel("dramwin")
-
-// noCore is the component→core resolver for errors that have no CPU
-// core behind them (DRAM events).
-var noCore = func(string) int { return -1 }
 
 // New builds an ecosystem. Pre-deployment characterization has not run
 // yet; call PreDeployment before EnterMode.
@@ -179,7 +173,7 @@ func New(opts Options) (*Ecosystem, error) {
 		return nil, fmt.Errorf("core: building memory system: %w", err)
 	}
 	health := healthlog.New(healthlog.DefaultConfig(), clock, opts.HealthLogOut)
-	refresh := power.DRAMRefreshModel{DeviceGb: opts.Mem.DeviceGb, TotalMemW: 12}
+	refresh := refreshModel(opts.Mem)
 	stressd := stresslog.New(clock, machine, mem, health, refresh, opts.StressPeriod)
 	health.OnStressTrigger(stressd.TriggerHandler())
 
@@ -211,8 +205,13 @@ func New(opts Options) (*Ecosystem, error) {
 	for c := range e.coreNames {
 		e.coreNames[c] = fmt.Sprintf("%s/core%d", opts.Part.Model, c)
 	}
-	e.coreOf = func(string) int { return e.curCore }
 	return e, nil
+}
+
+// refreshModel is the DRAM refresh power model of a node with the
+// given memory. New builds it, and a stamp re-derives it.
+func refreshModel(mem dram.Config) power.DRAMRefreshModel {
+	return power.DRAMRefreshModel{DeviceGb: mem.DeviceGb, TotalMemW: 12}
 }
 
 // SetAmbient retargets the ambient temperatures the die and DIMM
@@ -316,16 +315,22 @@ func (e *Ecosystem) Table() *vfr.EOPTable { return e.table }
 // change.
 func (e *Ecosystem) setTable(t *vfr.EOPTable) {
 	e.table = t
-	e.worstComp = ""
-	for _, comp := range t.Components() {
-		m, err := t.Lookup(comp)
+	e.worstComp, e.worstMargin = worstCPU(t)
+}
+
+// worstCPU returns the table's CPU component with the least headroom,
+// the highest safe voltage, and its margin; "" when it has none.
+func worstCPU(t *vfr.EOPTable) (comp string, worst vfr.Margin) {
+	for _, c := range t.Components() {
+		m, err := t.Lookup(c)
 		if err != nil || m.Component == "dram/relaxed" {
 			continue
 		}
-		if e.worstComp == "" || m.Safe.VoltageMV > e.worstMargin.Safe.VoltageMV {
-			e.worstComp, e.worstMargin = comp, m
+		if comp == "" || m.Safe.VoltageMV > worst.Safe.VoltageMV {
+			comp, worst = c, m
 		}
 	}
+	return comp, worst
 }
 
 // SetWeakGrowth arms DRAM weak-cell population growth across
@@ -415,11 +420,12 @@ func (e *Ecosystem) Power(activity float64) PowerReport {
 
 // WindowReport summarizes one runtime observation window.
 type WindowReport struct {
-	Crashed      bool
-	Actions      []hypervisor.Action
-	Correctable  int
-	DRAMHits     map[string]int
-	PendingTests int
+	Crashed     bool
+	Correctable int
+	// DRAMCorrected counts the retention errors SECDED corrected in
+	// guest and hypervisor memory.
+	DRAMCorrected int
+	PendingTests  int
 	// CPUTempC and ThermalAlarm report the thermal state: alarm level
 	// 1 is a warning event, 2 forced a fallback to nominal.
 	CPUTempC     float64
@@ -449,7 +455,6 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 		Activity:       wl.CPUActivity,
 	}
 	core := e.src.Intn(e.Machine.Spec.Cores)
-	e.curCore = core
 	out := e.Machine.RunAt(core, bench, point.VoltageMV)
 	comp := e.coreNames[core]
 
@@ -503,10 +508,7 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 		vec.Errors = append(vec.Errors, telemetry.ErrorEvent{
 			Kind: telemetry.ErrCorrectable, Component: comp, Count: out.ECCErrors,
 		})
-		act := e.Hypervisor.HandleError(telemetry.ErrorEvent{
-			Kind: telemetry.ErrCorrectable, Component: comp, Count: out.ECCErrors,
-		}, "", -1, e.coreOf)
-		rep.Actions = append(rep.Actions, act)
+		e.Hypervisor.MaskCorrectable(core, out.ECCErrors)
 	}
 	e.Health.Record(vec)
 
@@ -514,21 +516,14 @@ func (e *Ecosystem) RuntimeWindow(wl workload.Profile) WindowReport {
 	// (correctable) and the hypervisor masks them from guests. The
 	// child stream and the hit map are per-ecosystem scratch: stream-
 	// identical to SplitLabeled("dramwin") and re-cleared every window.
-	// The report's map is only materialized when errors actually struck
-	// (rare at advised refresh intervals), so quiet windows hand out a
-	// nil map and allocate nothing.
 	e.dramSrc = e.src.SplitWith(dramwinLabel)
 	clear(e.dramHits)
 	e.Hypervisor.Allocator().SimulateWindowInto(&e.dramSrc, e.dramHits)
-	for owner, n := range e.dramHits {
-		if rep.DRAMHits == nil {
-			rep.DRAMHits = make(map[string]int, len(e.dramHits))
-		}
-		rep.DRAMHits[owner] = n
-		act := e.Hypervisor.HandleError(telemetry.ErrorEvent{
-			Kind: telemetry.ErrCorrectable, Component: "dram", Count: n,
-		}, owner, -1, noCore)
-		rep.Actions = append(rep.Actions, act)
+	for _, n := range e.dramHits {
+		rep.DRAMCorrected += n
+	}
+	if rep.DRAMCorrected > 0 {
+		e.Hypervisor.MaskCorrectable(-1, rep.DRAMCorrected)
 	}
 	rep.PendingTests = e.Stress.PendingCount()
 	return rep

@@ -375,9 +375,7 @@ func (d *Deployment) Step() (WindowReport, error) {
 	}
 	d.sum.Windows++
 	d.sum.CorrectableMasked += rep.Correctable
-	for _, n := range rep.DRAMHits {
-		d.sum.DRAMCorrected += n
-	}
+	d.sum.DRAMCorrected += rep.DRAMCorrected
 	d.tempSumC += rep.CPUTempC
 	if e.mode == vfr.ModeNominal {
 		d.sum.WindowsAtNominal++

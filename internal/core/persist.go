@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"uniserver/internal/healthlog"
 )
 
 // SnapshotFormatVersion identifies the on-disk snapshot encoding.
@@ -15,7 +17,7 @@ import (
 // simulator state, so a silent cross-version read would corrupt
 // results instead of failing loudly. Bump it whenever the images
 // change shape or meaning.
-const SnapshotFormatVersion = 8
+const SnapshotFormatVersion = 9
 
 // snapshotHeader is the frame in front of the encoded images: the
 // format version and the payload length as little-endian uint64s,
@@ -184,7 +186,7 @@ func (img *images) validate() error {
 	if err := img.Mem.Validate(); err != nil {
 		return fmt.Errorf("core: snapshot memory image: %w", err)
 	}
-	if err := img.Health.Validate(); err != nil {
+	if err := img.Health.Validate(healthlog.DefaultConfig()); err != nil {
 		return fmt.Errorf("core: snapshot health image: %w", err)
 	}
 	if err := img.Hyp.Alloc.Validate(len(img.Mem.Domains)); err != nil {

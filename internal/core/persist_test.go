@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uniserver/internal/cpu"
+	"uniserver/internal/dram"
 	"uniserver/internal/healthlog"
+	"uniserver/internal/hypervisor"
+	"uniserver/internal/stresslog"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -98,6 +103,185 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 			}
 			sameForwardBehaviour(t, snap, loaded)
 		})
+	}
+}
+
+// TestStampDerivesWhatSnapshotsDoNotStore: a snapshot stores no value
+// that Options, a constant or its own published table gives, and the
+// stamp derives each. Over seeds 1–12, both parts and both memory
+// configurations, a node stamped from a saved and reloaded snapshot
+// must hold every such value deeply equal to the node the snapshot was
+// taken from, which New and PreDeployment built. One arena takes every
+// stamp, so each also overwrites the previous configuration's values.
+func TestStampDerivesWhatSnapshotsDoNotStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	arena := NewRestoreArena()
+	for _, part := range []cpu.PartSpec{cpu.PartI5_4200U(), cpu.PartI7_3970X()} {
+		for _, mem := range []dram.Config{DefaultOptions().Mem, smallOptions(0).Mem} {
+			for seed := uint64(1); seed <= 12; seed++ {
+				opts := DefaultOptions()
+				opts.Seed, opts.Mem = seed, mem
+				opts.SetPart(part)
+				at := fmt.Sprintf("seed %d, part %s, memory %+v", seed, part.Model, mem)
+				src, err := New(opts)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if _, err := src.PreDeployment(); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				snap, err := src.Snapshot()
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				var buf bytes.Buffer
+				if err := snap.Save(&buf); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				loaded, err := LoadSnapshot(&buf)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				stamped, err := loaded.RestoreInto(arena, RestoreOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				got, want := derivedValues(stamped), derivedValues(src)
+				for name, w := range want {
+					if !reflect.DeepEqual(got[name], w) {
+						t.Errorf("%s: stamped %s is %+v, the characterized node's %+v", at, name, got[name], w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// derivedValues is every value a stamp derives instead of reading it
+// from its snapshot, by name. Values other packages keep private are
+// read through reflection.
+func derivedValues(e *Ecosystem) map[string]any {
+	return map[string]any{
+		"power model":          e.power,
+		"refresh model":        e.refresh,
+		"stress refresh model": private(e.Stress, "refresh"),
+		"thermal trip":         e.trip,
+		"weak growth":          e.weakGrowthPerDay,
+		"worst component":      e.worstComp,
+		"worst margin":         e.worstMargin,
+		"hypervisor config":    private(e.Hypervisor, "cfg"),
+		"hypervisor stats":     e.Hypervisor.Stats(),
+		"isolated cores":       private(e.Hypervisor, "isolatedCores"),
+		"error counts":         private(e.Hypervisor, "errorCounts"),
+		"machine spec":         e.Machine.Spec,
+		"stress period":        private(e.Stress, "period"),
+		"health config":        private(e.Health, "cfg"),
+	}
+}
+
+// private returns the value of the unexported field name of the
+// struct p points to.
+func private(p any, name string) any {
+	f := reflect.ValueOf(p).Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
+}
+
+// snapshotFieldDecisions records, for every field of images and of the
+// component images it holds, why the snapshot stores it ("stored"), or
+// where a stamp takes the value the snapshot does not store
+// ("derived"). "restated" marks a field that is stored although a stamp
+// could derive it: a known restatement, not yet cut.
+var snapshotFieldDecisions = map[string]string{
+	"core.images.Opts":             "stored: the options a stamp derives the rest from",
+	"core.images.Clock":            "stored: the characterization's end time",
+	"core.images.Src":              "stored: the main stream's position",
+	"core.images.Machine":          "stored: cpu.Image",
+	"core.images.Mem":              "stored: dram.FlatMemory",
+	"core.images.Health":           "stored: healthlog.Compiled",
+	"core.images.Stress":           "stored: stresslog.Compiled",
+	"core.images.Hyp":              "stored: hypervisor.Image",
+	"core.images.Model":            "stored: the trained predictor",
+	"core.images.PredictorAcc":     "stored: the predictor's accuracy on its training samples",
+	"core.images.Power":            "derived: power.DefaultCPUModel()",
+	"core.images.Refresh":          "derived: refreshModel(Opts.Mem)",
+	"core.images.Trip":             "derived: thermal.DefaultTrip()",
+	"core.images.WeakGrowthPerDay": "derived: zero; Snapshot refuses an ecosystem with growth armed",
+	"core.images.WorstComp":        "derived: worstCPU of the published table (Snapshot.derive)",
+	"core.images.WorstMargin":      "derived: worstCPU of the published table (Snapshot.derive)",
+
+	"cpu.Image.Chip":   "stored: the fabricated, possibly aged die",
+	"cpu.Image.Stream": "stored: the measurement stream's position",
+	"cpu.Image.Spec":   "derived: Opts.Part",
+
+	"dram.FlatMemory.Model":   "restated: dram.DefaultRetentionModel()",
+	"dram.FlatMemory.TempC":   "restated: Opts.Mem.TempC before the first window",
+	"dram.FlatMemory.Domains": "stored: the refresh domains",
+	"dram.FlatMemory.DIMMs":   "stored: each DIMM's extents in the weak-cell columns",
+
+	"healthlog.Compiled.Recorded": "stored: vectors recorded during characterization",
+	"healthlog.Compiled.Crashes":  "stored: crashes recorded during characterization",
+	"healthlog.Compiled.Comps":    "stored: each component's live trigger window",
+	"healthlog.Compiled.Config":   "derived: healthlog.DefaultConfig(), what New passes",
+
+	"stresslog.Compiled.Online":  "stored: the daemon's service state",
+	"stresslog.Compiled.LastRun": "stored: the schedule position",
+	"stresslog.Compiled.Pending": "stored: queued triggers",
+	"stresslog.Compiled.History": "stored: the published margins, the table last",
+	"stresslog.Compiled.Archive": "stored: the virus archive",
+	"stresslog.Compiled.Refresh": "derived: refreshModel(Opts.Mem)",
+	"stresslog.Compiled.Period":  "derived: Opts.StressPeriod",
+
+	"hypervisor.Image.Profiles":    "restated: hypervisor.DefaultProfiles(), the table the object column indexes",
+	"hypervisor.Image.Alloc":       "stored: the memory placements",
+	"hypervisor.Image.Point":       "restated: Opts.Hyp.Nominal before a mode entry",
+	"hypervisor.Image.Cfg":         "derived: Opts.Hyp",
+	"hypervisor.Image.Isolated":    "derived: none; Image refuses a host that isolated a core",
+	"hypervisor.Image.ErrorCounts": "derived: none; Image refuses a host that masked an error",
+	"hypervisor.Image.Stats":       "derived: zero; Image refuses a host that masked an error",
+	"hypervisor.Image.Panicked":    "derived: false; no runtime path panics a host",
+}
+
+// TestSnapshotImageFieldDecisions walks images and the component
+// images it holds by reflection: every exported field — what Save
+// encodes — must have a recorded decision, and none may be one a
+// stamp derives. A decision for a stored field that no longer exists
+// is stale.
+func TestSnapshotImageFieldDecisions(t *testing.T) {
+	components := map[reflect.Type]bool{
+		reflect.TypeFor[cpu.Image]():          true,
+		reflect.TypeFor[dram.FlatMemory]():    true,
+		reflect.TypeFor[healthlog.Compiled](): true,
+		reflect.TypeFor[stresslog.Compiled](): true,
+		reflect.TypeFor[hypervisor.Image]():   true,
+	}
+	seen := map[string]bool{}
+	var walk func(typ reflect.Type)
+	walk = func(typ reflect.Type) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name := typ.String() + "." + f.Name
+			seen[name] = true
+			switch d, ok := snapshotFieldDecisions[name]; {
+			case !ok:
+				t.Errorf("%s (%s) has no decision: is it a characterization output, or can a stamp derive it?", name, f.Type)
+			case strings.HasPrefix(d, "derived:"):
+				t.Errorf("%s is stored, but a stamp derives it (%s)", name, d)
+			}
+			if components[f.Type] {
+				walk(f.Type)
+			}
+		}
+	}
+	walk(reflect.TypeFor[images]())
+	for name, d := range snapshotFieldDecisions {
+		if !seen[name] && !strings.HasPrefix(d, "derived:") {
+			t.Errorf("%s is decided %q, but no image has it", name, d)
+		}
 	}
 }
 
@@ -212,9 +396,8 @@ func TestLoadSnapshotRefusesEmptyStressHistory(t *testing.T) {
 // TestLoadSnapshotRefusesMalformedHealthImage: the health image's
 // windows come from disk, so a correctly framed, canonically encoded
 // image whose components are unsorted or duplicated, whose window
-// entries go back in time, count negative errors or outnumber
-// RetainVectors, or whose daemon configuration holds a non-positive
-// value is refused. A characterization's window entries have all
+// entries go back in time, count negative errors or outnumber the
+// RetainVectors of the configuration a stamp uses is refused. A characterization's window entries have all
 // expired by the snapshot, so Compile leaves every window empty; the
 // fixture first gives the first component two live entries, an image
 // that loads, and each case breaks that.
@@ -245,10 +428,9 @@ func TestLoadSnapshotRefusesMalformedHealthImage(t *testing.T) {
 		"duplicate name":  func(h *healthlog.Compiled) { h.Comps[1].Name = h.Comps[0].Name },
 		"decreasing time": func(h *healthlog.Compiled) { h.Comps[0].Entries[1].Time = h.Comps[0].Entries[0].Time.Add(-time.Second) },
 		"negative count":  func(h *healthlog.Compiled) { h.Comps[0].Entries[0].Count = -1 },
-		"over retention":  func(h *healthlog.Compiled) { h.Config.RetainVectors = len(h.Comps[0].Entries) - 1 },
-		"zero threshold":  func(h *healthlog.Compiled) { h.Config.ErrorThreshold = 0 },
-		"negative window": func(h *healthlog.Compiled) { h.Config.Window = -time.Hour },
-		"zero retention":  func(h *healthlog.Compiled) { h.Config.RetainVectors = 0 },
+		"over retention": func(h *healthlog.Compiled) {
+			h.Comps[0].Entries = slices.Repeat(h.Comps[0].Entries[:1], healthlog.DefaultConfig().RetainVectors+1)
+		},
 	}
 	for name, brk := range breaks {
 		img := snap.img

@@ -60,10 +60,17 @@ type Snapshot struct {
 	// coreNames is derived from img's part: the per-window component
 	// names, built once here instead of with fmt on every stamp.
 	coreNames []string
+	// worstComp and worstMargin are derived from img's published
+	// table, as setTable derives them.
+	worstComp   string
+	worstMargin vfr.Margin
 }
 
-// images is the snapshot's content, field for field the ecosystem
-// state a stamp overwrites. It is what Save encodes: gob encodes its
+// images is the snapshot's content: the ecosystem state a stamp
+// overwrites that characterization produced. Values the stamp takes
+// from Options, a constant or the published table are not stored
+// (RestoreInto derives them), so a loaded snapshot cannot carry a copy
+// of one that disagrees with its source. It is what Save encodes: gob encodes its
 // fields, which are all exported and pointer-free (the history's
 // tables encode through vfr's own format), and nothing in it is a map,
 // so the encoding is deterministic; the bulk slabs inside Mem and Hyp
@@ -81,13 +88,7 @@ type images struct {
 	Hyp     hypervisor.Image
 	Model   predictor.Model
 	// PredictorAcc is the model's accuracy on its training samples.
-	PredictorAcc     float64
-	Power            power.CPUModel
-	Refresh          power.DRAMRefreshModel
-	WeakGrowthPerDay float64
-	Trip             thermal.Trip
-	WorstComp        string
-	WorstMargin      vfr.Margin
+	PredictorAcc float64
 }
 
 // Snapshot captures the characterized ecosystem as images. Every
@@ -96,7 +97,8 @@ type images struct {
 // tables, which nothing writes once published; so the live ecosystem
 // can keep running (or be discarded) without disturbing later stamps.
 // It returns an error outside the pre-deployment checkpoint: before
-// PreDeployment, after a mode entry, or once a runtime window has run.
+// PreDeployment, after a mode entry, once a runtime window has run,
+// or with weak-cell growth armed, which a stamp starts without.
 func (e *Ecosystem) Snapshot() (*Snapshot, error) {
 	switch {
 	case e.advisor == nil: // PreDeployment sets it after the table
@@ -105,28 +107,24 @@ func (e *Ecosystem) Snapshot() (*Snapshot, error) {
 		return nil, errors.New("core: snapshot after mode entry is unsupported; snapshot between PreDeployment and EnterMode")
 	case e.windowsRun > 0:
 		return nil, fmt.Errorf("core: snapshot after %d runtime windows is unsupported (thermal state would be lost on restore); snapshot before the first window", e.windowsRun)
+	case e.weakGrowthPerDay != 0:
+		return nil, errors.New("core: snapshot with weak-cell growth armed is unsupported; arm it on the stamp")
 	}
 	hyp, err := e.Hypervisor.Image()
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
 	s := &Snapshot{img: images{
-		Opts:             e.opts,
-		Clock:            e.Clock.Now(),
-		Src:              e.src.State(),
-		Machine:          e.Machine.Image(),
-		Mem:              *e.Mem.Flatten(),
-		Health:           *e.Health.Compile(),
-		Stress:           *e.Stress.Compile(),
-		Hyp:              hyp,
-		Model:            *e.Model,
-		PredictorAcc:     e.predictorAcc,
-		Power:            e.power,
-		Refresh:          e.refresh,
-		WeakGrowthPerDay: e.weakGrowthPerDay,
-		Trip:             e.trip,
-		WorstComp:        e.worstComp,
-		WorstMargin:      e.worstMargin,
+		Opts:         e.opts,
+		Clock:        e.Clock.Now(),
+		Src:          e.src.State(),
+		Machine:      e.Machine.Image(),
+		Mem:          *e.Mem.Flatten(),
+		Health:       *e.Health.Compile(),
+		Stress:       *e.Stress.Compile(),
+		Hyp:          hyp,
+		Model:        *e.Model,
+		PredictorAcc: e.predictorAcc,
 	}}
 	s.img.Opts.HealthLogOut = nil
 	s.derive()
@@ -140,6 +138,7 @@ func (s *Snapshot) derive() {
 	for i := range s.coreNames {
 		s.coreNames[i] = fmt.Sprintf("%s/core%d", part.Model, i)
 	}
+	s.worstComp, s.worstMargin = worstCPU(s.img.Stress.Table())
 }
 
 // RestoreTemplate is Snapshot under its former name: a snapshot is
@@ -212,7 +211,6 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 			aging:      &agingMemo{},
 		}
 		c.advisor = predictor.NewAdvisor(c.Model, nil)
-		c.coreOf = func(string) int { return c.curCore }
 		a.eco = c
 		a.trigger = c.Stress.TriggerHandler()
 	}
@@ -221,15 +219,16 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 	c := a.eco
 	c.opts = img.Opts
 	c.opts.HealthLogOut = opts.HealthLogOut
+	c.refresh = refreshModel(img.Opts.Mem) // the stress stamp takes it too
 
 	c.Clock.Reset(img.Clock)
-	c.Machine.StampFrom(&img.Machine)
+	c.Machine.StampFrom(&img.Machine, img.Opts.Part)
 	img.Mem.StampInto(c.Mem) // shares the weak-cell slabs until first write
-	img.Health.StampInto(c.Health, c.Clock, opts.HealthLogOut)
+	img.Health.StampInto(c.Health, healthlog.DefaultConfig(), c.Clock, opts.HealthLogOut)
 	c.Health.RewireStressTrigger(a.trigger)
-	img.Stress.StampInto(c.Stress, c.Clock, c.Machine, c.Mem, c.Health)
+	img.Stress.StampInto(c.Stress, c.Clock, c.Machine, c.Mem, c.Health, c.refresh, img.Opts.StressPeriod)
 	// Shares the object inventory until first write.
-	if err := c.Hypervisor.StampFrom(&img.Hyp, c.Mem); err != nil {
+	if err := c.Hypervisor.StampFrom(&img.Hyp, img.Opts.Hyp, c.Mem); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 
@@ -240,20 +239,18 @@ func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem
 	c.predictorAcc = img.PredictorAcc
 	c.table = img.Stress.Table() // shared: a published table is never written
 	c.advisor.Table = c.table
-	c.power = img.Power
+	c.power = power.DefaultCPUModel()
 	c.leak = voltMemo{}
-	c.refresh = img.Refresh
 	c.mode = vfr.ModeNominal
-	c.weakGrowthPerDay = img.WeakGrowthPerDay
-	c.trip = img.Trip
-	c.worstComp = img.WorstComp
-	c.worstMargin = img.WorstMargin
+	c.weakGrowthPerDay = 0
+	c.trip = thermal.DefaultTrip()
+	c.worstComp = s.worstComp
+	c.worstMargin = s.worstMargin
 	c.windowsRun = 0
 
 	c.coreNames = append(c.coreNames[:0], s.coreNames...)
 	clear(c.dramHits)
-	// c.coreOf captures the (stable) arena ecosystem; c.curCore and
-	// c.dramSrc are per-window scratch, always written before read.
+	// c.dramSrc is per-window scratch, always written before read.
 
 	c.opts.AmbientCPUC, c.opts.AmbientDIMMC = opts.AmbientCPUC, opts.AmbientDIMMC
 	c.opts.defaultAmbient()

@@ -42,13 +42,9 @@ func traceWindow(t *testing.T, b *strings.Builder, eco *Ecosystem, d *Deployment
 	if err != nil {
 		t.Fatal(err)
 	}
-	dram := 0
-	for _, n := range rep.DRAMHits {
-		dram += n
-	}
-	fmt.Fprintf(b, "w=%d crash=%t corr=%d dram=%d alarm=%d temp=%x acts=%d pend=%d fp=%x\n",
-		w, rep.Crashed, rep.Correctable, dram, rep.ThermalAlarm,
-		math.Float64bits(rep.CPUTempC), len(rep.Actions), rep.PendingTests,
+	fmt.Fprintf(b, "w=%d crash=%t corr=%d dram=%d alarm=%d temp=%x hyp=%+v pend=%d fp=%x\n",
+		w, rep.Crashed, rep.Correctable, rep.DRAMCorrected, rep.ThermalAlarm,
+		math.Float64bits(rep.CPUTempC), eco.Hypervisor.Stats(), rep.PendingTests,
 		math.Float64bits(fp))
 }
 
@@ -94,7 +90,8 @@ func directEcosystem(t *testing.T, seed uint64, ambCPU, ambDIMM float64) *Ecosys
 // refuses an ecosystem before PreDeployment, after a mode entry, after
 // one runtime window and after a later fast-forward gap, because a
 // stamp re-derives thermal state from ambient and holds a table and an
-// advisor; Reseed refuses once a window has run. Each case runs on its
+// advisor, and with weak-cell growth armed, because a stamp starts
+// without it; Reseed refuses once a window has run. Each case runs on its
 // own stamp of the accepted snapshot.
 func TestSnapshotRefusesMidDeployment(t *testing.T) {
 	if testing.Short() {
@@ -124,6 +121,7 @@ func TestSnapshotRefusesMidDeployment(t *testing.T) {
 			}
 		}},
 		{"after one window", true, func(t *testing.T, e *Ecosystem) { e.RuntimeWindow(wl) }},
+		{"with weak-cell growth armed", false, func(t *testing.T, e *Ecosystem) { e.SetWeakGrowth(5) }},
 		{"after a later FastForward", true, func(t *testing.T, e *Ecosystem) {
 			d, err := e.StartDeployment(vfr.ModeHighPerformance, 0.01, wl)
 			if err != nil {

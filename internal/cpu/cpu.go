@@ -168,11 +168,10 @@ func NewMachine(spec PartSpec, seed uint64) *Machine {
 	return &Machine{Spec: spec, Chip: chip, src: src}
 }
 
-// Image is a machine's snapshot form: the part, a copy of the
-// fabricated (and possibly aged) die, and the measurement-stream
-// position.
+// Image is a machine's snapshot form: a copy of the fabricated (and
+// possibly aged) die and the measurement-stream position. The part is
+// not part of it; the stamp takes it from its caller.
 type Image struct {
-	Spec   PartSpec
 	Chip   silicon.Chip
 	Stream uint64
 }
@@ -180,17 +179,17 @@ type Image struct {
 // Image captures the machine. The image shares no storage with m, so m
 // may keep running.
 func (m *Machine) Image() Image {
-	img := Image{Spec: m.Spec, Stream: m.src.State()}
+	img := Image{Stream: m.src.State()}
 	m.Chip.CopyInto(&img.Chip)
 	return img
 }
 
-// StampFrom overwrites m with the image, reusing m's chip and stream
-// storage; a zero Machine is a valid destination. Afterwards m evolves
-// independently of the image and replays exactly the sweep sequence
-// the imaged machine would have.
-func (m *Machine) StampFrom(img *Image) {
-	m.Spec = img.Spec
+// StampFrom overwrites m with the image of a machine of the given
+// part, reusing m's chip and stream storage; a zero Machine is a valid
+// destination. Afterwards m evolves independently of the image and
+// replays exactly the sweep sequence the imaged machine would have.
+func (m *Machine) StampFrom(img *Image, spec PartSpec) {
+	m.Spec = spec
 	if m.Chip == nil {
 		m.Chip = &silicon.Chip{}
 	}

@@ -75,7 +75,7 @@ func BenchmarkStampInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				img.StampInto(&d, clock, nil)
+				img.StampInto(&d, src.cfg, clock, nil)
 				for w := 0; w < 30; w++ {
 					v.Time = start.Add(time.Duration(w+1) * time.Minute)
 					d.Record(v)

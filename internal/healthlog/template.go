@@ -9,13 +9,12 @@ import (
 	"uniserver/internal/telemetry"
 )
 
-// Compiled is a daemon's snapshot image: its configuration, its
-// counters and each component's trigger window. Compile builds it
-// once per snapshot and StampInto copies it into a daemon. A Compiled
-// is immutable once built and safe for concurrent StampInto calls.
-// Its exported fields are its encoding.
+// Compiled is a daemon's snapshot image: its counters and each
+// component's trigger window. Compile builds it once per snapshot and
+// StampInto copies it into a daemon, with the configuration its
+// caller gives. A Compiled is immutable once built and safe for
+// concurrent StampInto calls. Its exported fields are its encoding.
 type Compiled struct {
-	Config   Config
 	Recorded uint64
 	Crashes  uint64
 	Comps    []CompiledComp // sorted by name
@@ -43,7 +42,7 @@ type CompiledComp struct {
 // before the push takes the oldest entry, an expired one whenever any
 // is left. Live entries are therefore all any record can count.
 func (d *Daemon) Compile() *Compiled {
-	c := &Compiled{Config: d.cfg, Recorded: d.recorded, Crashes: d.crashes}
+	c := &Compiled{Recorded: d.recorded, Crashes: d.crashes}
 	cutoff := d.clock.Now().Add(-d.cfg.Window)
 	byName := func(a, b *window) int { return strings.Compare(a.name, b.name) }
 	for _, w := range slices.SortedFunc(slices.Values(d.comps), byName) {
@@ -63,22 +62,19 @@ func (d *Daemon) Compile() *Compiled {
 	return c
 }
 
-// Validate refuses an image a daemon could not have compiled: a
-// non-positive configuration value, component names unsorted or
-// duplicated, or a window with more than RetainVectors entries, a
-// negative count or decreasing times. A decoded image that passes
-// stamps a daemon whose windows Record keeps exact.
-func (c *Compiled) Validate() error {
-	if cfg := c.Config; cfg.ErrorThreshold <= 0 || cfg.Window <= 0 || cfg.RetainVectors <= 0 {
-		return fmt.Errorf("healthlog: image config %+v has a non-positive value", cfg)
-	}
+// Validate refuses an image a daemon with configuration cfg could not
+// have compiled: component names unsorted or duplicated, or a window
+// with more than cfg.RetainVectors entries, a negative count or
+// decreasing times. A decoded image that passes stamps a daemon with
+// cfg whose windows Record keeps exact.
+func (c *Compiled) Validate(cfg Config) error {
 	for i, cc := range c.Comps {
 		if i > 0 && cc.Name <= c.Comps[i-1].Name {
 			return fmt.Errorf("healthlog: component %q follows %q: names unsorted or duplicated", cc.Name, c.Comps[i-1].Name)
 		}
-		if len(cc.Entries) > c.Config.RetainVectors {
+		if len(cc.Entries) > cfg.RetainVectors {
 			return fmt.Errorf("healthlog: component %q holds %d entries, more than the %d retained",
-				cc.Name, len(cc.Entries), c.Config.RetainVectors)
+				cc.Name, len(cc.Entries), cfg.RetainVectors)
 		}
 		for j, e := range cc.Entries {
 			if e.Count < 0 {
@@ -92,15 +88,15 @@ func (c *Compiled) Validate() error {
 	return nil
 }
 
-// StampInto overwrites d with the image, timestamping with clock and
-// writing future log lines to out; a zero Daemon is a valid
-// destination. It copies each component's entries into d's own
-// windows, reusing their rings, so a warm stamp does not allocate and
-// d shares nothing with the image. Trigger callbacks are dropped —
-// they are closures over the source's sibling daemons — and the caller
-// re-wires them.
-func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
-	d.cfg = c.Config
+// StampInto overwrites d with the image and the configuration cfg the
+// imaged daemon was built with, timestamping with clock and writing
+// future log lines to out; a zero Daemon is a valid destination. It
+// copies each component's entries into d's own windows, reusing their
+// rings, so a warm stamp does not allocate and d shares nothing with
+// the image. Trigger callbacks are dropped — they are closures over
+// the source's sibling daemons — and the caller re-wires them.
+func (c *Compiled) StampInto(d *Daemon, cfg Config, clock *telemetry.Clock, out io.Writer) {
+	d.cfg = cfg
 	d.clock = clock
 	d.out = out
 	d.recorded = c.Recorded

@@ -38,7 +38,7 @@ func TestRetentionCompactionMatchesScan(t *testing.T) {
 	var ref []telemetry.InfoVector
 	for i := 0; i < 500; i++ {
 		if i == nextStamp {
-			s.Compile().StampInto(s, clock, nil)
+			s.Compile().StampInto(s, cfg, clock, nil)
 			s.RewireStressTrigger(countS)
 			nextStamp += gaps[i%len(gaps)]
 		}
@@ -109,7 +109,7 @@ func TestStampRecordCycleAllocationFree(t *testing.T) {
 	bursts := []telemetry.InfoVector{vec("i5/core0", 1), vec("i7/core2", 0), vec("i7/core0", 2)}
 	cycle := func() {
 		for _, c := range []*Compiled{a, b} {
-			c.StampInto(d, clock, nil)
+			c.StampInto(d, d.cfg, clock, nil)
 			for w := 0; w < 40; w++ {
 				for _, v := range bursts {
 					d.Record(v)
@@ -123,7 +123,7 @@ func TestStampRecordCycleAllocationFree(t *testing.T) {
 	}
 
 	// The stamp still reproduces the image exactly.
-	b.StampInto(d, clock, nil)
+	b.StampInto(d, d.cfg, clock, nil)
 	if got := d.Compile(); !reflect.DeepEqual(got, b) {
 		t.Fatalf("reused arena stamp compiles to\n%+v\nwant the image\n%+v", got, b)
 	}
@@ -131,7 +131,8 @@ func TestStampRecordCycleAllocationFree(t *testing.T) {
 
 // TestCompiledValidate: Compile's own output validates and stamps into
 // a zero daemon, and every malformed image a decoder could be handed
-// is refused.
+// is refused, as is an image with more entries than the stamp's
+// configuration retains.
 func TestCompiledValidate(t *testing.T) {
 	image := func() *Compiled {
 		d, clock := newTestDaemon(nil)
@@ -143,30 +144,30 @@ func TestCompiledValidate(t *testing.T) {
 		}
 		return d.Compile()
 	}
+	d, clock := newTestDaemon(nil)
+	cfg := d.cfg
 	c := image()
-	if err := c.Validate(); err != nil {
+	if err := c.Validate(cfg); err != nil {
 		t.Fatalf("compiled image refused: %v", err)
 	}
 	var zero Daemon
-	_, clock := newTestDaemon(nil)
-	c.StampInto(&zero, clock, nil)
+	c.StampInto(&zero, cfg, clock, nil)
 	if got := zero.Compile(); !reflect.DeepEqual(got, c) {
 		t.Fatalf("zero daemon stamp compiles to %+v", got)
 	}
-	breaks := map[string]func(c *Compiled){
-		"unsorted names":  func(c *Compiled) { c.Comps[0], c.Comps[1] = c.Comps[1], c.Comps[0] },
-		"duplicate name":  func(c *Compiled) { c.Comps[1].Name = c.Comps[0].Name },
-		"decreasing time": func(c *Compiled) { c.Comps[1].Entries[3].Time = c.Comps[1].Entries[2].Time.Add(-time.Second) },
-		"negative count":  func(c *Compiled) { c.Comps[0].Entries[0].Count = -1 },
-		"over retention":  func(c *Compiled) { c.Config.RetainVectors = len(c.Comps[0].Entries) - 1 },
-		"zero threshold":  func(c *Compiled) { c.Config.ErrorThreshold = 0 },
-		"negative window": func(c *Compiled) { c.Config.Window = -time.Minute },
-		"zero retention":  func(c *Compiled) { c.Config.RetainVectors = 0 },
+	breaks := map[string]func(c *Compiled, cfg *Config){
+		"unsorted names": func(c *Compiled, _ *Config) { c.Comps[0], c.Comps[1] = c.Comps[1], c.Comps[0] },
+		"duplicate name": func(c *Compiled, _ *Config) { c.Comps[1].Name = c.Comps[0].Name },
+		"decreasing time": func(c *Compiled, _ *Config) {
+			c.Comps[1].Entries[3].Time = c.Comps[1].Entries[2].Time.Add(-time.Second)
+		},
+		"negative count": func(c *Compiled, _ *Config) { c.Comps[0].Entries[0].Count = -1 },
+		"over retention": func(c *Compiled, cfg *Config) { cfg.RetainVectors = len(c.Comps[0].Entries) - 1 },
 	}
 	for name, brk := range breaks {
-		c := image()
-		brk(c)
-		if err := c.Validate(); err == nil {
+		c, cfg := image(), cfg
+		brk(c, &cfg)
+		if err := c.Validate(cfg); err == nil {
 			t.Errorf("%s: broken image accepted", name)
 		}
 	}
@@ -176,7 +177,7 @@ func TestCompiledValidate(t *testing.T) {
 // daemon's windows hold, expired or not — the image Compile wrote
 // before it kept only live entries.
 func untrimmedImage(d *Daemon) *Compiled {
-	c := &Compiled{Config: d.cfg, Recorded: d.recorded, Crashes: d.crashes}
+	c := &Compiled{Recorded: d.recorded, Crashes: d.crashes}
 	for _, w := range d.comps {
 		cc := CompiledComp{Name: w.name}
 		for i := range w.n {
@@ -252,7 +253,7 @@ func TestTrimmedImageMatchesUntrimmed(t *testing.T) {
 				record(source)
 			}
 			img, ref := source.Compile(), untrimmedImage(source)
-			if err := img.Validate(); err != nil {
+			if err := img.Validate(cfg); err != nil {
 				t.Fatalf("seed %d round %d: trimmed image refused: %v", seed, round, err)
 			}
 			for i, cc := range ref.Comps {
@@ -264,8 +265,8 @@ func TestTrimmedImageMatchesUntrimmed(t *testing.T) {
 				}
 			}
 			stamped := telemetry.NewClock(clock.Now())
-			img.StampInto(&trimmed, stamped, nil)
-			ref.StampInto(&full, stamped, nil)
+			img.StampInto(&trimmed, cfg, stamped, nil)
+			ref.StampInto(&full, cfg, stamped, nil)
 			var gotFired, wantFired []TriggerReason
 			trimmed.RewireStressTrigger(func(r TriggerReason) { gotFired = append(gotFired, r) })
 			full.RewireStressTrigger(func(r TriggerReason) { wantFired = append(wantFired, r) })

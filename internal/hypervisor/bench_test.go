@@ -6,7 +6,6 @@ import (
 
 	"uniserver/internal/dram"
 	"uniserver/internal/rng"
-	"uniserver/internal/telemetry"
 )
 
 func benchHypervisor(b *testing.B) *Hypervisor {
@@ -38,12 +37,11 @@ func BenchmarkStartStopVM(b *testing.B) {
 	}
 }
 
-func BenchmarkHandleCorrectable(b *testing.B) {
+func BenchmarkMaskCorrectable(b *testing.B) {
 	h := benchHypervisor(b)
-	ev := telemetry.ErrorEvent{Kind: telemetry.ErrCorrectable, Component: "core0/L2", Count: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = h.HandleError(ev, "", -1, func(string) int { return -1 })
+		h.MaskCorrectable(i%8, 1)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"uniserver/internal/dram"
-	"uniserver/internal/telemetry"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -29,7 +28,7 @@ type Config struct {
 	// OversubscribeVCPU bounds total vCPUs per available core.
 	OversubscribeVCPU int
 	// IsolationThreshold is the number of correctable errors on one
-	// component after which the hypervisor isolates it.
+	// core after which the hypervisor isolates it.
 	IsolationThreshold int
 }
 
@@ -47,59 +46,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// VMState tracks a guest's lifecycle.
-type VMState int
-
-const (
-	VMRunning VMState = iota
-	VMStopped
-)
-
-// String implements fmt.Stringer.
-func (s VMState) String() string {
-	if s == VMRunning {
-		return "running"
-	}
-	return "stopped"
-}
-
 // VM is one guest instance.
 type VM struct {
 	Spec    workload.VMSpec
-	State   VMState
 	Windows int // observation windows since start
-	// Restarts counts error-triggered restarts (each one is an error
-	// masked from the cloud layer as a reboot rather than a host
-	// crash).
-	Restarts int
 }
-
-// Action is the hypervisor's response to a hardware error event.
-type Action int
-
-const (
-	// ActionMasked means the error was absorbed with no guest impact.
-	ActionMasked Action = iota
-	// ActionIsolated means the source component was quarantined.
-	ActionIsolated
-	// ActionVMRestart means one guest was restarted (its memory was
-	// hit by an uncorrectable error); the host survived.
-	ActionVMRestart
-	// ActionRestored means a corrupted-but-protected hypervisor
-	// object was restored from its checkpoint.
-	ActionRestored
-	// ActionPanic means the hypervisor itself was fatally corrupted.
-	ActionPanic
-)
 
 // Stats aggregates the hypervisor's resilience bookkeeping.
 type Stats struct {
-	ErrorsMasked   uint64
-	CoresIsolated  int
-	VMRestarts     uint64
-	VMsEvicted     uint64
-	ObjectRestores uint64
-	Panics         uint64
+	ErrorsMasked  uint64
+	CoresIsolated int
+	VMsEvicted    uint64
 }
 
 // Hypervisor is the error-resilient virtualization layer.
@@ -113,9 +70,8 @@ type Hypervisor struct {
 	pins          *pinner
 	point         vfr.Point
 	isolatedCores map[int]bool
-	errorCounts   map[string]int // correctable errors per component
+	errorCounts   map[int]int // correctable errors per core toward isolation
 	stats         Stats
-	panicked      bool
 }
 
 // New builds a hypervisor on the host memory system. Its own state is
@@ -126,9 +82,7 @@ func New(cfg Config, objects *ObjectMap, mem *dram.MemorySystem) (*Hypervisor, e
 	if cfg.Cores <= 0 {
 		return nil, errors.New("hypervisor: config needs cores")
 	}
-	if cfg.OversubscribeVCPU <= 0 {
-		cfg.OversubscribeVCPU = 1
-	}
+	cfg.OversubscribeVCPU = max(cfg.OversubscribeVCPU, 1)
 	if objects == nil || mem == nil {
 		return nil, errors.New("hypervisor: nil object map or memory system")
 	}
@@ -141,7 +95,7 @@ func New(cfg Config, objects *ObjectMap, mem *dram.MemorySystem) (*Hypervisor, e
 		pins:          newPinner(cfg.OversubscribeVCPU),
 		point:         cfg.Nominal,
 		isolatedCores: make(map[int]bool),
-		errorCounts:   make(map[string]int),
+		errorCounts:   make(map[int]int),
 	}
 	ownPages := (h.staticFootprint() + dram.PageSize - 1) / dram.PageSize
 	if _, err := h.alloc.Alloc(cfg.Name+"/hypervisor", dram.CriticalityHypervisor, ownPages); err != nil {
@@ -202,9 +156,7 @@ func (h *Hypervisor) AvailableCores() int {
 func (h *Hypervisor) usedVCPUs() int {
 	n := 0
 	for _, vm := range h.vms {
-		if vm.State == VMRunning {
-			n += vm.Spec.VCPUs
-		}
+		n += vm.Spec.VCPUs
 	}
 	return n
 }
@@ -213,9 +165,6 @@ func (h *Hypervisor) usedVCPUs() int {
 // on relaxed domains (guests tolerate the EOP; the hypervisor masks
 // what happens there).
 func (h *Hypervisor) StartVM(spec workload.VMSpec) error {
-	if h.panicked {
-		return errors.New("hypervisor: host is down")
-	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -240,7 +189,7 @@ func (h *Hypervisor) StartVM(spec workload.VMSpec) error {
 		h.alloc.Free(spec.Name + "/overhead")
 		return err
 	}
-	h.vms[spec.Name] = &VM{Spec: spec, State: VMRunning}
+	h.vms[spec.Name] = &VM{Spec: spec}
 	return nil
 }
 
@@ -275,9 +224,7 @@ func (h *Hypervisor) VM(name string) (*VM, bool) {
 // Tick advances every running guest by one observation window.
 func (h *Hypervisor) Tick() {
 	for _, vm := range h.vms {
-		if vm.State == VMRunning {
-			vm.Windows++
-		}
+		vm.Windows++
 	}
 }
 
@@ -286,9 +233,7 @@ func (h *Hypervisor) Tick() {
 func (h *Hypervisor) HypervisorBytes() uint64 {
 	total := h.staticFootprint()
 	for _, vm := range h.vms {
-		if vm.State == VMRunning {
-			total += h.cfg.PerVMFixedBytes + uint64(float64(vm.Spec.MemBytes)*h.cfg.PerVMFrac)
-		}
+		total += h.cfg.PerVMFixedBytes + uint64(float64(vm.Spec.MemBytes)*h.cfg.PerVMFrac)
 	}
 	return total
 }
@@ -297,9 +242,7 @@ func (h *Hypervisor) HypervisorBytes() uint64 {
 func (h *Hypervisor) GuestBytes() uint64 {
 	var total uint64
 	for _, vm := range h.vms {
-		if vm.State == VMRunning {
-			total += vm.Spec.MemBytes
-		}
+		total += vm.Spec.MemBytes
 	}
 	return total
 }
@@ -333,60 +276,21 @@ func (h *Hypervisor) IsolateCore(core int) error {
 	return nil
 }
 
-// HandleError is the hypervisor's error-masking policy, fed from the
-// HealthLog's event stream:
-//
-//   - correctable errors are masked and counted; a component whose
-//     count crosses the isolation threshold is quarantined;
-//   - uncorrectable errors in guest memory restart only that guest;
-//   - uncorrectable errors in hypervisor state restore the object
-//     from its checkpoint when protected, and are fatal otherwise.
-//
-// The coreOf function maps a component name to a physical core index,
-// or -1 when the component is not a core (e.g. a DRAM domain).
-func (h *Hypervisor) HandleError(ev telemetry.ErrorEvent, owner string, objectID int, coreOf func(string) int) Action {
-	if h.panicked {
-		return ActionPanic
+// MaskCorrectable is the hypervisor's error-masking policy for
+// correctable errors, the only kind a runtime window reports: it masks
+// count errors and counts them toward the core's isolation threshold,
+// quarantining the core once its count reaches the threshold. A
+// negative core means DRAM, where SECDED corrected the errors and
+// nothing is isolated.
+func (h *Hypervisor) MaskCorrectable(core, count int) {
+	h.stats.ErrorsMasked += uint64(count)
+	if core < 0 {
+		return
 	}
-	switch ev.Kind {
-	case telemetry.ErrCorrectable:
-		h.stats.ErrorsMasked += uint64(ev.Count)
-		h.errorCounts[ev.Component] += ev.Count
-		if h.errorCounts[ev.Component] >= h.cfg.IsolationThreshold {
-			h.errorCounts[ev.Component] = 0
-			if core := coreOf(ev.Component); core >= 0 {
-				if err := h.IsolateCore(core); err == nil {
-					return ActionIsolated
-				}
-			}
-		}
-		return ActionMasked
-
-	case telemetry.ErrUncorrectable, telemetry.ErrCrash:
-		if vm, ok := h.vms[owner]; ok {
-			vm.Restarts++
-			h.stats.VMRestarts++
-			return ActionVMRestart
-		}
-		// Hypervisor state was hit.
-		if objectID >= 0 && objectID < h.objects.Len() {
-			obj := &h.objects.Objects[objectID]
-			if obj.Protected {
-				h.stats.ObjectRestores++
-				return ActionRestored
-			}
-			if !obj.Crucial {
-				h.stats.ErrorsMasked++
-				return ActionMasked
-			}
-		}
-		h.panicked = true
-		h.stats.Panics++
-		return ActionPanic
-
-	default:
-		h.stats.ErrorsMasked += uint64(ev.Count)
-		return ActionMasked
+	h.errorCounts[core] += count
+	if h.errorCounts[core] >= h.cfg.IsolationThreshold {
+		h.errorCounts[core] = 0
+		_ = h.IsolateCore(core) // an out-of-range core stays in service
 	}
 }
 

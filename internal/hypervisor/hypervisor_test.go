@@ -6,7 +6,6 @@ import (
 
 	"uniserver/internal/dram"
 	"uniserver/internal/rng"
-	"uniserver/internal/telemetry"
 	"uniserver/internal/vfr"
 	"uniserver/internal/workload"
 )
@@ -152,7 +151,7 @@ func TestStartStopVM(t *testing.T) {
 		t.Fatalf("VMNames = %v", names)
 	}
 	vm, ok := h.VM("vm1")
-	if !ok || vm.State != VMRunning {
+	if !ok || vm.Spec.Name != "vm1" {
 		t.Fatalf("VM lookup = %+v, %v", vm, ok)
 	}
 	// Guest memory must be on relaxed domains; overhead on reliable.
@@ -251,125 +250,33 @@ func TestApplyRefresh(t *testing.T) {
 	}
 }
 
-func coreOfNone(string) int { return -1 }
-
 func TestHandleCorrectableMasks(t *testing.T) {
 	h := testHypervisor(t, 17)
-	ev := telemetry.ErrorEvent{Kind: telemetry.ErrCorrectable, Component: "core2/L2", Count: 3}
-	if a := h.HandleError(ev, "", -1, coreOfNone); a != ActionMasked {
-		t.Fatalf("action = %v", a)
-	}
-	if h.Stats().ErrorsMasked != 3 {
+	h.MaskCorrectable(2, 3)
+	h.MaskCorrectable(-1, 4) // DRAM
+	if h.Stats().ErrorsMasked != 7 {
 		t.Fatalf("masked = %d", h.Stats().ErrorsMasked)
+	}
+	if len(h.isolatedCores) != 0 || h.errorCounts[2] != 3 {
+		t.Fatalf("isolated cores %v, error counts %v", h.isolatedCores, h.errorCounts)
 	}
 }
 
 func TestHandleCorrectableIsolatesAfterThreshold(t *testing.T) {
 	h := testHypervisor(t, 19)
-	coreOf := func(comp string) int {
-		if comp == "core2/L2" {
-			return 2
-		}
-		return -1
+	for i := 0; i < 7; i++ {
+		h.MaskCorrectable(2, 3)
+		h.MaskCorrectable(-1, 3) // DRAM errors isolate nothing
 	}
-	var last Action
-	for i := 0; i < 8; i++ {
-		last = h.HandleError(telemetry.ErrorEvent{
-			Kind: telemetry.ErrCorrectable, Component: "core2/L2", Count: 3,
-		}, "", -1, coreOf)
+	if len(h.isolatedCores) != 0 {
+		t.Fatalf("isolated cores %v below the threshold", h.isolatedCores)
 	}
-	if last != ActionIsolated {
-		t.Fatalf("last action = %v, want isolation at threshold", last)
-	}
+	h.MaskCorrectable(2, 3) // 24: the threshold
 	if got := h.isolatedCores; len(got) != 1 || !got[2] {
 		t.Fatalf("isolated cores = %v", got)
 	}
-}
-
-func TestHandleUncorrectableInGuestRestartsVM(t *testing.T) {
-	h := testHypervisor(t, 21)
-	if err := h.StartVM(vmSpec("victim", 2)); err != nil {
-		t.Fatal(err)
-	}
-	ev := telemetry.ErrorEvent{Kind: telemetry.ErrUncorrectable, Component: "dram/channel1", Count: 1}
-	if a := h.HandleError(ev, "victim", -1, coreOfNone); a != ActionVMRestart {
-		t.Fatalf("action = %v", a)
-	}
-	vm, _ := h.VM("victim")
-	if vm.Restarts != 1 {
-		t.Fatalf("restarts = %d", vm.Restarts)
-	}
-	if h.panicked {
-		t.Fatal("guest error must not panic the host")
-	}
-}
-
-func TestHandleUncorrectableInProtectedObjectRestores(t *testing.T) {
-	h := testHypervisor(t, 23)
-	// Find a crucial object and protect it.
-	id := -1
-	for i, o := range h.Objects().Objects {
-		if o.Crucial {
-			id = i
-			break
-		}
-	}
-	if id < 0 {
-		t.Fatal("no crucial object found")
-	}
-	h.Objects().ProtectObjects([]int{id})
-	ev := telemetry.ErrorEvent{Kind: telemetry.ErrUncorrectable, Component: "hypervisor", Count: 1}
-	if a := h.HandleError(ev, "", id, coreOfNone); a != ActionRestored {
-		t.Fatalf("action = %v, want restore", a)
-	}
-	if h.panicked {
-		t.Fatal("protected object corruption must not panic")
-	}
-}
-
-func TestHandleUncorrectableInCrucialObjectPanics(t *testing.T) {
-	h := testHypervisor(t, 25)
-	id := -1
-	for i, o := range h.Objects().Objects {
-		if o.Crucial && !o.Protected {
-			id = i
-			break
-		}
-	}
-	ev := telemetry.ErrorEvent{Kind: telemetry.ErrUncorrectable, Component: "hypervisor", Count: 1}
-	if a := h.HandleError(ev, "", id, coreOfNone); a != ActionPanic {
-		t.Fatalf("action = %v, want panic", a)
-	}
-	if !h.panicked {
-		t.Fatal("host should be down")
-	}
-	// A downed host refuses new guests.
-	if err := h.StartVM(vmSpec("late", 1)); err == nil {
-		t.Fatal("panicked host accepted a VM")
-	}
-	if h.HandleError(ev, "", id, coreOfNone) != ActionPanic {
-		t.Fatal("panicked host should stay panicked")
-	}
-}
-
-func TestHandleUncorrectableInNonCrucialObjectMasks(t *testing.T) {
-	h := testHypervisor(t, 27)
-	id := -1
-	for i, o := range h.Objects().Objects {
-		if !o.Crucial {
-			id = i
-			break
-		}
-	}
-	ev := telemetry.ErrorEvent{Kind: telemetry.ErrUncorrectable, Component: "hypervisor", Count: 1}
-	if a := h.HandleError(ev, "", id, coreOfNone); a != ActionMasked {
-		t.Fatalf("action = %v, want masked", a)
-	}
-}
-
-func TestVMStateString(t *testing.T) {
-	if VMRunning.String() != "running" || VMStopped.String() != "stopped" {
-		t.Error("VM state names wrong")
+	if h.errorCounts[2] != 0 || h.Stats().CoresIsolated != 1 {
+		t.Fatalf("error counts %v, stats %+v after isolation", h.errorCounts, h.Stats())
 	}
 }
 

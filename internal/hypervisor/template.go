@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -12,77 +11,60 @@ import (
 	"uniserver/internal/vfr"
 )
 
-// Image is the snapshot form of a hypervisor without guests: the
-// object inventory, the memory placements (domains by index), the
-// operating point, the isolation state and the resilience counters.
-// Its maps are stored as slices sorted by key, so an image encodes to
-// the same bytes every time. An image is immutable once taken: stamped
-// hypervisors alias its objects until their first protection call.
-// Its exported fields are the head a snapshot encodes with gob; the
-// object inventory is unexported and encodes as a fixed-width column
-// (AppendColumns).
+// Image is the snapshot form of a hypervisor without guests and
+// without runtime error state: the object inventory, the memory
+// placements (domains by index) and the operating point. The host's
+// configuration is not part of it; the stamp takes it from its caller.
+// An image is immutable once taken: stamped hypervisors alias its
+// objects until their first protection call. Its exported fields are
+// the head a snapshot encodes with gob; the object inventory is
+// unexported and encodes as a fixed-width column (AppendColumns).
 type Image struct {
-	Cfg         Config
-	objects     []Object
-	Profiles    []CategoryProfile
-	Alloc       dram.AllocatorImage
-	Point       vfr.Point
-	Isolated    []int        // isolated cores, ascending
-	ErrorCounts []ErrorCount // sorted by component
-	Stats       Stats
-	Panicked    bool
+	objects  []Object
+	Profiles []CategoryProfile
+	Alloc    dram.AllocatorImage
+	Point    vfr.Point
 }
 
-// ErrorCount is one component's correctable-error count toward
-// isolation.
-type ErrorCount struct {
-	Component string
-	N         int
-}
-
-// Image captures the hypervisor, which must host no guests: guests are
-// the cloud layer's, and no ecosystem places any. The image takes the
-// object inventory copy-on-write: it aliases h's objects, and h's next
-// Protect or ProtectObjects copies them first (ObjectMap.lend), so h
-// may keep running and the image never changes. It shares nothing
-// else that h writes.
+// Image captures the hypervisor, which must host no guests — guests
+// are the cloud layer's, and no ecosystem places any — and must not
+// have masked an error or isolated a core: a stamp starts with no
+// runtime error state. The image takes the object inventory
+// copy-on-write: it aliases h's objects, and h's next Protect or
+// ProtectObjects copies them first (ObjectMap.lend), so h may keep
+// running and the image never changes. It shares nothing else that h
+// writes.
 func (h *Hypervisor) Image() (Image, error) {
 	if len(h.vms) > 0 {
 		return Image{}, fmt.Errorf("hypervisor: cannot image a host with %d guests", len(h.vms))
 	}
+	if h.stats != (Stats{}) || len(h.isolatedCores) > 0 || len(h.errorCounts) > 0 {
+		return Image{}, fmt.Errorf("hypervisor: cannot image a host with runtime error state (%+v)", h.stats)
+	}
 	img := Image{
-		Cfg:      h.cfg,
 		Profiles: slices.Clone(h.objects.profiles),
 		Alloc:    h.alloc.Image(),
 		Point:    h.point,
-		Stats:    h.stats,
-		Panicked: h.panicked,
 	}
 	if len(h.objects.Objects) > 0 {
 		img.objects = h.objects.lend()
 	}
-	for _, c := range slices.Sorted(maps.Keys(h.isolatedCores)) {
-		if h.isolatedCores[c] {
-			img.Isolated = append(img.Isolated, c)
-		}
-	}
-	for _, comp := range slices.Sorted(maps.Keys(h.errorCounts)) {
-		img.ErrorCounts = append(img.ErrorCounts, ErrorCount{Component: comp, N: h.errorCounts[comp]})
-	}
 	return img, nil
 }
 
-// StampFrom overwrites h with the image bound to mem, reusing h's
-// allocator and map storage; a zero Hypervisor is a valid destination.
-// The object inventory is shared with the image until h first writes
-// it (ObjectMap.share). h must be owned exclusively by the caller, and
+// StampFrom overwrites h with the image and cfg bound to mem, reusing
+// h's allocator and map storage; a zero Hypervisor is a valid
+// destination. cfg is what New was given for the imaged host. The
+// object inventory is shared with the image until h first writes it
+// (ObjectMap.share). h must be owned exclusively by the caller, and
 // afterwards its error handling and guest churn leave the image
 // untouched.
-func (h *Hypervisor) StampFrom(img *Image, mem *dram.MemorySystem) error {
+func (h *Hypervisor) StampFrom(img *Image, cfg Config, mem *dram.MemorySystem) error {
 	if mem == nil {
 		return errors.New("hypervisor: StampFrom needs a memory system")
 	}
-	h.cfg = img.Cfg
+	cfg.OversubscribeVCPU = max(cfg.OversubscribeVCPU, 1)
+	h.cfg = cfg
 	h.mem = mem
 	if h.objects == nil {
 		h.objects = &ObjectMap{}
@@ -97,26 +79,16 @@ func (h *Hypervisor) StampFrom(img *Image, mem *dram.MemorySystem) error {
 
 	h.vms = emptied(h.vms)
 	if h.pins == nil {
-		h.pins = newPinner(img.Cfg.OversubscribeVCPU)
+		h.pins = newPinner(cfg.OversubscribeVCPU)
 	}
-	h.pins.oversub = img.Cfg.OversubscribeVCPU
+	h.pins.oversub = cfg.OversubscribeVCPU
 	clear(h.pins.load)
 	clear(h.pins.byVM)
 
 	h.point = img.Point
-
 	h.isolatedCores = emptied(h.isolatedCores)
-	for _, c := range img.Isolated {
-		h.isolatedCores[c] = true
-	}
-
 	h.errorCounts = emptied(h.errorCounts)
-	for _, ec := range img.ErrorCounts {
-		h.errorCounts[ec.Component] = ec.N
-	}
-
-	h.stats = img.Stats
-	h.panicked = img.Panicked
+	h.stats = Stats{}
 	return nil
 }
 

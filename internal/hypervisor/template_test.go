@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"uniserver/internal/rng"
-	"uniserver/internal/telemetry"
 )
 
 // TestStampSharesObjectsUntilProtect pins the copy-on-write contract of
@@ -72,20 +71,16 @@ func TestStampSharesObjectsUntilProtect(t *testing.T) {
 
 // TestImageStampRoundTrip: a hypervisor stamped from an image — into
 // a zero Hypervisor, on a second fabrication of the same memory — has
-// the source's inventory, placements, isolation, error counts and
-// counters, and the image holds nothing the source can still write:
-// it aliases the source's inventory until the source's next Protect
-// copies it (ObjectMap.lend), and neither it nor its stamp sees that
-// write. Imaging allocates nothing per object. A host with guests is
-// refused.
+// the source's configuration, inventory, placements and point, and
+// the image holds nothing the source can still write: it aliases the
+// source's inventory until the source's next Protect copies it
+// (ObjectMap.lend), and neither it nor its stamp sees that write.
+// Imaging allocates nothing per object. A re-stamp clears the runtime
+// error state the stamped host gathered. A host with guests, masked
+// errors or an isolated core is refused.
 func TestImageStampRoundTrip(t *testing.T) {
 	src := testHypervisor(t, 3)
 	src.Objects().Protect(CatFS)
-	if err := src.IsolateCore(1); err != nil {
-		t.Fatal(err)
-	}
-	src.HandleError(telemetry.ErrorEvent{Kind: telemetry.ErrCorrectable, Component: "core2", Count: 1}, "", -1,
-		func(string) int { return 2 })
 	img, err := src.Image()
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +91,7 @@ func TestImageStampRoundTrip(t *testing.T) {
 	pristine := slices.Clone(img.objects)
 	var h Hypervisor
 	mem := testMem(t, 3)
-	if err := h.StampFrom(&img, mem); err != nil {
+	if err := h.StampFrom(&img, src.cfg, mem); err != nil {
 		t.Fatal(err)
 	}
 	if src.Objects().Protect(CatNet) == 0 { // the image must not see this
@@ -115,27 +110,38 @@ func TestImageStampRoundTrip(t *testing.T) {
 	}); allocs > imageAllocs {
 		t.Fatalf("Image allocates %.0f times, budget %d", allocs, imageAllocs)
 	}
-	if !reflect.DeepEqual(h.isolatedCores, map[int]bool{1: true}) || h.Stats() != img.Stats || h.Point() != img.Point {
-		t.Fatalf("stamped isolation/counters/point differ: %v %+v %v", h.isolatedCores, h.Stats(), h.Point())
-	}
-	if h.errorCounts["core2"] != 1 || h.Objects().ProtectedBytes() == src.Objects().ProtectedBytes() {
-		t.Fatal("stamped error counts or inventory differ from the image")
+	if h.cfg != src.cfg || h.Point() != img.Point || h.Objects().ProtectedBytes() == src.Objects().ProtectedBytes() {
+		t.Fatalf("stamped config, point or inventory differ: %+v %v", h.cfg, h.Point())
 	}
 	if got, want := h.Allocator().Image(), src.Allocator().Image(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stamped placements differ: %+v, source has %+v", got, want)
 	}
-	if err := src.StartVM(vmSpec("vm1", 2)); err != nil {
+
+	h.MaskCorrectable(1, h.cfg.IsolationThreshold)
+	if err := h.StampFrom(&img, src.cfg, mem); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Image(); err == nil {
-		t.Fatal("imaged a host with guests")
+	if h.Stats() != (Stats{}) || len(h.isolatedCores) != 0 || len(h.errorCounts) != 0 {
+		t.Fatalf("re-stamp kept runtime error state: %+v, isolated %v, counts %v", h.Stats(), h.isolatedCores, h.errorCounts)
+	}
+
+	refusals := map[string]func(h *Hypervisor){
+		"guest":         func(h *Hypervisor) { _ = h.StartVM(vmSpec("vm1", 2)) },
+		"masked error":  func(h *Hypervisor) { h.MaskCorrectable(-1, 1) },
+		"isolated core": func(h *Hypervisor) { _ = h.IsolateCore(1) },
+	}
+	for name, do := range refusals {
+		h := testHypervisor(t, 3)
+		do(h)
+		if _, err := h.Image(); err == nil {
+			t.Errorf("imaged a host with a %s", name)
+		}
 	}
 }
 
-// imageAllocs bounds Image's allocations on a host with one isolated
-// core and one error count: its profiles, placements and sorted keys,
+// imageAllocs bounds Image's allocations: its profiles and placements,
 // and no copy of the object inventory.
-const imageAllocs = 12
+const imageAllocs = 2
 
 // TestImageColumnsRoundTrip: the object column decodes into the same
 // inventory and re-encodes to the same bytes, and a column the head's

@@ -16,10 +16,10 @@ import (
 // pending triggers, published-margin history and virus archive,
 // copied out of the source daemon so the source may keep running. The
 // history's tables are shared, not copied: a published table is never
-// written. Its fields are exported for encoding only.
+// written. The refresh model and the period New was given are not part
+// of it; the stamp takes them from its caller. Its fields are exported
+// for encoding only.
 type Compiled struct {
-	Refresh power.DRAMRefreshModel
-	Period  time.Duration
 	Online  bool
 	LastRun time.Time
 	Pending []healthlog.TriggerReason
@@ -30,8 +30,6 @@ type Compiled struct {
 // Compile copies the daemon into its snapshot image.
 func (d *Daemon) Compile() *Compiled {
 	return &Compiled{
-		Refresh: d.refresh,
-		Period:  d.period,
 		Online:  d.online,
 		LastRun: d.lastRun,
 		Pending: append([]healthlog.TriggerReason(nil), d.pending...),
@@ -50,20 +48,20 @@ func (c *Compiled) Table() *vfr.EOPTable {
 }
 
 // StampInto overwrites d with the image, rebinding it to the arena's
-// clock, machine, memory and health daemon; a zero Daemon is a valid
-// destination. The history's vectors are copied into d's own slice and
+// clock, machine, memory and health daemon with the refresh model and
+// period New was given; a zero Daemon is a valid destination. The history's vectors are copied into d's own slice and
 // share the image's tables; the archive is copied, so a
 // re-characterization on the stamped daemon evolves independently of
 // the image. The caller owns d exclusively and re-hooks
 // TriggerHandler.
 func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, m *cpu.Machine,
-	mem *dram.MemorySystem, health *healthlog.Daemon) {
+	mem *dram.MemorySystem, health *healthlog.Daemon, refresh power.DRAMRefreshModel, period time.Duration) {
 	d.clock = clock
 	d.machine = m
 	d.mem = mem
 	d.health = health
-	d.refresh = c.Refresh
-	d.period = c.Period
+	d.refresh = refresh
+	d.period = period
 	d.online = c.Online
 	d.lastRun = c.LastRun
 	d.pending = append(d.pending[:0], c.Pending...)
